@@ -169,6 +169,3 @@ EXAMPLES = {
 
 ALL_BUILDERS = dict(EXAMPLES, kc12n6=kc12n6, nonthin=nonthin_control)
 
-
-def ore_entries() -> list[str]:
-    return ["b0", "xmas", "c4min", "smash36", "kc12n6"]

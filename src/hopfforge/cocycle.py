@@ -12,7 +12,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .cyclotomic import CycScalar
-from .hopf import AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, check_bialgebra
+from .hopf import (
+    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, associativity_failures,
+    check_bialgebra,
+)
 from .linalg import (
     Mat, SVec, Tensor3, Vec,
     ShapeMismatch, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale, sv_to_dense,
@@ -308,19 +311,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
             ent.ok = False
             ent.witnesses.append(k)
     # informative, non-axiom diagnostics
-    assoc = True
-    for i in range(n):
-        for j in range(n):
-            ij = P.mul_basis(i, j)
-            for k in range(n):
-                if P.mul(ij, {k: cone()}) != P.mul({i: cone()}, P.mul_basis(j, k)):
-                    assoc = False
-                    break
-            if not assoc:
-                break
-        if not assoc:
-            break
-    rep.add("info_mult_associative", True, detail=f"associative={assoc}")
+    rep.add("info_mult_associative", True, detail=f"associative={mult_is_associative(P)}")
     rep.add("info_mult_colinear", True, detail=f"colinear={mult_is_colinear(P)}")
     return rep
 
@@ -359,13 +350,7 @@ def mult_is_colinear(P: PreBialgebra) -> bool:
 
 
 def mult_is_associative(P: PreBialgebra) -> bool:
-    for i in range(P.dim):
-        for j in range(P.dim):
-            ij = P.mul_basis(i, j)
-            for k in range(P.dim):
-                if P.mul(ij, {k: cone()}) != P.mul({i: cone()}, P.mul_basis(j, k)):
-                    return False
-    return True
+    return next(associativity_failures(P.algebra), None) is None
 
 
 def m_tilde_pair(P: PreBialgebra, xi: Cocycle, i: int, j: int) -> dict[tuple[int, int], CycScalar]:

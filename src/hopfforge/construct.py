@@ -394,9 +394,6 @@ class OreHopf:
     def embed(self, h_vec: Vec) -> Vec:
         return self.sigma.apply(h_vec)
 
-    def y_power_index(self, a: int, j: int) -> int:
-        return kron_index(a, j, self.base.dim)
-
 
 def _normal_mul(H: HopfSC, phi_pows: list[Mat], N: int, lam: CycScalar, gN: SVec,
                 a: int, hs: SVec, b: int, ks: SVec) -> dict[tuple[int, int], CycScalar]:

@@ -360,7 +360,7 @@ class CycScalar:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.nums)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
         return self.den == 1 and self.nums[0] == 1 and all(c == 0 for c in self.nums[1:])
@@ -376,12 +376,13 @@ class CycScalar:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = CycScalar._common(self, other)
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.L == other.L else CycScalar._common(self, other)
         if a.den == b.den:
-            return CycScalar(a.L, [x + y for x, y in zip(a.nums, b.nums)], a.den)
+            return CycScalar(a.L, [x + y for x, y in zip(a.nums, b.nums)], a.den, _normalized=a.den == 1)
         g = gcd(a.den, b.den)
         fa, fb = b.den // g, a.den // g
         return CycScalar(a.L, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], a.den * fa)
@@ -404,32 +405,37 @@ class CycScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = CycScalar._common(self, other)
-        phi = len(a.nums)
-        if phi == 1:
-            return CycScalar(a.L, [a.nums[0] * b.nums[0]], a.den * b.den)
-        conv = [0] * (2 * phi - 1)
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.L == other.L else CycScalar._common(self, other)
         an, bn = a.nums, b.nums
-        for i in range(phi):
-            ai = an[i]
-            if ai:
-                for j in range(phi):
-                    bj = bn[j]
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:phi]
-        red = _reduction_rows(a.L)
-        for k in range(phi, 2 * phi - 1):
-            ck = conv[k]
-            if ck:
-                row = red[k - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += ck * row[j]
-        return CycScalar(a.L, out, a.den * b.den)
+        phi = len(an)
+        if phi == 1:
+            out = [an[0] * bn[0]]
+        else:
+            conv = [0] * (2 * phi - 1)
+            for i in range(phi):
+                ai = an[i]
+                if ai:
+                    for j in range(phi):
+                        bj = bn[j]
+                        if bj:
+                            conv[i + j] += ai * bj
+            out = conv[:phi]
+            if any(conv[phi:]):
+                red = _reduction_rows(a.L)
+                for k in range(phi, 2 * phi - 1):
+                    ck = conv[k]
+                    if ck:
+                        row = red[k - phi]
+                        for j in range(phi):
+                            if row[j]:
+                                out[j] += ck * row[j]
+        den = a.den * b.den
+        # integral operands give an integral, hence already normalized, product
+        return CycScalar(a.L, out, den, _normalized=den == 1)
 
     __rmul__ = __mul__
 
@@ -491,9 +497,10 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.L == other.L:
             return self.den == other.den and self.nums == other.nums
         a, b = CycScalar._common(self, other)
@@ -509,7 +516,7 @@ class CycScalar:
         return hash((t1, t2))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     # -- display --------------------------------------------------------
 

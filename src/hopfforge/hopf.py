@@ -7,15 +7,17 @@ as report entries with witnesses, never as silent errors.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from itertools import islice
+from math import lcm
+from typing import Iterable, Iterator, Optional
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
-    ShapeMismatch, basis_vec, cone, czero, dot, kernel, kernel_from_sparse_rows,
-    kron_index, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, vec_eq, vec_is_zero, zeros,
+    ShapeMismatch, basis_vec, cone, czero, dot, kernel_from_sparse_rows,
+    sv_add_into, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
-from .reports import CheckReport
+from .reports import MAX_WITNESSES, CheckReport
 
 
 class NotABialgebra(ValueError):
@@ -64,30 +66,15 @@ class AlgebraSC:
         for i, ca in a.items():
             for j, cb in b.items():
                 terms = by_ij.get((i, j))
-                if not terms:
-                    continue
-                c = ca * cb
-                for k, w in terms:
-                    cur = out.get(k)
-                    new = c * w if cur is None else cur + c * w
-                    if new:
-                        out[k] = new
-                    elif cur is not None:
-                        del out[k]
+                if terms:
+                    sv_axpy(out, ca * cb, terms)
         return out
-
-    def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        return sv_to_dense(self.mul_sv(sv_from_dense(a), sv_from_dense(b)), self.dim)
 
     def pow_sv(self, a: SVec, n: int) -> SVec:
         result = self.unit_sv()
         for _ in range(n):
             result = self.mul_sv(result, a)
         return result
-
-    def left_mul_matrix(self, a: Vec) -> Mat:
-        cols = [sv_to_dense(self.mul_sv(sv_from_dense(a), {j: cone()}), self.dim) for j in range(self.dim)]
-        return Mat.from_cols(cols)
 
 
 class CoalgebraSC:
@@ -111,13 +98,9 @@ class CoalgebraSC:
     def comult_sv(self, v: SVec) -> dict[tuple[int, int], CycScalar]:
         out: dict[tuple[int, int], CycScalar] = {}
         for k, c in v.items():
-            for key, w in self._by_k.get(k, {}).items():
-                cur = out.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    out[key] = new
-                elif cur is not None:
-                    del out[key]
+            d = self._by_k.get(k)
+            if d:
+                sv_axpy(out, c, d.items())
         return out
 
     def counit_sv(self, v: SVec) -> CycScalar:
@@ -168,32 +151,82 @@ class HopfSC(BialgebraSC):
             raise NotABialgebra("no antipode stored")
         return self.antipode.apply_sv(v)
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 # -- axiom checkers ----------------------------------------------------------
+#
+# The checkers contract the structure tables directly, so every product they
+# form is a product of structure constants; they still visit every basis tuple
+# (a failing associativity scan stops at its eighth witness).  Each lifts its
+# constants to one conductor on entry, so no product or sum in its loops promotes.
+
+
+def _conductor(*groups: Iterable[CycScalar]) -> int:
+    """The lcm conductor of the scalars, or 0 past the conductor cap: nothing
+    is lifted then, and mixed arithmetic raises ConductorOverflow just as it
+    does on the raw constants."""
+    M = lcm(1, *{c.L for g in groups for c in g})
+    return M if M <= conductor_cap() else 0
+
+
+def _lift(c: CycScalar, M: int) -> CycScalar:
+    return c.promote(M) if M else c
+
+
+def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
+    return (c for terms in A._by_ij.values() for _, c in terms)
+
+
+def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
+    return (c for d in C._by_k.values() for c in d.values())
+
+
+def _lifted_rows(A: AlgebraSC, M: int) -> dict[tuple[int, int], list[tuple[int, CycScalar]]]:
+    """A's multiplication rows with every constant at conductor M; rows
+    already at M are shared, not copied."""
+    return {ij: terms if all(c.L == M for _, c in terms) else [(k, _lift(c, M)) for k, c in terms]
+            for ij, terms in A._by_ij.items()}
+
+
+def _lifted_coproducts(C: CoalgebraSC, M: int) -> dict[int, dict[tuple[int, int], CycScalar]]:
+    return {k: d if all(c.L == M for c in d.values()) else {key: _lift(c, M) for key, c in d.items()}
+            for k, d in C._by_k.items()}
+
+
+def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
+    """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic order.
+
+    (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
+    sum_m mult[j,k,m] e_i e_m are contracted straight from the table.
+    """
+    rows = _lifted_rows(A, _conductor(_mult_constants(A)))
+    n = A.dim
+    for i in range(n):
+        for j in range(n):
+            ij = rows.get((i, j), ())
+            for k in range(n):
+                lhs: SVec = {}
+                for m, c in ij:
+                    sv_axpy(lhs, c, rows.get((m, k), ()))
+                rhs: SVec = {}
+                for m, c in rows.get((j, k), ()):
+                    sv_axpy(rhs, c, rows.get((i, m), ()))
+                if lhs != rhs:
+                    yield i, j, k
 
 
 def check_algebra(A: AlgebraSC) -> CheckReport:
     rep = CheckReport("algebra axioms")
-    n = A.dim
-    assoc = rep.add("associativity", True)
-    for i in range(n):
-        for j in range(n):
-            ij = A.mul_basis(i, j)
-            for k in range(n):
-                lhs = A.mul_sv(ij, {k: cone()})
-                rhs = A.mul_sv({i: cone()}, A.mul_basis(j, k))
-                if lhs != rhs:
-                    assoc.ok = False
-                    if len(assoc.witnesses) < 8:
-                        assoc.witnesses.append((i, j, k))
+    witnesses = list(islice(associativity_failures(A), MAX_WITNESSES))
+    rep.add("associativity", not witnesses, witnesses)
     unit = rep.add("two_sided_unit", True)
     u = A.unit_sv()
-    for i in range(n):
-        e = {i: cone()}
-        if A.mul_sv(u, e) != e or A.mul_sv(e, u) != e:
+    for i in range(A.dim):
+        left: SVec = {}
+        right: SVec = {}
+        for m, c in u.items():
+            sv_axpy(left, c, A._by_ij.get((m, i), ()))
+            sv_axpy(right, c, A._by_ij.get((i, m), ()))
+        if left != {i: cone()} or right != {i: cone()}:
             unit.ok = False
             unit.witnesses.append(i)
     return rep
@@ -202,70 +235,50 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
     n = C.dim
+    M = _conductor(_comult_constants(C), C.counit)
+    cops = _lifted_coproducts(C, M)
+    counit = [_lift(c, M) for c in C.counit]
     coassoc = rep.add("coassociativity", True)
     for k in range(n):
-        d = C.comult_basis(k)
         left: dict[tuple[int, int, int], CycScalar] = {}
         right: dict[tuple[int, int, int], CycScalar] = {}
-        for (a, b), c in d.items():
-            for (x, y), w in C.comult_basis(a).items():
-                key = (x, y, b)
-                cur = left.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    left[key] = new
-                elif cur is not None:
-                    del left[key]
-            for (x, y), w in C.comult_basis(b).items():
-                key = (a, x, y)
-                cur = right.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    right[key] = new
-                elif cur is not None:
-                    del right[key]
-        if set(left) != set(right) or any(left[kk] != right[kk] for kk in left):
+        for (a, b), c in cops.get(k, {}).items():
+            sv_axpy(left, c, (((x, y, b), w) for (x, y), w in cops.get(a, {}).items()))
+            sv_axpy(right, c, (((a, x, y), w) for (x, y), w in cops.get(b, {}).items()))
+        if left != right:
             coassoc.ok = False
             coassoc.witnesses.append(k)
-    counit = rep.add("counit", True)
+    ent = rep.add("counit", True)
+    one = _lift(cone(), M)
     for k in range(n):
         lhs_l: SVec = {}
         lhs_r: SVec = {}
-        for (a, b), c in C.comult_basis(k).items():
-            e = C.counit[a]
-            if e:
-                sv_add_into(lhs_l, {b: e * c})
-            e = C.counit[b]
-            if e:
-                sv_add_into(lhs_r, {a: e * c})
-        if lhs_l != {k: cone()} or lhs_r != {k: cone()}:
-            counit.ok = False
-            counit.witnesses.append(k)
+        for (a, b), c in cops.get(k, {}).items():
+            if counit[a]:
+                sv_add_into(lhs_l, {b: counit[a] * c})
+            if counit[b]:
+                sv_add_into(lhs_r, {a: counit[b] * c})
+        if lhs_l != {k: one} or lhs_r != {k: one}:
+            ent.ok = False
+            ent.witnesses.append(k)
     return rep
 
 
-def _comult_pair_product(B: BialgebraSC, da, db) -> dict[tuple[int, int], CycScalar]:
-    """Product of two expanded coproducts inside B (x) B."""
+def _comult_pair_product(rows, da, db) -> dict[tuple[int, int], CycScalar]:
+    """Product of two expanded coproducts inside B (x) B, from B's lifted
+    multiplication rows."""
     out: dict[tuple[int, int], CycScalar] = {}
     for (a1, a2), ca in da.items():
         for (b1, b2), cb in db.items():
-            c = ca * cb
-            left = B.mul_basis(a1, b1)
+            left = rows.get((a1, b1))
             if not left:
                 continue
-            right = B.mul_basis(a2, b2)
+            right = rows.get((a2, b2))
             if not right:
                 continue
-            for x, cx in left.items():
-                cxc = cx * c
-                for y, cy in right.items():
-                    key = (x, y)
-                    cur = out.get(key)
-                    new = cxc * cy if cur is None else cur + cxc * cy
-                    if new:
-                        out[key] = new
-                    elif cur is not None:
-                        del out[key]
+            c = ca * cb
+            for x, cx in left:
+                sv_axpy(out, cx * c, [((x, y), cy) for y, cy in right])
     return out
 
 
@@ -274,24 +287,32 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep.merge(check_algebra(B))
     rep.merge(check_coalgebra(B))
     n = B.dim
+    M = _conductor(_mult_constants(B), _comult_constants(B), B.counit)
+    rows = _lifted_rows(B, M)
+    cops = _lifted_coproducts(B, M)
+    counit = [_lift(c, M) for c in B.counit]
     ent = rep.add("comult_is_algebra_map", True)
     for i in range(n):
-        di = B.comult_basis(i)
+        di = cops.get(i, {})
         for j in range(n):
-            lhs = B.comult_sv(B.mul_basis(i, j))
-            rhs = _comult_pair_product(B, di, B.comult_basis(j))
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+            lhs: dict[tuple[int, int], CycScalar] = {}
+            for m, c in rows.get((i, j), ()):
+                sv_axpy(lhs, c, cops.get(m, {}).items())
+            if lhs != _comult_pair_product(rows, di, cops.get(j, {})):
                 ent.ok = False
-                if len(ent.witnesses) < 8:
+                if len(ent.witnesses) < MAX_WITNESSES:
                     ent.witnesses.append((i, j))
     ent = rep.add("counit_is_algebra_map", True)
+    zero = _lift(czero(), M)
     for i in range(n):
         for j in range(n):
-            lhs = B.counit_sv(B.mul_basis(i, j))
-            rhs = B.counit[i] * B.counit[j]
-            if lhs != rhs:
+            lhs = zero
+            for k, c in rows.get((i, j), ()):
+                if counit[k]:
+                    lhs = lhs + counit[k] * c
+            if lhs != counit[i] * counit[j]:
                 ent.ok = False
-                if len(ent.witnesses) < 8:
+                if len(ent.witnesses) < MAX_WITNESSES:
                     ent.witnesses.append((i, j))
     u = B.unit_sv()
     du = B.comult_sv(u)
@@ -307,17 +328,26 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
 
 
 def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
+    """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
+    from the multiplication rows and the columns of S."""
     n = B.dim
-    u = B.unit_sv()
+    M = _conductor(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
+                   (a for r in S.rows for a in r))
+    rows = _lifted_rows(B, M)
+    cops = _lifted_coproducts(B, M)
+    scols = [[(s, _lift(S.rows[s][i], M)) for s in range(n) if S.rows[s][i]] for i in range(n)]
+    u = {i: _lift(c, M) for i, c in B.unit_sv().items()}
     left = rep.add("antipode_left", True)
     right = rep.add("antipode_right", True)
     for k in range(n):
-        target = sv_scale(u, B.counit[k])
+        target = sv_scale(u, _lift(B.counit[k], M))
         lhs: SVec = {}
         rhs: SVec = {}
-        for (i, j), c in B.comult_basis(k).items():
-            sv_add_into(lhs, B.mul_sv(sv_scale(S.apply_sv({i: cone()}), c), {j: cone()}))
-            sv_add_into(rhs, B.mul_sv({i: c}, S.apply_sv({j: cone()})))
+        for (i, j), c in cops.get(k, {}).items():
+            for s, a in scols[i]:
+                sv_axpy(lhs, a * c, rows.get((s, j), ()))
+            for s, a in scols[j]:
+                sv_axpy(rhs, c * a, rows.get((i, s), ()))
         if lhs != target:
             left.ok = False
             left.witnesses.append(k)
@@ -387,24 +417,12 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
                 for s in range(n):
                     w = B.mul_basis(s, j).get(t)
                     if w:
-                        key = i * n + s
-                        cur = row_l.get(key)
-                        new = c * w if cur is None else cur + c * w
-                        if new:
-                            row_l[key] = new
-                        elif cur is not None:
-                            del row_l[key]
+                        sv_axpy(row_l, c, [(i * n + s, w)])
                 # right axiom: sum_s x[j,s] (e_i e_s)_t
                 for s in range(n):
                     w = B.mul_basis(i, s).get(t)
                     if w:
-                        key = j * n + s
-                        cur = row_r.get(key)
-                        new = c * w if cur is None else cur + c * w
-                        if new:
-                            row_r[key] = new
-                        elif cur is not None:
-                            del row_r[key]
+                        sv_axpy(row_r, c, [(j * n + s, w)])
             target = B.counit[k] * B.unit[t]
             rows.append(row_l)
             rhs.append(target)

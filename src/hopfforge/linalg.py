@@ -14,7 +14,7 @@ nonzero CycScalar (used heavily by the structure-constant layer).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycScalar
 
@@ -46,22 +46,6 @@ def basis_vec(n: int, i: int) -> Vec:
     v = [_ZERO] * n
     v[i] = _ONE
     return v
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise ShapeMismatch("vector dimensions differ")
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise ShapeMismatch("vector dimensions differ")
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(c: CycScalar, a: Vec) -> Vec:
-    return [c * x for x in a]
 
 
 def vec_eq(a: Vec, b: Vec) -> bool:
@@ -96,10 +80,26 @@ def sv_to_dense(sv: SVec, n: int) -> Vec:
     return out
 
 
+def sv_axpy(acc: dict, c: CycScalar, terms: Iterable) -> None:
+    """acc += c * w over the (key, w) terms; entries that cancel are dropped.
+
+    The one sparse accumulation kernel: vectors keyed by index and tensors
+    keyed by index tuples both go through it.
+    """
+    for key, w in terms:
+        cur = acc.get(key)
+        new = c * w if cur is None else cur + c * w
+        if new:
+            acc[key] = new
+        elif cur is not None:
+            del acc[key]
+
+
 def sv_add_into(acc: SVec, sv: SVec, scale: Optional[CycScalar] = None) -> None:
+    if scale is not None:
+        sv_axpy(acc, scale, sv.items())
+        return
     for i, c in sv.items():
-        if scale is not None:
-            c = scale * c
         cur = acc.get(i)
         new = c if cur is None else cur + c
         if new:
@@ -114,18 +114,8 @@ def sv_scale(sv: SVec, c: CycScalar) -> SVec:
     return {i: c * v for i, v in sv.items()}
 
 
-def sv_eq(a: SVec, b: SVec) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
 def kron_index(i: int, j: int, n2: int) -> int:
     return i * n2 + j
-
-
-def kron_split(k: int, n2: int) -> tuple[int, int]:
-    return divmod(k, n2)
 
 
 class Mat:
@@ -159,10 +149,6 @@ class Mat:
             return Mat([], 0, 0)
         n = len(cols[0])
         return Mat([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    @staticmethod
-    def from_function(nrows: int, ncols: int, f: Callable[[int, int], CycScalar]) -> "Mat":
-        return Mat([[f(i, j) for j in range(ncols)] for i in range(nrows)], nrows, ncols)
 
     def col(self, j: int) -> Vec:
         return [self.rows[i][j] for i in range(self.nrows)]
@@ -216,9 +202,6 @@ class Mat:
 
     def scale(self, c: CycScalar) -> "Mat":
         return Mat([[c * a for a in r] for r in self.rows])
-
-    def transpose(self) -> "Mat":
-        return Mat([list(r) for r in zip(*self.rows)] if self.rows else [], self.ncols, self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

@@ -241,3 +241,56 @@ def test_pascal_hypothesis(n, k, L):
     else:
         assert q_binomial(n, k, q) == \
             q_binomial(n - 1, k - 1, q) + (q ** k) * q_binomial(n - 1, k, q)
+
+
+# -- sympy oracle for the multiply ----------------------------------------------
+
+ORACLE_CONDUCTORS = [1, 4, 6, 12]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def oracle_operand(draw, integral):
+    """A CycScalar at one of ORACLE_CONDUCTORS, often with zero coefficients."""
+    L = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    phi = euler_phi(L)
+    nums = draw(st.lists(st.integers(-4, 4), min_size=phi, max_size=phi))
+    den = 1 if integral else draw(st.integers(2, 12))
+    return CycScalar(L, nums, den)
+
+
+def sympy_coords(sympy, a, b, op):
+    """Power-basis coordinates of op(a, b) in Q(zeta_M), M = lcm(a.L, b.L), from
+    sympy's polynomial remainder modulo its own cyclotomic polynomial."""
+    x = sympy.Symbol("x")
+    M = a.L * b.L // gcd(a.L, b.L)
+
+    def poly(s):
+        # zeta_L = zeta_M^(M/L)
+        step = M // s.L
+        return sum(sympy.Rational(c, s.den) * x ** (step * i) for i, c in enumerate(s.nums))
+
+    rem = sympy.Poly(sympy.rem(sympy.expand(op(poly(a), poly(b))), sympy.cyclotomic_poly(M, x), x),
+                     x, domain="QQ")
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return M, coeffs + [Fraction(0)] * (euler_phi(M) - len(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda integral: st.tuples(
+    st.just(integral), oracle_operand(integral), oracle_operand(integral))))
+def test_mul_add_match_sympy_remainder(sympy, case):
+    # integral operands take the den == 1 shortcuts, the others the gcd paths
+    integral, a, b = case
+    for result, op in ((a * b, lambda p, q: p * q), (a + b, lambda p, q: p + q)):
+        M, expect = sympy_coords(sympy, a, b, op)
+        assert result.L == M
+        assert result.coeffs() == expect
+        assert result.den > 0 and gcd(result.den, *result.nums) == 1
+        assert (result.den == 1) or not integral
+        assert bool(result) == any(expect) == (not result.is_zero())
+    assert bool(a) == any(a.nums) and a.is_zero() == (not any(a.nums))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hopfforge import catalog
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
     NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
@@ -8,7 +11,9 @@ from hopfforge.hopf import (
     phi_power, psi_power, primitives, skew_primitives, unit_counit_map,
     verify_ad_integral, verify_character, verify_group_like, wedge,
 )
-from hopfforge.linalg import Mat, Subspace, Tensor3, basis_vec, cone, sv_from_dense, zeros
+from hopfforge.linalg import (
+    Mat, Subspace, Tensor3, basis_vec, cone, sv_add_into, sv_from_dense, sv_scale, zeros,
+)
 
 
 def rat(x):
@@ -235,3 +240,109 @@ def test_error_types(kc6):
     # the dense antipode solve is capped
     with pytest.raises(ValueError):
         compute_antipode(group_algebra_cyclic(30), dim_cap=24)
+
+
+# -- the contracted checkers against the per-tuple formulation -----------------
+
+def oracle_associativity(A):
+    """(ok, first 8 witnesses) with both sides formed by mul_sv on unit vectors."""
+    ok, witnesses = True, []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ij = A.mul_basis(i, j)
+            for k in range(A.dim):
+                if A.mul_sv(ij, {k: cone()}) != A.mul_sv({i: cone()}, A.mul_basis(j, k)):
+                    ok = False
+                    if len(witnesses) < 8:
+                        witnesses.append((i, j, k))
+    return ok, witnesses
+
+
+def oracle_pair_product(B, da, db):
+    """Delta(a) Delta(b) in B (x) B, product by product."""
+    out = {}
+    for (a1, a2), ca in da.items():
+        for (b1, b2), cb in db.items():
+            c = ca * cb
+            left = B.mul_basis(a1, b1)
+            if not left:
+                continue
+            right = B.mul_basis(a2, b2)
+            if not right:
+                continue
+            for x, cx in left.items():
+                for y, cy in right.items():
+                    cur = out.get((x, y))
+                    new = cx * c * cy if cur is None else cur + cx * c * cy
+                    if new:
+                        out[(x, y)] = new
+                    elif cur is not None:
+                        del out[(x, y)]
+    return out
+
+
+def oracle_comult_is_algebra_map(B):
+    ok, witnesses = True, []
+    for i in range(B.dim):
+        for j in range(B.dim):
+            lhs = B.comult_sv(B.mul_basis(i, j))
+            if lhs != oracle_pair_product(B, B.comult_basis(i), B.comult_basis(j)):
+                ok = False
+                if len(witnesses) < 8:
+                    witnesses.append((i, j))
+    return ok, witnesses
+
+
+def oracle_antipode(B, S):
+    """((ok, witnesses) left, (ok, witnesses) right) with S applied column by column."""
+    u = B.unit_sv()
+    left, right = [], []
+    for k in range(B.dim):
+        target = sv_scale(u, B.counit[k])
+        lhs, rhs = {}, {}
+        for (i, j), c in B.comult_basis(k).items():
+            sv_add_into(lhs, B.mul_sv(sv_scale(S.apply_sv({i: cone()}), c), {j: cone()}))
+            sv_add_into(rhs, B.mul_sv({i: c}, S.apply_sv({j: cone()})))
+        if lhs != target:
+            left.append(k)
+        if rhs != target:
+            right.append(k)
+    return (not left, left), (not right, right)
+
+
+def perturbed(H, tensor, seed):
+    """H with one constant of its MULT or COMULT tensor moved by +1."""
+    from hopfforge.hopf import HopfSC
+    T = getattr(H, tensor)
+    data = dict(T.data)
+    key = random.Random(seed).choice(sorted(data))
+    data[key] = data[key] + rat(1)
+    T2 = Tensor3(T.shape, data)
+    mult, comult = (T2, H.comult) if tensor == "mult" else (H.mult, T2)
+    return key, HopfSC(H.dim, mult, H.unit, comult, H.counit, H.antipode)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+@pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
+def test_checkers_match_oracle_on_perturbed_structures(name, tensor, seed):
+    key, B = perturbed(catalog.ALL_BUILDERS[name]().ore.O, tensor, seed)
+    rep = check_hopf(B)
+    got = {e.name: (e.ok, e.witnesses) for e in rep.entries}
+    expect = {"associativity": oracle_associativity(B),
+              "comult_is_algebra_map": oracle_comult_is_algebra_map(B)}
+    expect["antipode_left"], expect["antipode_right"] = oracle_antipode(B, B.antipode)
+    for entry, value in expect.items():
+        assert got[entry] == value, entry
+    assert not rep.ok
+    if tensor == "mult":
+        # every failing (a, b, c) forms the perturbed product e_i e_j on one side
+        i, j, _ = key
+        ok, witnesses = got["associativity"]
+        assert not ok and all({i, j} & set(w) for w in witnesses)
+    else:
+        k = key[0]
+        assert not (got["coassociativity"][0] and got["comult_is_algebra_map"][0])
+        named = [w for e in ("coassociativity", "counit", "comult_is_algebra_map")
+                 for w in got[e][1]]
+        assert any(k == w or (isinstance(w, tuple) and k in w) for w in named)
