@@ -11,18 +11,19 @@ the classification isomorphism onto an Ore-extension Hopf algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
-from .cyclotomic import CycScalar, multiplicative_order, q_binomial, q_factorial, q_int
+from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
-    BialgebraSC, HopfSC,
+    BialgebraSC, HopfSC, algebra_map_failures, coalgebra_map_failures,
     char_convpow, char_eval, phi_power, psi_power, skew_primitives,
     verify_ad_integral, verify_character, verify_group_like, wedge, filtration_from,
 )
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
-    basis_vec, cone, czero, kernel_from_sparse_rows, kron_index, sv_add_into, sv_from_dense,
-    sv_scale, sv_to_dense, vec_eq, vec_is_zero, zeros,
+    cone, czero, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_scale,
+    sv_to_dense, vec_eq, zeros,
 )
 from .cocycle import (
     Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra,
@@ -32,7 +33,7 @@ from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
     universal_map, validate_compatible_datum, validate_yd_datum, _coordinate_solver,
 )
-from .reports import CheckReport
+from .reports import MAX_WITNESSES, CheckReport
 from .yd import YDModule
 
 
@@ -83,40 +84,16 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     rep = CheckReport("projection setup")
     A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
     rep.add("sigma_injective", sigma.rank() == H.dim)
-    ok = vec_eq(sigma.apply(H.unit), A.unit)
+    # witnesses are set on the entry, not passed to rep.add, which keeps only 8:
+    # "unit" follows 8 pairs, and the coalgebra list is not bounded
     ent = rep.add("sigma_algebra_map", True)
-    for i in range(H.dim):
-        si = sigma.apply_sv({i: cone()})
-        for j in range(H.dim):
-            lhs = sigma.apply_sv(H.mul_basis(i, j))
-            rhs = A.mul_sv(si, sigma.apply_sv({j: cone()}))
-            if lhs != rhs:
-                ent.ok = False
-                if len(ent.witnesses) < 8:
-                    ent.witnesses.append((i, j))
-    if not ok:
-        ent.ok = False
+    ent.witnesses = list(islice(algebra_map_failures(sigma, H, A), MAX_WITNESSES))
+    if not vec_eq(sigma.apply(H.unit), A.unit):
         ent.witnesses.append("unit")
+    ent.ok = not ent.witnesses
     ent = rep.add("sigma_coalgebra_map", True)
-    for k in range(H.dim):
-        lhs: dict[tuple[int, int], CycScalar] = {}
-        for (i, j), c in H.comult_basis(k).items():
-            for a, ca in sigma.apply_sv({i: c}).items():
-                for b, cb in sigma.apply_sv({j: cone()}).items():
-                    key = (a, b)
-                    cur = lhs.get(key)
-                    new = ca * cb if cur is None else cur + ca * cb
-                    if new:
-                        lhs[key] = new
-                    elif cur is not None:
-                        del lhs[key]
-        rhs = A.comult_sv(sigma.apply_sv({k: cone()}))
-        if set(lhs) != set(rhs) or any(lhs[kk] != rhs[kk] for kk in lhs):
-            ent.ok = False
-            ent.witnesses.append(k)
-        if A.counit_sv(sigma.apply_sv({k: cone()})) != H.counit[k]:
-            ent.ok = False
-            ent.witnesses.append(("counit", k))
+    ent.witnesses = list(coalgebra_map_failures(sigma, H, A))
+    ent.ok = not ent.witnesses
     rep.add("pi_retraction", (pi @ sigma) == Mat.identity(H.dim))
     diag = retraction_diagnostics(A, pi, sigma, H)
     rep.add("pi_coalgebra_map", diag["coalgebra_map"])
@@ -126,11 +103,12 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     if rep.ok:
         R_rows = coinvariants(s).rows
         ent = rep.add("pi_normal_on_coinvariants", True)
+        scols = sigma.sparse_cols()
         for r in R_rows:
             rs = sv_from_dense(r)
             er = A.counit_sv(rs)
             for h in range(H.dim):
-                lhs = pi.apply_sv(A.mul_sv(rs, sigma.apply_sv({h: cone()})))
+                lhs = pi.apply_sv(A.mul_sv(rs, scols[h]))
                 if lhs != ({h: er} if er else {}):
                     ent.ok = False
                     ent.witnesses.append(h)
@@ -143,26 +121,13 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
     n = A.dim
     rows: dict[tuple[int, int], SVec] = {}
     unit_h = sv_from_dense(H.unit)
+    pcols = pi.sparse_cols()
     for k in range(n):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_basis(k).items():
-            for h, ch in pi.apply_sv({j: c}).items():
-                key = (i, h)
-                cur = t.get(key)
-                new = ch if cur is None else cur + ch
-                if new:
-                    t[key] = new
-                elif cur is not None:
-                    del t[key]
+            sv_axpy(t, c, (((i, h), w) for h, w in pcols[j].items()))
         # subtract e_k (x) 1_H
-        for h, ch in unit_h.items():
-            key = (k, h)
-            cur = t.get(key)
-            new = (-ch) if cur is None else cur - ch
-            if new:
-                t[key] = new
-            else:
-                t.pop(key, None)
+        sv_axpy(t, -cone(), (((k, h), ch) for h, ch in unit_h.items()))
         for key, c in t.items():
             rows.setdefault(key, {})[k] = c
     return kernel_from_sparse_rows(rows.values(), n)
@@ -226,18 +191,11 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
 
     # delta(r) = tau(r_1) (x) r_2, both legs expressed in R
     comult = Tensor3((nr, nr, nr))
+    tau_cols = tau.sparse_cols()
     for k, rvec in enumerate(basis):
         pair: dict[int, SVec] = {}
         for (i, j), c in A.comult_sv(sv_from_dense(rvec)).items():
-            ti = tau.apply_sv({i: c})
-            for a, ca in ti.items():
-                pair.setdefault(j, {})
-                cur = pair[j].get(a)
-                new = ca if cur is None else cur + ca
-                if new:
-                    pair[j][a] = new
-                elif cur is not None:
-                    del pair[j][a]
+            sv_axpy(pair.setdefault(j, {}), c, tau_cols[i].items())
         # first express the tau-leg, then the second leg
         half: dict[int, Vec] = {}
         for j, col in pair.items():
@@ -284,18 +242,12 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
                 if cj:
                     action[(h, i, j)] = cj
     coaction = Tensor3((nr, H.dim, nr))
+    pi_cols = pi.sparse_cols()
     for i in range(nr):
         pair2: dict[int, SVec] = {}
         for (a, b), c in A.comult_sv(sv_from_dense(basis[i])).items():
-            ph = pi.apply_sv({a: c})
-            for h, ch in ph.items():
-                pair2.setdefault(h, {})
-                cur = pair2[h].get(b)
-                new = ch if cur is None else cur + ch
-                if new:
-                    pair2[h][b] = new
-                elif cur is not None:
-                    del pair2[h][b]
+            for h, w in pi_cols[a].items():
+                sv_axpy(pair2.setdefault(h, {}), c, ((b, w),))
         for h, col in pair2.items():
             if col:
                 x = coords_or_fail(sv_to_dense(col, A.dim), "coaction")
@@ -332,41 +284,20 @@ def omega_roundtrip(s: ProjectionSetup, ind: Optional[InducedPreBialgebra] = Non
     """
     if ind is None:
         ind = induced_structures(s)
-    A, H, sigma = s.A, s.H, s.sigma
-    bos = bosonize(ind.pre, ind.xi, verify=False)
-    B = bos.B
-    nr, nh = ind.pre.dim, H.dim
-    omega_cols = []
-    for i in range(nr):
-        ri = sv_from_dense(ind.basis[i])
-        for h in range(nh):
-            omega_cols.append(sv_to_dense(A.mul_sv(ri, sigma.apply_sv({h: cone()})), A.dim))
-    omega = Mat.from_cols(omega_cols)
-    # multiplicativity: omega(m_B(u, v)) = omega(u) omega(v) on basis pairs
-    for u in range(B.dim):
-        ou = omega.apply_sv({u: cone()})
-        for v in range(B.dim):
-            lhs = omega.apply_sv(B.mul_basis(u, v))
-            rhs = A.mul_sv(ou, omega.apply_sv({v: cone()}))
-            if lhs != rhs:
-                return False
-    # comultiplicativity: (omega (x) omega) Delta_B = Delta_A omega
-    for k in range(B.dim):
-        lhs: dict[tuple[int, int], CycScalar] = {}
-        for (i, j), c in B.comult_basis(k).items():
-            for a, ca in omega.apply_sv({i: c}).items():
-                for b, cb in omega.apply_sv({j: cone()}).items():
-                    key = (a, b)
-                    cur = lhs.get(key)
-                    new = ca * cb if cur is None else cur + ca * cb
-                    if new:
-                        lhs[key] = new
-                    elif cur is not None:
-                        del lhs[key]
-        rhs = A.comult_sv(omega.apply_sv({k: cone()}))
-        if set(lhs) != set(rhs) or any(lhs[kk] != rhs[kk] for kk in lhs):
-            return False
-    return True
+    return _omega_is_iso(ind, bosonize(ind.pre, ind.xi, verify=False).B)
+
+
+def _omega_is_iso(ind: InducedPreBialgebra, B: BialgebraSC) -> bool:
+    """omega(r (x) h) = r sigma(h) carries the multiplication and the
+    comultiplication of B = R # H onto those of A (counits are not compared)."""
+    A = ind.setup.A
+    scols = ind.setup.sigma.sparse_cols()
+    omega = Mat.from_cols([sv_to_dense(A.mul_sv(sv_from_dense(r), sh), A.dim)
+                           for r in ind.basis for sh in scols])
+    if next(algebra_map_failures(omega, B, A), None) is not None:
+        return False
+    # the ("counit", k) witnesses are skipped, k alone is a comultiplication failure
+    return all(isinstance(w, tuple) for w in coalgebra_map_failures(omega, B, A))
 
 
 # -- thinness and divided powers ----------------------------------------------
@@ -725,8 +656,8 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     one_item = xi.is_trivial(pre)
     two_item = analysis.lam.is_zero() if analysis.lam is not None else None
     three_item = _is_plain_smash(ind)
-    diag = retraction_diagnostics(A, s.pi, s.sigma, H)
-    four_item = diag["algebra_map"]
+    four_item = (vec_eq(s.pi.apply(A.unit), H.unit)
+                 and next(algebra_map_failures(s.pi, A, H), None) is None)
     equivalences = {
         "a_colinear": a_item,
         "b_odd_or_half_zero": b_item,
@@ -835,37 +766,7 @@ def _is_plain_smash(ind: InducedPreBialgebra) -> bool:
         bos = bosonize(ind.pre, Cocycle.trivial(ind.pre), verify=False)
     except Exception:
         return False
-    s = ind.setup
-    A = s.A
-    nr, nh = ind.pre.dim, s.H.dim
-    omega_cols = []
-    for i in range(nr):
-        ri = sv_from_dense(ind.basis[i])
-        for h in range(nh):
-            omega_cols.append(sv_to_dense(A.mul_sv(ri, s.sigma.apply_sv({h: cone()})), A.dim))
-    omega = Mat.from_cols(omega_cols)
-    B = bos.B
-    for u in range(B.dim):
-        ou = omega.apply_sv({u: cone()})
-        for v in range(B.dim):
-            if omega.apply_sv(B.mul_basis(u, v)) != A.mul_sv(ou, omega.apply_sv({v: cone()})):
-                return False
-    for k in range(B.dim):
-        lhs: dict[tuple[int, int], CycScalar] = {}
-        for (i, j), c in B.comult_basis(k).items():
-            for a, ca in omega.apply_sv({i: c}).items():
-                for b, cb in omega.apply_sv({j: cone()}).items():
-                    key = (a, b)
-                    cur = lhs.get(key)
-                    new = ca * cb if cur is None else cur + ca * cb
-                    if new:
-                        lhs[key] = new
-                    elif cur is not None:
-                        del lhs[key]
-        rhs = A.comult_sv(omega.apply_sv({k: cone()}))
-        if set(lhs) != set(rhs) or any(lhs[kk] != rhs[kk] for kk in lhs):
-            return False
-    return True
+    return _omega_is_iso(ind, bos.B)
 
 
 # -- retraction transport and uniqueness ---------------------------------------
@@ -924,24 +825,7 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
 
 
 def _is_coalgebra_map(f: Mat, C, D) -> bool:
-    for k in range(C.dim):
-        lhs: dict[tuple[int, int], CycScalar] = {}
-        for (i, j), c in C.comult_basis(k).items():
-            for a, ca in f.apply_sv({i: c}).items():
-                for b, cb in f.apply_sv({j: cone()}).items():
-                    key = (a, b)
-                    cur = lhs.get(key)
-                    new = ca * cb if cur is None else cur + ca * cb
-                    if new:
-                        lhs[key] = new
-                    elif cur is not None:
-                        del lhs[key]
-        rhs = D.comult_sv(f.apply_sv({k: cone()}))
-        if set(lhs) != set(rhs) or any(lhs[kk] != rhs[kk] for kk in lhs):
-            return False
-        if D.counit_sv(f.apply_sv({k: cone()})) != C.counit[k]:
-            return False
-    return True
+    return next(coalgebra_map_failures(f, C, D), None) is None
 
 
 # -- classification --------------------------------------------------------------

@@ -13,13 +13,12 @@ from typing import Optional
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, associativity_failures,
-    check_bialgebra,
+    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
+    associativity_failures, check_bialgebra, coalgebra_map_failures,
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec,
-    ShapeMismatch, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale, sv_to_dense,
-    vec_eq, zeros,
+    ShapeMismatch, cone, kron_index, sv_add_into, sv_from_dense, sv_scale, vec_eq, zeros,
 )
 from .reports import CheckReport
 from .yd import YDModule, check_yd
@@ -424,7 +423,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 first = xi.eval_basis(a, b)
                 if not first:
                     continue
-                for (h, c0, d0), w in _pair_coaction(P, c_, d).items():
+                for (h, c0, d0), w in P.coact_pair(c_, d).items():
                     second = xi.eval_basis(c0, d0)
                     if not second:
                         continue
@@ -471,7 +470,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 first = xi.eval_basis(a, b)
                 if not first:
                     continue
-                for (h, c0, d0), w in _pair_coaction(P, c_, d).items():
+                for (h, c0, d0), w in P.coact_pair(c_, d).items():
                     prod_r = P.mul_basis(c0, d0)
                     if not prod_r:
                         continue
@@ -544,10 +543,6 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
             ent.ok = False
             ent.witnesses.append(i)
     return rep
-
-
-def _pair_coaction(P: PreBialgebra, i: int, j: int) -> dict[tuple[int, int, int], CycScalar]:
-    return P.coact_pair(i, j)
 
 
 # -- bosonization -------------------------------------------------------------
@@ -672,59 +667,14 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
 
 def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> dict[str, bool]:
     """Which structure pi: B -> H preserves, each checked exhaustively."""
-    out = {}
-    n, nh = B.dim, H.dim
-    # coalgebra map
-    ok = True
-    for k in range(n):
-        lhs: PairSV = {}
-        for (i, j), c in B.comult_basis(k).items():
-            pi_i = pi.apply_sv({i: c})
-            pi_j = pi.apply_sv({j: cone()})
-            for a, ca in pi_i.items():
-                for b, cb in pi_j.items():
-                    key = (a, b)
-                    cur = lhs.get(key)
-                    new = ca * cb if cur is None else cur + ca * cb
-                    if new:
-                        lhs[key] = new
-                    elif cur is not None:
-                        del lhs[key]
-        rhs = H.comult_sv(pi.apply_sv({k: cone()}))
-        if set(lhs) != set(rhs) or any(lhs[kk] != rhs[kk] for kk in lhs):
-            ok = False
-            break
-    if ok:
-        for k in range(n):
-            if H.counit_sv(pi.apply_sv({k: cone()})) != B.counit[k]:
-                ok = False
-                break
-    out["coalgebra_map"] = ok
-    # algebra map
-    ok = vec_eq(pi.apply(B.unit), H.unit)
-    if ok:
-        for i in range(n):
-            for j in range(n):
-                lhs = pi.apply_sv(B.mul_basis(i, j))
-                rhs = H.mul_sv(pi.apply_sv({i: cone()}), pi.apply_sv({j: cone()}))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-    out["algebra_map"] = ok
-    # H-bilinearity: pi(sigma(h) b) = h pi(b) and pi(b sigma(k)) = pi(b) k
-    ok = True
-    for h in range(nh):
-        sh = sv_from_dense(sigma.col(h))
-        for b in range(n):
-            if pi.apply_sv(B.mul_sv(sh, {b: cone()})) != H.mul_sv({h: cone()}, pi.apply_sv({b: cone()})):
-                ok = False
-                break
-            if pi.apply_sv(B.mul_sv({b: cone()}, sh)) != H.mul_sv(pi.apply_sv({b: cone()}), {h: cone()}):
-                ok = False
-                break
-        if not ok:
-            break
-    out["H_bilinear"] = ok
-    return out
+    pcols = pi.sparse_cols()
+    return {
+        "coalgebra_map": next(coalgebra_map_failures(pi, B, H), None) is None,
+        "algebra_map": (vec_eq(pi.apply(B.unit), H.unit)
+                        and next(algebra_map_failures(pi, B, H), None) is None),
+        # pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h
+        "H_bilinear": all(
+            pi.apply_sv(B.mul_sv(sh, {b: cone()})) == H.mul_sv({h: cone()}, pcols[b])
+            and pi.apply_sv(B.mul_sv({b: cone()}, sh)) == H.mul_sv(pcols[b], {h: cone()})
+            for h, sh in enumerate(sigma.sparse_cols()) for b in range(B.dim)),
+    }

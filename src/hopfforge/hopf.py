@@ -367,6 +367,43 @@ def check_hopf(H: HopfSC) -> CheckReport:
     return rep
 
 
+# -- morphism checks ----------------------------------------------------------
+#
+# Each check reads the columns f(e_j) of the map once and then visits every
+# basis pair (algebra) or basis vector (coalgebra).  Whether f keeps the unit
+# is left to the caller; the counit is checked with the comultiplication.
+
+
+def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
+    """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
+    cols = f.sparse_cols()
+    n = A.dim
+    for i in range(n):
+        fi = cols[i]
+        for j in range(n):
+            lhs: SVec = {}
+            for k, c in A._by_ij.get((i, j), ()):
+                sv_axpy(lhs, c, cols[k].items())
+            if lhs != B.mul_sv(fi, cols[j]):
+                yield i, j
+
+
+def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
+    """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
+    then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
+    cols = f.sparse_cols()
+    for k in range(C.dim):
+        lhs: dict[tuple[int, int], CycScalar] = {}
+        for (i, j), c in C.comult_basis(k).items():
+            fj = cols[j]
+            for a, ca in cols[i].items():
+                sv_axpy(lhs, c * ca, (((a, b), cb) for b, cb in fj.items()))
+        if lhs != D.comult_sv(cols[k]):
+            yield k
+        if D.counit_sv(cols[k]) != C.counit[k]:
+            yield "counit", k
+
+
 # -- convolution and antipode solving ---------------------------------------
 
 
@@ -374,13 +411,12 @@ def convolution(f: Mat, g: Mat, C: CoalgebraSC, A: AlgebraSC) -> Mat:
     """Convolution product m_A (f (x) g) Delta_C of maps C -> A."""
     if f.ncols != C.dim or g.ncols != C.dim or f.nrows != A.dim or g.nrows != A.dim:
         raise ShapeMismatch("convolution shape mismatch")
+    fcols, gcols = f.sparse_cols(), g.sparse_cols()
     cols = []
     for k in range(C.dim):
         acc: SVec = {}
         for (i, j), c in C.comult_basis(k).items():
-            fi = f.apply_sv({i: cone()})
-            gj = g.apply_sv({j: cone()})
-            sv_add_into(acc, A.mul_sv(sv_scale(fi, c), gj))
+            sv_add_into(acc, A.mul_sv(sv_scale(fcols[i], c), gcols[j]))
         cols.append(sv_to_dense(acc, A.dim))
     return Mat.from_cols(cols)
 

@@ -172,6 +172,15 @@ class Mat:
                         del out[i]
         return out
 
+    def sparse_cols(self) -> list[SVec]:
+        """The images f(e_j) of every basis vector, as sparse vectors."""
+        cols: list[SVec] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, a in enumerate(row):
+                if a:
+                    cols[j][i] = a
+        return cols
+
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch("matrix product shape mismatch")

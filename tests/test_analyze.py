@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial, q_int
@@ -6,9 +8,10 @@ from hopfforge.linalg import (
     Mat, Subspace, basis_vec, cone, czero, sv_add_into, sv_from_dense, sv_scale,
     vec_eq, zeros,
 )
+from hopfforge.cocycle import retraction_diagnostics
 from hopfforge.reports import CheckReport
 from hopfforge.analyze import (
-    EquivalenceMismatch, NotThin, ProjectionSetup,
+    EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
     classify, cocycle_analysis, coinvariants, equivalence_report, induced_structures,
     omega_roundtrip, retraction_tools, setup_from_ore, tau_matrix, thinness_and_basis,
     validate_setup, wedge_layer_of_sigma,
@@ -593,3 +596,90 @@ def test_flag_gated_lambda_extraction(c4min_entry):
     assert ana.table[(1, 1)]        # the raw value xi(y (x) y) is still carried
     with pytest.raises(FlagRequired):
         classify(bare)
+
+
+# -- the morphism checks against the per-pair formulation ----------------------
+
+def ref_algebra_map(f, A, B):
+    """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), f applied to unit vectors."""
+    return [(i, j) for i in range(A.dim) for j in range(A.dim)
+            if f.apply_sv(A.mul_basis(i, j)) != B.mul_sv(f.apply_sv({i: cone()}),
+                                                         f.apply_sv({j: cone()}))]
+
+
+def ref_coalgebra_map(f, C, D):
+    """k for a comultiplication failure, then ("counit", k), accumulated pair by pair."""
+    out = []
+    for k in range(C.dim):
+        lhs = {}
+        for (i, j), c in C.comult_basis(k).items():
+            for a, ca in f.apply_sv({i: c}).items():
+                for b, cb in f.apply_sv({j: cone()}).items():
+                    cur = lhs.get((a, b))
+                    new = ca * cb if cur is None else cur + ca * cb
+                    if new:
+                        lhs[(a, b)] = new
+                    elif cur is not None:
+                        del lhs[(a, b)]
+        if lhs != D.comult_sv(f.apply_sv({k: cone()})):
+            out.append(k)
+        if D.counit_sv(f.apply_sv({k: cone()})) != C.counit[k]:
+            out.append(("counit", k))
+    return out
+
+
+def ref_retraction_diagnostics(A, pi, sigma, H):
+    bilinear = all(
+        pi.apply_sv(A.mul_sv(sv_from_dense(sigma.col(h)), {b: cone()}))
+        == H.mul_sv({h: cone()}, pi.apply_sv({b: cone()}))
+        and pi.apply_sv(A.mul_sv({b: cone()}, sv_from_dense(sigma.col(h))))
+        == H.mul_sv(pi.apply_sv({b: cone()}), {h: cone()})
+        for h in range(H.dim) for b in range(A.dim))
+    return {"coalgebra_map": not ref_coalgebra_map(pi, A, H),
+            "algebra_map": vec_eq(pi.apply(A.unit), H.unit) and not ref_algebra_map(pi, A, H),
+            "H_bilinear": bilinear}
+
+
+def assert_morphism_checks_match_reference(s):
+    A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
+    rep = validate_setup(s)
+    alg = ref_algebra_map(sigma, H, A)[:8]
+    if not vec_eq(sigma.apply(H.unit), A.unit):
+        alg.append("unit")
+    coalg = ref_coalgebra_map(sigma, H, A)
+    assert (rep.entry("sigma_algebra_map").ok, rep.entry("sigma_algebra_map").witnesses) == (not alg, alg)
+    assert (rep.entry("sigma_coalgebra_map").ok, rep.entry("sigma_coalgebra_map").witnesses) == (not coalg, coalg)
+    assert retraction_diagnostics(A, pi, sigma, H) == ref_retraction_diagnostics(A, pi, sigma, H)
+    assert _is_coalgebra_map(sigma, H, A) == (not coalg)
+    assert _is_coalgebra_map(pi, A, H) == (not ref_coalgebra_map(pi, A, H))
+    return rep
+
+
+def plus_one(m, seed):
+    """A copy of m with one nonzero entry moved by +1."""
+    rows = [list(r) for r in m.rows]
+    i, j = random.Random(seed).choice([(i, j) for i, r in enumerate(rows) for j, a in enumerate(r) if a])
+    rows[i][j] = rows[i][j] + rat(1)
+    return Mat(rows)
+
+
+@pytest.mark.parametrize("name", ["b0", "xmas", "xmas_pi", "c4min", "smash36", "kc12n6", "nonthin"])
+def test_morphism_checks_match_reference_on_catalog(name):
+    if name == "xmas_pi":
+        setup = catalog.xmas().extra["setup_pi"]
+    else:
+        setup = catalog.ALL_BUILDERS[name]().setup
+    assert assert_morphism_checks_match_reference(setup).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("which", ["sigma", "pi"])
+@pytest.mark.parametrize("name", ["b0", "c4min", "smash36"])
+def test_morphism_checks_match_reference_on_perturbed_maps(name, which, seed):
+    s = catalog.ALL_BUILDERS[name]().setup
+    sigma = plus_one(s.sigma, seed) if which == "sigma" else s.sigma
+    pi = plus_one(s.pi, seed) if which == "pi" else s.pi
+    rep = assert_morphism_checks_match_reference(ProjectionSetup(s.A, s.H, sigma, pi))
+    if which == "sigma":
+        assert not rep.ok
+        assert not (rep.entry("sigma_algebra_map").ok and rep.entry("sigma_coalgebra_map").ok)
