@@ -874,15 +874,14 @@ def classify(s: ProjectionSetup):
     for h in range(H.dim):
         sh = s.sigma.apply_sv({h: cone()})
         sph = s.sigma.apply_sv(sv_from_dense(phi1.col(h)))
+        diffs = []
+        for kk in range(amb):
+            zk = sv_from_dense(sk.rows[kk])
+            diff = A.mul_sv(sh, zk)
+            sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
+            diffs.append(diff)
         for t in range(A.dim):
-            row: SVec = {}
-            for kk in range(amb):
-                zk = sv_from_dense(sk.rows[kk])
-                diff = A.mul_sv(sh, zk)
-                sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
-                c = diff.get(t)
-                if c:
-                    row[kk] = c
+            row: SVec = {kk: diff[t] for kk, diff in enumerate(diffs) if t in diff}
             if row:
                 rows.append(row)
     sol = kernel_from_sparse_rows(rows, amb)

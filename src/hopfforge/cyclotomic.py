@@ -217,12 +217,19 @@ Rational = Union[int, Fraction]
 
 
 class CycScalar:
-    """An exact element of the cyclotomic field Q(zeta_L)."""
+    """An exact element of the cyclotomic field Q(zeta_L).
 
-    __slots__ = ("L", "den", "nums")
+    ``products`` is None except on the constants one axiom check interns
+    (see ``hopf._Constants``): there it maps id(b) to (b, self * b) for every
+    other interned b this check has multiplied by, so each product of two
+    such constants is formed once.  The check drops the memo when it ends.
+    """
+
+    __slots__ = ("L", "den", "nums", "products")
 
     def __init__(self, L: int, nums: Iterable[int], den: int = 1, _normalized: bool = False):
         self.L = L
+        self.products = None
         if _normalized:
             self.nums = tuple(nums)
             self.den = den
@@ -409,6 +416,13 @@ class CycScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        memo = self.products
+        if memo is not None and other.products is not None:
+            hit = memo.get(id(other))
+            if hit is not None:
+                return hit[1]
+        else:
+            memo = None
         a, b = (self, other) if self.L == other.L else CycScalar._common(self, other)
         an, bn = a.nums, b.nums
         phi = len(an)
@@ -435,7 +449,11 @@ class CycScalar:
                                 out[j] += ck * row[j]
         den = a.den * b.den
         # integral operands give an integral, hence already normalized, product
-        return CycScalar(a.L, out, den, _normalized=den == 1)
+        prod = CycScalar(a.L, out, den, _normalized=den == 1)
+        if memo is not None:
+            # holding `other` keeps its id from being reused while the entry lives
+            memo[id(other)] = (other, prod)
+        return prod
 
     __rmul__ = __mul__
 

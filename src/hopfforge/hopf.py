@@ -160,18 +160,6 @@ class HopfSC(BialgebraSC):
 # constants to one conductor on entry, so no product or sum in its loops promotes.
 
 
-def _conductor(*groups: Iterable[CycScalar]) -> int:
-    """The lcm conductor of the scalars, or 0 past the conductor cap: nothing
-    is lifted then, and mixed arithmetic raises ConductorOverflow just as it
-    does on the raw constants."""
-    M = lcm(1, *{c.L for g in groups for c in g})
-    return M if M <= conductor_cap() else 0
-
-
-def _lift(c: CycScalar, M: int) -> CycScalar:
-    return c.promote(M) if M else c
-
-
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
     return (c for terms in A._by_ij.values() for _, c in terms)
 
@@ -180,16 +168,67 @@ def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
     return (c for d in C._by_k.values() for c in d.values())
 
 
-def _lifted_rows(A: AlgebraSC, M: int) -> dict[tuple[int, int], list[tuple[int, CycScalar]]]:
-    """A's multiplication rows with every constant at conductor M; rows
-    already at M are shared, not copied."""
-    return {ij: terms if all(c.L == M for _, c in terms) else [(k, _lift(c, M)) for k, c in terms]
-            for ij, terms in A._by_ij.items()}
+class _Constants:
+    """The constants one check reads, lifted once to their lcm conductor M.
 
+    Past the conductor cap nothing is lifted, and mixed arithmetic raises
+    ConductorOverflow just as it does on the raw constants.  When the n
+    nonzero constants take P distinct values with P*P <= n, each value gets
+    one fresh copy with a `products` memo and the check's tables hold those
+    copies, so every product of two constants is formed once; the gate keeps
+    the memo no larger than the table the check already holds.  Otherwise
+    (the distinct scan stops as soon as P*P > n) the tables are lifted as
+    they are: rows already at M are shared, not copied.  Leaving the `with`
+    block drops the memos, so none outlives the check.
+    """
 
-def _lifted_coproducts(C: CoalgebraSC, M: int) -> dict[int, dict[tuple[int, int], CycScalar]]:
-    return {k: d if all(c.L == M for c in d.values()) else {key: _lift(c, M) for key, c in d.items()}
-            for k, d in C._by_k.items()}
+    def __init__(self, *groups: Iterable[CycScalar]):
+        consts = [c for g in groups for c in g if c]
+        M = lcm(1, *{c.L for c in consts})
+        self.M = M if M <= conductor_cap() else 0
+        self.copies: dict[tuple, CycScalar] = self._intern(consts) if self.M else {}
+
+    def _intern(self, consts: list[CycScalar]) -> dict[tuple, CycScalar]:
+        """{(L, den, nums): copy} over consts, or {} as soon as P*P > n."""
+        copies: dict[tuple, CycScalar] = {}
+        by_value: dict[tuple, CycScalar] = {}
+        for c in consts:
+            key = (c.L, c.den, c.nums)
+            if key in copies:
+                continue
+            v = c.promote(self.M)
+            copy = by_value.get((v.den, v.nums))
+            if copy is None:
+                if (len(by_value) + 1) ** 2 > len(consts):
+                    return {}
+                copy = by_value[v.den, v.nums] = CycScalar(self.M, v.nums, v.den, _normalized=True)
+                copy.products = {}
+            copies[key] = copy
+        return copies
+
+    def __call__(self, c: CycScalar) -> CycScalar:
+        copy = self.copies.get((c.L, c.den, c.nums))
+        if copy is not None:
+            return copy
+        return c.promote(self.M) if self.M else c
+
+    def _shared(self, consts: Iterable[CycScalar]) -> bool:
+        return not self.copies and (not self.M or all(c.L == self.M for c in consts))
+
+    def rows(self, A: AlgebraSC) -> dict[tuple[int, int], list[tuple[int, CycScalar]]]:
+        return {ij: terms if self._shared(c for _, c in terms) else [(k, self(c)) for k, c in terms]
+                for ij, terms in A._by_ij.items()}
+
+    def coproducts(self, C: CoalgebraSC) -> dict[int, dict[tuple[int, int], CycScalar]]:
+        return {k: d if self._shared(d.values()) else {key: self(c) for key, c in d.items()}
+                for k, d in C._by_k.items()}
+
+    def __enter__(self) -> "_Constants":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for copy in self.copies.values():
+            copy.products = None
 
 
 def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
@@ -198,20 +237,21 @@ def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
     sum_m mult[j,k,m] e_i e_m are contracted straight from the table.
     """
-    rows = _lifted_rows(A, _conductor(_mult_constants(A)))
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            ij = rows.get((i, j), ())
-            for k in range(n):
-                lhs: SVec = {}
-                for m, c in ij:
-                    sv_axpy(lhs, c, rows.get((m, k), ()))
-                rhs: SVec = {}
-                for m, c in rows.get((j, k), ()):
-                    sv_axpy(rhs, c, rows.get((i, m), ()))
-                if lhs != rhs:
-                    yield i, j, k
+    with _Constants(_mult_constants(A)) as lift:
+        rows = lift.rows(A)
+        n = A.dim
+        for i in range(n):
+            for j in range(n):
+                ij = rows.get((i, j), ())
+                for k in range(n):
+                    lhs: SVec = {}
+                    for m, c in ij:
+                        sv_axpy(lhs, c, rows.get((m, k), ()))
+                    rhs: SVec = {}
+                    for m, c in rows.get((j, k), ()):
+                        sv_axpy(rhs, c, rows.get((i, m), ()))
+                    if lhs != rhs:
+                        yield i, j, k
 
 
 def check_algebra(A: AlgebraSC) -> CheckReport:
@@ -235,32 +275,32 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
     n = C.dim
-    M = _conductor(_comult_constants(C), C.counit)
-    cops = _lifted_coproducts(C, M)
-    counit = [_lift(c, M) for c in C.counit]
-    coassoc = rep.add("coassociativity", True)
-    for k in range(n):
-        left: dict[tuple[int, int, int], CycScalar] = {}
-        right: dict[tuple[int, int, int], CycScalar] = {}
-        for (a, b), c in cops.get(k, {}).items():
-            sv_axpy(left, c, (((x, y, b), w) for (x, y), w in cops.get(a, {}).items()))
-            sv_axpy(right, c, (((a, x, y), w) for (x, y), w in cops.get(b, {}).items()))
-        if left != right:
-            coassoc.ok = False
-            coassoc.witnesses.append(k)
-    ent = rep.add("counit", True)
-    one = _lift(cone(), M)
-    for k in range(n):
-        lhs_l: SVec = {}
-        lhs_r: SVec = {}
-        for (a, b), c in cops.get(k, {}).items():
-            if counit[a]:
-                sv_add_into(lhs_l, {b: counit[a] * c})
-            if counit[b]:
-                sv_add_into(lhs_r, {a: counit[b] * c})
-        if lhs_l != {k: one} or lhs_r != {k: one}:
-            ent.ok = False
-            ent.witnesses.append(k)
+    with _Constants(_comult_constants(C), C.counit) as lift:
+        cops = lift.coproducts(C)
+        counit = [lift(c) for c in C.counit]
+        coassoc = rep.add("coassociativity", True)
+        for k in range(n):
+            left: dict[tuple[int, int, int], CycScalar] = {}
+            right: dict[tuple[int, int, int], CycScalar] = {}
+            for (a, b), c in cops.get(k, {}).items():
+                sv_axpy(left, c, (((x, y, b), w) for (x, y), w in cops.get(a, {}).items()))
+                sv_axpy(right, c, (((a, x, y), w) for (x, y), w in cops.get(b, {}).items()))
+            if left != right:
+                coassoc.ok = False
+                coassoc.witnesses.append(k)
+        ent = rep.add("counit", True)
+        one = lift(cone())
+        for k in range(n):
+            lhs_l: SVec = {}
+            lhs_r: SVec = {}
+            for (a, b), c in cops.get(k, {}).items():
+                if counit[a]:
+                    sv_add_into(lhs_l, {b: counit[a] * c})
+                if counit[b]:
+                    sv_add_into(lhs_r, {a: counit[b] * c})
+            if lhs_l != {k: one} or lhs_r != {k: one}:
+                ent.ok = False
+                ent.witnesses.append(k)
     return rep
 
 
@@ -287,33 +327,33 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep.merge(check_algebra(B))
     rep.merge(check_coalgebra(B))
     n = B.dim
-    M = _conductor(_mult_constants(B), _comult_constants(B), B.counit)
-    rows = _lifted_rows(B, M)
-    cops = _lifted_coproducts(B, M)
-    counit = [_lift(c, M) for c in B.counit]
-    ent = rep.add("comult_is_algebra_map", True)
-    for i in range(n):
-        di = cops.get(i, {})
-        for j in range(n):
-            lhs: dict[tuple[int, int], CycScalar] = {}
-            for m, c in rows.get((i, j), ()):
-                sv_axpy(lhs, c, cops.get(m, {}).items())
-            if lhs != _comult_pair_product(rows, di, cops.get(j, {})):
-                ent.ok = False
-                if len(ent.witnesses) < MAX_WITNESSES:
-                    ent.witnesses.append((i, j))
-    ent = rep.add("counit_is_algebra_map", True)
-    zero = _lift(czero(), M)
-    for i in range(n):
-        for j in range(n):
-            lhs = zero
-            for k, c in rows.get((i, j), ()):
-                if counit[k]:
-                    lhs = lhs + counit[k] * c
-            if lhs != counit[i] * counit[j]:
-                ent.ok = False
-                if len(ent.witnesses) < MAX_WITNESSES:
-                    ent.witnesses.append((i, j))
+    with _Constants(_mult_constants(B), _comult_constants(B), B.counit) as lift:
+        rows = lift.rows(B)
+        cops = lift.coproducts(B)
+        counit = [lift(c) for c in B.counit]
+        ent = rep.add("comult_is_algebra_map", True)
+        for i in range(n):
+            di = cops.get(i, {})
+            for j in range(n):
+                lhs: dict[tuple[int, int], CycScalar] = {}
+                for m, c in rows.get((i, j), ()):
+                    sv_axpy(lhs, c, cops.get(m, {}).items())
+                if lhs != _comult_pair_product(rows, di, cops.get(j, {})):
+                    ent.ok = False
+                    if len(ent.witnesses) < MAX_WITNESSES:
+                        ent.witnesses.append((i, j))
+        ent = rep.add("counit_is_algebra_map", True)
+        zero = lift(czero())
+        for i in range(n):
+            for j in range(n):
+                lhs = zero
+                for k, c in rows.get((i, j), ()):
+                    if counit[k]:
+                        lhs = lhs + counit[k] * c
+                if lhs != counit[i] * counit[j]:
+                    ent.ok = False
+                    if len(ent.witnesses) < MAX_WITNESSES:
+                        ent.witnesses.append((i, j))
     u = B.unit_sv()
     du = B.comult_sv(u)
     uu: dict[tuple[int, int], CycScalar] = {}
@@ -331,29 +371,29 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
     from the multiplication rows and the columns of S."""
     n = B.dim
-    M = _conductor(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
-                   (a for r in S.rows for a in r))
-    rows = _lifted_rows(B, M)
-    cops = _lifted_coproducts(B, M)
-    scols = [[(s, _lift(S.rows[s][i], M)) for s in range(n) if S.rows[s][i]] for i in range(n)]
-    u = {i: _lift(c, M) for i, c in B.unit_sv().items()}
-    left = rep.add("antipode_left", True)
-    right = rep.add("antipode_right", True)
-    for k in range(n):
-        target = sv_scale(u, _lift(B.counit[k], M))
-        lhs: SVec = {}
-        rhs: SVec = {}
-        for (i, j), c in cops.get(k, {}).items():
-            for s, a in scols[i]:
-                sv_axpy(lhs, a * c, rows.get((s, j), ()))
-            for s, a in scols[j]:
-                sv_axpy(rhs, c * a, rows.get((i, s), ()))
-        if lhs != target:
-            left.ok = False
-            left.witnesses.append(k)
-        if rhs != target:
-            right.ok = False
-            right.witnesses.append(k)
+    with _Constants(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
+                    (a for r in S.rows for a in r)) as lift:
+        rows = lift.rows(B)
+        cops = lift.coproducts(B)
+        scols = [[(s, lift(S.rows[s][i])) for s in range(n) if S.rows[s][i]] for i in range(n)]
+        u = {i: lift(c) for i, c in B.unit_sv().items()}
+        left = rep.add("antipode_left", True)
+        right = rep.add("antipode_right", True)
+        for k in range(n):
+            target = sv_scale(u, lift(B.counit[k]))
+            lhs: SVec = {}
+            rhs: SVec = {}
+            for (i, j), c in cops.get(k, {}).items():
+                for s, a in scols[i]:
+                    sv_axpy(lhs, a * c, rows.get((s, j), ()))
+                for s, a in scols[j]:
+                    sv_axpy(rhs, c * a, rows.get((i, s), ()))
+            if lhs != target:
+                left.ok = False
+                left.witnesses.append(k)
+            if rhs != target:
+                right.ok = False
+                right.witnesses.append(k)
 
 
 def check_hopf(H: HopfSC) -> CheckReport:
@@ -690,13 +730,7 @@ def skew_primitives(C: CoalgebraSC, g: Vec, h: Vec,
             if ci:
                 key = (i, k)
                 delta[key] = delta.get(key, czero()) + ci
-        for key, c in delta.items():
-            cur = items.get(key)
-            new = (-c) if cur is None else cur - c
-            if new:
-                items[key] = new
-            else:
-                items.pop(key, None)
+        sv_axpy(items, -cone(), delta.items())
         for key, c in items.items():
             rows.setdefault(key, {})[k] = c
     return kernel_from_sparse_rows(rows.values(), n)
@@ -730,31 +764,13 @@ def wedge(C: CoalgebraSC, U: Subspace, W: Subspace) -> Subspace:
             c = t.pop((i, j), None)
             if c is None:
                 continue
-            row = u_piv[i]
-            for i2, w in enumerate(row):
-                if i2 != i and w:
-                    key = (i2, j)
-                    cur = t.get(key)
-                    new = -(c * w) if cur is None else cur - c * w
-                    if new:
-                        t[key] = new
-                    elif cur is not None:
-                        del t[key]
+            sv_axpy(t, -c, (((i2, j), w) for i2, w in enumerate(u_piv[i]) if i2 != i and w))
         # row reduction (second leg) by W
         for (i, j) in [key for key in t if key[1] in w_piv]:
             c = t.pop((i, j), None)
             if c is None:
                 continue
-            row = w_piv[j]
-            for j2, w in enumerate(row):
-                if j2 != j and w:
-                    key = (i, j2)
-                    cur = t.get(key)
-                    new = -(c * w) if cur is None else cur - c * w
-                    if new:
-                        t[key] = new
-                    elif cur is not None:
-                        del t[key]
+            sv_axpy(t, -c, (((i, j2), w) for j2, w in enumerate(w_piv[j]) if j2 != j and w))
         for key, c in t.items():
             eq_rows.setdefault(key, {})[k] = c
     return kernel_from_sparse_rows(eq_rows.values(), n)

@@ -161,15 +161,7 @@ class Mat:
     def apply_sv(self, sv: SVec) -> SVec:
         out: SVec = {}
         for j, c in sv.items():
-            for i in range(self.nrows):
-                a = self.rows[i][j]
-                if a:
-                    cur = out.get(i)
-                    new = a * c if cur is None else cur + a * c
-                    if new:
-                        out[i] = new
-                    elif cur is not None:
-                        del out[i]
+            sv_axpy(out, c, ((i, row[j]) for i, row in enumerate(self.rows) if row[j]))
         return out
 
     def sparse_cols(self) -> list[SVec]:

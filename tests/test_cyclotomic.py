@@ -294,3 +294,56 @@ def test_mul_add_match_sympy_remainder(sympy, case):
         assert (result.den == 1) or not integral
         assert bool(result) == any(expect) == (not result.is_zero())
     assert bool(a) == any(a.nums) and a.is_zero() == (not any(a.nums))
+
+
+def sympy_poly(sympy, s, M):
+    """s in Q(zeta_M), M a multiple of s.L, as a sympy polynomial in zeta_M."""
+    x = sympy.Symbol("x")
+    step = M // s.L
+    return x, sum((sympy.Rational(c, s.den) * x ** (step * i) for i, c in enumerate(s.nums)),
+                  sympy.Integer(0))
+
+
+def sympy_reduced(sympy, expr, x, M):
+    """Power-basis coordinates of expr mod Phi_M, from sympy's remainder."""
+    rem = sympy.Poly(sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(M, x), x), x, domain="QQ")
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return coeffs + [Fraction(0)] * (euler_phi(M) - len(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_operand(False))
+def test_inverse_matches_sympy_invert(sympy, a):
+    if a.is_zero():
+        return
+    x, p = sympy_poly(sympy, a, a.L)
+    inv = a.inverse()
+    assert inv.L == a.L
+    assert inv.coeffs() == sympy_reduced(sympy, sympy.invert(p, sympy.cyclotomic_poly(a.L, x), x), x, a.L)
+    assert inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+
+
+@st.composite
+def subfield_element(draw):
+    """An element of Q(zeta_L) that often lies in a proper subfield Q(zeta_d):
+    drawn at a divisor d of L, then promoted to L."""
+    L = draw(st.sampled_from([4, 6, 8, 12]))
+    d = draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+    nums = draw(st.lists(st.integers(-4, 4), min_size=euler_phi(d), max_size=euler_phi(d)))
+    return CycScalar(d, nums, draw(st.integers(1, 6))).promote(L)
+
+
+@settings(max_examples=80, deadline=None)
+@given(subfield_element())
+def test_reduce_conductor_matches_galois_fixed_field(sympy, a):
+    # a lies in Q(zeta_d), d | L, iff sigma_k(a) = a for every unit k = 1 mod d,
+    # where sigma_k substitutes x -> x^k; the smallest such d is the conductor
+    x, p = sympy_poly(sympy, a, a.L)
+    coords = sympy_reduced(sympy, p, x, a.L)
+    units = [k for k in range(1, a.L + 1) if gcd(k, a.L) == 1]
+    expect = next(d for d in range(1, a.L + 1) if a.L % d == 0 and all(
+        sympy_reduced(sympy, p.subs(x, x ** k), x, a.L) == coords for k in units if k % d == 1 % d))
+    r = a.reduce_conductor()
+    assert r.L == expect
+    _, q = sympy_poly(sympy, r, a.L)
+    assert sympy_reduced(sympy, q, x, a.L) == coords

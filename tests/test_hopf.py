@@ -1,8 +1,10 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from hopfforge import catalog
+from hopfforge import catalog, hopf
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
     NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
@@ -310,12 +312,81 @@ def oracle_antipode(B, S):
     return (not left, left), (not right, right)
 
 
+def oracle_unit(A):
+    u = A.unit_sv()
+    return [i for i in range(A.dim)
+            if A.mul_sv(u, {i: cone()}) != {i: cone()} or A.mul_sv({i: cone()}, u) != {i: cone()}]
+
+
+def oracle_coassociativity(C):
+    bad = []
+    for k in range(C.dim):
+        left, right = {}, {}
+        for (a, b), c in C.comult_basis(k).items():
+            for (x, y), w in C.comult_sv({a: c}).items():
+                sv_add_into(left, {(x, y, b): w})
+            for (x, y), w in C.comult_sv({b: c}).items():
+                sv_add_into(right, {(a, x, y): w})
+        if left != right:
+            bad.append(k)
+    return bad
+
+
+def oracle_counit(C):
+    bad = []
+    for k in range(C.dim):
+        left, right = {}, {}
+        for (a, b), c in C.comult_basis(k).items():
+            sv_add_into(left, {b: C.counit_sv({a: c})})
+            sv_add_into(right, {a: C.counit_sv({b: c})})
+        if left != {k: cone()} or right != {k: cone()}:
+            bad.append(k)
+    return bad
+
+
+def oracle_counit_is_algebra_map(B):
+    bad = [(i, j) for i in range(B.dim) for j in range(B.dim)
+           if B.counit_sv(B.mul_basis(i, j)) != B.counit[i] * B.counit[j]]
+    return not bad, bad[:8]
+
+
+def oracle_hopf(H):
+    """Every check_hopf entry as (name, ok, witnesses, detail), tuple by tuple."""
+    u = H.unit_sv()
+    uu = {(i, j): ci * cj for i, ci in u.items() for j, cj in u.items()}
+    (left_ok, left), (right_ok, right) = oracle_antipode(H, H.antipode)
+    unit, coassoc, counit = oracle_unit(H), oracle_coassociativity(H), oracle_counit(H)
+    results = [("associativity", oracle_associativity(H)),
+               ("two_sided_unit", (not unit, unit)),
+               ("coassociativity", (not coassoc, coassoc)),
+               ("counit", (not counit, counit)),
+               ("comult_is_algebra_map", oracle_comult_is_algebra_map(H)),
+               ("counit_is_algebra_map", oracle_counit_is_algebra_map(H)),
+               ("comult_unit", (H.comult_sv(u) == uu, [])),
+               ("counit_unit", (H.counit_sv(u).is_one(), [])),
+               ("antipode_present", (True, [])),
+               ("antipode_left", (left_ok, left)),
+               ("antipode_right", (right_ok, right))]
+    return [(name, ok, witnesses, "") for name, (ok, witnesses) in results]
+
+
+def entries(rep):
+    return [(e.name, e.ok, e.witnesses, e.detail) for e in rep.entries]
+
+
 def perturbed(H, tensor, seed):
-    """H with one constant of its MULT or COMULT tensor moved by +1."""
+    """H with one constant of its MULT or COMULT tensor, or one nonzero entry
+    of its antipode S, moved by +1."""
     from hopfforge.hopf import HopfSC
+    rng = random.Random(seed)
+    if tensor == "S":
+        key = rng.choice([(a, b) for a, row in enumerate(H.antipode.rows) for b, v in enumerate(row) if v])
+        S = Mat(H.antipode.rows)
+        S.rows[key[0]][key[1]] = S.rows[key[0]][key[1]] + rat(1)
+        return key, HopfSC(H.dim, H.mult, H.unit, H.comult, H.counit, S)
     T = getattr(H, tensor)
     data = dict(T.data)
-    key = random.Random(seed).choice(sorted(data))
+    key = rng.choice(sorted(data))
     data[key] = data[key] + rat(1)
     T2 = Tensor3(T.shape, data)
     mult, comult = (T2, H.comult) if tensor == "mult" else (H.mult, T2)
@@ -323,26 +394,112 @@ def perturbed(H, tensor, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("tensor", ["mult", "comult"])
+@pytest.mark.parametrize("tensor", ["mult", "comult", "S"])
 @pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
 def test_checkers_match_oracle_on_perturbed_structures(name, tensor, seed):
     key, B = perturbed(catalog.ALL_BUILDERS[name]().ore.O, tensor, seed)
     rep = check_hopf(B)
     got = {e.name: (e.ok, e.witnesses) for e in rep.entries}
-    expect = {"associativity": oracle_associativity(B),
-              "comult_is_algebra_map": oracle_comult_is_algebra_map(B)}
-    expect["antipode_left"], expect["antipode_right"] = oracle_antipode(B, B.antipode)
-    for entry, value in expect.items():
-        assert got[entry] == value, entry
+    assert entries(rep) == oracle_hopf(B)
     assert not rep.ok
     if tensor == "mult":
         # every failing (a, b, c) forms the perturbed product e_i e_j on one side
         i, j, _ = key
         ok, witnesses = got["associativity"]
         assert not ok and all({i, j} & set(w) for w in witnesses)
-    else:
+    elif tensor == "comult":
         k = key[0]
         assert not (got["coassociativity"][0] and got["comult_is_algebra_map"][0])
         named = [w for e in ("coassociativity", "counit", "comult_is_algebra_map")
                  for w in got[e][1]]
         assert any(k == w or (isinstance(w, tuple) and k in w) for w in named)
+    else:
+        # only S(e_b) changed: every witness k has e_b in the leg S is applied to
+        b = key[1]
+        assert [e.name for e in rep.failures()] == ["antipode_left", "antipode_right"]
+        assert all(any(i == b for i, _ in B.comult_basis(k)) for k in got["antipode_left"][1])
+        assert all(any(j == b for _, j in B.comult_basis(k)) for k in got["antipode_right"][1])
+
+
+# -- the per-check product memo --------------------------------------------------
+
+def bench_module(name):
+    """A module of the benchmark harness in bench/, loaded without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    """Per lifting step of the checks run in the test: (memo gate on, memo
+    populated when the check ended, every memo dropped after it)."""
+    seen = []
+
+    class Recorded(hopf._Constants):
+        def __exit__(self, *exc):
+            used = any(c.products for c in self.copies.values())
+            super().__exit__(*exc)
+            seen.append((bool(self.copies), used,
+                         all(c.products is None for c in self.copies.values())))
+
+    monkeypatch.setattr(hopf, "_Constants", Recorded)
+    return seen
+
+
+def input_constants(H):
+    return [*H.mult.data.values(), *H.comult.data.values(), *H.unit, *H.counit,
+            *(a for row in H.antipode.rows for a in row)]
+
+
+@pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
+def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, gates):
+    H = catalog.ALL_BUILDERS[name]().ore.O
+    assert entries(check_hopf(H)) == oracle_hopf(H)
+    # algebra, coalgebra, bialgebra and antipode steps: few values, memo on and used
+    assert gates == [(True, True, True)] * 4
+    assert all(c.products is None for c in input_constants(H))
+    gates.clear()
+    R = bench_module("rescale").rescaled(H, random.Random(7))
+    assert entries(check_hopf(R)) == oracle_hopf(R)
+    # distinct constants: the steps reading MULT leave the memo off
+    assert [on for on, _, _ in gates[:1] + gates[2:]] == [False] * 3
+    assert all(c.products is None for c in input_constants(R))
+
+
+def test_conductor_overflow_still_raised_past_the_cap():
+    from hopfforge.cyclotomic import ConductorOverflow, conductor_cap, set_conductor_cap
+    from hopfforge.hopf import HopfSC
+    z4, z6 = CycScalar.zeta(4), CycScalar.zeta(6)
+    T = Tensor3((2, 2, 2), {(0, 0, 0): z4, (0, 0, 1): z6, (1, 1, 0): z4, (1, 1, 1): z6})
+    H = HopfSC(2, T, basis_vec(2, 0), T, [z4, z6], Mat.identity(2))
+    assert not check_hopf(H).ok  # lcm conductor 12: lifted, checked, fails
+    old = conductor_cap()
+    try:
+        set_conductor_cap(10)
+        for check in (check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf):
+            with pytest.raises(ConductorOverflow):
+                check(H)
+    finally:
+        set_conductor_cap(old)
+    assert conductor_cap() == old
+
+
+def test_traced_checks_match_untraced(b0_entry, c4min_entry):
+    """bench/layertrace.py wraps the CycScalar operators of a live import; the
+    memoized checks must run under it unchanged."""
+    import hopfforge.cli  # noqa: F401  the tracer wraps entry points of every module
+    algebras = [b0_entry.ore.O, c4min_entry.ore.O]
+    plain = [entries(check_hopf(H)) for H in algebras]
+    mul = CycScalar.__mul__
+    tracer = bench_module("layertrace").Tracer()
+    tracer.install()
+    try:
+        traced = [entries(hopf.check_hopf(H)) for H in algebras]
+    finally:
+        tracer.uninstall()
+    assert CycScalar.__mul__ is mul
+    assert traced == plain
+    assert tracer.snapshot()["cyc.mul.calls"] > 0
