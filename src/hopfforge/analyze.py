@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
-    BialgebraSC, HopfSC, algebra_map_failures, coalgebra_map_failures,
-    char_convpow, char_eval, phi_power, psi_power, skew_primitives,
+    BialgebraSC, HopfSC, ad_equivariant, algebra_map_failures, coalgebra_map_failures,
+    char_convpow, char_eval, is_central, phi_power, psi_power, skew_primitives,
     verify_ad_integral, verify_character, verify_group_like, wedge, filtration_from,
 )
 from .linalg import (
@@ -494,17 +494,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
                 ok_psi = False
         rep.add("phi_sign_action_on_x", ok_phi)
         rep.add("psi_fixes_x", ok_psi)
-        chih = char_convpow(H, basis.chi, N // 2)
-        ok_ad = True
-        for h in range(H.dim):
-            lhs = sv_scale(x_sv, chih[h])
-            rhs: SVec = {}
-            for (i, j), c in H.comult_basis(h).items():
-                mid = H.mul_sv({i: c}, x_sv)
-                sv_add_into(rhs, H.mul_sv(mid, H.antipode_sv({j: cone()})))
-            if lhs != rhs:
-                ok_ad = False
-        rep.add("x_ad_equivariance", ok_ad)
+        rep.add("x_ad_equivariance", ad_equivariant(H, char_convpow(H, basis.chi, N // 2), x_sv))
         gsv = sv_from_dense(basis.g)
         anti = dict(H.mul_sv(x_sv, gsv))
         sv_add_into(anti, H.mul_sv(gsv, x_sv))
@@ -684,11 +674,9 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         if not one_item:
             chiN = char_convpow(H, basis.chi, N)
             gN = H.pow_sv(sv_from_dense(basis.g), N)
-            central = all(H.mul_sv(gN, {h: cone()}) == H.mul_sv({h: cone()}, gN)
-                          for h in range(H.dim))
             consequence = {
                 "chi_N_is_counit": vec_eq(chiN, H.counit),
-                "g_N_central": central,
+                "g_N_central": is_central(H, gN),
                 "g_N_not_one": gN != H.unit_sv(),
             }
             if not all(consequence.values()):

@@ -9,16 +9,16 @@ recovers the Radford-Majid bosonization.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
+    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, ad_action, algebra_map_failures,
     associativity_failures, check_bialgebra, coalgebra_map_failures,
 )
 from .linalg import (
-    Mat, SVec, Tensor3, Vec,
-    ShapeMismatch, cone, kron_index, sv_add_into, sv_from_dense, sv_scale, vec_eq, zeros,
+    Mat, SVec, Tensor3, Vec, ShapeMismatch, cone, kron_index, sv_add_into, sv_axpy,
+    sv_from_dense, sv_outer_axpy, sv_scale, vec_eq, zeros,
 )
 from .reports import CheckReport
 from .yd import YDModule, check_yd
@@ -76,17 +76,9 @@ class PreBialgebra:
             for (s1, s2), cs in self.comult_basis(j).items():
                 for (h, r20), ch in co.items():
                     acted = yd.act_basis(h, s1)
-                    if not acted:
-                        continue
-                    c = cr * cs * ch
-                    for s1b, ca in acted.items():
-                        key = (r1, s1b, r20, s2)
-                        cur = out.get(key)
-                        new = c * ca if cur is None else cur + c * ca
-                        if new:
-                            out[key] = new
-                        elif cur is not None:
-                            del out[key]
+                    if acted:
+                        sv_axpy(out, cr * cs * ch,
+                                (((r1, s1b, r20, s2), ca) for s1b, ca in acted.items()))
         return out
 
     def coact_pair(self, i: int, j: int) -> dict[tuple[int, int, int], CycScalar]:
@@ -95,14 +87,7 @@ class PreBialgebra:
         H = self.H
         for (h1, i0), c1 in self.yd.coact_basis(i).items():
             for (h2, j0), c2 in self.yd.coact_basis(j).items():
-                for h, ch in H.mul_basis(h1, h2).items():
-                    key = (h, i0, j0)
-                    cur = out.get(key)
-                    new = c1 * c2 * ch if cur is None else cur + c1 * c2 * ch
-                    if new:
-                        out[key] = new
-                    elif cur is not None:
-                        del out[key]
+                sv_axpy(out, c1 * c2, (((h, i0, j0), ch) for h, ch in H.mul_basis(h1, h2).items()))
         return out
 
 
@@ -172,7 +157,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
             [e.name for e in yd_rep.failures()])
     u = P.unit_sv()
     # unit is a YD map: h.u = eps(h) u and rho(u) = 1 (x) u
-    ok = all(P.yd.act({h: cone()}, u) == sv_scale(u, H.counit[h]) for h in range(H.dim))
+    ok = all(_act(P, h, u) == sv_scale(u, H.counit[h]) for h in range(H.dim))
     rep.add("unit_action_invariant", ok)
     target = {}
     for h, c in enumerate(H.unit):
@@ -195,13 +180,13 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
         dh = H.comult_basis(h)
         for i in range(n):
             for j in range(n):
-                lhs = P.yd.act({h: cone()}, P.mul_basis(i, j))
+                lhs = _act(P, h, P.mul_basis(i, j))
                 rhs: SVec = {}
                 for (h1, h2), c in dh.items():
                     a = P.yd.act_basis(h1, i)
                     b = P.yd.act_basis(h2, j)
                     if a and b:
-                        sv_add_into(rhs, sv_scale(P.mul(a, b), c))
+                        sv_add_into(rhs, P.mul(a, b), c)
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -210,23 +195,8 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     ent = rep.add("mult_comult_compat", True)
     for i in range(n):
         for j in range(n):
-            lhs = P.coalgebra.comult_sv(P.mul_basis(i, j))
-            rhs: PairSV = {}
-            for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
-                left = P.mul_basis(a, b)
-                if not left:
-                    continue
-                right = P.mul_basis(c_, d)
-                for x, cx in left.items():
-                    for y, cy in right.items():
-                        key = (x, y)
-                        cur = rhs.get(key)
-                        new = c * cx * cy if cur is None else cur + c * cx * cy
-                        if new:
-                            rhs[key] = new
-                        elif cur is not None:
-                            del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+            rhs = _pairwise(P.delta_rr_basis(i, j), P.mul_basis, P.mul_basis)
+            if P.coalgebra.comult_sv(P.mul_basis(i, j)) != rhs:
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
@@ -239,8 +209,12 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     # u is a two-sided unit for m
     ent = rep.add("unit_neutral", True)
     for i in range(n):
-        e = {i: cone()}
-        if P.mul(u, e) != e or P.mul(e, u) != e:
+        left: SVec = {}
+        right: SVec = {}
+        for m, c in u.items():
+            sv_axpy(left, c, P.mul_basis(m, i).items())
+            sv_axpy(right, c, P.mul_basis(i, m).items())
+        if left != {i: cone()} or right != {i: cone()}:
             ent.ok = False
             ent.witnesses.append(i)
     # delta and eps are YD morphisms
@@ -248,22 +222,11 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     for h in range(H.dim):
         dh = H.comult_basis(h)
         for k in range(n):
-            lhs = _pair_from_sv(P, P.yd.act_basis(h, k))
             rhs: PairSV = {}
             for (i, j), c in P.comult_basis(k).items():
                 for (h1, h2), w in dh.items():
-                    a = P.yd.act_basis(h1, i)
-                    b = P.yd.act_basis(h2, j)
-                    for x, cx in a.items():
-                        for y, cy in b.items():
-                            key = (x, y)
-                            cur = rhs.get(key)
-                            new = c * w * cx * cy if cur is None else cur + c * w * cx * cy
-                            if new:
-                                rhs[key] = new
-                            elif cur is not None:
-                                del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k2] != rhs[k2] for k2 in lhs):
+                    sv_outer_axpy(rhs, c * w, P.yd.act_basis(h1, i), P.yd.act_basis(h2, j))
+            if P.coalgebra.comult_sv(P.yd.act_basis(h, k)) != rhs:
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((h, k))
@@ -272,25 +235,11 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
         # (id_H (x) delta) rho(e_k) vs codiagonal coaction of delta(e_k)
         lhs: dict[tuple[int, int, int], CycScalar] = {}
         for (h, k0), c in P.yd.coact_basis(k).items():
-            for (i, j), w in P.comult_basis(k0).items():
-                key = (h, i, j)
-                cur = lhs.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    lhs[key] = new
-                elif cur is not None:
-                    del lhs[key]
+            sv_axpy(lhs, c, (((h, i, j), w) for (i, j), w in P.comult_basis(k0).items()))
         rhs: dict[tuple[int, int, int], CycScalar] = {}
         for (i, j), c in P.comult_basis(k).items():
-            for (h, i0, j0), w in P.coact_pair(i, j).items():
-                key = (h, i0, j0)
-                cur = rhs.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    rhs[key] = new
-                elif cur is not None:
-                    del rhs[key]
-        if set(lhs) != set(rhs) or any(lhs[k2] != rhs[k2] for k2 in lhs):
+            sv_axpy(rhs, c, P.coact_pair(i, j).items())
+        if lhs != rhs:
             ent.ok = False
             ent.witnesses.append(k)
     ent = rep.add("counit_h_linear", True)
@@ -315,16 +264,38 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     return rep
 
 
-def _pair_from_sv(P: PreBialgebra, v: SVec) -> PairSV:
+def _act(P: PreBialgebra, h: int, v: SVec) -> SVec:
+    """e_h . v, read from the action table."""
+    out: SVec = {}
+    for i, c in v.items():
+        sv_axpy(out, c, P.yd.act_basis(h, i).items())
+    return out
+
+
+def _pairwise(t4: dict, f: Callable[[int, int], SVec], g: Callable[[int, int], SVec]) -> PairSV:
+    """(f (x) g) on a sum of e_a (x) e_b (x) e_c (x) e_d keyed by (a, b, c, d),
+    for bilinear maps f and g given on basis pairs."""
     out: PairSV = {}
-    for k, c in v.items():
-        for key, w in P.comult_basis(k).items():
-            cur = out.get(key)
-            new = c * w if cur is None else cur + c * w
-            if new:
-                out[key] = new
-            elif cur is not None:
-                del out[key]
+    for (a, b, c_, d), c in t4.items():
+        left = f(a, b)
+        if left:
+            sv_outer_axpy(out, c, left, g(c_, d))
+    return out
+
+
+def _xi_coacted(P: PreBialgebra, xi: Cocycle, i: int, j: int,
+                g: Callable[[int, int], SVec]) -> PairSV:
+    """(m_H (x) g)(xi (x) rho_{R (x) R}) delta_{R (x) R}(e_i (x) e_j)."""
+    out: PairSV = {}
+    for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
+        first = xi.eval_basis(a, b)
+        if not first:
+            continue
+        for (h, c0, d0), w in P.coact_pair(c_, d).items():
+            second = g(c0, d0)
+            if second:
+                for hf, cf in first.items():
+                    sv_outer_axpy(out, c * cf * w, P.H.mul_basis(hf, h), second)
     return out
 
 
@@ -335,15 +306,8 @@ def mult_is_colinear(P: PreBialgebra) -> bool:
             lhs = P.yd.coact(P.mul_basis(i, j))
             rhs: dict[tuple[int, int], CycScalar] = {}
             for (h, i0, j0), c in P.coact_pair(i, j).items():
-                for k, w in P.mul_basis(i0, j0).items():
-                    key = (h, k)
-                    cur = rhs.get(key)
-                    new = c * w if cur is None else cur + c * w
-                    if new:
-                        rhs[key] = new
-                    elif cur is not None:
-                        del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+                sv_axpy(rhs, c, (((h, k), w) for k, w in P.mul_basis(i0, j0).items()))
+            if lhs != rhs:
                 return False
     return True
 
@@ -354,35 +318,21 @@ def mult_is_associative(P: PreBialgebra) -> bool:
 
 def m_tilde_pair(P: PreBialgebra, xi: Cocycle, i: int, j: int) -> dict[tuple[int, int], CycScalar]:
     """(m (x) xi) delta_{R (x) R} on e_i (x) e_j, keyed by (r, h)."""
-    out: dict[tuple[int, int], CycScalar] = {}
-    for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
-        left = P.mul_basis(a, b)
-        if not left:
-            continue
-        right = xi.eval_basis(c_, d)
-        if not right:
-            continue
-        for x, cx in left.items():
-            for h, chv in right.items():
-                key = (x, h)
-                cur = out.get(key)
-                new = c * cx * chv if cur is None else cur + c * cx * chv
-                if new:
-                    out[key] = new
-                elif cur is not None:
-                    del out[key]
-    return out
+    return _pairwise(P.delta_rr_basis(i, j), P.mul_basis, xi.eval_basis)
+
+
+def m_tilde_pairs(P: PreBialgebra, xi: Cocycle) -> dict[tuple[int, int], PairSV]:
+    """m_tilde_pair(P, xi, i, j) for every basis pair (i, j)."""
+    return {(i, j): m_tilde_pair(P, xi, i, j) for i in range(P.dim) for j in range(P.dim)}
 
 
 def m_tilde(P: PreBialgebra, xi: Cocycle) -> Mat:
     """The map R (x) R -> R (x) H as a matrix on Kronecker-ordered bases."""
     nh = P.H.dim
     out = Mat.zero(P.dim * nh, P.dim * P.dim)
-    for i in range(P.dim):
-        for j in range(P.dim):
-            col = kron_index(i, j, P.dim)
-            for (r, h), c in m_tilde_pair(P, xi, i, j).items():
-                out.rows[kron_index(r, h, nh)][col] = c
+    for (i, j), mt in m_tilde_pairs(P, xi).items():
+        for (r, h), c in mt.items():
+            out.rows[kron_index(r, h, nh)][kron_index(i, j, P.dim)] = c
     return out
 
 
@@ -400,15 +350,12 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
         for i in range(n):
             for j in range(n):
                 lhs: SVec = {}
-                rhs: SVec = {}
                 for (h1, h2), c in dh.items():
                     a = P.yd.act_basis(h1, i)
                     b = P.yd.act_basis(h2, j)
                     if a and b:
-                        sv_add_into(lhs, sv_scale(xi.eval(a, b), c))
-                    mid = H.mul_sv({h1: c}, xi.eval_basis(i, j))
-                    sv_add_into(rhs, H.mul_sv(mid, H.antipode_sv({h2: cone()})))
-                if lhs != rhs:
+                        sv_add_into(lhs, xi.eval(a, b), c)
+                if lhs != ad_action(H, {h: cone()}, xi.eval_basis(i, j)):
                     ent.ok = False
                     if len(ent.witnesses) < 8:
                         ent.witnesses.append((h, i, j))
@@ -417,28 +364,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
     ent = rep.add("cocycle_comult_compat", True)
     for i in range(n):
         for j in range(n):
-            lhs = H.comult_sv(xi.eval_basis(i, j))
-            rhs: PairSV = {}
-            for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
-                first = xi.eval_basis(a, b)
-                if not first:
-                    continue
-                for (h, c0, d0), w in P.coact_pair(c_, d).items():
-                    second = xi.eval_basis(c0, d0)
-                    if not second:
-                        continue
-                    for hf, cf in first.items():
-                        prod = H.mul_sv({hf: c * cf * w}, {h: cone()})
-                        for hp, cp in prod.items():
-                            for hs, cs in second.items():
-                                key = (hp, hs)
-                                cur = rhs.get(key)
-                                new = cp * cs if cur is None else cur + cp * cs
-                                if new:
-                                    rhs[key] = new
-                                elif cur is not None:
-                                    del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+            if H.comult_sv(xi.eval_basis(i, j)) != _xi_coacted(P, xi, i, j, xi.eval_basis):
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
@@ -449,43 +375,17 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 ent.ok = False
                 ent.witnesses.append((i, j))
 
+    mts = m_tilde_pairs(P, xi)  # read by the next three relations
     # braided compatibility: c_{R,H}(m (x) xi) delta_RR = (m_H (x) m_R)(xi (x) rho_RR) delta_RR
     ent = rep.add("cocycle_braiding_compat", True)
     for i in range(n):
         for j in range(n):
             lhs: dict[tuple[int, int], CycScalar] = {}
-            for (r, h), c in m_tilde_pair(P, xi, i, j).items():
+            for (r, h), c in mts[i, j].items():
                 # c_{R,H}(r (x) h) = r_(-1) h (x) r_0 with the product in H
                 for (hr, r0), cr in P.yd.coact_basis(r).items():
-                    for hp, cp in H.mul_basis(hr, h).items():
-                        key = (hp, r0)
-                        cur = lhs.get(key)
-                        new = c * cr * cp if cur is None else cur + c * cr * cp
-                        if new:
-                            lhs[key] = new
-                        elif cur is not None:
-                            del lhs[key]
-            rhs: dict[tuple[int, int], CycScalar] = {}
-            for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
-                first = xi.eval_basis(a, b)
-                if not first:
-                    continue
-                for (h, c0, d0), w in P.coact_pair(c_, d).items():
-                    prod_r = P.mul_basis(c0, d0)
-                    if not prod_r:
-                        continue
-                    for hf, cf in first.items():
-                        hh = H.mul_sv({hf: c * cf * w}, {h: cone()})
-                        for hp, cp in hh.items():
-                            for r0, cr in prod_r.items():
-                                key = (hp, r0)
-                                cur = rhs.get(key)
-                                new = cp * cr if cur is None else cur + cp * cr
-                                if new:
-                                    rhs[key] = new
-                                elif cur is not None:
-                                    del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+                    sv_axpy(lhs, c * cr, (((hp, r0), cp) for hp, cp in H.mul_basis(hr, h).items()))
+            if lhs != _xi_coacted(P, xi, i, j, P.mul_basis):
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
@@ -494,14 +394,15 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
     ent = rep.add("cocycle_twisted_associativity", True)
     for i in range(n):
         for j in range(n):
-            mt = m_tilde_pair(P, xi, i, j)
             for k in range(n):
-                lhs = P.mul({i: cone()}, P.mul_basis(j, k))
+                lhs: SVec = {}
+                for m, c in P.mul_basis(j, k).items():
+                    sv_axpy(lhs, c, P.mul_basis(i, m).items())
                 rhs: SVec = {}
-                for (r, h), c in mt.items():
+                for (r, h), c in mts[i, j].items():
                     acted = P.yd.act_basis(h, k)
                     if acted:
-                        sv_add_into(rhs, sv_scale(P.mul({r: cone()}, acted), c))
+                        sv_add_into(rhs, P.mul({r: c}, acted))
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -512,21 +413,16 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
     ent = rep.add("cocycle_mixed_associativity", True)
     for i in range(n):
         for j in range(n):
-            mt_jk: Optional[dict] = None
-            mt_ij = m_tilde_pair(P, xi, i, j)
             for k in range(n):
                 lhs: SVec = {}
-                for (r, h), c in m_tilde_pair(P, xi, j, k).items():
-                    sv_add_into(lhs, H.mul_sv(sv_scale(xi.eval_basis(i, r), c), {h: cone()}))
+                for (r, h), c in mts[j, k].items():
+                    sv_add_into(lhs, H.mul_sv(xi.eval_basis(i, r), {h: c}))
                 rhs: SVec = {}
-                for (r, h), c in mt_ij.items():
+                for (r, h), c in mts[i, j].items():
                     # c_{H,R}(h (x) e_k) = h1 . e_k (x) h2
                     for (h1, h2), w in H.comult_basis(h).items():
-                        acted = P.yd.act_basis(h1, k)
-                        for k2, ck in acted.items():
-                            xiv = xi.eval_basis(r, k2)
-                            if xiv:
-                                sv_add_into(rhs, H.mul_sv(sv_scale(xiv, c * w * ck), {h2: cone()}))
+                        for k2, ck in P.yd.act_basis(h1, k).items():
+                            sv_add_into(rhs, H.mul_sv(xi.eval_basis(r, k2), {h2: c * w * ck}))
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -581,28 +477,18 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
     n = nr * nh
     mult = Tensor3((n, n, n))
     # m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k
-    mt_cache: dict[tuple[int, int], dict] = {}
-    for i in range(nr):
-        for j in range(nr):
-            mt_cache[(i, j)] = m_tilde_pair(P, xi, i, j)
+    mts = m_tilde_pairs(P, xi)
     for h in range(nh):
         dh = H.comult_basis(h)
         for s in range(nr):
             # sum h1 . s (x) h2, keyed by (s', h2)
             acted: dict[tuple[int, int], CycScalar] = {}
             for (h1, h2), c in dh.items():
-                for s2, cs in P.yd.act_basis(h1, s).items():
-                    key = (s2, h2)
-                    cur = acted.get(key)
-                    new = c * cs if cur is None else cur + c * cs
-                    if new:
-                        acted[key] = new
-                    elif cur is not None:
-                        del acted[key]
+                sv_axpy(acted, c, (((s2, h2), cs) for s2, cs in P.yd.act_basis(h1, s).items()))
             for r in range(nr):
                 row = kron_index(r, h, nh)
                 for (s2, h2), c in acted.items():
-                    mt = mt_cache[(r, s2)]
+                    mt = mts[r, s2]
                     if not mt:
                         continue
                     for (r0, h0), cm in mt.items():

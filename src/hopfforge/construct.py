@@ -13,8 +13,9 @@ from typing import Optional, Union
 
 from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
-    AlgebraSC, AxiomViolation, HopfSC, algebra_map_failures, coalgebra_map_failures,
-    char_convpow, char_eval, check_hopf, phi_map, phi_power, psi_map,
+    AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
+    coalgebra_map_failures, char_convpow, char_eval, check_hopf, is_central, phi_map, phi_power,
+    psi_map,
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
@@ -127,19 +128,7 @@ def _raw_gating_holds(H: HopfSC, g: Vec, chi: Vec, N: int) -> tuple[bool, bool]:
     one = H.unit_sv()
     z: SVec = dict(one)
     sv_add_into(z, gN, CycScalar.from_rational(-1))
-    g_ok = gN != one
-    chiN = char_convpow(H, chi, N)
-    ad_ok = True
-    for h in range(H.dim):
-        lhs = sv_scale(z, chiN[h])
-        rhs: SVec = {}
-        for (i, j), c in H.comult_basis(h).items():
-            mid = H.mul_sv({i: c}, z)
-            sv_add_into(rhs, H.mul_sv(mid, H.antipode_sv({j: cone()})))
-        if lhs != rhs:
-            ad_ok = False
-            break
-    return g_ok, ad_ok
+    return gN != one, ad_equivariant(H, char_convpow(H, chi, N), z)
 
 
 def _integral_gating_holds(H: HopfSC, g: Vec, chi: Vec, N: int) -> tuple[bool, bool, bool]:
@@ -147,8 +136,7 @@ def _integral_gating_holds(H: HopfSC, g: Vec, chi: Vec, N: int) -> tuple[bool, b
     chiN = char_convpow(H, chi, N)
     chi_ok = vec_eq(chiN, H.counit)
     gN = _g_power(H, g, N)
-    central = all(H.mul_sv(gN, {h: cone()}) == H.mul_sv({h: cone()}, gN) for h in range(H.dim))
-    return chi_ok, central, gN != H.unit_sv()
+    return chi_ok, is_central(H, gN), gN != H.unit_sv()
 
 
 def validate_compatible_datum(d: YDDatum, lam: CycScalar,
@@ -826,11 +814,7 @@ def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) 
     one = O.unit_sv()
     z: SVec = dict(one)
     sv_add_into(z, g2N, CycScalar.from_rational(-1))
-    acc: SVec = {}
-    for k, cy in ys.items():
-        for (i, j), c in O.comult_basis(k).items():
-            mid = O.mul_sv({i: cy * c}, z)
-            sv_add_into(acc, O.mul_sv(mid, O.antipode_sv({j: cone()})))
+    acc = ad_action(O, ys, z)
     rep.add("formula_ad_vs_commutation", (not acc) == commutes,
             detail=f"ad-zero: {not acc}; commutes: {commutes}")
     # subsidiary formula 3: commutation <-> chi1(Gamma2)^N2 = 1

@@ -151,6 +151,12 @@ class HopfSC(BialgebraSC):
             raise NotABialgebra("no antipode stored")
         return self.antipode.apply_sv(v)
 
+    def antipode_col(self, j: int) -> SVec:
+        """S(e_j), read off the j-th column of the antipode matrix."""
+        if self.antipode is None:
+            raise NotABialgebra("no antipode stored")
+        return sv_from_dense(self.antipode.col(j))
+
 
 # -- axiom checkers ----------------------------------------------------------
 #
@@ -619,6 +625,26 @@ def psi_power(B: CoalgebraSC, chi: Vec, c: int) -> Mat:
     return out
 
 
+def ad_action(H: HopfSC, h: SVec, z: SVec) -> SVec:
+    """The adjoint action ad_h(z) = sum h_1 z S(h_2), extended linearly in h;
+    S(h_2) is read off a column of the antipode, not formed as a product."""
+    out: SVec = {}
+    for k, ck in h.items():
+        for (h1, h2), c in H.comult_basis(k).items():
+            sv_add_into(out, H.mul_sv(H.mul_sv({h1: ck * c}, z), H.antipode_col(h2)))
+    return out
+
+
+def ad_equivariant(H: HopfSC, chi: Vec, z: SVec) -> bool:
+    """chi(h) z = ad_h(z) for every basis vector h."""
+    return all(ad_action(H, {h: cone()}, z) == sv_scale(z, chi[h]) for h in range(H.dim))
+
+
+def is_central(A: AlgebraSC, z: SVec) -> bool:
+    """z e_h = e_h z for every basis vector e_h."""
+    return all(A.mul_sv(z, {h: cone()}) == A.mul_sv({h: cone()}, z) for h in range(A.dim))
+
+
 def kaplansky_check(H: HopfSC, chi: Vec, z: Vec, n: int) -> tuple[bool, bool]:
     """Evaluate both sides of the ad-equivariance <-> commutation equivalence.
 
@@ -626,18 +652,8 @@ def kaplansky_check(H: HopfSC, chi: Vec, z: Vec, n: int) -> tuple[bool, bool]:
     chi^n(h) z = sum h_1 z S(h_2) for all basis h and the second is
     h z = z phi^n(h) for all basis h.  The two must agree.
     """
-    chin = char_convpow(H, chi, n)
     zs = sv_from_dense(z)
-    ad_ok = True
-    for h in range(H.dim):
-        lhs = sv_scale(zs, chin[h])
-        rhs: SVec = {}
-        for (i, j), c in H.comult_basis(h).items():
-            mid = H.mul_sv({i: c}, zs)
-            sv_add_into(rhs, H.mul_sv(mid, H.antipode_sv({j: cone()})))
-        if lhs != rhs:
-            ad_ok = False
-            break
+    ad_ok = ad_equivariant(H, char_convpow(H, chi, n), zs)
     phin = phi_power(H, chi, n)
     comm_ok = True
     for h in range(H.dim):
@@ -670,12 +686,9 @@ def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
         eps_h = H.counit[h]
         for x in range(H.dim):
             total = czero()
-            for (i, j), c in H.comult_basis(h).items():
-                mid = H.mul_sv({i: c}, {x: cone()})
-                prod = H.mul_sv(mid, H.antipode_sv({j: cone()}))
-                for k, w in prod.items():
-                    if gamma[k]:
-                        total = total + w * gamma[k]
+            for k, w in ad_action(H, {h: cone()}, {x: cone()}).items():
+                if gamma[k]:
+                    total = total + w * gamma[k]
             if total != eps_h * gamma[x]:
                 return False
     return True

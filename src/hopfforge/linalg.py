@@ -95,6 +95,13 @@ def sv_axpy(acc: dict, c: CycScalar, terms: Iterable) -> None:
             del acc[key]
 
 
+def sv_outer_axpy(acc: dict, c: CycScalar, a: SVec, b: SVec) -> None:
+    """acc += c * (a (x) b), keyed by index pairs (x, y)."""
+    if b:
+        for x, ca in a.items():
+            sv_axpy(acc, c * ca, (((x, y), cb) for y, cb in b.items()))
+
+
 def sv_add_into(acc: SVec, sv: SVec, scale: Optional[CycScalar] = None) -> None:
     if scale is not None:
         sv_axpy(acc, scale, sv.items())

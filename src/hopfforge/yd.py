@@ -8,13 +8,11 @@ built from it are what the bosonization machinery consumes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cyclotomic import CycScalar
-from .hopf import AlgebraSC, CoalgebraSC, HopfSC
+from .hopf import AlgebraSC, CoalgebraSC, HopfSC, ad_action
 from .linalg import (
     Mat, SVec, Tensor3, Vec,
-    ShapeMismatch, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale, sv_to_dense,
+    ShapeMismatch, cone, czero, kron_index, sv_add_into, sv_axpy, sv_outer_axpy,
 )
 from .reports import CheckReport
 
@@ -50,16 +48,8 @@ class YDModule:
         for h, ch in h_sv.items():
             for i, ci in v_sv.items():
                 terms = self._act.get((h, i))
-                if not terms:
-                    continue
-                c = ch * ci
-                for j, w in terms:
-                    cur = out.get(j)
-                    new = c * w if cur is None else cur + c * w
-                    if new:
-                        out[j] = new
-                    elif cur is not None:
-                        del out[j]
+                if terms:
+                    sv_axpy(out, ch * ci, terms)
         return out
 
     def coact_basis(self, i: int) -> dict[tuple[int, int], CycScalar]:
@@ -68,14 +58,7 @@ class YDModule:
     def coact(self, v_sv: SVec) -> dict[tuple[int, int], CycScalar]:
         out: dict[tuple[int, int], CycScalar] = {}
         for i, ci in v_sv.items():
-            for h, j, c in self._coact.get(i, ()):
-                key = (h, j)
-                cur = out.get(key)
-                new = ci * c if cur is None else cur + ci * c
-                if new:
-                    out[key] = new
-                elif cur is not None:
-                    del out[key]
+            sv_axpy(out, ci, (((h, j), c) for h, j, c in self._coact.get(i, ())))
         return out
 
 
@@ -112,8 +95,12 @@ def check_yd(V: YDModule) -> CheckReport:
         for b in range(H.dim):
             ab = H.mul_basis(a, b)
             for i in range(n):
-                lhs = V.act(ab, {i: cone()})
-                rhs = V.act({a: cone()}, V.act_basis(b, i))
+                lhs: SVec = {}
+                for m, c in ab.items():
+                    sv_axpy(lhs, c, V.act_basis(m, i).items())
+                rhs: SVec = {}
+                for j, c in V.act_basis(b, i).items():
+                    sv_axpy(rhs, c, V.act_basis(a, j).items())
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -121,7 +108,10 @@ def check_yd(V: YDModule) -> CheckReport:
     ent = rep.add("module_unital", True)
     u = H.unit_sv()
     for i in range(n):
-        if V.act(u, {i: cone()}) != {i: cone()}:
+        acted: SVec = {}
+        for m, c in u.items():
+            sv_axpy(acted, c, V.act_basis(m, i).items())
+        if acted != {i: cone()}:
             ent.ok = False
             ent.witnesses.append(i)
     ent = rep.add("comodule_coassociative", True)
@@ -129,23 +119,9 @@ def check_yd(V: YDModule) -> CheckReport:
         lhs: dict[tuple[int, int, int], CycScalar] = {}
         rhs: dict[tuple[int, int, int], CycScalar] = {}
         for (h, j), c in V.coact_basis(i).items():
-            for (h1, h2), w in H.comult_basis(h).items():
-                key = (h1, h2, j)
-                cur = lhs.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    lhs[key] = new
-                elif cur is not None:
-                    del lhs[key]
-            for (h2, j2), w in V.coact_basis(j).items():
-                key = (h, h2, j2)
-                cur = rhs.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    rhs[key] = new
-                elif cur is not None:
-                    del rhs[key]
-        if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+            sv_axpy(lhs, c, (((h1, h2, j), w) for (h1, h2), w in H.comult_basis(h).items()))
+            sv_axpy(rhs, c, (((h, h2, j2), w) for (h2, j2), w in V.coact_basis(j).items()))
+        if lhs != rhs:
             ent.ok = False
             ent.witnesses.append(i)
     ent = rep.add("comodule_counital", True)
@@ -163,35 +139,21 @@ def check_yd(V: YDModule) -> CheckReport:
     # compatibility, first displayed form:
     #   (h1 v)_(-1) h2 (x) (h1 v)_0 = h1 v_(-1) (x) h2 v_0
     ent_f = rep.add("yd_compatibility_equivalent_form", True)
+    scols = [H.antipode_col(j) for j in range(H.dim)]
     for h in range(H.dim):
         d2 = H.comult_basis(h)
         # triple coproduct of h for the antipode form
         d3: dict[tuple[int, int, int], CycScalar] = {}
         for (a, b), c in d2.items():
-            for (b1, b2), w in H.comult_basis(b).items():
-                key = (a, b1, b2)
-                cur = d3.get(key)
-                new = c * w if cur is None else cur + c * w
-                if new:
-                    d3[key] = new
+            sv_axpy(d3, c, (((a, b1, b2), w) for (b1, b2), w in H.comult_basis(b).items()))
         for i in range(n):
             lhs = V.coact(V.act_basis(h, i))
             rhs: dict[tuple[int, int], CycScalar] = {}
             for (h1, h2, h3), c in d3.items():
-                s_h3 = H.antipode_sv({h3: cone()})
                 for (vm, v0), cv in V.coact_basis(i).items():
-                    hleft = H.mul_sv(H.mul_sv({h1: c * cv}, {vm: cone()}), s_h3)
-                    act = V.act_basis(h2, v0)
-                    for hh, ch in hleft.items():
-                        for j, cj in act.items():
-                            key = (hh, j)
-                            cur = rhs.get(key)
-                            new = ch * cj if cur is None else cur + ch * cj
-                            if new:
-                                rhs[key] = new
-                            elif cur is not None:
-                                del rhs[key]
-            if set(lhs) != set(rhs) or any(lhs[k] != rhs[k] for k in lhs):
+                    hleft = H.mul_sv(H.mul_basis(h1, vm), scols[h3])
+                    sv_outer_axpy(rhs, c * cv, hleft, V.act_basis(h2, v0))
+            if lhs != rhs:
                 ent_s.ok = False
                 if len(ent_s.witnesses) < 8:
                     ent_s.witnesses.append((h, i))
@@ -201,28 +163,11 @@ def check_yd(V: YDModule) -> CheckReport:
             for (h1, h2), c in d2.items():
                 for j, cj in V.act_basis(h1, i).items():
                     for (vm, v0), cv in V.coact_basis(j).items():
-                        prod = H.mul_sv({vm: c * cj * cv}, {h2: cone()})
-                        for hh, ch in prod.items():
-                            key = (hh, v0)
-                            cur = lhs_f.get(key)
-                            new = ch if cur is None else cur + ch
-                            if new:
-                                lhs_f[key] = new
-                            elif cur is not None:
-                                del lhs_f[key]
+                        sv_axpy(lhs_f, c * cj * cv,
+                                (((hh, v0), ch) for hh, ch in H.mul_basis(vm, h2).items()))
                 for (vm, v0), cv in V.coact_basis(i).items():
-                    prod = H.mul_sv({h1: c * cv}, {vm: cone()})
-                    act = V.act_basis(h2, v0)
-                    for hh, ch in prod.items():
-                        for j, cj in act.items():
-                            key = (hh, j)
-                            cur = rhs_f.get(key)
-                            new = ch * cj if cur is None else cur + ch * cj
-                            if new:
-                                rhs_f[key] = new
-                            elif cur is not None:
-                                del rhs_f[key]
-            if set(lhs_f) != set(rhs_f) or any(lhs_f[k] != rhs_f[k] for k in lhs_f):
+                    sv_outer_axpy(rhs_f, c * cv, H.mul_basis(h1, vm), V.act_basis(h2, v0))
+            if lhs_f != rhs_f:
                 ent_f.ok = False
                 if len(ent_f.witnesses) < 8:
                     ent_f.witnesses.append((h, i))
@@ -284,12 +229,9 @@ def adjoint_action(H: HopfSC) -> Tensor3:
     """Left adjoint action of H on itself: h . x = sum h_1 x S(h_2)."""
     t = Tensor3((H.dim, H.dim, H.dim))
     for h in range(H.dim):
-        for (h1, h2), c in H.comult_basis(h).items():
-            s2 = H.antipode_sv({h2: cone()})
-            for x in range(H.dim):
-                prod = H.mul_sv(H.mul_sv({h1: c}, {x: cone()}), s2)
-                for k, w in prod.items():
-                    t.add_to((h, x, k), w)
+        for x in range(H.dim):
+            for k, w in ad_action(H, {h: cone()}, {x: cone()}).items():
+                t[(h, x, k)] = w
     return t
 
 
@@ -300,8 +242,7 @@ def adjoint_coaction(H: HopfSC) -> Tensor3:
         d2 = H.comult_basis(h)
         for (a, b), c in d2.items():
             for (b1, b2), w in H.comult_basis(b).items():
-                s3 = H.antipode_sv({b2: cone()})
-                prod = H.mul_sv({a: c * w}, s3)
+                prod = H.mul_sv({a: c * w}, H.antipode_col(b2))
                 for k, ck in prod.items():
                     t.add_to((h, k, b1), ck)
     return t
@@ -350,14 +291,7 @@ def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModul
             # sum s_(-1) t (x) s_0 for s = e_j
             acted: dict[tuple[int, int], CycScalar] = {}
             for (h, s0), c in cj.items():
-                for t2, ct in VR.act_basis(h, t).items():
-                    key = (t2, s0)
-                    cur = acted.get(key)
-                    new = c * ct if cur is None else cur + c * ct
-                    if new:
-                        acted[key] = new
-                    elif cur is not None:
-                        del acted[key]
+                sv_axpy(acted, c, (((t2, s0), ct) for t2, ct in VR.act_basis(h, t).items()))
             for i in range(R.dim):
                 for v in range(S.dim):
                     col = kron_index(i, j, n2), kron_index(t, v, n2)

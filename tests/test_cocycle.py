@@ -129,6 +129,25 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
             assert got == expect, (a, b)
 
 
+def test_m_tilde_formed_once_per_pair(qline6_entry, monkeypatch):
+    from hopfforge import cocycle
+    P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
+    pairs = sorted((i, j) for i in range(P.dim) for j in range(P.dim))
+    calls = []
+    formed = cocycle.m_tilde_pair
+
+    def counted(P, xi, i, j):
+        calls.append((i, j))
+        return formed(P, xi, i, j)
+
+    monkeypatch.setattr(cocycle, "m_tilde_pair", counted)
+    assert check_cocycle(P, xi).ok
+    assert sorted(calls) == pairs
+    calls.clear()
+    bosonize(P, xi, verify=False)
+    assert sorted(calls) == pairs
+
+
 def test_m_tilde_matrix_shape(qline2, xi8):
     mt = m_tilde(qline2, xi8)
     assert mt.nrows == 2 * 4 and mt.ncols == 4

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
@@ -138,3 +140,31 @@ def test_mat_inverse():
             if m.rank() == 4:
                 break
         assert m @ m.inverse() == Mat.identity(4)
+
+
+def test_sparse_accumulation_lives_in_the_kernels():
+    """The accumulate-and-drop idiom appears only in the three kernels."""
+    kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
+               ("linalg.py", "Tensor3.add_to")}
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        spans = []
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    if isinstance(child, ast.FunctionDef):
+                        spans.append((child.lineno, child.end_lineno, name))
+                    visit(child, name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(text), "")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "cur is None" in line:
+                owners = [s for s in spans if s[0] <= lineno <= s[1]]
+                found.append((path.name, max(owners)[2] if owners else None))
+    assert sorted(found) == sorted(kernels)

@@ -1,7 +1,9 @@
 import pytest
 
 from hopfforge.cyclotomic import CycScalar
-from hopfforge.hopf import check_algebra, check_coalgebra, cyclic_character, group_algebra_cyclic
+from hopfforge.hopf import (
+    HopfSC, check_algebra, check_coalgebra, check_hopf, cyclic_character, group_algebra_cyclic,
+)
 from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, czero, map_tensor_product
 from hopfforge.yd import (
     YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra,
@@ -35,6 +37,21 @@ def qline(kc6):
 
 def test_trivial_module(kc6):
     assert check_yd(trivial_module(kc6)).ok
+
+
+def test_kc2_in_a_basis_with_cancelling_triple_coproduct():
+    # kC_2 in the basis e0 = 1, e1 = 1 + g: e1 e1 = 2 e1 and
+    # Delta e1 = 2 e0 (x) e0 - e0 (x) e1 - e1 (x) e0 + e1 (x) e1, so terms of
+    # (id (x) Delta) Delta e1 cancel; both modules are YD modules all the same
+    mult = Tensor3((2, 2, 2), {(0, 0, 0): rat(1), (0, 1, 1): rat(1), (1, 0, 1): rat(1),
+                               (1, 1, 1): rat(2)})
+    comult = Tensor3((2, 2, 2), {(0, 0, 0): rat(1), (1, 0, 0): rat(2), (1, 0, 1): rat(-1),
+                                 (1, 1, 0): rat(-1), (1, 1, 1): rat(1)})
+    H = HopfSC(2, mult, basis_vec(2, 0), comult, [rat(1), rat(2)], Mat.identity(2))
+    assert check_hopf(H).ok
+    for V in (trivial_module(H), yd_module_adjoint(H)):
+        rep = check_yd(V)
+        assert [e.name for e in rep.failures()] == []
 
 
 def test_one_dim_module_over_group_algebra(kc6, ky):
