@@ -11,8 +11,9 @@ the classification isomorphism onto an Ore-extension Hopf algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
@@ -21,9 +22,9 @@ from .hopf import (
     verify_ad_integral, verify_character, verify_group_like, wedge, filtration_from,
 )
 from .linalg import (
-    Mat, SVec, Subspace, Tensor3, Vec,
-    cone, czero, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_scale,
-    sv_to_dense, vec_eq, zeros,
+    CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
+    cone, czero, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy,
+    sv_scale, sv_to_dense, vec_eq, zeros,
 )
 from .cocycle import (
     Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra,
@@ -31,7 +32,7 @@ from .cocycle import (
 )
 from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
-    universal_map, validate_compatible_datum, validate_yd_datum, _coordinate_solver,
+    universal_map, validate_compatible_datum, validate_yd_datum,
 )
 from .reports import MAX_WITNESSES, CheckReport
 from .yd import YDModule
@@ -135,14 +136,14 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
 
 def tau_matrix(s: ProjectionSetup) -> Mat:
     """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A."""
-    A, H = s.A, s.H
-    sSpi = s.sigma @ H.antipode @ s.pi
+    A, sS = s.A, s.sigma @ s.H.antipode
+    sSpi = [sS.apply_sv(col) for col in s.pi.sparse_cols()]  # the columns of sigma S pi
     cols = []
     for k in range(A.dim):
         acc: SVec = {}
         for (i, j), c in A.comult_basis(k).items():
-            right = sSpi.apply_sv({j: c})
-            sv_add_into(acc, A.mul_sv({i: cone()}, right))
+            for j2, w in sSpi[j].items():
+                sv_axpy(acc, c * w, A.mul_basis(i, j2).items())
         cols.append(sv_to_dense(acc, A.dim))
     return Mat.from_cols(cols)
 
@@ -154,10 +155,18 @@ class InducedPreBialgebra:
     setup: ProjectionSetup
     R: Subspace
     basis: list[Vec]                  # the chosen basis vectors inside A
-    coords: Callable[[Vec], Optional[Vec]]
+    coords: CoordinateMap             # sparse vector of A -> sparse R-coordinates, or None
     pre: PreBialgebra
     xi: Cocycle
     tau: Mat
+
+    @cached_property
+    def omega(self) -> Mat:
+        """omega(r (x) h) = r sigma(h), as a matrix R (x) H -> A."""
+        A = self.setup.A
+        scols = self.setup.sigma.sparse_cols()
+        return Mat.from_cols([sv_to_dense(A.mul_sv(sv_from_dense(r), sh), A.dim)
+                              for r in self.basis for sh in scols])
 
 
 def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
@@ -180,90 +189,65 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
         if Subspace(A.dim, basis).dim != len(basis) or len(basis) != R.dim:
             raise InducedAxiomFailure("supplied basis does not span the coinvariants")
     nr = len(basis)
-    coords = _coordinate_solver(basis, A.dim)
+    coords = CoordinateMap(basis)
     tau = tau_matrix(s)
+    rs = [sv_from_dense(b) for b in basis]
 
-    def coords_or_fail(v: Vec, what: str) -> Vec:
+    def coords_or_fail(v: SVec, what: str) -> SVec:
         x = coords(v)
         if x is None:
             raise InducedAxiomFailure(f"{what} leaves the coinvariant subspace")
         return x
 
-    # delta(r) = tau(r_1) (x) r_2, both legs expressed in R
+    # delta(r) = tau(r_1) (x) r_2, the pair form of (tau (x) id) Delta(r) in R (x) R
     comult = Tensor3((nr, nr, nr))
     tau_cols = tau.sparse_cols()
-    for k, rvec in enumerate(basis):
-        pair: dict[int, SVec] = {}
-        for (i, j), c in A.comult_sv(sv_from_dense(rvec)).items():
-            sv_axpy(pair.setdefault(j, {}), c, tau_cols[i].items())
-        # first express the tau-leg, then the second leg
-        half: dict[int, Vec] = {}
-        for j, col in pair.items():
-            if col:
-                half[j] = coords_or_fail(sv_to_dense(col, A.dim), "comultiplication first leg")
-        for a in range(nr):
-            second = zeros(A.dim)
-            nonzero = False
-            for j, x in half.items():
-                if x[a]:
-                    second[j] = second[j] + x[a]
-                    nonzero = True
-            if nonzero:
-                xb = coords_or_fail(second, "comultiplication second leg")
-                for b, cb in enumerate(xb):
-                    if cb:
-                        comult[(k, a, b)] = cb
+    for k, r in enumerate(rs):
+        t: dict[tuple[int, int], CycScalar] = {}
+        for (i, j), c in A.comult_sv(r).items():
+            sv_axpy(t, c, (((i2, j), w) for i2, w in tau_cols[i].items()))
+        x = coords.pair(t)
+        if x is None:
+            raise InducedAxiomFailure("comultiplication leaves the coinvariant subspace")
+        for (a, b), cb in x.items():
+            comult[(k, a, b)] = cb
     counit = [A.counit_vec(v) for v in basis]
-    # m(r (x) s) = tau(r ._A s)
+    # m(r (x) s) = tau(r ._A s) and xi(r (x) s) = pi(r ._A s)
     mult = Tensor3((nr, nr, nr))
+    xi_t = Tensor3((nr, nr, H.dim))
     for i in range(nr):
-        ri = sv_from_dense(basis[i])
         for j in range(nr):
-            prod = A.mul_sv(ri, sv_from_dense(basis[j]))
-            m_img = tau.apply_sv(prod)
-            x = coords_or_fail(sv_to_dense(m_img, A.dim), "multiplication")
-            for k, ck in enumerate(x):
-                if ck:
-                    mult[(i, j, k)] = ck
-    unit = coords_or_fail(list(A.unit), "unit")
+            prod = A.mul_sv(rs[i], rs[j])
+            for k, ck in coords_or_fail(tau.apply_sv(prod), "multiplication").items():
+                mult[(i, j, k)] = ck
+            for h, ch in pi.apply_sv(prod).items():
+                xi_t[(i, j, h)] = ch
+    unit = sv_to_dense(coords_or_fail(A.unit_sv(), "unit"), nr)
     # action ^h r = sigma(h_1) r sigma S(h_2); coaction rho(r) = pi(r_1) (x) r_2
     action = Tensor3((H.dim, nr, nr))
+    scols = sigma.sparse_cols()
+    sScols = [sigma.apply_sv(H.antipode_col(h)) for h in range(H.dim)]
     for h in range(H.dim):
         dh = H.comult_basis(h)
-        for i in range(nr):
+        for i, r in enumerate(rs):
             acc: SVec = {}
-            ri = sv_from_dense(basis[i])
             for (h1, h2), c in dh.items():
-                left = A.mul_sv(sigma.apply_sv({h1: c}), ri)
-                right = sigma.apply_sv(H.antipode_sv({h2: cone()}))
-                sv_add_into(acc, A.mul_sv(left, right))
-            x = coords_or_fail(sv_to_dense(acc, A.dim), "action")
-            for j, cj in enumerate(x):
-                if cj:
-                    action[(h, i, j)] = cj
+                sv_add_into(acc, A.mul_sv(A.mul_sv(sv_scale(scols[h1], c), r), sScols[h2]))
+            for j, cj in coords_or_fail(acc, "action").items():
+                action[(h, i, j)] = cj
     coaction = Tensor3((nr, H.dim, nr))
     pi_cols = pi.sparse_cols()
-    for i in range(nr):
+    for i, r in enumerate(rs):
         pair2: dict[int, SVec] = {}
-        for (a, b), c in A.comult_sv(sv_from_dense(basis[i])).items():
+        for (a, b), c in A.comult_sv(r).items():
             for h, w in pi_cols[a].items():
                 sv_axpy(pair2.setdefault(h, {}), c, ((b, w),))
         for h, col in pair2.items():
             if col:
-                x = coords_or_fail(sv_to_dense(col, A.dim), "coaction")
-                for j, cj in enumerate(x):
-                    if cj:
-                        coaction[(i, h, j)] = cj
+                for j, cj in coords_or_fail(col, "coaction").items():
+                    coaction[(i, h, j)] = cj
     yd = YDModule(H, nr, action, coaction)
     pre = PreBialgebra(H, yd, mult, unit, comult, counit)
-    # xi(r (x) s) = pi(r ._A s)
-    xi_t = Tensor3((nr, nr, H.dim))
-    for i in range(nr):
-        ri = sv_from_dense(basis[i])
-        for j in range(nr):
-            prod = A.mul_sv(ri, sv_from_dense(basis[j]))
-            for h, ch in pi.apply_sv(prod).items():
-                xi_t[(i, j, h)] = ch
     xi = Cocycle(xi_t)
     if verify:
         pre_rep = check_prebialgebra(pre)
@@ -288,12 +272,9 @@ def omega_roundtrip(s: ProjectionSetup, ind: Optional[InducedPreBialgebra] = Non
 
 
 def _omega_is_iso(ind: InducedPreBialgebra, B: BialgebraSC) -> bool:
-    """omega(r (x) h) = r sigma(h) carries the multiplication and the
-    comultiplication of B = R # H onto those of A (counits are not compared)."""
-    A = ind.setup.A
-    scols = ind.setup.sigma.sparse_cols()
-    omega = Mat.from_cols([sv_to_dense(A.mul_sv(sv_from_dense(r), sh), A.dim)
-                           for r in ind.basis for sh in scols])
+    """omega carries the multiplication and the comultiplication of
+    B = R # H onto those of A (counits are not compared)."""
+    A, omega = ind.setup.A, ind.omega
     if next(algebra_map_failures(omega, B, A), None) is not None:
         return False
     # the ("counit", k) witnesses are skipped, k alone is a comultiplication failure
@@ -377,21 +358,14 @@ def thinness_and_basis(ind: InducedPreBialgebra):
         inv = nk.inverse()
         d.append(sv_to_dense(sv_scale(nxt, inv), n))
     # verify divided-power coproduct and eigen-properties
-    for k in range(n):
+    d_sv = [sv_from_dense(v) for v in d]
+    for k, dk in enumerate(d_sv):
         expect: dict[tuple[int, int], CycScalar] = {}
         for t in range(k + 1):
-            for a, ca in enumerate(d[t]):
-                if not ca:
-                    continue
-                for b, cb in enumerate(d[k - t]):
-                    if cb:
-                        key = (a, b)
-                        expect[key] = expect.get(key, czero()) + ca * cb
-        expect = {kk: v for kk, v in expect.items() if v}
-        if R.comult_sv(sv_from_dense(d[k])) != expect:
+            sv_outer_axpy(expect, cone(), d_sv[t], d_sv[k - t])
+        if R.comult_sv(dk) != expect:
             raise NotThin(f"divided-power coproduct fails at degree {k}")
         chik = char_convpow(H, chi, k)
-        dk = sv_from_dense(d[k])
         for h in range(H.dim):
             if pre.yd.act({h: cone()}, dk) != sv_scale(dk, chik[h]):
                 raise NotThin(f"eigenvalue property fails at degree {k}")
@@ -473,13 +447,8 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     if N % 2 == 0:
         ghalf = H.pow_sv(sv_from_dense(basis.g), N // 2)
         expect: dict[tuple[int, int], CycScalar] = {}
-        for i, ci in ghalf.items():
-            for j, cj in x_sv.items():
-                expect[(i, j)] = expect.get((i, j), czero()) + ci * cj
-        for i, ci in x_sv.items():
-            for j, cj in H.unit_sv().items():
-                expect[(i, j)] = expect.get((i, j), czero()) + ci * cj
-        expect = {k: v for k, v in expect.items() if v}
+        sv_outer_axpy(expect, cone(), ghalf, x_sv)
+        sv_outer_axpy(expect, cone(), x_sv, H.unit_sv())
         rep.add("x_skew_primitive", H.comult_sv(x_sv) == expect)
         chi_kills = all(not char_eval(char_convpow(H, basis.chi, c_), x)
                         for c_ in range(2 * N + 1))
@@ -595,9 +564,6 @@ class AnalysisReport:
     power_comparison: list[bool]
     consequence_integral: Optional[dict[str, bool]]
 
-    def item(self, key: str) -> bool:
-        return self.equivalences[key]
-
 
 def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
                        analysis: CocycleAnalysis) -> AnalysisReport:
@@ -710,26 +676,20 @@ def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool
     N, q = basis.N, basis.q
     datum = YDDatum(H, basis.g, basis.chi, q)
     ql = build_quantum_line(datum)
-    y_pows = [sv_from_dense(v) for v in basis.y_powers()]
-    coords = _coordinate_solver([basis.y_powers()[i] for i in range(N)], N)
+    y_dense = basis.y_powers()
+    y_pows = [sv_from_dense(v) for v in y_dense]
+    coords = CoordinateMap(y_dense)
     # multiplication
     for a in range(N):
         for b in range(N):
-            got = coords(sv_to_dense(pre.mul(y_pows[a], y_pows[b]), N))
-            if got is None:
-                return False
-            if not vec_eq(got, sv_to_dense(ql.mul_basis(a, b), N)):
+            if coords(pre.mul(y_pows[a], y_pows[b])) != ql.mul_basis(a, b):
                 return False
     # comultiplication
     for a in range(N):
         pair = pre.coalgebra.comult_sv(y_pows[a])
         expect: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in ql.comult_basis(a).items():
-            for k1, c1 in y_pows[i].items():
-                for k2, c2 in y_pows[j].items():
-                    key = (k1, k2)
-                    expect[key] = expect.get(key, czero()) + c * c1 * c2
-        expect = {k: v for k, v in expect.items() if v}
+            sv_outer_axpy(expect, c, y_pows[i], y_pows[j])
         if pair != expect:
             return False
     # action and coaction
@@ -774,24 +734,10 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
         raise ValueError("retraction comparison needs a shared injection sigma")
     ind1 = induced_structures(s1, verify=False)
     ind2 = induced_structures(s2, verify=False)
-    t1 = tau_matrix(s1)
-    t2 = tau_matrix(s2)
     # restrictions in coordinates
+    t1_on_2 = _restricted(ind1, ind2, "tau_1 does not map R^2 into R^1")
+    t2_on_1 = _restricted(ind2, ind1, "tau_2 does not map R^1 into R^2")
     n1, n2 = len(ind1.basis), len(ind2.basis)
-    t1_on_2 = Mat.zero(n1, n2)
-    for j, b in enumerate(ind2.basis):
-        img = ind1.coords(t1.apply(b))
-        if img is None:
-            raise InducedAxiomFailure("tau_1 does not map R^2 into R^1")
-        for i, c in enumerate(img):
-            t1_on_2.rows[i][j] = c
-    t2_on_1 = Mat.zero(n2, n1)
-    for j, b in enumerate(ind1.basis):
-        img = ind2.coords(t2.apply(b))
-        if img is None:
-            raise InducedAxiomFailure("tau_2 does not map R^1 into R^2")
-        for i, c in enumerate(img):
-            t2_on_1.rows[i][j] = c
     mutual = (t1_on_2 @ t2_on_1 == Mat.identity(n1)) and (t2_on_1 @ t1_on_2 == Mat.identity(n2))
     coalg = _is_coalgebra_map(t1_on_2, ind2.pre.coalgebra, ind1.pre.coalgebra) and \
         _is_coalgebra_map(t2_on_1, ind1.pre.coalgebra, ind2.pre.coalgebra)
@@ -809,6 +755,18 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
             if not equal:
                 raise EquivalenceMismatch(
                     "cosemisimple uniqueness violated: distinct retractions of one sigma")
+    return out
+
+
+def _restricted(target: InducedPreBialgebra, source: InducedPreBialgebra, failure: str) -> Mat:
+    """tau of target restricted to the coinvariants of source, in coordinates."""
+    out = Mat.zero(len(target.basis), len(source.basis))
+    for j, b in enumerate(source.basis):
+        img = target.coords(target.tau.apply_sv(sv_from_dense(b)))
+        if img is None:
+            raise InducedAxiomFailure(failure)
+        for i, c in img.items():
+            out.rows[i][j] = c
     return out
 
 

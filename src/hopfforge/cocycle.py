@@ -283,11 +283,11 @@ def _pairwise(t4: dict, f: Callable[[int, int], SVec], g: Callable[[int, int], S
     return out
 
 
-def _xi_coacted(P: PreBialgebra, xi: Cocycle, i: int, j: int,
+def _xi_coacted(P: PreBialgebra, xi: Cocycle, drr: dict,
                 g: Callable[[int, int], SVec]) -> PairSV:
-    """(m_H (x) g)(xi (x) rho_{R (x) R}) delta_{R (x) R}(e_i (x) e_j)."""
+    """(m_H (x) g)(xi (x) rho_{R (x) R}) on drr = delta_{R (x) R}(e_i (x) e_j)."""
     out: PairSV = {}
-    for (a, b, c_, d), c in P.delta_rr_basis(i, j).items():
+    for (a, b, c_, d), c in drr.items():
         first = xi.eval_basis(a, b)
         if not first:
             continue
@@ -360,11 +360,13 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                     if len(ent.witnesses) < 8:
                         ent.witnesses.append((h, i, j))
 
+    # delta_{R(x)R} on every basis pair, read by the next four relations
+    drr = {(i, j): P.delta_rr_basis(i, j) for i in range(n) for j in range(n)}
     # comultiplicativity: Delta_H xi = (m_H (x) xi)(xi (x) rho_{R(x)R}) delta_{R(x)R}
     ent = rep.add("cocycle_comult_compat", True)
     for i in range(n):
         for j in range(n):
-            if H.comult_sv(xi.eval_basis(i, j)) != _xi_coacted(P, xi, i, j, xi.eval_basis):
+            if H.comult_sv(xi.eval_basis(i, j)) != _xi_coacted(P, xi, drr[i, j], xi.eval_basis):
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
@@ -375,7 +377,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 ent.ok = False
                 ent.witnesses.append((i, j))
 
-    mts = m_tilde_pairs(P, xi)  # read by the next three relations
+    mts = {ij: _pairwise(d, P.mul_basis, xi.eval_basis) for ij, d in drr.items()}  # m_tilde
     # braided compatibility: c_{R,H}(m (x) xi) delta_RR = (m_H (x) m_R)(xi (x) rho_RR) delta_RR
     ent = rep.add("cocycle_braiding_compat", True)
     for i in range(n):
@@ -385,7 +387,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 # c_{R,H}(r (x) h) = r_(-1) h (x) r_0 with the product in H
                 for (hr, r0), cr in P.yd.coact_basis(r).items():
                     sv_axpy(lhs, c * cr, (((hp, r0), cp) for hp, cp in H.mul_basis(hr, h).items()))
-            if lhs != _xi_coacted(P, xi, i, j, P.mul_basis):
+            if lhs != _xi_coacted(P, xi, drr[i, j], P.mul_basis):
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
@@ -560,7 +562,15 @@ def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> di
                         and next(algebra_map_failures(pi, B, H), None) is None),
         # pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h
         "H_bilinear": all(
-            pi.apply_sv(B.mul_sv(sh, {b: cone()})) == H.mul_sv({h: cone()}, pcols[b])
-            and pi.apply_sv(B.mul_sv({b: cone()}, sh)) == H.mul_sv(pcols[b], {h: cone()})
+            pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pcols[b], h, False)
+            and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pcols[b], h, True)
             for h, sh in enumerate(sigma.sparse_cols()) for b in range(B.dim)),
     }
+
+
+def _times_basis(A: AlgebraSC, v: SVec, k: int, right: bool) -> SVec:
+    """v e_k (right) or e_k v, read from rows of the multiplication table."""
+    out: SVec = {}
+    for i, c in v.items():
+        sv_axpy(out, c, (A.mul_basis(i, k) if right else A.mul_basis(k, i)).items())
+    return out

@@ -19,9 +19,9 @@ from .hopf import (
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
-    Mat, SVec, Subspace, Tensor3, Vec,
+    CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
     basis_vec, cone, czero, kron_index, sv_add_into, sv_axpy, sv_from_dense, sv_scale,
-    sv_to_dense, vec_eq, vec_is_zero, zeros, rref,
+    sv_to_dense, vec_eq, zeros,
 )
 from .cocycle import PreBialgebra
 from .reports import CheckReport
@@ -196,38 +196,35 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[Vec]) -> CompatibleDatum:
         if not E.contains_vec(gl):
             raise NotSubHopf(f"declared group-like {name} not in subspace")
     m = len(sub_basis)
-    coords = _coordinate_solver(sub_basis, H.dim)
+    coords = CoordinateMap(sub_basis)
+    subs = [sv_from_dense(b) for b in sub_basis]
     mult = Tensor3((m, m, m))
     for a in range(m):
         for b in range(m):
-            prod = sv_to_dense(H.mul_sv(sv_from_dense(sub_basis[a]), sv_from_dense(sub_basis[b])), H.dim)
-            x = coords(prod)
+            x = coords(H.mul_sv(subs[a], subs[b]))
             if x is None:
                 raise NotSubHopf("not closed under multiplication")
-            for k, ck in enumerate(x):
-                if ck:
-                    mult[(a, b, k)] = ck
+            for k, ck in x.items():
+                mult[(a, b, k)] = ck
     comult = Tensor3((m, m, m))
     for a in range(m):
-        pair = H.comult_sv(sv_from_dense(sub_basis[a]))
-        expanded = _express_pair(pair, coords, m, H.dim)
+        expanded = coords.pair(H.comult_sv(subs[a]))
         if expanded is None:
             raise NotSubHopf("not closed under comultiplication")
         for key, cv in expanded.items():
             comult[(a, key[0], key[1])] = cv
-    unit = coords(H.unit)
+    unit = sv_to_dense(coords(H.unit_sv()), m)
     counit = [H.counit_vec(v) for v in sub_basis]
     S = Mat.zero(m, m)
     for a in range(m):
-        img = H.antipode.apply(sub_basis[a])
-        x = coords(img)
+        x = coords(H.antipode_sv(subs[a]))
         if x is None:
             raise NotSubHopf("not closed under the antipode")
-        for k, ck in enumerate(x):
+        for k, ck in x.items():
             S.rows[k][a] = ck
     sub = HopfSC(m, mult, unit, comult, counit, S, conductor=H.conductor,
                  finite_dim=True, cosemisimple=H.cosemisimple)
-    g_sub = coords(c.datum.g)
+    g_sub = sv_to_dense(coords(sv_from_dense(c.datum.g)), m)
     chi_sub = [char_eval(c.datum.chi, v) for v in sub_basis]
     datum = validate_yd_datum(sub, g_sub, chi_sub)
     if isinstance(datum, CheckReport):
@@ -236,65 +233,6 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[Vec]) -> CompatibleDatum:
     out = validate_compatible_datum(datum, c.lam)
     if isinstance(out, CheckReport):
         raise NotSubHopf("restricted datum is not compatible")
-    return out
-
-
-def _coordinate_solver(basis: list[Vec], ambient: int):
-    """Left-inverse on span(basis); returns None for vectors outside."""
-    cols = Mat.from_cols(basis)
-    aug = [list(r) + basis_vec(ambient, i) for i, r in enumerate(cols.rows)]
-    rows, pivots = rref(aug)
-    m = len(basis)
-
-    def coords(v: Vec) -> Optional[Vec]:
-        x = zeros(m)
-        for r, p in zip(rows, pivots):
-            if p < m:
-                total = czero()
-                for i in range(ambient):
-                    w = r[m + i]
-                    if w and v[i]:
-                        total = total + w * v[i]
-                x[p] = total
-        # membership check
-        resid = list(v)
-        for k, ck in enumerate(x):
-            if ck:
-                resid = [a - ck * b for a, b in zip(resid, basis[k])]
-        if not vec_is_zero(resid):
-            return None
-        return x
-
-    return coords
-
-
-def _express_pair(pair, coords, m: int, ambient: int):
-    """Express a sparse element of H (x) H in sub-basis (x) sub-basis."""
-    # first leg: build matrix rows indexed by first leg
-    rows: dict[int, Vec] = {}
-    for (i, j), c in pair.items():
-        rows.setdefault(j, zeros(ambient))
-        rows[j][i] = rows[j][i] + c
-    out: dict[tuple[int, int], CycScalar] = {}
-    half: dict[tuple[int, int], CycScalar] = {}
-    for j, col in rows.items():
-        x = coords(col)
-        if x is None:
-            return None
-        for a, ca in enumerate(x):
-            if ca:
-                half[(a, j)] = ca
-    cols: dict[int, Vec] = {}
-    for (a, j), c in half.items():
-        cols.setdefault(a, zeros(ambient))
-        cols[a][j] = cols[a][j] + c
-    for a, col in cols.items():
-        x = coords(col)
-        if x is None:
-            return None
-        for b, cb in enumerate(x):
-            if cb:
-                out[(a, b)] = cb
     return out
 
 
@@ -591,45 +529,27 @@ def _retraction_ok(ore: OreHopf) -> bool:
 def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
     """Compare induced structures on coinvariants span{y^a} with R_q."""
     O, H, N = ore.O, ore.base, ore.N
-    nh = H.dim
     ys = sv_from_dense(ore.y_vec)
     y_pows = [O.unit_sv()]
     for _ in range(N - 1):
         y_pows.append(O.mul_sv(y_pows[-1], ys))
     # tau(v) = v1 sigma S p(v2); products tau(y^a . y^b) must equal quantum-line mult
+    sS = ore.sigma @ H.antipode
+    sSp = [sS.apply_sv(col) for col in ore.p.sparse_cols()]  # the columns of sigma S p
+
     def tau(sv: SVec) -> SVec:
         out: SVec = {}
         for k, c in sv.items():
             for (i, j), w in O.comult_basis(k).items():
-                ph = ore.p.apply_sv({j: cone()})
-                sph = H.antipode_sv(ph)
-                sig = ore.sigma.apply_sv(sph)
-                sv_add_into(out, O.mul_sv({i: c * w}, sig))
+                sv_add_into(out, O.mul_sv({i: c * w}, sSp[j]))
         return out
 
-    def coords_on_powers(sv: SVec) -> Optional[Vec]:
-        # each y^a is a single normal-form basis vector
-        x = zeros(N)
-        rest = dict(sv)
-        for a in range(N):
-            vp = y_pows[a]
-            # y^a is proportional to a single normal-form basis vector
-            if len(vp) != 1:
-                return None
-            (idx, cv), = vp.items()
-            if idx in rest:
-                x[a] = rest.pop(idx) / cv
-        return x if not rest else None
-
+    coords = CoordinateMap([sv_to_dense(v, O.dim) for v in y_pows])
     lam_table = {}
     for a in range(N):
         for b in range(N):
             prod = O.mul_sv(y_pows[a], y_pows[b])
-            m_r = coords_on_powers(tau(prod))
-            if m_r is None:
-                return False
-            expected = sv_to_dense(ql.mul_basis(a, b), N)
-            if not vec_eq(m_r, expected):
+            if coords(tau(prod)) != ql.mul_basis(a, b):
                 return False
             lam_table[(a, b)] = ore.p.apply_sv(prod)
     # cocycle table: 1 at (0,0); lambda(1-g^N) on a+b=N, a,b != 0; 0 otherwise
@@ -761,11 +681,11 @@ def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) 
 
     # side 2: restriction to the base plus the scalar conditions
     sigma_cols = [ore.sigma.col(j) for j in range(H1.dim)]
-    coords = _coordinate_solver(sigma_cols, O.dim)
-    g2_base = coords(gamma2)
+    g2_base = CoordinateMap(sigma_cols)(sv_from_dense(gamma2))
     side2 = g2_base is not None
     detail = []
     if side2:
+        g2_base = sv_to_dense(g2_base, H1.dim)
         chi2_base = [char_eval(chi2, col) for col in sigma_cols]
         d2 = validate_yd_datum(H1, g2_base, chi2_base)
         if isinstance(d2, CheckReport):

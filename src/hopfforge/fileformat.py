@@ -47,7 +47,10 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
         if not m or (m.group("rat") is None and m.group("z") is None):
             raise ParseError(f"bad scalar term {term!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+        try:
+            rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in scalar term {term!r}") from None
         if m.group("z"):
             exp = int(m.group("exp") or 1)
             base = CycScalar.zeta_power(conductor, exp)

@@ -6,7 +6,8 @@ Conventions used by the whole package:
   column vectors;
 * tensor-product bases are ordered row-major, index(i, j) = i * dim2 + j;
 * subspaces are stored as reduced row-echelon bases, which makes subspace
-  equality plain row-matrix equality.
+  equality plain row-matrix equality;
+* "express v in this basis" is one ``CoordinateMap``, built once per basis.
 
 Vectors are plain lists of CycScalar; "sparse vectors" are dicts index ->
 nonzero CycScalar (used heavily by the structure-constant layer).
@@ -366,6 +367,60 @@ def solve(A: Mat, b: Vec) -> Optional[Vec]:
     for r, p in zip(rows, pivots):
         x[p] = r[n]
     return x
+
+
+class CoordinateMap:
+    """Coordinates of sparse vectors in a fixed list of independent vectors.
+
+    The basis rows B are reduced once, together with the transform T, to
+    echelon rows E = T B.  A vector v of the span is sum_k v[p_k] E_k, with
+    p_k the pivot of E_k, so its coordinates are sum_k v[p_k] T_k; the
+    sparse residual v - sum_k v[p_k] E_k is zero exactly on the span.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, basis: Sequence[Vec]):
+        m = len(basis)
+        n = len(basis[0]) if m else 0
+        rows, pivots = rref([list(b) + basis_vec(m, k) for k, b in enumerate(basis)])
+        if len(pivots) < m or (m and pivots[-1] >= n):
+            raise ValueError("coordinate basis is linearly dependent")
+        self.rows = [(p, sv_from_dense(r[:n]), sv_from_dense(r[n:])) for r, p in zip(rows, pivots)]
+
+    def __call__(self, v: SVec) -> Optional[SVec]:
+        """x with v = sum_k x_k b_k, or None when v is off the span."""
+        resid = dict(v)
+        x: SVec = {}
+        for p, e, t in self.rows:
+            c = v.get(p)
+            if c:
+                sv_axpy(resid, -c, e.items())
+                sv_axpy(x, c, t.items())
+        return None if resid else x
+
+    def pair(self, t: dict) -> Optional[dict]:
+        """An element of V (x) V keyed (i, j) in basis (x) basis, keyed (a, b):
+        the first legs are expressed first, then the second; None when t is
+        off span (x) span."""
+        first_legs: dict[int, SVec] = {}    # keyed by the second-leg index j
+        for (i, j), c in t.items():
+            first_legs.setdefault(j, {})[i] = c
+        second_legs: dict[int, SVec] = {}   # keyed by the first coordinate a
+        for j, col in first_legs.items():
+            x = self(col)
+            if x is None:
+                return None
+            for a, ca in x.items():
+                second_legs.setdefault(a, {})[j] = ca
+        out: dict = {}
+        for a in sorted(second_legs):
+            x = self(second_legs[a])
+            if x is None:
+                return None
+            for b, cb in x.items():
+                out[(a, b)] = cb
+        return out
 
 
 def kernel(A: Mat) -> Subspace:

@@ -199,6 +199,29 @@ def test_induced_structures_rejects_bad_basis(c4min_entry):
         induced_structures(setup, basis=[basis_vec(8, 0), basis_vec(8, 0)])
 
 
+@pytest.mark.parametrize("name", ["xmas_pi", "c4min"])
+def test_induced_structures_in_a_recombined_basis(name, xmas_entry, c4min_entry):
+    """b_k = r_k + c_k r_{k+1} for even k over R's echelon rows r, with zeta
+    among the c_k, so the coordinate map works through a non-identity
+    transform.  (A full unitriangular recombination makes the induced
+    tensors dense, and check_cocycle then takes ~40 s on xmas pi.)"""
+    setup = xmas_entry.extra["setup_pi"] if name == "xmas_pi" else c4min_entry.setup
+    rows = coinvariants(setup).rows
+    rng = random.Random(5)
+    z = CycScalar.zeta(6)
+    basis = [list(r) for r in rows]
+    for k in range(0, len(rows) - 1, 2):
+        c = rng.choice([rat(-2), z, -z])
+        basis[k] = [a + c * b for a, b in zip(rows[k], rows[k + 1])]
+    ind = induced_structures(setup, basis=basis, verify=True)
+    assert any(len(t) > 1 for _, _, t in ind.coords.rows)
+    assert omega_roundtrip(setup, ind)
+    thin, dp, _ = thinness_and_basis(ind)
+    ref_thin, ref_dp, _ = thinness_and_basis(induced_structures(setup, verify=False))
+    assert thin and ref_thin
+    assert (dp.N, dp.q) == (ref_dp.N, ref_dp.q)
+
+
 def test_thinness_negative_control():
     entry = catalog.nonthin_control()
     rep = validate_setup(entry.setup)

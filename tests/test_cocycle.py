@@ -129,23 +129,39 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
             assert got == expect, (a, b)
 
 
-def test_m_tilde_formed_once_per_pair(qline6_entry, monkeypatch):
+@pytest.mark.parametrize("which", ["qline6", "c4min_induced"])
+def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_analysis, monkeypatch):
+    """Each check forms delta_{R (x) R} once per basis pair, check_cocycle
+    reads m_tilde off that one table, and bosonize forms m_tilde once per pair."""
     from hopfforge import cocycle
-    P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
+    if which == "qline6":
+        P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
+    else:
+        P, xi = c4min_analysis[0].pre, c4min_analysis[0].xi
     pairs = sorted((i, j) for i in range(P.dim) for j in range(P.dim))
-    calls = []
-    formed = cocycle.m_tilde_pair
+    deltas, tildes = [], []
+    formed_delta = cocycle.PreBialgebra.delta_rr_basis
+    formed_tilde = cocycle.m_tilde_pair
 
-    def counted(P, xi, i, j):
-        calls.append((i, j))
-        return formed(P, xi, i, j)
+    def counted_delta(P, i, j):
+        deltas.append((i, j))
+        return formed_delta(P, i, j)
 
-    monkeypatch.setattr(cocycle, "m_tilde_pair", counted)
+    def counted_tilde(P, xi, i, j):
+        tildes.append((i, j))
+        return formed_tilde(P, xi, i, j)
+
+    monkeypatch.setattr(cocycle.PreBialgebra, "delta_rr_basis", counted_delta)
+    monkeypatch.setattr(cocycle, "m_tilde_pair", counted_tilde)
+    assert check_prebialgebra(P).ok
+    assert sorted(deltas) == pairs and not tildes
+    deltas.clear()
     assert check_cocycle(P, xi).ok
-    assert sorted(calls) == pairs
-    calls.clear()
+    assert sorted(deltas) == pairs and not tildes
+    deltas.clear()
     bosonize(P, xi, verify=False)
-    assert sorted(calls) == pairs
+    assert sorted(tildes) == pairs
+    assert sorted(deltas) == pairs
 
 
 def test_m_tilde_matrix_shape(qline2, xi8):

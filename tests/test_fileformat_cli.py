@@ -101,6 +101,21 @@ def test_cli_check_exit_codes(tmp_path):
     assert main(["check", str(tmp_path / "missing.alg")]) == 2
 
 
+def test_cli_zero_denominator_is_a_parse_error(tmp_path):
+    text = (GOLDEN / "c4min.alg").read_text()
+    first_mult_row = "SECTION MULT\n0 0 0 1\n"
+    assert first_mult_row in text
+    bad = tmp_path / "zero_den.alg"
+    bad.write_text(text.replace(first_mult_row, "SECTION MULT\n0 0 0 1/0\n", 1))
+    proc = subprocess.run([sys.executable, "-m", "hopfforge.cli", "check", str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    with pytest.raises(ParseError):
+        parse_scalar("3/0*z", 4)
+
+
 def test_cli_ore_pipeline(tmp_path):
     out = tmp_path / "rebuilt.alg"
     rc = main(["ore", "--base", str(GOLDEN / "b0_base.alg"), "--g", "g3",

@@ -5,9 +5,9 @@ from pathlib import Path
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
-    Mat, Subspace, Tensor3,
+    CoordinateMap, Mat, Subspace, Tensor3,
     basis_vec, cone, czero, image, kernel, kernel_from_sparse_rows, map_tensor_product,
-    preimage, rref, solve, vec_eq, zeros,
+    preimage, rref, solve, sv_from_dense, sv_to_dense, vec_eq, zeros,
 )
 
 
@@ -101,6 +101,51 @@ def test_kernel_from_sparse_rows_matches_dense():
         assert kernel_from_sparse_rows(sparse_rows, 5) == kernel(m)
 
 
+def test_coordinate_map_on_non_echelon_bases():
+    """Independent bases with zeta entries, not in echelon form, so the
+    transform is not the identity."""
+    rng = random.Random(31)
+    for _ in range(12):
+        n = rng.randrange(2, 13)
+        m = rng.randrange(1, min(n, 8) + 1)
+        while True:
+            basis = rand_mat(rng, m, n).rows
+            if Subspace(n, basis).dim == m:
+                break
+        coords = CoordinateMap(basis)
+        x = [CycScalar(6, [rng.randrange(-2, 3), rng.randrange(-2, 3)]) for _ in range(m)]
+        v = [czero()] * n
+        for xk, b in zip(x, basis):
+            v = [a + xk * c for a, c in zip(v, b)]
+        got = coords(sv_from_dense(v))
+        assert got == sv_from_dense(x)
+        assert vec_eq(sv_to_dense(got, m), solve(Mat.from_cols(basis), v))
+        # off the span: None from the map and from solve, and None from the
+        # pair form when a first leg is off the span
+        if m < n:
+            off = next(e for e in (basis_vec(n, i) for i in range(n))
+                       if not Subspace(n, basis).contains_vec(e))
+            assert coords(sv_from_dense([a + c for a, c in zip(v, off)])) is None
+            assert solve(Mat.from_cols(basis), off) is None
+            assert coords.pair({(i, j): cone() for i, a in enumerate(off) if a
+                                for j, c in enumerate(basis[0]) if c}) is None
+        # pair form: coordinates of b_a (x) b_b are e_(a, b)
+        a, b = rng.randrange(m), rng.randrange(m)
+        t = {}
+        for i, ci in enumerate(basis[a]):
+            for j, cj in enumerate(basis[b]):
+                if ci * cj:
+                    t[(i, j)] = ci * cj
+        assert coords.pair(t) == {(a, b): cone()}
+
+
+def test_coordinate_map_rejects_dependent_basis():
+    import pytest
+    v = [cone(), CycScalar.zeta(6)]
+    with pytest.raises(ValueError):
+        CoordinateMap([v, [CycScalar.zeta(6) * c for c in v]])
+
+
 def test_tensor_contract_unit_axis():
     H = group_algebra_cyclic(2)
     assert H.mult.contract(1, H.unit) == Mat.identity(2)
@@ -168,3 +213,24 @@ def test_sparse_accumulation_lives_in_the_kernels():
                 owners = [s for s in spans if s[0] <= lineno <= s[1]]
                 found.append((path.name, max(owners)[2] if owners else None))
     assert sorted(found) == sorted(kernels)
+
+
+def test_one_echelon_routine_and_no_private_imports():
+    """rref is called only inside linalg.py, and no module of the package
+    imports a _-prefixed name from another, so a second coordinate solver
+    cannot come back unnoticed."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    rref_callers, private_imports = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name == "rref":
+                    rref_callers.append(path.name)
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hopfforge")):
+                private_imports += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert set(rref_callers) == {"linalg.py"}
+    assert private_imports == []
