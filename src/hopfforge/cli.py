@@ -123,8 +123,7 @@ def cmd_ore(args) -> int:
     rep.status("hopf_check", True, f"dim {ore.dim}")
     rep.set("dim", ore.dim)
     rep.set("N", N)
-    rep.set("q", format_scalar(d.q.promote(f.conductor) if f.conductor % d.q.L == 0 else d.q,
-                               f.conductor))
+    rep.set("q", format_scalar(d.q, f.conductor))
     if args.out:
         base_ref = Path(args.base).name
         write_hopf(ore.O, args.out, kind="hopf",
@@ -187,8 +186,7 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
         return
     conductor = setup.H.conductor
     rep.set("N", basis.N)
-    rep.set("q", format_scalar(basis.q.promote(conductor)
-                               if conductor % basis.q.L == 0 else basis.q, conductor))
+    rep.set("q", format_scalar(basis.q, conductor))
 
     def h_vec_text(v) -> str:
         labels = setup.H.labels
@@ -218,8 +216,7 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
         rep.status("three_half_line_zero", ana.three_half_line_zero)
     rep.set("x_zero", ana.x_is_zero)
     if ana.lam is not None:
-        rep.set("lambda", format_scalar(ana.lam.promote(conductor)
-                                        if conductor % ana.lam.L == 0 else ana.lam, conductor))
+        rep.set("lambda", format_scalar(ana.lam, conductor))
         rep.status("lambda_datum_compatible", ana.lam_datum is not None)
     else:
         rep.skipped("lambda_extraction", "flags do not license the extraction")

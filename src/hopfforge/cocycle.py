@@ -474,6 +474,24 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
         if not coc.ok:
             raise AxiomViolation("cocycle axioms fail: "
                                  + ", ".join(e.name for e in coc.failures()))
+    mult, unit, comult, counit, sigma, pi = bosonization_tensors(P, xi)
+    B = BialgebraSC(P.dim * P.H.dim, mult, unit, comult, counit)
+    if verify:
+        bi = check_bialgebra(B)
+        if not bi.ok:
+            raise AxiomViolation("bosonization is not a bialgebra: "
+                                 + ", ".join(e.name for e in bi.failures()))
+    return Bosonization(B, sigma, pi, P, xi)
+
+
+def bosonization_tensors(P: PreBialgebra,
+                         xi: Cocycle) -> tuple[Tensor3, Vec, Tensor3, Vec, Mat, Mat]:
+    """(mult, unit, comult, counit, sigma, pi) of R #_xi H on the basis e_kron(r, h) = r # h.
+
+    Nothing is checked.  `bosonize` wraps the tables in a bialgebra and
+    `construct.build_ore_hopf` in a Hopf algebra, so only that one object
+    indexes them.
+    """
     H = P.H
     nr, nh = P.dim, H.dim
     n = nr * nh
@@ -532,12 +550,6 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
             eh = H.counit[h]
             if eh:
                 counit[kron_index(r, h, nh)] = er * eh
-    B = BialgebraSC(n, mult, unit, comult, counit)
-    if verify:
-        bi = check_bialgebra(B)
-        if not bi.ok:
-            raise AxiomViolation("bosonization is not a bialgebra: "
-                                 + ", ".join(e.name for e in bi.failures()))
     sigma = Mat.zero(n, nh)
     u_r = sv_from_dense(P.unit)
     for h in range(nh):
@@ -550,7 +562,12 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
             continue
         for h in range(nh):
             pi.rows[h][kron_index(r, h, nh)] = er
-    return Bosonization(B, sigma, pi, P, xi)
+    # the tables take few distinct values: hold one object per value, not per entry
+    shared: dict[tuple, CycScalar] = {}
+    for t in (mult, comult):
+        for key, c in t.data.items():
+            t.data[key] = shared.setdefault((c.L, c.den, c.nums), c)
+    return mult, unit, comult, counit, sigma, pi
 
 
 def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> dict[str, bool]:

@@ -1,10 +1,11 @@
 """Constructions from compatible data: quantum lines and Ore-extension
 Hopf algebras with their canonical normalized projection.
 
-The Ore extension H[X, phi, 0] is never materialized; the construction goes
-directly to the quotient's normal-form basis {y^i h_j} with the rewriting
-rules h y^a -> y^a phi^a(h) and y^N -> lambda (1 - Gamma^N).  The universal
-property is still exercised through ``universal_map``.
+The Ore extension H[X, phi, 0] is never materialized; its quotient O is built
+as the deformed bosonization R_q #_xi H of the quantum line R_q, whose basis
+y^a # h_j is the normal form y^a h_j, with the cocycle xi(y^a (x) y^b) =
+lambda (1 - g^N) on a + b = N.  The universal property is still exercised
+through ``universal_map``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ from typing import Optional, Union
 from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
     AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
-    coalgebra_map_failures, char_convpow, char_eval, check_hopf, is_central, phi_map, phi_power,
-    psi_map,
+    coalgebra_map_failures, char_convolve, char_convpow, char_eval, check_hopf, is_central,
+    phi_map, phi_power, psi_map,
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
-    basis_vec, cone, czero, kron_index, sv_add_into, sv_axpy, sv_from_dense, sv_scale,
+    basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale,
     sv_to_dense, vec_eq, zeros,
 )
-from .cocycle import PreBialgebra
+from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, retraction_diagnostics
 from .reports import CheckReport
 from .yd import YDModule
 
@@ -89,7 +90,6 @@ def validate_yd_datum(H: HopfSC, g: Vec, chi: Vec) -> Union[YDDatum, CheckReport
             ent.ok = False
             ent.witnesses.append(name)
     ent = rep.add("chi_convolution_central", True)
-    from .hopf import char_convolve
     for name, eta in H.characters.items():
         if not vec_eq(char_convolve(H, chi, eta), char_convolve(H, eta, chi)):
             ent.ok = False
@@ -318,174 +318,43 @@ class OreHopf:
         return self.O.dim
 
 
-def _normal_mul(H: HopfSC, phi_pows: list[Mat], N: int, lam: CycScalar, gN: SVec,
-                a: int, hs: SVec, b: int, ks: SVec) -> dict[tuple[int, int], CycScalar]:
-    """(y^a h)(y^b k) in normal form, as {(power, h-index): coeff}."""
-    moved = phi_pows[b].apply_sv(hs) if b else hs
-    tail = H.mul_sv(moved, ks)
-    power = a + b
-    out: dict[tuple[int, int], CycScalar] = {}
-    if power < N:
-        for j, c in tail.items():
-            out[(power, j)] = c
-        return out
-    # y^(a+b) = y^(a+b-N) lambda (1 - Gamma^N); Gamma^N commutes with y
-    power -= N
-    if lam.is_zero():
-        return out
-    z: SVec = sv_scale(H.unit_sv(), lam)
-    sv_add_into(z, sv_scale(gN, -lam))
-    head = H.mul_sv(z, tail)
-    for j, c in head.items():
-        out[(power, j)] = c
-    return out
-
-
 def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
-    """Hopf algebra on {y^i h_j} with y^N = lambda(1 - Gamma^N), h y^a = y^a phi^a(h).
+    """O = R_q #_xi H on {y^i h_j}: y^N = lambda(1 - Gamma^N), h y^a = y^a phi^a(h).
 
-    The antipode is assembled from the closed form S(y) = -Gamma^(-1) y and
-    verified against the axioms; with verify=True a full Hopf check and the
-    canonical-retraction checks gate the result.
+    The tensors, sigma and p are the bosonization of the quantum line R_q
+    with xi(y^a (x) y^b) = lambda(1 - g^N) on a + b = N.  The antipode is
+    S(y^a h) = S(h) S(y)^a with S(y) = -Gamma^(-1) y; with verify=True a full
+    Hopf check and the canonical-retraction checks gate the result.
     """
     H = c.H
     N, lam = c.N, c.lam
-    q = c.datum.q
     nh = H.dim
     n = N * nh
-    phi_pows = [phi_power(H, c.datum.chi, a) for a in range(max(N, 2))]
-    gs = sv_from_dense(c.datum.g)
-    gN = H.pow_sv(gs, N)
-
-    mult = Tensor3((n, n, n))
-    for a in range(N):
-        for i in range(nh):
-            row = kron_index(a, i, nh)
-            for b in range(N):
-                moved = phi_pows[b].apply_sv({i: cone()})
-                for j in range(nh):
-                    col = kron_index(b, j, nh)
-                    tail = H.mul_sv(moved, {j: cone()})
-                    power = a + b
-                    if power < N:
-                        for k, w in tail.items():
-                            mult.add_to((row, col, kron_index(power, k, nh)), w)
-                    elif not lam.is_zero():
-                        z: SVec = sv_scale(H.unit_sv(), lam)
-                        sv_add_into(z, sv_scale(gN, -lam))
-                        head = H.mul_sv(z, tail)
-                        for k, w in head.items():
-                            mult.add_to((row, col, kron_index(power - N, k, nh)), w)
-    unit = zeros(n)
-    for i, ci in enumerate(H.unit):
-        if ci:
-            unit[kron_index(0, i, nh)] = ci
-
-    # coproducts of y^a by repeated multiplication of Delta(y) = y (x) 1 + Gamma (x) y
-    # inside O (x) O; each term is (y^p u (x) y^r v) with u, v in H.
-    TermKey = tuple[int, int, int, int]  # (p, u, r, v)
-    delta_y_pow: list[dict[TermKey, CycScalar]] = []
-    cur: dict[TermKey, CycScalar] = {}
-
-    def h_pair_terms(sv1: SVec, sv2: SVec):
-        for i, ci in sv1.items():
-            for j, cj in sv2.items():
-                yield i, j, ci * cj
-
-    unit_sv = H.unit_sv()
-    for i, j, w in h_pair_terms(unit_sv, unit_sv):
-        cur[(0, i, 0, j)] = w
-    delta_y_pow.append(dict(cur))
-    delta_y: dict[TermKey, CycScalar] = {}
-    for i, j, w in h_pair_terms(unit_sv, unit_sv):
-        delta_y[(1, i, 0, j)] = w
-    for i, j, w in h_pair_terms(gs, unit_sv):
-        delta_y[(0, i, 1, j)] = delta_y.get((0, i, 1, j), czero()) + w
-    for a in range(1, N + 1):
-        nxt: dict[TermKey, CycScalar] = {}
-        for (p1, u1, r1, v1), c1 in delta_y_pow[-1].items():
-            for (p2, u2, r2, v2), c2 in delta_y.items():
-                left = _normal_mul(H, phi_pows, N, lam, gN, p1, {u1: cone()}, p2, {u2: cone()})
-                right = _normal_mul(H, phi_pows, N, lam, gN, r1, {v1: cone()}, r2, {v2: cone()})
-                for (pl, ul), cl in left.items():
-                    sv_axpy(nxt, c1 * c2 * cl,
-                            (((pl, ul, pr, vr), cr) for (pr, vr), cr in right.items()))
-        delta_y_pow.append(nxt)
-
-    comult = Tensor3((n, n, n))
-    for a in range(N):
-        da = delta_y_pow[a]
-        for i in range(nh):
-            src = kron_index(a, i, nh)
-            for (hi, hj), ch in H.comult_basis(i).items():
-                for (p1, u1, r1, v1), w in da.items():
-                    left = H.mul_sv({u1: cone()}, {hi: cone()})
-                    right = H.mul_sv({v1: cone()}, {hj: cone()})
-                    for ul, cl in left.items():
-                        for vr, cr in right.items():
-                            comult.add_to(
-                                (src, kron_index(p1, ul, nh), kron_index(r1, vr, nh)),
-                                ch * w * cl * cr)
-    counit = zeros(n)
-    for i in range(nh):
-        counit[kron_index(0, i, nh)] = H.counit[i]
-
-    # antipode: anti-homomorphism with S(y) = -Gamma^(-1) y, S on H from the base
-    g_inv = H.antipode.apply(c.datum.g)  # S(g) = g^(-1) for group-likes
-    s_y: dict[tuple[int, int], CycScalar] = {}
-    for i, ci in enumerate(g_inv):
-        if ci:
-            s_y[(1, i)] = -ci  # -g^(-1) appears left of y: (-g^(-1)) y = y phi(-g^(-1))
-    # normal form: (-g^(-1)) y = y . phi(g^(-1)) . (-1)
-    s_y_norm: dict[tuple[int, int], CycScalar] = {}
-    moved = phi_pows[1].apply_sv(sv_scale(sv_from_dense(g_inv), -cone()))
-    for j, cj in moved.items():
-        s_y_norm[(1, j)] = cj
-    s_y_pows: list[dict[tuple[int, int], CycScalar]] = [{(0, i): ci for i, ci in unit_sv.items()}]
+    z: SVec = sv_scale(H.unit_sv(), lam)  # lambda(1 - g^N)
+    sv_add_into(z, sv_scale(H.pow_sv(sv_from_dense(c.datum.g), N), -lam))
+    xi = Tensor3((N, N, nh))
+    for h, ch in H.unit_sv().items():
+        xi[(0, 0, h)] = ch
     for a in range(1, N):
-        prev = s_y_pows[-1]
-        nxt: dict[tuple[int, int], CycScalar] = {}
-        for (p1, u1), c1 in prev.items():
-            for (p2, u2), c2 in s_y_norm.items():
-                prod = _normal_mul(H, phi_pows, N, lam, gN, p1, {u1: cone()}, p2, {u2: cone()})
-                sv_axpy(nxt, c1 * c2, prod.items())
-        s_y_pows.append(nxt)
-    S = Mat.zero(n, n)
-    for a in range(N):
-        for i in range(nh):
-            src = kron_index(a, i, nh)
-            sh = H.antipode_sv({i: cone()})  # S(y^a h) = S(h) S(y)^a
-            for (p, u), cu in s_y_pows[a].items():
-                for j, cj in sh.items():
-                    prod = _normal_mul(H, phi_pows, N, lam, gN, 0, {j: cj * cu}, p, {u: cone()})
-                    for (pp, uu), w in prod.items():
-                        S.rows[kron_index(pp, uu, nh)][src] = (
-                            S.rows[kron_index(pp, uu, nh)][src] + w)
-
-    O = HopfSC(n, mult, unit, comult, counit, S,
-               labels=[f"y{a}*{H.labels[j]}" for a in range(N) for j in range(nh)],
-               conductor=H.conductor,
-               group_likes={},
-               characters={},
-               finite_dim=True, cosemisimple=False)
-    sigma = Mat.zero(n, nh)
-    for j in range(nh):
-        sigma.rows[kron_index(0, j, nh)][j] = cone()
-    p = Mat.zero(nh, n)
-    for j in range(nh):
-        p.rows[j][kron_index(0, j, nh)] = cone()
-    y_vec = zeros(n)
-    if N > 1:
-        for i, ci in unit_sv.items():
-            y_vec[kron_index(1, i, nh)] = ci
-    else:
-        # degenerate N=1: O = H and y = lambda(1 - g)
-        yv = sv_scale(H.unit_sv(), lam)
-        sv_add_into(yv, sv_scale(gs, -lam))
-        for j, cj in yv.items():
-            y_vec[kron_index(0, j, nh)] = cj
-    gamma_vec = sigma.apply(c.datum.g)
-    ore = OreHopf(O, H, c, sigma, p, y_vec, gamma_vec)
+        for h, ch in z.items():
+            xi[(a, N - a, h)] = ch
+    mult, unit, comult, counit, sigma, p = bosonization_tensors(
+        build_quantum_line(c.datum), Cocycle(xi))
+    S = Mat.zero(n, n)  # filled below from products in O
+    O = HopfSC(n, mult, unit, comult, counit, S, conductor=H.conductor,
+               labels=[f"y{a}*{H.labels[j]}" for a in range(N) for j in range(nh)])
+    # degenerate N=1: O = H and y = lambda(1 - g)
+    y = {kron_index(1, i, nh): ci for i, ci in H.unit_sv().items()} if N > 1 else sigma.apply_sv(z)
+    s_y = sv_scale(O.mul_sv(sigma.apply_sv(H.antipode_sv(sv_from_dense(c.datum.g))), y), -cone())
+    s_y_pows = [O.unit_sv()]
+    for _ in range(N - 1):
+        s_y_pows.append(O.mul_sv(s_y_pows[-1], s_y))
+    for j, sh in enumerate(H.antipode.sparse_cols()):
+        sigma_sh = sigma.apply_sv(sh)
+        for a in range(N):
+            for k, ck in O.mul_sv(sigma_sh, s_y_pows[a]).items():
+                S.rows[k][kron_index(a, j, nh)] = ck
+    ore = OreHopf(O, H, c, sigma, p, sv_to_dense(y, n), sigma.apply(c.datum.g))
     if verify:
         _verify_ore(ore)
     return ore
@@ -521,7 +390,6 @@ def _retraction_ok(ore: OreHopf) -> bool:
     comp = ore.p @ ore.sigma
     if comp != Mat.identity(H.dim):
         return False
-    from .cocycle import retraction_diagnostics
     diag = retraction_diagnostics(O, ore.p, ore.sigma, H)
     return diag["coalgebra_map"] and diag["H_bilinear"]
 

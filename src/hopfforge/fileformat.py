@@ -288,23 +288,21 @@ class AlgebraFile:
             parts = row.split(None, 3)
             if len(parts) != 4:
                 raise ParseError(f"{self.path}: bad tensor row {row!r} in {name}")
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+            i, j, k = (self._index(x, bound, name) for x, bound in zip(parts, shape))
             t.add_to((i, j, k), parse_scalar(parts[3], self.conductor))
         return t
 
-    def _vector(self, name: str, n: int) -> Vec:
-        found = self.section(name)
+    def _vector(self, name: str, n: int, rows: Optional[list[str]] = None) -> Vec:
+        """Rows `i scalar`, by default those of the first section called name."""
+        if rows is None:
+            found = self.section(name)
+            rows = found[1] if found else []
         v = zeros(n)
-        if found is None:
-            return v
-        _, rows = found
         for row in rows:
             parts = row.split(None, 1)
             if len(parts) != 2:
                 raise ParseError(f"{self.path}: bad vector row {row!r} in {name}")
-            i = int(parts[0])
-            if not 0 <= i < n:
-                raise ParseError(f"{self.path}: index {i} out of range in {name}")
+            i = self._index(parts[0], n, name)
             v[i] = v[i] + parse_scalar(parts[1], self.conductor)
         return v
 
@@ -314,11 +312,15 @@ class AlgebraFile:
             parts = row.split(None, 2)
             if len(parts) != 3:
                 raise ParseError(f"{self.path}: bad map row {row!r}")
-            i, j = int(parts[0]), int(parts[1])
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ParseError(f"{self.path}: map index ({i},{j}) out of range")
+            i, j = self._index(parts[0], nrows, "MAP"), self._index(parts[1], ncols, "MAP")
             m.rows[i][j] = m.rows[i][j] + parse_scalar(parts[2], self.conductor)
         return m
+
+    def _index(self, text: str, bound: int, name: str) -> int:
+        """A row index in range(bound); anything else is a ParseError."""
+        if not text.isdecimal() or int(text) >= bound:
+            raise ParseError(f"{self.path}: index {text!r} in {name} is not in 0..{bound - 1}")
+        return int(text)
 
     def to_hopf(self) -> HopfSC:
         n = self.dim
@@ -335,18 +337,10 @@ class AlgebraFile:
         for sec, args, rows in self.sections:
             if sec == "GROUPLIKE":
                 name = args[0] if args else f"g{len(group_likes)}"
-                v = zeros(n)
-                for row in rows:
-                    parts = row.split(None, 1)
-                    v[int(parts[0])] = v[int(parts[0])] + parse_scalar(parts[1], self.conductor)
-                group_likes[name] = v
+                group_likes[name] = self._vector(sec, n, rows)
             elif sec == "CHARACTER":
                 name = args[0] if args else f"chi{len(characters)}"
-                v = zeros(n)
-                for row in rows:
-                    parts = row.split(None, 1)
-                    v[int(parts[0])] = v[int(parts[0])] + parse_scalar(parts[1], self.conductor)
-                characters[name] = v
+                characters[name] = self._vector(sec, n, rows)
         flags = self.flags()
         return HopfSC(n, mult, unit, comult, counit, antipode,
                       labels=self.labels(), conductor=self.conductor,

@@ -1,5 +1,6 @@
 import pytest
 
+from hopfforge import catalog
 from hopfforge.cyclotomic import CycScalar, q_binomial
 from hopfforge.hopf import (
     check_hopf, cyclic_character, group_algebra_cyclic, group_algebra_integral,
@@ -194,10 +195,34 @@ def test_lambda0_table_trivial(b0_entry, smash36_entry):
             assert got == (H.unit_sv() if a == b == 0 else {})
 
 
-def test_universal_map_identity(b0_entry):
-    ore = b0_entry.ore
-    fhat = universal_map(ore, ore.O, ore.sigma, ore.y_vec)
-    assert fhat == Mat.identity(12)
+def _cyclic_ore_data(max_dim=36):
+    """Every compatible (K C_m, g^k, chi(g) = zeta_m^t, lambda in {0, 1}) with N m <= max_dim."""
+    for m in (2, 3, 4, 6):
+        H = group_algebra_cyclic(m, conductor=m)
+        for k in range(m):
+            for t in range(m):
+                d = validate_yd_datum(H, basis_vec(m, k),
+                                      cyclic_character(H, CycScalar.zeta_power(m, t)))
+                if d.order() * m > max_dim:
+                    continue
+                for lam in (0, 1):
+                    c = validate_compatible_datum(d, rat(lam))
+                    if isinstance(c, CompatibleDatum):
+                        yield f"C{m}-g{k}-chi{t}-N{c.N}-lambda{lam}", c
+
+
+CYCLIC_ORE_DATA = dict(_cyclic_ore_data())
+
+
+@pytest.mark.parametrize("name", ["b0", "c4min", "smash36", "xmas", "kc12n6", *CYCLIC_ORE_DATA])
+def test_universal_map_identity(name):
+    # sigma(h) y = y sigma(phi(h)), y^N = lambda(1 - Gamma^N), Delta(y) = y (x) 1 + Gamma (x) y,
+    # and e_kron(a, j) = y^a sigma(h_j): with the Hopf check these fix O uniquely
+    if name in CYCLIC_ORE_DATA:
+        ore = build_ore_hopf(CYCLIC_ORE_DATA[name], verify=False)
+    else:
+        ore = getattr(catalog, name)().ore
+    assert universal_map(ore, ore.O, ore.sigma, ore.y_vec) == Mat.identity(ore.dim)
 
 
 def test_universal_map_violations(b0_entry, c4min_entry):

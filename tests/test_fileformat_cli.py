@@ -116,6 +116,25 @@ def test_cli_zero_denominator_is_a_parse_error(tmp_path):
         parse_scalar("3/0*z", 4)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n99 1\n"),
+    ("SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n1\n"),
+    ("SECTION MULT\n0 0 0 1\n", "SECTION MULT\n0 0 99 1\n"),
+    ("SECTION MULT\n0 0 0 1\n", "SECTION MULT\nx 0 0 1\n"),
+], ids=["grouplike_index_out_of_range", "grouplike_row_without_scalar",
+        "mult_index_out_of_range", "mult_index_not_an_integer"])
+def test_cli_bad_row_is_a_parse_error(tmp_path, old, new):
+    text = (GOLDEN / "b0.alg").read_text()
+    assert old in text
+    bad = tmp_path / "bad_row.alg"
+    bad.write_text(text.replace(old, new, 1))
+    proc = subprocess.run([sys.executable, "-m", "hopfforge.cli", "check", str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_ore_pipeline(tmp_path):
     out = tmp_path / "rebuilt.alg"
     rc = main(["ore", "--base", str(GOLDEN / "b0_base.alg"), "--g", "g3",
