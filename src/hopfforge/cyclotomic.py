@@ -219,10 +219,11 @@ Rational = Union[int, Fraction]
 class CycScalar:
     """An exact element of the cyclotomic field Q(zeta_L).
 
-    ``products`` is None except on the constants one axiom check interns
-    (see ``hopf._Constants``): there it maps id(b) to (b, self * b) for every
-    other interned b this check has multiplied by, so each product of two
-    such constants is formed once.  The check drops the memo when it ends.
+    ``products`` is None except on the interned copies one axiom check makes
+    of its constants and of the products it forms (see ``hopf._Constants``):
+    there it maps id(b) to (b, self * b) for every other interned copy b this
+    check has multiplied by, so each product of two such copies is formed
+    once.  The check drops the memo when it ends.
     """
 
     __slots__ = ("L", "den", "nums", "products")

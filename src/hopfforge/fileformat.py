@@ -221,12 +221,17 @@ def write_map(m: Mat, path: Union[str, Path], conductor: int,
 # -- reading -------------------------------------------------------------------
 
 
+# header values that give a size or a conductor: positive decimal integers
+_SIZE_HEADERS = ("conductor", "dim", "rows", "cols", "base_dim")
+
+
 class AlgebraFile:
     """Parsed structure file: header, sections, and typed accessors."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.header: dict[str, str] = {}
+        self.sizes: dict[str, int] = {}
         self.sections: list[tuple[str, list[str], list[str]]] = []
         self._parse()
 
@@ -239,8 +244,12 @@ class AlgebraFile:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if ":" in body:
-                    k, v = body.split(":", 1)
-                    self.header[k.strip()] = v.strip()
+                    k, v = (part.strip() for part in body.split(":", 1))
+                    if k in _SIZE_HEADERS:
+                        if not (v.isascii() and v.isdigit() and int(v) > 0):
+                            raise ParseError(f"{self.path}:{ln}: {k} must be a positive integer, got {v!r}")
+                        self.sizes[k] = int(v)
+                    self.header[k] = v
                 continue
             if line.startswith("SECTION"):
                 parts = line.split()
@@ -257,13 +266,18 @@ class AlgebraFile:
     def kind(self) -> str:
         return self.header.get("kind", "hopf")
 
+    def _size(self, key: str) -> int:
+        if key not in self.sizes:
+            raise ParseError(f"{self.path}: needs a {key} header")
+        return self.sizes[key]
+
     @property
     def conductor(self) -> int:
-        return int(self.header.get("conductor", "1"))
+        return self.sizes.get("conductor", 1)
 
     @property
     def dim(self) -> int:
-        return int(self.header["dim"])
+        return self._size("dim")
 
     def flags(self) -> set[str]:
         return set(self.header.get("flags", "").split())
@@ -349,8 +363,7 @@ class AlgebraFile:
                       cosemisimple="cosemisimple" in flags)
 
     def to_map(self) -> Mat:
-        nrows = int(self.header["rows"])
-        ncols = int(self.header["cols"])
+        nrows, ncols = self._size("rows"), self._size("cols")
         found = self.section("MAP")
         return self._matrix_rows(found[1] if found else [], nrows, ncols)
 
@@ -378,10 +391,7 @@ class AlgebraFile:
 
     def to_cocycle(self) -> Cocycle:
         n = self.dim
-        base_dim = int(self.header.get("base_dim", "0"))
-        if not base_dim:
-            raise ParseError(f"{self.path}: cocycle file needs a base_dim header")
-        return Cocycle(self._tensor("XI", (n, n, base_dim)))
+        return Cocycle(self._tensor("XI", (n, n, self._size("base_dim"))))
 
     def base_ref(self) -> Optional[str]:
         return self.header.get("base")

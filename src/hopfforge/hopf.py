@@ -7,7 +7,7 @@ as report entries with witnesses, never as silent errors.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 from typing import Iterable, Iterator, Optional
 
@@ -47,25 +47,24 @@ class AlgebraSC:
         self.dim = dim
         self.mult = mult
         self.unit = list(unit)
-        self._by_ij: dict[tuple[int, int], list[tuple[int, CycScalar]]] = {}
+        # _rows[i][j] = e_i e_j as a tuple of (k, c), () when it is zero
+        self._rows: list[list[tuple]] = [[()] * dim for _ in range(dim)]
         for (i, j, k), c in mult.data.items():
-            self._by_ij.setdefault((i, j), []).append((k, c))
+            if c:
+                self._rows[i][j] += ((k, c),)
 
     def unit_sv(self) -> SVec:
         return sv_from_dense(self.unit)
 
     def mul_basis(self, i: int, j: int) -> SVec:
-        out: SVec = {}
-        for k, c in self._by_ij.get((i, j), ()):
-            out[k] = c
-        return out
+        return dict(self._rows[i][j])
 
     def mul_sv(self, a: SVec, b: SVec) -> SVec:
         out: SVec = {}
-        by_ij = self._by_ij
         for i, ca in a.items():
+            row = self._rows[i]
             for j, cb in b.items():
-                terms = by_ij.get((i, j))
+                terms = row[j]
                 if terms:
                     sv_axpy(out, ca * cb, terms)
         return out
@@ -167,7 +166,7 @@ class HopfSC(BialgebraSC):
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
-    return (c for terms in A._by_ij.values() for _, c in terms)
+    return (c for row in A._rows for cell in row for _, c in cell)
 
 
 def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
@@ -180,37 +179,49 @@ class _Constants:
     Past the conductor cap nothing is lifted, and mixed arithmetic raises
     ConductorOverflow just as it does on the raw constants.  When the n
     nonzero constants take P distinct values with P*P <= n, each value gets
-    one fresh copy with a `products` memo and the check's tables hold those
+    one interned copy with a `products` memo and the check's tables hold those
     copies, so every product of two constants is formed once; the gate keeps
-    the memo no larger than the table the check already holds.  Otherwise
-    (the distinct scan stops as soon as P*P > n) the tables are lifted as
-    they are: rows already at M are shared, not copied.  Leaving the `with`
-    block drops the memos, so none outlives the check.
+    the memo no larger than the table the check already holds.  `canon` hands
+    out interned copies of the products the check forms, interning new values
+    while (P+1)^2 <= n, so products of products hit the memo too.  Otherwise
+    (the distinct scan stops as soon as P*P > n) the tables are lifted as they
+    are, and a table already at M is the structure's own.  Leaving the `with`
+    block drops every memo, so none outlives the check.
     """
 
     def __init__(self, *groups: Iterable[CycScalar]):
         consts = [c for g in groups for c in g if c]
         M = lcm(1, *{c.L for c in consts})
         self.M = M if M <= conductor_cap() else 0
-        self.copies: dict[tuple, CycScalar] = self._intern(consts) if self.M else {}
+        self.n, self.P = len(consts), 0
+        # {(L, den, nums): copy}, keyed by the raw constants and by the values at M
+        self.copies: dict[tuple, CycScalar] = {}
+        if self.M:
+            for c in consts:
+                if (c.L, c.den, c.nums) not in self.copies:
+                    copy = self._intern(c.promote(self.M))
+                    if copy is None:
+                        self.copies = {}
+                        break
+                    self.copies[c.L, c.den, c.nums] = copy
 
-    def _intern(self, consts: list[CycScalar]) -> dict[tuple, CycScalar]:
-        """{(L, den, nums): copy} over consts, or {} as soon as P*P > n."""
-        copies: dict[tuple, CycScalar] = {}
-        by_value: dict[tuple, CycScalar] = {}
-        for c in consts:
-            key = (c.L, c.den, c.nums)
-            if key in copies:
-                continue
-            v = c.promote(self.M)
-            copy = by_value.get((v.den, v.nums))
-            if copy is None:
-                if (len(by_value) + 1) ** 2 > len(consts):
-                    return {}
-                copy = by_value[v.den, v.nums] = CycScalar(self.M, v.nums, v.den, _normalized=True)
-                copy.products = {}
-            copies[key] = copy
-        return copies
+    def _intern(self, v: CycScalar) -> Optional[CycScalar]:
+        """The copy of v (a value at M), made while (P+1)^2 <= n; else None."""
+        key = (v.L, v.den, v.nums)
+        copy = self.copies.get(key)
+        if copy is None and (self.P + 1) ** 2 <= self.n:
+            copy = self.copies[key] = CycScalar(v.L, v.nums, v.den, _normalized=True)
+            copy.products = {}
+            self.P += 1
+        return copy
+
+    def canon(self, p: CycScalar) -> CycScalar:
+        """The interned copy of p, a product of this check's constants; p itself
+        when the memo is off or its gate is reached."""
+        copy = self.copies.get((p.L, p.den, p.nums))
+        if copy is None and self.copies:
+            copy = self._intern(p)
+        return p if copy is None else copy
 
     def __call__(self, c: CycScalar) -> CycScalar:
         copy = self.copies.get((c.L, c.den, c.nums))
@@ -218,16 +229,16 @@ class _Constants:
             return copy
         return c.promote(self.M) if self.M else c
 
-    def _shared(self, consts: Iterable[CycScalar]) -> bool:
-        return not self.copies and (not self.M or all(c.L == self.M for c in consts))
+    def table(self, A: AlgebraSC) -> list[list[tuple]]:
+        """A's row table over the check's constants: A._rows itself when no
+        constant is interned or lifted."""
+        if not self.copies and (not self.M or all(c.L == self.M for c in _mult_constants(A))):
+            return A._rows
+        return [[tuple((k, self(c)) for k, c in cell) for cell in row] for row in A._rows]
 
-    def rows(self, A: AlgebraSC) -> dict[tuple[int, int], list[tuple[int, CycScalar]]]:
-        return {ij: terms if self._shared(c for _, c in terms) else [(k, self(c)) for k, c in terms]
-                for ij, terms in A._by_ij.items()}
-
-    def coproducts(self, C: CoalgebraSC) -> dict[int, dict[tuple[int, int], CycScalar]]:
-        return {k: d if self._shared(d.values()) else {key: self(c) for key, c in d.items()}
-                for k, d in C._by_k.items()}
+    def coproducts(self, C: CoalgebraSC) -> list[tuple]:
+        """Delta(e_k) over the check's constants, as a tuple of ((i, j), c) for each k."""
+        return [tuple((ij, self(c)) for ij, c in C.comult_basis(k).items()) for k in range(C.dim)]
 
     def __enter__(self) -> "_Constants":
         return self
@@ -241,21 +252,41 @@ def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
     """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic order.
 
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
-    sum_m mult[j,k,m] e_i e_m are contracted straight from the table.
+    sum_m mult[j,k,m] e_i e_m are contracted straight from the table.  When
+    e_i e_j, e_j e_k and both products of basis vectors they lead to are
+    single terms, the two sides are compared as (index, scalar) pairs.
     """
     with _Constants(_mult_constants(A)) as lift:
-        rows = lift.rows(A)
+        T = lift.table(A)
         n = A.dim
         for i in range(n):
+            Ti = T[i]
             for j in range(n):
-                ij = rows.get((i, j), ())
+                ij, Tj = Ti[j], T[j]
+                single = len(ij) == 1
+                if single:
+                    (m, a), = ij
+                    Tm = T[m]
                 for k in range(n):
+                    jk = Tj[k]
+                    if single and len(jk) == 1:
+                        (m2, b), = jk
+                        left, right = Tm[k], Ti[m2]
+                        if len(left) == 1 and len(right) == 1:
+                            (x, c), = left
+                            (y, d), = right
+                            if x == y:
+                                p, q = a * c, b * d
+                                if p is q or p == q:
+                                    continue
+                            yield i, j, k
+                            continue
                     lhs: SVec = {}
                     for m, c in ij:
-                        sv_axpy(lhs, c, rows.get((m, k), ()))
+                        sv_axpy(lhs, c, T[m][k])
                     rhs: SVec = {}
-                    for m, c in rows.get((j, k), ()):
-                        sv_axpy(rhs, c, rows.get((i, m), ()))
+                    for m, c in jk:
+                        sv_axpy(rhs, c, Ti[m])
                     if lhs != rhs:
                         yield i, j, k
 
@@ -270,8 +301,8 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
         left: SVec = {}
         right: SVec = {}
         for m, c in u.items():
-            sv_axpy(left, c, A._by_ij.get((m, i), ()))
-            sv_axpy(right, c, A._by_ij.get((i, m), ()))
+            sv_axpy(left, c, A._rows[m][i])
+            sv_axpy(right, c, A._rows[i][m])
         if left != {i: cone()} or right != {i: cone()}:
             unit.ok = False
             unit.witnesses.append(i)
@@ -282,15 +313,15 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
     n = C.dim
     with _Constants(_comult_constants(C), C.counit) as lift:
-        cops = lift.coproducts(C)
+        D = lift.coproducts(C)
         counit = [lift(c) for c in C.counit]
         coassoc = rep.add("coassociativity", True)
         for k in range(n):
             left: dict[tuple[int, int, int], CycScalar] = {}
             right: dict[tuple[int, int, int], CycScalar] = {}
-            for (a, b), c in cops.get(k, {}).items():
-                sv_axpy(left, c, (((x, y, b), w) for (x, y), w in cops.get(a, {}).items()))
-                sv_axpy(right, c, (((a, x, y), w) for (x, y), w in cops.get(b, {}).items()))
+            for (a, b), c in D[k]:
+                sv_axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
+                sv_axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
             if left != right:
                 coassoc.ok = False
                 coassoc.witnesses.append(k)
@@ -299,7 +330,7 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
         for k in range(n):
             lhs_l: SVec = {}
             lhs_r: SVec = {}
-            for (a, b), c in cops.get(k, {}).items():
+            for (a, b), c in D[k]:
                 if counit[a]:
                     sv_add_into(lhs_l, {b: counit[a] * c})
                 if counit[b]:
@@ -310,21 +341,18 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     return rep
 
 
-def _comult_pair_product(rows, da, db) -> dict[tuple[int, int], CycScalar]:
-    """Product of two expanded coproducts inside B (x) B, from B's lifted
-    multiplication rows."""
+def _comult_pair_product(T, canon, da, db) -> dict[tuple[int, int], CycScalar]:
+    """Product of two expanded coproducts inside B (x) B, from B's lifted row
+    table; every scalar factor it forms goes through `canon`."""
     out: dict[tuple[int, int], CycScalar] = {}
-    for (a1, a2), ca in da.items():
-        for (b1, b2), cb in db.items():
-            left = rows.get((a1, b1))
-            if not left:
-                continue
-            right = rows.get((a2, b2))
-            if not right:
-                continue
-            c = ca * cb
-            for x, cx in left:
-                sv_axpy(out, cx * c, [((x, y), cy) for y, cy in right])
+    for (a1, a2), ca in da:
+        T1, T2 = T[a1], T[a2]
+        for (b1, b2), cb in db:
+            left, right = T1[b1], T2[b2]
+            if left and right:
+                c = canon(ca * cb)
+                for x, cx in left:
+                    sv_axpy(out, canon(cx * c), [((x, y), cy) for y, cy in right])
     return out
 
 
@@ -334,26 +362,27 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep.merge(check_coalgebra(B))
     n = B.dim
     with _Constants(_mult_constants(B), _comult_constants(B), B.counit) as lift:
-        rows = lift.rows(B)
-        cops = lift.coproducts(B)
+        T = lift.table(B)
+        D = lift.coproducts(B)
         counit = [lift(c) for c in B.counit]
         ent = rep.add("comult_is_algebra_map", True)
         for i in range(n):
-            di = cops.get(i, {})
+            Ti, di = T[i], D[i]
             for j in range(n):
                 lhs: dict[tuple[int, int], CycScalar] = {}
-                for m, c in rows.get((i, j), ()):
-                    sv_axpy(lhs, c, cops.get(m, {}).items())
-                if lhs != _comult_pair_product(rows, di, cops.get(j, {})):
+                for m, c in Ti[j]:
+                    sv_axpy(lhs, c, D[m])
+                if lhs != _comult_pair_product(T, lift.canon, di, D[j]):
                     ent.ok = False
                     if len(ent.witnesses) < MAX_WITNESSES:
                         ent.witnesses.append((i, j))
         ent = rep.add("counit_is_algebra_map", True)
         zero = lift(czero())
         for i in range(n):
+            Ti = T[i]
             for j in range(n):
                 lhs = zero
-                for k, c in rows.get((i, j), ()):
+                for k, c in Ti[j]:
                     if counit[k]:
                         lhs = lhs + counit[k] * c
                 if lhs != counit[i] * counit[j]:
@@ -379,8 +408,8 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     n = B.dim
     with _Constants(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
                     (a for r in S.rows for a in r)) as lift:
-        rows = lift.rows(B)
-        cops = lift.coproducts(B)
+        T = lift.table(B)
+        D = lift.coproducts(B)
         scols = [[(s, lift(S.rows[s][i])) for s in range(n) if S.rows[s][i]] for i in range(n)]
         u = {i: lift(c) for i, c in B.unit_sv().items()}
         left = rep.add("antipode_left", True)
@@ -389,11 +418,11 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
             target = sv_scale(u, lift(B.counit[k]))
             lhs: SVec = {}
             rhs: SVec = {}
-            for (i, j), c in cops.get(k, {}).items():
+            for (i, j), c in D[k]:
                 for s, a in scols[i]:
-                    sv_axpy(lhs, a * c, rows.get((s, j), ()))
+                    sv_axpy(lhs, a * c, T[s][j])
                 for s, a in scols[j]:
-                    sv_axpy(rhs, c * a, rows.get((i, s), ()))
+                    sv_axpy(rhs, c * a, T[i][s])
             if lhs != target:
                 left.ok = False
                 left.witnesses.append(k)
@@ -425,10 +454,10 @@ def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[i
     cols = f.sparse_cols()
     n = A.dim
     for i in range(n):
-        fi = cols[i]
+        fi, Ai = cols[i], A._rows[i]
         for j in range(n):
             lhs: SVec = {}
-            for k, c in A._by_ij.get((i, j), ()):
+            for k, c in Ai[j]:
                 sv_axpy(lhs, c, cols[k].items())
             if lhs != B.mul_sv(fi, cols[j]):
                 yield i, j
@@ -486,38 +515,26 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
         raise ShapeMismatch(f"antipode solve capped at dim {dim_cap} (got {n})")
     if not check_bialgebra(B).ok:
         raise NotABialgebra("antipode solve needs a verified bialgebra")
-    # unknowns x[(p, s)] = S[s][p], flattened as p * n + s
-    rows: list[SVec] = []
-    rhs: list[CycScalar] = []
-    for k in range(n):
-        d = B.comult_basis(k)
-        for t in range(n):
-            row_l: SVec = {}
-            row_r: SVec = {}
-            for (i, j), c in d.items():
-                # left axiom: sum_s x[i,s] (e_s e_j)_t
-                for s in range(n):
-                    w = B.mul_basis(s, j).get(t)
-                    if w:
-                        sv_axpy(row_l, c, [(i * n + s, w)])
-                # right axiom: sum_s x[j,s] (e_i e_s)_t
-                for s in range(n):
-                    w = B.mul_basis(i, s).get(t)
-                    if w:
-                        sv_axpy(row_r, c, [(j * n + s, w)])
-            target = B.counit[k] * B.unit[t]
-            rows.append(row_l)
-            rhs.append(target)
-            rows.append(row_r)
-            rhs.append(target)
-    # solve the sparse system [rows | rhs]
+    # unknowns x[(p, s)] = S[s][p], flattened as p * n + s; the equations of
+    # (k, t) are rows of the system [rows | rhs], left axiom then right axiom
     aug_rows = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[n * n] = b
-        if r:
-            aug_rows.append(r)
+    for k in range(n):
+        rows_l: list[SVec] = [{} for _ in range(n)]
+        rows_r: list[SVec] = [{} for _ in range(n)]
+        for (i, j), c in B.comult_basis(k).items():
+            for s in range(n):
+                # left axiom: sum_s x[i,s] (e_s e_j)_t; right: sum_s x[j,s] (e_i e_s)_t
+                for t, w in B._rows[s][j]:
+                    sv_axpy(rows_l[t], c, [(i * n + s, w)])
+                for t, w in B._rows[i][s]:
+                    sv_axpy(rows_r[t], c, [(j * n + s, w)])
+        for t in range(n):
+            target = B.counit[k] * B.unit[t]
+            for r in (rows_l[t], rows_r[t]):
+                if target:
+                    r[n * n] = target
+                if r:
+                    aug_rows.append(r)
     sub = kernel_from_sparse_rows(aug_rows, n * n + 1)
     # solutions of Ax = b correspond to kernel vectors with last coord -1
     particular = None
@@ -585,44 +602,41 @@ def char_convpow(B: CoalgebraSC, chi: Vec, n: int) -> Vec:
     return out
 
 
-def phi_map(B: CoalgebraSC, chi: Vec) -> Mat:
-    """The hit action h -> sum chi(h_1) h_2 as a matrix."""
+def _hit_map(B: CoalgebraSC, chi: Vec, leg: int) -> Mat:
+    """h -> sum chi(h_1) h_2 (leg 0) or h -> sum h_1 chi(h_2) (leg 1) as a matrix."""
     cols = []
     for k in range(B.dim):
         acc: SVec = {}
-        for (i, j), c in B.comult_basis(k).items():
-            if chi[i]:
-                sv_add_into(acc, {j: c * chi[i]})
+        for ij, c in B.comult_basis(k).items():
+            if chi[ij[leg]]:
+                sv_add_into(acc, {ij[1 - leg]: c * chi[ij[leg]]})
         cols.append(sv_to_dense(acc, B.dim))
     return Mat.from_cols(cols)
+
+
+def phi_map(B: CoalgebraSC, chi: Vec) -> Mat:
+    """The hit action h -> sum chi(h_1) h_2 as a matrix."""
+    return _hit_map(B, chi, 0)
 
 
 def psi_map(B: CoalgebraSC, chi: Vec) -> Mat:
     """The dual hit action h -> sum h_1 chi(h_2) as a matrix."""
-    cols = []
-    for k in range(B.dim):
-        acc: SVec = {}
-        for (i, j), c in B.comult_basis(k).items():
-            if chi[j]:
-                sv_add_into(acc, {i: c * chi[j]})
-        cols.append(sv_to_dense(acc, B.dim))
-    return Mat.from_cols(cols)
+    return _hit_map(B, chi, 1)
+
+
+def _map_power(step: Mat, c: int) -> Mat:
+    out = Mat.identity(step.nrows)
+    for _ in range(c):
+        out = step @ out
+    return out
 
 
 def phi_power(B: CoalgebraSC, chi: Vec, c: int) -> Mat:
-    out = Mat.identity(B.dim)
-    step = phi_map(B, chi)
-    for _ in range(c):
-        out = step @ out
-    return out
+    return _map_power(phi_map(B, chi), c)
 
 
 def psi_power(B: CoalgebraSC, chi: Vec, c: int) -> Mat:
-    out = Mat.identity(B.dim)
-    step = psi_map(B, chi)
-    for _ in range(c):
-        out = step @ out
-    return out
+    return _map_power(psi_map(B, chi), c)
 
 
 def ad_action(H: HopfSC, h: SVec, z: SVec) -> SVec:
@@ -811,21 +825,8 @@ def filtration_from(C: CoalgebraSC, F0: Subspace, max_steps: int = 64) -> tuple[
 
 def group_algebra_cyclic(n: int, conductor: int = 1, generator_label: str = "g") -> HopfSC:
     """The group algebra K C_n with basis 1, g, ..., g^(n-1)."""
-    mult = Tensor3((n, n, n))
-    comult = Tensor3((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            mult[(i, j, (i + j) % n)] = cone()
-        comult[(i, i, i)] = cone()
-    unit = basis_vec(n, 0)
-    counit = [cone()] * n
-    S = Mat.zero(n, n)
-    for i in range(n):
-        S.rows[(n - i) % n][i] = cone()
-    labels = ["1"] + [f"{generator_label}{'' if k == 1 else k}" for k in range(1, n)]
-    group_likes = {labels[k]: basis_vec(n, k) for k in range(n)}
-    return HopfSC(n, mult, unit, comult, counit, S, labels=labels, conductor=conductor,
-                  group_likes=group_likes, finite_dim=True, cosemisimple=True)
+    names = ["1"] + [f"{generator_label}{'' if k == 1 else k}" for k in range(1, n)]
+    return _cyclic_group_algebra([n], conductor, lambda e: names[e[0]])
 
 
 def cyclic_character(H: HopfSC, value: CycScalar, generator_index: int = 1) -> Vec:
@@ -845,31 +846,25 @@ def cyclic_character(H: HopfSC, value: CycScalar, generator_index: int = 1) -> V
 
 def group_algebra_product_cyclic(orders: list[int], conductor: int = 1) -> HopfSC:
     """Group algebra of a direct product of cyclic groups."""
-    dims = list(orders)
-    n = 1
-    for d in dims:
-        n *= d
-    def to_index(tup):
-        idx = 0
-        for d, t in zip(dims, tup):
-            idx = idx * d + (t % d)
-        return idx
-    import itertools
-    elements = list(itertools.product(*[range(d) for d in dims]))
+    return _cyclic_group_algebra(
+        orders, conductor, lambda e: "*".join(f"g{i}^{t}" for i, t in enumerate(e)) or "1")
+
+
+def _cyclic_group_algebra(orders: list[int], conductor: int, label) -> HopfSC:
+    """K[C_{orders[0]} x C_{orders[1]} x ...], the basis vector of the element
+    e (a tuple of exponents, in lexicographic order) labelled label(e)."""
+    elements = list(product(*[range(d) for d in orders]))
+    index = {e: a for a, e in enumerate(elements)}
+    n = len(elements)
     mult = Tensor3((n, n, n))
     comult = Tensor3((n, n, n))
-    for a, ea in enumerate(elements):
-        for b, eb in enumerate(elements):
-            prod = tuple((x + y) % d for x, y, d in zip(ea, eb, dims))
-            mult[(a, b, to_index(prod))] = cone()
-        comult[(a, a, a)] = cone()
-    unit = basis_vec(n, 0)
-    counit = [cone()] * n
     S = Mat.zero(n, n)
     for a, ea in enumerate(elements):
-        inv = tuple((-x) % d for x, d in zip(ea, dims))
-        S.rows[to_index(inv)][a] = cone()
-    labels = ["*".join(f"g{i}^{t}" for i, t in enumerate(e)) or "1" for e in elements]
+        for b, eb in enumerate(elements):
+            mult[(a, b, index[tuple((x + y) % d for x, y, d in zip(ea, eb, orders))])] = cone()
+        comult[(a, a, a)] = cone()
+        S.rows[index[tuple(-x % d for x, d in zip(ea, orders))]][a] = cone()
+    labels = [label(e) for e in elements]
     group_likes = {labels[a]: basis_vec(n, a) for a in range(n)}
-    return HopfSC(n, mult, unit, comult, counit, S, labels=labels, conductor=conductor,
-                  group_likes=group_likes, finite_dim=True, cosemisimple=True)
+    return HopfSC(n, mult, basis_vec(n, 0), comult, [cone()] * n, S, labels=labels,
+                  conductor=conductor, group_likes=group_likes, finite_dim=True, cosemisimple=True)

@@ -135,6 +135,25 @@ def test_cli_bad_row_is_a_parse_error(tmp_path, old, new):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("old, new", [
+    ("# dim: 12\n", "# dim: x\n"),
+    ("# dim: 12\n", "# dim: -1\n"),
+    ("# conductor: 6\n", "# conductor: 0\n"),
+    ("# conductor: 6\n", "# conductor: z\n"),
+], ids=["dim_not_an_integer", "dim_negative", "conductor_zero", "conductor_not_an_integer"])
+def test_cli_bad_header_value_is_a_parse_error(tmp_path, old, new):
+    text = (GOLDEN / "b0.alg").read_text()
+    assert old in text
+    line = text.splitlines().index(old.strip()) + 1
+    bad = tmp_path / "bad_header.alg"
+    bad.write_text(text.replace(old, new, 1))
+    proc = subprocess.run([sys.executable, "-m", "hopfforge.cli", "check", str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"error: {bad}:{line}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_ore_pipeline(tmp_path):
     out = tmp_path / "rebuilt.alg"
     rc = main(["ore", "--base", str(GOLDEN / "b0_base.alg"), "--g", "g3",

@@ -457,6 +457,7 @@ def input_constants(H):
 @pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
 def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, gates):
     H = catalog.ALL_BUILDERS[name]().ore.O
+    gates.clear()  # a first build of the catalog entry runs checks of its own
     assert entries(check_hopf(H)) == oracle_hopf(H)
     # algebra, coalgebra, bialgebra and antipode steps: few values, memo on and used
     assert gates == [(True, True, True)] * 4
@@ -503,3 +504,101 @@ def test_traced_checks_match_untraced(b0_entry, c4min_entry):
     assert CycScalar.__mul__ is mul
     assert traced == plain
     assert tracer.snapshot()["cyc.mul.calls"] > 0
+
+
+# -- the row table's paths: single-term pairs, two-term rows, interned products --
+
+def tampered_mult(H, how, seed):
+    """H with one MULT entry e_i e_j -> c e_k changed: its scalar doubled
+    ("scalar") or moved to an index k' that e_i e_j does not reach ("index")."""
+    from hopfforge.hopf import HopfSC
+    rng = random.Random(seed)
+    data = dict(H.mult.data)
+    i, j, k = key = rng.choice(sorted(data))
+    c = data.pop(key)
+    if how == "scalar":
+        data[key] = c * rat(2)
+    else:
+        data[i, j, rng.choice([m for m in range(H.dim) if m != k and (i, j, m) not in data])] = c
+    return HopfSC(H.dim, Tensor3(H.mult.shape, data), H.unit, H.comult, H.counit, H.antipode)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("how", ["scalar", "index"])
+def test_single_term_mismatches_match_oracle(how, seed):
+    # every row of smash36 is single-term, so each tuple is compared as (index, scalar) pairs
+    B = tampered_mult(catalog.smash36().ore.O, how, seed)
+    assert all(len(cell) <= 1 for row in B._rows for cell in row)
+    rep = check_hopf(B)
+    assert not rep.entry("associativity").ok
+    assert entries(rep) == oracle_hopf(B)
+
+
+def ore_lambda_one_dim18():
+    """O(K C_6, g, chi(g) = zeta_6^2, lambda = 1): N = 3, dim 18, with two-term rows."""
+    from hopfforge.construct import build_ore_hopf, validate_compatible_datum, validate_yd_datum
+    H = group_algebra_cyclic(6, conductor=6)
+    d = validate_yd_datum(H, basis_vec(6, 1), cyclic_character(H, CycScalar.zeta_power(6, 2)))
+    return build_ore_hopf(validate_compatible_datum(d, rat(1)), verify=False).O
+
+
+@pytest.mark.parametrize("how", [None, "scalar", "index"])
+def test_two_term_rows_match_oracle(how):
+    O = ore_lambda_one_dim18()
+    assert sum(len(cell) == 2 for row in O._rows for cell in row) == 108
+    # tamper with a two-term row, so the failing tuples take the general path
+    B = O if how is None else next(
+        T for T in (tampered_mult(O, how, seed) for seed in range(100))
+        if any(len(cell) == 2 and len(O._rows[i][j]) == 2 and cell != O._rows[i][j]
+               for i, row in enumerate(T._rows) for j, cell in enumerate(row)))
+    rep = check_hopf(B)
+    assert rep.ok == (how is None)
+    assert entries(rep) == oracle_hopf(B)
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """Every _Constants the checks make, with `start` (distinct values interned
+    on entry) and `passed` (canon calls that handed back an un-interned product
+    because the gate was reached)."""
+    made = []
+
+    class Recorded(hopf._Constants):
+        def __init__(self, *groups):
+            super().__init__(*groups)
+            self.start, self.passed = self.P, 0
+            made.append(self)
+
+        def canon(self, p):
+            q = super().canon(p)
+            self.passed += q is p and bool(self.copies)
+            return q
+
+    monkeypatch.setattr(hopf, "_Constants", Recorded)
+    return made
+
+
+def test_product_interning_stops_at_the_gate(lifts):
+    H = catalog.smash36().ore.O
+    lifts.clear()  # a first build of the catalog entry runs checks of its own
+    assert entries(check_hopf(H)) == oracle_hopf(H)
+    bialg = lifts[2]  # algebra, coalgebra, bialgebra, antipode
+    # the pair products add values until (P+1)^2 > n; later ones come back as they are
+    assert bialg.start < bialg.P and bialg.P ** 2 <= bialg.n < (bialg.P + 1) ** 2
+    assert bialg.passed > 0
+    B = tampered_mult(H, "scalar", 0)
+    assert entries(check_hopf(B)) == oracle_hopf(B)
+    assert all(c.products is None for lift in lifts for c in lift.copies.values())
+
+
+def test_row_table_shared_when_nothing_is_lifted(lifts):
+    R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
+    lift = hopf._Constants(hopf._mult_constants(R))
+    assert not lift.copies and {c.L for c in hopf._mult_constants(R)} == {lift.M}
+    assert lift.table(R) is R._rows
+    H = catalog.b0().ore.O
+    for B in (R, H):
+        assert entries(check_hopf(B)) == oracle_hopf(B)
+    # no interned copy, nor an interned product, keeps its memo after a check
+    assert any(lift.copies for lift in lifts)
+    assert all(c.products is None for lift in lifts for c in lift.copies.values())
