@@ -33,6 +33,6 @@ print("hexagon identity:", lhs == rhs)
 
 # the smash product is the braided tensor algebra against H with the
 # adjoint action
-smash = braided_tensor_algebra(R.algebra, R.yd, H, yd_module_adjoint(H))
+smash = braided_tensor_algebra(R, R.yd, H, yd_module_adjoint(H))
 print("\nsmash product R # H: dim", smash.dim, "- associative:",
       check_algebra(smash).ok)

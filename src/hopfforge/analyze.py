@@ -313,12 +313,11 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     divided-power coproduct, eigenvalue property and o(q) = N are verified.
     """
     pre = ind.pre
-    R = pre.coalgebra
     n = pre.dim
     unit_vec = list(pre.unit)
     F0 = Subspace(n, [unit_vec])
-    layers, exhausts = filtration_from(R, F0)
-    prim = skew_primitives(R, unit_vec, unit_vec)
+    layers, exhausts = filtration_from(pre, F0)
+    prim = skew_primitives(pre, unit_vec, unit_vec)
     thin = exhausts and F0.dim == 1 and prim.dim == 1
     if not thin:
         return False, None, None
@@ -354,7 +353,7 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     for k in range(2, n):
         nk = q_int(k, q)
         prev = d[-1]
-        nxt = pre.mul(ys, sv_from_dense(prev))
+        nxt = pre.mul_sv(ys, sv_from_dense(prev))
         inv = nk.inverse()
         d.append(sv_to_dense(sv_scale(nxt, inv), n))
     # verify divided-power coproduct and eigen-properties
@@ -363,7 +362,7 @@ def thinness_and_basis(ind: InducedPreBialgebra):
         expect: dict[tuple[int, int], CycScalar] = {}
         for t in range(k + 1):
             sv_outer_axpy(expect, cone(), d_sv[t], d_sv[k - t])
-        if R.comult_sv(dk) != expect:
+        if pre.comult_sv(dk) != expect:
             raise NotThin(f"divided-power coproduct fails at degree {k}")
         chik = char_convpow(H, chi, k)
         for h in range(H.dim):
@@ -509,10 +508,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     licensed = s.H_finite_dim or s.H_cosemisimple
     if licensed and (N % 2 == 1 or x2_zero):
         raw = xi_of(y_pows[1], y_pows[N - 1]) if N > 1 else {}
-        gN = H.pow_sv(sv_from_dense(basis.g), N)
-        one = H.unit_sv()
-        z: SVec = dict(one)
-        sv_add_into(z, gN, CycScalar.from_rational(-1))
+        z = H.one_minus_pow_sv(sv_from_dense(basis.g), N)
         if not z:
             # g^N = 1: the value must vanish and lambda is forced to 0
             lam = czero() if not raw else None
@@ -537,8 +533,6 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
                         expect_t = H.unit_sv()
                     elif a + b == N and a and b:
                         expect_t = sv_scale(z, lam) if lam else {}
-                    elif a == 0 or b == 0:
-                        expect_t = {}
                     else:
                         expect_t = {}
                     if got != {k: v for k, v in expect_t.items() if v}:
@@ -596,16 +590,13 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     for n_ in range(N):
         r_in_a = _embed_sv(ind, r_pow)
         pow_cmp.append(r_in_a == a_pow)
-        r_pow = pre.mul(r_pow, ys_r)
+        r_pow = pre.mul_sv(r_pow, ys_r)
         a_pow = A.mul_sv(a_pow, ys_a)
     c_item = all(pow_cmp)
     # y^{.A N} = lambda(1 - sigma(g)^N) when lambda is known
     if analysis.lam is not None:
         gA = s.sigma.apply(basis.g)
-        gAN = A.pow_sv(sv_from_dense(gA), N)
-        target: SVec = sv_scale(A.unit_sv(), analysis.lam)
-        sv_add_into(target, sv_scale(gAN, -analysis.lam))
-        pow_cmp.append(a_pow == target)
+        pow_cmp.append(a_pow == A.one_minus_pow_sv(sv_from_dense(gA), N, analysis.lam))
     # (d): R equals the quantum line on the y-power basis
     d_item = _is_quantum_line(ind, basis)
     # (1)-(4)
@@ -682,11 +673,11 @@ def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool
     # multiplication
     for a in range(N):
         for b in range(N):
-            if coords(pre.mul(y_pows[a], y_pows[b])) != ql.mul_basis(a, b):
+            if coords(pre.mul_sv(y_pows[a], y_pows[b])) != ql.mul_basis(a, b):
                 return False
     # comultiplication
     for a in range(N):
-        pair = pre.coalgebra.comult_sv(y_pows[a])
+        pair = pre.comult_sv(y_pows[a])
         expect: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in ql.comult_basis(a).items():
             sv_outer_axpy(expect, c, y_pows[i], y_pows[j])
@@ -739,8 +730,8 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
     t2_on_1 = _restricted(ind2, ind1, "tau_2 does not map R^1 into R^2")
     n1, n2 = len(ind1.basis), len(ind2.basis)
     mutual = (t1_on_2 @ t2_on_1 == Mat.identity(n1)) and (t2_on_1 @ t1_on_2 == Mat.identity(n2))
-    coalg = _is_coalgebra_map(t1_on_2, ind2.pre.coalgebra, ind1.pre.coalgebra) and \
-        _is_coalgebra_map(t2_on_1, ind1.pre.coalgebra, ind2.pre.coalgebra)
+    coalg = _is_coalgebra_map(t1_on_2, ind2.pre, ind1.pre) and \
+        _is_coalgebra_map(t2_on_1, ind1.pre, ind2.pre)
     equal = s1.pi == s2.pi
     out = {
         "transport_mutual_inverse": mutual,

@@ -4,7 +4,9 @@ A pre-bialgebra is a coalgebra in the Yetter-Drinfeld category together
 with a unit and a multiplication that is H-linear and a coalgebra map but
 possibly neither associative nor colinear.  A cocycle R (x) R -> H twists
 the smash product into a bialgebra on R (x) H; the trivial cocycle
-recovers the Radford-Majid bosonization.
+recovers the Radford-Majid bosonization.  The braided coproduct
+delta_{R (x) R}, the codiagonal coaction rho_{R (x) R} and the smash
+coproduct of R # H are those of `yd`'s braided tensor products.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, ad_action, algebra_map_failures,
+    AlgebraSC, BialgebraSC, HopfSC, AxiomViolation, ad_action, algebra_map_failures,
     associativity_failures, check_bialgebra, coalgebra_map_failures,
 )
 from .linalg import (
@@ -21,74 +23,27 @@ from .linalg import (
     sv_from_dense, sv_outer_axpy, sv_scale, vec_eq, zeros,
 )
 from .reports import CheckReport
-from .yd import YDModule, check_yd
+from .yd import (
+    YDModule, braided_coproduct_pair, braided_tensor_coalgebra, check_yd, codiagonal_coaction_pair,
+    yd_module_coadjoint,
+)
 
 PairSV = dict  # sparse element of a two-fold tensor product, keyed by index pairs
 
 
-class PreBialgebra:
-    """(R, m, u, delta, eps) in the YD category over H; axioms on demand."""
+class PreBialgebra(BialgebraSC):
+    """(R, m, u, delta, eps) in the YD category over H; axioms on demand.
+
+    A BialgebraSC asserts no axiom, so m may be neither associative nor colinear.
+    """
 
     def __init__(self, H: HopfSC, yd: YDModule, mult: Tensor3, unit: Vec,
                  comult: Tensor3, counit: Vec):
-        n = yd.dim
         if yd.H is not H:
             raise ShapeMismatch("YD structure must live over the given Hopf algebra")
-        if mult.shape != (n, n, n) or comult.shape != (n, n, n):
-            raise ShapeMismatch("structure tensors must match the carrier dimension")
-        if len(unit) != n or len(counit) != n:
-            raise ShapeMismatch("unit/counit dimension mismatch")
+        super().__init__(yd.dim, mult, unit, comult, counit)
         self.H = H
         self.yd = yd
-        self.dim = n
-        self.algebra = AlgebraSC(n, mult, unit)   # possibly non-associative; axioms not assumed
-        self.coalgebra = CoalgebraSC(n, comult, counit)
-        self.mult = mult
-        self.unit = list(unit)
-        self.comult = comult
-        self.counit = list(counit)
-
-    def mul(self, a: SVec, b: SVec) -> SVec:
-        return self.algebra.mul_sv(a, b)
-
-    def mul_basis(self, i: int, j: int) -> SVec:
-        return self.algebra.mul_basis(i, j)
-
-    def unit_sv(self) -> SVec:
-        return self.algebra.unit_sv()
-
-    def comult_basis(self, k: int):
-        return self.coalgebra.comult_basis(k)
-
-    def counit_of(self, v: SVec) -> CycScalar:
-        return self.coalgebra.counit_sv(v)
-
-    def delta_rr_basis(self, i: int, j: int) -> dict[tuple[int, int, int, int], CycScalar]:
-        """Braided coproduct of e_i (x) e_j in R (x) R:
-
-        delta(r (x) s) = (r^1 (x) r^2_(-1) s^1) (x) (r^2_0 (x) s^2)
-        keyed by (r1, s1', r2_0, s2).
-        """
-        out: dict[tuple[int, int, int, int], CycScalar] = {}
-        yd = self.yd
-        for (r1, r2), cr in self.comult_basis(i).items():
-            co = yd.coact_basis(r2)
-            for (s1, s2), cs in self.comult_basis(j).items():
-                for (h, r20), ch in co.items():
-                    acted = yd.act_basis(h, s1)
-                    if acted:
-                        sv_axpy(out, cr * cs * ch,
-                                (((r1, s1b, r20, s2), ca) for s1b, ca in acted.items()))
-        return out
-
-    def coact_pair(self, i: int, j: int) -> dict[tuple[int, int, int], CycScalar]:
-        """Codiagonal coaction of e_i (x) e_j, keyed by (h, i0, j0)."""
-        out: dict[tuple[int, int, int], CycScalar] = {}
-        H = self.H
-        for (h1, i0), c1 in self.yd.coact_basis(i).items():
-            for (h2, j0), c2 in self.yd.coact_basis(j).items():
-                sv_axpy(out, c1 * c2, (((h, i0, j0), ch) for h, ch in H.mul_basis(h1, h2).items()))
-        return out
 
 
 class Cocycle:
@@ -172,8 +127,8 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
             v = ci * cj
             if v:
                 duu[(i, j)] = v
-    rep.add("unit_comult", P.coalgebra.comult_sv(u) == duu)
-    rep.add("unit_counit", P.counit_of(u).is_one())
+    rep.add("unit_comult", P.comult_sv(u) == duu)
+    rep.add("unit_counit", P.counit_sv(u).is_one())
     # m is H-linear: h.m(r (x) s) = sum m(h1 r (x) h2 s)
     ent = rep.add("mult_h_linear", True)
     for h in range(H.dim):
@@ -186,7 +141,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
                     a = P.yd.act_basis(h1, i)
                     b = P.yd.act_basis(h2, j)
                     if a and b:
-                        sv_add_into(rhs, P.mul(a, b), c)
+                        sv_add_into(rhs, P.mul_sv(a, b), c)
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -195,15 +150,16 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     ent = rep.add("mult_comult_compat", True)
     for i in range(n):
         for j in range(n):
-            rhs = _pairwise(P.delta_rr_basis(i, j), P.mul_basis, P.mul_basis)
-            if P.coalgebra.comult_sv(P.mul_basis(i, j)) != rhs:
+            drr = braided_coproduct_pair(P, P.yd, P, P.yd, i, j)
+            rhs = _pairwise(drr, P.mul_basis, P.mul_basis)
+            if P.comult_sv(P.mul_basis(i, j)) != rhs:
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((i, j))
     ent = rep.add("mult_counit_compat", True)
     for i in range(n):
         for j in range(n):
-            if P.counit_of(P.mul_basis(i, j)) != P.counit[i] * P.counit[j]:
+            if P.counit_sv(P.mul_basis(i, j)) != P.counit[i] * P.counit[j]:
                 ent.ok = False
                 ent.witnesses.append((i, j))
     # u is a two-sided unit for m
@@ -226,7 +182,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
             for (i, j), c in P.comult_basis(k).items():
                 for (h1, h2), w in dh.items():
                     sv_outer_axpy(rhs, c * w, P.yd.act_basis(h1, i), P.yd.act_basis(h2, j))
-            if P.coalgebra.comult_sv(P.yd.act_basis(h, k)) != rhs:
+            if P.comult_sv(P.yd.act_basis(h, k)) != rhs:
                 ent.ok = False
                 if len(ent.witnesses) < 8:
                     ent.witnesses.append((h, k))
@@ -238,14 +194,14 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
             sv_axpy(lhs, c, (((h, i, j), w) for (i, j), w in P.comult_basis(k0).items()))
         rhs: dict[tuple[int, int, int], CycScalar] = {}
         for (i, j), c in P.comult_basis(k).items():
-            sv_axpy(rhs, c, P.coact_pair(i, j).items())
+            sv_axpy(rhs, c, codiagonal_coaction_pair(P.yd, P.yd, i, j).items())
         if lhs != rhs:
             ent.ok = False
             ent.witnesses.append(k)
     ent = rep.add("counit_h_linear", True)
     for h in range(H.dim):
         for k in range(n):
-            if P.counit_of(P.yd.act_basis(h, k)) != H.counit[h] * P.counit[k]:
+            if P.counit_sv(P.yd.act_basis(h, k)) != H.counit[h] * P.counit[k]:
                 ent.ok = False
                 ent.witnesses.append((h, k))
     ent = rep.add("counit_colinear", True)
@@ -291,7 +247,7 @@ def _xi_coacted(P: PreBialgebra, xi: Cocycle, drr: dict,
         first = xi.eval_basis(a, b)
         if not first:
             continue
-        for (h, c0, d0), w in P.coact_pair(c_, d).items():
+        for (h, c0, d0), w in codiagonal_coaction_pair(P.yd, P.yd, c_, d).items():
             second = g(c0, d0)
             if second:
                 for hf, cf in first.items():
@@ -305,7 +261,7 @@ def mult_is_colinear(P: PreBialgebra) -> bool:
         for j in range(P.dim):
             lhs = P.yd.coact(P.mul_basis(i, j))
             rhs: dict[tuple[int, int], CycScalar] = {}
-            for (h, i0, j0), c in P.coact_pair(i, j).items():
+            for (h, i0, j0), c in codiagonal_coaction_pair(P.yd, P.yd, i, j).items():
                 sv_axpy(rhs, c, (((h, k), w) for k, w in P.mul_basis(i0, j0).items()))
             if lhs != rhs:
                 return False
@@ -313,12 +269,12 @@ def mult_is_colinear(P: PreBialgebra) -> bool:
 
 
 def mult_is_associative(P: PreBialgebra) -> bool:
-    return next(associativity_failures(P.algebra), None) is None
+    return next(associativity_failures(P), None) is None
 
 
 def m_tilde_pair(P: PreBialgebra, xi: Cocycle, i: int, j: int) -> dict[tuple[int, int], CycScalar]:
     """(m (x) xi) delta_{R (x) R} on e_i (x) e_j, keyed by (r, h)."""
-    return _pairwise(P.delta_rr_basis(i, j), P.mul_basis, xi.eval_basis)
+    return _pairwise(braided_coproduct_pair(P, P.yd, P, P.yd, i, j), P.mul_basis, xi.eval_basis)
 
 
 def m_tilde_pairs(P: PreBialgebra, xi: Cocycle) -> dict[tuple[int, int], PairSV]:
@@ -361,7 +317,8 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                         ent.witnesses.append((h, i, j))
 
     # delta_{R(x)R} on every basis pair, read by the next four relations
-    drr = {(i, j): P.delta_rr_basis(i, j) for i in range(n) for j in range(n)}
+    drr = {(i, j): braided_coproduct_pair(P, P.yd, P, P.yd, i, j)
+           for i in range(n) for j in range(n)}
     # comultiplicativity: Delta_H xi = (m_H (x) xi)(xi (x) rho_{R(x)R}) delta_{R(x)R}
     ent = rep.add("cocycle_comult_compat", True)
     for i in range(n):
@@ -404,7 +361,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                 for (r, h), c in mts[i, j].items():
                     acted = P.yd.act_basis(h, k)
                     if acted:
-                        sv_add_into(rhs, P.mul({r: c}, acted))
+                        sv_add_into(rhs, P.mul_sv({r: c}, acted))
                 if lhs != rhs:
                     ent.ok = False
                     if len(ent.witnesses) < 8:
@@ -526,30 +483,9 @@ def bosonization_tensors(P: PreBialgebra,
             for h, c in enumerate(H.unit):
                 if c:
                     unit[kron_index(i, h, nh)] = ci * c
-    comult = Tensor3((n, n, n))
-    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2
-    for r in range(nr):
-        dr = P.comult_basis(r)
-        for h in range(nh):
-            src = kron_index(r, h, nh)
-            dh = H.comult_basis(h)
-            for (r1, r2), cr in dr.items():
-                for (hm, r20), cm in P.yd.coact_basis(r2).items():
-                    for (h1, h2), c in dh.items():
-                        prod = H.mul_basis(hm, h1)
-                        for hp, cp in prod.items():
-                            comult.add_to(
-                                (src, kron_index(r1, hp, nh), kron_index(r20, h2, nh)),
-                                cr * cm * c * cp)
-    counit = zeros(n)
-    for r in range(nr):
-        er = P.counit[r]
-        if not er:
-            continue
-        for h in range(nh):
-            eh = H.counit[h]
-            if eh:
-                counit[kron_index(r, h, nh)] = er * eh
+    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2, the braided tensor coalgebra of R and H
+    co = braided_tensor_coalgebra(P, P.yd, H, yd_module_coadjoint(H))
+    comult, counit = co.comult, co.counit
     sigma = Mat.zero(n, nh)
     u_r = sv_from_dense(P.unit)
     for h in range(nh):

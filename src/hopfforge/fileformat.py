@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .cyclotomic import CycScalar, euler_phi
+from .cyclotomic import CycScalar
 from .hopf import HopfSC, BialgebraSC
-from .linalg import Mat, Tensor3, Vec, cone, czero, zeros
+from .linalg import Mat, Tensor3, Vec, zeros
 from .cocycle import Cocycle, PreBialgebra
 from .yd import YDModule
 
@@ -61,26 +61,11 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
 
 
 def format_scalar(c: CycScalar, conductor: int) -> str:
+    """c in the scalar grammar, as a polynomial in z, the primitive root at `conductor`."""
     c = c.promote(conductor) if conductor % c.L == 0 and c.L != conductor else c
     if c.L != conductor:
         raise ParseError(f"scalar at conductor {c.L} cannot be written at {conductor}")
-    if c.is_zero():
-        return "0"
-    parts = []
-    for k, f in enumerate(c.coeffs()):
-        if f == 0:
-            continue
-        mag = abs(f)
-        if k == 0:
-            body = str(mag)
-        else:
-            zpart = "z" if k == 1 else f"z^{k}"
-            body = zpart if mag == 1 else f"{mag}*{zpart}"
-        if not parts:
-            parts.append(body if f > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if f > 0 else f"- {body}")
-    return " ".join(parts)
+    return str(c)
 
 
 # -- writing -------------------------------------------------------------------
@@ -232,11 +217,12 @@ class AlgebraFile:
         self.path = Path(path)
         self.header: dict[str, str] = {}
         self.sizes: dict[str, int] = {}
-        self.sections: list[tuple[str, list[str], list[str]]] = []
+        # (name, args, rows); each row is (line number, text)
+        self.sections: list[tuple[str, list[str], list[tuple[int, str]]]] = []
         self._parse()
 
     def _parse(self) -> None:
-        current: Optional[tuple[str, list[str], list[str]]] = None
+        current: Optional[tuple[str, list[str], list[tuple[int, str]]]] = None
         for ln, raw in enumerate(self.path.read_text().splitlines(), 1):
             line = raw.strip()
             if not line:
@@ -260,7 +246,7 @@ class AlgebraFile:
                 continue
             if current is None:
                 raise ParseError(f"{self.path}:{ln}: data before any SECTION")
-            current[2].append(line)
+            current[2].append((ln, line))
 
     @property
     def kind(self) -> str:
@@ -286,54 +272,59 @@ class AlgebraFile:
         raw = self.header.get("labels")
         return raw.split() if raw else None
 
-    def section(self, name: str) -> Optional[tuple[list[str], list[str]]]:
+    def section(self, name: str) -> Optional[tuple[list[str], list[tuple[int, str]]]]:
         for sec, args, rows in self.sections:
             if sec == name:
                 return args, rows
         return None
 
+    def _entries(self, name: str, rows: list[tuple[int, str]],
+                 bounds: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], CycScalar]]:
+        """(indices, scalar) of each row `i ... scalar` of a section.
+
+        A malformed row, an index outside its bound, a bad scalar and an
+        index tuple that an earlier row already gave are each a ParseError
+        naming the file and line.
+        """
+        seen: dict[tuple[int, ...], int] = {}
+        for ln, row in rows:
+            parts = row.split(None, len(bounds))
+            if len(parts) != len(bounds) + 1:
+                raise ParseError(f"{self.path}:{ln}: bad row {row!r} in {name}")
+            key = tuple(self._index(x, bound, name, ln) for x, bound in zip(parts, bounds))
+            if key in seen:
+                raise ParseError(f"{self.path}:{ln}: {name} repeats the indices of line {seen[key]}")
+            seen[key] = ln
+            try:
+                c = parse_scalar(parts[-1], self.conductor)
+            except ParseError as exc:
+                raise ParseError(f"{self.path}:{ln}: {exc}") from None
+            yield key, c
+
     def _tensor(self, name: str, shape: tuple[int, int, int]) -> Tensor3:
         found = self.section(name)
-        t = Tensor3(shape)
-        if found is None:
-            return t
-        _, rows = found
-        for row in rows:
-            parts = row.split(None, 3)
-            if len(parts) != 4:
-                raise ParseError(f"{self.path}: bad tensor row {row!r} in {name}")
-            i, j, k = (self._index(x, bound, name) for x, bound in zip(parts, shape))
-            t.add_to((i, j, k), parse_scalar(parts[3], self.conductor))
-        return t
+        return Tensor3(shape, self._entries(name, found[1], shape) if found else None)
 
-    def _vector(self, name: str, n: int, rows: Optional[list[str]] = None) -> Vec:
+    def _vector(self, name: str, n: int, rows: Optional[list[tuple[int, str]]] = None) -> Vec:
         """Rows `i scalar`, by default those of the first section called name."""
         if rows is None:
             found = self.section(name)
             rows = found[1] if found else []
         v = zeros(n)
-        for row in rows:
-            parts = row.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError(f"{self.path}: bad vector row {row!r} in {name}")
-            i = self._index(parts[0], n, name)
-            v[i] = v[i] + parse_scalar(parts[1], self.conductor)
+        for (i,), c in self._entries(name, rows, (n,)):
+            v[i] = c
         return v
 
-    def _matrix_rows(self, rows: list[str], nrows: int, ncols: int) -> Mat:
+    def _matrix_rows(self, name: str, rows: list[tuple[int, str]], nrows: int, ncols: int) -> Mat:
         m = Mat.zero(nrows, ncols)
-        for row in rows:
-            parts = row.split(None, 2)
-            if len(parts) != 3:
-                raise ParseError(f"{self.path}: bad map row {row!r}")
-            i, j = self._index(parts[0], nrows, "MAP"), self._index(parts[1], ncols, "MAP")
-            m.rows[i][j] = m.rows[i][j] + parse_scalar(parts[2], self.conductor)
+        for (i, j), c in self._entries(name, rows, (nrows, ncols)):
+            m.rows[i][j] = c
         return m
 
-    def _index(self, text: str, bound: int, name: str) -> int:
+    def _index(self, text: str, bound: int, name: str, ln: int) -> int:
         """A row index in range(bound); anything else is a ParseError."""
         if not text.isdecimal() or int(text) >= bound:
-            raise ParseError(f"{self.path}: index {text!r} in {name} is not in 0..{bound - 1}")
+            raise ParseError(f"{self.path}:{ln}: index {text!r} in {name} is not in 0..{bound - 1}")
         return int(text)
 
     def to_hopf(self) -> HopfSC:
@@ -345,7 +336,7 @@ class AlgebraFile:
         antipode = None
         found = self.section("ANTIPODE")
         if found is not None:
-            antipode = self._matrix_rows(found[1], n, n)
+            antipode = self._matrix_rows("ANTIPODE", found[1], n, n)
         group_likes = {}
         characters = {}
         for sec, args, rows in self.sections:
@@ -365,7 +356,7 @@ class AlgebraFile:
     def to_map(self) -> Mat:
         nrows, ncols = self._size("rows"), self._size("cols")
         found = self.section("MAP")
-        return self._matrix_rows(found[1] if found else [], nrows, ncols)
+        return self._matrix_rows("MAP", found[1] if found else [], nrows, ncols)
 
     def maps(self, shape_of) -> dict[str, tuple[Mat, str]]:
         """MAP sections inside a structure file; shape_of(name) -> (nrows, ncols)."""
@@ -375,7 +366,7 @@ class AlgebraFile:
                 name = args[0] if args else f"map{len(out)}"
                 ref = args[1] if len(args) > 1 else ""
                 nrows, ncols = shape_of(name)
-                out[name] = (self._matrix_rows(rows, nrows, ncols), ref)
+                out[name] = (self._matrix_rows(sec, rows, nrows, ncols), ref)
         return out
 
     def to_prebialgebra(self, H: HopfSC) -> PreBialgebra:

@@ -75,6 +75,12 @@ class AlgebraSC:
             result = self.mul_sv(result, a)
         return result
 
+    def one_minus_pow_sv(self, a: SVec, n: int, scale: Optional[CycScalar] = None) -> SVec:
+        """1 - a^n, times `scale` when one is given."""
+        out = self.unit_sv()
+        sv_axpy(out, -cone(), self.pow_sv(a, n).items())
+        return out if scale is None else sv_scale(out, scale)
+
 
 class CoalgebraSC:
     """Coalgebra by structure constants: Delta(e_k) = sum comult[k,i,j] e_i (x) e_j."""

@@ -3,7 +3,9 @@
 A module stores its action over a basis of H and extends linearly; all
 checks quantify over basis tuples, which suffices by bilinearity.  The
 braiding c(v (x) w) = v_(-1) w (x) v_0 and the braided tensor (co)algebras
-built from it are what the bosonization machinery consumes.
+built from it are what the bosonization machinery consumes; their per-pair
+formulas (`braided_coproduct_pair`, `codiagonal_coaction_pair`) are the only
+copies of the braided coproduct and the codiagonal coaction.
 """
 
 from __future__ import annotations
@@ -198,16 +200,22 @@ def yd_tensor(V: YDModule, W: YDModule) -> YDModule:
                                           c * ca * cb)
     coaction = Tensor3((n, H.dim, n))
     for i in range(V.dim):
-        ci = V.coact_basis(i)
         for j in range(W.dim):
-            cj = W.coact_basis(j)
-            for (hv, v0), cv in ci.items():
-                for (hw, w0), cw in cj.items():
-                    prod = H.mul_basis(hv, hw)
-                    for hh, ch in prod.items():
-                        coaction.add_to((kron_index(i, j, W.dim), hh, kron_index(v0, w0, W.dim)),
-                                        cv * cw * ch)
+            for (h, v0, w0), c in codiagonal_coaction_pair(V, W, i, j).items():
+                coaction[(kron_index(i, j, W.dim), h, kron_index(v0, w0, W.dim))] = c
     return YDModule(H, n, action, coaction)
+
+
+def codiagonal_coaction_pair(V: YDModule, W: YDModule, i: int,
+                             j: int) -> dict[tuple[int, int, int], CycScalar]:
+    """rho(e_i (x) e_j) = v_(-1) w_(-1) (x) v_0 (x) w_0 in V (x) W, keyed by (h, v0, w0)."""
+    out: dict[tuple[int, int, int], CycScalar] = {}
+    mul_basis = V.H.mul_basis
+    cj = W._coact.get(j, ())
+    for hv, v0, cv in V._coact.get(i, ()):
+        for hw, w0, cw in cj:
+            sv_axpy(out, cv * cw, (((h, v0, w0), ch) for h, ch in mul_basis(hv, hw).items()))
+    return out
 
 
 def braiding(V: YDModule, W: YDModule) -> Mat:
@@ -312,6 +320,24 @@ def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModul
     return AlgebraSC(n, mult, unit)
 
 
+def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDModule,
+                           i: int, j: int) -> dict[tuple[int, int, int, int], CycScalar]:
+    """delta(e_i (x) e_j) in the braided tensor coalgebra R (x) S:
+
+    r^(1) (x) r^(2)_(-1) s^(1) (x) r^(2)_0 (x) s^(2), keyed by (r1, s1', r2_0, s2).
+    """
+    out: dict[tuple[int, int, int, int], CycScalar] = {}
+    ds = S.comult_basis(j)
+    for (r1, r2), cr in R.comult_basis(i).items():
+        co = VR._coact.get(r2, ())
+        for (s1, s2), cs in ds.items():
+            for h, r20, ch in co:
+                acted = VS._act.get((h, s1))
+                if acted:
+                    sv_axpy(out, cr * cs * ch, (((r1, s1b, r20, s2), ca) for s1b, ca in acted))
+    return out
+
+
 def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDModule) -> CoalgebraSC:
     """Coalgebra on R (x) S via the braiding:
 
@@ -323,20 +349,13 @@ def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: Y
     n = R.dim * n2
     comult = Tensor3((n, n, n))
     for k1 in range(R.dim):
-        dr = R.comult_basis(k1)
         for k2 in range(S.dim):
-            ds = S.comult_basis(k2)
             src = kron_index(k1, k2, n2)
-            for (r1, r2), cr in dr.items():
-                co_r2 = VR.coact_basis(r2)
-                for (s1, s2), cs in ds.items():
-                    for (h, r20), ch in co_r2.items():
-                        for s1b, ca in VS.act_basis(h, s1).items():
-                            comult.add_to(
-                                (src, kron_index(r1, s1b, n2), kron_index(r20, s2, n2)),
-                                cr * cs * ch * ca)
+            for (r1, s1, r20, s2), c in braided_coproduct_pair(R, VR, S, VS, k1, k2).items():
+                comult[(src, kron_index(r1, s1, n2), kron_index(r20, s2, n2))] = c
     counit = [czero()] * n
     for i in range(R.dim):
         for j in range(S.dim):
             counit[kron_index(i, j, n2)] = R.counit[i] * S.counit[j]
     return CoalgebraSC(n, comult, counit)
+

@@ -110,7 +110,7 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
             expect: dict = {}
             for i in range(a + 1):
                 for j in range(b + 1):
-                    prod = P.mul(d[i], d[j])
+                    prod = P.mul_sv(d[i], d[j])
                     xiv = xi.eval(d[a - i], d[b - j])
                     if not prod or not xiv:
                         continue
@@ -133,25 +133,27 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
 def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_analysis, monkeypatch):
     """Each check forms delta_{R (x) R} once per basis pair, check_cocycle
     reads m_tilde off that one table, and bosonize forms m_tilde once per pair."""
-    from hopfforge import cocycle
+    from hopfforge import cocycle, yd
     if which == "qline6":
         P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
     else:
         P, xi = c4min_analysis[0].pre, c4min_analysis[0].xi
     pairs = sorted((i, j) for i in range(P.dim) for j in range(P.dim))
     deltas, tildes = [], []
-    formed_delta = cocycle.PreBialgebra.delta_rr_basis
+    formed_delta = cocycle.braided_coproduct_pair
+    assert formed_delta is yd.braided_coproduct_pair
     formed_tilde = cocycle.m_tilde_pair
 
-    def counted_delta(P, i, j):
+    def counted_delta(R, VR, S, VS, i, j):
+        assert R is S is P
         deltas.append((i, j))
-        return formed_delta(P, i, j)
+        return formed_delta(R, VR, S, VS, i, j)
 
     def counted_tilde(P, xi, i, j):
         tildes.append((i, j))
         return formed_tilde(P, xi, i, j)
 
-    monkeypatch.setattr(cocycle.PreBialgebra, "delta_rr_basis", counted_delta)
+    monkeypatch.setattr(cocycle, "braided_coproduct_pair", counted_delta)
     monkeypatch.setattr(cocycle, "m_tilde_pair", counted_tilde)
     assert check_prebialgebra(P).ok
     assert sorted(deltas) == pairs and not tildes

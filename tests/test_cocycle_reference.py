@@ -147,7 +147,7 @@ def ref_mult_is_colinear(P):
 
 
 def ref_mult_is_associative(P):
-    return all(P.mul(P.mul_basis(i, j), {k: cone()}) == P.mul({i: cone()}, P.mul_basis(j, k))
+    return all(P.mul_sv(P.mul_basis(i, j), {k: cone()}) == P.mul_sv({i: cone()}, P.mul_basis(j, k))
                for i in range(P.dim) for j in range(P.dim) for k in range(P.dim))
 
 
@@ -162,8 +162,8 @@ def ref_check_prebialgebra(P):
     target = {(h, i): c * ci for h, c in enumerate(H.unit) if c for i, ci in u.items()}
     rep.add("unit_coaction_invariant", P.yd.coact(u) == target)
     duu = {(i, j): ci * cj for i, ci in u.items() for j, cj in u.items()}
-    rep.add("unit_comult", P.coalgebra.comult_sv(u) == duu)
-    rep.add("unit_counit", P.counit_of(u).is_one())
+    rep.add("unit_comult", P.comult_sv(u) == duu)
+    rep.add("unit_counit", P.counit_sv(u).is_one())
     ent = rep.add("mult_h_linear", True)
     for h in range(H.dim):
         for i in range(n):
@@ -172,7 +172,7 @@ def ref_check_prebialgebra(P):
                 for (h1, h2), c in H.comult_basis(h).items():
                     a, b = P.yd.act_basis(h1, i), P.yd.act_basis(h2, j)
                     if a and b:
-                        sv_add_into(rhs, sv_scale(P.mul(a, b), c))
+                        sv_add_into(rhs, sv_scale(P.mul_sv(a, b), c))
                 if P.yd.act({h: cone()}, P.mul_basis(i, j)) != rhs:
                     fail(ent, (h, i, j))
     ent = rep.add("mult_comult_compat", True)
@@ -181,17 +181,17 @@ def ref_check_prebialgebra(P):
             rhs = {}
             for (a, b, c_, d), c in ref_delta_rr(P, i, j).items():
                 ref_pair(P.mul_basis(a, b), P.mul_basis(c_, d), c, rhs)
-            if P.coalgebra.comult_sv(P.mul_basis(i, j)) != rhs:
+            if P.comult_sv(P.mul_basis(i, j)) != rhs:
                 fail(ent, (i, j))
     ent = rep.add("mult_counit_compat", True)
     for i in range(n):
         for j in range(n):
-            if P.counit_of(P.mul_basis(i, j)) != P.counit[i] * P.counit[j]:
+            if P.counit_sv(P.mul_basis(i, j)) != P.counit[i] * P.counit[j]:
                 fail(ent, (i, j), cap=False)
     ent = rep.add("unit_neutral", True)
     for i in range(n):
         e = {i: cone()}
-        if P.mul(u, e) != e or P.mul(e, u) != e:
+        if P.mul_sv(u, e) != e or P.mul_sv(e, u) != e:
             fail(ent, i, cap=False)
     ent = rep.add("comult_h_linear", True)
     for h in range(H.dim):
@@ -200,7 +200,7 @@ def ref_check_prebialgebra(P):
             for (i, j), c in P.comult_basis(k).items():
                 for (h1, h2), w in H.comult_basis(h).items():
                     ref_pair(P.yd.act_basis(h1, i), P.yd.act_basis(h2, j), c * w, rhs)
-            if P.coalgebra.comult_sv(P.yd.act_basis(h, k)) != rhs:
+            if P.comult_sv(P.yd.act_basis(h, k)) != rhs:
                 fail(ent, (h, k))
     ent = rep.add("comult_colinear", True)
     for k in range(n):
@@ -216,7 +216,7 @@ def ref_check_prebialgebra(P):
     ent = rep.add("counit_h_linear", True)
     for h in range(H.dim):
         for k in range(n):
-            if P.counit_of(P.yd.act_basis(h, k)) != H.counit[h] * P.counit[k]:
+            if P.counit_sv(P.yd.act_basis(h, k)) != H.counit[h] * P.counit[k]:
                 fail(ent, (h, k), cap=False)
     ent = rep.add("counit_colinear", True)
     for k in range(n):
@@ -292,8 +292,8 @@ def ref_check_cocycle(P, xi):
             for k in range(n):
                 rhs = {}
                 for (r, h), c in ref_m_tilde_pair(P, xi, i, j).items():
-                    sv_add_into(rhs, sv_scale(P.mul({r: cone()}, P.yd.act_basis(h, k)), c))
-                if P.mul({i: cone()}, P.mul_basis(j, k)) != rhs:
+                    sv_add_into(rhs, sv_scale(P.mul_sv({r: cone()}, P.yd.act_basis(h, k)), c))
+                if P.mul_sv({i: cone()}, P.mul_basis(j, k)) != rhs:
                     fail(ent, (i, j, k))
     ent = rep.add("cocycle_mixed_associativity", True)
     for i in range(n):

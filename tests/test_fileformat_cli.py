@@ -7,7 +7,8 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.fileformat import (
-    AlgebraFile, ParseError, format_scalar, parse_scalar, write_hopf,
+    AlgebraFile, ParseError, format_scalar, parse_scalar, write_cocycle, write_hopf,
+    write_prebialgebra,
 )
 from hopfforge.hopf import check_hopf, group_algebra_cyclic
 from hopfforge.linalg import Mat
@@ -66,10 +67,21 @@ def test_golden_files_reproducible(tmp_path):
 
 def test_golden_parse_print_bit_exact(tmp_path):
     # parse(print(X)) = X, and reprinting a parsed catalog file is
-    # byte-identical, MAP sections included
+    # byte-identical, MAP sections, pre-bialgebras and cocycles included
+    kinds = []
     for path in sorted(GOLDEN.glob("*.alg")):
         f = AlgebraFile(path)
-        if f.kind != "hopf":
+        out = tmp_path / path.name
+        kinds.append(f.kind)
+        if f.kind == "prebialgebra":
+            P = f.to_prebialgebra(AlgebraFile(path.parent / f.base_ref()).to_hopf())
+            write_prebialgebra(P, out, f.base_ref())
+            assert out.read_bytes() == path.read_bytes(), path.name
+            continue
+        if f.kind == "cocycle":
+            write_cocycle(f.to_cocycle(), out, f.conductor, r_ref=f.header["r"],
+                          base_ref=f.base_ref())
+            assert out.read_bytes() == path.read_bytes(), path.name
             continue
         H = f.to_hopf()
         refs = {args[0]: args[1] for sec, args, _ in f.sections
@@ -80,11 +92,11 @@ def test_golden_parse_print_bit_exact(tmp_path):
             return (H.dim, base_dim) if name == "sigma" else (base_dim, H.dim)
 
         maps = {name: (mat, ref) for name, (mat, ref) in f.maps(shape_of).items()}
-        out = tmp_path / path.name
         write_hopf(H, out, kind=f.kind, maps=maps)
         assert out.read_bytes() == path.read_bytes(), path.name
         again = AlgebraFile(out).to_hopf()
         assert again.mult == H.mult and again.comult == H.comult
+    assert sorted(set(kinds)) == ["cocycle", "hopf", "prebialgebra"]
 
 
 def test_cli_check_exit_codes(tmp_path):
@@ -116,22 +128,29 @@ def test_cli_zero_denominator_is_a_parse_error(tmp_path):
         parse_scalar("3/0*z", 4)
 
 
-@pytest.mark.parametrize("old, new", [
-    ("SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n99 1\n"),
-    ("SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n1\n"),
-    ("SECTION MULT\n0 0 0 1\n", "SECTION MULT\n0 0 99 1\n"),
-    ("SECTION MULT\n0 0 0 1\n", "SECTION MULT\nx 0 0 1\n"),
+@pytest.mark.parametrize("name, old, new", [
+    ("b0.alg", "SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n99 1\n"),
+    ("b0.alg", "SECTION GROUPLIKE g1\n1 1\n", "SECTION GROUPLIKE g1\n1\n"),
+    ("b0.alg", "SECTION MULT\n0 0 0 1\n", "SECTION MULT\n0 0 99 1\n"),
+    ("b0.alg", "SECTION MULT\n0 0 0 1\n", "SECTION MULT\nx 0 0 1\n"),
+    ("b0.alg", "SECTION MULT\n0 0 0 1\n", "SECTION MULT\n0 0 0 1\n0 0 0 1\n"),
+    ("b0.alg", "SECTION UNIT\n0 1\n", "SECTION UNIT\n0 1\n0 1\n"),
+    ("qline6_r.alg", "SECTION ACTION\n0 0 0 1\n", "SECTION ACTION\n0 0 0 1\n0 0 0 1\n"),
 ], ids=["grouplike_index_out_of_range", "grouplike_row_without_scalar",
-        "mult_index_out_of_range", "mult_index_not_an_integer"])
-def test_cli_bad_row_is_a_parse_error(tmp_path, old, new):
-    text = (GOLDEN / "b0.alg").read_text()
+        "mult_index_out_of_range", "mult_index_not_an_integer",
+        "mult_row_repeated", "unit_row_repeated", "action_row_repeated"])
+def test_cli_bad_row_is_a_parse_error(tmp_path, name, old, new):
+    # a repeated row is a parse error, not summed into the first
+    text = (GOLDEN / name).read_text()
     assert old in text
-    bad = tmp_path / "bad_row.alg"
+    line = text[:text.index(old)].count("\n") + new.count("\n")  # the faulty row
+    bad = tmp_path / name
     bad.write_text(text.replace(old, new, 1))
+    (tmp_path / "qline6_base.alg").write_bytes((GOLDEN / "qline6_base.alg").read_bytes())
     proc = subprocess.run([sys.executable, "-m", "hopfforge.cli", "check", str(bad)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "error:" in proc.stderr
+    assert f"error: {bad}:{line}: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -192,7 +192,7 @@ def test_primitives_and_skew_primitives(kc6, b0_entry, qline6_entry):
     sk = skew_primitives(O, basis_vec(12, 3), basis_vec(12, 0), bial=O)
     assert sk.contains_vec(basis_vec(12, 6))  # x is (gamma^3, 1)-skew-primitive
     ql = qline6_entry.extra["quantum_line"]
-    P = skew_primitives(ql.coalgebra, list(ql.unit), list(ql.unit))
+    P = skew_primitives(ql, list(ql.unit), list(ql.unit))
     assert P.dim == 1 and P.contains_vec(basis_vec(6, 1))
 
 
@@ -200,7 +200,7 @@ def test_wedge_and_filtration(kc6, qline6_entry):
     full = Subspace.full(6)
     assert wedge(kc6, full, full) == full
     ql = qline6_entry.extra["quantum_line"]
-    layers, exhausts = filtration_from(ql.coalgebra, Subspace(6, [list(ql.unit)]))
+    layers, exhausts = filtration_from(ql, Subspace(6, [list(ql.unit)]))
     assert [l.dim for l in layers] == [1, 2, 3, 4, 5, 6] and exhausts
     # strictly increasing until stationary
     dims = [l.dim for l in layers]

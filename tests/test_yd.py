@@ -154,18 +154,18 @@ def test_braided_tensor_algebra_when_colinear(kc6, qline):
     K = trivial_module(kc6)
     from hopfforge.hopf import AlgebraSC
     triv_alg = AlgebraSC(1, Tensor3((1, 1, 1), {(0, 0, 0): rat(1)}), [rat(1)])
-    out = braided_tensor_algebra(qline.algebra, qline.yd, triv_alg, K)
+    out = braided_tensor_algebra(qline, qline.yd, triv_alg, K)
     assert out.dim == 6
     assert out.mult == qline.mult
     # quantum line (x) quantum line with the braiding is associative
-    out2 = braided_tensor_algebra(qline.algebra, qline.yd, qline.algebra, qline.yd)
+    out2 = braided_tensor_algebra(qline, qline.yd, qline, qline.yd)
     assert check_algebra(out2).ok
 
 
 def test_smash_product_agrees_with_trivial_bosonization(kc6, qline):
     from hopfforge.cocycle import Cocycle, bosonize
     Hadj = yd_module_adjoint(kc6)
-    smash = braided_tensor_algebra(qline.algebra, qline.yd, kc6, Hadj)
+    smash = braided_tensor_algebra(qline, qline.yd, kc6, Hadj)
     bos = bosonize(qline, Cocycle.trivial(qline), verify=False)
     assert smash.mult == bos.B.mult
     assert smash.unit == bos.B.unit
@@ -174,7 +174,7 @@ def test_smash_product_agrees_with_trivial_bosonization(kc6, qline):
 def test_smash_coproduct_agrees_with_trivial_bosonization(kc6, qline):
     from hopfforge.cocycle import Cocycle, bosonize
     Hco = yd_module_coadjoint(kc6)
-    smashco = braided_tensor_coalgebra(qline.coalgebra, qline.yd, kc6, Hco)
+    smashco = braided_tensor_coalgebra(qline, qline.yd, kc6, Hco)
     bos = bosonize(qline, Cocycle.trivial(qline), verify=False)
     assert smashco.comult == bos.B.comult
     assert check_coalgebra(smashco).ok
