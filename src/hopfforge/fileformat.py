@@ -62,9 +62,10 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
 
 def format_scalar(c: CycScalar, conductor: int) -> str:
     """c in the scalar grammar, as a polynomial in z, the primitive root at `conductor`."""
-    c = c.promote(conductor) if conductor % c.L == 0 and c.L != conductor else c
-    if c.L != conductor:
-        raise ParseError(f"scalar at conductor {c.L} cannot be written at {conductor}")
+    if c.L not in (1, conductor):  # a rational reads the same at every conductor
+        if conductor % c.L:
+            raise ParseError(f"scalar at conductor {c.L} cannot be written at {conductor}")
+        c = c.promote(conductor)
     return str(c)
 
 
@@ -223,6 +224,7 @@ class AlgebraFile:
 
     def _parse(self) -> None:
         current: Optional[tuple[str, list[str], list[tuple[int, str]]]] = None
+        first: dict[tuple[str, ...], int] = {}  # (name, first argument) -> its SECTION line
         for ln, raw in enumerate(self.path.read_text().splitlines(), 1):
             line = raw.strip()
             if not line:
@@ -241,6 +243,10 @@ class AlgebraFile:
                 parts = line.split()
                 if len(parts) < 2:
                     raise ParseError(f"{self.path}:{ln}: SECTION needs a name")
+                key = tuple(parts[1:3])
+                if key in first:
+                    raise ParseError(f"{self.path}:{ln}: {' '.join(key)} repeats the section of line {first[key]}")
+                first[key] = ln
                 current = (parts[1], parts[2:], [])
                 self.sections.append(current)
                 continue
@@ -273,6 +279,7 @@ class AlgebraFile:
         return raw.split() if raw else None
 
     def section(self, name: str) -> Optional[tuple[list[str], list[tuple[int, str]]]]:
+        """The first section called name; _parse rejects a repeated (name, first argument)."""
         for sec, args, rows in self.sections:
             if sec == name:
                 return args, rows

@@ -184,20 +184,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch("matrix product shape mismatch")
-        ocols = list(zip(*other.rows)) if other.rows else []
-        out = Mat.zero(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            for j in range(other.ncols):
-                total = _ZERO
-                for k in range(self.ncols):
-                    a = ri[k]
-                    if a:
-                        b = ocols[j][k]
-                        if b:
-                            total = total + a * b
-                out.rows[i][j] = total
-        return out
+        orows = [sv_from_dense(r) for r in other.rows]
+        out = []
+        for ri in self.rows:
+            acc: SVec = {}
+            for k, a in enumerate(ri):
+                if a:
+                    sv_axpy(acc, a, orows[k].items())
+            out.append(sv_to_dense(acc, other.ncols))
+        return Mat(out, self.nrows, other.ncols)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -705,3 +705,25 @@ def test_morphism_checks_match_reference_on_perturbed_maps(name, which, seed):
     if which == "sigma":
         assert not rep.ok
         assert not (rep.entry("sigma_algebra_map").ok and rep.entry("sigma_coalgebra_map").ok)
+
+
+def test_analysis_never_promotes_a_rational(monkeypatch, smash36_entry):
+    """A conductor-1 operand is read as its constant coordinate, never lifted
+    through the promotion table: an exact count, not a timing."""
+    from hopfforge.cli import run_analysis
+    from hopfforge.reports import Report
+    promote, calls = CycScalar.promote, []
+
+    def recording(self, M):
+        calls.append((self.L, M))
+        return promote(self, M)
+
+    monkeypatch.setattr(CycScalar, "promote", recording)
+    rep = Report("analysis of smash36")
+    run_analysis(smash36_entry.setup, rep)
+    assert rep.exit_code == 0, rep.render()
+    from_rationals = [c for c in calls if c[0] == 1]
+    # the wrapper sees the route a rational would take
+    CycScalar._common(rat(2), CycScalar.zeta(4))
+    assert calls[-2:] == [(1, 4), (4, 4)]
+    assert from_rationals == []

@@ -243,6 +243,70 @@ def test_pascal_hypothesis(n, k, L):
             q_binomial(n - 1, k - 1, q) + (q ** k) * q_binomial(n - 1, k, q)
 
 
+# -- a rational operand against promotion to the other's conductor --------------
+
+@st.composite
+def rational_and_other(draw):
+    """(r, v): r at conductor 1 (den 1 or not), v at a conductor > 1 and often a
+    constant, equal to r or not, so that == meets both answers."""
+    r = CycScalar(1, [draw(st.integers(-6, 6))], draw(st.sampled_from([1, 1, 2, 3, 4, 6])))
+    L = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    phi = euler_phi(L)
+    if draw(st.booleans()):
+        v = CycScalar.from_rational(r.as_rational() + draw(st.sampled_from([0, 0, 1, Fraction(1, 2)])), L)
+    else:
+        nums = draw(st.lists(st.integers(-4, 4), min_size=phi, max_size=phi))
+        v = CycScalar(L, nums, draw(st.sampled_from([1, 1, 2, 3, 4, 12])))
+    return r, v
+
+
+def triple(s):
+    return (s.L, s.den, s.nums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_and_other())
+def test_rational_operand_matches_promotion(case):
+    r, v = case
+    # the promotion route: r lifted to v's conductor, then the same-conductor op
+    rp, vp = CycScalar._common(r, v)
+    assert vp is v
+    assert triple(rp) == triple(CycScalar.from_rational(r.as_rational(), v.L))
+    for a, b, ap, bp in ((r, v, rp, v), (v, r, v, rp)):
+        assert triple(a * b) == triple(ap * bp)
+        assert triple(a + b) == triple(ap + bp)
+        assert (a == b) is (ap == bp)
+        assert (a - b) == (ap - bp)
+
+
+def test_rational_operand_product_is_memoized():
+    # interned copies at different conductors: the rational path fills the memo too
+    r, v = CycScalar(1, [3], 2), CycScalar.zeta(6) + CycScalar.from_rational(1)
+    r.products, v.products = {}, {}
+    p = r * v
+    assert triple(p) == triple(CycScalar._common(r, v)[0] * v)
+    assert r.products[id(v)] == (v, p)
+    assert r * v is p
+    q = v * r
+    assert q is not p and triple(q) == triple(p)
+    assert v * r is q
+
+
+def test_rational_operand_respects_the_conductor_cap():
+    from hopfforge.cyclotomic import set_conductor_cap, conductor_cap
+    old = conductor_cap()
+    try:
+        z = CycScalar.zeta(12)
+        set_conductor_cap(10)
+        for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a == b):
+            with pytest.raises(ConductorOverflow):
+                op(rat(2), z)
+            with pytest.raises(ConductorOverflow):
+                op(z, rat(2))
+    finally:
+        set_conductor_cap(old)
+
+
 # -- sympy oracle for the multiply ----------------------------------------------
 
 ORACLE_CONDUCTORS = [1, 4, 6, 12]

@@ -136,11 +136,15 @@ def test_cli_zero_denominator_is_a_parse_error(tmp_path):
     ("b0.alg", "SECTION MULT\n0 0 0 1\n", "SECTION MULT\n0 0 0 1\n0 0 0 1\n"),
     ("b0.alg", "SECTION UNIT\n0 1\n", "SECTION UNIT\n0 1\n0 1\n"),
     ("qline6_r.alg", "SECTION ACTION\n0 0 0 1\n", "SECTION ACTION\n0 0 0 1\n0 0 0 1\n"),
+    ("b0.alg", "SECTION COMULT\n", "SECTION MULT\n"),
+    ("b0.alg", "SECTION GROUPLIKE g2\n", "SECTION GROUPLIKE g1\n"),
 ], ids=["grouplike_index_out_of_range", "grouplike_row_without_scalar",
         "mult_index_out_of_range", "mult_index_not_an_integer",
-        "mult_row_repeated", "unit_row_repeated", "action_row_repeated"])
+        "mult_row_repeated", "unit_row_repeated", "action_row_repeated",
+        "mult_section_repeated", "grouplike_section_repeated"])
 def test_cli_bad_row_is_a_parse_error(tmp_path, name, old, new):
-    # a repeated row is a parse error, not summed into the first
+    # a repeated row is a parse error, not summed into the first; a repeated
+    # section is one too, not ignored
     text = (GOLDEN / name).read_text()
     assert old in text
     line = text[:text.index(old)].count("\n") + new.count("\n")  # the faulty row
@@ -152,6 +156,25 @@ def test_cli_bad_row_is_a_parse_error(tmp_path, name, old, new):
     assert proc.returncode == 2
     assert f"error: {bad}:{line}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_repeated_section_names_both_lines(tmp_path):
+    # a second MULT block used to be ignored, so `check` passed on the file
+    text = (GOLDEN / "b0.alg").read_text()
+    first = text.splitlines().index("SECTION MULT") + 1
+    bad = tmp_path / "b0.alg"
+    bad.write_text(text + "SECTION MULT\n0 0 0 5\n")
+    repeat = len(text.splitlines()) + 1
+    with pytest.raises(ParseError, match=f"{bad}:{repeat}: MULT repeats the section of line {first}$"):
+        AlgebraFile(bad)
+    # two unnamed sections of one name repeat each other as well
+    bad.write_text(text.replace("SECTION GROUPLIKE g1\n", "SECTION GROUPLIKE\n").replace(
+        "SECTION GROUPLIKE g2\n", "SECTION GROUPLIKE\n"))
+    with pytest.raises(ParseError, match="GROUPLIKE repeats the section of line"):
+        AlgebraFile(bad)
+    # sections of one name with different first arguments stay distinct
+    assert [args for sec, args, _ in AlgebraFile(GOLDEN / "b0.alg").sections if sec == "MAP"] == [
+        ["sigma", "b0_base.alg"], ["p", "b0_base.alg"]]
 
 
 @pytest.mark.parametrize("old, new", [

@@ -2,10 +2,12 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
-    CoordinateMap, Mat, Subspace, Tensor3,
+    CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
     basis_vec, cone, czero, image, kernel, kernel_from_sparse_rows, map_tensor_product,
     preimage, rref, solve, sv_from_dense, sv_to_dense, vec_eq, zeros,
 )
@@ -185,6 +187,60 @@ def test_mat_inverse():
             if m.rank() == 4:
                 break
         assert m @ m.inverse() == Mat.identity(4)
+
+
+def reference_matmul(A, B):
+    """Dense triple loop: (AB)[i][j] = sum_k A[i][k] B[k][j], every k visited."""
+    out = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            total = CycScalar.zero()
+            for k in range(A.ncols):
+                total = total + A.rows[i][k] * B.rows[k][j]
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def sparse_mixed_mat(rng, nrows, ncols):
+    """Mostly zero, entries at conductors 1, 4, 6 and 12, with one all-zero
+    row and one all-zero column when the shape allows."""
+    def entry():
+        L = rng.choice([1, 1, 4, 6, 12])
+        return CycScalar(L, [rng.randrange(-2, 3) for _ in range(euler_phi(L))], rng.choice([1, 2, 3]))
+    rows = [[entry() if rng.random() < 0.4 else czero() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and ncols:
+        zr, zc = rng.randrange(nrows), rng.randrange(ncols)
+        rows[zr] = [czero()] * ncols
+        for r in rows:
+            r[zc] = czero()
+    return Mat(rows, nrows, ncols)
+
+
+def test_matmul_matches_dense_reference():
+    rng = random.Random(31)
+    shapes = [(3, 4, 5), (5, 5, 5), (1, 6, 2), (4, 1, 3), (0, 3, 4), (3, 0, 4), (3, 4, 0)]
+    for trial in range(40):
+        n, m, p = shapes[trial % len(shapes)]
+        A, B = sparse_mixed_mat(rng, n, m), sparse_mixed_mat(rng, m, p)
+        C = A @ B
+        assert (C.nrows, C.ncols) == (n, p) and len(C.rows) == n
+        assert all(len(r) == p for r in C.rows)
+        assert C == Mat(reference_matmul(A, B), n, p)
+    # cancellation inside a sum leaves a zero entry, and the identity is neutral
+    A = Mat([[rat(1), rat(1)]])
+    B = Mat([[CycScalar.zeta(6)], [-CycScalar.zeta(6)]])
+    assert (A @ B).rows == [[czero()]] and not (A @ B).rows[0][0]
+    A = sparse_mixed_mat(rng, 4, 4)
+    assert Mat.identity(4) @ A == A and A @ Mat.identity(4) == A
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        Mat.zero(2, 3) @ Mat.zero(2, 3)
+    with pytest.raises(ShapeMismatch):
+        Mat([], 0, 2) @ Mat.zero(3, 1)
 
 
 def test_sparse_accumulation_lives_in_the_kernels():
