@@ -145,7 +145,7 @@ def cmd_bosonize(args) -> int:
         return USAGE_ERROR
     H = _load(str(rf.path.parent / ref)).to_hopf()
     P = rf.to_prebialgebra(H)
-    xi = xf.to_cocycle()
+    xi = xf.to_cocycle(P)
     rep = Report(f"bosonize {args.r_path} with {args.xi_path}")
     pre = check_prebialgebra(P)
     rep.absorb(pre)

@@ -218,20 +218,12 @@ Rational = Union[int, Fraction]
 
 
 class CycScalar:
-    """An exact element of the cyclotomic field Q(zeta_L).
+    """An exact element of the cyclotomic field Q(zeta_L)."""
 
-    ``products`` is None except on the interned copies one axiom check makes
-    of its constants and of the products it forms (see ``hopf._Constants``):
-    there it maps id(b) to (b, self * b) for every other interned copy b this
-    check has multiplied by, so each product of two such copies is formed
-    once.  The check drops the memo when it ends.
-    """
-
-    __slots__ = ("L", "den", "nums", "products")
+    __slots__ = ("L", "den", "nums")
 
     def __init__(self, L: int, nums: Iterable[int], den: int = 1, _normalized: bool = False):
         self.L = L
-        self.products = None
         if _normalized:
             self.nums = tuple(nums)
             self.den = den
@@ -427,20 +419,10 @@ class CycScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        memo = self.products
-        if memo is not None and other.products is not None:
-            hit = memo.get(id(other))
-            if hit is not None:
-                return hit[1]
-        else:
-            memo = None
         if self.L == other.L:
             a, b = self, other
         elif self.L == 1 or other.L == 1:
-            prod = _rational_product(self, other)
-            if memo is not None:
-                memo[id(other)] = (other, prod)
-            return prod
+            return _rational_product(self, other)
         else:
             a, b = CycScalar._common(self, other)
         an, bn = a.nums, b.nums
@@ -468,11 +450,7 @@ class CycScalar:
                                 out[j] += ck * row[j]
         den = a.den * b.den
         # integral operands give an integral, hence already normalized, product
-        prod = CycScalar(a.L, out, den, _normalized=den == 1)
-        if memo is not None:
-            # holding `other` keeps its id from being reused while the entry lives
-            memo[id(other)] = (other, prod)
-        return prod
+        return CycScalar(a.L, out, den, _normalized=den == 1)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,11 @@ scalar in the cyclotomic grammar: a sum of terms `<rat>*z^<k>` where `z`
 denotes the primitive root for the conductor declared in the header,
 e.g. ``2*z^3 - 1`` or ``-1/2*z + 5``.  Files are deterministic: writing
 the same structure twice gives byte-identical output.
+
+A size header (`dim`, `rows`, `cols`, `base_dim`) above MAX_SIZE is a parse
+error: the tables of a structure are allocated from it before any row is
+checked, and the exhaustive checks could not visit that many tuples anyway.
+So is a `conductor` above the conductor cap, which no scalar could be read at.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, conductor_cap
 from .hopf import HopfSC, BialgebraSC
 from .linalg import Mat, Tensor3, Vec, zeros
 from .cocycle import Cocycle, PreBialgebra
@@ -209,6 +214,7 @@ def write_map(m: Mat, path: Union[str, Path], conductor: int,
 
 # header values that give a size or a conductor: positive decimal integers
 _SIZE_HEADERS = ("conductor", "dim", "rows", "cols", "base_dim")
+MAX_SIZE = 1024  # the largest dim, rows, cols or base_dim a file may declare
 
 
 class AlgebraFile:
@@ -217,9 +223,11 @@ class AlgebraFile:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.header: dict[str, str] = {}
+        self.header_lines: dict[str, int] = {}
         self.sizes: dict[str, int] = {}
         # (name, args, rows); each row is (line number, text)
         self.sections: list[tuple[str, list[str], list[tuple[int, str]]]] = []
+        self.section_lines: list[int] = []  # the SECTION line of each section
         self._parse()
 
     def _parse(self) -> None:
@@ -236,8 +244,14 @@ class AlgebraFile:
                     if k in _SIZE_HEADERS:
                         if not (v.isascii() and v.isdigit() and int(v) > 0):
                             raise ParseError(f"{self.path}:{ln}: {k} must be a positive integer, got {v!r}")
+                        if k != "conductor" and int(v) > MAX_SIZE:
+                            raise ParseError(f"{self.path}:{ln}: {k} {v} is above the largest size {MAX_SIZE}")
+                        if k == "conductor" and int(v) > conductor_cap():
+                            raise ParseError(f"{self.path}:{ln}: conductor {v} exceeds the conductor cap "
+                                             f"{conductor_cap()} (HOPFFORGE_CONDUCTOR_CAP)")
                         self.sizes[k] = int(v)
                     self.header[k] = v
+                    self.header_lines[k] = ln
                 continue
             if line.startswith("SECTION"):
                 parts = line.split()
@@ -249,6 +263,7 @@ class AlgebraFile:
                 first[key] = ln
                 current = (parts[1], parts[2:], [])
                 self.sections.append(current)
+                self.section_lines.append(ln)
                 continue
             if current is None:
                 raise ParseError(f"{self.path}:{ln}: data before any SECTION")
@@ -334,6 +349,21 @@ class AlgebraFile:
             raise ParseError(f"{self.path}:{ln}: index {text!r} in {name} is not in 0..{bound - 1}")
         return int(text)
 
+    def _name(self, named: dict[tuple[str, str], int], sec: str, args: list[str],
+              default: str, ln: int) -> str:
+        """The name of the section of line ln: its first argument, else `default`.
+
+        A name an earlier section of the same kind already has is a ParseError
+        naming both lines (an unnamed section is named by count, so a later
+        explicit name could otherwise replace it).
+        """
+        name = args[0] if args else default
+        if (sec, name) in named:
+            raise ParseError(f"{self.path}:{ln}: {sec} {name} clashes with the name of the section "
+                             f"of line {named[sec, name]}")
+        named[sec, name] = ln
+        return name
+
     def to_hopf(self) -> HopfSC:
         n = self.dim
         mult = self._tensor("MULT", (n, n, n))
@@ -344,14 +374,15 @@ class AlgebraFile:
         found = self.section("ANTIPODE")
         if found is not None:
             antipode = self._matrix_rows("ANTIPODE", found[1], n, n)
+        named: dict[tuple[str, str], int] = {}
         group_likes = {}
         characters = {}
-        for sec, args, rows in self.sections:
+        for (sec, args, rows), ln in zip(self.sections, self.section_lines):
             if sec == "GROUPLIKE":
-                name = args[0] if args else f"g{len(group_likes)}"
+                name = self._name(named, sec, args, f"g{len(group_likes)}", ln)
                 group_likes[name] = self._vector(sec, n, rows)
             elif sec == "CHARACTER":
-                name = args[0] if args else f"chi{len(characters)}"
+                name = self._name(named, sec, args, f"chi{len(characters)}", ln)
                 characters[name] = self._vector(sec, n, rows)
         flags = self.flags()
         return HopfSC(n, mult, unit, comult, counit, antipode,
@@ -367,10 +398,11 @@ class AlgebraFile:
 
     def maps(self, shape_of) -> dict[str, tuple[Mat, str]]:
         """MAP sections inside a structure file; shape_of(name) -> (nrows, ncols)."""
+        named: dict[tuple[str, str], int] = {}
         out = {}
-        for sec, args, rows in self.sections:
+        for (sec, args, rows), ln in zip(self.sections, self.section_lines):
             if sec == "MAP":
-                name = args[0] if args else f"map{len(out)}"
+                name = self._name(named, sec, args, f"map{len(out)}", ln)
                 ref = args[1] if len(args) > 1 else ""
                 nrows, ncols = shape_of(name)
                 out[name] = (self._matrix_rows(sec, rows, nrows, ncols), ref)
@@ -387,8 +419,14 @@ class AlgebraFile:
         yd = YDModule(H, n, action, coaction)
         return PreBialgebra(H, yd, mult, unit, comult, counit)
 
-    def to_cocycle(self) -> Cocycle:
+    def to_cocycle(self, P: Optional[PreBialgebra] = None) -> Cocycle:
+        """The cocycle; with P, its dim and base_dim must be those of R and H."""
         n = self.dim
+        if P is not None:
+            for key, size, of in (("dim", P.dim, "R"), ("base_dim", P.H.dim, "H")):
+                if self._size(key) != size:
+                    raise ParseError(f"{self.path}:{self.header_lines[key]}: {key} {self._size(key)} "
+                                     f"does not match dim {of} = {size}")
         return Cocycle(self._tensor("XI", (n, n, self._size("base_dim"))))
 
     def base_ref(self) -> Optional[str]:

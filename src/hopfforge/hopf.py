@@ -7,6 +7,7 @@ as report entries with witnesses, never as silent errors.
 
 from __future__ import annotations
 
+import operator
 from itertools import islice, product
 from math import lcm
 from typing import Iterable, Iterator, Optional
@@ -167,8 +168,9 @@ class HopfSC(BialgebraSC):
 #
 # The checkers contract the structure tables directly, so every product they
 # form is a product of structure constants; they still visit every basis tuple
-# (a failing associativity scan stops at its eighth witness).  Each lifts its
-# constants to one conductor on entry, so no product or sum in its loops promotes.
+# (a failing associativity scan stops at its eighth witness).  Each reads its
+# constants through one value table, `_Values`, so no product or sum in its
+# loops promotes, and when the constants take few values the loops run on ids.
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
@@ -179,122 +181,285 @@ def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
     return (c for d in C._by_k.values() for c in d.values())
 
 
-class _Constants:
-    """The constants one check reads, lifted once to their lcm conductor M.
+class _Full(Exception):
+    """A value table was asked to number more values than its cap."""
 
-    Past the conductor cap nothing is lifted, and mixed arithmetic raises
-    ConductorOverflow just as it does on the raw constants.  When the n
-    nonzero constants take P distinct values with P*P <= n, each value gets
-    one interned copy with a `products` memo and the check's tables hold those
-    copies, so every product of two constants is formed once; the gate keeps
-    the memo no larger than the table the check already holds.  `canon` hands
-    out interned copies of the products the check forms, interning new values
-    while (P+1)^2 <= n, so products of products hit the memo too.  Otherwise
-    (the distinct scan stops as soon as P*P > n) the tables are lifted as they
-    are, and a table already at M is the structure's own.  Leaving the `with`
-    block drops every memo, so none outlives the check.
+
+class _Lazy(dict):
+    """A memo that forms each missing entry with `make(key)` on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Values:
+    """The values one check reads and forms.
+
+    Every constant the check reads is lifted to their lcm conductor M.  Past
+    the conductor cap nothing is lifted, and mixed arithmetic raises
+    ConductorOverflow just as it does on the raw constants.
+
+    When the n nonzero constants take P distinct values with P*P <= n, the
+    check runs on ids (`numbered`): id 0 is zero and each other value at M,
+    keyed by its normalized (den, nums), gets the next small int, so `if v`
+    and dict equality mean what they mean on scalars.  `mul[a][b]` and
+    `add[a][b]` form each product and sum of two numbered values once.  A
+    cell is a vector as a tuple of (index, id) sorted by index, zeros dropped,
+    and `cell` gives equal vectors equal cell ids (0 is the zero vector).
+    The table numbers at most `cap` = n nonzero values, and its cells hold
+    at most `cap` (index, id) pairs in all, so it never outgrows the
+    constants the check reads.  A check that needs more raises _Full inside
+    the table and finishes on the lifted scalars, with the same witnesses.
+    Otherwise the check runs on the lifted scalars from the start.
+
+    `lift`, `zero`, `one`, `times`, `plus` and `axpy` (the ids' `sv_axpy`)
+    are the arithmetic of the path taken, so a check written with them runs on
+    either.  Leaving the `with` block drops every value, memo and cell.
     """
 
     def __init__(self, *groups: Iterable[CycScalar]):
         consts = [c for g in groups for c in g if c]
         M = lcm(1, *{c.L for c in consts})
         self.M = M if M <= conductor_cap() else 0
-        self.n, self.P = len(consts), 0
-        # {(L, den, nums): copy}, keyed by the raw constants and by the values at M
-        self.copies: dict[tuple, CycScalar] = {}
+        self.n = self.cap = len(consts)
+        self._drop()
         if self.M:
+            self.number(CycScalar.zero(self.M))
             for c in consts:
-                if (c.L, c.den, c.nums) not in self.copies:
-                    copy = self._intern(c.promote(self.M))
-                    if copy is None:
-                        self.copies = {}
+                if (c.L, c.den, c.nums) not in self.raw:
+                    self.raw[c.L, c.den, c.nums] = self.number(c.promote(self.M))
+                    if (len(self.values) - 1) ** 2 > self.n:
                         break
-                    self.copies[c.L, c.den, c.nums] = copy
+            else:
+                self.numbered = True
+                self.zero, self.one = 0, self.number(CycScalar.one(self.M))
+                self.scaled = _Lazy(lambda ax: self.cell(
+                    (k, self.mul[ax[0]][v]) for k, v in self.cells[ax[1]]))
+                self.sums = _Lazy(self._sum_cells)
+                self.times = lambda a, b: self.mul[a][b]
+                self.plus = lambda a, b: self.add[a][b]
+                self.axpy = self._axpy
+                return
+        self._use_scalars()
 
-    def _intern(self, v: CycScalar) -> Optional[CycScalar]:
-        """The copy of v (a value at M), made while (P+1)^2 <= n; else None."""
-        key = (v.L, v.den, v.nums)
-        copy = self.copies.get(key)
-        if copy is None and (self.P + 1) ** 2 <= self.n:
-            copy = self.copies[key] = CycScalar(v.L, v.nums, v.den, _normalized=True)
-            copy.products = {}
-            self.P += 1
-        return copy
+    def _use_scalars(self) -> None:
+        self._drop()
+        self.times, self.plus, self.axpy = operator.mul, operator.add, sv_axpy
+        M = self.M
+        self.zero, self.one = (CycScalar.zero(M), CycScalar.one(M)) if M else (czero(), cone())
 
-    def canon(self, p: CycScalar) -> CycScalar:
-        """The interned copy of p, a product of this check's constants; p itself
-        when the memo is off or its gate is reached."""
-        copy = self.copies.get((p.L, p.den, p.nums))
-        if copy is None and self.copies:
-            copy = self._intern(p)
-        return p if copy is None else copy
+    def _drop(self) -> None:
+        self.numbered = False
+        self.values: list[CycScalar] = []
+        self.ids: dict[tuple, int] = {}  # (den, nums) of a value at M -> its id
+        self.raw: dict[tuple, int] = {}  # (L, den, nums) of a constant read -> its id
+        self.mul: list[_Lazy] = []
+        self.add: list[_Lazy] = []
+        self.cells: list[tuple] = [()]
+        self.cell_ids: dict[tuple, int] = {(): 0}
+        self.held = 0  # (index, id) pairs in all cells
+        self.scaled, self.sums = {}, {}
 
-    def __call__(self, c: CycScalar) -> CycScalar:
-        copy = self.copies.get((c.L, c.den, c.nums))
-        if copy is not None:
-            return copy
-        return c.promote(self.M) if self.M else c
-
-    def table(self, A: AlgebraSC) -> list[list[tuple]]:
-        """A's row table over the check's constants: A._rows itself when no
-        constant is interned or lifted."""
-        if not self.copies and (not self.M or all(c.L == self.M for c in _mult_constants(A))):
-            return A._rows
-        return [[tuple((k, self(c)) for k, c in cell) for cell in row] for row in A._rows]
-
-    def coproducts(self, C: CoalgebraSC) -> list[tuple]:
-        """Delta(e_k) over the check's constants, as a tuple of ((i, j), c) for each k."""
-        return [tuple((ij, self(c)) for ij, c in C.comult_basis(k).items()) for k in range(C.dim)]
-
-    def __enter__(self) -> "_Constants":
+    def __enter__(self) -> "_Values":
         return self
 
     def __exit__(self, *exc) -> None:
-        for copy in self.copies.values():
-            copy.products = None
+        self._drop()
+        self.times = self.plus = self.axpy = None
+
+    # -- numbering ----------------------------------------------------------
+
+    def number(self, v: CycScalar) -> int:
+        """The id of v, a value at M."""
+        key = (v.den, v.nums)
+        i = self.ids.get(key)
+        if i is None:
+            i = len(self.values)
+            if i > self.cap:
+                raise _Full
+            self.ids[key] = i
+            self.values.append(v)
+            self.mul.append(_Lazy(lambda b, a=i: self._form(operator.mul, self.mul, a, b)))
+            self.add.append(_Lazy(lambda b, a=i: self._form(operator.add, self.add, a, b)))
+        return i
+
+    def _form(self, op, memo: list, a: int, b: int) -> int:
+        """The id of op(values[a], values[b]), read off memo[b] when it holds it."""
+        hit = memo[b].get(a)
+        return self.number(op(self.values[a], self.values[b])) if hit is None else hit
+
+    def _axpy(self, acc: dict, c: int, terms: Iterable) -> None:
+        """sv_axpy on ids: acc += c * w over the (key, w) terms, zeros dropped."""
+        mc, add = self.mul[c], self.add
+        for key, w in terms:
+            cur = acc.get(key)
+            new = mc[w] if cur is None else add[cur][mc[w]]
+            if new:
+                acc[key] = new
+            elif cur is not None:
+                del acc[key]
+
+    def cell(self, terms: Iterable[tuple[int, int]]) -> int:
+        """The cell id of a vector given as (index, id) pairs sorted by index."""
+        key = tuple(terms)
+        i = self.cell_ids.get(key)
+        if i is None:
+            self.held += len(key)
+            if self.held > self.cap:
+                raise _Full
+            i = self.cell_ids[key] = len(self.cells)
+            self.cells.append(key)
+        return i
+
+    def add_cells(self, x: int, y: int) -> int:
+        """The cell id of the sum of cells x and y."""
+        if not x or not y:
+            return x or y
+        return self.sums[x, y] if x < y else self.sums[y, x]
+
+    def _sum_cells(self, xy: tuple[int, int]) -> int:
+        acc = dict(self.cells[xy[0]])
+        self._axpy(acc, self.one, self.cells[xy[1]])
+        return self.cell(sorted(acc.items()))
+
+    # -- the check's tables -------------------------------------------------
+
+    def lift(self, c: CycScalar):
+        """c as the check reads it: its id, or the scalar lifted to M."""
+        if self.numbered:
+            key = (c.L, c.den, c.nums)
+            i = self.raw.get(key)
+            if i is None:
+                i = self.raw[key] = self.number(c.promote(self.M))
+            return i
+        return c.promote(self.M) if self.M else c
+
+    def table(self, A: AlgebraSC) -> list[list[tuple]]:
+        """A's row table over the check's values: A._rows itself when nothing is lifted."""
+        if not self.numbered and (not self.M or all(c.L == self.M for c in _mult_constants(A))):
+            return A._rows
+        return [[tuple((k, self.lift(c)) for k, c in cell) for cell in row] for row in A._rows]
+
+    def cell_table(self, A: AlgebraSC) -> list[list[int]]:
+        """A's row table as cell ids."""
+        return [[self.cell(sorted((k, self.lift(c)) for k, c in cell)) for cell in row]
+                for row in A._rows]
+
+    def coproducts(self, C: CoalgebraSC) -> list[tuple]:
+        """Delta(e_k) over the check's values, as a tuple of ((i, j), c) for each k."""
+        return [tuple((ij, self.lift(c)) for ij, c in C.comult_basis(k).items()) for k in range(C.dim)]
+
+    def run(self, check, *args):
+        """check(self, *args), on ids while the table is numbered and not full."""
+        if self.numbered:
+            try:
+                return check(self, *args)
+            except _Full:
+                self._use_scalars()
+        return check(self, *args)
 
 
 def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
-    """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic order.
+    """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic order."""
+    with _Values(_mult_constants(A)) as V:
+        if V.numbered:
+            yield from _numbered_associativity(A, V)
+        else:
+            yield from _scalar_associativity(V.table(A), A.dim)
+
+
+def _numbered_associativity(A: AlgebraSC, V: _Values) -> Iterator[tuple[int, int, int]]:
+    """Associativity a whole (i, j) row at a time, on cell ids.
+
+    The row of (e_i e_j) e_k over all k depends only on the vector e_i e_j:
+    it is the sum of the rows a T[m], each scaled once per (m, a), over the
+    terms a e_m of that vector, and it is formed once per cell.  The row of
+    e_i (e_j e_k) maps row j through the cell -> e_i (cell) memo of i.
+    Equal cells are equal vectors, so one list comparison settles a row and
+    only a mismatching row is scanned for its k.  When the table fills up,
+    the scan goes on from the same row on scalars.
+    """
+    n = A.dim
+    i = j = 0
+    try:
+        T = V.cell_table(A)
+        cells, scaled, add_cells = V.cells, V.scaled, V.add_cells
+        scaled_rows = _Lazy(lambda ma: [scaled[ma[1], x] for x in T[ma[0]]])
+
+        def left_row(c: int) -> list[int]:
+            row = None
+            for m, a in cells[c]:
+                scaled_row = scaled_rows[m, a]
+                row = scaled_row if row is None else list(map(add_cells, row, scaled_row))
+            return row or [0] * n
+
+        left_rows = _Lazy(left_row)
+        for i in range(n):
+            Ti = T[i]
+
+            def times_i(c: int, Ti=Ti) -> int:
+                out = 0
+                for m, b in cells[c]:
+                    out = add_cells(out, scaled[b, Ti[m]])
+                return out
+
+            right_of = _Lazy(times_i).__getitem__
+            for j in range(n):
+                left = left_rows[Ti[j]]
+                right = list(map(right_of, T[j]))
+                if left != right:
+                    for k in range(n):
+                        if left[k] != right[k]:
+                            yield i, j, k
+    except _Full:
+        V._use_scalars()
+        yield from _scalar_associativity(V.table(A), n, i, j)
+
+
+def _scalar_associativity(T: list[list[tuple]], n: int, i0: int = 0,
+                          j0: int = 0) -> Iterator[tuple[int, int, int]]:
+    """Associativity tuple by tuple on a scalar row table, from row (i0, j0) on.
 
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
     sum_m mult[j,k,m] e_i e_m are contracted straight from the table.  When
     e_i e_j, e_j e_k and both products of basis vectors they lead to are
     single terms, the two sides are compared as (index, scalar) pairs.
     """
-    with _Constants(_mult_constants(A)) as lift:
-        T = lift.table(A)
-        n = A.dim
-        for i in range(n):
-            Ti = T[i]
-            for j in range(n):
-                ij, Tj = Ti[j], T[j]
-                single = len(ij) == 1
-                if single:
-                    (m, a), = ij
-                    Tm = T[m]
-                for k in range(n):
-                    jk = Tj[k]
-                    if single and len(jk) == 1:
-                        (m2, b), = jk
-                        left, right = Tm[k], Ti[m2]
-                        if len(left) == 1 and len(right) == 1:
-                            (x, c), = left
-                            (y, d), = right
-                            if x == y:
-                                p, q = a * c, b * d
-                                if p is q or p == q:
-                                    continue
-                            yield i, j, k
+    for i in range(i0, n):
+        Ti = T[i]
+        for j in range(j0 if i == i0 else 0, n):
+            ij, Tj = Ti[j], T[j]
+            single = len(ij) == 1
+            if single:
+                (m, a), = ij
+                Tm = T[m]
+            for k in range(n):
+                jk = Tj[k]
+                if single and len(jk) == 1:
+                    (m2, b), = jk
+                    left, right = Tm[k], Ti[m2]
+                    if len(left) == 1 and len(right) == 1:
+                        (x, c), = left
+                        (y, d), = right
+                        if x == y and a * c == b * d:
                             continue
-                    lhs: SVec = {}
-                    for m, c in ij:
-                        sv_axpy(lhs, c, T[m][k])
-                    rhs: SVec = {}
-                    for m, c in jk:
-                        sv_axpy(rhs, c, Ti[m])
-                    if lhs != rhs:
                         yield i, j, k
+                        continue
+                lhs: SVec = {}
+                for m, c in ij:
+                    sv_axpy(lhs, c, T[m][k])
+                rhs: SVec = {}
+                for m, c in jk:
+                    sv_axpy(rhs, c, Ti[m])
+                if lhs != rhs:
+                    yield i, j, k
 
 
 def check_algebra(A: AlgebraSC) -> CheckReport:
@@ -315,50 +480,60 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
     return rep
 
 
+def _failing(rep: CheckReport, name: str, witnesses: list) -> None:
+    """An entry that fails exactly when there are witnesses, all of them kept."""
+    rep.add(name, not witnesses).witnesses = witnesses
+
+
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
-    n = C.dim
-    with _Constants(_comult_constants(C), C.counit) as lift:
-        D = lift.coproducts(C)
-        counit = [lift(c) for c in C.counit]
-        coassoc = rep.add("coassociativity", True)
-        for k in range(n):
-            left: dict[tuple[int, int, int], CycScalar] = {}
-            right: dict[tuple[int, int, int], CycScalar] = {}
-            for (a, b), c in D[k]:
-                sv_axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
-                sv_axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
-            if left != right:
-                coassoc.ok = False
-                coassoc.witnesses.append(k)
-        ent = rep.add("counit", True)
-        one = lift(cone())
-        for k in range(n):
-            lhs_l: SVec = {}
-            lhs_r: SVec = {}
-            for (a, b), c in D[k]:
-                if counit[a]:
-                    sv_add_into(lhs_l, {b: counit[a] * c})
-                if counit[b]:
-                    sv_add_into(lhs_r, {a: counit[b] * c})
-            if lhs_l != {k: one} or lhs_r != {k: one}:
-                ent.ok = False
-                ent.witnesses.append(k)
+    with _Values(_comult_constants(C), C.counit) as V:
+        coassoc, counit = V.run(_coalgebra_failures, C)
+    _failing(rep, "coassociativity", coassoc)
+    _failing(rep, "counit", counit)
     return rep
 
 
-def _comult_pair_product(T, canon, da, db) -> dict[tuple[int, int], CycScalar]:
-    """Product of two expanded coproducts inside B (x) B, from B's lifted row
-    table; every scalar factor it forms goes through `canon`."""
+def _coalgebra_failures(V: _Values, C: CoalgebraSC) -> tuple[list[int], list[int]]:
+    n, axpy = C.dim, V.axpy
+    D = V.coproducts(C)
+    counit = [V.lift(c) for c in C.counit]
+    coassoc = []
+    for k in range(n):
+        left: dict[tuple[int, int, int], CycScalar] = {}
+        right: dict[tuple[int, int, int], CycScalar] = {}
+        for (a, b), c in D[k]:
+            axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
+            axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
+        if left != right:
+            coassoc.append(k)
+    bad_counit = []
+    one = V.one
+    for k in range(n):
+        lhs_l: SVec = {}
+        lhs_r: SVec = {}
+        for (a, b), c in D[k]:
+            if counit[a]:
+                axpy(lhs_l, counit[a], ((b, c),))
+            if counit[b]:
+                axpy(lhs_r, counit[b], ((a, c),))
+        if lhs_l != {k: one} or lhs_r != {k: one}:
+            bad_counit.append(k)
+    return coassoc, bad_counit
+
+
+def _comult_pair_product(T, times, axpy, da, db) -> dict[tuple[int, int], CycScalar]:
+    """Product of two expanded coproducts inside B (x) B, from B's row table
+    over the check's values."""
     out: dict[tuple[int, int], CycScalar] = {}
     for (a1, a2), ca in da:
         T1, T2 = T[a1], T[a2]
         for (b1, b2), cb in db:
             left, right = T1[b1], T2[b2]
             if left and right:
-                c = canon(ca * cb)
+                c = times(ca, cb)
                 for x, cx in left:
-                    sv_axpy(out, canon(cx * c), [((x, y), cy) for y, cy in right])
+                    axpy(out, times(cx, c), [((x, y), cy) for y, cy in right])
     return out
 
 
@@ -366,35 +541,10 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep = CheckReport("bialgebra axioms")
     rep.merge(check_algebra(B))
     rep.merge(check_coalgebra(B))
-    n = B.dim
-    with _Constants(_mult_constants(B), _comult_constants(B), B.counit) as lift:
-        T = lift.table(B)
-        D = lift.coproducts(B)
-        counit = [lift(c) for c in B.counit]
-        ent = rep.add("comult_is_algebra_map", True)
-        for i in range(n):
-            Ti, di = T[i], D[i]
-            for j in range(n):
-                lhs: dict[tuple[int, int], CycScalar] = {}
-                for m, c in Ti[j]:
-                    sv_axpy(lhs, c, D[m])
-                if lhs != _comult_pair_product(T, lift.canon, di, D[j]):
-                    ent.ok = False
-                    if len(ent.witnesses) < MAX_WITNESSES:
-                        ent.witnesses.append((i, j))
-        ent = rep.add("counit_is_algebra_map", True)
-        zero = lift(czero())
-        for i in range(n):
-            Ti = T[i]
-            for j in range(n):
-                lhs = zero
-                for k, c in Ti[j]:
-                    if counit[k]:
-                        lhs = lhs + counit[k] * c
-                if lhs != counit[i] * counit[j]:
-                    ent.ok = False
-                    if len(ent.witnesses) < MAX_WITNESSES:
-                        ent.witnesses.append((i, j))
+    with _Values(_mult_constants(B), _comult_constants(B), B.counit) as V:
+        comult, counit = V.run(_bialgebra_failures, B)
+    rep.add("comult_is_algebra_map", not comult, comult)
+    rep.add("counit_is_algebra_map", not counit, counit)
     u = B.unit_sv()
     du = B.comult_sv(u)
     uu: dict[tuple[int, int], CycScalar] = {}
@@ -408,33 +558,65 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
     return rep
 
 
+def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
+    """Every (i, j) where Delta, and where eps, fails to be multiplicative."""
+    n, times, plus, axpy = B.dim, V.times, V.plus, V.axpy
+    T, D = V.table(B), V.coproducts(B)
+    counit = [V.lift(c) for c in B.counit]
+    comult = []
+    for i in range(n):
+        Ti, di = T[i], D[i]
+        for j in range(n):
+            lhs: dict[tuple[int, int], CycScalar] = {}
+            for m, c in Ti[j]:
+                axpy(lhs, c, D[m])
+            if lhs != _comult_pair_product(T, times, axpy, di, D[j]):
+                comult.append((i, j))
+    bad_counit = []
+    zero = V.zero
+    for i in range(n):
+        Ti = T[i]
+        for j in range(n):
+            lhs = zero
+            for k, c in Ti[j]:
+                if counit[k]:
+                    lhs = plus(lhs, times(counit[k], c))
+            if lhs != times(counit[i], counit[j]):
+                bad_counit.append((i, j))
+    return comult, bad_counit
+
+
 def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
     from the multiplication rows and the columns of S."""
-    n = B.dim
-    with _Constants(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
-                    (a for r in S.rows for a in r)) as lift:
-        T = lift.table(B)
-        D = lift.coproducts(B)
-        scols = [[(s, lift(S.rows[s][i])) for s in range(n) if S.rows[s][i]] for i in range(n)]
-        u = {i: lift(c) for i, c in B.unit_sv().items()}
-        left = rep.add("antipode_left", True)
-        right = rep.add("antipode_right", True)
-        for k in range(n):
-            target = sv_scale(u, lift(B.counit[k]))
-            lhs: SVec = {}
-            rhs: SVec = {}
-            for (i, j), c in D[k]:
-                for s, a in scols[i]:
-                    sv_axpy(lhs, a * c, T[s][j])
-                for s, a in scols[j]:
-                    sv_axpy(rhs, c * a, T[i][s])
-            if lhs != target:
-                left.ok = False
-                left.witnesses.append(k)
-            if rhs != target:
-                right.ok = False
-                right.witnesses.append(k)
+    with _Values(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
+                 (a for r in S.rows for a in r)) as V:
+        left, right = V.run(_antipode_failures, B, S)
+    _failing(rep, "antipode_left", left)
+    _failing(rep, "antipode_right", right)
+
+
+def _antipode_failures(V: _Values, B: BialgebraSC, S: Mat) -> tuple[list[int], list[int]]:
+    n, lift, times, axpy = B.dim, V.lift, V.times, V.axpy
+    T, D = V.table(B), V.coproducts(B)
+    scols = [[(s, lift(S.rows[s][i])) for s in range(n) if S.rows[s][i]] for i in range(n)]
+    u = [(i, lift(c)) for i, c in B.unit_sv().items()]
+    left, right = [], []
+    for k in range(n):
+        target: SVec = {}
+        axpy(target, lift(B.counit[k]), u)
+        lhs: SVec = {}
+        rhs: SVec = {}
+        for (i, j), c in D[k]:
+            for s, a in scols[i]:
+                axpy(lhs, times(a, c), T[s][j])
+            for s, a in scols[j]:
+                axpy(rhs, times(c, a), T[i][s])
+        if lhs != target:
+            left.append(k)
+        if rhs != target:
+            right.append(k)
+    return left, right
 
 
 def check_hopf(H: HopfSC) -> CheckReport:

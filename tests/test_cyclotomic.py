@@ -279,19 +279,6 @@ def test_rational_operand_matches_promotion(case):
         assert (a - b) == (ap - bp)
 
 
-def test_rational_operand_product_is_memoized():
-    # interned copies at different conductors: the rational path fills the memo too
-    r, v = CycScalar(1, [3], 2), CycScalar.zeta(6) + CycScalar.from_rational(1)
-    r.products, v.products = {}, {}
-    p = r * v
-    assert triple(p) == triple(CycScalar._common(r, v)[0] * v)
-    assert r.products[id(v)] == (v, p)
-    assert r * v is p
-    q = v * r
-    assert q is not p and triple(q) == triple(p)
-    assert v * r is q
-
-
 def test_rational_operand_respects_the_conductor_cap():
     from hopfforge.cyclotomic import set_conductor_cap, conductor_cap
     old = conductor_cap()

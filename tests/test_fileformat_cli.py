@@ -182,7 +182,9 @@ def test_repeated_section_names_both_lines(tmp_path):
     ("# dim: 12\n", "# dim: -1\n"),
     ("# conductor: 6\n", "# conductor: 0\n"),
     ("# conductor: 6\n", "# conductor: z\n"),
-], ids=["dim_not_an_integer", "dim_negative", "conductor_zero", "conductor_not_an_integer"])
+    ("# conductor: 6\n", "# conductor: 100000\n"),
+], ids=["dim_not_an_integer", "dim_negative", "conductor_zero", "conductor_not_an_integer",
+        "conductor_above_the_cap"])
 def test_cli_bad_header_value_is_a_parse_error(tmp_path, old, new):
     text = (GOLDEN / "b0.alg").read_text()
     assert old in text
@@ -194,6 +196,73 @@ def test_cli_bad_header_value_is_a_parse_error(tmp_path, old, new):
     assert proc.returncode == 2
     assert f"error: {bad}:{line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def cli(*args, **kwargs):
+    """`python -m hopfforge.cli ARGS` in a subprocess: (exit code, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "hopfforge.cli", *map(str, args)],
+                          capture_output=True, text=True, **kwargs)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("old, new, size", [
+    ("# dim: 6\n", "# dim: 5\n", "dim 5 does not match dim R = 6"),
+    ("# base_dim: 6\n", "# base_dim: 3\n", "base_dim 3 does not match dim H = 6"),
+], ids=["dim_not_that_of_r", "base_dim_not_that_of_h"])
+def test_cli_bosonize_cocycle_of_the_wrong_shape(tmp_path, old, new, size):
+    # the cocycle used to reach check_cocycle and end in a ShapeMismatch traceback
+    for name in ("qline6_r.alg", "qline6_base.alg"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    text = (GOLDEN / "qline6_xi.alg").read_text()
+    assert old in text
+    line = text.splitlines().index(old.strip()) + 1
+    bad = tmp_path / "qline6_xi.alg"
+    bad.write_text(text.replace(old, new, 1))
+    code, err = cli("bosonize", tmp_path / "qline6_r.alg", bad)
+    assert code == 2 and f"error: {bad}:{line}: {size}" in err
+
+
+def test_unnamed_section_name_clash_names_both_lines(tmp_path):
+    # an unnamed GROUPLIKE is named g0 by count; a later explicit g0 used to replace it
+    text = (GOLDEN / "c4min_base.alg").read_text()
+    bad = tmp_path / "c4min_base.alg"
+    bad.write_text(text.replace("SECTION GROUPLIKE 1\n", "SECTION GROUPLIKE\n", 1)
+                   .replace("SECTION GROUPLIKE g2\n", "SECTION GROUPLIKE g0\n", 1))
+    lines = bad.read_text().splitlines()
+    first, clash = lines.index("SECTION GROUPLIKE") + 1, lines.index("SECTION GROUPLIKE g0") + 1
+    code, err = cli("check", bad)
+    assert code == 2
+    assert f"error: {bad}:{clash}: GROUPLIKE g0 clashes with the name of the section of line {first}" in err
+    # the same for CHARACTER sections, and unnamed sections named by count stay apart
+    bad.write_text(text + "SECTION CHARACTER\n0 1\nSECTION CHARACTER chi1\n0 1\n")
+    with pytest.raises(ParseError, match="CHARACTER chi1 clashes"):
+        AlgebraFile(bad).to_hopf()
+    bad.write_text(text + "SECTION CHARACTER\n0 1\n")
+    assert list(AlgebraFile(bad).to_hopf().characters) == ["chi", "chi1"]
+
+
+def test_huge_dim_is_a_parse_error_before_any_allocation(tmp_path):
+    """Run under a 1 GiB address-space limit of its own, so a regression that
+    allocates dim^2 slots fails here instead of exhausting the machine."""
+    import resource
+    from hopfforge.fileformat import MAX_SIZE
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    text = (GOLDEN / "b0.alg").read_text()
+    line = text.splitlines().index("# dim: 12") + 1
+    bad = tmp_path / "huge.alg"
+    bad.write_text(text.replace("# dim: 12\n", "# dim: 100000\n", 1))
+    code, err = cli("check", bad, preexec_fn=limited, timeout=120)
+    assert code == 2 and f"error: {bad}:{line}: dim 100000 is above the largest size {MAX_SIZE}" in err
+    # the bound itself is read, one past it is not; nothing is allocated by parsing
+    bad.write_text(text.replace("# dim: 12\n", f"# dim: {MAX_SIZE}\n", 1))
+    assert AlgebraFile(bad).dim == MAX_SIZE
+    bad.write_text(text.replace("# dim: 12\n", f"# dim: {MAX_SIZE + 1}\n", 1))
+    with pytest.raises(ParseError, match=f"{bad}:{line}: dim"):
+        AlgebraFile(bad)
 
 
 def test_cli_ore_pipeline(tmp_path):

@@ -246,18 +246,16 @@ def test_error_types(kc6):
 
 # -- the contracted checkers against the per-tuple formulation -----------------
 
+def oracle_failures(A):
+    """Every (i, j, k) where associativity fails, both sides formed by mul_sv on unit vectors."""
+    return [(i, j, k) for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)
+            if A.mul_sv(A.mul_basis(i, j), {k: cone()}) != A.mul_sv({i: cone()}, A.mul_basis(j, k))]
+
+
 def oracle_associativity(A):
-    """(ok, first 8 witnesses) with both sides formed by mul_sv on unit vectors."""
-    ok, witnesses = True, []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = A.mul_basis(i, j)
-            for k in range(A.dim):
-                if A.mul_sv(ij, {k: cone()}) != A.mul_sv({i: cone()}, A.mul_basis(j, k)):
-                    ok = False
-                    if len(witnesses) < 8:
-                        witnesses.append((i, j, k))
-    return ok, witnesses
+    """(ok, first 8 witnesses)."""
+    failures = oracle_failures(A)
+    return not failures, failures[:8]
 
 
 def oracle_pair_product(B, da, db):
@@ -421,7 +419,7 @@ def test_checkers_match_oracle_on_perturbed_structures(name, tensor, seed):
         assert all(any(j == b for _, j in B.comult_basis(k)) for k in got["antipode_right"][1])
 
 
-# -- the per-check product memo --------------------------------------------------
+# -- the per-check value table ----------------------------------------------------
 
 def bench_module(name):
     """A module of the benchmark harness in bench/, loaded without touching sys.path."""
@@ -432,42 +430,117 @@ def bench_module(name):
     return module
 
 
+def triple(s):
+    return (s.L, s.den, s.nums)
+
+
 @pytest.fixture
-def gates(monkeypatch):
-    """Per lifting step of the checks run in the test: (memo gate on, memo
-    populated when the check ended, every memo dropped after it)."""
+def tables(monkeypatch):
+    """Every value table the checks of the test make, once its check has ended.
+    `entry`: numbered on entry; `fell`: fell back to scalars part-way;
+    `at_exit`: (values numbered, cells, (index, id) pairs held) at the end."""
     seen = []
 
-    class Recorded(hopf._Constants):
-        def __exit__(self, *exc):
-            used = any(c.products for c in self.copies.values())
-            super().__exit__(*exc)
-            seen.append((bool(self.copies), used,
-                         all(c.products is None for c in self.copies.values())))
+    class Recorded(hopf._Values):
+        def __init__(self, *groups):
+            super().__init__(*groups)
+            self.entry, self.fell = self.numbered, False
 
-    monkeypatch.setattr(hopf, "_Constants", Recorded)
+        def _use_scalars(self):
+            self.fell = getattr(self, "entry", False)
+            super()._use_scalars()
+
+        def __exit__(self, *exc):
+            self.at_exit = (len(self.values) - 1, len(self.cells) - 1, self.held)
+            super().__exit__(*exc)
+            seen.append(self)
+
+    monkeypatch.setattr(hopf, "_Values", Recorded)
     return seen
 
 
-def input_constants(H):
-    return [*H.mult.data.values(), *H.comult.data.values(), *H.unit, *H.counit,
-            *(a for row in H.antipode.rows for a in row)]
-
-
-@pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
-def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, gates):
+@pytest.mark.parametrize("name", ["kc12n6", "xmas", "smash36", "b0", "c4min"])
+def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, tables):
+    """Every check of a catalog algebra runs on ids to the end, and the checks
+    reading MULT of a rescaled copy run on scalars: a silent fallback fails here."""
     H = catalog.ALL_BUILDERS[name]().ore.O
-    gates.clear()  # a first build of the catalog entry runs checks of its own
-    assert entries(check_hopf(H)) == oracle_hopf(H)
-    # algebra, coalgebra, bialgebra and antipode steps: few values, memo on and used
-    assert gates == [(True, True, True)] * 4
-    assert all(c.products is None for c in input_constants(H))
-    gates.clear()
+    tables.clear()  # a first build of the catalog entry runs checks of its own
+    rep = check_hopf(H)
+    assert rep.ok
+    # algebra, coalgebra, bialgebra and antipode tables, each within its cap
+    assert [(t.entry, t.fell) for t in tables] == [(True, False)] * 4
+    assert all(t.at_exit[0] <= t.cap and t.at_exit[2] <= t.cap for t in tables)
+    assert tables[0].at_exit[1] > 0  # associativity compared rows of cells
     R = bench_module("rescale").rescaled(H, random.Random(7))
+    if name in ("kc12n6", "xmas"):
+        # their scalar checks take seconds: read the gate of the associativity table alone
+        assert not hopf._Values(hopf._mult_constants(R)).numbered
+        return
+    assert entries(rep) == oracle_hopf(H)
+    tables.clear()
     assert entries(check_hopf(R)) == oracle_hopf(R)
-    # distinct constants: the steps reading MULT leave the memo off
-    assert [on for on, _, _ in gates[:1] + gates[2:]] == [False] * 3
-    assert all(c.products is None for c in input_constants(R))
+    # distinct constants: the tables reading MULT stay on scalars
+    assert [t.entry for t in tables[:1] + tables[2:]] == [False] * 3
+
+
+def test_row_table_shared_when_nothing_is_lifted(tables):
+    R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
+    with hopf._Values(hopf._mult_constants(R)) as V:
+        assert not V.numbered and {c.L for c in hopf._mult_constants(R)} == {V.M}
+        assert V.table(R) is R._rows
+    H = catalog.b0().ore.O
+    tables.clear()
+    for B in (R, H):
+        assert entries(check_hopf(B)) == oracle_hopf(B)
+    # every table is dropped when its check ends: no value, memo or cell outlives it
+    assert any(t.entry for t in tables)
+    assert all(t.values == [] and t.ids == {} and t.raw == {} and t.mul == [] and t.add == []
+               and t.cells == [()] and t.scaled == {} and t.sums == {} and t.times is None
+               for t in tables)
+    assert "products" not in CycScalar.__slots__
+
+
+def counting(monkeypatch, op):
+    """Count the calls of CycScalar.<op> from now on; the list grows by one per call."""
+    calls, formed = [], getattr(CycScalar, op)
+
+    def counted(a, b):
+        calls.append(1)
+        return formed(a, b)
+
+    monkeypatch.setattr(CycScalar, op, counted)
+    return calls
+
+
+def test_value_table_forms_each_product_once(monkeypatch):
+    """Every product and sum of two numbered values is formed once per check,
+    in whichever order the check asks for it, up to the end of the check:
+    smash36's bialgebra check used to stop interning its products part-way."""
+    B = catalog.smash36().ore.O
+    with hopf._Values(hopf._mult_constants(B), hopf._comult_constants(B), B.counit) as V:
+        assert V.numbered
+        products, sums = counting(monkeypatch, "__mul__"), counting(monkeypatch, "__add__")
+        assert V.run(hopf._bialgebra_failures, B) == ([], [])
+        monkeypatch.undo()
+        assert V.numbered and len(V.values) - 1 <= V.cap
+        for calls, memos in ((products, V.mul), (sums, V.add)):
+            pairs = {frozenset((a, b)) for a, memo in enumerate(memos) for b in memo}
+            assert len(calls) == len(pairs) > 0
+
+
+def test_rational_operand_product_is_memoized(monkeypatch):
+    """A rational constant is numbered at the table's conductor on entry, so its
+    product with a conductor-6 value is formed once, in either order, and is
+    the product of the raw operands."""
+    r, v = CycScalar(1, [3], 2), CycScalar.zeta(6) + CycScalar.from_rational(1)
+    with hopf._Values([r, v, r, v]) as V:  # P = 2 distinct values among n = 4
+        assert V.numbered and V.M == 6
+        a, b = V.lift(r), V.lift(v)
+        calls = counting(monkeypatch, "__mul__")
+        p = V.times(a, b)
+        assert V.times(a, b) == V.times(b, a) == p and len(calls) == 1
+        monkeypatch.undo()
+        assert triple(V.values[p]) == triple(r * v) == triple(CycScalar._common(r, v)[0] * v)
 
 
 def test_conductor_overflow_still_raised_past_the_cap():
@@ -480,6 +553,9 @@ def test_conductor_overflow_still_raised_past_the_cap():
     old = conductor_cap()
     try:
         set_conductor_cap(10)
+        # past the cap nothing is lifted or numbered: the checks run on the raw constants
+        V = hopf._Values(hopf._mult_constants(H))
+        assert V.M == 0 and not V.numbered
         for check in (check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf):
             with pytest.raises(ConductorOverflow):
                 check(H)
@@ -506,7 +582,7 @@ def test_traced_checks_match_untraced(b0_entry, c4min_entry):
     assert tracer.snapshot()["cyc.mul.calls"] > 0
 
 
-# -- the row table's paths: single-term pairs, two-term rows, interned products --
+# -- the row table's paths: single-term pairs, two-term rows, cell sums, the cap --
 
 def tampered_mult(H, how, seed):
     """H with one MULT entry e_i e_j -> c e_k changed: its scalar doubled
@@ -526,12 +602,17 @@ def tampered_mult(H, how, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("how", ["scalar", "index"])
 def test_single_term_mismatches_match_oracle(how, seed):
-    # every row of smash36 is single-term, so each tuple is compared as (index, scalar) pairs
+    # every row of smash36 is single-term
     B = tampered_mult(catalog.smash36().ore.O, how, seed)
-    assert all(len(cell) <= 1 for row in B._rows for cell in row)
-    rep = check_hopf(B)
-    assert not rep.entry("associativity").ok
-    assert entries(rep) == oracle_hopf(B)
+    copies = [B]
+    if seed == 0:  # and on scalars, where each tuple is compared as (index, scalar) pairs
+        copies.append(bench_module("rescale").rescaled(B, random.Random(0)))
+    for A in copies:
+        assert all(len(cell) <= 1 for row in A._rows for cell in row)
+        assert hopf._Values(hopf._mult_constants(A)).numbered == (A is B)
+        rep = check_hopf(A)
+        assert not rep.entry("associativity").ok
+        assert entries(rep) == oracle_hopf(A)
 
 
 def ore_lambda_one_dim18():
@@ -551,54 +632,97 @@ def test_two_term_rows_match_oracle(how):
         T for T in (tampered_mult(O, how, seed) for seed in range(100))
         if any(len(cell) == 2 and len(O._rows[i][j]) == 2 and cell != O._rows[i][j]
                for i, row in enumerate(T._rows) for j, cell in enumerate(row)))
-    rep = check_hopf(B)
-    assert rep.ok == (how is None)
-    assert entries(rep) == oracle_hopf(B)
+    R = bench_module("rescale").rescaled(B, random.Random(5))
+    for A in (B, R):  # on ids, and on scalars
+        assert hopf._Values(hopf._mult_constants(A)).numbered == (A is B)
+        rep = check_hopf(A)
+        assert rep.ok == (how is None)
+        assert entries(rep) == oracle_hopf(A)
+
+
+def with_mult(H, key, value):
+    from hopfforge.hopf import HopfSC
+    data = dict(H.mult.data)
+    data[key] = value
+    return HopfSC(H.dim, Tensor3(H.mult.shape, data), H.unit, H.comult, H.counit, H.antipode)
+
+
+def test_mismatch_inside_a_cell_sum_matches_oracle():
+    """e_i e_j = a e_m1 + b e_m2, and e_m1 e_k, e_m2 e_k share an index x: the
+    left cell at k is a sum that adds two scalars at x.  Doubling e_m1 e_k at x
+    breaks that sum; every failing tuple, on ids and on scalars, is the oracle's."""
+    O = ore_lambda_one_dim18()
+    n = O.dim
+    i, j, k, x, m1 = next(
+        (i, j, k, x, m1) for i in range(n) for j in range(n) if len(O._rows[i][j]) == 2
+        for (m1, _), (m2, _) in [O._rows[i][j]] for k in range(n)
+        for x in sorted(dict(O._rows[m1][k]).keys() & dict(O._rows[m2][k]).keys()))
+    B = with_mult(O, (m1, k, x), O.mult.data[m1, k, x] * rat(2))
+    failures = oracle_failures(B)
+    assert (i, j, k) in failures
+    assert list(hopf.associativity_failures(B)) == failures
+    assert entries(check_hopf(B)) == oracle_hopf(B)
+    R = bench_module("rescale").rescaled(B, random.Random(3))
+    assert not hopf._Values(hopf._mult_constants(R)).numbered
+    assert list(hopf.associativity_failures(R)) == oracle_failures(R)
+
+
+def test_mismatch_only_at_the_last_k_matches_oracle():
+    """Changing e_a e_{n-1} moves the row of (e_i e_j) e_k, for e_a in e_i e_j
+    and i != a, at k = n - 1 only: the rows compare unequal and the scan of k
+    has to reach the row's last entry."""
+    O = ore_lambda_one_dim18()
+    n = O.dim
+    a, x = next((a, x) for a in range(n) for x, _ in O._rows[a][n - 1])
+    B = with_mult(O, (a, n - 1, x), O.mult.data[a, n - 1, x] * rat(2))
+    failures = oracle_failures(B)
+    last_only = [(i, j) for i in range(n) for j in range(n)
+                 if [k for i2, j2, k in failures if (i2, j2) == (i, j)] == [n - 1]]
+    assert last_only and any(i != a for i, _ in last_only)
+    assert list(hopf.associativity_failures(B)) == failures
+    assert entries(check_hopf(B)) == oracle_hopf(B)
 
 
 @pytest.fixture
-def lifts(monkeypatch):
-    """Every _Constants the checks make, with `start` (distinct values interned
-    on entry) and `passed` (canon calls that handed back an un-interned product
-    because the gate was reached)."""
-    made = []
+def capped(monkeypatch):
+    """Value tables whose cap is `frac` of the n constants they read, in place
+    of n; `crossings` gets, for each that fell back to scalars, whether it had
+    formed products or cells of its check first."""
+    class Capped(hopf._Values):
+        frac = 1.0
+        crossings: list = []
 
-    class Recorded(hopf._Constants):
         def __init__(self, *groups):
             super().__init__(*groups)
-            self.start, self.passed = self.P, 0
-            made.append(self)
+            self.cap = int(self.n * self.frac)
 
-        def canon(self, p):
-            q = super().canon(p)
-            self.passed += q is p and bool(self.copies)
-            return q
+        def _use_scalars(self):
+            if self.numbered:
+                Capped.crossings.append(self.held > 0 or any(self.mul))
+            super()._use_scalars()
 
-    monkeypatch.setattr(hopf, "_Constants", Recorded)
-    return made
-
-
-def test_product_interning_stops_at_the_gate(lifts):
-    H = catalog.smash36().ore.O
-    lifts.clear()  # a first build of the catalog entry runs checks of its own
-    assert entries(check_hopf(H)) == oracle_hopf(H)
-    bialg = lifts[2]  # algebra, coalgebra, bialgebra, antipode
-    # the pair products add values until (P+1)^2 > n; later ones come back as they are
-    assert bialg.start < bialg.P and bialg.P ** 2 <= bialg.n < (bialg.P + 1) ** 2
-    assert bialg.passed > 0
-    B = tampered_mult(H, "scalar", 0)
-    assert entries(check_hopf(B)) == oracle_hopf(B)
-    assert all(c.products is None for lift in lifts for c in lift.copies.values())
+    monkeypatch.setattr(hopf, "_Values", Capped)
+    return Capped
 
 
-def test_row_table_shared_when_nothing_is_lifted(lifts):
-    R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
-    lift = hopf._Constants(hopf._mult_constants(R))
-    assert not lift.copies and {c.L for c in hopf._mult_constants(R)} == {lift.M}
-    assert lift.table(R) is R._rows
-    H = catalog.b0().ore.O
-    for B in (R, H):
+def test_check_crossing_the_cap_equals_oracle(capped, monkeypatch):
+    """A check whose table fills up part-way finishes on scalars with the
+    witnesses it would have found on ids; associativity goes on from the row
+    it had reached, between two of its witnesses."""
+    resumed, scan = [], hopf._scalar_associativity
+
+    def recorded(T, n, i0=0, j0=0):
+        resumed.append((i0, j0))
+        return scan(T, n, i0, j0)
+
+    monkeypatch.setattr(hopf, "_scalar_associativity", recorded)
+    O = ore_lambda_one_dim18()
+    B = tampered_mult(O, "scalar", 1)
+    failures = oracle_failures(B)
+    for frac in (0.01, 0.1, 0.4, 0.6):
+        capped.frac = frac
+        assert entries(check_hopf(O)) == oracle_hopf(O)
         assert entries(check_hopf(B)) == oracle_hopf(B)
-    # no interned copy, nor an interned product, keeps its memo after a check
-    assert any(lift.copies for lift in lifts)
-    assert all(c.products is None for lift in lifts for c in lift.copies.values())
+        assert list(hopf.associativity_failures(B)) == failures
+    assert capped.crossings and all(capped.crossings)
+    assert any(failures[0][:2] < row < failures[-1][:2] for row in resumed)

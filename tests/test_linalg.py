@@ -244,9 +244,10 @@ def test_matmul_shape_mismatch():
 
 
 def test_sparse_accumulation_lives_in_the_kernels():
-    """The accumulate-and-drop idiom appears only in the three kernels."""
+    """The accumulate-and-drop idiom appears only in the three kernels on
+    scalars and in their one counterpart on the ids of a check's value table."""
     kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
-               ("linalg.py", "Tensor3.add_to")}
+               ("linalg.py", "Tensor3.add_to"), ("hopf.py", "_Values._axpy")}
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
     found = []
     for path in sorted(src.glob("*.py")):
