@@ -149,7 +149,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     ent = rep.add("mult_comult_compat", True)
     for i in range(n):
         for j in range(n):
-            drr = braided_coproduct_pair(P, P.yd, P, P.yd._act, i, j)
+            drr = braided_coproduct_pair(P, P.yd, P, P.yd, i, j)
             rhs = _pairwise(drr, P.mul_basis, P.mul_basis)
             if P.comult_sv(P.mul_basis(i, j)) != rhs:
                 ent.ok = False
@@ -273,7 +273,7 @@ def mult_is_associative(P: PreBialgebra) -> bool:
 
 def m_tilde_pair(P: PreBialgebra, xi: Cocycle, i: int, j: int) -> dict[tuple[int, int], CycScalar]:
     """(m (x) xi) delta_{R (x) R} on e_i (x) e_j, keyed by (r, h)."""
-    return _pairwise(braided_coproduct_pair(P, P.yd, P, P.yd._act, i, j), P.mul_basis, xi.eval_basis)
+    return _pairwise(braided_coproduct_pair(P, P.yd, P, P.yd, i, j), P.mul_basis, xi.eval_basis)
 
 
 def m_tilde_pairs(P: PreBialgebra, xi: Cocycle) -> dict[tuple[int, int], PairSV]:
@@ -316,7 +316,7 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
                         ent.witnesses.append((h, i, j))
 
     # delta_{R(x)R} on every basis pair, read by the next four relations
-    drr = {(i, j): braided_coproduct_pair(P, P.yd, P, P.yd._act, i, j)
+    drr = {(i, j): braided_coproduct_pair(P, P.yd, P, P.yd, i, j)
            for i in range(n) for j in range(n)}
     # comultiplicativity: Delta_H xi = (m_H (x) xi)(xi (x) rho_{R(x)R}) delta_{R(x)R}
     ent = rep.add("cocycle_comult_compat", True)
@@ -482,8 +482,10 @@ def bosonization_tensors(P: PreBialgebra,
             for h, c in enumerate(H.unit):
                 if c:
                     unit[kron_index(i, h, nh)] = ci * c
-    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2, the braided tensor coalgebra of R and H
-    co = braided_tensor_coalgebra(P, P.yd, H, H.mult)
+    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2, the braided tensor coalgebra of R and H;
+    # it reads only H's action on itself by multiplication, so H's coaction is left empty
+    H_acting = YDModule(H, nh, H.mult, Tensor3((nh, nh, nh)))
+    co = braided_tensor_coalgebra(P, P.yd, H, H_acting)
     comult, counit = co.comult, co.counit
     sigma = Mat.zero(n, nh)
     u_r = sv_from_dense(P.unit)

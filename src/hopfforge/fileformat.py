@@ -419,14 +419,13 @@ class AlgebraFile:
         yd = YDModule(H, n, action, coaction)
         return PreBialgebra(H, yd, mult, unit, comult, counit)
 
-    def to_cocycle(self, P: Optional[PreBialgebra] = None) -> Cocycle:
-        """The cocycle; with P, its dim and base_dim must be those of R and H."""
+    def to_cocycle(self, P: PreBialgebra) -> Cocycle:
+        """The cocycle on P; its dim and base_dim must be those of R and H."""
         n = self.dim
-        if P is not None:
-            for key, size, of in (("dim", P.dim, "R"), ("base_dim", P.H.dim, "H")):
-                if self._size(key) != size:
-                    raise ParseError(f"{self.path}:{self.header_lines[key]}: {key} {self._size(key)} "
-                                     f"does not match dim {of} = {size}")
+        for key, size, of in (("dim", P.dim, "R"), ("base_dim", P.H.dim, "H")):
+            if self._size(key) != size:
+                raise ParseError(f"{self.path}:{self.header_lines[key]}: {key} {self._size(key)} "
+                                 f"does not match dim {of} = {size}")
         return Cocycle(self._tensor("XI", (n, n, self._size("base_dim"))))
 
     def base_ref(self) -> Optional[str]:

@@ -213,9 +213,9 @@ class _Values:
     `add[a][b]` form each product and sum of two numbered values once.  A
     cell is a vector as a tuple of (index, id) sorted by index, zeros dropped,
     and `cell` gives equal vectors equal cell ids (0 is the zero vector).
-    The table numbers at most `cap` = n nonzero values, and its cells hold
-    at most `cap` (index, id) pairs in all, so it never outgrows the
-    constants the check reads.  A check that needs more raises _Full inside
+    The table numbers at most `cap` = n + 1 nonzero values (room for the
+    constants' values and 1), and its cells hold at most `cap` (index, id)
+    pairs in all, so it never outgrows the constants the check reads.  A check that needs more raises _Full inside
     the table and finishes on the lifted scalars, with the same witnesses.
     Otherwise the check runs on the lifted scalars from the start.
 
@@ -228,7 +228,8 @@ class _Values:
         consts = [c for g in groups for c in g if c]
         M = lcm(1, *{c.L for c in consts})
         self.M = M if M <= conductor_cap() else 0
-        self.n = self.cap = len(consts)
+        self.n = len(consts)
+        self.cap = self.n + 1
         self._drop()
         if self.M:
             self.number(CycScalar.zero(self.M))

@@ -315,13 +315,12 @@ def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModul
     return AlgebraSC(n, mult, unit)
 
 
-def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, act_S: dict,
+def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDModule,
                            i: int, j: int) -> dict[tuple[int, int, int, int], CycScalar]:
     """delta(e_i (x) e_j) in the braided tensor coalgebra R (x) S:
 
     r^(1) (x) r^(2)_(-1) s^(1) (x) r^(2)_0 (x) s^(2), keyed by (r1, s1', r2_0, s2).
-    `act_S` is H's action on S as YDModule._act holds it; the coaction of S
-    is not read.
+    Only the action of VS is read, not its coaction.
     """
     out: dict[tuple[int, int, int, int], CycScalar] = {}
     ds = S.comult_basis(j)
@@ -329,29 +328,26 @@ def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, act_S: 
         co = VR._coact.get(r2, ())
         for (s1, s2), cs in ds.items():
             for h, r20, ch in co:
-                acted = act_S.get((h, s1))
+                acted = VS._act.get((h, s1))
                 if acted:
                     sv_axpy(out, cr * cs * ch, (((r1, s1b, r20, s2), ca) for s1b, ca in acted))
     return out
 
 
-def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, action: Tensor3) -> CoalgebraSC:
-    """Coalgebra on R (x) S via the braiding, for H acting on S by `action`:
+def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDModule) -> CoalgebraSC:
+    """Coalgebra on R (x) S via the braiding (the coaction of VS is not read):
 
     delta(r (x) s) = r^(1) (x) r^(2)_(-1) s^(1) (x) r^(2)_0 (x) s^(2).
     """
-    if VR.dim != R.dim or action.shape[1:] != (S.dim, S.dim):
+    if VR.dim != R.dim or VS.dim != S.dim:
         raise ShapeMismatch("YD carriers must match the coalgebra carriers")
-    act: dict[tuple[int, int], list[tuple[int, CycScalar]]] = {}
-    for (h, s, t), c in action.data.items():
-        act.setdefault((h, s), []).append((t, c))
     n2 = S.dim
     n = R.dim * n2
     comult = Tensor3((n, n, n))
     for k1 in range(R.dim):
         for k2 in range(S.dim):
             src = kron_index(k1, k2, n2)
-            for (r1, s1, r20, s2), c in braided_coproduct_pair(R, VR, S, act, k1, k2).items():
+            for (r1, s1, r20, s2), c in braided_coproduct_pair(R, VR, S, VS, k1, k2).items():
                 comult[(src, kron_index(r1, s1, n2), kron_index(r20, s2, n2))] = c
     counit = [czero()] * n
     for i in range(R.dim):

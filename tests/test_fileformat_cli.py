@@ -79,7 +79,9 @@ def test_golden_parse_print_bit_exact(tmp_path):
             assert out.read_bytes() == path.read_bytes(), path.name
             continue
         if f.kind == "cocycle":
-            write_cocycle(f.to_cocycle(), out, f.conductor, r_ref=f.header["r"],
+            r = AlgebraFile(path.parent / f.header["r"])
+            P = r.to_prebialgebra(AlgebraFile(path.parent / r.base_ref()).to_hopf())
+            write_cocycle(f.to_cocycle(P), out, f.conductor, r_ref=f.header["r"],
                           base_ref=f.base_ref())
             assert out.read_bytes() == path.read_bytes(), path.name
             continue
@@ -263,6 +265,38 @@ def test_huge_dim_is_a_parse_error_before_any_allocation(tmp_path):
     bad.write_text(text.replace("# dim: 12\n", f"# dim: {MAX_SIZE + 1}\n", 1))
     with pytest.raises(ParseError, match=f"{bad}:{line}: dim"):
         AlgebraFile(bad)
+
+
+K2 = """# format: hopfforge-sc v1
+# kind: hopf
+# conductor: 1
+# dim: 1
+# labels: 1
+SECTION MULT
+0 0 0 2
+SECTION UNIT
+0 1/2
+SECTION COMULT
+0 0 0 1/2
+SECTION COUNIT
+0 2
+SECTION ANTIPODE
+0 0 1
+"""
+
+
+@pytest.mark.parametrize("text, code", [
+    (K2, 0),
+    (K2.replace("0 0 0 2\n", "", 1), 1),
+    (K2.replace("0 0 0 2\n", "", 1).replace("0 0 0 1/2\n", "").replace("0 2\n", ""), 1),
+], ids=["k_rescaled_by_2", "empty_mult", "empty_mult_comult_counit"])
+def test_cli_check_structures_with_few_constants(tmp_path, text, code):
+    # these used to end in a traceback from the checkers' value table
+    path = tmp_path / "few.alg"
+    path.write_text(text)
+    assert cli("check", path) == (code, "")
+    H = AlgebraFile(path).to_hopf()
+    assert check_hopf(H).ok == (code == 0)
 
 
 def test_cli_ore_pipeline(tmp_path):

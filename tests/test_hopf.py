@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,41 @@ def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, tables):
     assert [t.entry for t in tables[:1] + tables[2:]] == [False] * 3
 
 
+@pytest.mark.parametrize("name", ["c4min", "b0", "smash36"])
+def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
+    """A rescaled copy is the same structure in another basis, so on the
+    scalar path every check of it forms as many products as the same check
+    of its catalog structure.  (On ids the catalog structure forms each
+    product once, so the two no longer do equal work in `check_hopf`.)"""
+    class Scalars(hopf._Values):
+        def __init__(self, *groups):
+            super().__init__(*groups)
+            self._use_scalars()
+
+    monkeypatch.setattr(hopf, "_Values", Scalars)
+    formed = CycScalar.__mul__
+
+    def products(B):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return formed(a, b)
+
+        CycScalar.__mul__ = CycScalar.__rmul__ = counted
+        try:
+            assert check_hopf(B).ok
+        finally:
+            CycScalar.__mul__ = CycScalar.__rmul__ = formed
+        return len(calls)
+
+    H = catalog.ALL_BUILDERS[name]().ore.O
+    work = products(H)
+    assert work > 0
+    for seed in (1, 2, 3):
+        assert products(bench_module("rescale").rescaled(H, random.Random(seed))) == work
+
+
 def test_row_table_shared_when_nothing_is_lifted(tables):
     R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
     with hopf._Values(hopf._mult_constants(R)) as V:
@@ -562,6 +598,23 @@ def test_conductor_overflow_still_raised_past_the_cap():
     finally:
         set_conductor_cap(old)
     assert conductor_cap() == old
+
+
+def test_tables_with_no_room_for_one_match_oracle(tables):
+    """A table holds the constants' values and 1: k rescaled by 2 (its one
+    constant of each kind is not 1) and a structure with no constants at all
+    used to overflow the table on entry."""
+    from hopfforge.hopf import HopfSC
+    half = rat(Fraction(1, 2))
+    k2 = HopfSC(1, Tensor3((1, 1, 1), {(0, 0, 0): rat(2)}), [half],
+                Tensor3((1, 1, 1), {(0, 0, 0): half}), [rat(2)], Mat.identity(1))
+    empty = HopfSC(2, Tensor3((2, 2, 2)), [rat(1), rat(0)], Tensor3((2, 2, 2)),
+                   [rat(0), rat(0)], Mat.identity(2))
+    for H, ok in ((k2, True), (empty, False)):
+        tables.clear()
+        rep = check_hopf(H)
+        assert rep.ok == ok and entries(rep) == oracle_hopf(H)
+        assert tables[0].entry  # associativity: P = n = 1 for k2, P = n = 0 for empty
 
 
 def test_traced_checks_match_untraced(b0_entry, c4min_entry):

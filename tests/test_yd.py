@@ -173,8 +173,9 @@ def test_smash_product_agrees_with_trivial_bosonization(kc6, qline):
 
 def test_smash_coproduct_agrees_with_trivial_bosonization(kc6, qline):
     from hopfforge.cocycle import Cocycle, bosonize
-    # H acts on itself by multiplication; the adjoint coaction is not read
-    smashco = braided_tensor_coalgebra(qline, qline.yd, kc6, regular_action(kc6))
+    # H acts on itself by multiplication; its coaction is not read, so it is left empty
+    smashco = braided_tensor_coalgebra(qline, qline.yd, kc6,
+                                       YDModule(kc6, kc6.dim, regular_action(kc6), Tensor3((6, 6, 6))))
     bos = bosonize(qline, Cocycle.trivial(qline), verify=False)
     assert smashco.comult == bos.B.comult
     assert check_coalgebra(smashco).ok
