@@ -10,7 +10,11 @@ automatically (capped, see ``set_conductor_cap``); a rational operand
 Internally an element is a vector of integers over a single positive
 denominator, normalized so gcd(den, coefficients) = 1.  That makes the
 representation canonical: two equal field elements at the same conductor
-have identical components.
+have identical components.  Every value is built by one canonical
+constructor, ``_canonical``; ``CycScalar(...)`` validates outside input and
+then goes through it too.  A product at conductor L runs through a
+straight-line kernel generated once from the reduction rows of Phi_L
+(``_product_kernel``) and kept for the rest of the process.
 """
 
 from __future__ import annotations
@@ -214,6 +218,67 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def _canonical(L: int, nums: tuple[int, ...], den: int) -> "CycScalar":
+    """The element nums/den at conductor L (den > 0), in lowest terms."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = tuple([c // g for c in nums])
+    s = object.__new__(CycScalar)
+    s.L, s.den, s.nums = L, den, nums
+    return s
+
+
+def _product_kernel(L: int):
+    """The product at conductor L as one straight-line function of the operands.
+
+    Its source is built from the integers of Phi_L alone: each coefficient of
+    x^m, m >= phi, of the convolution is named once and folded into the output
+    coordinates n0, n1, ... through the row of x^m mod Phi_L.  The tail is
+    ``_canonical`` unrolled over those coordinates.
+    """
+    phi = euler_phi(L)
+    red = _reduction_rows(L)
+
+    def conv(m: int) -> str:
+        return " + ".join(f"a{i} * b{m - i}" for i in range(max(0, m - phi + 1), min(m, phi - 1) + 1))
+
+    def signed(c: int, m: int) -> str:
+        return f" {'+-'[c < 0]} {'' if abs(c) == 1 else f'{abs(c)} * '}c{m}"
+
+    def seq(fmt: str) -> str:
+        return "".join(fmt.format(k) + ", " for k in range(phi))
+
+    src = ["def kernel(a, b):",
+           f"    {seq('a{}')}= a.nums",
+           f"    {seq('b{}')}= b.nums"]
+    src += [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)]
+    src += [f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
+                                        if red[m - phi][k]) for k in range(phi)]
+    src += ["    den = a.den * b.den",
+            f"    g = gcd(den, {seq('n{}')})",
+            "    s = new(CycScalar)",
+            "    if g == 1:",
+            f"        s.L, s.den, s.nums = {L}, den, ({seq('n{}')})",
+            "    else:",
+            f"        s.L, s.den, s.nums = {L}, den // g, ({seq('n{} // g')})",
+            "    return s"]
+    namespace = {"gcd": gcd, "new": object.__new__, "CycScalar": CycScalar}
+    exec(compile("\n".join(src), f"<product kernel at conductor {L}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+class _Kernels(dict):
+    """Product kernels by conductor, each generated on first use."""
+
+    def __missing__(self, L: int):
+        kernel = self[L] = _product_kernel(L)
+        return kernel
+
+
+_KERNELS = _Kernels()
+
+
 Rational = Union[int, Fraction]
 
 
@@ -222,31 +287,17 @@ class CycScalar:
 
     __slots__ = ("L", "den", "nums")
 
-    def __init__(self, L: int, nums: Iterable[int], den: int = 1, _normalized: bool = False):
-        self.L = L
-        if _normalized:
-            self.nums = tuple(nums)
-            self.den = den
-            return
-        nums = list(nums)
+    def __init__(self, L: int, nums: Iterable[int], den: int = 1):
+        nums = tuple(nums)
         phi = euler_phi(L)
         if len(nums) != phi:
             raise ValueError(f"need {phi} coefficients at conductor {L}, got {len(nums)}")
         if den == 0:
             raise DivisionByZero("zero denominator")
         if den < 0:
-            den = -den
-            nums = [-c for c in nums]
-        g = den
-        for c in nums:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            nums = [c // g for c in nums]
-        self.nums = tuple(nums)
-        self.den = den
+            den, nums = -den, tuple([-c for c in nums])
+        c = _canonical(L, nums, den)
+        self.L, self.den, self.nums = L, c.den, c.nums
 
     # -- constructors -------------------------------------------------
 
@@ -259,13 +310,11 @@ class CycScalar:
 
     @staticmethod
     def zero(L: int = 1) -> "CycScalar":
-        return CycScalar(L, [0] * euler_phi(L), 1, _normalized=True)
+        return _canonical(L, (0,) * euler_phi(L), 1)
 
     @staticmethod
     def one(L: int = 1) -> "CycScalar":
-        nums = [0] * euler_phi(L)
-        nums[0] = 1
-        return CycScalar(L, nums, 1, _normalized=True)
+        return _canonical(L, (1,) + (0,) * (euler_phi(L) - 1), 1)
 
     @staticmethod
     def zeta(L: int) -> "CycScalar":
@@ -288,9 +337,7 @@ class CycScalar:
         if M == self.L:
             return self
         if self.L == 1:
-            out = [0] * euler_phi(M)
-            out[0] = self.nums[0]
-            return CycScalar(M, out, self.den, _normalized=True)
+            return _canonical(M, self.nums + (0,) * (euler_phi(M) - 1), self.den)
         if M % self.L != 0:
             raise ValueError(f"cannot promote conductor {self.L} to {M}")
         rows = _promotion_rows(self.L, M)
@@ -302,7 +349,7 @@ class CycScalar:
                 for j in range(phi_m):
                     if row[j]:
                         out[j] += c * row[j]
-        return CycScalar(M, out, self.den)
+        return _canonical(M, tuple(out), self.den)
 
     @staticmethod
     def _common(a: "CycScalar", b: "CycScalar") -> tuple["CycScalar", "CycScalar"]:
@@ -392,15 +439,15 @@ class CycScalar:
         else:
             a, b = CycScalar._common(self, other)
         if a.den == b.den:
-            return CycScalar(a.L, [x + y for x, y in zip(a.nums, b.nums)], a.den, _normalized=a.den == 1)
+            return _canonical(a.L, tuple([x + y for x, y in zip(a.nums, b.nums)]), a.den)
         g = gcd(a.den, b.den)
         fa, fb = b.den // g, a.den // g
-        return CycScalar(a.L, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], a.den * fa)
+        return _canonical(a.L, tuple([x * fa + y * fb for x, y in zip(a.nums, b.nums)]), a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.L, [-c for c in self.nums], self.den, _normalized=True)
+        return _canonical(self.L, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -420,37 +467,11 @@ class CycScalar:
             if other is NotImplemented:
                 return NotImplemented
         if self.L == other.L:
-            a, b = self, other
-        elif self.L == 1 or other.L == 1:
+            return _KERNELS[self.L](self, other)
+        if self.L == 1 or other.L == 1:
             return _rational_product(self, other)
-        else:
-            a, b = CycScalar._common(self, other)
-        an, bn = a.nums, b.nums
-        phi = len(an)
-        if phi == 1:
-            out = [an[0] * bn[0]]
-        else:
-            conv = [0] * (2 * phi - 1)
-            for i in range(phi):
-                ai = an[i]
-                if ai:
-                    for j in range(phi):
-                        bj = bn[j]
-                        if bj:
-                            conv[i + j] += ai * bj
-            out = conv[:phi]
-            if any(conv[phi:]):
-                red = _reduction_rows(a.L)
-                for k in range(phi, 2 * phi - 1):
-                    ck = conv[k]
-                    if ck:
-                        row = red[k - phi]
-                        for j in range(phi):
-                            if row[j]:
-                                out[j] += ck * row[j]
-        den = a.den * b.den
-        # integral operands give an integral, hence already normalized, product
-        return CycScalar(a.L, out, den, _normalized=den == 1)
+        a, b = CycScalar._common(self, other)
+        return _KERNELS[a.L](a, b)
 
     __rmul__ = __mul__
 
@@ -580,21 +601,19 @@ def _rational_sum(a: CycScalar, b: CycScalar) -> CycScalar:
     """a + b: the rational shifts the constant coordinate of the other."""
     r, v = _rational_first(a, b)
     if r.den == v.den:
-        nums = list(v.nums)
-        nums[0] += r.nums[0]
-        return CycScalar(v.L, nums, v.den, _normalized=v.den == 1)
+        return _canonical(v.L, (v.nums[0] + r.nums[0],) + v.nums[1:], v.den)
     g = gcd(r.den, v.den)
     fr, fv = v.den // g, r.den // g
     nums = [x * fv for x in v.nums]
     nums[0] += r.nums[0] * fr
-    return CycScalar(v.L, nums, r.den * fr)
+    return _canonical(v.L, tuple(nums), r.den * fr)
 
 
 def _rational_product(a: CycScalar, b: CycScalar) -> CycScalar:
     """a * b: the rational scales the coefficients of the other."""
     r, v = _rational_first(a, b)
-    c, den = r.nums[0], r.den * v.den
-    return CycScalar(v.L, [c * x for x in v.nums], den, _normalized=den == 1)
+    c = r.nums[0]
+    return _canonical(v.L, tuple([c * x for x in v.nums]), r.den * v.den)
 
 
 def _rational_equal(a: CycScalar, b: CycScalar) -> bool:

@@ -79,6 +79,19 @@ def test_division_by_zero():
         rat(1) / rat(0)
     with pytest.raises(DivisionByZero):
         CycScalar.zero(6).inverse()
+    with pytest.raises(DivisionByZero):
+        CycScalar(6, [1, 2], 0)
+
+
+def test_constructor_checks_outside_input():
+    # a wrong coefficient count is refused; a negative denominator is folded
+    # into the sign, and the result is in lowest terms
+    for L, nums in ((6, [1]), (6, [1, 2, 3]), (12, [0, 0, 0]), (1, [])):
+        with pytest.raises(ValueError):
+            CycScalar(L, nums)
+    assert triple(CycScalar(6, [2, -4], -6)) == (6, 3, (-1, 2))
+    assert triple(CycScalar(12, (0, 0, 0, 0), -5)) == (12, 1, (0, 0, 0, 0))
+    assert triple(CycScalar(1, iter([-3]), -9)) == (1, 3, (1,))
 
 
 def test_conductor_promotion_and_cap():
@@ -90,8 +103,11 @@ def test_conductor_promotion_and_cap():
     old = conductor_cap()
     try:
         set_conductor_cap(10)
-        with pytest.raises(ConductorOverflow):
-            CycScalar.zeta(3) * CycScalar.zeta(4)
+        for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a == b):
+            with pytest.raises(ConductorOverflow):
+                op(CycScalar.zeta(3), CycScalar.zeta(4))
+            with pytest.raises(ConductorOverflow):
+                op(CycScalar.zeta(4), CycScalar(3, [1, 2], 5))
     finally:
         set_conductor_cap(old)
 
@@ -194,7 +210,7 @@ def _random_scalar(rng, L):
 
 def test_field_axioms_randomized():
     rng = random.Random(20260809)
-    conductors = [1, 2, 3, 4, 6, 12]
+    conductors = sorted(set([2] + ORACLE_CONDUCTORS))
     for trial in range(1000):
         L = conductors[trial % len(conductors)]
         a, b, c = (_random_scalar(rng, L) for _ in range(3))
@@ -296,7 +312,9 @@ def test_rational_operand_respects_the_conductor_cap():
 
 # -- sympy oracle for the multiply ----------------------------------------------
 
-ORACLE_CONDUCTORS = [1, 4, 6, 12]
+# Each conductor has its own generated product kernel: a prime, prime powers,
+# products of primes, and phi(L) up to 8.
+ORACLE_CONDUCTORS = [1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24]
 
 
 @pytest.fixture(scope="module")
@@ -305,13 +323,22 @@ def sympy():
 
 
 @st.composite
-def oracle_operand(draw, integral):
-    """A CycScalar at one of ORACLE_CONDUCTORS, often with zero coefficients."""
-    L = draw(st.sampled_from(ORACLE_CONDUCTORS))
+def oracle_operand(draw, integral, conductors=ORACLE_CONDUCTORS):
+    """A CycScalar at one of the conductors, often with zero coefficients."""
+    L = draw(st.sampled_from(conductors))
     phi = euler_phi(L)
-    nums = draw(st.lists(st.integers(-4, 4), min_size=phi, max_size=phi))
+    nums = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
     den = 1 if integral else draw(st.integers(2, 12))
     return CycScalar(L, nums, den)
+
+
+@st.composite
+def oracle_pair(draw, integral):
+    """(a, b) whose lcm conductor is again one of ORACLE_CONDUCTORS; a mixed
+    pair is promoted there (4 and 6 to 12, 5 and 3 to 15, 3 and 8 to 24)."""
+    a = draw(oracle_operand(integral))
+    return a, draw(oracle_operand(integral, [L for L in ORACLE_CONDUCTORS
+                                             if a.L * L // gcd(a.L, L) in ORACLE_CONDUCTORS]))
 
 
 def sympy_coords(sympy, a, b, op):
@@ -332,11 +359,10 @@ def sympy_coords(sympy, a, b, op):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.booleans().flatmap(lambda integral: st.tuples(
-    st.just(integral), oracle_operand(integral), oracle_operand(integral))))
+@given(st.booleans().flatmap(lambda integral: st.tuples(st.just(integral), oracle_pair(integral))))
 def test_mul_add_match_sympy_remainder(sympy, case):
-    # integral operands take the den == 1 shortcuts, the others the gcd paths
-    integral, a, b = case
+    # integral operands give integral results, the others reduce by a gcd
+    integral, (a, b) = case
     for result, op in ((a * b, lambda p, q: p * q), (a + b, lambda p, q: p + q)):
         M, expect = sympy_coords(sympy, a, b, op)
         assert result.L == M

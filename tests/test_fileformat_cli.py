@@ -1,16 +1,22 @@
+import contextlib
+import io
+import random
+import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfforge.cyclotomic import CycScalar
+from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.fileformat import (
     AlgebraFile, ParseError, format_scalar, parse_scalar, write_cocycle, write_hopf,
     write_prebialgebra,
 )
-from hopfforge.hopf import check_hopf, group_algebra_cyclic
+from hopfforge.hopf import check_hopf, group_algebra_cyclic, group_algebra_product_cyclic
 from hopfforge.linalg import Mat
 from hopfforge.cli import main
 from hopfforge.reports import Report
@@ -368,3 +374,103 @@ def test_cli_entry_point_subprocess():
 
 def test_cli_unknown_example():
     assert main(["example", "nosuch"]) == 2
+
+
+# -- round trip and seeded mutations -------------------------------------------
+
+@st.composite
+def scaled_group_algebra(draw):
+    """A group algebra of a product of cyclic groups whose antipode columns and
+    counit entries are scaled by drawn scalars at its conductor."""
+    H = group_algebra_product_cyclic(draw(st.sampled_from([[2], [3], [4], [2, 2], [2, 3]])),
+                                     conductor=draw(st.integers(1, 12)))
+    phi = euler_phi(H.conductor)
+    scalar = st.builds(lambda nums, den: CycScalar(H.conductor, nums, den),
+                       st.lists(st.integers(-6, 6), min_size=phi, max_size=phi), st.integers(1, 12))
+    for a in range(H.dim):
+        s = draw(scalar)
+        for row in H.antipode.rows:
+            row[a] = row[a] * s
+    H.counit = [draw(scalar) for _ in range(H.dim)]
+    return H
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_group_algebra())
+def test_rewriting_a_parsed_file_is_byte_identical(H):
+    def written(rows):
+        return {key: (c.L, c.den, c.nums) for key, c in rows if c}
+
+    with tempfile.TemporaryDirectory() as d:
+        first, second = Path(d) / "H.alg", Path(d) / "again.alg"
+        write_hopf(H, first)
+        parsed = AlgebraFile(first).to_hopf()
+        write_hopf(parsed, second)
+        assert first.read_bytes() == second.read_bytes()
+    L = H.conductor
+    for table, again in ((H.mult.data, parsed.mult.data), (H.comult.data, parsed.comult.data)):
+        assert written(again.items()) == written((k, c.promote(L)) for k, c in table.items())
+    for vec, again in ((H.unit, parsed.unit), (H.counit, parsed.counit)):
+        assert written(enumerate(again)) == written((i, c.promote(L)) for i, c in enumerate(vec))
+    cells = [((i, j), c) for i, row in enumerate(H.antipode.rows) for j, c in enumerate(row)]
+    again = [((i, j), c) for i, row in enumerate(parsed.antipode.rows) for j, c in enumerate(row)]
+    assert written(again) == written((key, c.promote(L)) for key, c in cells)
+
+
+MUTANT_TOKENS = ["x", "1/0", "z^99", "3/", "1.5", "-", ""]
+MUTANT_LINES = ["SECTION MULT", "SECTION UNIT", "SECTION COMULT", "SECTION ANTIPODE",
+                "SECTION GROUPLIKE g1", "SECTION NOPE", "SECTION", "# dim: 3", "# dim: 0",
+                "# dim: x", "# conductor: 5", "# conductor: 0", "# kind: cocycle",
+                "# base: missing.alg"]
+
+
+def mutate(lines, rng):
+    """One to three edits: a token replaced, a line dropped or duplicated, a
+    row with an index out of range, or a SECTION or header line inserted."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(5)
+        if edit == 0:
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(MUTANT_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif edit == 1:
+            del lines[i]
+        elif edit == 2:
+            lines.insert(i, lines[i])
+        elif edit == 3:
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(["99", "-1", "1024", "12"])
+            lines.insert(i, " ".join(tokens))
+        else:
+            lines.insert(i, rng.choice(MUTANT_LINES))
+        lines = lines or [""]
+    return lines
+
+
+def test_seeded_mutations_end_in_an_exit_code(tmp_path):
+    # every golden file, mutated in turn, through the CLI command that reads it
+    # (a cocycle file through bosonize, the others through check)
+    for path in GOLDEN.glob("*.alg"):
+        shutil.copy(path, tmp_path / path.name)
+    argvs = {path.name: ["bosonize", str(tmp_path / "qline6_r.alg"), str(tmp_path / path.name)]
+             if AlgebraFile(path).kind == "cocycle" else ["check", str(tmp_path / path.name)]
+             for path in sorted(GOLDEN.glob("*.alg"))}
+    names = list(argvs)
+    rng = random.Random(0)
+    codes = {0: 0, 1: 0, 2: 0}
+    for k in range(300):
+        name = names[k % len(names)]
+        text = (GOLDEN / name).read_text()
+        mutant = "\n".join(mutate(text.split("\n"), rng))
+        (tmp_path / name).write_text(mutant)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argvs[name])
+            except Exception as exc:  # a traceback in place of an exit code
+                pytest.fail(f"{name} mutated to\n{mutant}\nraised {exc!r}")
+        assert rc in codes, (name, mutant, rc)
+        codes[rc] += 1
+        (tmp_path / name).write_text(text)
+    assert min(codes.values()) > 0, codes
