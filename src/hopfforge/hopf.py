@@ -171,6 +171,9 @@ class HopfSC(BialgebraSC):
 # (a failing associativity scan stops at its eighth witness).  Each reads its
 # constants through one value table, `_Values`, so no product or sum in its
 # loops promotes, and when the constants take few values the loops run on ids.
+# Associativity and the multiplicativity of Delta and eps have loops of their
+# own on ids, which form what depends only on a cell once per cell; the other
+# loops are written over the table's arithmetic and run on either path.
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
@@ -560,7 +563,14 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
 
 
 def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
-    """Every (i, j) where Delta, and where eps, fails to be multiplicative."""
+    """Every (i, j) where Delta, and where eps, fails to be multiplicative.
+
+    On ids the loops are `_numbered_bialgebra`'s; on scalars each pair forms
+    Delta(e_i e_j), eps(e_i e_j) and Delta(e_i) Delta(e_j) from the table's
+    `times`, `plus` and `axpy`.
+    """
+    if V.numbered:
+        return _numbered_bialgebra(V, B)
     n, times, plus, axpy = B.dim, V.times, V.plus, V.axpy
     T, D = V.table(B), V.coproducts(B)
     counit = [V.lift(c) for c in B.counit]
@@ -583,6 +593,54 @@ def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
                 if counit[k]:
                     lhs = plus(lhs, times(counit[k], c))
             if lhs != times(counit[i], counit[j]):
+                bad_counit.append((i, j))
+    return comult, bad_counit
+
+
+def _numbered_bialgebra(V: _Values, B: BialgebraSC) -> tuple[list, list]:
+    """Both multiplicativity loops on ids, with B (x) B keyed by x n + y.
+
+    Delta(e_i e_j) and eps(e_i e_j) depend only on the cell of e_i e_j, so
+    both are formed once per cell.  The terms of Delta(e_i) Delta(e_j) are
+    gathered pair by pair, each coefficient read straight from the product
+    memo, and summed by one `axpy` call per (i, j).
+    """
+    n, mul, add, one, axpy = B.dim, V.mul, V.add, V.one, V.axpy
+    C, D = V.cell_table(B), V.coproducts(B)
+    cells = V.cells
+    # each cell's terms with x n in place of x: Delta(e_i) Delta(e_j) is keyed by x n + y
+    shifted = [tuple((x * n, c) for x, c in cell) for cell in cells]
+    flat = [tuple((x * n + y, c) for (x, y), c in d) for d in D]
+    counit = [V.lift(c) for c in B.counit]
+
+    def of_cell(cell: int) -> tuple[dict, int]:
+        delta, eps = {}, 0
+        for m, c in cells[cell]:
+            axpy(delta, c, flat[m])
+            if counit[m]:
+                eps = add[eps][mul[counit[m]][c]]
+        return delta, eps
+
+    by_cell = _Lazy(of_cell)
+    comult, bad_counit = [], []
+    for i in range(n):
+        Ci, eps_i = C[i], mul[counit[i]]
+        di = [(C[a1], C[a2], mul[ca]) for (a1, a2), ca in D[i]]
+        for j in range(n):
+            dj = D[j]
+            terms = [(xn + y, mul[mul[cx][c]][cy])
+                     for C1, C2, mca in di
+                     for (b1, b2), cb in dj
+                     for left in (C1[b1],) if left
+                     for right in (C2[b2],) if right
+                     for c in (mca[cb],)
+                     for xn, cx in shifted[left] for y, cy in cells[right]]
+            rhs: dict[int, int] = {}
+            axpy(rhs, one, terms)
+            delta, eps = by_cell[Ci[j]]
+            if delta != rhs:
+                comult.append((i, j))
+            if eps != eps_i[counit[j]]:
                 bad_counit.append((i, j))
     return comult, bad_counit
 

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,16 +283,16 @@ def oracle_pair_product(B, da, db):
     return out
 
 
+def comult_failures(B):
+    """Every (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j), product by product."""
+    return [(i, j) for i in range(B.dim) for j in range(B.dim)
+            if B.comult_sv(B.mul_basis(i, j))
+            != oracle_pair_product(B, B.comult_basis(i), B.comult_basis(j))]
+
+
 def oracle_comult_is_algebra_map(B):
-    ok, witnesses = True, []
-    for i in range(B.dim):
-        for j in range(B.dim):
-            lhs = B.comult_sv(B.mul_basis(i, j))
-            if lhs != oracle_pair_product(B, B.comult_basis(i), B.comult_basis(j)):
-                ok = False
-                if len(witnesses) < 8:
-                    witnesses.append((i, j))
-    return ok, witnesses
+    failures = comult_failures(B)
+    return not failures, failures[:8]
 
 
 def oracle_antipode(B, S):
@@ -548,11 +549,15 @@ def counting(monkeypatch, op):
     return calls
 
 
-def test_value_table_forms_each_product_once(monkeypatch):
+@pytest.mark.parametrize("build", [lambda: catalog.smash36().ore.O, lambda: ore_lambda_one_dim18()],
+                         ids=["smash36", "ore_dim18"])
+def test_value_table_forms_each_product_once(build, monkeypatch):
     """Every product and sum of two numbered values is formed once per check,
     in whichever order the check asks for it, up to the end of the check:
-    smash36's bialgebra check used to stop interning its products part-way."""
-    B = catalog.smash36().ore.O
+    smash36's bialgebra check used to stop interning its products part-way.
+    The dim-18 Ore extension has two-term cells, whose Delta and eps are
+    formed once per cell."""
+    B = build()
     with hopf._Values(hopf._mult_constants(B), hopf._comult_constants(B), B.counit) as V:
         assert V.numbered
         products, sums = counting(monkeypatch, "__mul__"), counting(monkeypatch, "__add__")
@@ -693,11 +698,44 @@ def test_two_term_rows_match_oracle(how):
         assert entries(rep) == oracle_hopf(A)
 
 
-def with_mult(H, key, value):
+def with_constant(H, tensor, key, value):
+    """H with the constant at `key` of its "mult" or "comult" tensor set to value."""
     from hopfforge.hopf import HopfSC
-    data = dict(H.mult.data)
-    data[key] = value
-    return HopfSC(H.dim, Tensor3(H.mult.shape, data), H.unit, H.comult, H.counit, H.antipode)
+    T = getattr(H, tensor)
+    T2 = Tensor3(T.shape, {**T.data, key: value})
+    mult, comult = (T2, H.comult) if tensor == "mult" else (H.mult, T2)
+    return HopfSC(H.dim, mult, H.unit, comult, H.counit, H.antipode)
+
+
+@pytest.mark.parametrize("tensor", ["mult", "comult"])
+def test_multi_term_cells_match_oracle(tensor):
+    """On ids Delta(e_i e_j) and eps(e_i e_j) are formed once per cell.  The
+    two-term cell e_0 - e_3 (1 - g^3) is e_i e_j for four pairs (i, j).
+    Doubling its e_3 term at one pair (MULT) gives that pair a cell of its
+    own, on which Delta and eps both fail.  Moving Delta(e_3) (COMULT)
+    changes Delta of the shared cell, so one failing cell serves four pairs."""
+    O = ore_lambda_one_dim18()
+    n = O.dim
+    cell, uses = Counter(cell for row in O._rows for cell in row if len(cell) == 2).most_common(1)[0]
+    pairs = [(i, j) for i in range(n) for j in range(n) if O._rows[i][j] == cell]
+    assert uses == len(pairs) == 4
+    m, c = cell[1]
+    i, j = pairs[0]
+    if tensor == "mult":
+        B = with_constant(O, "mult", (i, j, m), c * rat(2))
+        assert (i, j) in comult_failures(B)
+    else:
+        key = min(k for k in O.comult.data if k[0] == m)
+        B = with_constant(O, "comult", key, O.comult.data[key] + rat(1))
+        assert set(pairs) <= set(comult_failures(B))
+    R = bench_module("rescale").rescaled(B, random.Random(11))
+    for A in (B, R):  # on ids, and on scalars
+        groups = (hopf._mult_constants(A), hopf._comult_constants(A), A.counit)
+        assert hopf._Values(*groups).numbered == (A is B)
+        rep = check_hopf(A)
+        assert not rep.entry("comult_is_algebra_map").ok
+        assert rep.entry("counit_is_algebra_map").ok == (tensor == "comult")
+        assert entries(rep) == oracle_hopf(A)
 
 
 def test_mismatch_inside_a_cell_sum_matches_oracle():
@@ -710,7 +748,7 @@ def test_mismatch_inside_a_cell_sum_matches_oracle():
         (i, j, k, x, m1) for i in range(n) for j in range(n) if len(O._rows[i][j]) == 2
         for (m1, _), (m2, _) in [O._rows[i][j]] for k in range(n)
         for x in sorted(dict(O._rows[m1][k]).keys() & dict(O._rows[m2][k]).keys()))
-    B = with_mult(O, (m1, k, x), O.mult.data[m1, k, x] * rat(2))
+    B = with_constant(O, "mult", (m1, k, x), O.mult.data[m1, k, x] * rat(2))
     failures = oracle_failures(B)
     assert (i, j, k) in failures
     assert list(hopf.associativity_failures(B)) == failures
@@ -727,7 +765,7 @@ def test_mismatch_only_at_the_last_k_matches_oracle():
     O = ore_lambda_one_dim18()
     n = O.dim
     a, x = next((a, x) for a in range(n) for x, _ in O._rows[a][n - 1])
-    B = with_mult(O, (a, n - 1, x), O.mult.data[a, n - 1, x] * rat(2))
+    B = with_constant(O, "mult", (a, n - 1, x), O.mult.data[a, n - 1, x] * rat(2))
     failures = oracle_failures(B)
     last_only = [(i, j) for i in range(n) for j in range(n)
                  if [k for i2, j2, k in failures if (i2, j2) == (i, j)] == [n - 1]]
@@ -761,21 +799,42 @@ def capped(monkeypatch):
 def test_check_crossing_the_cap_equals_oracle(capped, monkeypatch):
     """A check whose table fills up part-way finishes on scalars with the
     witnesses it would have found on ids; associativity goes on from the row
-    it had reached, between two of its witnesses."""
+    it had reached, between two of its witnesses, and the multiplicativity
+    loops start again on scalars, also after filling the table inside the
+    comultiplicativity loop of a structure whose Delta fails."""
     resumed, scan = [], hopf._scalar_associativity
 
     def recorded(T, n, i0=0, j0=0):
         resumed.append((i0, j0))
         return scan(T, n, i0, j0)
 
+    # for each bialgebra table that fills on ids: whether its loop had formed products
+    in_loop, loop = [], hopf._numbered_bialgebra
+
+    def recorded_loop(V, B):
+        try:
+            return loop(V, B)
+        except hopf._Full:
+            in_loop.append(any(V.mul))
+            raise
+
     monkeypatch.setattr(hopf, "_scalar_associativity", recorded)
+    monkeypatch.setattr(hopf, "_numbered_bialgebra", recorded_loop)
     O = ore_lambda_one_dim18()
     B = tampered_mult(O, "scalar", 1)
+    # K C_12 with Delta(g^k) scaled by 2^k: Delta(g^a) Delta(g^b) has 2^(a+b), and
+    # a + b >= 12 gives the loop values 2^12 ... 2^22 that the table never read
+    kc12 = group_algebra_cyclic(12)
+    D = hopf.HopfSC(12, kc12.mult, kc12.unit, Tensor3(kc12.comult.shape, {
+        k: c * rat(2) ** k[0] for k, c in kc12.comult.data.items()}), kc12.counit, kc12.antipode)
+    assert comult_failures(D)
     failures = oracle_failures(B)
     for frac in (0.01, 0.1, 0.4, 0.6):
         capped.frac = frac
         assert entries(check_hopf(O)) == oracle_hopf(O)
         assert entries(check_hopf(B)) == oracle_hopf(B)
         assert list(hopf.associativity_failures(B)) == failures
+        assert entries(check_hopf(D)) == oracle_hopf(D)
     assert capped.crossings and all(capped.crossings)
     assert any(failures[0][:2] < row < failures[-1][:2] for row in resumed)
+    assert any(in_loop)
