@@ -120,12 +120,8 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
                 target[(h, i)] = c * ci
     rep.add("unit_coaction_invariant", P.yd.coact(u) == target)
     # unit is group-like for delta
-    duu = {}
-    for i, ci in u.items():
-        for j, cj in u.items():
-            v = ci * cj
-            if v:
-                duu[(i, j)] = v
+    duu: PairSV = {}
+    sv_outer_axpy(duu, cone(), u, u)
     rep.add("unit_comult", P.comult_sv(u) == duu)
     rep.add("unit_counit", P.counit_sv(u).is_one())
     # m is H-linear: h.m(r (x) s) = sum m(h1 r (x) h2 s)

@@ -21,8 +21,8 @@ from .hopf import (
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
-    basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale,
-    sv_to_dense, vec_eq, zeros,
+    basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_outer_axpy,
+    sv_scale, sv_to_dense, vec_eq, zeros,
 )
 from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, retraction_diagnostics
 from .reports import CheckReport
@@ -338,9 +338,7 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
     # degenerate N=1: O = H and y = lambda(1 - g)
     y = {kron_index(1, i, nh): ci for i, ci in H.unit_sv().items()} if N > 1 else sigma.apply_sv(z)
     s_y = sv_scale(O.mul_sv(sigma.apply_sv(H.antipode_sv(sv_from_dense(c.datum.g))), y), -cone())
-    s_y_pows = [O.unit_sv()]
-    for _ in range(N - 1):
-        s_y_pows.append(O.mul_sv(s_y_pows[-1], s_y))
+    s_y_pows = O.powers_sv(s_y, N)
     for j, sh in enumerate(H.antipode.sparse_cols()):
         sigma_sh = sigma.apply_sv(sh)
         for a in range(N):
@@ -390,9 +388,7 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
     """Compare induced structures on coinvariants span{y^a} with R_q."""
     O, H, N = ore.O, ore.base, ore.N
     ys = sv_from_dense(ore.y_vec)
-    y_pows = [O.unit_sv()]
-    for _ in range(N - 1):
-        y_pows.append(O.mul_sv(y_pows[-1], ys))
+    y_pows = O.powers_sv(ys, N)
     # tau(v) = v1 sigma S p(v2); products tau(y^a . y^b) must equal quantum-line mult
     sS = ore.sigma @ H.antipode
     sSp = [sS.apply_sv(col) for col in ore.p.sparse_cols()]  # the columns of sigma S p
@@ -435,9 +431,7 @@ def ore_cocycle_table(ore: OreHopf) -> dict[tuple[int, int], SVec]:
     """xi(y^a (x) y^b) = p(y^a . y^b) for 0 <= a, b <= N-1."""
     O = ore.O
     ys = sv_from_dense(ore.y_vec)
-    y_pows = [O.unit_sv()]
-    for _ in range(ore.N - 1):
-        y_pows.append(O.mul_sv(y_pows[-1], ys))
+    y_pows = O.powers_sv(ys, ore.N)
     out = {}
     for a in range(ore.N):
         for b in range(ore.N):
@@ -468,21 +462,13 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
         raise HypothesisViolation("ore_power", "b^N != lambda(1 - f(g)^N)")
     d_b = B.comult_sv(bs)
     expect: dict[tuple[int, int], CycScalar] = {}
-    for i, ci in bs.items():
-        for j, cj in B.unit_sv().items():
-            expect[(i, j)] = expect.get((i, j), czero()) + ci * cj
-    for i, ci in sv_from_dense(fg).items():
-        for j, cj in bs.items():
-            key = (i, j)
-            expect[key] = expect.get(key, czero()) + ci * cj
-    expect = {k: v for k, v in expect.items() if v}
+    sv_outer_axpy(expect, cone(), bs, B.unit_sv())
+    sv_outer_axpy(expect, cone(), sv_from_dense(fg), bs)
     if d_b != expect:
         raise HypothesisViolation("ore_coproduct", "Delta(b) != b (x) 1 + f(g) (x) b")
     nh = H.dim
     fhat = Mat.zero(B.dim, ore.dim)
-    b_pows = [B.unit_sv()]
-    for _ in range(N - 1):
-        b_pows.append(B.mul_sv(b_pows[-1], bs))
+    b_pows = B.powers_sv(bs, N)
     for a in range(N):
         for j in range(nh):
             img = B.mul_sv(b_pows[a], fcols[j])

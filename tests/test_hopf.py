@@ -18,6 +18,7 @@ from hopfforge.hopf import (
 from hopfforge.linalg import (
     Mat, Subspace, Tensor3, basis_vec, cone, sv_add_into, sv_from_dense, sv_scale, zeros,
 )
+from hopfforge.reports import CheckReport
 
 
 def rat(x):
@@ -438,24 +439,19 @@ def triple(s):
 
 @pytest.fixture
 def tables(monkeypatch):
-    """Every value table the checks of the test make, once its check has ended.
-    `entry`: numbered on entry; `fell`: fell back to scalars part-way;
-    `at_exit`: (values numbered, cells, (index, id) pairs held) at the end."""
+    """Every value table the checks of the test make, in the order they are
+    made.  `entry`: numbered on entry; `fell`: fell back to scalars part-way."""
     seen = []
 
     class Recorded(hopf._Values):
         def __init__(self, *groups):
             super().__init__(*groups)
             self.entry, self.fell = self.numbered, False
-
-        def _use_scalars(self):
-            self.fell = getattr(self, "entry", False)
-            super()._use_scalars()
-
-        def __exit__(self, *exc):
-            self.at_exit = (len(self.values) - 1, len(self.cells) - 1, self.held)
-            super().__exit__(*exc)
             seen.append(self)
+
+        def _drop(self):
+            self.fell = getattr(self, "entry", False)
+            super()._drop()
 
     monkeypatch.setattr(hopf, "_Values", Recorded)
     return seen
@@ -469,10 +465,15 @@ def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, tables):
     tables.clear()  # a first build of the catalog entry runs checks of its own
     rep = check_hopf(H)
     assert rep.ok
-    # algebra, coalgebra, bialgebra and antipode tables, each within its cap
-    assert [(t.entry, t.fell) for t in tables] == [(True, False)] * 4
-    assert all(t.at_exit[0] <= t.cap and t.at_exit[2] <= t.cap for t in tables)
-    assert tables[0].at_exit[1] > 0  # associativity compared rows of cells
+    # the algebra and bialgebra tables, each within its cap
+    assert [(t.entry, t.fell) for t in tables] == [(True, False)] * 2
+    assert all(len(t.values) - 1 <= t.cap and t.held <= t.cap for t in tables)
+    assert len(tables[0].cells) > 1  # associativity compared rows of cells
+    # the coalgebra and antipode checks run on lifted scalars and make no table
+    tables.clear()
+    assert hopf.check_coalgebra(H).ok
+    hopf._antipode_axiom_entry(CheckReport("antipode"), H, H.antipode)
+    assert tables == []
     R = bench_module("rescale").rescaled(H, random.Random(7))
     if name in ("kc12n6", "xmas"):
         # their scalar checks take seconds: read the gate of the associativity table alone
@@ -481,8 +482,8 @@ def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, tables):
     assert entries(rep) == oracle_hopf(H)
     tables.clear()
     assert entries(check_hopf(R)) == oracle_hopf(R)
-    # distinct constants: the tables reading MULT stay on scalars
-    assert [t.entry for t in tables[:1] + tables[2:]] == [False] * 3
+    # distinct constants: both tables read MULT and stay on scalars
+    assert [t.entry for t in tables] == [False] * 2
 
 
 @pytest.mark.parametrize("name", ["c4min", "b0", "smash36"])
@@ -494,7 +495,7 @@ def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
     class Scalars(hopf._Values):
         def __init__(self, *groups):
             super().__init__(*groups)
-            self._use_scalars()
+            self._drop()
 
     monkeypatch.setattr(hopf, "_Values", Scalars)
     formed = CycScalar.__mul__
@@ -522,18 +523,18 @@ def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
 
 def test_row_table_shared_when_nothing_is_lifted(tables):
     R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
-    with hopf._Values(hopf._mult_constants(R)) as V:
-        assert not V.numbered and {c.L for c in hopf._mult_constants(R)} == {V.M}
-        assert V.table(R) is R._rows
+    V = hopf._Values(hopf._mult_constants(R))
+    assert not V.numbered and {c.L for c in hopf._mult_constants(R)} == {V.M}
+    assert V.table(R) is R._rows
     H = catalog.b0().ore.O
     tables.clear()
     for B in (R, H):
         assert entries(check_hopf(B)) == oracle_hopf(B)
-    # every table is dropped when its check ends: no value, memo or cell outlives it
-    assert any(t.entry for t in tables)
+    # R's tables are off ids and hold no value, memo or cell; H's run on ids
+    assert [t.numbered for t in tables] == [False, False, True, True]
     assert all(t.values == [] and t.ids == {} and t.raw == {} and t.mul == [] and t.add == []
-               and t.cells == [()] and t.scaled == {} and t.sums == {} and t.times is None
-               for t in tables)
+               and t.cells == [()] and t.scaled == {} and t.sums == {}
+               for t in tables[:2])
     assert "products" not in CycScalar.__slots__
 
 
@@ -558,15 +559,15 @@ def test_value_table_forms_each_product_once(build, monkeypatch):
     The dim-18 Ore extension has two-term cells, whose Delta and eps are
     formed once per cell."""
     B = build()
-    with hopf._Values(hopf._mult_constants(B), hopf._comult_constants(B), B.counit) as V:
-        assert V.numbered
-        products, sums = counting(monkeypatch, "__mul__"), counting(monkeypatch, "__add__")
-        assert V.run(hopf._bialgebra_failures, B) == ([], [])
-        monkeypatch.undo()
-        assert V.numbered and len(V.values) - 1 <= V.cap
-        for calls, memos in ((products, V.mul), (sums, V.add)):
-            pairs = {frozenset((a, b)) for a, memo in enumerate(memos) for b in memo}
-            assert len(calls) == len(pairs) > 0
+    V = hopf._Values(hopf._mult_constants(B), hopf._comult_constants(B), B.counit)
+    assert V.numbered
+    products, sums = counting(monkeypatch, "__mul__"), counting(monkeypatch, "__add__")
+    assert hopf._bialgebra_failures(V, B) == ([], [])
+    monkeypatch.undo()
+    assert V.numbered and len(V.values) - 1 <= V.cap
+    for calls, memos in ((products, V.mul), (sums, V.add)):
+        pairs = {frozenset((a, b)) for a, memo in enumerate(memos) for b in memo}
+        assert len(calls) == len(pairs) > 0
 
 
 def test_rational_operand_product_is_memoized(monkeypatch):
@@ -574,14 +575,14 @@ def test_rational_operand_product_is_memoized(monkeypatch):
     product with a conductor-6 value is formed once, in either order, and is
     the product of the raw operands."""
     r, v = CycScalar(1, [3], 2), CycScalar.zeta(6) + CycScalar.from_rational(1)
-    with hopf._Values([r, v, r, v]) as V:  # P = 2 distinct values among n = 4
-        assert V.numbered and V.M == 6
-        a, b = V.lift(r), V.lift(v)
-        calls = counting(monkeypatch, "__mul__")
-        p = V.times(a, b)
-        assert V.times(a, b) == V.times(b, a) == p and len(calls) == 1
-        monkeypatch.undo()
-        assert triple(V.values[p]) == triple(r * v) == triple(CycScalar._common(r, v)[0] * v)
+    V = hopf._Values([r, v, r, v])  # P = 2 distinct values among n = 4
+    assert V.numbered and V.M == 6
+    a, b = V.lift(r), V.lift(v)
+    calls = counting(monkeypatch, "__mul__")
+    p = V.mul[a][b]
+    assert V.mul[a][b] == V.mul[b][a] == p and len(calls) == 1
+    monkeypatch.undo()
+    assert triple(V.values[p]) == triple(r * v) == triple(CycScalar._common(r, v)[0] * v)
 
 
 def test_conductor_overflow_still_raised_past_the_cap():
@@ -590,7 +591,8 @@ def test_conductor_overflow_still_raised_past_the_cap():
     z4, z6 = CycScalar.zeta(4), CycScalar.zeta(6)
     T = Tensor3((2, 2, 2), {(0, 0, 0): z4, (0, 0, 1): z6, (1, 1, 0): z4, (1, 1, 1): z6})
     H = HopfSC(2, T, basis_vec(2, 0), T, [z4, z6], Mat.identity(2))
-    assert not check_hopf(H).ok  # lcm conductor 12: lifted, checked, fails
+    # lcm conductor 12: lifted, checked, fails with the oracle's witnesses
+    assert entries(check_hopf(H)) == oracle_hopf(H)
     old = conductor_cap()
     try:
         set_conductor_cap(10)
@@ -787,10 +789,10 @@ def capped(monkeypatch):
             super().__init__(*groups)
             self.cap = int(self.n * self.frac)
 
-        def _use_scalars(self):
-            if self.numbered:
+        def _drop(self):
+            if getattr(self, "numbered", False):
                 Capped.crossings.append(self.held > 0 or any(self.mul))
-            super()._use_scalars()
+            super()._drop()
 
     monkeypatch.setattr(hopf, "_Values", Capped)
     return Capped
