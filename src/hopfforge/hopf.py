@@ -8,6 +8,7 @@ as report entries with witnesses, never as silent errors.
 from __future__ import annotations
 
 import operator
+import weakref
 from itertools import islice, product
 from math import lcm
 from typing import Iterable, Iterator, Optional
@@ -259,6 +260,9 @@ class _Values(_Lifted):
         super().__init__(consts)
         self.n = len(consts)
         self.cap = self.n + 1
+        # the memos reach the table through a weak proxy, so the table is freed
+        # as soon as its check lets go of it, not at a later cycle collection
+        self._me = weakref.proxy(self)
         self._drop()
         if self.M:
             self.number(CycScalar.zero(self.M))
@@ -270,9 +274,9 @@ class _Values(_Lifted):
                         return
             self.numbered = True
             self.one = self.number(CycScalar.one(self.M))
-            self.scaled = _Lazy(lambda ax: self.cell(
-                (k, self.mul[ax[0]][v]) for k, v in self.cells[ax[1]]))
-            self.sums = _Lazy(self._sum_cells)
+            me = self._me
+            self.scaled = _Lazy(lambda ax: me.cell((k, me.mul[ax[0]][v]) for k, v in me.cells[ax[1]]))
+            self.sums = _Lazy(lambda xy: me._sum_cells(xy))
 
     def _drop(self) -> None:
         """Go over to the lifted scalars: drop every value, memo and cell."""
@@ -299,8 +303,9 @@ class _Values(_Lifted):
                 raise _Full
             self.ids[key] = i
             self.values.append(v)
-            self.mul.append(_Lazy(lambda b, a=i: self._form(operator.mul, self.mul, a, b)))
-            self.add.append(_Lazy(lambda b, a=i: self._form(operator.add, self.add, a, b)))
+            me = self._me
+            self.mul.append(_Lazy(lambda b, a=i: me._form(operator.mul, me.mul, a, b)))
+            self.add.append(_Lazy(lambda b, a=i: me._form(operator.add, me.add, a, b)))
         return i
 
     def _form(self, op, memo: list, a: int, b: int) -> int:

@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -521,20 +523,30 @@ def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
         assert products(bench_module("rescale").rescaled(H, random.Random(seed))) == work
 
 
-def test_row_table_shared_when_nothing_is_lifted(tables):
+def test_row_table_shared_when_nothing_is_lifted(monkeypatch):
     R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
     V = hopf._Values(hopf._mult_constants(R))
     assert not V.numbered and {c.L for c in hopf._mult_constants(R)} == {V.M}
     assert V.table(R) is R._rows
     H = catalog.b0().ore.O
-    tables.clear()
-    for B in (R, H):
-        assert entries(check_hopf(B)) == oracle_hopf(B)
-    # R's tables are off ids and hold no value, memo or cell; H's run on ids
-    assert [t.numbered for t in tables] == [False, False, True, True]
-    assert all(t.values == [] and t.ids == {} and t.raw == {} and t.mul == [] and t.add == []
-               and t.cells == [()] and t.scaled == {} and t.sums == {}
-               for t in tables[:2])
+    made = []
+
+    class Watched(hopf._Values):
+        def __init__(self, *groups):
+            super().__init__(*groups)
+            made.append((self.numbered, weakref.ref(self)))
+
+    monkeypatch.setattr(hopf, "_Values", Watched)
+    gc.disable()
+    try:
+        for B in (R, H):
+            assert entries(check_hopf(B)) == oracle_hopf(B)
+    finally:
+        gc.enable()
+    # every table is freed when its check ends, with the cycle collector off:
+    # no value, memo or cell outlives it
+    assert [numbered for numbered, _ in made] == [False, False, True, True]
+    assert all(ref() is None for _, ref in made)
     assert "products" not in CycScalar.__slots__
 
 
