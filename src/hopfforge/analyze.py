@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
@@ -421,10 +421,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     d_sv = [sv_from_dense(v) for v in basis.d]
     y_pows = [sv_from_dense(v) for v in basis.y_powers()]
 
-    def xi_of(a: SVec, b: SVec) -> SVec:
-        return xi.eval(a, b)
-
-    table = {(a, b): xi_of(y_pows[a], y_pows[b]) for a in range(N) for b in range(N)}
+    table = {(a, b): xi.eval(y_pows[a], y_pows[b]) for a in range(N) for b in range(N)}
     # support: xi(d_a (x) d_b) = 0 unless a+b in {0, N/2, N, 3N/2}
     allowed = {0, N}
     if N % 2 == 0:
@@ -433,12 +430,12 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     support_ok = True
     for a in range(N):
         for b in range(N):
-            if (a + b) not in allowed and xi_of(d_sv[a], d_sv[b]):
+            if (a + b) not in allowed and xi.eval(d_sv[a], d_sv[b]):
                 support_ok = False
     # x and its claims
     rep = CheckReport("claims about x")
     if N % 2 == 0:
-        x_sv = xi_of(d_sv[1], d_sv[N // 2 - 1]) if N > 1 else {}
+        x_sv = xi.eval(d_sv[1], d_sv[N // 2 - 1]) if N > 1 else {}
     else:
         x_sv = {}
     x = sv_to_dense(x_sv, H.dim)
@@ -481,7 +478,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     if N % 2 == 0 and N >= 2:
         vals = []
         for a in range(1, N // 2):
-            vals.append(xi_of(y_pows[a], y_pows[N // 2 - a]))
+            vals.append(xi.eval(y_pows[a], y_pows[N // 2 - a]))
         expect_half = sv_scale(x_sv, q_factorial(N // 2 - 1, q))
         half_const = all(v == expect_half for v in vals)
         half_val = sv_to_dense(expect_half, H.dim)
@@ -489,7 +486,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     x2_zero = not H.mul_sv(x_sv, x_sv)
     full_const: Optional[bool] = None
     if N % 2 == 1 or x2_zero:
-        vals = [xi_of(y_pows[a], y_pows[N - a]) for a in range(1, N)]
+        vals = [xi.eval(y_pows[a], y_pows[N - a]) for a in range(1, N)]
         full_const = all(v == vals[0] for v in vals)
     three_half: Optional[bool] = None
     if N % 2 == 0 and x_zero:
@@ -497,7 +494,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
         for a in range(1, N):
             b = 3 * N // 2 - a
             if 1 <= b <= N - 1:
-                tvals.append(xi_of(y_pows[a], y_pows[b]))
+                tvals.append(xi.eval(y_pows[a], y_pows[b]))
         three_half = all(not v for v in tvals)
     elif N % 2 == 1:
         three_half = True
@@ -507,7 +504,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     table_ok: Optional[bool] = None
     licensed = s.H_finite_dim or s.H_cosemisimple
     if licensed and (N % 2 == 1 or x2_zero):
-        raw = xi_of(y_pows[1], y_pows[N - 1]) if N > 1 else {}
+        raw = xi.eval(y_pows[1], y_pows[N - 1]) if N > 1 else {}
         z = H.one_minus_pow_sv(sv_from_dense(basis.g), N)
         if not z:
             # g^N = 1: the value must vanish and lambda is forced to 0
@@ -528,7 +525,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
             table_ok = True
             for a in range(N):
                 for b in range(N):
-                    got = xi_of(y_pows[a], y_pows[b])
+                    got = xi.eval(y_pows[a], y_pows[b])
                     if a == 0 and b == 0:
                         expect_t = H.unit_sv()
                     elif a + b == N and a and b:
@@ -581,15 +578,13 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         half = xi.eval(sv_from_dense(y_pows[1]), sv_from_dense(y_pows[N // 2 - 1])) if N > 1 else {}
         b_item = not half
     # (c): powers in R vs powers in A
-    y_in_A = _embed(ind, basis.y)
     pow_cmp = []
     r_pow: SVec = sv_from_dense(pre.unit)
     a_pow: SVec = sv_from_dense(list(A.unit))
     ys_r = sv_from_dense(basis.y)
-    ys_a = sv_from_dense(y_in_A)
+    ys_a = _combine(ys_r, ind.basis)
     for n_ in range(N):
-        r_in_a = _embed_sv(ind, r_pow)
-        pow_cmp.append(r_in_a == a_pow)
+        pow_cmp.append(_combine(r_pow, ind.basis) == a_pow)
         r_pow = pre.mul_sv(r_pow, ys_r)
         a_pow = A.mul_sv(a_pow, ys_a)
     c_item = all(pow_cmp)
@@ -643,20 +638,12 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
                           consequence)
 
 
-def _embed(ind: InducedPreBialgebra, r_coords: Vec) -> Vec:
-    out = zeros(ind.setup.A.dim)
-    for k, c in enumerate(r_coords):
-        if c:
-            for i, b in enumerate(ind.basis[k]):
-                if b:
-                    out[i] = out[i] + c * b
-    return out
-
-
-def _embed_sv(ind: InducedPreBialgebra, r_sv: SVec) -> SVec:
+def _combine(coeffs: SVec, vectors: Sequence[Vec]) -> SVec:
+    """sum_k c_k v_k over the sparse coefficients c, as a sparse vector; with
+    the induced basis as the v_k this embeds an element of R in A."""
     acc: SVec = {}
-    for k, c in r_sv.items():
-        sv_add_into(acc, sv_from_dense(ind.basis[k]), c)
+    for k, c in coeffs.items():
+        sv_axpy(acc, c, ((i, b) for i, b in enumerate(vectors[k]) if b))
     return acc
 
 
@@ -822,21 +809,16 @@ def classify(s: ProjectionSetup):
             if row:
                 rows.append(row)
     sol = kernel_from_sparse_rows(rows, amb)
-    y_in_A = _embed(ind, basis.y)
+    y_in_A = _combine(sv_from_dense(basis.y), ind.basis)
+    piv = min(y_in_A)
     z_vec: Optional[Vec] = None
     for cand_coords in sol.rows:
-        cand = zeros(A.dim)
-        for kk, c in enumerate(cand_coords):
-            if c:
-                for i, b in enumerate(sk.rows[kk]):
-                    if b:
-                        cand[i] = cand[i] + c * b
+        cand_sv = _combine(sv_from_dense(cand_coords), sk.rows)
         # normalize: coefficient along y equal to 1 (measured at y's pivot)
-        piv = next(i for i, c in enumerate(y_in_A) if c)
-        if not cand[piv]:
+        if piv not in cand_sv:
             continue
-        scale = y_in_A[piv] / cand[piv]
-        cand = [scale * c for c in cand]
+        scale = y_in_A[piv] / cand_sv[piv]
+        cand = [scale * c for c in sv_to_dense(cand_sv, A.dim)]
         # z must satisfy the power condition; try it
         try:
             iso = universal_map(ore, A, s.sigma, cand)

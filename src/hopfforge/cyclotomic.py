@@ -373,37 +373,24 @@ class CycScalar:
         return self
 
     def _try_express_at(self, d: int) -> Optional["CycScalar"]:
+        from .linalg import echelon  # linalg imports this module
         rows = _promotion_rows(d, self.L)
-        phi_d, phi_L = euler_phi(d), euler_phi(self.L)
-        # solve sum_i x_i * rows[i] = self.coeffs() over Q
-        aug = [[Fraction(rows[i][j]) for i in range(phi_d)] + [Fraction(self.nums[j], self.den)]
-               for j in range(phi_L)]
-        ncols = phi_d
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for rr in range(r, len(aug)):
-                if aug[rr][c] != 0:
-                    pr = rr
-                    break
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            pv = aug[r][c]
-            aug[r] = [x / pv for x in aug[r]]
-            for rr in range(len(aug)):
-                if rr != r and aug[rr][c] != 0:
-                    f = aug[rr][c]
-                    aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-            pivots.append(c)
-            r += 1
-        for rr in range(r, len(aug)):
-            if aug[rr][ncols] != 0:
-                return None
-        sol = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            sol[c] = aug[i][ncols]
+        phi_d = euler_phi(d)
+        # solve sum_i x_i * rows[i] = self over Q, one equation per coordinate
+        # of Q(zeta_L); the right-hand side is column phi_d
+        eqs = []
+        for j, c in enumerate(self.nums):
+            eq = {i: CycScalar.from_rational(rows[i][j]) for i in range(phi_d) if rows[i][j]}
+            if c:
+                eq[phi_d] = CycScalar.from_rational(Fraction(c, self.den))
+            eqs.append(eq)
+        piv = echelon(eqs)
+        if phi_d in piv:
+            return None
+        sol = [Fraction(0)] * phi_d
+        for i, r in piv.items():
+            if phi_d in r:
+                sol[i] = r[phi_d].as_rational()
         den = 1
         for f in sol:
             den = _lcm(den, f.denominator)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from .cyclotomic import CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
-    ShapeMismatch, basis_vec, cone, czero, dot, kernel_from_sparse_rows,
+    ShapeMismatch, basis_vec, cone, czero, dot, echelon, kernel_from_sparse_rows,
     sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
 )
 from .reports import MAX_WITNESSES, CheckReport
@@ -79,10 +79,7 @@ class AlgebraSC:
         return out
 
     def pow_sv(self, a: SVec, n: int) -> SVec:
-        result = self.unit_sv()
-        for _ in range(n):
-            result = self.mul_sv(result, a)
-        return result
+        return self.powers_sv(a, n + 1)[-1]
 
     def one_minus_pow_sv(self, a: SVec, n: int, scale: Optional[CycScalar] = None) -> SVec:
         """1 - a^n, times `scale` when one is given."""
@@ -735,9 +732,10 @@ ANTIPODE_SOLVE_DIM_CAP = 24
 def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> Optional[Mat]:
     """Solve m(S (x) id)Delta = u eps = m(id (x) S)Delta for the antipode matrix.
 
-    Returns None when the system is inconsistent (no antipode).  The dense
-    solve is quadratic in dim^2, so it is capped; structured constructors
-    carry closed-form antipodes instead.
+    Returns None when the system is inconsistent (no antipode).  The sparse
+    solve has dim^2 unknowns and up to that many pivot rows, so it is capped;
+    structured constructors carry closed-form antipodes instead.  An antipode
+    is unique, so a consistent system has no free unknowns.
     """
     n = B.dim
     if n > dim_cap:
@@ -764,19 +762,15 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
                     r[n * n] = target
                 if r:
                     aug_rows.append(r)
-    sub = kernel_from_sparse_rows(aug_rows, n * n + 1)
-    # solutions of Ax = b correspond to kernel vectors with last coord -1
-    particular = None
-    for v in sub.rows:
-        if v[n * n]:
-            particular = [(-x / v[n * n]) for x in v[: n * n]]
-            break
-    if particular is None:
+    piv = echelon(aug_rows)
+    if n * n in piv:
         return None
+    # x[p * n + s] = S[s][p] is the rhs of its pivot row, every free unknown 0
     S = Mat.zero(n, n)
-    for p in range(n):
-        for s in range(n):
-            S.rows[s][p] = particular[p * n + s]
+    for ps, r in piv.items():
+        if n * n in r:
+            p, s = divmod(ps, n)
+            S.rows[s][p] = r[n * n]
     return S
 
 

@@ -218,56 +218,54 @@ class Mat:
         return all(not a for r in self.rows for a in r)
 
     def rank(self) -> int:
-        rows, pivots = rref([list(r) for r in self.rows])
-        return len(pivots)
+        return len(echelon(sv_from_dense(r) for r in self.rows))
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(r) + basis_vec(n, i) for i, r in enumerate(self.rows)]
-        rows, pivots = rref(aug)
-        if pivots != list(range(n)):
+        piv = echelon({**sv_from_dense(r), n + i: _ONE} for i, r in enumerate(self.rows))
+        if any(p >= n for p in piv):
             raise ValueError("matrix is singular")
-        return Mat([r[n:] for r in rows])
+        return Mat([sv_to_dense({j - n: c for j, c in piv[p].items() if j >= n}, n)
+                    for p in range(n)], n, n)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
 
-def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+def echelon(rows: Iterable[SVec]) -> dict[int, SVec]:
+    """The reduced row echelon form of sparse rows, as {pivot column: row}.
 
-    Pivot selection: least column index, first nonzero row.  Exact
-    arithmetic needs no numerical pivoting, so this is deterministic.
+    Each incoming row is reduced by the pivot rows found so far, the
+    remainder is scaled to 1 at its least column, and that column is cleared
+    from the other pivot rows.  The reduced echelon form of a row space is
+    unique, so the result does not depend on the order or scale of the rows.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c]:
-                pr = rr
-                break
-        if pr is None:
+    piv: dict[int, SVec] = {}
+    for raw in rows:
+        row = dict(raw)
+        for p, c in [(p, c) for p, c in row.items() if p in piv]:
+            sv_axpy(row, -c, piv[p].items())
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if not pv.is_one():
-            inv = pv.inverse()
-            rows[r] = [inv * x for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c]:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
+        p = min(row)
+        if not row[p].is_one():
+            row = sv_scale(row, row[p].inverse())
+        for other in piv.values():
+            c = other.get(p)
+            if c:
+                sv_axpy(other, -c, row.items())
+        piv[p] = row
+    return piv
+
+
+def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
+    """In-place reduced row echelon form of dense rows; returns (rows, pivot columns)."""
+    ncols = len(rows[0]) if rows else 0
+    piv = echelon(sv_from_dense(r) for r in rows)
+    pivots = sorted(piv)
+    rows[:] = [sv_to_dense(piv[p], ncols) for p in pivots]
     return rows, pivots
 
 
@@ -281,7 +279,6 @@ class Subspace:
         for r in work:
             if len(r) != ambient:
                 raise ShapeMismatch("basis vector has wrong ambient dimension")
-        work = [r for r in work if not vec_is_zero(r)]
         self.ambient = ambient
         self.rows, self.pivots = rref(work)
 
@@ -352,15 +349,13 @@ def solve(A: Mat, b: Vec) -> Optional[Vec]:
     """One exact solution of A x = b, or None when inconsistent."""
     if len(b) != A.nrows:
         raise ShapeMismatch("rhs dimension mismatch")
-    aug = [list(r) + [b[i]] for i, r in enumerate(A.rows)]
-    rows, pivots = rref(aug)
     n = A.ncols
-    for r, p in zip(rows, pivots):
-        if p == n:
-            return None
+    piv = echelon(sv_from_dense(list(r) + [b[i]]) for i, r in enumerate(A.rows))
+    if n in piv:
+        return None
     x = zeros(n)
-    for r, p in zip(rows, pivots):
-        x[p] = r[n]
+    for p, r in piv.items():
+        x[p] = r.get(n, _ZERO)
     return x
 
 
@@ -378,10 +373,11 @@ class CoordinateMap:
     def __init__(self, basis: Sequence[Vec]):
         m = len(basis)
         n = len(basis[0]) if m else 0
-        rows, pivots = rref([list(b) + basis_vec(m, k) for k, b in enumerate(basis)])
-        if len(pivots) < m or (m and pivots[-1] >= n):
+        piv = echelon({**sv_from_dense(b), n + k: _ONE} for k, b in enumerate(basis))
+        if any(p >= n for p in piv):
             raise ValueError("coordinate basis is linearly dependent")
-        self.rows = [(p, sv_from_dense(r[:n]), sv_from_dense(r[n:])) for r, p in zip(rows, pivots)]
+        self.rows = [(p, {j: c for j, c in r.items() if j < n},
+                      {j - n: c for j, c in r.items() if j >= n}) for p, r in sorted(piv.items())]
 
     def __call__(self, v: SVec) -> Optional[SVec]:
         """x with v = sum_k x_k b_k, or None when v is off the span."""
@@ -419,18 +415,7 @@ class CoordinateMap:
 
 
 def kernel(A: Mat) -> Subspace:
-    rows, pivots = rref([list(r) for r in A.rows])
-    n = A.ncols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = zeros(n)
-        v[fc] = _ONE
-        for r, p in zip(rows, pivots):
-            if r[fc]:
-                v[p] = -r[fc]
-        basis.append(v)
-    return Subspace(n, basis)
+    return _kernel_of_echelon(echelon(sv_from_dense(r) for r in A.rows), A.ncols)
 
 
 def image(A: Mat) -> Subspace:
@@ -456,44 +441,24 @@ def preimage(f: Mat, W: Subspace) -> Subspace:
 def kernel_from_sparse_rows(rows: Iterable[SVec], n: int) -> Subspace:
     """Kernel of a (possibly huge) stack of sparse equation rows over K^n.
 
-    Rows are reduced incrementally against at most n pivot rows, so the
-    cost tracks the nonzero structure instead of the row count.
+    ``echelon`` keeps at most n pivot rows, so the cost tracks the nonzero
+    structure instead of the row count.
     """
-    pivot_rows: dict[int, SVec] = {}
-    for raw in rows:
-        row = dict(raw)
-        while row:
-            c = min(row)
-            pr = pivot_rows.get(c)
-            if pr is None:
-                pv = row[c]
-                if not pv.is_one():
-                    inv = pv.inverse()
-                    row = {k: inv * v for k, v in row.items()}
-                pivot_rows[c] = row
-                break
-            sv_add_into(row, pr, -row[c])
-        # fully reduced to zero: dependent row, discard
-    # back-substitute to reduced form
-    for c in sorted(pivot_rows, reverse=True):
-        r = pivot_rows[c]
-        for c2 in sorted(pivot_rows):
-            if c2 >= c:
-                break
-            r2 = pivot_rows[c2]
-            if c in r2:
-                sv_add_into(r2, r, -r2[c])
-    pivots = sorted(pivot_rows)
-    free = [c for c in range(n) if c not in pivot_rows]
+    return _kernel_of_echelon(echelon(rows), n)
+
+
+def _kernel_of_echelon(piv: dict[int, SVec], n: int) -> Subspace:
+    """The kernel read off reduced pivot rows over K^n: each free column f
+    gives e_f - sum_p r_p[f] e_p."""
     basis = []
-    for fc in free:
-        v = zeros(n)
-        v[fc] = _ONE
-        for p in pivots:
-            coeff = pivot_rows[p].get(fc)
-            if coeff:
-                v[p] = -coeff
-        basis.append(v)
+    for f in range(n):
+        if f not in piv:
+            v = zeros(n)
+            v[f] = _ONE
+            for p, r in piv.items():
+                if f in r:
+                    v[p] = -r[f]
+            basis.append(v)
     return Subspace(n, basis)
 
 

@@ -146,8 +146,8 @@ def test_tau_identities(xmas_pi_analysis, xmas_entry):
             prod_A = A.mul_sv(ri, rj)
             m_R = tau.apply_sv(prod_A)
             # m(r,s) expressed through the pre-bialgebra equals tau(r .A s)
-            from hopfforge.analyze import _embed_sv
-            assert _embed_sv(ind, ind.pre.mul_sv({i: cone()}, {j: cone()})) == m_R
+            from hopfforge.analyze import _combine
+            assert _combine(ind.pre.mul_sv({i: cone()}, {j: cone()}), ind.basis) == m_R
 
 
 def test_induced_structures_ore_is_quantum_line(b0_entry, c4min_entry, smash36_entry):

@@ -8,8 +8,9 @@ from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
     CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
-    basis_vec, cone, czero, image, kernel, kernel_from_sparse_rows, map_tensor_product,
-    preimage, rref, solve, sv_from_dense, sv_to_dense, vec_eq, zeros,
+    basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
+    preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, vec_eq, vec_is_zero,
+    zeros,
 )
 
 
@@ -95,12 +96,80 @@ def test_preimage_wedge_oracle_kc2():
     assert got == Subspace(2, [basis_vec(2, 0)])
 
 
+def reference_rref(rows):
+    """Dense Gauss-Jordan, independent of linalg.echelon: pivot on the first
+    nonzero row of the least column left, then clear that column everywhere."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((rr for rr in range(r, len(rows)) if rows[rr][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c]:
+                f = rows[rr][c]
+                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_kernel(m, n):
+    """Echelon rows and pivots of the kernel of the dense rows m over K^n."""
+    rows, pivots = reference_rref(m)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = zeros(n)
+        v[f] = cone()
+        for r, p in zip(rows, pivots):
+            v[p] = -r[f]
+        basis.append(v)
+    return reference_rref(basis)
+
+
 def test_kernel_from_sparse_rows_matches_dense():
     rng = random.Random(17)
-    for _ in range(10):
-        m = rand_mat(rng, 6, 5)
+    for trial in range(24):
+        nrows, n = rng.randrange(1, 8), rng.randrange(1, 8)
+        if trial % 2:   # rank at most k: a product of two thin factors
+            k = rng.randrange(1, n + 1)
+            m = sparse_mixed_mat(rng, nrows, k + 1, 0.8) @ sparse_mixed_mat(rng, k + 1, n, 0.8)
+        else:
+            m = sparse_mixed_mat(rng, nrows, n, 0.7)
         sparse_rows = [{j: c for j, c in enumerate(row) if c} for row in m.rows]
-        assert kernel_from_sparse_rows(sparse_rows, 5) == kernel(m)
+        got = kernel_from_sparse_rows(sparse_rows, n)
+        ref_rows, ref_pivots = reference_kernel(m.rows, n)
+        assert got.pivots == ref_pivots
+        assert all(vec_eq(a, b) for a, b in zip(got.rows, ref_rows))
+        assert got == kernel(m)
+        assert all(vec_is_zero(m.apply(v)) for v in got.rows)
+
+
+def test_echelon_is_canonical():
+    """Shuffled rows, rows scaled by nonzero zeta-multiples and rows with a
+    linear combination of them appended all give the same pivot rows."""
+    rng = random.Random(19)
+    z = CycScalar.zeta(12)
+    for trial in range(20):
+        nrows, n = rng.randrange(1, 7), rng.randrange(1, 8)
+        rows = [sv_from_dense(r) for r in sparse_mixed_mat(rng, nrows, n).rows]
+        want = echelon(rows)
+        ref_rows, ref_pivots = reference_rref([sv_to_dense(r, n) for r in rows])
+        assert sorted(want) == ref_pivots
+        assert all(vec_eq(sv_to_dense(want[p], n), r) for p, r in zip(ref_pivots, ref_rows))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert echelon(shuffled) == want
+        scales = [rat(rng.choice([1, -2, 3])) * z ** rng.randrange(12) for _ in rows]
+        assert echelon([sv_scale(r, c) for r, c in zip(rows, scales)]) == want
+        combo: dict = {}
+        for r in rows:
+            sv_axpy(combo, z ** rng.randrange(12) * rat(rng.randrange(-2, 3)), r.items())
+        assert echelon(rows + [combo]) == want
+        assert echelon([combo] + rows) == want
 
 
 def test_coordinate_map_on_non_echelon_bases():
@@ -203,13 +272,13 @@ def reference_matmul(A, B):
     return out
 
 
-def sparse_mixed_mat(rng, nrows, ncols):
+def sparse_mixed_mat(rng, nrows, ncols, density=0.4):
     """Mostly zero, entries at conductors 1, 4, 6 and 12, with one all-zero
     row and one all-zero column when the shape allows."""
     def entry():
         L = rng.choice([1, 1, 4, 6, 12])
         return CycScalar(L, [rng.randrange(-2, 3) for _ in range(euler_phi(L))], rng.choice([1, 2, 3]))
-    rows = [[entry() if rng.random() < 0.4 else czero() for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[entry() if rng.random() < density else czero() for _ in range(ncols)] for _ in range(nrows)]
     if nrows and ncols:
         zr, zc = rng.randrange(nrows), rng.randrange(ncols)
         rows[zr] = [czero()] * ncols
@@ -272,22 +341,45 @@ def test_sparse_accumulation_lives_in_the_kernels():
     assert sorted(found) == sorted(kernels)
 
 
+def calls_by_function(path):
+    """(innermost enclosing function, called name) for every call in a file;
+    functions are named with their class, as "Mat.rank"."""
+    found = set()
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                visit(child, name + ".", name if isinstance(child, ast.FunctionDef) else owner)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                found.add((owner, f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)))
+            visit(child, prefix, owner)
+
+    visit(ast.parse(path.read_text()), "", None)
+    return found
+
+
 def test_one_echelon_routine_and_no_private_imports():
-    """rref is called only inside linalg.py, and no module of the package
-    imports a _-prefixed name from another, so a second coordinate solver
+    """Every exact solve goes through linalg.echelon: in linalg.py only
+    echelon inverts a pivot, rref (its dense wrapper) is called only inside
+    linalg.py, and each solver calls echelon or rref.  No module of the
+    package imports a _-prefixed name from another, so a second solver
     cannot come back unnoticed."""
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
-    rref_callers, private_imports = [], []
+    calls, private_imports = {}, []
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-                if name == "rref":
-                    rref_callers.append(path.name)
+        calls[path.name] = calls_by_function(path)
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("hopfforge")):
                 private_imports += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
-    assert set(rref_callers) == {"linalg.py"}
+    assert {f for f, name in calls["linalg.py"] if name == "inverse"} == {"echelon"}
+    assert {m for m, c in calls.items() if any(name == "rref" for _, name in c)} == {"linalg.py"}
+    solvers = {("linalg.py", f) for f in ("rref", "kernel_from_sparse_rows", "kernel", "solve",
+                                         "Mat.rank", "Mat.inverse", "CoordinateMap.__init__")}
+    solvers |= {("hopf.py", "compute_antipode"), ("cyclotomic.py", "CycScalar._try_express_at")}
+    eliminating = {(m, f) for m, c in calls.items() for f, name in c if name in ("echelon", "rref")}
+    assert solvers - eliminating == set()
     assert private_imports == []
