@@ -283,6 +283,15 @@ class Subspace:
         self.rows, self.pivots = rref(work)
 
     @staticmethod
+    def _of_echelon(ambient: int, piv: dict[int, SVec]) -> "Subspace":
+        """The span of the pivot rows that ``echelon`` returned, which are
+        already its reduced row-echelon basis."""
+        S = Subspace.__new__(Subspace)
+        S.ambient, S.pivots = ambient, sorted(piv)
+        S.rows = [sv_to_dense(piv[p], ambient) for p in S.pivots]
+        return S
+
+    @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(n, [basis_vec(n, i) for i in range(n)])
 
@@ -450,16 +459,9 @@ def kernel_from_sparse_rows(rows: Iterable[SVec], n: int) -> Subspace:
 def _kernel_of_echelon(piv: dict[int, SVec], n: int) -> Subspace:
     """The kernel read off reduced pivot rows over K^n: each free column f
     gives e_f - sum_p r_p[f] e_p."""
-    basis = []
-    for f in range(n):
-        if f not in piv:
-            v = zeros(n)
-            v[f] = _ONE
-            for p, r in piv.items():
-                if f in r:
-                    v[p] = -r[f]
-            basis.append(v)
-    return Subspace(n, basis)
+    free = ({**{p: -r[f] for p, r in sorted(piv.items()) if f in r}, f: _ONE}
+            for f in range(n) if f not in piv)
+    return Subspace._of_echelon(n, echelon(free))
 
 
 class Tensor3:
