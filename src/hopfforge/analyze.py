@@ -23,7 +23,7 @@ from .hopf import (
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
-    cone, czero, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy,
+    cone, czero, image, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy,
     sv_scale, sv_to_dense, vec_eq, zeros,
 )
 from .cocycle import (
@@ -102,11 +102,9 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     rep.add("info_pi_algebra_map", True, detail=f"algebra_map={diag['algebra_map']}")
     # pi(r sigma(h)) = eps(r) h on a computed basis of the coinvariants
     if rep.ok:
-        R_rows = coinvariants(s).rows
         ent = rep.add("pi_normal_on_coinvariants", True)
         scols = sigma.sparse_cols()
-        for r in R_rows:
-            rs = sv_from_dense(r)
+        for rs in coinvariants(s).pivot_rows.values():
             er = A.counit_sv(rs)
             for h in range(H.dim):
                 lhs = pi.apply_sv(A.mul_sv(rs, scols[h]))
@@ -321,10 +319,10 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     thin = exhausts and F0.dim == 1 and prim.dim == 1
     if not thin:
         return False, None, None
-    y = list(prim.rows[0])
+    (ys,) = prim.pivot_rows.values()
+    y = sv_to_dense(ys, n)
     H = ind.setup.H
     # chi from h . y = chi(h) y; g from rho(y) = g (x) y
-    ys = sv_from_dense(y)
     chi = zeros(H.dim)
     for h in range(H.dim):
         img = pre.yd.act({h: cone()}, ys)
@@ -759,7 +757,7 @@ def wedge_layer_of_sigma(s: ProjectionSetup) -> Subspace:
     """sigma(H) wedge sigma(H) inside A (the degree-one layer of the
     sigma(H)-filtration; equals the coradical layer A_1 in the pointed
     connected situations the catalog guarantees)."""
-    sigmaH = Subspace(s.A.dim, [s.sigma.col(j) for j in range(s.H.dim)])
+    sigmaH = image(s.sigma)
     return wedge(s.A, sigmaH, sigmaH)
 
 
@@ -794,13 +792,12 @@ def classify(s: ProjectionSetup):
     # linear constraints: sigma(h) z = z sigma(phi(h)) for all basis h
     phi1 = phi_power(H, basis.chi, 1)
     rows: list[SVec] = []
-    amb = sk.dim
+    zs = list(sk.pivot_rows.values())
     for h in range(H.dim):
         sh = s.sigma.apply_sv({h: cone()})
         sph = s.sigma.apply_sv(sv_from_dense(phi1.col(h)))
         diffs = []
-        for kk in range(amb):
-            zk = sv_from_dense(sk.rows[kk])
+        for zk in zs:
             diff = A.mul_sv(sh, zk)
             sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
             diffs.append(diff)
@@ -808,12 +805,14 @@ def classify(s: ProjectionSetup):
             row: SVec = {kk: diff[t] for kk, diff in enumerate(diffs) if t in diff}
             if row:
                 rows.append(row)
-    sol = kernel_from_sparse_rows(rows, amb)
+    sol = kernel_from_sparse_rows(rows, len(zs))
     y_in_A = _combine(sv_from_dense(basis.y), ind.basis)
     piv = min(y_in_A)
     z_vec: Optional[Vec] = None
-    for cand_coords in sol.rows:
-        cand_sv = _combine(sv_from_dense(cand_coords), sk.rows)
+    for cand_coords in sol.pivot_rows.values():
+        cand_sv: SVec = {}
+        for kk, c in cand_coords.items():
+            sv_axpy(cand_sv, c, zs[kk].items())
         # normalize: coefficient along y equal to 1 (measured at y's pivot)
         if piv not in cand_sv:
             continue

@@ -964,18 +964,14 @@ def skew_primitives(C: CoalgebraSC, g: Vec, h: Vec,
             if not verify_group_like(bial, v):
                 raise NotGroupLike("skew primitives need group-like reference vectors")
     n = C.dim
+    gs, hs = sv_from_dense(g), sv_from_dense(h)
     rows: dict[tuple[int, int], SVec] = {}
     for k in range(n):
         items: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
         # subtract e_k (x) h + g (x) e_k
-        delta: dict[tuple[int, int], CycScalar] = {}
-        for j, cj in enumerate(h):
-            if cj:
-                delta[(k, j)] = cj
-        for i, ci in enumerate(g):
-            if ci:
-                key = (i, k)
-                delta[key] = delta.get(key, czero()) + ci
+        delta = {(k, j): cj for j, cj in hs.items()}
+        for i, ci in gs.items():
+            delta[(i, k)] = delta.get((i, k), czero()) + ci
         sv_axpy(items, -cone(), delta.items())
         for key, c in items.items():
             rows.setdefault(key, {})[k] = c
@@ -1000,43 +996,36 @@ def wedge(C: CoalgebraSC, U: Subspace, W: Subspace) -> Subspace:
     n = C.dim
     if U.ambient != n or W.ambient != n:
         raise ShapeMismatch("subspace ambient dimension mismatch")
-    u_piv = {p: row for p, row in zip(U.pivots, U.rows)}
-    w_piv = {p: row for p, row in zip(W.pivots, W.rows)}
+    u_piv, w_piv = U.pivot_rows, W.pivot_rows
     eq_rows: dict[tuple[int, int], SVec] = {}
     for k in range(n):
         t: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
-        # column reduction (first leg) by U
+        # column reduction (first leg) by U; the pivot rows are reduced, so
+        # no term this adds has its first leg at a pivot of U
         for (i, j) in [key for key in t if key[0] in u_piv]:
-            c = t.pop((i, j), None)
-            if c is None:
-                continue
-            sv_axpy(t, -c, (((i2, j), w) for i2, w in enumerate(u_piv[i]) if i2 != i and w))
-        # row reduction (second leg) by W
+            sv_axpy(t, -t.pop((i, j)), (((i2, j), w) for i2, w in u_piv[i].items() if i2 != i))
+        # row reduction (second leg) by W, likewise
         for (i, j) in [key for key in t if key[1] in w_piv]:
-            c = t.pop((i, j), None)
-            if c is None:
-                continue
-            sv_axpy(t, -c, (((i, j2), w) for j2, w in enumerate(w_piv[j]) if j2 != j and w))
+            sv_axpy(t, -t.pop((i, j)), (((i, j2), w) for j2, w in w_piv[j].items() if j2 != j))
         for key, c in t.items():
             eq_rows.setdefault(key, {})[k] = c
     return kernel_from_sparse_rows(eq_rows.values(), n)
 
 
-def filtration_from(C: CoalgebraSC, F0: Subspace, max_steps: int = 64) -> tuple[list[Subspace], bool]:
+def filtration_from(C: CoalgebraSC, F0: Subspace) -> tuple[list[Subspace], bool]:
     """Iterate F_{n+1} = wedge(F_n, F0) until stationary.
 
     Returns the strictly increasing chain of layers and whether it exhausts
-    the carrier (for F0 = K 1 this is the connectedness test).
+    the carrier (for F0 = K 1 this is the connectedness test).  For a
+    subcoalgebra F0 each layer contains the one before, so the dimensions
+    grow until two layers are equal, at most dim C steps.
     """
     layers = [F0]
-    current = F0
-    for _ in range(max_steps):
-        nxt = wedge(C, current, F0)
-        if nxt.dim == current.dim and nxt == current:
-            break
+    while True:
+        nxt = wedge(C, layers[-1], F0)
+        if nxt.dim <= layers[-1].dim:
+            return layers, layers[-1].dim == C.dim
         layers.append(nxt)
-        current = nxt
-    return layers, current.dim == C.dim
 
 
 # -- concrete builders --------------------------------------------------------

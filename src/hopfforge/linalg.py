@@ -5,8 +5,9 @@ Conventions used by the whole package:
 * a linear map f: V -> W is a ``Mat`` of shape (dim W, dim V) acting on
   column vectors;
 * tensor-product bases are ordered row-major, index(i, j) = i * dim2 + j;
-* subspaces are stored as reduced row-echelon bases, which makes subspace
-  equality plain row-matrix equality;
+* subspaces are stored as the sparse pivot rows {pivot column: row} of
+  their reduced row-echelon basis, which makes subspace equality the
+  equality of those pivot-row dicts;
 * "express v in this basis" is one ``CoordinateMap``, built once per basis.
 
 Vectors are plain lists of CycScalar; "sparse vectors" are dicts index ->
@@ -270,85 +271,84 @@ def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]
 
 
 class Subspace:
-    """A subspace of K^n held as a reduced row-echelon basis (canonical)."""
+    """A subspace of K^n held as its reduced row-echelon basis: the sparse
+    pivot rows {pivot column: row} of ``echelon``, in pivot order (canonical)."""
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "pivot_rows")
 
     def __init__(self, ambient: int, rows: Iterable[Vec]):
-        work = [list(r) for r in rows]
-        for r in work:
+        sparse = []
+        for r in rows:
             if len(r) != ambient:
                 raise ShapeMismatch("basis vector has wrong ambient dimension")
+            sparse.append(sv_from_dense(r))
         self.ambient = ambient
-        self.rows, self.pivots = rref(work)
+        self.pivot_rows = dict(sorted(echelon(sparse).items()))
 
     @staticmethod
     def _of_echelon(ambient: int, piv: dict[int, SVec]) -> "Subspace":
         """The span of the pivot rows that ``echelon`` returned, which are
         already its reduced row-echelon basis."""
         S = Subspace.__new__(Subspace)
-        S.ambient, S.pivots = ambient, sorted(piv)
-        S.rows = [sv_to_dense(piv[p], ambient) for p in S.pivots]
+        S.ambient, S.pivot_rows = ambient, dict(sorted(piv.items()))
         return S
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, [basis_vec(n, i) for i in range(n)])
-
-    @staticmethod
-    def zero(n: int) -> "Subspace":
-        return Subspace(n, [])
-
-    @staticmethod
-    def span(vectors: Iterable[Vec], ambient: int) -> "Subspace":
-        return Subspace(ambient, vectors)
+        return Subspace._of_echelon(n, {i: {i: _ONE} for i in range(n)})
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_rows)
 
-    def reduce_vec(self, v: Vec) -> Vec:
-        """Remainder of v modulo this subspace (zero iff v is a member)."""
-        if len(v) != self.ambient:
-            raise ShapeMismatch("vector has wrong ambient dimension")
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
+    @property
+    def pivots(self) -> list[int]:
+        return list(self.pivot_rows)
+
+    @property
+    def rows(self) -> list[Vec]:
+        """The echelon basis as dense vectors, for callers that hold dense vectors."""
+        return [sv_to_dense(r, self.ambient) for r in self.pivot_rows.values()]
+
+    def reduce(self, v: SVec) -> SVec:
+        """Remainder of the sparse vector v modulo this subspace (empty iff v is a member)."""
+        out = dict(v)
+        for p, c in [(p, c) for p, c in v.items() if p in self.pivot_rows]:
+            sv_axpy(out, -c, self.pivot_rows[p].items())
+        return out
 
     def contains_vec(self, v: Vec) -> bool:
-        return vec_is_zero(self.reduce_vec(v))
+        if len(v) != self.ambient:
+            raise ShapeMismatch("vector has wrong ambient dimension")
+        return not self.reduce(sv_from_dense(v))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ShapeMismatch("ambient dimensions differ")
-        return all(self.contains_vec(r) for r in other.rows)
+        return not any(self.reduce(r) for r in other.pivot_rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ShapeMismatch("ambient dimensions differ")
-        return Subspace(self.ambient, [list(r) for r in self.rows] + [list(r) for r in other.rows])
+        return Subspace._of_echelon(self.ambient, echelon([*self.pivot_rows.values(),
+                                                           *other.pivot_rows.values()]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ShapeMismatch("ambient dimensions differ")
-        # Zassenhaus: rref of [U|U ; W|0], rows with zero left half carry the
-        # intersection in their right half.
+        # Zassenhaus: the echelon of [U|U ; W|0], the right half keyed at
+        # n + j; the pivot rows with zero left half, pivot n + j, carry the
+        # intersection in their right half, already in reduced echelon form.
         n = self.ambient
-        work = [list(r) + list(r) for r in self.rows]
-        work += [list(r) + zeros(n) for r in other.rows]
-        rows, _ = rref(work)
-        out = [r[n:] for r in rows if vec_is_zero(r[:n])]
-        return Subspace(n, out)
+        piv = echelon([*({**u, **{n + j: c for j, c in u.items()}} for u in self.pivot_rows.values()),
+                       *other.pivot_rows.values()])
+        return Subspace._of_echelon(n, {p - n: {j - n: c for j, c in r.items()}
+                                        for p, r in piv.items() if p >= n})
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient != other.ambient or self.dim != other.dim:
-            return False
-        return all(vec_eq(a, b) for a, b in zip(self.rows, other.rows))
+        return self.ambient == other.ambient and self.pivot_rows == other.pivot_rows
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -428,23 +428,19 @@ def kernel(A: Mat) -> Subspace:
 
 
 def image(A: Mat) -> Subspace:
-    return Subspace(A.nrows, [A.col(j) for j in range(A.ncols)])
+    return Subspace._of_echelon(A.nrows, echelon(A.sparse_cols()))
 
 
 def preimage(f: Mat, W: Subspace) -> Subspace:
-    """{v : f(v) in W}, the exact pullback of W along f."""
+    """{v : f(v) in W}, the exact pullback of W along f: the kernel of the
+    residuals of f's columns modulo W."""
     if f.nrows != W.ambient:
         raise ShapeMismatch("codomain does not match subspace ambient")
-    resid_rows = []
-    images = [f.col(j) for j in range(f.ncols)]
-    reduced = [W.reduce_vec(v) for v in images]
-    for i in range(W.ambient):
-        row = [reduced[j][i] for j in range(f.ncols)]
-        if not vec_is_zero(row):
-            resid_rows.append(row)
-    if not resid_rows:
-        return Subspace.full(f.ncols)
-    return kernel(Mat(resid_rows, len(resid_rows), f.ncols))
+    eqs: dict[int, SVec] = {}
+    for j, col in enumerate(f.sparse_cols()):
+        for i, c in W.reduce(col).items():
+            eqs.setdefault(i, {})[j] = c
+    return kernel_from_sparse_rows(eqs.values(), f.ncols)
 
 
 def kernel_from_sparse_rows(rows: Iterable[SVec], n: int) -> Subspace:

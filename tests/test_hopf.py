@@ -11,14 +11,14 @@ import pytest
 from hopfforge import catalog, hopf
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
-    NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
+    CoalgebraSC, NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
     convolution, cyclic_character, char_convolve, char_convpow, filtration_from,
     group_algebra_cyclic, group_algebra_integral, is_group_algebra, kaplansky_check,
     phi_power, psi_power, primitives, skew_primitives, unit_counit_map,
     verify_ad_integral, verify_character, verify_group_like, wedge,
 )
 from hopfforge.linalg import (
-    Mat, Subspace, Tensor3, basis_vec, cone, sv_add_into, sv_from_dense, sv_scale, zeros,
+    Mat, Subspace, Tensor3, basis_vec, cone, preimage, sv_add_into, sv_from_dense, sv_scale, zeros,
 )
 from hopfforge.reports import CheckReport
 
@@ -221,6 +221,42 @@ def test_filtration_72(xmas_entry):
     layers, exhausts = filtration_from(A, sigmaH)
     assert [l.dim for l in layers] == [12, 24, 36, 48, 60, 72]
     assert exhausts
+
+
+def test_filtration_of_a_long_connected_coalgebra():
+    """The divided-power coalgebra over Q of dim 66, Delta d_n = sum_t d_t (x)
+    d_{n-t} and eps = e_0^*: its filtration from K d_0 has 66 layers, one per
+    degree, and exhausts the carrier."""
+    n = 66
+    comult = Tensor3((n, n, n), {(k, t, k - t): cone() for k in range(n) for t in range(k + 1)})
+    C = CoalgebraSC(n, comult, basis_vec(n, 0))
+    layers, exhausts = filtration_from(C, Subspace(n, [basis_vec(n, 0)]))
+    assert [l.dim for l in layers] == list(range(1, n + 1)) and exhausts
+
+
+def test_wedge_matches_preimage_oracle(kc6, qline6_entry, b0_entry):
+    """wedge(C, U, W) = Delta^{-1}(U (x) C + C (x) W), the preimage under the
+    dense n^2 x n matrix of Delta of a subspace spanned by Kronecker rows, for
+    random U and W whose echelon rows carry zeta entries off their pivots."""
+    rng = random.Random(41)
+    z = CycScalar.zeta(6)
+    entries = [rat(0), rat(0), rat(0), rat(1), rat(-2), z, -z, z * z]
+    for C in (kc6, qline6_entry.extra["quantum_line"], b0_entry.ore.O):
+        n = C.dim
+        D = Mat.zero(n * n, n)
+        for k in range(n):
+            for (i, j), c in C.comult_basis(k).items():
+                D.rows[i * n + j][k] = c
+        e = [basis_vec(n, i) for i in range(n)]
+        for _ in range(4):
+            U, W = (Subspace(n, [basis_vec(n, 0)] + [[rng.choice(entries) for _ in range(n)]
+                                                     for _ in range(rng.randrange(1, n - 1))])
+                    for _ in range(2))
+            assert any(not c.is_rational() for S in (U, W) for p, r in zip(S.pivots, S.rows)
+                       for j, c in enumerate(r) if j != p)
+            pairs = [(u, ej) for u in U.rows for ej in e] + [(ei, w) for ei in e for w in W.rows]
+            UCW = Subspace(n * n, [[x * y for x in a for y in b] for a, b in pairs])
+            assert wedge(C, U, W) == preimage(D, UCW)
 
 
 def test_bialgebra_fail_on_tampered_comult(kc6):
