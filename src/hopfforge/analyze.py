@@ -179,7 +179,7 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
     A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
     R = coinvariants(s)
     if basis is None:
-        basis = [list(r) for r in R.rows]
+        basis = R.rows
     else:
         for b in basis:
             if not R.contains_vec(b):
