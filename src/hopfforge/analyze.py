@@ -103,11 +103,10 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     # pi(r sigma(h)) = eps(r) h on a computed basis of the coinvariants
     if rep.ok:
         ent = rep.add("pi_normal_on_coinvariants", True)
-        scols = sigma.sparse_cols()
         for rs in coinvariants(s).pivot_rows.values():
             er = A.counit_sv(rs)
             for h in range(H.dim):
-                lhs = pi.apply_sv(A.mul_sv(rs, scols[h]))
+                lhs = pi.apply_sv(A.mul_sv(rs, sigma.cols[h]))
                 if lhs != ({h: er} if er else {}):
                     ent.ok = False
                     ent.witnesses.append(h)
@@ -120,11 +119,10 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
     n = A.dim
     rows: dict[tuple[int, int], SVec] = {}
     unit_h = sv_from_dense(H.unit)
-    pcols = pi.sparse_cols()
     for k in range(n):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_basis(k).items():
-            sv_axpy(t, c, (((i, h), w) for h, w in pcols[j].items()))
+            sv_axpy(t, c, (((i, h), w) for h, w in pi.cols[j].items()))
         # subtract e_k (x) 1_H
         sv_axpy(t, -cone(), (((k, h), ch) for h, ch in unit_h.items()))
         for key, c in t.items():
@@ -135,15 +133,15 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
 def tau_matrix(s: ProjectionSetup) -> Mat:
     """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A."""
     A, sS = s.A, s.sigma @ s.H.antipode
-    sSpi = [sS.apply_sv(col) for col in s.pi.sparse_cols()]  # the columns of sigma S pi
+    sSpi = [sS.apply_sv(col) for col in s.pi.cols]  # the columns of sigma S pi
     cols = []
     for k in range(A.dim):
         acc: SVec = {}
         for (i, j), c in A.comult_basis(k).items():
             for j2, w in sSpi[j].items():
                 sv_axpy(acc, c * w, A.mul_basis(i, j2).items())
-        cols.append(sv_to_dense(acc, A.dim))
-    return Mat.from_cols(cols)
+        cols.append(acc)
+    return Mat.of_cols(A.dim, cols)
 
 
 @dataclass
@@ -162,9 +160,8 @@ class InducedPreBialgebra:
     def omega(self) -> Mat:
         """omega(r (x) h) = r sigma(h), as a matrix R (x) H -> A."""
         A = self.setup.A
-        scols = self.setup.sigma.sparse_cols()
-        return Mat.from_cols([sv_to_dense(A.mul_sv(sv_from_dense(r), sh), A.dim)
-                              for r in self.basis for sh in scols])
+        return Mat.of_cols(A.dim, [A.mul_sv(sv_from_dense(r), sh)
+                                   for r in self.basis for sh in self.setup.sigma.cols])
 
 
 def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
@@ -199,11 +196,10 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
 
     # delta(r) = tau(r_1) (x) r_2, the pair form of (tau (x) id) Delta(r) in R (x) R
     comult = Tensor3((nr, nr, nr))
-    tau_cols = tau.sparse_cols()
     for k, r in enumerate(rs):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_sv(r).items():
-            sv_axpy(t, c, (((i2, j), w) for i2, w in tau_cols[i].items()))
+            sv_axpy(t, c, (((i2, j), w) for i2, w in tau.cols[i].items()))
         x = coords.pair(t)
         if x is None:
             raise InducedAxiomFailure("comultiplication leaves the coinvariant subspace")
@@ -223,22 +219,20 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
     unit = sv_to_dense(coords_or_fail(A.unit_sv(), "unit"), nr)
     # action ^h r = sigma(h_1) r sigma S(h_2); coaction rho(r) = pi(r_1) (x) r_2
     action = Tensor3((H.dim, nr, nr))
-    scols = sigma.sparse_cols()
     sScols = [sigma.apply_sv(H.antipode_col(h)) for h in range(H.dim)]
     for h in range(H.dim):
         dh = H.comult_basis(h)
         for i, r in enumerate(rs):
             acc: SVec = {}
             for (h1, h2), c in dh.items():
-                sv_add_into(acc, A.mul_sv(A.mul_sv(sv_scale(scols[h1], c), r), sScols[h2]))
+                sv_add_into(acc, A.mul_sv(A.mul_sv(sv_scale(sigma.cols[h1], c), r), sScols[h2]))
             for j, cj in coords_or_fail(acc, "action").items():
                 action[(h, i, j)] = cj
     coaction = Tensor3((nr, H.dim, nr))
-    pi_cols = pi.sparse_cols()
     for i, r in enumerate(rs):
         pair2: dict[int, SVec] = {}
         for (a, b), c in A.comult_sv(r).items():
-            for h, w in pi_cols[a].items():
+            for h, w in pi.cols[a].items():
                 sv_axpy(pair2.setdefault(h, {}), c, ((b, w),))
         for h, col in pair2.items():
             if col:
@@ -736,14 +730,13 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
 
 def _restricted(target: InducedPreBialgebra, source: InducedPreBialgebra, failure: str) -> Mat:
     """tau of target restricted to the coinvariants of source, in coordinates."""
-    out = Mat.zero(len(target.basis), len(source.basis))
-    for j, b in enumerate(source.basis):
+    cols = []
+    for b in source.basis:
         img = target.coords(target.tau.apply_sv(sv_from_dense(b)))
         if img is None:
             raise InducedAxiomFailure(failure)
-        for i, c in img.items():
-            out.rows[i][j] = c
-    return out
+        cols.append(img)
+    return Mat.of_cols(len(target.basis), cols)
 
 
 def _is_coalgebra_map(f: Mat, C, D) -> bool:
@@ -795,7 +788,7 @@ def classify(s: ProjectionSetup):
     zs = list(sk.pivot_rows.values())
     for h in range(H.dim):
         sh = s.sigma.apply_sv({h: cone()})
-        sph = s.sigma.apply_sv(sv_from_dense(phi1.col(h)))
+        sph = s.sigma.apply_sv(phi1.cols[h])
         diffs = []
         for zk in zs:
             diff = A.mul_sv(sh, zk)

@@ -12,13 +12,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import CycScalar
-from .hopf import HopfSC, group_algebra_cyclic, group_algebra_product_cyclic, cyclic_character
-from .linalg import Mat, Subspace, Vec, basis_vec, cone, zeros
+from .hopf import group_algebra_cyclic, group_algebra_product_cyclic, cyclic_character
+from .linalg import Mat, basis_vec, cone, zeros
 from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
     validate_compatible_datum, validate_yd_datum,
 )
-from .cocycle import Bosonization, Cocycle, bosonize
+from .cocycle import Cocycle, bosonize
 from .analyze import ProjectionSetup, setup_from_ore
 
 
@@ -77,11 +77,11 @@ def xmas() -> CatalogEntry:
     A = ore.O
     # pi(Y^i h) = delta_{i,0} h + delta_{i,3} X h, X the skew-primitive of the base
     x_idx = 6
-    pi = Mat.zero(12, 72)
+    pi_cols = [{} for _ in range(72)]
     for j in range(12):
-        pi.rows[j][j] = cone()
-        for k, ch in H2.mul_sv({x_idx: cone()}, {j: cone()}).items():
-            pi.rows[k][36 + j] = pi.rows[k][36 + j] + ch
+        pi_cols[j] = {j: cone()}
+        pi_cols[36 + j] = H2.mul_sv({x_idx: cone()}, {j: cone()})
+    pi = Mat.of_cols(12, pi_cols)
     setup_pi = ProjectionSetup(A, H2, ore.sigma, pi,
                                H_finite_dim=True, H_cosemisimple=False)
     return CatalogEntry("xmas", "dim-72 Hopf algebra with a non-normalized projection",
@@ -147,13 +147,8 @@ def nonthin_control() -> CatalogEntry:
     A = group_algebra_product_cyclic([2, 4])
     H = group_algebra_cyclic(2)
     # sigma: h -> h (x) 1 on the first factor; pi = id (x) eps
-    sigma = Mat.zero(8, 2)
-    sigma.rows[0][0] = cone()
-    sigma.rows[4][1] = cone()
-    pi = Mat.zero(2, 8)
-    for a in range(2):
-        for t in range(4):
-            pi.rows[a][a * 4 + t] = cone()
+    sigma = Mat.of_cols(8, [{0: cone()}, {4: cone()}])
+    pi = Mat.of_cols(2, [{a: cone()} for a in range(2) for _ in range(4)])
     setup = ProjectionSetup(A, H, sigma, pi, H_finite_dim=True, H_cosemisimple=True)
     return CatalogEntry("nonthin", "group-algebra setup whose coinvariants are K C_4",
                         None, setup, {"A": A, "H": H})

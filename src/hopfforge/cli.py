@@ -11,12 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cyclotomic import CycScalar, multiplicative_order
 from .hopf import (
     HopfSC, check_algebra, check_bialgebra, check_hopf, verify_group_like,
 )
-from .linalg import Mat, ShapeMismatch, Subspace, basis_vec, vec_eq
-from .cocycle import Cocycle, bosonize, check_cocycle, check_prebialgebra, is_radford_majid
+from .linalg import ShapeMismatch, basis_vec
+from .cocycle import bosonize, check_cocycle, check_prebialgebra, is_radford_majid
 from .construct import (
     CompatibleDatum, YDDatum, build_ore_hopf, validate_compatible_datum, validate_yd_datum,
 )

@@ -20,7 +20,7 @@ from .hopf import (
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec, ShapeMismatch, cone, kron_index, sv_add_into, sv_axpy,
-    sv_from_dense, sv_outer_axpy, sv_scale, vec_eq, zeros,
+    sv_outer_axpy, sv_scale, vec_eq, zeros,
 )
 from .reports import CheckReport
 from .yd import (
@@ -279,12 +279,9 @@ def m_tilde_pairs(P: PreBialgebra, xi: Cocycle) -> dict[tuple[int, int], PairSV]
 
 def m_tilde(P: PreBialgebra, xi: Cocycle) -> Mat:
     """The map R (x) R -> R (x) H as a matrix on Kronecker-ordered bases."""
-    nh = P.H.dim
-    out = Mat.zero(P.dim * nh, P.dim * P.dim)
-    for (i, j), mt in m_tilde_pairs(P, xi).items():
-        for (r, h), c in mt.items():
-            out.rows[kron_index(r, h, nh)][kron_index(i, j, P.dim)] = c
-    return out
+    nh = P.H.dim  # m_tilde_pairs is keyed in Kronecker order (i, j)
+    return Mat.of_cols(P.dim * nh, [{kron_index(r, h, nh): c for (r, h), c in mt.items()}
+                                    for mt in m_tilde_pairs(P, xi).values()])
 
 
 def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
@@ -483,18 +480,9 @@ def bosonization_tensors(P: PreBialgebra,
     H_acting = YDModule(H, nh, H.mult, Tensor3((nh, nh, nh)))
     co = braided_tensor_coalgebra(P, P.yd, H, H_acting)
     comult, counit = co.comult, co.counit
-    sigma = Mat.zero(n, nh)
-    u_r = sv_from_dense(P.unit)
-    for h in range(nh):
-        for i, ci in u_r.items():
-            sigma.rows[kron_index(i, h, nh)][h] = ci
-    pi = Mat.zero(nh, n)
-    for r in range(nr):
-        er = P.counit[r]
-        if not er:
-            continue
-        for h in range(nh):
-            pi.rows[h][kron_index(r, h, nh)] = er
+    sigma = Mat.of_cols(n, [{kron_index(i, h, nh): ci for i, ci in enumerate(P.unit) if ci}
+                            for h in range(nh)])
+    pi = Mat.of_cols(nh, [{h: er} if er else {} for er in P.counit for h in range(nh)])
     # the tables take few distinct values: hold one object per value, not per entry
     shared: dict[tuple, CycScalar] = {}
     for t in (mult, comult):
@@ -505,16 +493,15 @@ def bosonization_tensors(P: PreBialgebra,
 
 def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> dict[str, bool]:
     """Which structure pi: B -> H preserves, each checked exhaustively."""
-    pcols = pi.sparse_cols()
     return {
         "coalgebra_map": next(coalgebra_map_failures(pi, B, H), None) is None,
         "algebra_map": (vec_eq(pi.apply(B.unit), H.unit)
                         and next(algebra_map_failures(pi, B, H), None) is None),
         # pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h
         "H_bilinear": all(
-            pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pcols[b], h, False)
-            and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pcols[b], h, True)
-            for h, sh in enumerate(sigma.sparse_cols()) for b in range(B.dim)),
+            pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pi.cols[b], h, False)
+            and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pi.cols[b], h, True)
+            for h, sh in enumerate(sigma.cols) for b in range(B.dim)),
     }
 
 

@@ -208,14 +208,10 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[Vec]) -> CompatibleDatum:
             comult[(a, key[0], key[1])] = cv
     unit = sv_to_dense(coords(H.unit_sv()), m)
     counit = [H.counit_vec(v) for v in sub_basis]
-    S = Mat.zero(m, m)
-    for a in range(m):
-        x = coords(H.antipode_sv(subs[a]))
-        if x is None:
-            raise NotSubHopf("not closed under the antipode")
-        for k, ck in x.items():
-            S.rows[k][a] = ck
-    sub = HopfSC(m, mult, unit, comult, counit, S, conductor=H.conductor,
+    S_cols = [coords(H.antipode_sv(v)) for v in subs]
+    if None in S_cols:
+        raise NotSubHopf("not closed under the antipode")
+    sub = HopfSC(m, mult, unit, comult, counit, Mat.of_cols(m, S_cols), conductor=H.conductor,
                  finite_dim=True, cosemisimple=H.cosemisimple)
     g_sub = sv_to_dense(coords(sv_from_dense(c.datum.g)), m)
     chi_sub = [char_eval(c.datum.chi, v) for v in sub_basis]
@@ -332,18 +328,15 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
             xi[(a, N - a, h)] = ch
     mult, unit, comult, counit, sigma, p = bosonization_tensors(
         build_quantum_line(c.datum), Cocycle(xi))
-    S = Mat.zero(n, n)  # filled below from products in O
-    O = HopfSC(n, mult, unit, comult, counit, S, conductor=H.conductor,
+    O = HopfSC(n, mult, unit, comult, counit, conductor=H.conductor,
                labels=[f"y{a}*{H.labels[j]}" for a in range(N) for j in range(nh)])
     # degenerate N=1: O = H and y = lambda(1 - g)
     y = {kron_index(1, i, nh): ci for i, ci in H.unit_sv().items()} if N > 1 else sigma.apply_sv(z)
     s_y = sv_scale(O.mul_sv(sigma.apply_sv(H.antipode_sv(sv_from_dense(c.datum.g))), y), -cone())
     s_y_pows = O.powers_sv(s_y, N)
-    for j, sh in enumerate(H.antipode.sparse_cols()):
-        sigma_sh = sigma.apply_sv(sh)
-        for a in range(N):
-            for k, ck in O.mul_sv(sigma_sh, s_y_pows[a]).items():
-                S.rows[k][kron_index(a, j, nh)] = ck
+    # S(y^a h_j) = sigma(S_H(h_j)) S(y)^a, by products in O
+    sigma_S = [sigma.apply_sv(sh) for sh in H.antipode.cols]
+    O.antipode = Mat.of_cols(n, [O.mul_sv(sigma_S[j], s_y_pows[a]) for a in range(N) for j in range(nh)])
     ore = OreHopf(O, H, c, sigma, p, sv_to_dense(y, n), sigma.apply(c.datum.g))
     if verify:
         _verify_ore(ore)
@@ -391,7 +384,7 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
     y_pows = O.powers_sv(ys, N)
     # tau(v) = v1 sigma S p(v2); products tau(y^a . y^b) must equal quantum-line mult
     sS = ore.sigma @ H.antipode
-    sSp = [sS.apply_sv(col) for col in ore.p.sparse_cols()]  # the columns of sigma S p
+    sSp = [sS.apply_sv(col) for col in ore.p.cols]  # the columns of sigma S p
 
     def tau(sv: SVec) -> SVec:
         out: SVec = {}
@@ -450,9 +443,8 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
     N, lam = ore.N, ore.lam
     bs = sv_from_dense(b)
     phi1 = phi_power(H, ore.datum.datum.chi, 1)
-    fcols = f.sparse_cols()
-    for h, phi_h in enumerate(phi1.sparse_cols()):
-        lhs = B.mul_sv(fcols[h], bs)
+    for h, phi_h in enumerate(phi1.cols):
+        lhs = B.mul_sv(f.cols[h], bs)
         rhs = B.mul_sv(bs, f.apply_sv(phi_h))
         if lhs != rhs:
             raise HypothesisViolation("ore_commutation",
@@ -467,13 +459,8 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
     if d_b != expect:
         raise HypothesisViolation("ore_coproduct", "Delta(b) != b (x) 1 + f(g) (x) b")
     nh = H.dim
-    fhat = Mat.zero(B.dim, ore.dim)
     b_pows = B.powers_sv(bs, N)
-    for a in range(N):
-        for j in range(nh):
-            img = B.mul_sv(b_pows[a], fcols[j])
-            for k, c in img.items():
-                fhat.rows[k][kron_index(a, j, nh)] = c
+    fhat = Mat.of_cols(B.dim, [B.mul_sv(b_pows[a], f.cols[j]) for a in range(N) for j in range(nh)])
     # verify f-hat is a bialgebra homomorphism
     O = ore.O
     if not vec_eq(fhat.apply(O.unit), list(B.unit)):

@@ -93,13 +93,8 @@ def _vec_rows(v: Vec, conductor: int) -> list[str]:
 
 
 def _mat_rows(m: Mat, conductor: int) -> list[str]:
-    out = []
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            c = m.rows[i][j]
-            if c:
-                out.append(f"{i} {j} {format_scalar(c, conductor)}")
-    return out
+    cells = sorted((i, j) for j, col in enumerate(m.cols) for i in col)
+    return [f"{i} {j} {format_scalar(m.cols[j][i], conductor)}" for i, j in cells]
 
 
 def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
@@ -338,10 +333,11 @@ class AlgebraFile:
         return v
 
     def _matrix_rows(self, name: str, rows: list[tuple[int, str]], nrows: int, ncols: int) -> Mat:
-        m = Mat.zero(nrows, ncols)
+        cols: list[dict] = [{} for _ in range(ncols)]
         for (i, j), c in self._entries(name, rows, (nrows, ncols)):
-            m.rows[i][j] = c
-        return m
+            if c:
+                cols[j][i] = c
+        return Mat.of_cols(nrows, cols)
 
     def _index(self, text: str, bound: int, name: str, ln: int) -> int:
         """A row index in range(bound); anything else is a ParseError."""

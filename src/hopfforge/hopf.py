@@ -17,7 +17,7 @@ from .cyclotomic import CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
     ShapeMismatch, basis_vec, cone, czero, dot, echelon, kernel_from_sparse_rows,
-    sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
+    sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, zeros,
 )
 from .reports import MAX_WITNESSES, CheckReport
 
@@ -163,10 +163,10 @@ class HopfSC(BialgebraSC):
         return self.antipode.apply_sv(v)
 
     def antipode_col(self, j: int) -> SVec:
-        """S(e_j), read off the j-th column of the antipode matrix."""
+        """S(e_j), the j-th stored column of the antipode matrix."""
         if self.antipode is None:
             raise NotABialgebra("no antipode stored")
-        return sv_from_dense(self.antipode.col(j))
+        return self.antipode.cols[j]
 
 
 # -- axiom checkers ----------------------------------------------------------
@@ -633,10 +633,10 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
     from the multiplication rows and the columns of S."""
     L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
-                (a for r in S.rows for a in r))
+                (a for col in S.cols for a in col.values()))
     n, lift = B.dim, L.lift
     T, D = L.table(B), L.coproducts(B)
-    scols = [[(s, lift(S.rows[s][i])) for s in range(n) if S.rows[s][i]] for i in range(n)]
+    scols = [[(s, lift(a)) for s, a in sorted(col.items())] for col in S.cols]
     u = [(i, lift(c)) for i, c in B.unit_sv().items()]
     left, right = [], []
     for k in range(n):
@@ -677,7 +677,7 @@ def check_hopf(H: HopfSC) -> CheckReport:
 
 def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
     """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
-    cols = f.sparse_cols()
+    cols = f.cols
     n = A.dim
     for i in range(n):
         fi, Ai = cols[i], A._rows[i]
@@ -692,7 +692,7 @@ def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[i
 def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
     """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
     then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
-    cols = f.sparse_cols()
+    cols = f.cols
     for k in range(C.dim):
         lhs: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in C.comult_basis(k).items():
@@ -712,18 +712,17 @@ def convolution(f: Mat, g: Mat, C: CoalgebraSC, A: AlgebraSC) -> Mat:
     """Convolution product m_A (f (x) g) Delta_C of maps C -> A."""
     if f.ncols != C.dim or g.ncols != C.dim or f.nrows != A.dim or g.nrows != A.dim:
         raise ShapeMismatch("convolution shape mismatch")
-    fcols, gcols = f.sparse_cols(), g.sparse_cols()
     cols = []
     for k in range(C.dim):
         acc: SVec = {}
         for (i, j), c in C.comult_basis(k).items():
-            sv_add_into(acc, A.mul_sv(sv_scale(fcols[i], c), gcols[j]))
-        cols.append(sv_to_dense(acc, A.dim))
-    return Mat.from_cols(cols)
+            sv_add_into(acc, A.mul_sv(sv_scale(f.cols[i], c), g.cols[j]))
+        cols.append(acc)
+    return Mat.of_cols(A.dim, cols)
 
 
 def unit_counit_map(B: BialgebraSC) -> Mat:
-    return Mat.from_cols([[B.counit[k] * B.unit[i] for i in range(B.dim)] for k in range(B.dim)])
+    return Mat.of_cols(B.dim, [sv_scale(B.unit_sv(), e) for e in B.counit])
 
 
 ANTIPODE_SOLVE_DIM_CAP = 24
@@ -766,12 +765,12 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
     if n * n in piv:
         return None
     # x[p * n + s] = S[s][p] is the rhs of its pivot row, every free unknown 0
-    S = Mat.zero(n, n)
+    cols: list[SVec] = [{} for _ in range(n)]
     for ps, r in piv.items():
         if n * n in r:
             p, s = divmod(ps, n)
-            S.rows[s][p] = r[n * n]
-    return S
+            cols[p][s] = r[n * n]
+    return Mat.of_cols(n, cols)
 
 
 # -- group-likes, characters, hit actions ------------------------------------
@@ -829,8 +828,8 @@ def _hit_map(B: CoalgebraSC, chi: Vec, leg: int) -> Mat:
         for ij, c in B.comult_basis(k).items():
             if chi[ij[leg]]:
                 sv_add_into(acc, {ij[1 - leg]: c * chi[ij[leg]]})
-        cols.append(sv_to_dense(acc, B.dim))
-    return Mat.from_cols(cols)
+        cols.append(acc)
+    return Mat.of_cols(B.dim, cols)
 
 
 def phi_map(B: CoalgebraSC, chi: Vec) -> Mat:
@@ -891,7 +890,7 @@ def kaplansky_check(H: HopfSC, chi: Vec, z: Vec, n: int) -> tuple[bool, bool]:
     comm_ok = True
     for h in range(H.dim):
         lhs = H.mul_sv({h: cone()}, zs)
-        rhs = H.mul_sv(zs, sv_from_dense(phin.col(h)))
+        rhs = H.mul_sv(zs, phin.cols[h])
         if lhs != rhs:
             comm_ok = False
             break
@@ -1066,12 +1065,12 @@ def _cyclic_group_algebra(orders: list[int], conductor: int, label) -> HopfSC:
     n = len(elements)
     mult = Tensor3((n, n, n))
     comult = Tensor3((n, n, n))
-    S = Mat.zero(n, n)
     for a, ea in enumerate(elements):
         for b, eb in enumerate(elements):
             mult[(a, b, index[tuple((x + y) % d for x, y, d in zip(ea, eb, orders))])] = cone()
         comult[(a, a, a)] = cone()
-        S.rows[index[tuple(-x % d for x, d in zip(ea, orders))]][a] = cone()
+    S = Mat.of_cols(n, [{index[tuple(-x % d for x, d in zip(e, orders))]: cone()}
+                        for e in elements])
     labels = [label(e) for e in elements]
     group_likes = {labels[a]: basis_vec(n, a) for a in range(n)}
     return HopfSC(n, mult, basis_vec(n, 0), comult, [cone()] * n, S, labels=labels,

@@ -1,9 +1,9 @@
-"""Exact dense/sparse linear algebra over cyclotomic scalars.
+"""Exact sparse linear algebra over cyclotomic scalars.
 
 Conventions used by the whole package:
 
 * a linear map f: V -> W is a ``Mat`` of shape (dim W, dim V) acting on
-  column vectors;
+  column vectors, held as its sparse columns, the images f(e_j);
 * tensor-product bases are ordered row-major, index(i, j) = i * dim2 + j;
 * subspaces are stored as the sparse pivot rows {pivot column: row} of
   their reduced row-echelon basis, which makes subspace equality the
@@ -16,6 +16,7 @@ nonzero CycScalar (used heavily by the structure-constant layer).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycScalar
@@ -128,111 +129,141 @@ def kron_index(i: int, j: int, n2: int) -> int:
 
 
 class Mat:
-    """Dense exact matrix; also the carrier for every LinearMap."""
+    """An exact linear map held as its sparse columns: ``cols[j]`` is f(e_j)
+    as {row: nonzero entry}.  A column never holds a zero, and only an
+    assignment through the ``rows`` views changes one after its ``Mat`` is built."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, rows: Sequence[Sequence[CycScalar]], nrows: Optional[int] = None,
                  ncols: Optional[int] = None):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows) if nrows is None else nrows
-        self.ncols = len(self.rows[0]) if (ncols is None and self.rows) else (ncols or 0)
-        for r in self.rows:
+        rows = [list(r) for r in rows]
+        self.nrows = len(rows) if nrows is None else nrows
+        self.ncols = len(rows[0]) if (ncols is None and rows) else (ncols or 0)
+        self.cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(rows):
             if len(r) != self.ncols:
                 raise ShapeMismatch("ragged rows")
+            for j, a in enumerate(r):
+                if a:
+                    self.cols[j][i] = a
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "Mat":
-        return Mat([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
-
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        m = Mat.zero(n, n)
-        for i in range(n):
-            m.rows[i][i] = _ONE
+    def of_cols(nrows: int, cols: list[SVec]) -> "Mat":
+        """The map with f(e_j) = cols[j]; the columns must hold no zeros, and
+        the Mat keeps them as they are."""
+        m = Mat.__new__(Mat)
+        m.nrows, m.ncols, m.cols = nrows, len(cols), cols
         return m
 
     @staticmethod
-    def from_cols(cols: Sequence[Vec]) -> "Mat":
-        if not cols:
-            return Mat([], 0, 0)
-        n = len(cols[0])
-        return Mat([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    def zero(nrows: int, ncols: int) -> "Mat":
+        return Mat.of_cols(nrows, [{} for _ in range(ncols)])
+
+    @staticmethod
+    def identity(n: int) -> "Mat":
+        return Mat.of_cols(n, [{i: _ONE} for i in range(n)])
+
+    @property
+    def rows(self) -> list["_RowView"]:
+        """Dense views of the rows, read from the columns; an assignment into
+        a view writes through to the columns."""
+        return [_RowView(self.cols, i) for i in range(self.nrows)]
 
     def col(self, j: int) -> Vec:
-        return [self.rows[i][j] for i in range(self.nrows)]
+        return sv_to_dense(self.cols[j], self.nrows)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ShapeMismatch(f"map of shape {self.nrows}x{self.ncols} applied to dim {len(v)}")
-        return [dot(row, v) for row in self.rows]
+        return sv_to_dense(self.apply_sv(sv_from_dense(v)), self.nrows)
 
     def apply_sv(self, sv: SVec) -> SVec:
         out: SVec = {}
         for j, c in sv.items():
-            sv_axpy(out, c, ((i, row[j]) for i, row in enumerate(self.rows) if row[j]))
+            sv_axpy(out, c, self.cols[j].items())
         return out
-
-    def sparse_cols(self) -> list[SVec]:
-        """The images f(e_j) of every basis vector, as sparse vectors."""
-        cols: list[SVec] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if a:
-                    cols[j][i] = a
-        return cols
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch("matrix product shape mismatch")
-        orows = [sv_from_dense(r) for r in other.rows]
-        out = []
-        for ri in self.rows:
-            acc: SVec = {}
-            for k, a in enumerate(ri):
-                if a:
-                    sv_axpy(acc, a, orows[k].items())
-            out.append(sv_to_dense(acc, other.ncols))
-        return Mat(out, self.nrows, other.ncols)
+        return Mat.of_cols(self.nrows, [self.apply_sv(col) for col in other.cols])
+
+    def _entrywise(self, other: "Mat", op) -> "Mat":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeMismatch("matrix shapes differ")
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            col = dict(a)
+            for i, c in b.items():
+                new = op(col.get(i, _ZERO), c)
+                if new:
+                    col[i] = new
+                else:
+                    del col[i]
+            cols.append(col)
+        return Mat.of_cols(self.nrows, cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch("matrix sum shape mismatch")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch("matrix difference shape mismatch")
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, operator.sub)
 
     def scale(self, c: CycScalar) -> "Mat":
-        return Mat([[c * a for a in r] for r in self.rows])
+        return Mat.of_cols(self.nrows, [sv_scale(col, c) for col in self.cols])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.cols == other.cols
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return not any(self.cols)
 
     def rank(self) -> int:
-        return len(echelon(sv_from_dense(r) for r in self.rows))
+        return len(echelon(self.cols))
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse needs a square matrix")
+        # the echelon of [A^T | I], column j of A keyed with n + j: 1; its
+        # right halves are the rows of (A^T)^-1, the columns of A^-1
         n = self.nrows
-        piv = echelon({**sv_from_dense(r), n + i: _ONE} for i, r in enumerate(self.rows))
+        piv = echelon({**col, n + j: _ONE} for j, col in enumerate(self.cols))
         if any(p >= n for p in piv):
             raise ValueError("matrix is singular")
-        return Mat([sv_to_dense({j - n: c for j, c in piv[p].items() if j >= n}, n)
-                    for p in range(n)], n, n)
+        return Mat.of_cols(n, [{j - n: c for j, c in piv[p].items() if j >= n} for p in range(n)])
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
+
+
+class _RowView:
+    """Row i of a Mat's columns as a dense sequence; assigning zero removes the entry."""
+
+    __slots__ = ("cols", "i")
+
+    def __init__(self, cols: list[SVec], i: int):
+        self.cols, self.i = cols, i
+
+    def __len__(self):
+        return len(self.cols)
+
+    def __iter__(self):
+        return (col.get(self.i, _ZERO) for col in self.cols)
+
+    def __getitem__(self, j: int) -> CycScalar:
+        return self.cols[j].get(self.i, _ZERO)
+
+    def __setitem__(self, j: int, c: CycScalar) -> None:
+        if c:
+            self.cols[j][self.i] = c
+        else:
+            self.cols[j].pop(self.i, None)
+
+    def __eq__(self, other):
+        return list(self) == list(other)
 
 
 def echelon(rows: Iterable[SVec]) -> dict[int, SVec]:
@@ -354,12 +385,21 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
+def _transpose(cols: Iterable[SVec]) -> dict[int, SVec]:
+    """The sparse rows {i: {j: entry}} of the sparse columns cols[j]."""
+    rows: dict[int, SVec] = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return rows
+
+
 def solve(A: Mat, b: Vec) -> Optional[Vec]:
     """One exact solution of A x = b, or None when inconsistent."""
     if len(b) != A.nrows:
         raise ShapeMismatch("rhs dimension mismatch")
     n = A.ncols
-    piv = echelon(sv_from_dense(list(r) + [b[i]]) for i, r in enumerate(A.rows))
+    piv = echelon(_transpose([*A.cols, sv_from_dense(b)]).values())
     if n in piv:
         return None
     x = zeros(n)
@@ -424,11 +464,11 @@ class CoordinateMap:
 
 
 def kernel(A: Mat) -> Subspace:
-    return _kernel_of_echelon(echelon(sv_from_dense(r) for r in A.rows), A.ncols)
+    return _kernel_of_echelon(echelon(_transpose(A.cols).values()), A.ncols)
 
 
 def image(A: Mat) -> Subspace:
-    return Subspace._of_echelon(A.nrows, echelon(A.sparse_cols()))
+    return Subspace._of_echelon(A.nrows, echelon(A.cols))
 
 
 def preimage(f: Mat, W: Subspace) -> Subspace:
@@ -436,10 +476,7 @@ def preimage(f: Mat, W: Subspace) -> Subspace:
     residuals of f's columns modulo W."""
     if f.nrows != W.ambient:
         raise ShapeMismatch("codomain does not match subspace ambient")
-    eqs: dict[int, SVec] = {}
-    for j, col in enumerate(f.sparse_cols()):
-        for i, c in W.reduce(col).items():
-            eqs.setdefault(i, {})[j] = c
+    eqs = _transpose(W.reduce(col) for col in f.cols)
     return kernel_from_sparse_rows(eqs.values(), f.ncols)
 
 
@@ -513,32 +550,17 @@ class Tensor3:
 
         Result is a matrix over the remaining axes, in order.
         """
-        n1, n2, n3 = self.shape
-        dims = {1: n1, 2: n2, 3: n3}
-        if axis not in dims:
+        if axis not in (1, 2, 3):
             raise ShapeMismatch("axis must be 1, 2 or 3")
-        if len(v) != dims[axis]:
+        if len(v) != self.shape[axis - 1]:
             raise ShapeMismatch("vector length does not match axis dimension")
-        if axis == 1:
-            out = Mat.zero(n2, n3)
-        elif axis == 2:
-            out = Mat.zero(n1, n3)
-        else:
-            out = Mat.zero(n1, n2)
-        for (i, j, k), c in self.data.items():
-            if axis == 1:
-                w = v[i]
-                if w:
-                    out.rows[j][k] = out.rows[j][k] + w * c
-            elif axis == 2:
-                w = v[j]
-                if w:
-                    out.rows[i][k] = out.rows[i][k] + w * c
-            else:
-                w = v[k]
-                if w:
-                    out.rows[i][j] = out.rows[i][j] + w * c
-        return out
+        row_ax, col_ax = [a for a in range(3) if a != axis - 1]
+        cols: list[SVec] = [{} for _ in range(self.shape[col_ax])]
+        for idx, c in self.data.items():
+            w = v[idx[axis - 1]]
+            if w:
+                sv_axpy(cols[idx[col_ax]], w, ((idx[row_ax], c),))
+        return Mat.of_cols(self.shape[row_ax], cols)
 
     def apply_map(self, axis: int, m: Mat) -> "Tensor3":
         """Push the given axis through a linear map (new axis dim = m.nrows)."""
@@ -548,15 +570,11 @@ class Tensor3:
             raise ShapeMismatch("map domain does not match axis dimension")
         dims[axis - 1] = m.nrows
         out = Tensor3(tuple(dims))
-        for (i, j, k), c in self.data.items():
-            idx = (i, j, k)
-            a = idx[axis - 1]
-            for b in range(m.nrows):
-                w = m.rows[b][a]
-                if w:
-                    new = list(idx)
-                    new[axis - 1] = b
-                    out.add_to(tuple(new), w * c)
+        for idx, c in self.data.items():
+            new = list(idx)
+            for b, w in m.cols[idx[axis - 1]].items():
+                new[axis - 1] = b
+                out.add_to(tuple(new), w * c)
         return out
 
     def __repr__(self):
@@ -565,17 +583,6 @@ class Tensor3:
 
 def map_tensor_product(f: Mat, g: Mat) -> Mat:
     """f (x) g on Kronecker-ordered bases: (f(x)g)(e_i (x) e_j) = f e_i (x) g e_j."""
-    out = Mat.zero(f.nrows * g.nrows, f.ncols * g.ncols)
-    for i in range(f.nrows):
-        fi = f.rows[i]
-        for k in range(f.ncols):
-            a = fi[k]
-            if not a:
-                continue
-            for j in range(g.nrows):
-                gj = g.rows[j]
-                for l in range(g.ncols):
-                    b = gj[l]
-                    if b:
-                        out.rows[i * g.nrows + j][k * g.ncols + l] = a * b
-    return out
+    return Mat.of_cols(f.nrows * g.nrows, [{i * g.nrows + j: a * b for i, a in fk.items()
+                                            for j, b in gl.items()}
+                                           for fk in f.cols for gl in g.cols])

@@ -222,15 +222,13 @@ def braiding(V: YDModule, W: YDModule) -> Mat:
     """c_{V,W}: V (x) W -> W (x) V, v (x) w -> v_(-1) w (x) v_0."""
     if V.H is not W.H:
         raise YDViolation("braiding needs a common base Hopf algebra")
-    out = Mat.zero(W.dim * V.dim, V.dim * W.dim)
+    cols: list[SVec] = [{} for _ in range(V.dim * W.dim)]
     for i in range(V.dim):
         for (h, i0), c in V.coact_basis(i).items():
             for j in range(W.dim):
-                for j0, cj in W.act_basis(h, j).items():
-                    r = kron_index(j0, i0, V.dim)
-                    out.rows[r][kron_index(i, j, W.dim)] = (
-                        out.rows[r][kron_index(i, j, W.dim)] + c * cj)
-    return out
+                sv_axpy(cols[kron_index(i, j, W.dim)], c,
+                        ((kron_index(j0, i0, V.dim), cj) for j0, cj in W.act_basis(h, j).items()))
+    return Mat.of_cols(W.dim * V.dim, cols)
 
 
 def adjoint_action(H: HopfSC) -> Tensor3:

@@ -449,6 +449,30 @@ def mutate(lines, rng):
     return lines
 
 
+def same_content(lines, rng):
+    """A copy of the lines that says what they say: blank lines and `#` lines
+    without a colon put in, whitespace put around lines, and one header line
+    repeated as it is."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "\t", "#", "# a remark with no colon"]))
+        if rng.random() < 0.3:
+            line = rng.choice([" ", "\t", "  "]) + line + rng.choice(["", " ", "\t "])
+        out.append(line)
+    header = [line for line in lines if line.startswith("#") and ":" in line]
+    out.insert(rng.randrange(len(out) + 1), rng.choice(header))
+    return out
+
+
+def run_quietly(argv):
+    """(exit code, stdout) of the CLI, stderr dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
 def test_seeded_mutations_end_in_an_exit_code(tmp_path):
     # every golden file, mutated in turn, through the CLI command that reads it
     # (a cocycle file through bosonize, the others through check)
@@ -474,3 +498,12 @@ def test_seeded_mutations_end_in_an_exit_code(tmp_path):
         codes[rc] += 1
         (tmp_path / name).write_text(text)
     assert min(codes.values()) > 0, codes
+    # a mutant that keeps the content ends as the file itself does
+    rng = random.Random(1)
+    for name in names:
+        text = (GOLDEN / name).read_text()
+        want = run_quietly(argvs[name])
+        mutant = "\n".join(same_content(text.split("\n"), rng))
+        (tmp_path / name).write_text(mutant)
+        assert run_quietly(argvs[name]) == want, (name, mutant)
+        (tmp_path / name).write_text(text)

@@ -209,14 +209,14 @@ def test_coordinate_map_on_non_echelon_bases():
             v = [a + xk * c for a, c in zip(v, b)]
         got = coords(sv_from_dense(v))
         assert got == sv_from_dense(x)
-        assert vec_eq(sv_to_dense(got, m), solve(Mat.from_cols(basis), v))
+        assert vec_eq(sv_to_dense(got, m), solve(Mat.of_cols(n, [sv_from_dense(b) for b in basis]), v))
         # off the span: None from the map and from solve, and None from the
         # pair form when a first leg is off the span
         if m < n:
             off = next(e for e in (basis_vec(n, i) for i in range(n))
                        if not Subspace(n, basis).contains_vec(e))
             assert coords(sv_from_dense([a + c for a, c in zip(v, off)])) is None
-            assert solve(Mat.from_cols(basis), off) is None
+            assert solve(Mat.of_cols(n, [sv_from_dense(b) for b in basis]), off) is None
             assert coords.pair({(i, j): cone() for i, a in enumerate(off) if a
                                 for j, c in enumerate(basis[0]) if c}) is None
         # pair form: coordinates of b_a (x) b_b are e_(a, b)
@@ -306,8 +306,64 @@ def sparse_mixed_mat(rng, nrows, ncols, density=0.4):
     return Mat(rows, nrows, ncols)
 
 
+def dense(M):
+    """The entries of M read straight from its column store, as dense rows."""
+    return [[M.cols[j].get(i, czero()) for j in range(M.ncols)] for i in range(M.nrows)]
+
+
+def assert_dense(M, rows, nrows, ncols):
+    """M has the given shape, stores no zero, and has the given dense entries."""
+    assert (M.nrows, M.ncols) == (nrows, ncols) and len(M.cols) == ncols
+    assert all(c for col in M.cols for c in col.values())
+    assert all(i in range(nrows) for col in M.cols for i in col)
+    assert all(vec_eq(a, b) for a, b in zip(dense(M), rows)) and len(rows) == nrows
+
+
+def check_against_dense(rng, M):
+    """Sums, differences, scaling, application, rank, inverse and the row
+    views of M against dense arithmetic on its entries."""
+    n, m = M.nrows, M.ncols
+    ref = dense(M)
+    D = sparse_mixed_mat(rng, n, m)
+    ref_d = dense(D)
+    assert_dense(M + D, [[a + b for a, b in zip(r, s)] for r, s in zip(ref, ref_d)], n, m)
+    assert_dense(M - D, [[a - b for a, b in zip(r, s)] for r, s in zip(ref, ref_d)], n, m)
+    assert_dense(M - M, [[czero()] * m for _ in range(n)], n, m)
+    assert (M - M).is_zero() and (M.is_zero() == (not any(map(any, ref))))
+    for c in (CycScalar.zeta(12) * rat(-2), czero()):
+        assert_dense(M.scale(c), [[c * a for a in r] for r in ref], n, m)
+    v = [CycScalar(4, [rng.randrange(-2, 3), rng.randrange(-2, 3)]) if rng.random() < 0.7 else czero()
+         for _ in range(m)]
+    want = [sum((a * x for a, x in zip(r, v)), czero()) for r in ref]
+    assert vec_eq(M.apply(v), want)
+    assert M.apply_sv(sv_from_dense(v)) == sv_from_dense(want)
+    assert M.rank() == len(reference_rref(ref)[1])
+    if n == m and n:
+        with pytest.raises(ValueError):   # a draw has a zero row, so it is singular
+            M.inverse()
+        S = M + Mat.identity(n).scale(rat(3))
+        if S.rank() == n == len(reference_rref(dense(S))[1]):
+            eye = [[cone() if i == j else czero() for j in range(n)] for i in range(n)]
+            Sinv = S.inverse()
+            assert_dense(Mat(reference_matmul(S, Sinv), n, n), eye, n, n)
+            assert_dense(Mat(reference_matmul(Sinv, S), n, n), eye, n, n)
+    # the row views write through to the columns; zero removes the entry
+    W = Mat(ref, n, m)
+    assert W == M and Mat(W.rows, n, m) == M
+    if n and m:
+        i, j = rng.randrange(n), rng.randrange(m)
+        c = CycScalar.zeta(6) + rat(rng.randrange(1, 4))
+        W.rows[i][j] = c
+        assert W.cols[j][i] == c and W.rows[i][j] == c
+        assert Mat(W.rows, n, m) == W
+        W.rows[i][j] = czero()
+        assert i not in W.cols[j] and not W.rows[i][j]
+        assert Mat(W.rows, n, m) == W
+
+
 def test_matmul_matches_dense_reference():
     rng = random.Random(31)
+    extra = random.Random(37)   # the draws of check_against_dense
     shapes = [(3, 4, 5), (5, 5, 5), (1, 6, 2), (4, 1, 3), (0, 3, 4), (3, 0, 4), (3, 4, 0)]
     for trial in range(40):
         n, m, p = shapes[trial % len(shapes)]
@@ -316,6 +372,8 @@ def test_matmul_matches_dense_reference():
         assert (C.nrows, C.ncols) == (n, p) and len(C.rows) == n
         assert all(len(r) == p for r in C.rows)
         assert C == Mat(reference_matmul(A, B), n, p)
+        check_against_dense(extra, A)
+        check_against_dense(extra, B)
     # cancellation inside a sum leaves a zero entry, and the identity is neutral
     A = Mat([[rat(1), rat(1)]])
     B = Mat([[CycScalar.zeta(6)], [-CycScalar.zeta(6)]])
@@ -402,3 +460,81 @@ def test_one_echelon_routine_and_no_private_imports():
     eliminating = {(m, f) for m, c in calls.items() for f, name in c if name in ("echelon", "rref")}
     assert solvers - eliminating == set()
     assert private_imports == []
+
+
+def test_map_store_is_written_only_in_linalg():
+    """No module but linalg.py assigns into, deletes from or calls a mutating
+    dict method on <expr>.rows[...] or <expr>.cols[...], and no module names
+    sparse_cols: a Mat's store is decided in linalg.py alone."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+
+    def into_store(node):
+        """Whether node is <expr>.rows[...] or <expr>.cols[...], subscripted any number of times."""
+        if not isinstance(node, ast.Subscript):
+            return False
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in ("rows", "cols")
+
+    writes = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if "sparse_cols" in text:
+            writes.append((path.name, "sparse_cols"))
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("pop", "popitem", "setdefault", "update", "clear", "__setitem__"):
+                targets = [node.func.value]
+            writes += [(path.name, node.lineno) for t in targets
+                       for sub in ast.walk(t) if into_store(sub)]
+    assert writes == []
+
+
+def names_used(tree):
+    """Every name a module reads, string annotations included."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            annotations += [x.annotation for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                            if x is not None and x.annotation is not None]
+            annotations += [node.returns] if node.returns is not None else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_unused_imports():
+    """No module of the package but __init__.py imports a name it never uses."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.name, name) for name in bound if name not in used]
+    assert unused == []
+    # a name used only in a string annotation counts as used
+    assert "AlgebraSC" in names_used(ast.parse('def f(B: "HopfSC | AlgebraSC"): pass'))
