@@ -11,7 +11,7 @@ from hopfforge import (
     verify_character, verify_group_like,
 )
 from hopfforge.hopf import unit_counit_map
-from hopfforge.linalg import basis_vec
+from hopfforge.linalg import cone
 
 H = group_algebra_cyclic(6, conductor=6)
 print("K C_6:", check_hopf(H).describe(), sep="\n")
@@ -24,7 +24,7 @@ print("S * id = u eps in the convolution algebra:",
 
 chi = cyclic_character(H, CycScalar.zeta(6))
 print("\nchi(gamma) = zeta_6 defines a character:", verify_character(H, chi))
-print("gamma^3 is group-like:", verify_group_like(H, basis_vec(6, 3)))
+print("gamma^3 is group-like:", verify_group_like(H, {3: cone()}))
 print("primitives of a group algebra are trivial:", primitives(H).dim == 0)
 
 gamma = group_algebra_integral(H)

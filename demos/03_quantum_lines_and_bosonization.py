@@ -10,12 +10,12 @@ from hopfforge import (
     check_prebialgebra, cyclic_character, group_algebra_cyclic, is_radford_majid,
     retraction_diagnostics, validate_yd_datum,
 )
-from hopfforge.linalg import basis_vec, cone, kron_index
+from hopfforge.linalg import cone, kron_index
 
 minus_one = CycScalar.from_rational(-1)
 H = group_algebra_cyclic(4)
 chi = cyclic_character(H, minus_one)
-d = validate_yd_datum(H, basis_vec(4, 1), chi)
+d = validate_yd_datum(H, {1: cone()}, chi)
 R = build_quantum_line(d)
 print("quantum line R_q(KC4, g, chi), N =", R.N)
 print(check_prebialgebra(R).describe())

@@ -13,7 +13,6 @@ from hopfforge.analyze import (
     omega_roundtrip, retraction_tools, thinness_and_basis, validate_setup,
     wedge_layer_of_sigma,
 )
-from hopfforge.linalg import sv_from_dense
 
 entry = catalog.xmas()
 setup = entry.extra["setup_pi"]
@@ -26,7 +25,7 @@ thin, basis, datum = thinness_and_basis(ind)
 print("\ncoinvariants: dim", ind.pre.dim, "- thin:", thin,
       "- N =", basis.N, "- q =", basis.q)
 
-yp = [sv_from_dense(v) for v in basis.y_powers()]
+yp = basis.y_powers()
 print("xi(y (x) y^2) =", {k: str(v) for k, v in ind.xi.eval(yp[1], yp[2]).items()},
       " (index 6 is the skew-primitive X of B_0)")
 

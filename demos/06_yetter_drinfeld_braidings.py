@@ -5,13 +5,13 @@ from hopfforge import (
     cyclic_character, group_algebra_cyclic, one_dim_module, trivial_module,
     validate_yd_datum, yd_tensor, build_quantum_line,
 )
-from hopfforge.linalg import basis_vec, map_tensor_product
+from hopfforge.linalg import cone, map_tensor_product
 from hopfforge.yd import yd_module_adjoint
 
 H = group_algebra_cyclic(6, conductor=6)
 chi1 = cyclic_character(H, CycScalar.from_rational(-1))
 
-Ky = one_dim_module(H, basis_vec(6, 3), chi1)     # h.y = chi1(h) y, rho(y) = gamma^3 (x) y
+Ky = one_dim_module(H, {3: cone()}, chi1)     # h.y = chi1(h) y, rho(y) = gamma^3 (x) y
 print("K.y over (KC6, gamma^3, chi1):", check_yd(Ky).describe(), sep="\n")
 
 c = braiding(Ky, Ky)
@@ -19,7 +19,7 @@ print("\nbraiding on K.y (x) K.y is multiplication by chi1(gamma^3) =",
       c.rows[0][0])
 print("c^2 = id here:", (c @ c) == Mat.identity(1))
 
-d = validate_yd_datum(H, basis_vec(6, 1), cyclic_character(H, CycScalar.zeta(6)))
+d = validate_yd_datum(H, {1: cone()}, cyclic_character(H, CycScalar.zeta(6)))
 R = build_quantum_line(d)
 cR = braiding(R.yd, R.yd)
 print("\nbraiding on the N=6 quantum line is invertible:", cR.rank() == 36)

@@ -23,8 +23,8 @@ from .hopf import (
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
-    cone, czero, image, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy,
-    sv_scale, sv_to_dense, vec_eq, zeros,
+    cone, czero, image, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_outer_axpy,
+    sv_scale, sv_to_dense, zeros,
 )
 from .cocycle import (
     Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra,
@@ -89,7 +89,7 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     # "unit" follows 8 pairs, and the coalgebra list is not bounded
     ent = rep.add("sigma_algebra_map", True)
     ent.witnesses = list(islice(algebra_map_failures(sigma, H, A), MAX_WITNESSES))
-    if not vec_eq(sigma.apply(H.unit), A.unit):
+    if sigma.apply_sv(H.unit_sv()) != A.unit_sv():
         ent.witnesses.append("unit")
     ent.ok = not ent.witnesses
     ent = rep.add("sigma_coalgebra_map", True)
@@ -118,7 +118,7 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
     A, H, pi = s.A, s.H, s.pi
     n = A.dim
     rows: dict[tuple[int, int], SVec] = {}
-    unit_h = sv_from_dense(H.unit)
+    unit_h = H.unit_sv()
     for k in range(n):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_basis(k).items():
@@ -150,7 +150,7 @@ class InducedPreBialgebra:
 
     setup: ProjectionSetup
     R: Subspace
-    basis: list[Vec]                  # the chosen basis vectors inside A
+    basis: list[SVec]                 # the chosen basis vectors inside A
     coords: CoordinateMap             # sparse vector of A -> sparse R-coordinates, or None
     pre: PreBialgebra
     xi: Cocycle
@@ -160,11 +160,11 @@ class InducedPreBialgebra:
     def omega(self) -> Mat:
         """omega(r (x) h) = r sigma(h), as a matrix R (x) H -> A."""
         A = self.setup.A
-        return Mat.of_cols(A.dim, [A.mul_sv(sv_from_dense(r), sh)
+        return Mat.of_cols(A.dim, [A.mul_sv(r, sh)
                                    for r in self.basis for sh in self.setup.sigma.cols])
 
 
-def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
+def induced_structures(s: ProjectionSetup, basis: Optional[list[SVec]] = None,
                        verify: bool = True) -> InducedPreBialgebra:
     """Compute (R, m, u, delta, eps, action, coaction, xi) on a basis of R.
 
@@ -176,17 +176,17 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
     A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
     R = coinvariants(s)
     if basis is None:
-        basis = R.rows
-    else:
-        for b in basis:
-            if not R.contains_vec(b):
-                raise InducedAxiomFailure("supplied basis vector is not coinvariant")
-        if Subspace(A.dim, basis).dim != len(basis) or len(basis) != R.dim:
-            raise InducedAxiomFailure("supplied basis does not span the coinvariants")
+        basis = list(R.pivot_rows.values())
+    elif any(R.reduce(b) for b in basis):
+        raise InducedAxiomFailure("supplied basis vector is not coinvariant")
+    elif len(basis) != R.dim:
+        raise InducedAxiomFailure("supplied basis does not span the coinvariants")
+    try:
+        coords = CoordinateMap(A.dim, basis)
+    except ValueError:
+        raise InducedAxiomFailure("supplied basis does not span the coinvariants") from None
     nr = len(basis)
-    coords = CoordinateMap(basis)
     tau = tau_matrix(s)
-    rs = [sv_from_dense(b) for b in basis]
 
     def coords_or_fail(v: SVec, what: str) -> SVec:
         x = coords(v)
@@ -196,7 +196,7 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
 
     # delta(r) = tau(r_1) (x) r_2, the pair form of (tau (x) id) Delta(r) in R (x) R
     comult = Tensor3((nr, nr, nr))
-    for k, r in enumerate(rs):
+    for k, r in enumerate(basis):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_sv(r).items():
             sv_axpy(t, c, (((i2, j), w) for i2, w in tau.cols[i].items()))
@@ -205,13 +205,13 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
             raise InducedAxiomFailure("comultiplication leaves the coinvariant subspace")
         for (a, b), cb in x.items():
             comult[(k, a, b)] = cb
-    counit = [A.counit_vec(v) for v in basis]
+    counit = [A.counit_sv(r) for r in basis]
     # m(r (x) s) = tau(r ._A s) and xi(r (x) s) = pi(r ._A s)
     mult = Tensor3((nr, nr, nr))
     xi_t = Tensor3((nr, nr, H.dim))
     for i in range(nr):
         for j in range(nr):
-            prod = A.mul_sv(rs[i], rs[j])
+            prod = A.mul_sv(basis[i], basis[j])
             for k, ck in coords_or_fail(tau.apply_sv(prod), "multiplication").items():
                 mult[(i, j, k)] = ck
             for h, ch in pi.apply_sv(prod).items():
@@ -222,14 +222,14 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[Vec]] = None,
     sScols = [sigma.apply_sv(H.antipode_col(h)) for h in range(H.dim)]
     for h in range(H.dim):
         dh = H.comult_basis(h)
-        for i, r in enumerate(rs):
+        for i, r in enumerate(basis):
             acc: SVec = {}
             for (h1, h2), c in dh.items():
                 sv_add_into(acc, A.mul_sv(A.mul_sv(sv_scale(sigma.cols[h1], c), r), sScols[h2]))
             for j, cj in coords_or_fail(acc, "action").items():
                 action[(h, i, j)] = cj
     coaction = Tensor3((nr, H.dim, nr))
-    for i, r in enumerate(rs):
+    for i, r in enumerate(basis):
         pair2: dict[int, SVec] = {}
         for (a, b), c in A.comult_sv(r).items():
             for h, w in pi.cols[a].items():
@@ -280,20 +280,16 @@ def _omega_is_iso(ind: InducedPreBialgebra, B: BialgebraSC) -> bool:
 class DividedPowerBasis:
     """d_0 = 1, d_1 = y, ..., d_{N-1} with Delta(d_n) = sum d_t (x) d_{n-t}."""
 
-    d: list[Vec]          # in R-coordinates
+    d: list[SVec]         # in R-coordinates
     q: CycScalar
-    g: Vec
+    g: SVec
     chi: Vec
     N: int
-    y: Vec                # = d[1] when N > 1
+    y: SVec               # = d[1] when N > 1
 
-    def y_powers(self) -> list[Vec]:
+    def y_powers(self) -> list[SVec]:
         """y^n = (n)_q! d_n in R-coordinates."""
-        out = []
-        for n_, dn in enumerate(self.d):
-            f = q_factorial(n_, self.q)
-            out.append([f * c for c in dn])
-        return out
+        return [sv_scale(dn, q_factorial(n_, self.q)) for n_, dn in enumerate(self.d)]
 
 
 def thinness_and_basis(ind: InducedPreBialgebra):
@@ -306,31 +302,30 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     """
     pre = ind.pre
     n = pre.dim
-    unit_vec = list(pre.unit)
-    F0 = Subspace(n, [unit_vec])
+    unit = pre.unit_sv()
+    F0 = Subspace(n, [pre.unit])
     layers, exhausts = filtration_from(pre, F0)
-    prim = skew_primitives(pre, unit_vec, unit_vec)
+    prim = skew_primitives(pre, unit, unit)
     thin = exhausts and F0.dim == 1 and prim.dim == 1
     if not thin:
         return False, None, None
-    (ys,) = prim.pivot_rows.values()
-    y = sv_to_dense(ys, n)
+    (y,) = prim.pivot_rows.values()
     H = ind.setup.H
     # chi from h . y = chi(h) y; g from rho(y) = g (x) y
     chi = zeros(H.dim)
     for h in range(H.dim):
-        img = pre.yd.act({h: cone()}, ys)
-        lam = _proportionality(img, ys)
+        img = pre.yd.act({h: cone()}, y)
+        lam = _proportionality(img, y)
         if lam is None:
             raise NotThin("action does not preserve the primitive line")
         chi[h] = lam
-    co = pre.yd.coact(ys)
-    g = zeros(H.dim)
+    co = pre.yd.coact(y)
     slices: dict[int, SVec] = {}
     for (h, j), c in co.items():
         slices.setdefault(h, {})[j] = c
+    g: SVec = {}
     for h, sl in slices.items():
-        lam = _proportionality(sl, ys)
+        lam = _proportionality(sl, y)
         if lam is None:
             raise NotThin("coaction does not preserve the primitive line")
         g[h] = lam
@@ -341,19 +336,14 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     if order != n:
         raise NotThin(f"o(q) = {order} differs from dim R = {n}")
     # divided powers d_n = y d_{n-1} / (n)_q
-    d = [unit_vec, y] if n > 1 else [unit_vec]
+    d = [unit, y] if n > 1 else [unit]
     for k in range(2, n):
-        nk = q_int(k, q)
-        prev = d[-1]
-        nxt = pre.mul_sv(ys, sv_from_dense(prev))
-        inv = nk.inverse()
-        d.append(sv_to_dense(sv_scale(nxt, inv), n))
+        d.append(sv_scale(pre.mul_sv(y, d[-1]), q_int(k, q).inverse()))
     # verify divided-power coproduct and eigen-properties
-    d_sv = [sv_from_dense(v) for v in d]
-    for k, dk in enumerate(d_sv):
+    for k, dk in enumerate(d):
         expect: dict[tuple[int, int], CycScalar] = {}
         for t in range(k + 1):
-            sv_outer_axpy(expect, cone(), d_sv[t], d_sv[k - t])
+            sv_outer_axpy(expect, cone(), d[t], d[k - t])
         if pre.comult_sv(dk) != expect:
             raise NotThin(f"divided-power coproduct fails at degree {k}")
         chik = char_convpow(H, chi, k)
@@ -385,11 +375,11 @@ def _proportionality(img: SVec, ref: SVec) -> Optional[CycScalar]:
 class CocycleAnalysis:
     N: int
     q: CycScalar
-    x: Vec                                  # xi(d_1 (x) d_{N/2-1}), 0 for N odd
+    x: SVec                                 # xi(d_1 (x) d_{N/2-1}), 0 for N odd
     x_is_zero: bool
     support_ok: bool
     half_line_constant: bool
-    half_line_value: Optional[Vec]
+    half_line_value: Optional[SVec]
     full_line_constant: Optional[bool]      # None when not licensed (x^2 != 0)
     three_half_line_zero: Optional[bool]
     lam: Optional[CycScalar]                # None when extraction not licensed
@@ -410,8 +400,8 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     s, pre, xi = ind.setup, ind.pre, ind.xi
     H = s.H
     N, q = basis.N, basis.q
-    d_sv = [sv_from_dense(v) for v in basis.d]
-    y_pows = [sv_from_dense(v) for v in basis.y_powers()]
+    d = basis.d
+    y_pows = basis.y_powers()
 
     table = {(a, b): xi.eval(y_pows[a], y_pows[b]) for a in range(N) for b in range(N)}
     # support: xi(d_a (x) d_b) = 0 unless a+b in {0, N/2, N, 3N/2}
@@ -422,22 +412,18 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     support_ok = True
     for a in range(N):
         for b in range(N):
-            if (a + b) not in allowed and xi.eval(d_sv[a], d_sv[b]):
+            if (a + b) not in allowed and xi.eval(d[a], d[b]):
                 support_ok = False
     # x and its claims
     rep = CheckReport("claims about x")
+    x = xi.eval(d[1], d[N // 2 - 1]) if N % 2 == 0 and N > 1 else {}
+    x_zero = not x
     if N % 2 == 0:
-        x_sv = xi.eval(d_sv[1], d_sv[N // 2 - 1]) if N > 1 else {}
-    else:
-        x_sv = {}
-    x = sv_to_dense(x_sv, H.dim)
-    x_zero = not x_sv
-    if N % 2 == 0:
-        ghalf = H.pow_sv(sv_from_dense(basis.g), N // 2)
+        ghalf = H.pow_sv(basis.g, N // 2)
         expect: dict[tuple[int, int], CycScalar] = {}
-        sv_outer_axpy(expect, cone(), ghalf, x_sv)
-        sv_outer_axpy(expect, cone(), x_sv, H.unit_sv())
-        rep.add("x_skew_primitive", H.comult_sv(x_sv) == expect)
+        sv_outer_axpy(expect, cone(), ghalf, x)
+        sv_outer_axpy(expect, cone(), x, H.unit_sv())
+        rep.add("x_skew_primitive", H.comult_sv(x) == expect)
         chi_kills = all(not char_eval(char_convpow(H, basis.chi, c_), x)
                         for c_ in range(2 * N + 1))
         rep.add("chi_powers_kill_x", chi_kills)
@@ -445,37 +431,35 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
         ok_psi = True
         for c_ in range(4):
             sign = CycScalar.from_rational((-1) ** c_)
-            if phi_power(H, basis.chi, c_).apply(x) != [sign * v for v in x]:
+            if phi_power(H, basis.chi, c_).apply_sv(x) != sv_scale(x, sign):
                 ok_phi = False
-            if psi_power(H, basis.chi, c_).apply(x) != x:
+            if psi_power(H, basis.chi, c_).apply_sv(x) != x:
                 ok_psi = False
         rep.add("phi_sign_action_on_x", ok_phi)
         rep.add("psi_fixes_x", ok_psi)
-        rep.add("x_ad_equivariance", ad_equivariant(H, char_convpow(H, basis.chi, N // 2), x_sv))
-        gsv = sv_from_dense(basis.g)
-        anti = dict(H.mul_sv(x_sv, gsv))
-        sv_add_into(anti, H.mul_sv(gsv, x_sv))
+        rep.add("x_ad_equivariance", ad_equivariant(H, char_convpow(H, basis.chi, N // 2), x))
+        anti = H.mul_sv(x, basis.g)
+        sv_add_into(anti, H.mul_sv(basis.g, x))
         rep.add("x_anticommutes_with_g", not anti)
         if N // 2 == 1:
             rep.add("x_vanishes_when_half_is_one", x_zero)
         if (N // 2) % 2 == 1:
-            rep.add("x_squares_to_zero_odd_half", not H.mul_sv(x_sv, x_sv))
+            rep.add("x_squares_to_zero_odd_half", not H.mul_sv(x, x))
         if (N // 2) % 2 == 0 and s.H_finite_dim:
             rep.add("x_vanishes_even_half_fd", x_zero)
         if s.H_cosemisimple:
             rep.add("x_vanishes_cosemisimple", x_zero)
     # line constancy on a+b = N/2
     half_const = True
-    half_val: Optional[Vec] = None
+    half_val: Optional[SVec] = None
     if N % 2 == 0 and N >= 2:
         vals = []
         for a in range(1, N // 2):
             vals.append(xi.eval(y_pows[a], y_pows[N // 2 - a]))
-        expect_half = sv_scale(x_sv, q_factorial(N // 2 - 1, q))
-        half_const = all(v == expect_half for v in vals)
-        half_val = sv_to_dense(expect_half, H.dim)
+        half_val = sv_scale(x, q_factorial(N // 2 - 1, q))
+        half_const = all(v == half_val for v in vals)
     # full line a+b = N when x^2 = 0
-    x2_zero = not H.mul_sv(x_sv, x_sv)
+    x2_zero = not H.mul_sv(x, x)
     full_const: Optional[bool] = None
     if N % 2 == 1 or x2_zero:
         vals = [xi.eval(y_pows[a], y_pows[N - a]) for a in range(1, N)]
@@ -497,7 +481,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     licensed = s.H_finite_dim or s.H_cosemisimple
     if licensed and (N % 2 == 1 or x2_zero):
         raw = xi.eval(y_pows[1], y_pows[N - 1]) if N > 1 else {}
-        z = H.one_minus_pow_sv(sv_from_dense(basis.g), N)
+        z = H.one_minus_pow_sv(basis.g, N)
         if not z:
             # g^N = 1: the value must vanish and lambda is forced to 0
             lam = czero() if not raw else None
@@ -538,7 +522,7 @@ class AnalysisReport:
     thin: bool
     N: int
     q: CycScalar
-    g: Vec
+    g: SVec
     chi: Vec
     colinear: bool
     associative: bool
@@ -567,30 +551,29 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         b_item = True
     else:
         y_pows = basis.y_powers()
-        half = xi.eval(sv_from_dense(y_pows[1]), sv_from_dense(y_pows[N // 2 - 1])) if N > 1 else {}
+        half = xi.eval(y_pows[1], y_pows[N // 2 - 1]) if N > 1 else {}
         b_item = not half
     # (c): powers in R vs powers in A
     pow_cmp = []
-    r_pow: SVec = sv_from_dense(pre.unit)
-    a_pow: SVec = sv_from_dense(list(A.unit))
-    ys_r = sv_from_dense(basis.y)
-    ys_a = _combine(ys_r, ind.basis)
+    r_pow = pre.unit_sv()
+    a_pow = A.unit_sv()
+    ys_a = _combine(basis.y, ind.basis)
     for n_ in range(N):
         pow_cmp.append(_combine(r_pow, ind.basis) == a_pow)
-        r_pow = pre.mul_sv(r_pow, ys_r)
+        r_pow = pre.mul_sv(r_pow, basis.y)
         a_pow = A.mul_sv(a_pow, ys_a)
     c_item = all(pow_cmp)
     # y^{.A N} = lambda(1 - sigma(g)^N) when lambda is known
     if analysis.lam is not None:
-        gA = s.sigma.apply(basis.g)
-        pow_cmp.append(a_pow == A.one_minus_pow_sv(sv_from_dense(gA), N, analysis.lam))
+        gA = s.sigma.apply_sv(basis.g)
+        pow_cmp.append(a_pow == A.one_minus_pow_sv(gA, N, analysis.lam))
     # (d): R equals the quantum line on the y-power basis
     d_item = _is_quantum_line(ind, basis)
     # (1)-(4)
     one_item = xi.is_trivial(pre)
     two_item = analysis.lam.is_zero() if analysis.lam is not None else None
     three_item = _is_plain_smash(ind)
-    four_item = (vec_eq(s.pi.apply(A.unit), H.unit)
+    four_item = (s.pi.apply_sv(A.unit_sv()) == H.unit_sv()
                  and next(algebra_map_failures(s.pi, A, H), None) is None)
     equivalences = {
         "a_colinear": a_item,
@@ -617,9 +600,9 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         # with an ad-invariant integral: xi nontrivial => chi^N = eps, g^N central != 1
         if not one_item:
             chiN = char_convpow(H, basis.chi, N)
-            gN = H.pow_sv(sv_from_dense(basis.g), N)
+            gN = H.pow_sv(basis.g, N)
             consequence = {
-                "chi_N_is_counit": vec_eq(chiN, H.counit),
+                "chi_N_is_counit": chiN == H.counit,
                 "g_N_central": is_central(H, gN),
                 "g_N_not_one": gN != H.unit_sv(),
             }
@@ -630,12 +613,12 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
                           consequence)
 
 
-def _combine(coeffs: SVec, vectors: Sequence[Vec]) -> SVec:
-    """sum_k c_k v_k over the sparse coefficients c, as a sparse vector; with
-    the induced basis as the v_k this embeds an element of R in A."""
+def _combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
+    """sum_k c_k v_k over the sparse coefficients c; with the induced basis
+    as the v_k this embeds an element of R in A."""
     acc: SVec = {}
     for k, c in coeffs.items():
-        sv_axpy(acc, c, ((i, b) for i, b in enumerate(vectors[k]) if b))
+        sv_axpy(acc, c, vectors[k].items())
     return acc
 
 
@@ -646,9 +629,8 @@ def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool
     N, q = basis.N, basis.q
     datum = YDDatum(H, basis.g, basis.chi, q)
     ql = build_quantum_line(datum)
-    y_dense = basis.y_powers()
-    y_pows = [sv_from_dense(v) for v in y_dense]
-    coords = CoordinateMap(y_dense)
+    y_pows = basis.y_powers()
+    coords = CoordinateMap(pre.dim, y_pows)
     # multiplication
     for a in range(N):
         for b in range(N):
@@ -668,7 +650,7 @@ def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool
         for h in range(H.dim):
             if pre.yd.act({h: cone()}, y_pows[a]) != sv_scale(y_pows[a], chia[h]):
                 return False
-        ga = H.pow_sv(sv_from_dense(basis.g), a)
+        ga = H.pow_sv(basis.g, a)
         expect_co: dict[tuple[int, int], CycScalar] = {}
         for h, ch in ga.items():
             for k2, c2 in y_pows[a].items():
@@ -732,7 +714,7 @@ def _restricted(target: InducedPreBialgebra, source: InducedPreBialgebra, failur
     """tau of target restricted to the coinvariants of source, in coordinates."""
     cols = []
     for b in source.basis:
-        img = target.coords(target.tau.apply_sv(sv_from_dense(b)))
+        img = target.coords(target.tau.apply_sv(b))
         if img is None:
             raise InducedAxiomFailure(failure)
         cols.append(img)
@@ -780,14 +762,14 @@ def classify(s: ProjectionSetup):
     ore = build_ore_hopf(comp, verify=False)
     A, H = s.A, s.H
     # search the normalized generator z among (sigma(g), 1)-skew-primitives
-    gA = s.sigma.apply(basis.g)
-    sk = skew_primitives(A, gA, list(A.unit), bial=A)
+    gA = s.sigma.apply_sv(basis.g)
+    sk = skew_primitives(A, gA, A.unit_sv(), bial=A)
     # linear constraints: sigma(h) z = z sigma(phi(h)) for all basis h
     phi1 = phi_power(H, basis.chi, 1)
     rows: list[SVec] = []
     zs = list(sk.pivot_rows.values())
     for h in range(H.dim):
-        sh = s.sigma.apply_sv({h: cone()})
+        sh = s.sigma.cols[h]
         sph = s.sigma.apply_sv(phi1.cols[h])
         diffs = []
         for zk in zs:
@@ -799,27 +781,21 @@ def classify(s: ProjectionSetup):
             if row:
                 rows.append(row)
     sol = kernel_from_sparse_rows(rows, len(zs))
-    y_in_A = _combine(sv_from_dense(basis.y), ind.basis)
+    y_in_A = _combine(basis.y, ind.basis)
     piv = min(y_in_A)
-    z_vec: Optional[Vec] = None
+    fhat: Optional[Mat] = None
     for cand_coords in sol.pivot_rows.values():
-        cand_sv: SVec = {}
-        for kk, c in cand_coords.items():
-            sv_axpy(cand_sv, c, zs[kk].items())
+        cand = _combine(cand_coords, zs)
         # normalize: coefficient along y equal to 1 (measured at y's pivot)
-        if piv not in cand_sv:
+        if piv not in cand:
             continue
-        scale = y_in_A[piv] / cand_sv[piv]
-        cand = [scale * c for c in sv_to_dense(cand_sv, A.dim)]
         # z must satisfy the power condition; try it
         try:
-            iso = universal_map(ore, A, s.sigma, cand)
+            fhat = universal_map(ore, A, s.sigma, sv_scale(cand, y_in_A[piv] / cand[piv]))
         except Exception:
             continue
-        z_vec = cand
-        fhat = iso
         break
-    if z_vec is None:
+    if fhat is None:
         raise NotThin("no normalized generator satisfies the universal-map hypotheses")
     # bijectivity and sigma-compatibility
     if fhat.rank() != A.dim:

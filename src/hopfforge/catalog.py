@@ -13,7 +13,7 @@ from typing import Optional
 
 from .cyclotomic import CycScalar
 from .hopf import group_algebra_cyclic, group_algebra_product_cyclic, cyclic_character
-from .linalg import Mat, basis_vec, cone, zeros
+from .linalg import Mat, cone, zeros
 from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
     validate_compatible_datum, validate_yd_datum,
@@ -48,14 +48,14 @@ def b0() -> CatalogEntry:
     chi1 = cyclic_character(H, CycScalar.from_rational(-1))
     H.characters["chi1"] = chi1
     H.characters["chi2"] = cyclic_character(H, CycScalar.zeta(6))
-    c = _checked_datum(H, basis_vec(6, 3), chi1, CycScalar.zero())
+    c = _checked_datum(H, {3: cone()}, chi1, CycScalar.zero())
     ore = build_ore_hopf(c)
     O = ore.O
     O.labels = [("x" if a else "") + (f"g{k}" if k else "") or "1"
                 for a in range(2) for k in range(6)]
     # declare structure useful downstream: group-likes gamma^k and the two characters
     for k in range(6):
-        O.group_likes[f"g{k}" if k else "1"] = basis_vec(12, k)
+        O.group_likes[f"g{k}" if k else "1"] = {k: cone()}
     q = CycScalar.zeta(6)
     chi2 = zeros(12)
     for k in range(6):
@@ -72,7 +72,7 @@ def xmas() -> CatalogEntry:
     H2 = base.ore.O
     q = CycScalar.zeta(6)
     chi2 = H2.characters["chi2"]
-    c = _checked_datum(H2, basis_vec(12, 1), chi2, CycScalar.zero())
+    c = _checked_datum(H2, {1: cone()}, chi2, CycScalar.zero())
     ore = build_ore_hopf(c, verify=False)
     A = ore.O
     # pi(Y^i h) = delta_{i,0} h + delta_{i,3} X h, X the skew-primitive of the base
@@ -87,7 +87,7 @@ def xmas() -> CatalogEntry:
     return CatalogEntry("xmas", "dim-72 Hopf algebra with a non-normalized projection",
                         ore, setup_from_ore(ore),
                         {"setup_pi": setup_pi, "pi": pi, "q": q,
-                         "X_in_A": ore.sigma.col(x_idx)})
+                         "X_in_A": ore.sigma.cols[x_idx]})
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +96,7 @@ def c4min() -> CatalogEntry:
     H = group_algebra_cyclic(4, conductor=1, generator_label="g")
     chi = cyclic_character(H, CycScalar.from_rational(-1))
     H.characters["chi"] = chi
-    c = _checked_datum(H, basis_vec(4, 1), chi, CycScalar.one())
+    c = _checked_datum(H, {1: cone()}, chi, CycScalar.one())
     ore = build_ore_hopf(c)
     return CatalogEntry("c4min", "dim-8 non-trivial bosonization over K C_4",
                         ore, setup_from_ore(ore), {"H": H, "chi": chi})
@@ -108,7 +108,7 @@ def qline6() -> CatalogEntry:
     H = group_algebra_cyclic(6, conductor=6, generator_label="g")
     chi = cyclic_character(H, CycScalar.zeta(6))
     H.characters["chi"] = chi
-    d = validate_yd_datum(H, basis_vec(6, 1), chi)
+    d = validate_yd_datum(H, {1: cone()}, chi)
     if not isinstance(d, YDDatum):
         raise AssertionError("quantum-line datum failed validation")
     ql = build_quantum_line(d)
@@ -135,7 +135,7 @@ def kc12n6() -> CatalogEntry:
     H = group_algebra_cyclic(12, conductor=12, generator_label="g")
     chi = cyclic_character(H, CycScalar.zeta(6).promote(12))
     H.characters["chi"] = chi
-    c = _checked_datum(H, basis_vec(12, 1), chi, CycScalar.one())
+    c = _checked_datum(H, {1: cone()}, chi, CycScalar.one())
     ore = build_ore_hopf(c, verify=False)
     return CatalogEntry("kc12n6", "dim-72 instance with lambda = 1 over K C_12",
                         ore, setup_from_ore(ore), {"H": H, "chi": chi})

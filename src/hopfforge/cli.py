@@ -14,7 +14,7 @@ from pathlib import Path
 from .hopf import (
     HopfSC, check_algebra, check_bialgebra, check_hopf, verify_group_like,
 )
-from .linalg import ShapeMismatch, basis_vec
+from .linalg import SVec, ShapeMismatch, cone
 from .cocycle import bosonize, check_cocycle, check_prebialgebra, is_radford_majid
 from .construct import (
     CompatibleDatum, YDDatum, build_ore_hopf, validate_compatible_datum, validate_yd_datum,
@@ -82,7 +82,7 @@ def cmd_ore(args) -> int:
         if not 0 <= idx < H.dim:
             print(f"error: index {idx} out of range", file=sys.stderr)
             return USAGE_ERROR
-        g = basis_vec(H.dim, idx)
+        g = {idx: cone()}
     if not verify_group_like(H, g):
         rep.status("g_group_like", False)
         print(rep.render())
@@ -187,15 +187,14 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
     rep.set("N", basis.N)
     rep.set("q", format_scalar(basis.q, conductor))
 
-    def h_vec_text(v) -> str:
+    def h_vec_text(v: SVec) -> str:
         labels = setup.H.labels
         parts = []
-        for i, c in enumerate(v):
-            if c:
-                coeff = format_scalar(c, conductor)
-                if " " in coeff or coeff.startswith("-"):
-                    coeff = f"({coeff})"
-                parts.append(f"{coeff}*{labels[i]}")
+        for i, c in sorted(v.items()):
+            coeff = format_scalar(c, conductor)
+            if " " in coeff or coeff.startswith("-"):
+                coeff = f"({coeff})"
+            parts.append(f"{coeff}*{labels[i]}")
         return " + ".join(parts) if parts else "0"
 
     rep.set("g", h_vec_text(basis.g))
@@ -204,8 +203,7 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
     rep.set("x", h_vec_text(ana.x))
     for (a, b), val in sorted(ana.table.items()):
         if val:
-            dense = [val.get(i, parse_scalar("0", conductor)) for i in range(setup.H.dim)]
-            rep.info(f"xi(y^{a}, y^{b}) = {h_vec_text(dense)}")
+            rep.info(f"xi(y^{a}, y^{b}) = {h_vec_text(val)}")
     rep.absorb(ana.x_claims)
     rep.status("cocycle_support", ana.support_ok)
     rep.status("half_line_constant", ana.half_line_constant)

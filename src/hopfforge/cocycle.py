@@ -20,7 +20,7 @@ from .hopf import (
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec, ShapeMismatch, cone, kron_index, sv_add_into, sv_axpy,
-    sv_outer_axpy, sv_scale, vec_eq, zeros,
+    sv_outer_axpy, sv_scale, zeros,
 )
 from .reports import CheckReport
 from .yd import (
@@ -495,7 +495,7 @@ def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> di
     """Which structure pi: B -> H preserves, each checked exhaustively."""
     return {
         "coalgebra_map": next(coalgebra_map_failures(pi, B, H), None) is None,
-        "algebra_map": (vec_eq(pi.apply(B.unit), H.unit)
+        "algebra_map": (pi.apply_sv(B.unit_sv()) == H.unit_sv()
                         and next(algebra_map_failures(pi, B, H), None) is None),
         # pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h
         "H_bilinear": all(

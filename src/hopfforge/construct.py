@@ -20,9 +20,8 @@ from .hopf import (
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
-    CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
-    basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_outer_axpy,
-    sv_scale, sv_to_dense, vec_eq, zeros,
+    CoordinateMap, Mat, SVec, Tensor3, Vec,
+    basis_vec, cone, czero, kron_index, sv_add_into, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
 )
 from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, retraction_diagnostics
 from .reports import CheckReport
@@ -46,9 +45,9 @@ class HypothesisViolation(ValueError):
 class YDDatum:
     """(H, g, chi) with q = chi(g): a verified Yetter-Drinfeld datum."""
 
-    def __init__(self, H: HopfSC, g: Vec, chi: Vec, q: CycScalar):
+    def __init__(self, H: HopfSC, g: SVec, chi: Vec, q: CycScalar):
         self.H = H
-        self.g = list(g)
+        self.g = dict(g)
         self.chi = list(chi)
         self.q = q
 
@@ -61,7 +60,7 @@ class YDDatum:
         return f"YDDatum(dim H={self.H.dim}, q={self.q})"
 
 
-def validate_yd_datum(H: HopfSC, g: Vec, chi: Vec) -> Union[YDDatum, CheckReport]:
+def validate_yd_datum(H: HopfSC, g: SVec, chi: Vec) -> Union[YDDatum, CheckReport]:
     """Verify the datum exhaustively; returns a report instead on failure.
 
     Also checks the centrality consequences against every declared
@@ -72,26 +71,24 @@ def validate_yd_datum(H: HopfSC, g: Vec, chi: Vec) -> Union[YDDatum, CheckReport
     rep.add("g_group_like", verify_group_like(H, g))
     rep.add("chi_character", verify_character(H, chi))
     q = char_eval(chi, g)
-    gs = sv_from_dense(g)
     phi = phi_map(H, chi)
     psi = psi_map(H, chi)
     ent = rep.add("yd_compatibility_g_chi", True)
     for h in range(H.dim):
-        lhs = H.mul_sv(gs, phi.apply_sv({h: cone()}))
-        rhs = H.mul_sv(psi.apply_sv({h: cone()}), gs)
+        lhs = H.mul_sv(g, phi.cols[h])
+        rhs = H.mul_sv(psi.cols[h], g)
         if lhs != rhs:
             ent.ok = False
             if len(ent.witnesses) < 8:
                 ent.witnesses.append(h)
     ent = rep.add("g_central_among_group_likes", True)
     for name, gl in H.group_likes.items():
-        gl_sv = sv_from_dense(gl)
-        if H.mul_sv(gs, gl_sv) != H.mul_sv(gl_sv, gs):
+        if H.mul_sv(g, gl) != H.mul_sv(gl, g):
             ent.ok = False
             ent.witnesses.append(name)
     ent = rep.add("chi_convolution_central", True)
     for name, eta in H.characters.items():
-        if not vec_eq(char_convolve(H, chi, eta), char_convolve(H, eta, chi)):
+        if char_convolve(H, chi, eta) != char_convolve(H, eta, chi):
             ent.ok = False
             ent.witnesses.append(name)
     if not rep.ok:
@@ -118,17 +115,16 @@ class CompatibleDatum:
         return f"CompatibleDatum(N={self.N}, lambda={self.lam})"
 
 
-def _raw_gating_holds(H: HopfSC, g: Vec, chi: Vec, N: int) -> tuple[bool, bool]:
+def _raw_gating_holds(H: HopfSC, g: SVec, chi: Vec, N: int) -> tuple[bool, bool]:
     """(g^N != 1, ad-equivariance of 1 - g^N for chi^N) from the definition."""
-    z = H.one_minus_pow_sv(sv_from_dense(g), N)
+    z = H.one_minus_pow_sv(g, N)
     return bool(z), ad_equivariant(H, char_convpow(H, chi, N), z)
 
 
-def _integral_gating_holds(H: HopfSC, g: Vec, chi: Vec, N: int) -> tuple[bool, bool, bool]:
+def _integral_gating_holds(H: HopfSC, g: SVec, chi: Vec, N: int) -> tuple[bool, bool, bool]:
     """(chi^N = eps, g^N central, g^N != 1): the simplified criterion."""
-    chiN = char_convpow(H, chi, N)
-    chi_ok = vec_eq(chiN, H.counit)
-    gN = H.pow_sv(sv_from_dense(g), N)
+    chi_ok = char_convpow(H, chi, N) == H.counit
+    gN = H.pow_sv(g, N)
     return chi_ok, is_central(H, gN), gN != H.unit_sv()
 
 
@@ -170,7 +166,7 @@ def validate_compatible_datum(d: YDDatum, lam: CycScalar,
     return CompatibleDatum(d, N, lam)
 
 
-def restrict_datum(c: CompatibleDatum, sub_basis: list[Vec]) -> CompatibleDatum:
+def restrict_datum(c: CompatibleDatum, sub_basis: list[SVec]) -> CompatibleDatum:
     """Restrict a compatible datum to a Hopf subalgebra given by a basis.
 
     The subspace must be closed under multiplication, comultiplication and
@@ -178,42 +174,41 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[Vec]) -> CompatibleDatum:
     group-like of H.
     """
     H = c.H
-    E = Subspace(H.dim, sub_basis)
-    if E.dim != len(sub_basis):
+    try:
+        coords = CoordinateMap(H.dim, sub_basis)
+    except ValueError:
         raise NotSubHopf("sub-basis is linearly dependent")
-    if not E.contains_vec(H.unit):
+    unit = coords(H.unit_sv())
+    if unit is None:
         raise NotSubHopf("unit not in subspace")
-    if not E.contains_vec(c.datum.g):
+    g_sub = coords(c.datum.g)
+    if g_sub is None:
         raise NotSubHopf("g not in subspace")
     for name, gl in H.group_likes.items():
-        if not E.contains_vec(gl):
+        if coords(gl) is None:
             raise NotSubHopf(f"declared group-like {name} not in subspace")
     m = len(sub_basis)
-    coords = CoordinateMap(sub_basis)
-    subs = [sv_from_dense(b) for b in sub_basis]
     mult = Tensor3((m, m, m))
     for a in range(m):
         for b in range(m):
-            x = coords(H.mul_sv(subs[a], subs[b]))
+            x = coords(H.mul_sv(sub_basis[a], sub_basis[b]))
             if x is None:
                 raise NotSubHopf("not closed under multiplication")
             for k, ck in x.items():
                 mult[(a, b, k)] = ck
     comult = Tensor3((m, m, m))
     for a in range(m):
-        expanded = coords.pair(H.comult_sv(subs[a]))
+        expanded = coords.pair(H.comult_sv(sub_basis[a]))
         if expanded is None:
             raise NotSubHopf("not closed under comultiplication")
         for key, cv in expanded.items():
             comult[(a, key[0], key[1])] = cv
-    unit = sv_to_dense(coords(H.unit_sv()), m)
-    counit = [H.counit_vec(v) for v in sub_basis]
-    S_cols = [coords(H.antipode_sv(v)) for v in subs]
+    counit = [H.counit_sv(v) for v in sub_basis]
+    S_cols = [coords(H.antipode_sv(v)) for v in sub_basis]
     if None in S_cols:
         raise NotSubHopf("not closed under the antipode")
-    sub = HopfSC(m, mult, unit, comult, counit, Mat.of_cols(m, S_cols), conductor=H.conductor,
-                 finite_dim=True, cosemisimple=H.cosemisimple)
-    g_sub = sv_to_dense(coords(sv_from_dense(c.datum.g)), m)
+    sub = HopfSC(m, mult, sv_to_dense(unit, m), comult, counit, Mat.of_cols(m, S_cols),
+                 conductor=H.conductor, finite_dim=True, cosemisimple=H.cosemisimple)
     chi_sub = [char_eval(c.datum.chi, v) for v in sub_basis]
     datum = validate_yd_datum(sub, g_sub, chi_sub)
     if isinstance(datum, CheckReport):
@@ -259,11 +254,10 @@ def build_quantum_line(d: YDDatum) -> QuantumLine:
                 action[(h, nn, nn)] = c
     coaction = Tensor3((N, H.dim, N))
     gp = H.unit_sv()
-    gs = sv_from_dense(d.g)
     for nn in range(N):
         for h, c in gp.items():
             coaction[(nn, h, nn)] = c
-        gp = H.mul_sv(gp, gs)
+        gp = H.mul_sv(gp, d.g)
     yd = YDModule(H, N, action, coaction)
     mult = Tensor3((N, N, N))
     for a in range(N):
@@ -291,7 +285,7 @@ class OreHopf:
     """
 
     def __init__(self, O: HopfSC, base: HopfSC, datum: CompatibleDatum,
-                 sigma: Mat, p: Mat, y_vec: Vec, gamma_vec: Vec):
+                 sigma: Mat, p: Mat, y_vec: SVec, gamma_vec: SVec):
         self.O = O
         self.base = base
         self.datum = datum
@@ -319,7 +313,7 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
     N, lam = c.N, c.lam
     nh = H.dim
     n = N * nh
-    z = H.one_minus_pow_sv(sv_from_dense(c.datum.g), N, lam)
+    z = H.one_minus_pow_sv(c.datum.g, N, lam)
     xi = Tensor3((N, N, nh))
     for h, ch in H.unit_sv().items():
         xi[(0, 0, h)] = ch
@@ -332,12 +326,12 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
                labels=[f"y{a}*{H.labels[j]}" for a in range(N) for j in range(nh)])
     # degenerate N=1: O = H and y = lambda(1 - g)
     y = {kron_index(1, i, nh): ci for i, ci in H.unit_sv().items()} if N > 1 else sigma.apply_sv(z)
-    s_y = sv_scale(O.mul_sv(sigma.apply_sv(H.antipode_sv(sv_from_dense(c.datum.g))), y), -cone())
+    s_y = sv_scale(O.mul_sv(sigma.apply_sv(H.antipode_sv(c.datum.g)), y), -cone())
     s_y_pows = O.powers_sv(s_y, N)
     # S(y^a h_j) = sigma(S_H(h_j)) S(y)^a, by products in O
     sigma_S = [sigma.apply_sv(sh) for sh in H.antipode.cols]
     O.antipode = Mat.of_cols(n, [O.mul_sv(sigma_S[j], s_y_pows[a]) for a in range(N) for j in range(nh)])
-    ore = OreHopf(O, H, c, sigma, p, sv_to_dense(y, n), sigma.apply(c.datum.g))
+    ore = OreHopf(O, H, c, sigma, p, y, sigma.apply_sv(c.datum.g))
     if verify:
         _verify_ore(ore)
     return ore
@@ -352,10 +346,9 @@ def _verify_ore(ore: OreHopf) -> None:
                              + ", ".join(e.name for e in rep.failures()))
     # closed-form antipode cross-check on y: S(y) = -Gamma^(-1) y
     if N > 1:
-        ys = sv_from_dense(ore.y_vec)
-        ginv = O.antipode.apply(ore.gamma_vec)
+        ys = ore.y_vec
         lhs = O.antipode_sv(ys)
-        rhs = sv_scale(O.mul_sv(sv_from_dense(ginv), ys), -cone())
+        rhs = sv_scale(O.mul_sv(O.antipode_sv(ore.gamma_vec), ys), -cone())
         if lhs != rhs:
             raise AxiomViolation("antipode disagrees with the closed form S(y) = -Gamma^(-1) y")
     # p sigma = id, p is an H-bilinear coalgebra retraction
@@ -380,8 +373,7 @@ def _retraction_ok(ore: OreHopf) -> bool:
 def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
     """Compare induced structures on coinvariants span{y^a} with R_q."""
     O, H, N = ore.O, ore.base, ore.N
-    ys = sv_from_dense(ore.y_vec)
-    y_pows = O.powers_sv(ys, N)
+    y_pows = O.powers_sv(ore.y_vec, N)
     # tau(v) = v1 sigma S p(v2); products tau(y^a . y^b) must equal quantum-line mult
     sS = ore.sigma @ H.antipode
     sSp = [sS.apply_sv(col) for col in ore.p.cols]  # the columns of sigma S p
@@ -393,7 +385,7 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
                 sv_add_into(out, O.mul_sv({i: c * w}, sSp[j]))
         return out
 
-    coords = CoordinateMap([sv_to_dense(v, O.dim) for v in y_pows])
+    coords = CoordinateMap(O.dim, y_pows)
     lam_table = {}
     for a in range(N):
         for b in range(N):
@@ -403,7 +395,7 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
             lam_table[(a, b)] = ore.p.apply_sv(prod)
     # cocycle table: 1 at (0,0); lambda(1-g^N) on a+b=N, a,b != 0; 0 otherwise
     one = H.unit_sv()
-    z = H.one_minus_pow_sv(sv_from_dense(ore.datum.datum.g), N, ore.lam)
+    z = H.one_minus_pow_sv(ore.datum.datum.g, N, ore.lam)
     for (a, b), got in lam_table.items():
         if a == 0 and b == 0:
             expect = one
@@ -423,8 +415,7 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
 def ore_cocycle_table(ore: OreHopf) -> dict[tuple[int, int], SVec]:
     """xi(y^a (x) y^b) = p(y^a . y^b) for 0 <= a, b <= N-1."""
     O = ore.O
-    ys = sv_from_dense(ore.y_vec)
-    y_pows = O.powers_sv(ys, ore.N)
+    y_pows = O.powers_sv(ore.y_vec, ore.N)
     out = {}
     for a in range(ore.N):
         for b in range(ore.N):
@@ -432,7 +423,7 @@ def ore_cocycle_table(ore: OreHopf) -> dict[tuple[int, int], SVec]:
     return out
 
 
-def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
+def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: SVec) -> Mat:
     """The unique bialgebra map O -> B with f-hat sigma = f and f-hat(y) = b.
 
     Hypotheses are the displayed conditions: f(h) b = b f(phi(h)) for all
@@ -441,29 +432,28 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
     """
     H = ore.base
     N, lam = ore.N, ore.lam
-    bs = sv_from_dense(b)
     phi1 = phi_power(H, ore.datum.datum.chi, 1)
     for h, phi_h in enumerate(phi1.cols):
-        lhs = B.mul_sv(f.cols[h], bs)
-        rhs = B.mul_sv(bs, f.apply_sv(phi_h))
+        lhs = B.mul_sv(f.cols[h], b)
+        rhs = B.mul_sv(b, f.apply_sv(phi_h))
         if lhs != rhs:
             raise HypothesisViolation("ore_commutation",
                                       f"f(h) b != b f(phi(h)) at basis index {h}")
-    fg = f.apply(ore.datum.datum.g)
-    if B.pow_sv(bs, N) != B.one_minus_pow_sv(sv_from_dense(fg), N, lam):
+    fg = f.apply_sv(ore.datum.datum.g)
+    if B.pow_sv(b, N) != B.one_minus_pow_sv(fg, N, lam):
         raise HypothesisViolation("ore_power", "b^N != lambda(1 - f(g)^N)")
-    d_b = B.comult_sv(bs)
+    d_b = B.comult_sv(b)
     expect: dict[tuple[int, int], CycScalar] = {}
-    sv_outer_axpy(expect, cone(), bs, B.unit_sv())
-    sv_outer_axpy(expect, cone(), sv_from_dense(fg), bs)
+    sv_outer_axpy(expect, cone(), b, B.unit_sv())
+    sv_outer_axpy(expect, cone(), fg, b)
     if d_b != expect:
         raise HypothesisViolation("ore_coproduct", "Delta(b) != b (x) 1 + f(g) (x) b")
     nh = H.dim
-    b_pows = B.powers_sv(bs, N)
+    b_pows = B.powers_sv(b, N)
     fhat = Mat.of_cols(B.dim, [B.mul_sv(b_pows[a], f.cols[j]) for a in range(N) for j in range(nh)])
     # verify f-hat is a bialgebra homomorphism
     O = ore.O
-    if not vec_eq(fhat.apply(O.unit), list(B.unit)):
+    if fhat.apply_sv(O.unit_sv()) != B.unit_sv():
         raise HypothesisViolation("fhat_unit", "f-hat does not preserve the unit")
     ij = next(algebra_map_failures(fhat, O, B), None)
     if ij is not None:
@@ -475,7 +465,7 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: Vec) -> Mat:
     return fhat
 
 
-def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) -> CheckReport:
+def iterated_datum_check(ore: OreHopf, gamma2: SVec, chi2: Vec, lam2: CycScalar) -> CheckReport:
     """Both sides of the one-step iteration criterion, asserted to agree.
 
     Side one validates (O, Gamma2, chi2, lambda2) directly as a compatible
@@ -508,13 +498,11 @@ def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) 
         side1 = not isinstance(c1, CheckReport)
 
     # side 2: restriction to the base plus the scalar conditions
-    sigma_cols = [ore.sigma.col(j) for j in range(H1.dim)]
-    g2_base = CoordinateMap(sigma_cols)(sv_from_dense(gamma2))
+    g2_base = CoordinateMap(O.dim, ore.sigma.cols)(gamma2)
     side2 = g2_base is not None
     detail = []
     if side2:
-        g2_base = sv_to_dense(g2_base, H1.dim)
-        chi2_base = [char_eval(chi2, col) for col in sigma_cols]
+        chi2_base = [char_eval(chi2, col) for col in ore.sigma.cols]
         d2 = validate_yd_datum(H1, g2_base, chi2_base)
         if isinstance(d2, CheckReport):
             side2 = False
@@ -538,8 +526,8 @@ def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) 
     if not pairing.is_one():
         side2 = False
         detail.append("chi2(Gamma1) chi1(Gamma2) != 1")
-    ys = sv_from_dense(ore.y_vec)
-    z = O.one_minus_pow_sv(sv_from_dense(gamma2), N2)
+    ys = ore.y_vec
+    z = O.one_minus_pow_sv(gamma2, N2)
     commutes = O.mul_sv(ys, z) == O.mul_sv(z, ys)  # y commutes with Gamma2^N2
     if not lam2.is_zero() and not commutes:
         side2 = False
@@ -553,9 +541,8 @@ def iterated_datum_check(ore: OreHopf, gamma2: Vec, chi2: Vec, lam2: CycScalar) 
     # subsidiary formula 1: Gamma2 phi(y) = psi(y) Gamma2 <-> chi2(Gamma1) chi1(Gamma2) = 1
     phi2 = phi_map(O, chi2)
     psi2 = psi_map(O, chi2)
-    g2s = sv_from_dense(gamma2)
-    lhs1 = O.mul_sv(g2s, phi2.apply_sv(ys))
-    rhs1 = O.mul_sv(psi2.apply_sv(ys), g2s)
+    lhs1 = O.mul_sv(gamma2, phi2.apply_sv(ys))
+    rhs1 = O.mul_sv(psi2.apply_sv(ys), gamma2)
     rep.add("formula_commutation_vs_pairing", (lhs1 == rhs1) == pairing.is_one(),
             detail=f"lhs==rhs: {lhs1 == rhs1}; pairing==1: {pairing.is_one()}")
     # subsidiary formula 2: sum y1 (1 - Gamma2^N2) S(y2) = 0 <-> commutation

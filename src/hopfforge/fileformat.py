@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cyclotomic import CycScalar, conductor_cap
 from .hopf import HopfSC, BialgebraSC
@@ -84,12 +84,10 @@ def _tensor_rows(t: Tensor3, conductor: int) -> list[str]:
     return out
 
 
-def _vec_rows(v: Vec, conductor: int) -> list[str]:
-    out = []
-    for i, c in enumerate(v):
-        if c:
-            out.append(f"{i} {format_scalar(c, conductor)}")
-    return out
+def _vec_rows(entries: Iterable[tuple[int, CycScalar]], conductor: int) -> list[str]:
+    """Rows `i scalar` of the nonzero (index, scalar) entries of a dense
+    vector's ``enumerate`` or a sparse vector's sorted items."""
+    return [f"{i} {format_scalar(c, conductor)}" for i, c in entries if c]
 
 
 def _mat_rows(m: Mat, conductor: int) -> list[str]:
@@ -124,20 +122,20 @@ def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
     lines.append("SECTION MULT")
     lines += _tensor_rows(H.mult, conductor)
     lines.append("SECTION UNIT")
-    lines += _vec_rows(H.unit, conductor)
+    lines += _vec_rows(enumerate(H.unit), conductor)
     lines.append("SECTION COMULT")
     lines += _tensor_rows(H.comult, conductor)
     lines.append("SECTION COUNIT")
-    lines += _vec_rows(H.counit, conductor)
+    lines += _vec_rows(enumerate(H.counit), conductor)
     if getattr(H, "antipode", None) is not None:
         lines.append("SECTION ANTIPODE")
         lines += _mat_rows(H.antipode, conductor)
     for name, gl in getattr(H, "group_likes", {}).items():
         lines.append(f"SECTION GROUPLIKE {name}")
-        lines += _vec_rows(gl, conductor)
+        lines += _vec_rows(sorted(gl.items()), conductor)
     for name, chi in getattr(H, "characters", {}).items():
         lines.append(f"SECTION CHARACTER {name}")
-        lines += _vec_rows(chi, conductor)
+        lines += _vec_rows(enumerate(chi), conductor)
     for name, (mat, ref) in (maps or {}).items():
         lines.append(f"SECTION MAP {name} {ref}")
         lines += _mat_rows(mat, conductor)
@@ -155,11 +153,11 @@ def write_prebialgebra(P: PreBialgebra, path: Union[str, Path], base_ref: str) -
         "SECTION MULT",
         *_tensor_rows(P.mult, conductor),
         "SECTION UNIT",
-        *_vec_rows(P.unit, conductor),
+        *_vec_rows(enumerate(P.unit), conductor),
         "SECTION COMULT",
         *_tensor_rows(P.comult, conductor),
         "SECTION COUNIT",
-        *_vec_rows(P.counit, conductor),
+        *_vec_rows(enumerate(P.counit), conductor),
         "SECTION ACTION",
         *_tensor_rows(P.yd.action, conductor),
         "SECTION COACTION",
@@ -376,7 +374,7 @@ class AlgebraFile:
         for (sec, args, rows), ln in zip(self.sections, self.section_lines):
             if sec == "GROUPLIKE":
                 name = self._name(named, sec, args, f"g{len(group_likes)}", ln)
-                group_likes[name] = self._vector(sec, n, rows)
+                group_likes[name] = {i: c for (i,), c in self._entries(sec, rows, (n,)) if c}
             elif sec == "CHARACTER":
                 name = self._name(named, sec, args, f"chi{len(characters)}", ln)
                 characters[name] = self._vector(sec, n, rows)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from .cyclotomic import CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
-    ShapeMismatch, basis_vec, cone, czero, dot, echelon, kernel_from_sparse_rows,
+    ShapeMismatch, basis_vec, cone, czero, echelon, kernel_from_sparse_rows,
     sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, zeros,
 )
 from .reports import MAX_WITNESSES, CheckReport
@@ -49,6 +49,7 @@ class AlgebraSC:
         self.dim = dim
         self.mult = mult
         self.unit = list(unit)
+        self._unit = sv_from_dense(self.unit)
         # _rows[i][j] = e_i e_j as a tuple of (k, c), () when it is zero
         self._rows: list[list[tuple]] = [[()] * dim for _ in range(dim)]
         for (i, j, k), c in mult.data.items():
@@ -56,7 +57,7 @@ class AlgebraSC:
                 self._rows[i][j] += ((k, c),)
 
     def unit_sv(self) -> SVec:
-        return sv_from_dense(self.unit)
+        return dict(self._unit)
 
     def mul_basis(self, i: int, j: int) -> SVec:
         return dict(self._rows[i][j])
@@ -122,9 +123,6 @@ class CoalgebraSC:
                 total = total + e * c
         return total
 
-    def counit_vec(self, v: Vec) -> CycScalar:
-        return dot(self.counit, v)
-
 
 class BialgebraSC(AlgebraSC, CoalgebraSC):
     """Algebra + coalgebra on one carrier (compatibility checked on demand)."""
@@ -143,7 +141,7 @@ class HopfSC(BialgebraSC):
 
     def __init__(self, dim: int, mult: Tensor3, unit: Vec, comult: Tensor3, counit: Vec,
                  antipode: Optional[Mat] = None, labels: Optional[list[str]] = None,
-                 conductor: int = 1, group_likes: Optional[dict[str, Vec]] = None,
+                 conductor: int = 1, group_likes: Optional[dict[str, SVec]] = None,
                  characters: Optional[dict[str, Vec]] = None,
                  finite_dim: bool = True, cosemisimple: bool = False):
         super().__init__(dim, mult, unit, comult, counit)
@@ -776,15 +774,14 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
 # -- group-likes, characters, hit actions ------------------------------------
 
 
-def verify_group_like(B: BialgebraSC, c: Vec) -> bool:
+def verify_group_like(B: BialgebraSC, c: SVec) -> bool:
     cc: dict[tuple[int, int], CycScalar] = {}
-    sc = sv_from_dense(c)
-    sv_outer_axpy(cc, cone(), sc, sc)
-    return B.comult_sv(sc) == cc and B.counit_vec(c).is_one()
+    sv_outer_axpy(cc, cone(), c, c)
+    return B.comult_sv(c) == cc and B.counit_sv(c).is_one()
 
 
 def verify_character(B: BialgebraSC, chi: Vec) -> bool:
-    if not dot(chi, B.unit).is_one():
+    if not char_eval(chi, B.unit_sv()).is_one():
         return False
     for i in range(B.dim):
         xi = chi[i]
@@ -798,8 +795,13 @@ def verify_character(B: BialgebraSC, chi: Vec) -> bool:
     return True
 
 
-def char_eval(chi: Vec, v: Vec) -> CycScalar:
-    return dot(chi, v)
+def char_eval(chi: Vec, v: SVec) -> CycScalar:
+    """chi(v), the functional chi summed over the entries of v."""
+    total = czero()
+    for k, c in v.items():
+        if chi[k]:
+            total = total + chi[k] * c
+    return total
 
 
 def char_convolve(B: CoalgebraSC, chi: Vec, eta: Vec) -> Vec:
@@ -877,20 +879,19 @@ def is_central(A: AlgebraSC, z: SVec) -> bool:
     return all(A.mul_sv(z, {h: cone()}) == A.mul_sv({h: cone()}, z) for h in range(A.dim))
 
 
-def kaplansky_check(H: HopfSC, chi: Vec, z: Vec, n: int) -> tuple[bool, bool]:
+def kaplansky_check(H: HopfSC, chi: Vec, z: SVec, n: int) -> tuple[bool, bool]:
     """Evaluate both sides of the ad-equivariance <-> commutation equivalence.
 
     Returns (ad_condition, commutation_condition) where the first is
     chi^n(h) z = sum h_1 z S(h_2) for all basis h and the second is
     h z = z phi^n(h) for all basis h.  The two must agree.
     """
-    zs = sv_from_dense(z)
-    ad_ok = ad_equivariant(H, char_convpow(H, chi, n), zs)
+    ad_ok = ad_equivariant(H, char_convpow(H, chi, n), z)
     phin = phi_power(H, chi, n)
     comm_ok = True
     for h in range(H.dim):
-        lhs = H.mul_sv({h: cone()}, zs)
-        rhs = H.mul_sv(zs, phin.cols[h])
+        lhs = H.mul_sv({h: cone()}, z)
+        rhs = H.mul_sv(z, phin.cols[h])
         if lhs != rhs:
             comm_ok = False
             break
@@ -904,9 +905,9 @@ def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
     """The three defining conditions, checked over all basis tuples."""
     if H.antipode is None:
         raise NotABialgebra("ad-invariant integral needs an antipode")
-    if not dot(gamma, H.unit).is_one():
-        return False
     u = H.unit_sv()
+    if not char_eval(gamma, u).is_one():
+        return False
     for h in range(H.dim):
         acc: SVec = {}
         for (i, j), c in H.comult_basis(h).items():
@@ -929,7 +930,7 @@ def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
 def is_group_algebra(H: HopfSC) -> bool:
     """True when every basis vector is group-like and products stay on the basis."""
     for i in range(H.dim):
-        if not verify_group_like(H, basis_vec(H.dim, i)):
+        if not verify_group_like(H, {i: cone()}):
             return False
     for i in range(H.dim):
         for j in range(H.dim):
@@ -952,7 +953,7 @@ def group_algebra_integral(H: HopfSC) -> Vec:
 # -- primitives, wedge, filtrations ------------------------------------------
 
 
-def skew_primitives(C: CoalgebraSC, g: Vec, h: Vec,
+def skew_primitives(C: CoalgebraSC, g: SVec, h: SVec,
                     bial: Optional[BialgebraSC] = None) -> Subspace:
     """{c : Delta c = c (x) h + g (x) c} by an exact linear solve.
 
@@ -963,13 +964,12 @@ def skew_primitives(C: CoalgebraSC, g: Vec, h: Vec,
             if not verify_group_like(bial, v):
                 raise NotGroupLike("skew primitives need group-like reference vectors")
     n = C.dim
-    gs, hs = sv_from_dense(g), sv_from_dense(h)
     rows: dict[tuple[int, int], SVec] = {}
     for k in range(n):
         items: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
         # subtract e_k (x) h + g (x) e_k
-        delta = {(k, j): cj for j, cj in hs.items()}
-        for i, ci in gs.items():
+        delta = {(k, j): cj for j, cj in h.items()}
+        for i, ci in g.items():
             delta[(i, k)] = delta.get((i, k), czero()) + ci
         sv_axpy(items, -cone(), delta.items())
         for key, c in items.items():
@@ -977,13 +977,13 @@ def skew_primitives(C: CoalgebraSC, g: Vec, h: Vec,
     return kernel_from_sparse_rows(rows.values(), n)
 
 
-def primitives(C: CoalgebraSC, unit_vec: Optional[Vec] = None) -> Subspace:
+def primitives(C: CoalgebraSC, unit: Optional[SVec] = None) -> Subspace:
     """Primitive elements Delta c = c (x) 1 + 1 (x) c."""
-    if unit_vec is None:
+    if unit is None:
         if not isinstance(C, AlgebraSC):
             raise ValueError("primitives of a bare coalgebra need the reference unit vector")
-        unit_vec = C.unit
-    return skew_primitives(C, unit_vec, unit_vec)
+        unit = C.unit_sv()
+    return skew_primitives(C, unit, unit)
 
 
 def wedge(C: CoalgebraSC, U: Subspace, W: Subspace) -> Subspace:
@@ -1072,6 +1072,6 @@ def _cyclic_group_algebra(orders: list[int], conductor: int, label) -> HopfSC:
     S = Mat.of_cols(n, [{index[tuple(-x % d for x, d in zip(e, orders))]: cone()}
                         for e in elements])
     labels = [label(e) for e in elements]
-    group_likes = {labels[a]: basis_vec(n, a) for a in range(n)}
+    group_likes = {labels[a]: {a: cone()} for a in range(n)}
     return HopfSC(n, mult, basis_vec(n, 0), comult, [cone()] * n, S, labels=labels,
                   conductor=conductor, group_likes=group_likes, finite_dim=True, cosemisimple=True)

@@ -10,8 +10,11 @@ Conventions used by the whole package:
   equality of those pivot-row dicts;
 * "express v in this basis" is one ``CoordinateMap``, built once per basis.
 
-Vectors are plain lists of CycScalar; "sparse vectors" are dicts index ->
-nonzero CycScalar (used heavily by the structure-constant layer).
+An element of an algebra or coalgebra is a sparse vector (``SVec``), a dict
+index -> nonzero CycScalar, from where it is formed to where it is used.  A
+functional (a character, a counit, an integral) is a dense list indexed by
+basis (``Vec``), and so is a structure's stored unit.  ``sv_from_dense`` and
+``sv_to_dense`` convert only at those boundaries.
 """
 
 from __future__ import annotations
@@ -51,32 +54,18 @@ def basis_vec(n: int, i: int) -> Vec:
     return v
 
 
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return all(x.is_zero() for x in a)
-
-
-def dot(a: Vec, b: Vec) -> CycScalar:
-    if len(a) != len(b):
-        raise ShapeMismatch("vector dimensions differ")
-    total = _ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            total = total + x * y
-    return total
-
-
 # -- sparse vectors ----------------------------------------------------------
 
 
 def sv_from_dense(v: Vec) -> SVec:
+    if isinstance(v, dict):
+        raise TypeError("sv_from_dense takes a dense vector, not a sparse one")
     return {i: c for i, c in enumerate(v) if c}
 
 
 def sv_to_dense(sv: SVec, n: int) -> Vec:
+    if not isinstance(sv, dict):
+        raise TypeError("sv_to_dense takes a sparse vector, not a dense one")
     out = [_ZERO] * n
     for i, c in sv.items():
         out[i] = c
@@ -169,14 +158,6 @@ class Mat:
         """Dense views of the rows, read from the columns; an assignment into
         a view writes through to the columns."""
         return [_RowView(self.cols, i) for i in range(self.nrows)]
-
-    def col(self, j: int) -> Vec:
-        return sv_to_dense(self.cols[j], self.nrows)
-
-    def apply(self, v: Vec) -> Vec:
-        if len(v) != self.ncols:
-            raise ShapeMismatch(f"map of shape {self.nrows}x{self.ncols} applied to dim {len(v)}")
-        return sv_to_dense(self.apply_sv(sv_from_dense(v)), self.nrows)
 
     def apply_sv(self, sv: SVec) -> SVec:
         out: SVec = {}
@@ -336,22 +317,12 @@ class Subspace:
     def pivots(self) -> list[int]:
         return list(self.pivot_rows)
 
-    @property
-    def rows(self) -> list[Vec]:
-        """The echelon basis as dense vectors, for callers that hold dense vectors."""
-        return [sv_to_dense(r, self.ambient) for r in self.pivot_rows.values()]
-
     def reduce(self, v: SVec) -> SVec:
         """Remainder of the sparse vector v modulo this subspace (empty iff v is a member)."""
         out = dict(v)
         for p, c in [(p, c) for p, c in v.items() if p in self.pivot_rows]:
             sv_axpy(out, -c, self.pivot_rows[p].items())
         return out
-
-    def contains_vec(self, v: Vec) -> bool:
-        if len(v) != self.ambient:
-            raise ShapeMismatch("vector has wrong ambient dimension")
-        return not self.reduce(sv_from_dense(v))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
@@ -409,7 +380,8 @@ def solve(A: Mat, b: Vec) -> Optional[Vec]:
 
 
 class CoordinateMap:
-    """Coordinates of sparse vectors in a fixed list of independent vectors.
+    """Coordinates of sparse vectors of K^n in a fixed list of independent
+    sparse vectors of K^n.
 
     The basis rows B are reduced once, together with the transform T, to
     echelon rows E = T B.  A vector v of the span is sum_k v[p_k] E_k, with
@@ -419,10 +391,8 @@ class CoordinateMap:
 
     __slots__ = ("rows",)
 
-    def __init__(self, basis: Sequence[Vec]):
-        m = len(basis)
-        n = len(basis[0]) if m else 0
-        piv = echelon({**sv_from_dense(b), n + k: _ONE} for k, b in enumerate(basis))
+    def __init__(self, n: int, basis: Sequence[SVec]):
+        piv = echelon({**b, n + k: _ONE} for k, b in enumerate(basis))
         if any(p >= n for p in piv):
             raise ValueError("coordinate basis is linearly dependent")
         self.rows = [(p, {j: c for j, c in r.items() if j < n},

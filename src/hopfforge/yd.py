@@ -76,15 +76,14 @@ def trivial_module(H: HopfSC) -> YDModule:
     return YDModule(H, 1, action, coaction)
 
 
-def one_dim_module(H: HopfSC, g: Vec, chi: Vec) -> YDModule:
+def one_dim_module(H: HopfSC, g: SVec, chi: Vec) -> YDModule:
     """K y with h . y = chi(h) y and coaction rho(y) = g (x) y."""
     action = Tensor3((H.dim, 1, 1))
     for h in range(H.dim):
         action[(h, 0, 0)] = chi[h]
     coaction = Tensor3((1, H.dim, 1))
-    for h, c in enumerate(g):
-        if c:
-            coaction[(0, h, 0)] = c
+    for h, c in g.items():
+        coaction[(0, h, 0)] = c
     return YDModule(H, 1, action, coaction)
 
 

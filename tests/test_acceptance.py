@@ -17,8 +17,7 @@ from hopfforge.hopf import (
     verify_character, verify_group_like,
 )
 from hopfforge.linalg import (
-    Mat, Subspace, basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense,
-    sv_scale, sv_to_dense, vec_eq, zeros,
+    Mat, cone, czero, sv_add_into, sv_from_dense, sv_scale, zeros,
 )
 from hopfforge.cocycle import Cocycle, bosonize, check_cocycle, retraction_diagnostics
 from hopfforge.construct import (
@@ -48,13 +47,12 @@ def test_criterion_01_b0_reconstruction():
     t0 = time.perf_counter()
     H = group_algebra_cyclic(6, conductor=6)
     chi1 = cyclic_character(H, rat(-1))
-    d = validate_yd_datum(H, basis_vec(6, 3), chi1)
+    d = validate_yd_datum(H, {3: cone()}, chi1)
     c = validate_compatible_datum(d, rat(0))
     ore = build_ore_hopf(c)
     O = ore.O
     assert ore.dim == 12
-    gam = sv_from_dense(ore.gamma_vec)
-    x = sv_from_dense(ore.y_vec)
+    x = ore.y_vec
     assert O.pow_sv({1: cone()}, 6) == O.unit_sv()            # gamma^6 = 1
     assert O.mul_sv(x, x) == {}                               # x^2 = 0
     anti = dict(O.mul_sv({1: cone()}, x))
@@ -76,7 +74,7 @@ def test_criterion_01_b0_reconstruction():
     golden = AlgebraFile(GOLDEN / "b0.alg").to_hopf()
     assert O.mult == golden.mult and O.comult == golden.comult
     assert O.antipode == golden.antipode
-    assert vec_eq(O.unit, golden.unit) and vec_eq(O.counit, golden.counit)
+    assert O.unit == golden.unit and O.counit == golden.counit
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _announce(1, "B0 reconstruction, dim 12", t0)
@@ -88,9 +86,9 @@ def test_criterion_02_xmas_reconstruction(xmas_entry):
     assert ore.dim == 72 == 6 * 12
     O = ore.O
     q = CycScalar.zeta(6)
-    Y = sv_from_dense(ore.y_vec)
-    G = sv_from_dense(ore.gamma_vec)
-    X = sv_from_dense(ore.sigma.col(6))
+    Y = ore.y_vec
+    G = ore.gamma_vec
+    X = ore.sigma.cols[6]
     assert O.pow_sv(Y, 6) == {}                               # Y^6 = 0
     assert O.mul_sv(G, Y) == sv_scale(O.mul_sv(Y, G), q)      # Gamma Y = q Y Gamma
     anti = dict(O.mul_sv(X, Y))
@@ -113,8 +111,8 @@ def test_criterion_03_non_normalized_projection(xmas_entry, xmas_pi_analysis):
     q = CycScalar.zeta(6)
     from hopfforge.analyze import tau_matrix
     tau = tau_matrix(setup)
-    Y = sv_from_dense(ore.y_vec)
-    X = sv_from_dense(xmas_entry.extra["X_in_A"])
+    Y = ore.y_vec
+    X = xmas_entry.extra["X_in_A"]
     y_pows = [A.unit_sv()]
     for _ in range(6):
         y_pows.append(A.mul_sv(y_pows[-1], Y))
@@ -124,7 +122,7 @@ def test_criterion_03_non_normalized_projection(xmas_entry, xmas_pi_analysis):
     e5 = dict(y_pows[5]); sv_add_into(e5, A.mul_sv(y_pows[2], X), cone())
     assert t3 == e3 and t4 == e4 and t5 == e5
     ind, basis, datum, ana = xmas_pi_analysis
-    yp = [sv_from_dense(v) for v in basis.y_powers()]
+    yp = basis.y_powers()
     assert ind.xi.eval(yp[1], yp[2]) == {6: cone()}           # xi(y, y^2) = X
     H2 = setup.H
     co = ind.pre.yd.coact(yp[4])
@@ -154,7 +152,7 @@ def test_criterion_04_minimal_nontrivial_bosonization(c4min_entry, c4min_analysi
     from hopfforge.analyze import _is_quantum_line
     assert _is_quantum_line(ind, basis) and basis.N == 2
     H = ore.base
-    yp = [sv_from_dense(v) for v in basis.y_powers()]
+    yp = basis.y_powers()
     z = dict(H.unit_sv())
     sv_add_into(z, H.pow_sv({1: cone()}, 2), rat(-1))
     assert ind.xi.eval(yp[1], yp[1]) == z and z               # xi(y,y) = 1 - g^2 != 0
@@ -200,8 +198,8 @@ def test_criterion_06_cocycle_axiom_suite(b0_entry, xmas_entry, c4min_entry,
     # line constancy on the dim-72 pair with x != 0
     ind, basis, datum, ana = xmas_pi_analysis
     q = basis.q
-    yp = [sv_from_dense(v) for v in basis.y_powers()]
-    line_val = sv_scale(sv_from_dense(ana.x), q_factorial(2, q))
+    yp = basis.y_powers()
+    line_val = sv_scale(ana.x, q_factorial(2, q))
     for a in range(1, 3):
         assert ind.xi.eval(yp[a], yp[3 - a]) == line_val
     assert ana.half_line_constant
@@ -211,7 +209,7 @@ def test_criterion_06_cocycle_axiom_suite(b0_entry, xmas_entry, c4min_entry,
     thin2, basis2, _ = thinness_and_basis(ind2)
     assert thin2
     H = kc.setup.H
-    yp2 = [sv_from_dense(v) for v in basis2.y_powers()]
+    yp2 = basis2.y_powers()
     z = dict(H.unit_sv())
     sv_add_into(z, H.pow_sv({1: cone()}, 6), rat(-1))
     for a in range(1, 6):
@@ -304,12 +302,12 @@ def test_criterion_11_iterated_datum_consistency(b0_entry):
     ore = b0_entry.ore
     q = CycScalar.zeta(6)
     chi2 = ore.O.characters["chi2"]
-    rep = iterated_datum_check(ore, basis_vec(12, 1), chi2, rat(0))
+    rep = iterated_datum_check(ore, {1: cone()}, chi2, rat(0))
     assert rep.ok
     rng = random.Random(20260809)
     lams = [rat(0), rat(1), rat(2), rat(-1), q]
     for _ in range(20):
-        gamma2 = basis_vec(12, rng.randrange(6))
+        gamma2 = {rng.randrange(6): cone()}
         m = rng.randrange(6)
         chi_cand = zeros(12)
         for i in range(6):

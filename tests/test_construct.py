@@ -6,7 +6,7 @@ from hopfforge.hopf import (
     check_hopf, cyclic_character, group_algebra_cyclic, group_algebra_integral,
     verify_character,
 )
-from hopfforge.linalg import Mat, basis_vec, cone, czero, kron_index, sv_add_into, sv_from_dense, sv_scale, zeros
+from hopfforge.linalg import Mat, cone, czero, kron_index, sv_add_into, sv_scale, zeros
 from hopfforge.reports import CheckReport
 from hopfforge.construct import (
     CompatibleDatum, HypothesisViolation, InfiniteOrder, NotSubHopf, YDDatum,
@@ -23,22 +23,22 @@ def rat(x):
 def test_validate_yd_datum_examples(b0_entry):
     H = group_algebra_cyclic(6, conductor=6)
     chi1 = cyclic_character(H, rat(-1))
-    d = validate_yd_datum(H, basis_vec(6, 3), chi1)
+    d = validate_yd_datum(H, {3: cone()}, chi1)
     assert isinstance(d, YDDatum) and d.q == rat(-1)
     # (B0, gamma, chi2) is valid
     O = b0_entry.ore.O
-    d2 = validate_yd_datum(O, basis_vec(12, 1), O.characters["chi2"])
+    d2 = validate_yd_datum(O, {1: cone()}, O.characters["chi2"])
     assert isinstance(d2, YDDatum) and d2.q == CycScalar.zeta(6)
     # degenerate: chi(gamma) = 1 gives q = 1, N = 1, still a valid datum
     chi_triv = cyclic_character(H, rat(1))
-    d3 = validate_yd_datum(H, basis_vec(6, 3), chi_triv)
+    d3 = validate_yd_datum(H, {3: cone()}, chi_triv)
     assert isinstance(d3, YDDatum) and d3.order() == 1
 
 
 def test_validate_yd_datum_rejects_non_group_like():
     H = group_algebra_cyclic(6, conductor=6)
     chi1 = cyclic_character(H, rat(-1))
-    bad = validate_yd_datum(H, [rat(1)] * 6, chi1)
+    bad = validate_yd_datum(H, {i: rat(1) for i in range(6)}, chi1)
     assert isinstance(bad, CheckReport) and not bad.entry("g_group_like").ok
 
 
@@ -46,7 +46,7 @@ def test_compatible_datum_gating():
     # (KC4, g, chi(g) = -1, N = 2, lambda = 1): valid nontrivial
     H = group_algebra_cyclic(4)
     chi = cyclic_character(H, rat(-1))
-    d = validate_yd_datum(H, basis_vec(4, 1), chi)
+    d = validate_yd_datum(H, {1: cone()}, chi)
     c = validate_compatible_datum(d, rat(1))
     assert isinstance(c, CompatibleDatum) and not c.is_trivial()
     # same with the integral criterion: the two paths agree
@@ -55,7 +55,7 @@ def test_compatible_datum_gating():
     # (KC6, gamma^3, chi1, lambda = 1) invalid: g^2 = 1
     H6 = group_algebra_cyclic(6, conductor=6)
     chi16 = cyclic_character(H6, rat(-1))
-    d6 = validate_yd_datum(H6, basis_vec(6, 3), chi16)
+    d6 = validate_yd_datum(H6, {3: cone()}, chi16)
     bad = validate_compatible_datum(d6, rat(1))
     assert isinstance(bad, CheckReport)
     # lambda = 0 always valid
@@ -66,7 +66,7 @@ def test_compatible_datum_gating():
 def test_quantum_line_structure():
     H = group_algebra_cyclic(6, conductor=6)
     chi = cyclic_character(H, CycScalar.zeta(6))
-    d = validate_yd_datum(H, basis_vec(6, 1), chi)
+    d = validate_yd_datum(H, {1: cone()}, chi)
     ql = build_quantum_line(d)
     assert ql.N == 6
     q = d.q
@@ -76,12 +76,12 @@ def test_quantum_line_structure():
     assert got == {k: v for k, v in expect.items() if v}
     # q = 1 degenerates to N = 1, R = K
     chi_triv = cyclic_character(H, rat(1))
-    d1 = validate_yd_datum(H, basis_vec(6, 1), chi_triv)
+    d1 = validate_yd_datum(H, {1: cone()}, chi_triv)
     assert build_quantum_line(d1).dim == 1
     # N = 2 line over KC4
     H4 = group_algebra_cyclic(4)
     chi4 = cyclic_character(H4, rat(-1))
-    ql2 = build_quantum_line(validate_yd_datum(H4, basis_vec(4, 1), chi4))
+    ql2 = build_quantum_line(validate_yd_datum(H4, {1: cone()}, chi4))
     assert ql2.N == 2
     assert ql2.mul_basis(1, 1) == {}
     assert ql2.comult_basis(1) == {(1, 0): cone(), (0, 1): cone()}
@@ -89,7 +89,7 @@ def test_quantum_line_structure():
 
 def test_quantum_line_rejects_infinite_order():
     H = group_algebra_cyclic(6, conductor=6)
-    d = YDDatum(H, basis_vec(6, 1), cyclic_character(H, CycScalar.zeta(6)), rat(2))
+    d = YDDatum(H, {1: cone()}, cyclic_character(H, CycScalar.zeta(6)), rat(2))
     with pytest.raises(InfiniteOrder):
         build_quantum_line(d)
 
@@ -112,9 +112,9 @@ def test_ore_relations_xmas(xmas_entry):
     assert ore.dim == 6 * 12 == 72
     O = ore.O
     q = CycScalar.zeta(6)
-    Y = sv_from_dense(ore.y_vec)
-    G = sv_from_dense(ore.gamma_vec)
-    X = sv_from_dense(ore.sigma.col(6))
+    Y = ore.y_vec
+    G = ore.gamma_vec
+    X = ore.sigma.cols[6]
     assert O.pow_sv(Y, 6) == {}
     assert O.mul_sv(G, Y) == sv_scale(O.mul_sv(Y, G), q)
     anti = dict(O.mul_sv(X, Y))
@@ -126,21 +126,21 @@ def test_ore_dim8(c4min_entry):
     ore = c4min_entry.ore
     assert ore.dim == 8
     O = ore.O
-    y = sv_from_dense(ore.y_vec)
+    y = ore.y_vec
     target = dict(O.unit_sv())
-    sv_add_into(target, O.pow_sv(sv_from_dense(ore.gamma_vec), 2), rat(-1))
+    sv_add_into(target, O.pow_sv(ore.gamma_vec, 2), rat(-1))
     assert O.mul_sv(y, y) == target
 
 
 def test_ore_n1_degenerate():
     H = group_algebra_cyclic(6, conductor=6)
     chi_triv = cyclic_character(H, rat(1))
-    d = validate_yd_datum(H, basis_vec(6, 1), chi_triv)
+    d = validate_yd_datum(H, {1: cone()}, chi_triv)
     c = validate_compatible_datum(d, rat(0))
     ore = build_ore_hopf(c)
     assert ore.dim == 6
     assert ore.p == Mat.identity(6)
-    assert all(not v for v in ore.y_vec)
+    assert not ore.y_vec
 
 
 def test_quantum_binomial_coproduct(xmas_entry):
@@ -148,8 +148,8 @@ def test_quantum_binomial_coproduct(xmas_entry):
     ore = xmas_entry.ore
     O = ore.O
     q = CycScalar.zeta(6)
-    Y = sv_from_dense(ore.y_vec)
-    G = sv_from_dense(ore.gamma_vec)
+    Y = ore.y_vec
+    G = ore.gamma_vec
     y_pows = [O.unit_sv()]
     g_pows = [O.unit_sv()]
     for _ in range(6):
@@ -201,7 +201,7 @@ def _cyclic_ore_data(max_dim=36):
         H = group_algebra_cyclic(m, conductor=m)
         for k in range(m):
             for t in range(m):
-                d = validate_yd_datum(H, basis_vec(m, k),
+                d = validate_yd_datum(H, {k: cone()},
                                       cyclic_character(H, CycScalar.zeta_power(m, t)))
                 if d.order() * m > max_dim:
                     continue
@@ -236,13 +236,12 @@ def test_universal_map_violations(b0_entry, c4min_entry):
     O = ore.O
     # wrong coproduct hypothesis: b = 1 is group-like, not skew-primitive
     with pytest.raises(HypothesisViolation) as info:
-        universal_map(ore, O, ore.sigma, list(O.unit))
+        universal_map(ore, O, ore.sigma, O.unit_sv())
     assert info.value.condition in ("ore_coproduct", "ore_commutation", "ore_power")
     # wrong power: b = y + (1 - Gamma) fails commutation over KC4
-    cand = list(ore.y_vec)
-    cand[0] = cand[0] + cone()
-    for k, c in sv_from_dense(ore.gamma_vec).items():
-        cand[k] = cand[k] - c
+    cand = dict(ore.y_vec)
+    sv_add_into(cand, {0: cone()})
+    sv_add_into(cand, ore.gamma_vec, rat(-1))
     with pytest.raises(HypothesisViolation):
         universal_map(ore, O, ore.sigma, cand)
 
@@ -251,7 +250,7 @@ def test_iterated_datum_xmas(b0_entry):
     ore = b0_entry.ore
     O = ore.O
     chi2 = O.characters["chi2"]
-    rep = iterated_datum_check(ore, basis_vec(12, 1), chi2, rat(0))
+    rep = iterated_datum_check(ore, {1: cone()}, chi2, rat(0))
     assert rep.ok
     assert rep.entry("side_direct").detail == "True"
     # chi2(Gamma1) chi1(Gamma2) = q^3 (-1) = 1 is what makes it work
@@ -263,7 +262,7 @@ def test_iterated_datum_bad_character(b0_entry):
     ore = b0_entry.ore
     chi_bad = list(ore.O.characters["chi2"])
     chi_bad[6] = cone()  # nonzero on the adjoined generator: not a character
-    rep = iterated_datum_check(ore, basis_vec(12, 1), chi_bad, rat(0))
+    rep = iterated_datum_check(ore, {1: cone()}, chi_bad, rat(0))
     assert not rep.ok and not rep.entry("chi2_character").ok
 
 
@@ -278,7 +277,7 @@ def test_iterated_datum_randomized(b0_entry):
         k = rng.randrange(6)
         m = rng.randrange(6)
         lam = lams[rng.randrange(len(lams))]
-        gamma2 = basis_vec(12, k)
+        gamma2 = {k: cone()}
         chi2 = zeros(12)
         for i in range(6):
             chi2[i] = (q ** m) ** i
@@ -310,24 +309,24 @@ def test_restrict_datum(xmas_entry, b0_entry):
     # restrict the dim-72 datum from B0 down to K C_6 = the group-like span
     ore = xmas_entry.ore
     datum = ore.datum
-    sub_basis = [basis_vec(12, k) for k in range(6)]
+    sub_basis = [{k: cone()} for k in range(6)]
     out = restrict_datum(datum, sub_basis)
     assert isinstance(out, CompatibleDatum)
     assert out.H.dim == 6 and out.N == 6
     # restriction to the full algebra is the identity operation
-    full = restrict_datum(datum, [basis_vec(12, k) for k in range(12)])
+    full = restrict_datum(datum, [{k: cone()} for k in range(12)])
     assert full.H.dim == 12
     # restriction to span{1} loses g: rejected
     with pytest.raises(NotSubHopf):
-        restrict_datum(datum, [basis_vec(12, 0)])
+        restrict_datum(datum, [{0: cone()}])
     # span of the group-likes plus x is not closed under comultiplication
     with pytest.raises(NotSubHopf):
-        restrict_datum(datum, [basis_vec(12, k) for k in range(6)] + [basis_vec(12, 6)])
+        restrict_datum(datum, [{k: cone()} for k in range(7)])
 
 
 def test_lemma_center_consequences(b0_entry):
     # every validated datum: g commutes with declared group-likes and chi
     # convolution-commutes with declared characters (checked in validation)
     O = b0_entry.ore.O
-    d = validate_yd_datum(O, basis_vec(12, 1), O.characters["chi2"])
+    d = validate_yd_datum(O, {1: cone()}, O.characters["chi2"])
     assert isinstance(d, YDDatum)

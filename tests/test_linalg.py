@@ -9,8 +9,7 @@ from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
     CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
     basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
-    preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, vec_eq, vec_is_zero,
-    zeros,
+    preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
 
 
@@ -34,10 +33,21 @@ def test_solve_inconsistent():
     assert solve(A, [rat(0), rat(1)]) is None
 
 
+def test_dense_conversions_reject_the_other_form():
+    """sv_from_dense of a sparse vector would read its values as a dense
+    list, and sv_to_dense of a dense one has no items: both raise."""
+    c = CycScalar.zeta(6)
+    with pytest.raises(TypeError):
+        sv_from_dense({5: c, 7: c})
+    with pytest.raises(TypeError):
+        sv_to_dense([c, czero()], 2)
+    assert sv_to_dense(sv_from_dense([czero(), c]), 2) == [czero(), c]
+
+
 def test_kernel_of_difference_row():
     K = kernel(Mat([[rat(1), rat(-1)]]))
     assert K.dim == 1
-    assert K.contains_vec([rat(1), rat(1)])
+    assert not K.reduce({0: rat(1), 1: rat(1)})
 
 
 def test_kernel_of_counit_covector():
@@ -53,7 +63,7 @@ def test_rref_idempotent():
         rows1, p1 = rref([list(r) for r in m.rows])
         rows2, p2 = rref([list(r) for r in rows1])
         assert p1 == p2
-        assert all(vec_eq(a, b) for a, b in zip(rows1, rows2))
+        assert rows1 == rows2
 
 
 def test_subspace_dimension_formula():
@@ -77,10 +87,10 @@ def test_subspace_dimension_formula():
         for S, rows in ((U, u_rows), (W, w_rows)):
             ref_rows, ref_pivots = reference_rref(rows)
             assert S.pivots == ref_pivots
-            assert all(vec_eq(a, b) for a, b in zip(S.rows, ref_rows))
+            assert [sv_to_dense(r, n) for r in S.pivot_rows.values()] == ref_rows
         meet, join = U.intersect(W), U.sum(W)
         assert join.dim + meet.dim == U.dim + W.dim
-        assert all(U.contains_vec(r) and W.contains_vec(r) for r in meet.rows)
+        assert not any(U.reduce(r) or W.reduce(r) for r in meet.pivot_rows.values())
         assert join.contains(U) and join.contains(W)
 
 
@@ -100,8 +110,8 @@ def test_preimage_contracts():
         pre = preimage(f, W)
         assert preimage(f, image(f)) == Subspace.full(5)
         assert pre.contains(kernel(f))
-        for row in pre.rows:
-            assert W.contains_vec(f.apply(list(row)))
+        for row in pre.pivot_rows.values():
+            assert not W.reduce(f.apply_sv(row))
 
 
 def test_preimage_wedge_oracle_kc2():
@@ -162,9 +172,9 @@ def test_kernel_from_sparse_rows_matches_dense():
         got = kernel_from_sparse_rows(sparse_rows, n)
         ref_rows, ref_pivots = reference_kernel(m.rows, n)
         assert got.pivots == ref_pivots
-        assert all(vec_eq(a, b) for a, b in zip(got.rows, ref_rows))
+        assert [sv_to_dense(r, n) for r in got.pivot_rows.values()] == ref_rows
         assert got == kernel(m)
-        assert all(vec_is_zero(m.apply(v)) for v in got.rows)
+        assert not any(m.apply_sv(v) for v in got.pivot_rows.values())
 
 
 def test_echelon_is_canonical():
@@ -178,7 +188,7 @@ def test_echelon_is_canonical():
         want = echelon(rows)
         ref_rows, ref_pivots = reference_rref([sv_to_dense(r, n) for r in rows])
         assert sorted(want) == ref_pivots
-        assert all(vec_eq(sv_to_dense(want[p], n), r) for p, r in zip(ref_pivots, ref_rows))
+        assert [sv_to_dense(want[p], n) for p in ref_pivots] == ref_rows
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert echelon(shuffled) == want
@@ -202,21 +212,22 @@ def test_coordinate_map_on_non_echelon_bases():
             basis = rand_mat(rng, m, n).rows
             if Subspace(n, basis).dim == m:
                 break
-        coords = CoordinateMap(basis)
+        basis_sv = [sv_from_dense(b) for b in basis]
+        coords = CoordinateMap(n, basis_sv)
         x = [CycScalar(6, [rng.randrange(-2, 3), rng.randrange(-2, 3)]) for _ in range(m)]
         v = [czero()] * n
         for xk, b in zip(x, basis):
             v = [a + xk * c for a, c in zip(v, b)]
         got = coords(sv_from_dense(v))
         assert got == sv_from_dense(x)
-        assert vec_eq(sv_to_dense(got, m), solve(Mat.of_cols(n, [sv_from_dense(b) for b in basis]), v))
+        assert sv_to_dense(got, m) == solve(Mat.of_cols(n, basis_sv), v)
         # off the span: None from the map and from solve, and None from the
         # pair form when a first leg is off the span
         if m < n:
             off = next(e for e in (basis_vec(n, i) for i in range(n))
-                       if not Subspace(n, basis).contains_vec(e))
+                       if Subspace(n, basis).reduce(sv_from_dense(e)))
             assert coords(sv_from_dense([a + c for a, c in zip(v, off)])) is None
-            assert solve(Mat.of_cols(n, [sv_from_dense(b) for b in basis]), off) is None
+            assert solve(Mat.of_cols(n, basis_sv), off) is None
             assert coords.pair({(i, j): cone() for i, a in enumerate(off) if a
                                 for j, c in enumerate(basis[0]) if c}) is None
         # pair form: coordinates of b_a (x) b_b are e_(a, b)
@@ -231,9 +242,9 @@ def test_coordinate_map_on_non_echelon_bases():
 
 def test_coordinate_map_rejects_dependent_basis():
     import pytest
-    v = [cone(), CycScalar.zeta(6)]
+    v = {0: cone(), 1: CycScalar.zeta(6)}
     with pytest.raises(ValueError):
-        CoordinateMap([v, [CycScalar.zeta(6) * c for c in v]])
+        CoordinateMap(2, [v, sv_scale(v, CycScalar.zeta(6))])
 
 
 def test_tensor_contract_unit_axis():
@@ -259,12 +270,9 @@ def test_map_tensor_product_kronecker_contract():
     assert map_tensor_product(Mat.identity(3), Mat.identity(4)) == Mat.identity(12)
     for i in range(3):
         for j in range(2):
-            e = zeros(6)
-            e[i * 2 + j] = cone()
-            got = fg.apply(e)
-            fi, gj = f.apply(basis_vec(3, i)), g.apply(basis_vec(2, j))
-            expect = [fi[a] * gj[b] for a in range(2) for b in range(3)]
-            assert vec_eq(got, expect)
+            got = sv_to_dense(fg.cols[i * 2 + j], 6)
+            fi, gj = sv_to_dense(f.cols[i], 2), sv_to_dense(g.cols[j], 3)
+            assert got == [fi[a] * gj[b] for a in range(2) for b in range(3)]
 
 
 def test_mat_inverse():
@@ -316,7 +324,7 @@ def assert_dense(M, rows, nrows, ncols):
     assert (M.nrows, M.ncols) == (nrows, ncols) and len(M.cols) == ncols
     assert all(c for col in M.cols for c in col.values())
     assert all(i in range(nrows) for col in M.cols for i in col)
-    assert all(vec_eq(a, b) for a, b in zip(dense(M), rows)) and len(rows) == nrows
+    assert dense(M) == rows and len(rows) == nrows
 
 
 def check_against_dense(rng, M):
@@ -335,7 +343,6 @@ def check_against_dense(rng, M):
     v = [CycScalar(4, [rng.randrange(-2, 3), rng.randrange(-2, 3)]) if rng.random() < 0.7 else czero()
          for _ in range(m)]
     want = [sum((a * x for a, x in zip(r, v)), czero()) for r in ref]
-    assert vec_eq(M.apply(v), want)
     assert M.apply_sv(sv_from_dense(v)) == sv_from_dense(want)
     assert M.rank() == len(reference_rref(ref)[1])
     if n == m and n:
@@ -460,6 +467,25 @@ def test_one_echelon_routine_and_no_private_imports():
     eliminating = {(m, f) for m, c in calls.items() for f, name in c if name in ("echelon", "rref")}
     assert solvers - eliminating == set()
     assert private_imports == []
+
+
+def test_dense_conversions_only_at_the_boundaries():
+    """An element of an algebra is a sparse vector from where it is formed to
+    where it is used, so sv_from_dense and sv_to_dense are called only where
+    a dense form enters or leaves: the functions below, and no others."""
+    allowed = {
+        ("hopf.py", "AlgebraSC.__init__", "sv_from_dense"),    # the stored unit, once
+        ("linalg.py", "Subspace.__init__", "sv_from_dense"),   # a span of dense rows
+        ("linalg.py", "rref", "sv_from_dense"),                # echelon on dense rows
+        ("linalg.py", "rref", "sv_to_dense"),
+        ("linalg.py", "solve", "sv_from_dense"),               # a dense right-hand side
+        ("analyze.py", "induced_structures", "sv_to_dense"),   # R's stored unit
+        ("construct.py", "restrict_datum", "sv_to_dense"),     # the subalgebra's stored unit
+    }
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    found = {(path.name, f, name) for path in sorted(src.glob("*.py"))
+             for f, name in calls_by_function(path) if name in ("sv_from_dense", "sv_to_dense")}
+    assert found == allowed
 
 
 def test_map_store_is_written_only_in_linalg():

@@ -25,13 +25,13 @@ def kc6():
 @pytest.fixture(scope="module")
 def ky(kc6):
     chi1 = cyclic_character(kc6, rat(-1))
-    return one_dim_module(kc6, basis_vec(6, 3), chi1)
+    return one_dim_module(kc6, {3: cone()}, chi1)
 
 
 @pytest.fixture(scope="module")
 def qline(kc6):
     chi = cyclic_character(kc6, CycScalar.zeta(6))
-    d = validate_yd_datum(kc6, basis_vec(6, 1), chi)
+    d = validate_yd_datum(kc6, {1: cone()}, chi)
     return build_quantum_line(d)
 
 
@@ -59,7 +59,7 @@ def test_one_dim_module_over_group_algebra(kc6, ky):
     # over a commutative cocommutative base any (group-like, character) pair
     # satisfies the compatibility, including rho(y) = g^2 (x) y
     chi1 = cyclic_character(kc6, rat(-1))
-    other = one_dim_module(kc6, basis_vec(6, 2), chi1)
+    other = one_dim_module(kc6, {2: cone()}, chi1)
     assert check_yd(other).ok
 
 
@@ -67,11 +67,11 @@ def test_yd_violation_over_noncommutative_base(b0_entry):
     # over B0 the pair (gamma, chi2) is fine but (gamma, chi1-like) breaks
     O = b0_entry.ore.O
     chi2 = O.characters["chi2"]
-    good = one_dim_module(O, basis_vec(12, 1), chi2)
+    good = one_dim_module(O, {1: cone()}, chi2)
     assert check_yd(good).ok
     # action by the trivial character with coaction by gamma violates YD at h = x
     eps_like = list(O.counit)
-    bad = one_dim_module(O, basis_vec(12, 1), eps_like)
+    bad = one_dim_module(O, {1: cone()}, eps_like)
     rep = check_yd(bad)
     assert not rep.ok
     assert not rep.entry("yd_compatibility").ok
