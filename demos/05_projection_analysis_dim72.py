@@ -8,42 +8,38 @@ diverge from degree 3 on.
 """
 
 from hopfforge import catalog
-from hopfforge.analyze import (
-    classify, cocycle_analysis, equivalence_report, induced_structures,
-    omega_roundtrip, retraction_tools, thinness_and_basis, validate_setup,
-    wedge_layer_of_sigma,
-)
+from hopfforge.analyze import Analysis, retraction_tools
 
 entry = catalog.xmas()
 setup = entry.extra["setup_pi"]
+an = Analysis(setup)
 
 print("validate_setup:")
-print(validate_setup(setup).describe())
+print(an.validation.describe())
 
-ind = induced_structures(setup)
-thin, basis, datum = thinness_and_basis(ind)
-print("\ncoinvariants: dim", ind.pre.dim, "- thin:", thin,
+ind, basis = an.induced, an.basis
+print("\ncoinvariants: dim", ind.pre.dim, "- thin:", basis is not None,
       "- N =", basis.N, "- q =", basis.q)
 
 yp = basis.y_powers()
 print("xi(y (x) y^2) =", {k: str(v) for k, v in ind.xi.eval(yp[1], yp[2]).items()},
       " (index 6 is the skew-primitive X of B_0)")
 
-ana = cocycle_analysis(ind, basis)
+ana = an.cocycle
 print("x != 0:", not ana.x_is_zero, "| claims about x all hold:", ana.x_claims.ok)
 print("support restricted to a+b in {0, 3, 6, 9}:", ana.support_ok)
 print("extracted lambda(6) =", ana.lam)
 
-er = equivalence_report(ind, basis, ana)
+er = an.equivalences
 print("\nequivalence items:", er.equivalences)
 print("power comparison (y^n in R vs A):", er.power_comparison)
 
-print("\nomega roundtrip rebuilds A exactly:", omega_roundtrip(setup, ind))
-print("dim A_1 =", wedge_layer_of_sigma(setup).dim, "= 2 dim H")
+print("\nomega roundtrip rebuilds A exactly:", an.roundtrip)
+print("dim A_1 =", an.A1.dim, "= 2 dim H")
 
 tools = retraction_tools(setup, entry.setup)
 print("transport between pi and the normalized p:", tools)
 
-comp, ore, iso = classify(setup)
+comp, ore, iso = an.classification
 print("\nclassification: A ~ O(B_0, gamma, chi2, lambda) with lambda =", comp.lam,
       "- iso rank", iso.rank())

@@ -2,7 +2,7 @@
 Hopf algebras with bilinear coalgebra projections."""
 
 from .cyclotomic import (
-    CycScalar, RootOfUnity, ConductorOverflow, DivisionByZero,
+    CycScalar, ConductorOverflow, DivisionByZero,
     euler_phi, multiplicative_order, primitive_root,
     q_binomial, q_factorial, q_int, set_conductor_cap, conductor_cap,
 )
@@ -28,8 +28,8 @@ from .construct import (
     universal_map, validate_compatible_datum, validate_yd_datum,
 )
 from .analyze import (
-    AnalysisReport, DividedPowerBasis, InducedPreBialgebra, ProjectionSetup,
-    classify, cocycle_analysis, coinvariants, equivalence_report, induced_structures,
+    Analysis, AnalysisError, AnalysisReport, DividedPowerBasis, InducedPreBialgebra,
+    ProjectionSetup, classify, cocycle_analysis, coinvariants, equivalence_report, induced_structures,
     omega_roundtrip, retraction_tools, setup_from_ore, tau_matrix, thinness_and_basis,
     validate_setup, wedge_layer_of_sigma,
 )

@@ -6,6 +6,7 @@ pre-bialgebra with its cocycle, thinness and divided-power bases, the
 associated (g, chi, q) datum, the scalar lambda(N), x and the cocycle line
 tables, the colinearity equivalences, transports between retractions, and
 the classification isomorphism onto an Ore-extension Hopf algebra.
+`Analysis` chains these stages on one setup and forms each of them once.
 """
 
 from __future__ import annotations
@@ -38,19 +39,23 @@ from .reports import MAX_WITNESSES, CheckReport
 from .yd import YDModule
 
 
-class InducedAxiomFailure(ValueError):
+class AnalysisError(ValueError):
+    """A claim or hypothesis of the theory failed, so the analysis stops."""
+
+
+class InducedAxiomFailure(AnalysisError):
     pass
 
 
-class NotThin(ValueError):
+class NotThin(AnalysisError):
     pass
 
 
-class FlagRequired(ValueError):
+class FlagRequired(AnalysisError):
     pass
 
 
-class EquivalenceMismatch(ValueError):
+class EquivalenceMismatch(AnalysisError):
     pass
 
 
@@ -253,13 +258,11 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[SVec]] = None,
     return InducedPreBialgebra(s, R, basis, coords, pre, xi, tau)
 
 
-def omega_roundtrip(s: ProjectionSetup, ind: Optional[InducedPreBialgebra] = None) -> bool:
+def omega_roundtrip(ind: InducedPreBialgebra) -> bool:
     """Rebuild R #_xi H from the induced data and compare with A through
     omega(r (x) h) = r sigma(h): both multiplication and comultiplication
     must transport exactly.
     """
-    if ind is None:
-        ind = induced_structures(s)
     return _omega_is_iso(ind, bosonize(ind.pre, ind.xi, verify=False).B)
 
 
@@ -292,8 +295,8 @@ class DividedPowerBasis:
         return [sv_scale(dn, q_factorial(n_, self.q)) for n_, dn in enumerate(self.d)]
 
 
-def thinness_and_basis(ind: InducedPreBialgebra):
-    """(thin, divided-power basis, associated YD datum).
+def thinness_and_basis(ind: InducedPreBialgebra) -> Optional[DividedPowerBasis]:
+    """The divided-power basis of a thin carrier, or None when it is not thin.
 
     Thin means: the filtration from K 1 exhausts the carrier with a
     one-dimensional bottom layer, and the primitive space has dimension 1.
@@ -308,7 +311,7 @@ def thinness_and_basis(ind: InducedPreBialgebra):
     prim = skew_primitives(pre, unit, unit)
     thin = exhausts and F0.dim == 1 and prim.dim == 1
     if not thin:
-        return False, None, None
+        return None
     (y,) = prim.pivot_rows.values()
     H = ind.setup.H
     # chi from h . y = chi(h) y; g from rho(y) = g (x) y
@@ -350,11 +353,9 @@ def thinness_and_basis(ind: InducedPreBialgebra):
         for h in range(H.dim):
             if pre.yd.act({h: cone()}, dk) != sv_scale(dk, chik[h]):
                 raise NotThin(f"eigenvalue property fails at degree {k}")
-    basis = DividedPowerBasis(d, q, g, chi, n, y)
-    datum = validate_yd_datum(H, g, chi)
-    if isinstance(datum, CheckReport):
+    if isinstance(validate_yd_datum(H, g, chi), CheckReport):
         raise NotThin("associated datum fails validation")
-    return True, basis, datum
+    return DividedPowerBasis(d, q, g, chi, n, y)
 
 
 def _proportionality(img: SVec, ref: SVec) -> Optional[CycScalar]:
@@ -519,14 +520,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
 
 @dataclass
 class AnalysisReport:
-    thin: bool
-    N: int
-    q: CycScalar
-    g: SVec
-    chi: Vec
-    colinear: bool
     associative: bool
-    analysis: CocycleAnalysis
     equivalences: dict[str, bool]
     power_comparison: list[bool]
     consequence_integral: Optional[dict[str, bool]]
@@ -545,7 +539,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     """
     s, pre, xi = ind.setup, ind.pre, ind.xi
     H, A = s.H, s.A
-    N, q = basis.N, basis.q
+    N = basis.N
     a_item = mult_is_colinear(pre)
     if N % 2 == 1:
         b_item = True
@@ -608,9 +602,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
             }
             if not all(consequence.values()):
                 raise EquivalenceMismatch(f"integral consequence fails: {consequence}")
-    return AnalysisReport(True, N, q, basis.g, basis.chi, a_item,
-                          mult_is_associative(pre), analysis, equivalences, pow_cmp,
-                          consequence)
+    return AnalysisReport(mult_is_associative(pre), equivalences, pow_cmp, consequence)
 
 
 def _combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
@@ -701,8 +693,7 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
         "uniqueness_asserted": False,
     }
     if s1.H_cosemisimple and s2.H_cosemisimple:
-        thin1, _, _ = thinness_and_basis(ind1)
-        if thin1:
+        if thinness_and_basis(ind1) is not None:
             out["uniqueness_asserted"] = True
             if not equal:
                 raise EquivalenceMismatch(
@@ -736,70 +727,118 @@ def wedge_layer_of_sigma(s: ProjectionSetup) -> Subspace:
     return wedge(s.A, sigmaH, sigmaH)
 
 
-def classify(s: ProjectionSetup):
-    """(CompatibleDatum, OreHopf, iso) with iso: O(H, g, chi, lambda) -> A.
+class Analysis:
+    """The analysis of one setup, each stage formed once, when first read.
 
-    Requires the flags to license lambda extraction and the carrier to be
-    thin.  The generator z is searched in the skew-primitive space of A
-    relative to (sigma(g), 1), constrained by the universal-map hypotheses
-    and normalized so its coefficient along y is 1.  Also verifies the
-    dim(A_1) = 2 dim(H) <-> thin criterion on the instance.
+    The stages are validation, induced, roundtrip, basis, cocycle,
+    equivalences, A1 and classification.  basis is the divided-power basis,
+    or None when R is not thin; cocycle and equivalences need a thin R.
+    Each stage before classification calls the module-level function of the
+    same step, looked up when the stage is read, so that function can also
+    be called, or replaced, alone.
     """
-    if not (s.H_finite_dim or s.H_cosemisimple):
-        raise FlagRequired("classification needs H finite dimensional or cosemisimple")
-    ind = induced_structures(s)
-    thin, basis, datum = thinness_and_basis(ind)
-    A1 = wedge_layer_of_sigma(s)
-    if (A1.dim == 2 * s.H.dim) != thin:
-        raise EquivalenceMismatch(
-            f"dim A_1 = {A1.dim} vs 2 dim H = {2 * s.H.dim} disagrees with thin = {thin}")
-    if not thin:
-        raise NotThin("classification needs a thin coinvariant coalgebra")
-    analysis = cocycle_analysis(ind, basis)
-    if analysis.lam is None or analysis.lam_datum is None:
-        raise FlagRequired("lambda extraction failed under the given flags")
-    comp = analysis.lam_datum
-    ore = build_ore_hopf(comp, verify=False)
-    A, H = s.A, s.H
-    # search the normalized generator z among (sigma(g), 1)-skew-primitives
-    gA = s.sigma.apply_sv(basis.g)
-    sk = skew_primitives(A, gA, A.unit_sv(), bial=A)
-    # linear constraints: sigma(h) z = z sigma(phi(h)) for all basis h
-    phi1 = phi_power(H, basis.chi, 1)
-    rows: list[SVec] = []
-    zs = list(sk.pivot_rows.values())
-    for h in range(H.dim):
-        sh = s.sigma.cols[h]
-        sph = s.sigma.apply_sv(phi1.cols[h])
-        diffs = []
-        for zk in zs:
-            diff = A.mul_sv(sh, zk)
-            sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
-            diffs.append(diff)
-        for t in range(A.dim):
-            row: SVec = {kk: diff[t] for kk, diff in enumerate(diffs) if t in diff}
-            if row:
-                rows.append(row)
-    sol = kernel_from_sparse_rows(rows, len(zs))
-    y_in_A = _combine(basis.y, ind.basis)
-    piv = min(y_in_A)
-    fhat: Optional[Mat] = None
-    for cand_coords in sol.pivot_rows.values():
-        cand = _combine(cand_coords, zs)
-        # normalize: coefficient along y equal to 1 (measured at y's pivot)
-        if piv not in cand:
-            continue
-        # z must satisfy the power condition; try it
-        try:
-            fhat = universal_map(ore, A, s.sigma, sv_scale(cand, y_in_A[piv] / cand[piv]))
-        except Exception:
-            continue
-        break
-    if fhat is None:
-        raise NotThin("no normalized generator satisfies the universal-map hypotheses")
-    # bijectivity and sigma-compatibility
-    if fhat.rank() != A.dim:
-        raise EquivalenceMismatch("classification map is not bijective")
-    if (fhat @ ore.sigma) != s.sigma:
-        raise EquivalenceMismatch("classification map does not restrict to sigma")
-    return comp, ore, fhat
+
+    def __init__(self, setup: ProjectionSetup):
+        self.setup = setup
+
+    @cached_property
+    def validation(self) -> CheckReport:
+        return validate_setup(self.setup)
+
+    @cached_property
+    def induced(self) -> InducedPreBialgebra:
+        return induced_structures(self.setup)
+
+    @cached_property
+    def roundtrip(self) -> bool:
+        return omega_roundtrip(self.induced)
+
+    @cached_property
+    def basis(self) -> Optional[DividedPowerBasis]:
+        return thinness_and_basis(self.induced)
+
+    @cached_property
+    def cocycle(self) -> CocycleAnalysis:
+        return cocycle_analysis(self.induced, self.basis)
+
+    @cached_property
+    def equivalences(self) -> AnalysisReport:
+        return equivalence_report(self.induced, self.basis, self.cocycle)
+
+    @cached_property
+    def A1(self) -> Subspace:
+        return wedge_layer_of_sigma(self.setup)
+
+    @cached_property
+    def classification(self) -> tuple[CompatibleDatum, OreHopf, Mat]:
+        """(CompatibleDatum, OreHopf, iso) with iso: O(H, g, chi, lambda) -> A.
+
+        Requires the flags to license lambda extraction and the carrier to be
+        thin.  The generator z is searched in the skew-primitive space of A
+        relative to (sigma(g), 1), constrained by the universal-map
+        hypotheses and normalized so its coefficient along y is 1.  Also
+        verifies the dim(A_1) = 2 dim(H) <-> thin criterion on the instance.
+        """
+        s = self.setup
+        if not (s.H_finite_dim or s.H_cosemisimple):
+            raise FlagRequired("classification needs H finite dimensional or cosemisimple")
+        basis, A1 = self.basis, self.A1
+        thin = basis is not None
+        if (A1.dim == 2 * s.H.dim) != thin:
+            raise EquivalenceMismatch(
+                f"dim A_1 = {A1.dim} vs 2 dim H = {2 * s.H.dim} disagrees with thin = {thin}")
+        if not thin:
+            raise NotThin("classification needs a thin coinvariant coalgebra")
+        analysis = self.cocycle
+        if analysis.lam is None or analysis.lam_datum is None:
+            raise FlagRequired("lambda extraction failed under the given flags")
+        comp = analysis.lam_datum
+        ore = build_ore_hopf(comp, verify=False)
+        A, H = s.A, s.H
+        # search the normalized generator z among (sigma(g), 1)-skew-primitives
+        gA = s.sigma.apply_sv(basis.g)
+        sk = skew_primitives(A, gA, A.unit_sv(), bial=A)
+        # linear constraints: sigma(h) z = z sigma(phi(h)) for all basis h
+        phi1 = phi_power(H, basis.chi, 1)
+        rows: list[SVec] = []
+        zs = list(sk.pivot_rows.values())
+        for h in range(H.dim):
+            sh = s.sigma.cols[h]
+            sph = s.sigma.apply_sv(phi1.cols[h])
+            diffs = []
+            for zk in zs:
+                diff = A.mul_sv(sh, zk)
+                sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
+                diffs.append(diff)
+            for t in range(A.dim):
+                row: SVec = {kk: diff[t] for kk, diff in enumerate(diffs) if t in diff}
+                if row:
+                    rows.append(row)
+        sol = kernel_from_sparse_rows(rows, len(zs))
+        y_in_A = _combine(basis.y, self.induced.basis)
+        piv = min(y_in_A)
+        fhat: Optional[Mat] = None
+        for cand_coords in sol.pivot_rows.values():
+            cand = _combine(cand_coords, zs)
+            # normalize: coefficient along y equal to 1 (measured at y's pivot)
+            if piv not in cand:
+                continue
+            # z must satisfy the power condition; try it
+            try:
+                fhat = universal_map(ore, A, s.sigma, sv_scale(cand, y_in_A[piv] / cand[piv]))
+            except Exception:
+                continue
+            break
+        if fhat is None:
+            raise NotThin("no normalized generator satisfies the universal-map hypotheses")
+        # bijectivity and sigma-compatibility
+        if fhat.rank() != A.dim:
+            raise EquivalenceMismatch("classification map is not bijective")
+        if (fhat @ ore.sigma) != s.sigma:
+            raise EquivalenceMismatch("classification map does not restrict to sigma")
+        return comp, ore, fhat
+
+
+def classify(s: ProjectionSetup):
+    """Analysis(s).classification, on a fresh Analysis for every call."""
+    return Analysis(s).classification

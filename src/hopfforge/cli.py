@@ -19,10 +19,7 @@ from .cocycle import bosonize, check_cocycle, check_prebialgebra, is_radford_maj
 from .construct import (
     CompatibleDatum, YDDatum, build_ore_hopf, validate_compatible_datum, validate_yd_datum,
 )
-from .analyze import (
-    ProjectionSetup, cocycle_analysis, equivalence_report, induced_structures,
-    omega_roundtrip, thinness_and_basis, validate_setup, wedge_layer_of_sigma,
-)
+from .analyze import Analysis, AnalysisError, ProjectionSetup
 from .fileformat import (
     AlgebraFile, ParseError, format_scalar, parse_scalar,
     write_cocycle, write_hopf, write_map, write_prebialgebra,
@@ -170,17 +167,25 @@ def cmd_bosonize(args) -> int:
 
 
 def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
-    """The full diagnostic pipeline on a validated setup, recorded into rep."""
-    v = validate_setup(setup)
+    """The analysis of a setup, rendered into rep.  An AnalysisError that
+    stops it is recorded as a FAIL line naming the error."""
+    try:
+        _render(Analysis(setup), rep)
+    except AnalysisError as exc:
+        rep.status("analysis", False, f"{type(exc).__name__}: {exc}")
+
+
+def _render(an: Analysis, rep: Report) -> None:
+    setup = an.setup
+    v = an.validation
     rep.absorb(v)
     if not v.ok:
         return
-    ind = induced_structures(setup)
-    rep.status("induced_structures", True, f"dim R = {ind.pre.dim}")
-    rep.status("omega_roundtrip", omega_roundtrip(setup, ind))
-    thin, basis, datum = thinness_and_basis(ind)
-    rep.set("thin", thin)
-    if not thin:
+    rep.status("induced_structures", True, f"dim R = {an.induced.pre.dim}")
+    rep.status("omega_roundtrip", an.roundtrip)
+    basis = an.basis
+    rep.set("thin", basis is not None)
+    if basis is None:
         rep.skipped("cocycle_analysis", "carrier is not thin; structure theory does not apply")
         return
     conductor = setup.H.conductor
@@ -199,7 +204,7 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
 
     rep.set("g", h_vec_text(basis.g))
     rep.set("chi_on_basis", " ".join(format_scalar(c, conductor) for c in basis.chi))
-    ana = cocycle_analysis(ind, basis)
+    ana = an.cocycle
     rep.set("x", h_vec_text(ana.x))
     for (a, b), val in sorted(ana.table.items()):
         if val:
@@ -219,16 +224,16 @@ def run_analysis(setup: ProjectionSetup, rep: Report) -> None:
         rep.skipped("lambda_extraction", "flags do not license the extraction")
     if ana.table_matches is not None:
         rep.status("cocycle_table", ana.table_matches)
-    er = equivalence_report(ind, basis, ana)
+    er = an.equivalences
     for k, val in er.equivalences.items():
         rep.set(f"eq_{k}", val)
     rep.status("equivalences_consistent", True)
-    rep.set("colinear", er.colinear)
+    rep.set("colinear", er.equivalences["a_colinear"])
     rep.set("associative", er.associative)
     rep.set("powers_agree", er.equivalences["c_powers_agree"])
-    A1 = wedge_layer_of_sigma(setup)
+    A1 = an.A1
     rep.set("dim_A1", A1.dim)
-    rep.status("wedge_criterion", (A1.dim == 2 * setup.H.dim) == thin,
+    rep.status("wedge_criterion", A1.dim == 2 * setup.H.dim,
                f"dim A1 = {A1.dim}, 2 dim H = {2 * setup.H.dim}")
 
 

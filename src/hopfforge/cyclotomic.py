@@ -660,45 +660,6 @@ def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fr
     return q, num[: d + 1]
 
 
-# -- roots of unity ----------------------------------------------------------
-
-
-class RootOfUnity:
-    """zeta_L^e, kept in lowest terms e/L of the rotation it denotes."""
-
-    __slots__ = ("conductor", "exponent")
-
-    def __init__(self, conductor: int, exponent: int):
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        self.conductor = conductor
-        self.exponent = exponent % conductor
-
-    @property
-    def order(self) -> int:
-        return self.conductor // gcd(self.conductor, self.exponent) if self.exponent else 1
-
-    def to_cyc(self, conductor: Optional[int] = None) -> CycScalar:
-        L = conductor or self.conductor
-        if L % self.conductor != 0:
-            raise ValueError("target conductor must be a multiple")
-        return CycScalar.zeta_power(L, self.exponent * (L // self.conductor))
-
-    def __eq__(self, other):
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        g1 = gcd(self.conductor, self.exponent) if self.exponent else self.conductor
-        g2 = gcd(other.conductor, other.exponent) if other.exponent else other.conductor
-        return (self.conductor // g1, self.exponent // g1) == (other.conductor // g2, other.exponent // g2)
-
-    def __hash__(self):
-        g = gcd(self.conductor, self.exponent) if self.exponent else self.conductor
-        return hash((self.conductor // g, self.exponent // g))
-
-    def __repr__(self):
-        return f"RootOfUnity(zeta_{self.conductor}^{self.exponent})"
-
-
 def primitive_root(N: int) -> CycScalar:
     """zeta_N as a CycScalar at conductor N; its multiplicative order is N."""
     if N < 1:

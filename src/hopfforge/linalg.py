@@ -532,21 +532,6 @@ class Tensor3:
                 sv_axpy(cols[idx[col_ax]], w, ((idx[row_ax], c),))
         return Mat.of_cols(self.shape[row_ax], cols)
 
-    def apply_map(self, axis: int, m: Mat) -> "Tensor3":
-        """Push the given axis through a linear map (new axis dim = m.nrows)."""
-        n1, n2, n3 = self.shape
-        dims = [n1, n2, n3]
-        if m.ncols != dims[axis - 1]:
-            raise ShapeMismatch("map domain does not match axis dimension")
-        dims[axis - 1] = m.nrows
-        out = Tensor3(tuple(dims))
-        for idx, c in self.data.items():
-            new = list(idx)
-            for b, w in m.cols[idx[axis - 1]].items():
-                new[axis - 1] = b
-                out.add_to(tuple(new), w * c)
-        return out
-
     def __repr__(self):
         return f"Tensor3(shape={self.shape}, nnz={len(self.data)})"
 

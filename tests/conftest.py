@@ -1,7 +1,7 @@
 import pytest
 
 from hopfforge import catalog
-from hopfforge.analyze import induced_structures, thinness_and_basis, cocycle_analysis
+from hopfforge.analyze import Analysis
 
 
 @pytest.fixture(scope="session")
@@ -36,21 +36,15 @@ def kc12n6_entry():
 
 @pytest.fixture(scope="session")
 def xmas_pi_analysis(xmas_entry):
-    """Induced structures + thin basis + cocycle analysis for the
-    non-normalized projection of the dim-72 example (computed once)."""
-    setup = xmas_entry.extra["setup_pi"]
-    ind = induced_structures(setup)
-    thin, basis, datum = thinness_and_basis(ind)
-    assert thin
-    ana = cocycle_analysis(ind, basis)
-    return ind, basis, datum, ana
+    """The Analysis of the non-normalized projection of the dim-72 example,
+    shared by the session so that each stage is formed once."""
+    an = Analysis(xmas_entry.extra["setup_pi"])
+    assert an.basis is not None
+    return an
 
 
 @pytest.fixture(scope="session")
 def c4min_analysis(c4min_entry):
-    setup = c4min_entry.setup
-    ind = induced_structures(setup)
-    thin, basis, datum = thinness_and_basis(ind)
-    assert thin
-    ana = cocycle_analysis(ind, basis)
-    return ind, basis, datum, ana
+    an = Analysis(c4min_entry.setup)
+    assert an.basis is not None
+    return an

@@ -25,8 +25,7 @@ from hopfforge.construct import (
     validate_yd_datum,
 )
 from hopfforge.analyze import (
-    ProjectionSetup, cocycle_analysis, equivalence_report, induced_structures,
-    omega_roundtrip, retraction_tools, setup_from_ore, thinness_and_basis,
+    Analysis, ProjectionSetup, induced_structures, retraction_tools, setup_from_ore,
     validate_setup, wedge_layer_of_sigma,
 )
 from hopfforge.fileformat import AlgebraFile
@@ -121,7 +120,7 @@ def test_criterion_03_non_normalized_projection(xmas_entry, xmas_pi_analysis):
     e4 = dict(y_pows[4]); sv_add_into(e4, A.mul_sv(y_pows[1], X), -(q * 2 - rat(1)))
     e5 = dict(y_pows[5]); sv_add_into(e5, A.mul_sv(y_pows[2], X), cone())
     assert t3 == e3 and t4 == e4 and t5 == e5
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     yp = basis.y_powers()
     assert ind.xi.eval(yp[1], yp[2]) == {6: cone()}           # xi(y, y^2) = X
     H2 = setup.H
@@ -136,7 +135,7 @@ def test_criterion_03_non_normalized_projection(xmas_entry, xmas_pi_analysis):
         for j, cj in yp[1].items():
             expect[(h, j)] = expect.get((h, j), czero()) + rat(2) * q_binomial(4, 3, q) * ch * cj
     assert co == {k: v for k, v in expect.items() if v}       # rho(y^4) correction term
-    er = equivalence_report(ind, basis, ana)
+    er = xmas_pi_analysis.equivalences
     assert not any(er.equivalences[k] for k in
                    ("a_colinear", "b_odd_or_half_zero", "c_powers_agree", "d_quantum_line"))
     assert setup.pi != xmas_entry.setup.pi                    # pi != p
@@ -148,7 +147,7 @@ def test_criterion_04_minimal_nontrivial_bosonization(c4min_entry, c4min_analysi
     ore = c4min_entry.ore
     assert ore.dim == 8
     assert check_hopf(ore.O).ok
-    ind, basis, datum, ana = c4min_analysis
+    ind, basis = c4min_analysis.induced, c4min_analysis.basis
     from hopfforge.analyze import _is_quantum_line
     assert _is_quantum_line(ind, basis) and basis.N == 2
     H = ore.base
@@ -156,7 +155,7 @@ def test_criterion_04_minimal_nontrivial_bosonization(c4min_entry, c4min_analysi
     z = dict(H.unit_sv())
     sv_add_into(z, H.pow_sv({1: cone()}, 2), rat(-1))
     assert ind.xi.eval(yp[1], yp[1]) == z and z               # xi(y,y) = 1 - g^2 != 0
-    er = equivalence_report(ind, basis, ana)
+    er = c4min_analysis.equivalences
     assert not any(er.equivalences[k] for k in
                    ("1_xi_trivial", "2_datum_trivial", "3_radford_majid", "4_pi_algebra_map"))
     assert er.consequence_integral == {
@@ -178,7 +177,7 @@ def test_criterion_05_omega_roundtrip(b0_entry, xmas_entry, c4min_entry,
         "xmas(pi)": xmas_entry.extra["setup_pi"],
     }
     for name, s in setups.items():
-        assert omega_roundtrip(s), name
+        assert Analysis(s).roundtrip, name
     _announce(5, "bosonize(induced) reproduces A exactly, all catalog setups", t0)
 
 
@@ -188,15 +187,13 @@ def test_criterion_06_cocycle_axiom_suite(b0_entry, xmas_entry, c4min_entry,
     setups = [b0_entry.setup, c4min_entry.setup, smash36_entry.setup,
               kc12n6_entry.setup, xmas_entry.setup, xmas_entry.extra["setup_pi"]]
     for s in setups:
-        ind = induced_structures(s, verify=False)
-        rep = check_cocycle(ind.pre, ind.xi)
+        an = Analysis(s)
+        rep = check_cocycle(an.induced.pre, an.induced.xi)
         assert rep.ok, rep.describe()
-        thin, basis, datum = thinness_and_basis(ind)
-        if thin:
-            ana = cocycle_analysis(ind, basis)
-            assert ana.support_ok
+        if an.basis is not None:
+            assert an.cocycle.support_ok
     # line constancy on the dim-72 pair with x != 0
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis, ana = xmas_pi_analysis.induced, xmas_pi_analysis.basis, xmas_pi_analysis.cocycle
     q = basis.q
     yp = basis.y_powers()
     line_val = sv_scale(ana.x, q_factorial(2, q))
@@ -205,9 +202,9 @@ def test_criterion_06_cocycle_axiom_suite(b0_entry, xmas_entry, c4min_entry,
     assert ana.half_line_constant
     # derived instance over K C_12: the a+b = 6 line equals lambda(1 - g^6)
     kc = kc12n6_entry
-    ind2 = induced_structures(kc.setup, verify=False)
-    thin2, basis2, _ = thinness_and_basis(ind2)
-    assert thin2
+    an2 = Analysis(kc.setup)
+    ind2, basis2 = an2.induced, an2.basis
+    assert basis2 is not None
     H = kc.setup.H
     yp2 = basis2.y_powers()
     z = dict(H.unit_sv())
@@ -240,13 +237,9 @@ def test_criterion_08_wedge_criterion(xmas_entry, c4min_entry):
     A1c = wedge_layer_of_sigma(c4min_entry.setup)
     assert A1c.dim == 8 == 2 * c4min_entry.setup.H.dim
     # non-thin negative control: both sides of the biconditional fail
-    control = catalog.nonthin_control()
-    ind = induced_structures(control.setup, verify=False)
-    thin, _, _ = thinness_and_basis(ind)
-    assert not thin
-    A1n = wedge_layer_of_sigma(control.setup)
-    assert A1n.dim != 2 * control.setup.H.dim
-    assert (A1n.dim == 2 * control.setup.H.dim) == thin
+    control = Analysis(catalog.nonthin_control().setup)
+    assert control.basis is None
+    assert control.A1.dim != 2 * control.setup.H.dim
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
     _announce(8, "dim A_1 = 2 dim H  <->  thin", t0)

@@ -10,10 +10,9 @@ from hopfforge.linalg import (
 from hopfforge.cocycle import retraction_diagnostics
 from hopfforge.reports import CheckReport
 from hopfforge.analyze import (
-    EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
-    classify, cocycle_analysis, coinvariants, equivalence_report, induced_structures,
-    omega_roundtrip, retraction_tools, setup_from_ore, tau_matrix, thinness_and_basis,
-    validate_setup, wedge_layer_of_sigma,
+    Analysis, EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
+    classify, coinvariants, induced_structures, omega_roundtrip, retraction_tools,
+    setup_from_ore, tau_matrix, thinness_and_basis, validate_setup, wedge_layer_of_sigma,
 )
 from hopfforge import catalog
 
@@ -34,10 +33,9 @@ def test_dim72_normalized_projection_gives_quantum_line(xmas_entry, kc12n6_entry
     # quantum line, and the closed-form antipode S(y) = -Gamma^(-1) y holds
     from hopfforge.analyze import _is_quantum_line
     for entry in (xmas_entry, kc12n6_entry):
-        ind = induced_structures(entry.setup, verify=False)
-        thin, basis, datum = thinness_and_basis(ind)
-        assert thin
-        assert _is_quantum_line(ind, basis)
+        an = Analysis(entry.setup)
+        assert an.basis is not None
+        assert _is_quantum_line(an.induced, an.basis)
         O, ore = entry.ore.O, entry.ore
         ys = ore.y_vec
         ginv = O.antipode_sv(ore.gamma_vec)
@@ -109,7 +107,7 @@ def test_tau_table_xmas(xmas_entry):
 def test_tau_identities(xmas_pi_analysis, xmas_entry):
     # tau(a sigma(h)) = tau(a) eps(h); tau(sigma(h) a) = h . tau(a);
     # r .R s = tau(r .A s); tau(a) .R tau(b) = tau(tau(a) .A b)
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind = xmas_pi_analysis.induced
     s = ind.setup
     A, H = s.A, s.H
     tau = ind.tau
@@ -150,12 +148,11 @@ def test_tau_identities(xmas_pi_analysis, xmas_entry):
 
 def test_induced_structures_ore_is_quantum_line(b0_entry, c4min_entry, smash36_entry):
     from hopfforge.construct import build_quantum_line
+    from hopfforge.analyze import _is_quantum_line
     for entry in (b0_entry, c4min_entry, smash36_entry):
-        ind = induced_structures(entry.setup)
-        thin, basis, datum = thinness_and_basis(ind)
-        assert thin
-        from hopfforge.analyze import _is_quantum_line
-        assert _is_quantum_line(ind, basis)
+        an = Analysis(entry.setup)
+        assert an.basis is not None
+        assert _is_quantum_line(an.induced, an.basis)
 
 
 def test_filtration_layers_all_catalog(b0_entry, c4min_entry, smash36_entry, kc12n6_entry):
@@ -182,8 +179,7 @@ def test_degenerate_order_one_not_thin():
     assert ore.dim == 6
     ind = induced_structures(setup_from_ore(ore), verify=False)
     assert ind.pre.dim == 1
-    thin, _, _ = thinness_and_basis(ind)
-    assert not thin
+    assert thinness_and_basis(ind) is None
 
 
 def test_induced_structures_rejects_bad_basis(c4min_entry):
@@ -213,31 +209,28 @@ def test_induced_structures_in_a_recombined_basis(name, xmas_entry, c4min_entry)
         sv_add_into(basis[k], rows[k + 1], c)
     ind = induced_structures(setup, basis=basis, verify=True)
     assert any(len(t) > 1 for _, _, t in ind.coords.rows)
-    assert omega_roundtrip(setup, ind)
-    thin, dp, _ = thinness_and_basis(ind)
-    ref_thin, ref_dp, _ = thinness_and_basis(induced_structures(setup, verify=False))
-    assert thin and ref_thin
+    assert omega_roundtrip(ind)
+    dp = thinness_and_basis(ind)
+    ref_dp = Analysis(setup).basis
+    assert dp is not None and ref_dp is not None
     assert (dp.N, dp.q) == (ref_dp.N, ref_dp.q)
 
 
 def test_thinness_negative_control():
     entry = catalog.nonthin_control()
-    rep = validate_setup(entry.setup)
-    assert rep.ok
-    ind = induced_structures(entry.setup, verify=False)
-    assert ind.pre.dim == 4  # K C_4 as a coalgebra: four group-likes
-    thin, basis, datum = thinness_and_basis(ind)
-    assert not thin
+    an = Analysis(entry.setup)
+    assert an.validation.ok
+    assert an.induced.pre.dim == 4  # K C_4 as a coalgebra: four group-likes
+    assert an.basis is None
     # wedge criterion: dim A1 != 2 dim H matches non-thinness
-    A1 = wedge_layer_of_sigma(entry.setup)
-    assert A1.dim == 2  # sigma(H) itself: group algebras add nothing
-    assert (A1.dim == 2 * entry.setup.H.dim) == thin
+    assert an.A1.dim == 2  # sigma(H) itself: group algebras add nothing
+    assert an.A1.dim != 2 * entry.setup.H.dim
 
 
 def test_divided_power_cross_check_by_linear_solve(xmas_pi_analysis):
     # independent construction: solve the divided-power system degree by
     # degree and compare with d_n = y d_{n-1} / (n)_q
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     pre = ind.pre
     H = ind.setup.H
     N, q, chi = basis.N, basis.q, basis.chi
@@ -290,7 +283,7 @@ def test_divided_power_cross_check_by_linear_solve(xmas_pi_analysis):
 def test_formula_linearity_and_hit_actions(xmas_pi_analysis):
     # chi^(a+b)(h) xi(d_a, d_b) = sum h1 xi(d_a, d_b) S(h2), and the hit
     # actions scale xi(d_a, d_b) by q^(c(a+b)) (phi) and fix it (psi)
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     H = ind.setup.H
     xi, q, N, chi = ind.xi, basis.q, basis.N, basis.chi
     d = basis.d
@@ -321,7 +314,7 @@ def test_formula_linearity_and_hit_actions(xmas_pi_analysis):
 
 def test_formulona_rho(xmas_pi_analysis):
     # rho(d_a d_b) expands through the coactions plus the xi-correction terms
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     pre, xi, q, N = ind.pre, ind.xi, basis.q, basis.N
     H = ind.setup.H
     d = basis.d
@@ -377,7 +370,7 @@ def test_formulona_rho(xmas_pi_analysis):
 def test_colinearity_layers_and_correction(xmas_pi_analysis):
     # rho(d_a) = g^a (x) d_a for a <= N/2; the product d_1 d_{N/2} picks up
     # the (xg - q gx) (x) d_1 correction
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis, ana = xmas_pi_analysis.induced, xmas_pi_analysis.basis, xmas_pi_analysis.cocycle
     pre = ind.pre
     H = ind.setup.H
     q, N = basis.q, basis.N
@@ -431,21 +424,18 @@ def _check_formulona(ind, basis):
 
 
 def test_formulona_identity(xmas_pi_analysis):
-    ind, basis, datum, ana = xmas_pi_analysis
-    _check_formulona(ind, basis)
+    _check_formulona(xmas_pi_analysis.induced, xmas_pi_analysis.basis)
 
 
 def test_formulona_identity_other_induced(c4min_analysis, kc12n6_entry):
-    ind, basis, datum, ana = c4min_analysis
-    _check_formulona(ind, basis)
-    ind2 = induced_structures(kc12n6_entry.setup, verify=False)
-    thin, basis2, _ = thinness_and_basis(ind2)
-    assert thin
-    _check_formulona(ind2, basis2)
+    _check_formulona(c4min_analysis.induced, c4min_analysis.basis)
+    an = Analysis(kc12n6_entry.setup)
+    assert an.basis is not None
+    _check_formulona(an.induced, an.basis)
 
 
 def test_cocycle_analysis_xmas(xmas_pi_analysis):
-    ind, basis, datum, ana = xmas_pi_analysis
+    basis, ana = xmas_pi_analysis.basis, xmas_pi_analysis.cocycle
     assert not ana.x_is_zero
     assert ana.x_claims.ok
     assert ana.support_ok
@@ -459,7 +449,7 @@ def test_cocycle_analysis_xmas(xmas_pi_analysis):
 
 
 def test_cocycle_analysis_c4min(c4min_analysis):
-    ind, basis, datum, ana = c4min_analysis
+    ana = c4min_analysis.cocycle
     assert ana.x_is_zero          # N/2 = 1 forces x = 0
     assert ana.x_claims.ok
     assert ana.support_ok
@@ -469,10 +459,9 @@ def test_cocycle_analysis_c4min(c4min_analysis):
 
 def test_cocycle_analysis_kc12(kc12n6_entry):
     setup = kc12n6_entry.setup
-    ind = induced_structures(setup)
-    thin, basis, datum = thinness_and_basis(ind)
-    assert thin and basis.N == 6
-    ana = cocycle_analysis(ind, basis)
+    an = Analysis(setup)
+    ind, basis, ana = an.induced, an.basis, an.cocycle
+    assert basis.N == 6
     assert ana.x_is_zero
     assert ana.lam == rat(1)
     assert ana.table_matches
@@ -486,8 +475,7 @@ def test_cocycle_analysis_kc12(kc12n6_entry):
 
 
 def test_equivalence_report_xmas(xmas_pi_analysis):
-    ind, basis, datum, ana = xmas_pi_analysis
-    er = equivalence_report(ind, basis, ana)
+    er = xmas_pi_analysis.equivalences
     for key in ("a_colinear", "b_odd_or_half_zero", "c_powers_agree", "d_quantum_line"):
         assert er.equivalences[key] is False
     for key in ("1_xi_trivial", "3_radford_majid", "4_pi_algebra_map"):
@@ -497,8 +485,7 @@ def test_equivalence_report_xmas(xmas_pi_analysis):
 
 
 def test_equivalence_report_c4min(c4min_analysis):
-    ind, basis, datum, ana = c4min_analysis
-    er = equivalence_report(ind, basis, ana)
+    er = c4min_analysis.equivalences
     for key in ("a_colinear", "b_odd_or_half_zero", "c_powers_agree", "d_quantum_line"):
         assert er.equivalences[key] is True
     for key in ("1_xi_trivial", "2_datum_trivial", "3_radford_majid", "4_pi_algebra_map"):
@@ -510,10 +497,7 @@ def test_equivalence_report_c4min(c4min_analysis):
 
 def test_equivalence_report_trivial_entries(b0_entry, smash36_entry):
     for entry in (b0_entry, smash36_entry):
-        ind = induced_structures(entry.setup)
-        thin, basis, datum = thinness_and_basis(ind)
-        ana = cocycle_analysis(ind, basis)
-        er = equivalence_report(ind, basis, ana)
+        er = Analysis(entry.setup).equivalences
         assert all(er.equivalences[k] for k in er.equivalences)
 
 
@@ -522,7 +506,7 @@ def test_omega_roundtrip_all_catalog(b0_entry, xmas_entry, c4min_entry,
     setups = [b0_entry.setup, c4min_entry.setup, smash36_entry.setup,
               kc12n6_entry.setup, xmas_entry.setup, xmas_entry.extra["setup_pi"]]
     for s in setups:
-        assert omega_roundtrip(s)
+        assert Analysis(s).roundtrip
 
 
 def test_retraction_tools_xmas(xmas_entry):
@@ -602,14 +586,45 @@ def test_flag_gated_lambda_extraction(c4min_entry):
     ore = c4min_entry.ore
     bare = ProjectionSetup(ore.O, ore.base, ore.sigma, ore.p,
                            H_finite_dim=False, H_cosemisimple=False)
-    ind = induced_structures(bare)
-    thin, basis, _ = thinness_and_basis(ind)
-    assert thin
-    ana = cocycle_analysis(ind, basis)
+    an = Analysis(bare)
+    assert an.basis is not None
+    ana = an.cocycle
     assert ana.lam is None
     assert ana.table[(1, 1)]        # the raw value xi(y (x) y) is still carried
     with pytest.raises(FlagRequired):
         classify(bare)
+
+
+def test_one_analysis_forms_each_stage_once(xmas_entry, monkeypatch):
+    """The report of run_analysis and the classification read off the same
+    Analysis form each stage once; classify starts from a fresh Analysis."""
+    from hopfforge import analyze, cli
+    from hopfforge.reports import Report
+    stages = ("validate_setup", "induced_structures", "omega_roundtrip", "thinness_and_basis",
+              "cocycle_analysis", "equivalence_report", "wedge_layer_of_sigma")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counted(*args, _fn=getattr(analyze, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analyze, name, counted)
+    made = []
+
+    class Recorded(analyze.Analysis):
+        def __init__(self, setup):
+            super().__init__(setup)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "Analysis", Recorded)
+    setup = xmas_entry.extra["setup_pi"]
+    rep = Report("analyze xmas pi")
+    cli.run_analysis(setup, rep)
+    assert rep.exit_code == 0 and len(made) == 1
+    comp, ore, iso = made[0].classification
+    assert calls == dict.fromkeys(stages, 1)
+    analyze.classify(setup)
+    fresh = ("induced_structures", "thinness_and_basis", "cocycle_analysis", "wedge_layer_of_sigma")
+    assert calls == {name: 1 + (name in fresh) for name in stages}
 
 
 # -- the morphism checks against the per-pair formulation ----------------------

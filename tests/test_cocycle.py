@@ -41,7 +41,7 @@ def test_quantum_line_prebialgebra_axioms(qline2, qline6_entry):
 
 
 def test_xmas_induced_not_colinear(xmas_pi_analysis):
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind = xmas_pi_analysis.induced
     rep = check_prebialgebra(ind.pre)
     assert rep.ok
     assert mult_is_associative(ind.pre)
@@ -67,7 +67,7 @@ def test_nontrivial_dim8_cocycle_passes(qline2, xi8):
 
 
 def test_xmas_induced_cocycle_passes(xmas_pi_analysis, xmas_entry):
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     rep = check_cocycle(ind.pre, ind.xi)
     assert rep.ok
     # xi(y (x) y^2) = X
@@ -101,7 +101,7 @@ def test_m_tilde_dim8_value(qline2, xi8):
 def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
     # mtilde(d_a (x) d_b) = sum q^{j(a-i)} d_i d_j (x) xi(d_{a-i} (x) d_{b-j});
     # the left side is evaluated by bilinearity on the stored basis
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis = xmas_pi_analysis.induced, xmas_pi_analysis.basis
     P, xi, q = ind.pre, ind.xi, basis.q
     N = basis.N
     d = basis.d
@@ -137,7 +137,7 @@ def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_an
     if which == "qline6":
         P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
     else:
-        P, xi = c4min_analysis[0].pre, c4min_analysis[0].xi
+        P, xi = c4min_analysis.induced.pre, c4min_analysis.induced.xi
     pairs = sorted((i, j) for i in range(P.dim) for j in range(P.dim))
     deltas, tildes = [], []
     formed_delta = cocycle.braided_coproduct_pair
@@ -218,7 +218,7 @@ def test_pi_sigma_contract(qline2, xi8):
 def test_power_formulas_in_bosonization(xmas_pi_analysis, xmas_entry):
     # Y^a in R#H: a < N/2: y^a (x) 1; N/2 <= a <= N-1: binom(a,N/2)_q Y^(a-N/2) X + y^a (x) 1;
     # a = N: 1 (x) xi(y,y^(N-1)) + binom(N-1,N/2)_q X^2
-    ind, basis, datum, ana = xmas_pi_analysis
+    ind, basis, ana = xmas_pi_analysis.induced, xmas_pi_analysis.basis, xmas_pi_analysis.cocycle
     P, xi, q, N = ind.pre, ind.xi, basis.q, basis.N
     bos = bosonize(P, xi, verify=False)
     B = bos.B

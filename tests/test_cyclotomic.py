@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfforge.cyclotomic import (
-    ConductorOverflow, CycScalar, DivisionByZero, RootOfUnity, ZeroInput,
+    ConductorOverflow, CycScalar, DivisionByZero, ZeroInput,
     cyclotomic_poly, euler_phi, multiplicative_order, primitive_root,
     q_binomial, q_factorial, q_int, gaussian_polynomial,
 )
@@ -136,14 +136,6 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(rat(1) / rat(2)) is None
     with pytest.raises(ZeroInput):
         multiplicative_order(rat(0))
-
-
-def test_root_of_unity_embedding():
-    r = RootOfUnity(6, 2)
-    assert r.order == 3
-    assert r.to_cyc() == CycScalar.zeta(6) ** 2
-    assert r.to_cyc(12) == CycScalar.zeta(12) ** 4
-    assert RootOfUnity(6, 2) == RootOfUnity(3, 1)
 
 
 # -- q-combinatorics ------------------------------------------------------------

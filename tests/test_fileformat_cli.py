@@ -353,6 +353,26 @@ def test_cli_analyze(tmp_path, capsys):
     assert kv["dim_A1"] == "24"
 
 
+def test_cli_analyze_records_a_stage_that_stops_it(tmp_path, capsys):
+    # y*y = 2 y^2 in A: the setup still validates, but the induced
+    # pre-bialgebra fails its axioms, which is a FAIL line and exit 1
+    assert main(["example", "xmas", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "xmas.alg"
+    text = path.read_text()
+    assert text.count("\n12 12 24 1\n") == 1
+    path.write_text(text.replace("\n12 12 24 1\n", "\n12 12 24 2\n"))
+    rc = main(["analyze", "--A", str(path),
+               "--H", str(tmp_path / "xmas_base.alg"),
+               "--sigma", str(tmp_path / "xmas_sigma.alg"),
+               "--pi", str(tmp_path / "xmas_pi.alg")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert "PASS pi_normal_on_coinvariants" in lines
+    assert lines[-1] == ("FAIL analysis: InducedAxiomFailure: "
+                         "induced pre-bialgebra fails axioms: mult_comult_compat")
+
+
 def test_cli_example_xmas_report(tmp_path, capsys):
     rc = main(["example", "xmas", "--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
-    CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
+    CoordinateMap, Mat, ShapeMismatch, Subspace,
     basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
     preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
@@ -254,14 +254,6 @@ def test_tensor_contract_unit_axis():
     assert H6.comult.contract(2, H6.counit) == Mat.identity(6)
 
 
-def test_tensor_apply_map():
-    t = Tensor3((2, 2, 2), {(0, 1, 1): rat(3)})
-    m = Mat([[rat(0), rat(1)], [rat(1), rat(0)]])  # swap
-    out = t.apply_map(2, m)
-    assert out[(0, 0, 1)] == rat(3)
-    assert out[(0, 1, 1)] == rat(0)
-
-
 def test_map_tensor_product_kronecker_contract():
     rng = random.Random(23)
     f = rand_mat(rng, 2, 3)
@@ -486,6 +478,29 @@ def test_dense_conversions_only_at_the_boundaries():
     found = {(path.name, f, name) for path in sorted(src.glob("*.py"))
              for f, name in calls_by_function(path) if name in ("sv_from_dense", "sv_to_dense")}
     assert found == allowed
+
+
+def test_the_analysis_stage_chain_is_written_once():
+    """The analysis stages are chained in analyze.Analysis alone: each stage
+    function is called from its Analysis stage, induced_structures and
+    thinness_and_basis also from retraction_tools, and from nowhere else,
+    so cli.py calls none of them."""
+    chained = {
+        "validate_setup": {"Analysis.validation"},
+        "induced_structures": {"Analysis.induced", "retraction_tools"},
+        "omega_roundtrip": {"Analysis.roundtrip"},
+        "thinness_and_basis": {"Analysis.basis", "retraction_tools"},
+        "cocycle_analysis": {"Analysis.cocycle"},
+        "equivalence_report": {"Analysis.equivalences"},
+        "wedge_layer_of_sigma": {"Analysis.A1"},
+    }
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    found = {name: set() for name in chained}
+    for path in sorted(src.glob("*.py")):
+        for f, name in calls_by_function(path):
+            if name in found:
+                found[name].add((path.name, f))
+    assert found == {name: {("analyze.py", f) for f in fs} for name, fs in chained.items()}
 
 
 def test_map_store_is_written_only_in_linalg():
