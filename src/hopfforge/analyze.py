@@ -86,7 +86,11 @@ def setup_from_ore(ore: OreHopf) -> ProjectionSetup:
 
 
 def validate_setup(s: ProjectionSetup) -> CheckReport:
-    """sigma injective bialgebra map; pi an H-bilinear coalgebra retraction."""
+    """sigma injective bialgebra map; pi an H-bilinear coalgebra retraction.
+
+    A's own bialgebra axioms are not checked here; ``hopfforge check A.alg``
+    (``check_hopf``) is the check for them.
+    """
     rep = CheckReport("projection setup")
     A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
     rep.add("sigma_injective", sigma.rank() == H.dim)

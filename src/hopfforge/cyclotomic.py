@@ -14,7 +14,9 @@ have identical components.  Every value is built by one canonical
 constructor, ``_canonical``; ``CycScalar(...)`` validates outside input and
 then goes through it too.  A product at conductor L runs through a
 straight-line kernel generated once from the reduction rows of Phi_L
-(``_product_kernel``) and kept for the rest of the process.
+(``_product_kernel``) and kept for the rest of the process.  A product with
+an operand exactly 1 returns the other operand object itself, so values are
+shared and never mutated once built.
 """
 
 from __future__ import annotations
@@ -235,7 +237,9 @@ def _product_kernel(L: int):
     Its source is built from the integers of Phi_L alone: each coefficient of
     x^m, m >= phi, of the convolution is named once and folded into the output
     coordinates n0, n1, ... through the row of x^m mod Phi_L.  The tail is
-    ``_canonical`` unrolled over those coordinates.
+    ``_canonical`` unrolled over those coordinates.  When b, and then a, is
+    exactly 1 the kernel returns the other operand object: it is canonical,
+    so it equals the product in L, den and nums.
     """
     phi = euler_phi(L)
     red = _reduction_rows(L)
@@ -249,9 +253,14 @@ def _product_kernel(L: int):
     def seq(fmt: str) -> str:
         return "".join(fmt.format(k) + ", " for k in range(phi))
 
+    def is_one(x: str) -> str:
+        return " and ".join([f"{x}0 == 1"] + [f"{x}{k} == 0" for k in range(1, phi)] + [f"{x}.den == 1"])
+
     src = ["def kernel(a, b):",
            f"    {seq('a{}')}= a.nums",
-           f"    {seq('b{}')}= b.nums"]
+           f"    {seq('b{}')}= b.nums",
+           f"    if {is_one('b')}: return a",
+           f"    if {is_one('a')}: return b"]
     src += [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)]
     src += [f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
                                         if red[m - phi][k]) for k in range(phi)]
@@ -600,6 +609,8 @@ def _rational_product(a: CycScalar, b: CycScalar) -> CycScalar:
     """a * b: the rational scales the coefficients of the other."""
     r, v = _rational_first(a, b)
     c = r.nums[0]
+    if c == 1 and r.den == 1:
+        return v
     return _canonical(v.L, tuple([c * x for x in v.nums]), r.den * v.den)
 
 

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,9 +257,13 @@ def test_pascal_hypothesis(n, k, L):
 
 @st.composite
 def rational_and_other(draw):
-    """(r, v): r at conductor 1 (den 1 or not), v at a conductor > 1 and often a
-    constant, equal to r or not, so that == meets both answers."""
-    r = CycScalar(1, [draw(st.integers(-6, 6))], draw(st.sampled_from([1, 1, 2, 3, 4, 6])))
+    """(r, v): r at conductor 1 (den 1 or not, and often exactly 1), v at a
+    conductor > 1 and often a constant, equal to r or not, so that == meets
+    both answers."""
+    if draw(st.integers(0, 3)) == 0:
+        r = CycScalar.one()
+    else:
+        r = CycScalar(1, [draw(st.integers(-6, 6))], draw(st.sampled_from([1, 1, 2, 3, 4, 6])))
     L = draw(st.sampled_from([2, 3, 4, 6, 12]))
     phi = euler_phi(L)
     if draw(st.booleans()):
@@ -294,12 +300,63 @@ def test_rational_operand_respects_the_conductor_cap():
         z = CycScalar.zeta(12)
         set_conductor_cap(10)
         for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a == b):
-            with pytest.raises(ConductorOverflow):
-                op(rat(2), z)
-            with pytest.raises(ConductorOverflow):
-                op(z, rat(2))
+            for r in (rat(2), rat(1)):
+                with pytest.raises(ConductorOverflow):
+                    op(r, z)
+                with pytest.raises(ConductorOverflow):
+                    op(z, r)
+        # a unit operand is read after the cap check, not before it
+        with pytest.raises(ConductorOverflow):
+            1 * z
     finally:
         set_conductor_cap(old)
+
+
+def test_a_unit_operand_returns_the_other_operand():
+    # every value is canonical, so the other operand is the product itself
+    for L in ORACLE_CONDUCTORS:
+        for v in (CycScalar.zeta(L) * rat(Fraction(3, 2)) + rat(1), -CycScalar.one(L)):
+            assert v * CycScalar.one(v.L) is v
+            assert CycScalar.one(v.L) * v is v
+            assert CycScalar.one() * v is v
+            assert v * CycScalar.one() is v
+            assert 1 * v is v and v * 1 is v
+    # a mixed conductor still promotes first, so the product is a new value
+    p = CycScalar.one(4) * CycScalar.zeta(6)
+    assert triple(p) == triple(CycScalar.zeta(6).promote(12)) == (12, 1, (0, 0, 1, 0))
+
+
+def test_scalars_are_written_only_where_they_are_built():
+    """No module of the package assigns or deletes .L, .den or .nums, or sets
+    them with setattr, outside _canonical and CycScalar.__init__; the product
+    kernels write them only in the source _product_kernel generates.  A
+    product may return one of its operands, so a value once built is shared
+    and must never change."""
+    fields = {"L", "den", "nums"}
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    writes = []
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (owner + "." if owner else "") + child.name, path)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in fields:
+                written = isinstance(child.ctx, (ast.Store, ast.Del))
+            elif isinstance(child, ast.Call):
+                written = (getattr(child.func, "id", None) in ("setattr", "delattr")
+                           or getattr(child.func, "attr", None) in ("__setattr__", "__delattr__")) \
+                    and any(isinstance(a, ast.Constant) and a.value in fields for a in child.args)
+            else:
+                written = False
+            if written:
+                writes.append((path.name, owner, child.lineno))
+            visit(child, owner, path)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path)
+    assert {(name, owner) for name, owner, _ in writes} == {
+        ("cyclotomic.py", "_canonical"), ("cyclotomic.py", "CycScalar.__init__")}, writes
 
 
 # -- sympy oracle for the multiply ----------------------------------------------
@@ -316,9 +373,13 @@ def sympy():
 
 @st.composite
 def oracle_operand(draw, integral, conductors=ORACLE_CONDUCTORS):
-    """A CycScalar at one of the conductors, often with zero coefficients."""
+    """A CycScalar at one of the conductors, often with zero coefficients, and
+    now and then exactly 1 or -1 there."""
     L = draw(st.sampled_from(conductors))
     phi = euler_phi(L)
+    unit = draw(st.sampled_from([0] * 6 + [1, -1]))
+    if unit:
+        return CycScalar(L, [unit] + [0] * (phi - 1))
     nums = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
     den = 1 if integral else draw(st.integers(2, 12))
     return CycScalar(L, nums, den)
