@@ -15,8 +15,8 @@ from typing import Optional, Union
 from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
     AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
-    coalgebra_map_failures, char_convolve, char_convpow, char_eval, check_hopf, is_central,
-    phi_map, phi_power, psi_map,
+    coalgebra_map_failures, char_convolve, char_convpow, char_eval, char_powers, check_hopf,
+    is_central, phi_map, phi_power, psi_map,
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
@@ -246,7 +246,7 @@ def build_quantum_line(d: YDDatum) -> QuantumLine:
     q = d.q
     # action h . y^n = chi^n(h) y^n (convolution powers of chi), coaction g^n (x) y^n
     action = Tensor3((H.dim, N, N))
-    chis = [char_convpow(H, d.chi, n) for n in range(N)]
+    chis = char_powers(H, d.chi, N)
     for h in range(H.dim):
         for nn in range(N):
             c = chis[nn][h]

@@ -14,9 +14,10 @@ have identical components.  Every value is built by one canonical
 constructor, ``_canonical``; ``CycScalar(...)`` validates outside input and
 then goes through it too.  A product at conductor L runs through a
 straight-line kernel generated once from the reduction rows of Phi_L
-(``_product_kernel``) and kept for the rest of the process.  A product with
-an operand exactly 1 returns the other operand object itself, so values are
-shared and never mutated once built.
+(``_product_kernel``) and kept for the rest of the process.  An inverse is
+the product of the Galois conjugates over the norm, formed with the same
+kernels.  A product with an operand exactly 1 returns the other operand
+object itself, so values are shared and never mutated once built.
 """
 
 from __future__ import annotations
@@ -169,6 +170,25 @@ def _promotion_rows(L: int, M: int) -> tuple[tuple[int, ...], ...]:
     for i in range(phi_l):
         rows.append(_reduce_monomial(M, i * step, phi_m))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_rows(L: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis images of zeta_L^(k*i) for i < phi(L): the rows of the
+    Galois automorphism sigma_k: zeta_L -> zeta_L^k, for k prime to L."""
+    phi = euler_phi(L)
+    return tuple(_reduce_monomial(L, k * i % L, phi) for i in range(phi))
+
+
+def _row_combination(nums: tuple[int, ...], rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """sum_i nums[i] * rows[i], each row an integer row of length n."""
+    out = [0] * n
+    for c, row in zip(nums, rows):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return tuple(out)
 
 
 def _reduce_monomial(L: int, k: int, phi: int) -> tuple[int, ...]:
@@ -349,16 +369,7 @@ class CycScalar:
             return _canonical(M, self.nums + (0,) * (euler_phi(M) - 1), self.den)
         if M % self.L != 0:
             raise ValueError(f"cannot promote conductor {self.L} to {M}")
-        rows = _promotion_rows(self.L, M)
-        phi_m = euler_phi(M)
-        out = [0] * phi_m
-        for i, c in enumerate(self.nums):
-            if c:
-                row = rows[i]
-                for j in range(phi_m):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return _canonical(M, tuple(out), self.den)
+        return _canonical(M, _row_combination(self.nums, _promotion_rows(self.L, M), euler_phi(M)), self.den)
 
     @staticmethod
     def _common(a: "CycScalar", b: "CycScalar") -> tuple["CycScalar", "CycScalar"]:
@@ -472,33 +483,23 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
+        """1/x as the product y of the Galois conjugates sigma_k(x), 1 < k < L,
+        k prime to L, over the norm N(x) = x * y, which is rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             return CycScalar.from_rational(1 / self.as_rational(), self.L)
-        # extended gcd of self (as polynomial over Q) with Phi_L
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.L)]
-        a = [Fraction(c, self.den) for c in self.nums]
-        r0, r1 = phi_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        # r0 = gcd (a unit since Phi_L has no roots in common with a != 0)
-        deg = _poly_deg(r0)
-        if deg != 0:
-            raise AssertionError("element shares a factor with the cyclotomic polynomial")
-        inv_lead = 1 / r0[0]
-        inv_coeffs = [c * inv_lead for c in s0]
-        # s0 * a = gcd (mod Phi), so s0/gcd is the inverse; reduce mod Phi
-        _, rem = _poly_divmod_frac(inv_coeffs, phi_poly)
-        phi = euler_phi(self.L)
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        den = 1
-        for f in rem:
-            den = _lcm(den, f.denominator)
-        return CycScalar(self.L, [int(f * den) for f in rem[:phi]], den)
+        L, phi = self.L, euler_phi(self.L)
+        conjugates = [_canonical(L, _row_combination(self.nums, _conjugation_rows(L, k), phi), self.den)
+                      for k in range(2, L) if gcd(k, L) == 1]
+        y = conjugates[0]
+        for conj in conjugates[1:]:
+            y = y * conj
+        # L > 2 here, so the conjugates pair off as complex conjugates and N(x) > 0
+        norm = self * y
+        if not norm.is_rational() or norm.nums[0] <= 0:
+            raise AssertionError("the norm of a nonzero element must be a positive rational")
+        return _canonical(L, tuple([c * norm.den for c in y.nums]), y.den * norm.nums[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -626,49 +627,6 @@ def _coerce(x) -> "CycScalar":
     if isinstance(x, (int, Fraction)):
         return CycScalar.from_rational(x)
     return NotImplemented
-
-
-# -- rational polynomial helpers for inverse --------------------------------
-
-def _poly_deg(p: list[Fraction]) -> int:
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    dn = _poly_deg(den)
-    if dn == 0 and den[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        if i >= len(num) or num[i] == 0:
-            continue
-        f = num[i] / den[dn]
-        q[i - dn] = f
-        for j in range(dn + 1):
-            num[i - dn + j] -= f * den[j]
-    d = _poly_deg(num)
-    return q, num[: d + 1]
 
 
 def primitive_root(N: int) -> CycScalar:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .cyclotomic import CycScalar, conductor_cap
 from .hopf import HopfSC, BialgebraSC
@@ -77,22 +77,36 @@ def format_scalar(c: CycScalar, conductor: int) -> str:
 # -- writing -------------------------------------------------------------------
 
 
-def _tensor_rows(t: Tensor3, conductor: int) -> list[str]:
-    out = []
-    for (i, j, k) in sorted(t.data):
-        out.append(f"{i} {j} {k} {format_scalar(t.data[(i, j, k)], conductor)}")
-    return out
+_Formatter = Callable[[CycScalar], str]
 
 
-def _vec_rows(entries: Iterable[tuple[int, CycScalar]], conductor: int) -> list[str]:
+def _formatter(conductor: int) -> _Formatter:
+    """format_scalar at `conductor`, formatting each distinct value once; one
+    per write call, so no text outlives the file it is written to."""
+    texts: dict[tuple[int, int, tuple[int, ...]], str] = {}
+
+    def fmt(c: CycScalar) -> str:
+        key = (c.L, c.den, c.nums)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_scalar(c, conductor)
+        return text
+    return fmt
+
+
+def _tensor_rows(t: Tensor3, fmt: _Formatter) -> list[str]:
+    return [f"{i} {j} {k} {fmt(t.data[(i, j, k)])}" for (i, j, k) in sorted(t.data)]
+
+
+def _vec_rows(entries: Iterable[tuple[int, CycScalar]], fmt: _Formatter) -> list[str]:
     """Rows `i scalar` of the nonzero (index, scalar) entries of a dense
     vector's ``enumerate`` or a sparse vector's sorted items."""
-    return [f"{i} {format_scalar(c, conductor)}" for i, c in entries if c]
+    return [f"{i} {fmt(c)}" for i, c in entries if c]
 
 
-def _mat_rows(m: Mat, conductor: int) -> list[str]:
+def _mat_rows(m: Mat, fmt: _Formatter) -> list[str]:
     cells = sorted((i, j) for j, col in enumerate(m.cols) for i in col)
-    return [f"{i} {j} {format_scalar(m.cols[j][i], conductor)}" for i, j in cells]
+    return [f"{i} {j} {fmt(m.cols[j][i])}" for i, j in cells]
 
 
 def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
@@ -103,6 +117,7 @@ def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
     sections referencing a second file by relative path.
     """
     conductor = getattr(H, "conductor", 1)
+    fmt = _formatter(conductor)
     lines = [
         "# format: hopfforge-sc v1",
         f"# kind: {kind}",
@@ -120,30 +135,31 @@ def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
     if flags:
         lines.append("# flags: " + " ".join(flags))
     lines.append("SECTION MULT")
-    lines += _tensor_rows(H.mult, conductor)
+    lines += _tensor_rows(H.mult, fmt)
     lines.append("SECTION UNIT")
-    lines += _vec_rows(enumerate(H.unit), conductor)
+    lines += _vec_rows(enumerate(H.unit), fmt)
     lines.append("SECTION COMULT")
-    lines += _tensor_rows(H.comult, conductor)
+    lines += _tensor_rows(H.comult, fmt)
     lines.append("SECTION COUNIT")
-    lines += _vec_rows(enumerate(H.counit), conductor)
+    lines += _vec_rows(enumerate(H.counit), fmt)
     if getattr(H, "antipode", None) is not None:
         lines.append("SECTION ANTIPODE")
-        lines += _mat_rows(H.antipode, conductor)
+        lines += _mat_rows(H.antipode, fmt)
     for name, gl in getattr(H, "group_likes", {}).items():
         lines.append(f"SECTION GROUPLIKE {name}")
-        lines += _vec_rows(sorted(gl.items()), conductor)
+        lines += _vec_rows(sorted(gl.items()), fmt)
     for name, chi in getattr(H, "characters", {}).items():
         lines.append(f"SECTION CHARACTER {name}")
-        lines += _vec_rows(enumerate(chi), conductor)
+        lines += _vec_rows(enumerate(chi), fmt)
     for name, (mat, ref) in (maps or {}).items():
         lines.append(f"SECTION MAP {name} {ref}")
-        lines += _mat_rows(mat, conductor)
+        lines += _mat_rows(mat, fmt)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_prebialgebra(P: PreBialgebra, path: Union[str, Path], base_ref: str) -> None:
     conductor = getattr(P.H, "conductor", 1)
+    fmt = _formatter(conductor)
     lines = [
         "# format: hopfforge-sc v1",
         "# kind: prebialgebra",
@@ -151,17 +167,17 @@ def write_prebialgebra(P: PreBialgebra, path: Union[str, Path], base_ref: str) -
         f"# dim: {P.dim}",
         f"# base: {base_ref}",
         "SECTION MULT",
-        *_tensor_rows(P.mult, conductor),
+        *_tensor_rows(P.mult, fmt),
         "SECTION UNIT",
-        *_vec_rows(enumerate(P.unit), conductor),
+        *_vec_rows(enumerate(P.unit), fmt),
         "SECTION COMULT",
-        *_tensor_rows(P.comult, conductor),
+        *_tensor_rows(P.comult, fmt),
         "SECTION COUNIT",
-        *_vec_rows(enumerate(P.counit), conductor),
+        *_vec_rows(enumerate(P.counit), fmt),
         "SECTION ACTION",
-        *_tensor_rows(P.yd.action, conductor),
+        *_tensor_rows(P.yd.action, fmt),
         "SECTION COACTION",
-        *_tensor_rows(P.yd.coaction, conductor),
+        *_tensor_rows(P.yd.coaction, fmt),
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -180,7 +196,7 @@ def write_cocycle(xi: Cocycle, path: Union[str, Path], conductor: int,
     if base_ref:
         lines.append(f"# base: {base_ref}")
     lines.append("SECTION XI")
-    lines += _tensor_rows(xi.xi, conductor)
+    lines += _tensor_rows(xi.xi, _formatter(conductor))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -198,7 +214,7 @@ def write_map(m: Mat, path: Union[str, Path], conductor: int,
     if codomain_ref:
         lines.append(f"# codomain: {codomain_ref}")
     lines.append("SECTION MAP")
-    lines += _mat_rows(m, conductor)
+    lines += _mat_rows(m, _formatter(conductor))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -221,6 +237,7 @@ class AlgebraFile:
         # (name, args, rows); each row is (line number, text)
         self.sections: list[tuple[str, list[str], list[tuple[int, str]]]] = []
         self.section_lines: list[int] = []  # the SECTION line of each section
+        self._scalars: dict[str, CycScalar] = {}  # scalar text -> its value, parsed once per file
         self._parse()
 
     def _parse(self) -> None:
@@ -299,7 +316,9 @@ class AlgebraFile:
 
         A malformed row, an index outside its bound, a bad scalar and an
         index tuple that an earlier row already gave are each a ParseError
-        naming the file and line.
+        naming the file and line.  Each distinct scalar text is parsed once
+        per file; a text that fails to parse is never stored, so it fails
+        again, at its own line, wherever it recurs.
         """
         seen: dict[tuple[int, ...], int] = {}
         for ln, row in rows:
@@ -310,10 +329,12 @@ class AlgebraFile:
             if key in seen:
                 raise ParseError(f"{self.path}:{ln}: {name} repeats the indices of line {seen[key]}")
             seen[key] = ln
-            try:
-                c = parse_scalar(parts[-1], self.conductor)
-            except ParseError as exc:
-                raise ParseError(f"{self.path}:{ln}: {exc}") from None
+            c = self._scalars.get(parts[-1])
+            if c is None:
+                try:
+                    c = self._scalars[parts[-1]] = parse_scalar(parts[-1], self.conductor)
+                except ParseError as exc:
+                    raise ParseError(f"{self.path}:{ln}: {exc}") from None
             yield key, c
 
     def _tensor(self, name: str, shape: tuple[int, int, int]) -> Tensor3:

@@ -815,11 +815,17 @@ def char_convolve(B: CoalgebraSC, chi: Vec, eta: Vec) -> Vec:
     return out
 
 
+def char_powers(B: CoalgebraSC, chi: Vec, n: int) -> list[Vec]:
+    """The convolution powers [chi^0, ..., chi^(n-1)], chi^0 the counit, by
+    one convolution with chi per step."""
+    out = [list(B.counit)]
+    for _ in range(n - 1):
+        out.append(char_convolve(B, out[-1], chi))
+    return out[:n]
+
+
 def char_convpow(B: CoalgebraSC, chi: Vec, n: int) -> Vec:
-    out = list(B.counit)
-    for _ in range(n):
-        out = char_convolve(B, out, chi)
-    return out
+    return char_powers(B, chi, n + 1)[n]
 
 
 def _hit_map(B: CoalgebraSC, chi: Vec, leg: int) -> Mat:

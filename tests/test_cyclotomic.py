@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfforge.cyclotomic import (
     ConductorOverflow, CycScalar, DivisionByZero, ZeroInput,
-    cyclotomic_poly, euler_phi, multiplicative_order, primitive_root,
+    cyclotomic_poly, divisors, euler_phi, multiplicative_order, primitive_root,
     q_binomial, q_factorial, q_int, gaussian_polynomial,
 )
 
@@ -451,6 +451,42 @@ def test_inverse_matches_sympy_invert(sympy, a):
     assert inv.L == a.L
     assert inv.coeffs() == sympy_reduced(sympy, sympy.invert(p, sympy.cyclotomic_poly(a.L, x), x), x, a.L)
     assert inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+
+
+def test_inverse_sweep_is_canonical_and_inverts():
+    # seeded: full-width values, values promoted from a proper subfield
+    # Q(zeta_d), d | L, and rationals carried at L; x * x^-1 is one and
+    # x^-1 is canonical at x's own conductor
+    rng = random.Random(20261019)
+    for L in sorted(set([2] + ORACLE_CONDUCTORS)):
+        phi = euler_phi(L)
+        proper = [d for d in divisors(L) if d != L] or [L]
+        values = []
+        while len(values) < 240:
+            kind = len(values) % 3
+            if kind == 0:
+                x = CycScalar(L, [rng.randrange(-9, 10) for _ in range(phi)], rng.randrange(1, 13))
+            elif kind == 1:
+                d = rng.choice(proper)
+                x = CycScalar(d, [rng.randrange(-5, 6) for _ in range(euler_phi(d))],
+                              rng.randrange(1, 7)).promote(L)
+            else:
+                x = CycScalar.from_rational(Fraction(rng.randrange(-30, 31), rng.randrange(1, 9)), L)
+            if not x.is_zero():
+                values.append(x)
+        assert any(not x.is_rational() for x in values) or phi == 1
+        for x in values:
+            inv = x.inverse()
+            assert inv.L == x.L
+            assert inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+            assert (x * inv).is_one() and (inv * x).is_one()
+            if x.is_rational():
+                assert inv.as_rational() == 1 / x.as_rational()
+    for L in (1, 2, 3, 4, 5, 12, 24):
+        with pytest.raises(DivisionByZero):
+            CycScalar.zero(L).inverse()
+        with pytest.raises(DivisionByZero):
+            CycScalar.one(L) / CycScalar.zero(L)
 
 
 @st.composite

@@ -71,40 +71,106 @@ def test_golden_files_reproducible(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def rewrite(path: Path, out: Path) -> str:
+    """Parse the structure file at path (its references resolved beside it)
+    and write it to out; returns its kind."""
+    f = AlgebraFile(path)
+    if f.kind == "prebialgebra":
+        P = f.to_prebialgebra(AlgebraFile(path.parent / f.base_ref()).to_hopf())
+        write_prebialgebra(P, out, f.base_ref())
+        return f.kind
+    if f.kind == "cocycle":
+        r = AlgebraFile(path.parent / f.header["r"])
+        P = r.to_prebialgebra(AlgebraFile(path.parent / r.base_ref()).to_hopf())
+        write_cocycle(f.to_cocycle(P), out, f.conductor, r_ref=f.header["r"],
+                      base_ref=f.base_ref())
+        return f.kind
+    H = f.to_hopf()
+    refs = {args[0]: args[1] for sec, args, _ in f.sections
+            if sec == "MAP" and len(args) > 1}
+    base_dim = AlgebraFile(path.parent / refs["sigma"]).dim if refs else H.dim
+
+    def shape_of(name):
+        return (H.dim, base_dim) if name == "sigma" else (base_dim, H.dim)
+
+    maps = {name: (mat, ref) for name, (mat, ref) in f.maps(shape_of).items()}
+    write_hopf(H, out, kind=f.kind, maps=maps)
+    again = AlgebraFile(out).to_hopf()
+    assert again.mult == H.mult and again.comult == H.comult
+    return f.kind
+
+
 def test_golden_parse_print_bit_exact(tmp_path):
     # parse(print(X)) = X, and reprinting a parsed catalog file is
     # byte-identical, MAP sections, pre-bialgebras and cocycles included
     kinds = []
     for path in sorted(GOLDEN.glob("*.alg")):
-        f = AlgebraFile(path)
         out = tmp_path / path.name
-        kinds.append(f.kind)
-        if f.kind == "prebialgebra":
-            P = f.to_prebialgebra(AlgebraFile(path.parent / f.base_ref()).to_hopf())
-            write_prebialgebra(P, out, f.base_ref())
-            assert out.read_bytes() == path.read_bytes(), path.name
-            continue
-        if f.kind == "cocycle":
-            r = AlgebraFile(path.parent / f.header["r"])
-            P = r.to_prebialgebra(AlgebraFile(path.parent / r.base_ref()).to_hopf())
-            write_cocycle(f.to_cocycle(P), out, f.conductor, r_ref=f.header["r"],
-                          base_ref=f.base_ref())
-            assert out.read_bytes() == path.read_bytes(), path.name
-            continue
-        H = f.to_hopf()
-        refs = {args[0]: args[1] for sec, args, _ in f.sections
-                if sec == "MAP" and len(args) > 1}
-        base_dim = AlgebraFile(path.parent / refs["sigma"]).dim if refs else H.dim
-
-        def shape_of(name):
-            return (H.dim, base_dim) if name == "sigma" else (base_dim, H.dim)
-
-        maps = {name: (mat, ref) for name, (mat, ref) in f.maps(shape_of).items()}
-        write_hopf(H, out, kind=f.kind, maps=maps)
+        kinds.append(rewrite(path, out))
         assert out.read_bytes() == path.read_bytes(), path.name
-        again = AlgebraFile(out).to_hopf()
-        assert again.mult == H.mult and again.comult == H.comult
     assert sorted(set(kinds)) == ["cocycle", "hopf", "prebialgebra"]
+
+
+def test_golden_write_read_write_is_byte_identical(tmp_path):
+    # each written file is read back from beside the other written files and
+    # written again; the writer's and the reader's scalar memos start afresh
+    # for every file, so the second write sees only values the reader built
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    paths = sorted(GOLDEN.glob("*.alg"))
+    for path in paths:
+        rewrite(path, first / path.name)
+    for path in paths:
+        rewrite(first / path.name, second / path.name)
+        assert (second / path.name).read_bytes() == (first / path.name).read_bytes() == path.read_bytes()
+
+
+def test_a_bad_scalar_on_two_rows_names_the_first(tmp_path):
+    # a text that fails to parse is not remembered: it fails again at the
+    # first row on a second read of the same file object
+    text = (GOLDEN / "c4min.alg").read_text()
+    lines = text.splitlines()
+    start = lines.index("SECTION MULT") + 1
+    rows = [start + 1, start + 4]  # two rows of the MULT section, 0-based
+    for n in rows:
+        lines[n] = lines[n].rsplit(" ", 1)[0] + " 2*w"
+    bad = tmp_path / "c4min.alg"
+    bad.write_text("\n".join(lines) + "\n")
+    f = AlgebraFile(bad)
+    for _ in range(2):
+        with pytest.raises(ParseError, match=f"^{bad}:{rows[0] + 1}: bad scalar term '2\\*w'$"):
+            f.to_hopf()
+    code, err = cli("check", bad)
+    assert code == 2 and f"error: {bad}:{rows[0] + 1}: " in err
+
+
+def test_repeated_scalar_texts_parse_as_each_row_alone(tmp_path):
+    # entries of rows that share one text equal the text parsed on its own,
+    # and two spellings of one value are each read right
+    for name in ("b0.alg", "c4min.alg", "qline6_base.alg"):
+        f = AlgebraFile(GOLDEN / name)
+        H = f.to_hopf()
+        rows = [row.split(None, 3) for _, row in f.section("MULT")[1]]
+        assert len({text for *_, text in rows}) < len(rows)
+        for i, j, k, text in rows:
+            assert H.mult[(int(i), int(j), int(k))] == parse_scalar(text, f.conductor)
+    # values that share their coordinates but not their denominator are
+    # written apart as well
+    path = tmp_path / "k6.alg"
+    write_hopf(group_algebra_cyclic(6, conductor=6), path)
+    texts = ["1/2*z - 1", "1/2*z-1", "1/2", "z - 2", "1", "1/2*z - 1"]
+    path.write_text(path.read_text() + "SECTION CHARACTER eta\n"
+                    + "".join(f"{i} {t}\n" for i, t in enumerate(texts)))
+    H = AlgebraFile(path).to_hopf()
+    eta = H.characters["eta"]
+    assert eta == [parse_scalar(t, 6) for t in texts]
+    assert eta[0] == eta[1] == eta[5] == CycScalar(6, [-2, 1], 2)
+    again = tmp_path / "k6_again.alg"
+    write_hopf(H, again)
+    assert AlgebraFile(again).to_hopf().characters["eta"] == eta
+    assert again.read_text().endswith("SECTION CHARACTER eta\n0 -1 + 1/2*z\n1 -1 + 1/2*z\n2 1/2\n"
+                                      "3 -2 + z\n4 1\n5 -1 + 1/2*z\n")
 
 
 def test_cli_check_exit_codes(tmp_path):

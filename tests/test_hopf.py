@@ -11,8 +11,8 @@ import pytest
 from hopfforge import catalog, hopf
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
-    CoalgebraSC, NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
-    convolution, cyclic_character, char_convolve, char_convpow, filtration_from,
+    CoalgebraSC, HopfSC, NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
+    convolution, cyclic_character, char_convolve, char_convpow, char_powers, filtration_from,
     group_algebra_cyclic, group_algebra_integral, is_group_algebra, kaplansky_check,
     phi_power, psi_power, primitives, skew_primitives, unit_counit_map,
     verify_ad_integral, verify_character, verify_group_like, wedge,
@@ -40,7 +40,6 @@ def test_group_algebra_passes_all_checks(kc6):
 def test_broken_multiplication_is_witnessed(kc6):
     mult = Tensor3((6, 6, 6), dict(kc6.mult.data))
     mult[(1, 1, 2)] = rat(0)  # delete g.g
-    from hopfforge.hopf import HopfSC
     broken = HopfSC(6, mult, kc6.unit, kc6.comult, kc6.counit, kc6.antipode)
     rep = check_algebra(broken)
     assert not rep.ok
@@ -66,6 +65,29 @@ def test_character_convolution_square(kc6):
     chi1 = cyclic_character(kc6, rat(-1))
     sq = char_convolve(kc6, chi1, chi1)
     assert all(c.is_one() for c in sq)  # gamma -> 1
+
+
+def test_char_powers_match_repeated_convolution():
+    # every declared character of every Hopf structure in the catalog: the
+    # list of powers is the counit convolved with chi again and again
+    checked = set()
+    for name, build in sorted(catalog.ALL_BUILDERS.items()):
+        entry = build()
+        structures = [entry.ore.base, entry.ore.O] if entry.ore else []
+        structures += [v for v in entry.extra.values() if isinstance(v, HopfSC)]
+        for H in structures:
+            for chi_name, chi in H.characters.items():
+                powers = char_powers(H, chi, 13)
+                expect = list(H.counit)
+                assert len(powers) == 13
+                for n, power in enumerate(powers):
+                    assert power == expect, (name, chi_name, n)
+                    assert char_convpow(H, chi, n) == expect
+                    expect = char_convolve(H, expect, chi)
+                assert char_powers(H, chi, 4) == powers[:4]
+                assert char_powers(H, chi, 0) == []
+                checked.add(name)
+    assert checked == {"b0", "xmas", "c4min", "qline6", "smash36", "kc12n6"}
 
 
 def test_compute_antipode_group_algebra(kc6):
@@ -259,7 +281,6 @@ def test_wedge_matches_preimage_oracle(kc6, qline6_entry, b0_entry):
 
 
 def test_bialgebra_fail_on_tampered_comult(kc6):
-    from hopfforge.hopf import HopfSC
     comult = Tensor3((6, 6, 6), dict(kc6.comult.data))
     comult[(1, 1, 1)] = rat(0)
     comult[(1, 1, 2)] = rat(1)
@@ -415,7 +436,6 @@ def entries(rep):
 def perturbed(H, tensor, seed):
     """H with one constant of its MULT or COMULT tensor, or one nonzero entry
     of its antipode S, moved by +1."""
-    from hopfforge.hopf import HopfSC
     rng = random.Random(seed)
     if tensor == "S":
         key = rng.choice([(a, b) for a, row in enumerate(H.antipode.rows) for b, v in enumerate(row) if v])
@@ -634,7 +654,6 @@ def test_rational_operand_product_is_memoized(monkeypatch):
 
 def test_conductor_overflow_still_raised_past_the_cap():
     from hopfforge.cyclotomic import ConductorOverflow, conductor_cap, set_conductor_cap
-    from hopfforge.hopf import HopfSC
     z4, z6 = CycScalar.zeta(4), CycScalar.zeta(6)
     T = Tensor3((2, 2, 2), {(0, 0, 0): z4, (0, 0, 1): z6, (1, 1, 0): z4, (1, 1, 1): z6})
     H = HopfSC(2, T, basis_vec(2, 0), T, [z4, z6], Mat.identity(2))
@@ -658,7 +677,6 @@ def test_tables_with_no_room_for_one_match_oracle(tables):
     """A table holds the constants' values and 1: k rescaled by 2 (its one
     constant of each kind is not 1) and a structure with no constants at all
     used to overflow the table on entry."""
-    from hopfforge.hopf import HopfSC
     half = rat(Fraction(1, 2))
     k2 = HopfSC(1, Tensor3((1, 1, 1), {(0, 0, 0): rat(2)}), [half],
                 Tensor3((1, 1, 1), {(0, 0, 0): half}), [rat(2)], Mat.identity(1))
@@ -694,7 +712,6 @@ def test_traced_checks_match_untraced(b0_entry, c4min_entry):
 def tampered_mult(H, how, seed):
     """H with one MULT entry e_i e_j -> c e_k changed: its scalar doubled
     ("scalar") or moved to an index k' that e_i e_j does not reach ("index")."""
-    from hopfforge.hopf import HopfSC
     rng = random.Random(seed)
     data = dict(H.mult.data)
     i, j, k = key = rng.choice(sorted(data))
@@ -749,7 +766,6 @@ def test_two_term_rows_match_oracle(how):
 
 def with_constant(H, tensor, key, value):
     """H with the constant at `key` of its "mult" or "comult" tensor set to value."""
-    from hopfforge.hopf import HopfSC
     T = getattr(H, tensor)
     T2 = Tensor3(T.shape, {**T.data, key: value})
     mult, comult = (T2, H.comult) if tensor == "mult" else (H.mult, T2)
