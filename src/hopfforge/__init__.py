@@ -11,7 +11,7 @@ from .hopf import (
     AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC,
     check_algebra, check_bialgebra, check_coalgebra, check_hopf,
     compute_antipode, convolution, group_algebra_cyclic, cyclic_character,
-    group_algebra_integral, phi_power, psi_power, primitives, skew_primitives,
+    integral, phi_power, psi_power, primitives, skew_primitives,
     verify_ad_integral, verify_character, verify_group_like, wedge, filtration_from,
 )
 from .yd import (

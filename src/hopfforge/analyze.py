@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
     BialgebraSC, HopfSC, ad_equivariant, algebra_map_failures, coalgebra_map_failures,
-    char_convpow, char_eval, char_powers, is_central, phi_power, psi_power, skew_primitives,
-    verify_ad_integral, verify_character, verify_group_like, wedge, filtration_from,
+    char_convpow, char_eval, char_powers, integral, is_central, phi_power, psi_power,
+    skew_primitives, verify_ad_integral, verify_character, verify_group_like, wedge,
+    filtration_from,
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
@@ -51,38 +52,27 @@ class NotThin(AnalysisError):
     pass
 
 
-class FlagRequired(AnalysisError):
-    pass
-
-
 class EquivalenceMismatch(AnalysisError):
     pass
 
 
 class ProjectionSetup:
-    """(A, H, sigma, pi) with the flags the theory's hypotheses hang on."""
+    """(A, H, sigma, pi) and the normalized integral of H*, decided once.
 
-    def __init__(self, A: BialgebraSC, H: HopfSC, sigma: Mat, pi: Mat,
-                 H_finite_dim: bool = True, H_cosemisimple: bool = False,
-                 integral: Optional[Vec] = None):
+    `integral` is `hopf.integral(H)`: None exactly when H is not
+    cosemisimple, which is the hypothesis the sharpest claims need.
+    """
+
+    def __init__(self, A: BialgebraSC, H: HopfSC, sigma: Mat, pi: Mat):
         self.A = A
         self.H = H
         self.sigma = sigma
         self.pi = pi
-        self.H_finite_dim = H_finite_dim
-        self.H_cosemisimple = H_cosemisimple
-        self.integral = integral
+        self.integral = integral(H)
 
 
 def setup_from_ore(ore: OreHopf) -> ProjectionSetup:
-    H = ore.base
-    integral = None
-    from .hopf import is_group_algebra, group_algebra_integral
-    if is_group_algebra(H):
-        integral = group_algebra_integral(H)
-    return ProjectionSetup(ore.O, H, ore.sigma, ore.p,
-                           H_finite_dim=True, H_cosemisimple=H.cosemisimple,
-                           integral=integral)
+    return ProjectionSetup(ore.O, ore.base, ore.sigma, ore.p)
 
 
 def validate_setup(s: ProjectionSetup) -> CheckReport:
@@ -385,22 +375,29 @@ class CocycleAnalysis:
     support_ok: bool
     half_line_constant: bool
     half_line_value: Optional[SVec]
-    full_line_constant: Optional[bool]      # None when not licensed (x^2 != 0)
+    full_line_constant: Optional[bool]      # None when x^2 != 0 at even N
     three_half_line_zero: Optional[bool]
-    lam: Optional[CycScalar]                # None when extraction not licensed
+    lam: Optional[CycScalar]                # None when not extracted, see lam_missing
     lam_datum: Optional[CompatibleDatum]
     table_matches: Optional[bool]           # xi table in the x = 0 regime
     table: dict = field(default_factory=dict)   # (a, b) -> xi(y^a (x) y^b) sparse in H
     x_claims: CheckReport = field(default_factory=lambda: CheckReport("x claims"))
 
+    def lam_missing(self) -> str:
+        """Why lambda was not extracted (read when lam is None)."""
+        if self.full_line_constant is None:
+            return "x^2 != 0 at even N"
+        return "xi(y, y^(N-1)) is not a multiple of 1 - g^N"
+
 
 def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> CocycleAnalysis:
     """Everything the theory says about xi on a thin carrier.
 
-    Support, line constancy, the element x with its seven claims, and the
-    extraction of lambda(N) whenever the flags license it (H finite
-    dimensional or cosemisimple); otherwise the raw value is reported and
-    extraction is skipped with a FlagRequired note.
+    Support, line constancy, the element x with its claims, and the
+    extraction of lambda(N) when N is odd or x^2 = 0; the claim that x
+    vanishes over a cosemisimple H is made when the setup's integral is
+    not None.  When lambda is not a scalar multiple, the raw values stay in
+    the table and lam is None.
     """
     s, pre, xi = ind.setup, ind.pre, ind.xi
     H = s.H
@@ -449,9 +446,9 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
             rep.add("x_vanishes_when_half_is_one", x_zero)
         if (N // 2) % 2 == 1:
             rep.add("x_squares_to_zero_odd_half", not H.mul_sv(x, x))
-        if (N // 2) % 2 == 0 and s.H_finite_dim:
+        if (N // 2) % 2 == 0:
             rep.add("x_vanishes_even_half_fd", x_zero)
-        if s.H_cosemisimple:
+        if s.integral is not None:
             rep.add("x_vanishes_cosemisimple", x_zero)
     # line constancy on a+b = N/2
     half_const = True
@@ -478,12 +475,11 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
         three_half = all(not v for v in tvals)
     elif N % 2 == 1:
         three_half = True
-    # lambda extraction (licensed by flags)
+    # lambda extraction
     lam: Optional[CycScalar] = None
     lam_datum: Optional[CompatibleDatum] = None
     table_ok: Optional[bool] = None
-    licensed = s.H_finite_dim or s.H_cosemisimple
-    if licensed and (N % 2 == 1 or x2_zero):
+    if N % 2 == 1 or x2_zero:
         raw = xi.eval(y_pows[1], y_pows[N - 1]) if N > 1 else {}
         z = H.one_minus_pow_sv(basis.g, N)
         if not z:
@@ -498,7 +494,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
                 lam = cand if raw == sv_scale(z, cand) else None
         if lam is not None:
             datum = YDDatum(H, basis.g, basis.chi, q)
-            out = validate_compatible_datum(datum, lam, integral=s.integral)
+            out = validate_compatible_datum(datum, lam)
             if not isinstance(out, CheckReport):
                 lam_datum = out
         if lam is not None and (N % 2 == 1 or x_zero):
@@ -532,7 +528,8 @@ class AnalysisReport:
 def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
                        analysis: CocycleAnalysis) -> AnalysisReport:
     """Evaluate items (a)-(d) and (1)-(4) independently and assert the
-    biconditionals the instance's flags license.
+    biconditionals between them; with a verified ad-invariant integral of H*,
+    also assert the consequences of a nontrivial xi.
 
     (a) m left H-colinear; (b) N odd or xi(y (x) y^{N/2-1}) = 0;
     (c) iterated powers of y agree in R and in A for n < N;
@@ -582,13 +579,11 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         "3_radford_majid": three_item,
         "4_pi_algebra_map": four_item,
     }
-    licensed = s.H_finite_dim or s.H_cosemisimple
-    if licensed:
-        if not (a_item == b_item == c_item == d_item):
-            raise EquivalenceMismatch(f"(a)-(d) disagree: {equivalences}")
+    if not (a_item == b_item == c_item == d_item):
+        raise EquivalenceMismatch(f"(a)-(d) disagree: {equivalences}")
     if not (one_item == three_item == four_item):
         raise EquivalenceMismatch(f"(1), (3), (4) disagree: {equivalences}")
-    if licensed and two_item is not None and a_item:
+    if two_item is not None and a_item:
         # with (a)-(d) true the datum triviality joins the equivalence class
         if two_item != one_item:
             raise EquivalenceMismatch(f"(1) and (2) disagree under (a)-(d): {equivalences}")
@@ -695,7 +690,7 @@ def retraction_tools(s1: ProjectionSetup, s2: ProjectionSetup) -> dict:
         "retractions_equal": equal,
         "uniqueness_asserted": False,
     }
-    if s1.H_cosemisimple and s2.H_cosemisimple:
+    if s1.integral is not None and s2.integral is not None:
         if thinness_and_basis(ind1) is not None:
             out["uniqueness_asserted"] = True
             if not equal:
@@ -776,15 +771,13 @@ class Analysis:
     def classification(self) -> tuple[CompatibleDatum, OreHopf, Mat]:
         """(CompatibleDatum, OreHopf, iso) with iso: O(H, g, chi, lambda) -> A.
 
-        Requires the flags to license lambda extraction and the carrier to be
-        thin.  The generator z is searched in the skew-primitive space of A
-        relative to (sigma(g), 1), constrained by the universal-map
+        Requires the carrier to be thin and lambda(N) to be extracted with a
+        compatible datum.  The generator z is searched in the skew-primitive
+        space of A relative to (sigma(g), 1), constrained by the universal-map
         hypotheses and normalized so its coefficient along y is 1.  Also
         verifies the dim(A_1) = 2 dim(H) <-> thin criterion on the instance.
         """
         s = self.setup
-        if not (s.H_finite_dim or s.H_cosemisimple):
-            raise FlagRequired("classification needs H finite dimensional or cosemisimple")
         basis, A1 = self.basis, self.A1
         thin = basis is not None
         if (A1.dim == 2 * s.H.dim) != thin:
@@ -793,8 +786,10 @@ class Analysis:
         if not thin:
             raise NotThin("classification needs a thin coinvariant coalgebra")
         analysis = self.cocycle
-        if analysis.lam is None or analysis.lam_datum is None:
-            raise FlagRequired("lambda extraction failed under the given flags")
+        if analysis.lam is None:
+            raise AnalysisError(f"lambda not extracted: {analysis.lam_missing()}")
+        if analysis.lam_datum is None:
+            raise AnalysisError(f"lambda = {analysis.lam} is not compatible with the datum")
         comp = analysis.lam_datum
         ore = build_ore_hopf(comp, verify=False)
         A, H = s.A, s.H

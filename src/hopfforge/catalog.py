@@ -82,8 +82,7 @@ def xmas() -> CatalogEntry:
         pi_cols[j] = {j: cone()}
         pi_cols[36 + j] = H2.mul_sv({x_idx: cone()}, {j: cone()})
     pi = Mat.of_cols(12, pi_cols)
-    setup_pi = ProjectionSetup(A, H2, ore.sigma, pi,
-                               H_finite_dim=True, H_cosemisimple=False)
+    setup_pi = ProjectionSetup(A, H2, ore.sigma, pi)
     return CatalogEntry("xmas", "dim-72 Hopf algebra with a non-normalized projection",
                         ore, setup_from_ore(ore),
                         {"setup_pi": setup_pi, "pi": pi, "q": q,
@@ -149,7 +148,7 @@ def nonthin_control() -> CatalogEntry:
     # sigma: h -> h (x) 1 on the first factor; pi = id (x) eps
     sigma = Mat.of_cols(8, [{0: cone()}, {4: cone()}])
     pi = Mat.of_cols(2, [{a: cone()} for a in range(2) for _ in range(4)])
-    setup = ProjectionSetup(A, H, sigma, pi, H_finite_dim=True, H_cosemisimple=True)
+    setup = ProjectionSetup(A, H, sigma, pi)
     return CatalogEntry("nonthin", "group-algebra setup whose coinvariants are K C_4",
                         None, setup, {"A": A, "H": H})
 

@@ -221,7 +221,7 @@ def _render(an: Analysis, rep: Report) -> None:
         rep.set("lambda", format_scalar(ana.lam, conductor))
         rep.status("lambda_datum_compatible", ana.lam_datum is not None)
     else:
-        rep.skipped("lambda_extraction", "flags do not license the extraction")
+        rep.skipped("lambda_extraction", ana.lam_missing())
     if ana.table_matches is not None:
         rep.status("cocycle_table", ana.table_matches)
     er = an.equivalences
@@ -247,10 +247,7 @@ def cmd_analyze(args) -> int:
     if sigma.nrows != A.dim or sigma.ncols != H.dim or pi.nrows != H.dim or pi.ncols != A.dim:
         print("error: map shapes do not match A and H", file=sys.stderr)
         return USAGE_ERROR
-    flags = hf.flags()
-    setup = ProjectionSetup(A, H, sigma, pi,
-                            H_finite_dim="finite_dim" in flags or not flags,
-                            H_cosemisimple="cosemisimple" in flags)
+    setup = ProjectionSetup(A, H, sigma, pi)
     rep = Report(f"analyze {args.A} over {args.H}")
     try:
         run_analysis(setup, rep)

@@ -16,7 +16,7 @@ from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
     AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
     coalgebra_map_failures, char_convolve, char_convpow, char_eval, char_powers, check_hopf,
-    is_central, phi_map, phi_power, psi_map,
+    integral, is_central, phi_map, phi_power, psi_map,
     verify_ad_integral, verify_character, verify_group_like,
 )
 from .linalg import (
@@ -128,14 +128,15 @@ def _integral_gating_holds(H: HopfSC, g: SVec, chi: Vec, N: int) -> tuple[bool, 
     return chi_ok, is_central(H, gN), gN != H.unit_sv()
 
 
-def validate_compatible_datum(d: YDDatum, lam: CycScalar,
-                              integral: Optional[Vec] = None) -> Union[CompatibleDatum, CheckReport]:
+def validate_compatible_datum(d: YDDatum, lam: CycScalar) -> Union[CompatibleDatum, CheckReport]:
     """Gate lambda != 0 by the defining condition.
 
-    Without an integral the raw displayed condition is tested; with a
-    verified ad-invariant integral the simplified criterion (chi^N = eps
-    and g^N central != 1) is used, and both paths are cross-checked to
-    agree.
+    The raw displayed condition decides.  When H is cosemisimple, its
+    integral (`hopf.integral`), once `verify_ad_integral` accepts it as
+    ad-invariant, gives the simplified criterion (chi^N = eps and g^N
+    central != 1), and the two paths must agree: a disagreement is a FAIL
+    entry `gating_paths_agree`, and an integral that is not ad-invariant a
+    FAIL entry `integral_valid`.
     """
     rep = CheckReport("compatible datum")
     N = d.order()
@@ -149,15 +150,14 @@ def validate_compatible_datum(d: YDDatum, lam: CycScalar,
     H = d.H
     g_ok, ad_ok = _raw_gating_holds(H, d.g, d.chi, N)
     raw = g_ok and ad_ok
-    if integral is not None:
-        if not verify_ad_integral(H, integral):
+    gamma = integral(H)
+    if gamma is not None:
+        if not verify_ad_integral(H, gamma):
             rep.add("integral_valid", False)
             return rep
-        chi_ok, central, gn_ok = _integral_gating_holds(H, d.g, d.chi, N)
-        simplified = chi_ok and central and gn_ok
-        rep.add("gating_paths_agree", simplified == raw,
-                detail=f"raw={raw} simplified={simplified}")
+        simplified = all(_integral_gating_holds(H, d.g, d.chi, N))
         if simplified != raw:
+            rep.add("gating_paths_agree", False, detail=f"raw={raw} simplified={simplified}")
             return rep
     rep.add("lambda_gating", raw,
             detail="" if raw else f"g^N=1: {not g_ok}; ad-equivariance fails: {not ad_ok}")
@@ -208,7 +208,7 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[SVec]) -> CompatibleDatum
     if None in S_cols:
         raise NotSubHopf("not closed under the antipode")
     sub = HopfSC(m, mult, sv_to_dense(unit, m), comult, counit, Mat.of_cols(m, S_cols),
-                 conductor=H.conductor, finite_dim=True, cosemisimple=H.cosemisimple)
+                 conductor=H.conductor)
     chi_sub = [char_eval(c.datum.chi, v) for v in sub_basis]
     datum = validate_yd_datum(sub, g_sub, chi_sub)
     if isinstance(datum, CheckReport):

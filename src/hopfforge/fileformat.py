@@ -11,6 +11,11 @@ A size header (`dim`, `rows`, `cols`, `base_dim`) above MAX_SIZE is a parse
 error: the tables of a structure are allocated from it before any row is
 checked, and the exhaustive checks could not visit that many tuples anyway.
 So is a `conductor` above the conductor cap, which no scalar could be read at.
+
+The `flags` header of a structure file is written from decided values:
+`finite_dim` always, and `cosemisimple` when `hopf.integral` is not None.
+On read, `finite_dim` carries nothing, and a declared `cosemisimple` whose
+integral is None is a parse error at the flags line.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .cyclotomic import CycScalar, conductor_cap
-from .hopf import HopfSC, BialgebraSC
+from .hopf import HopfSC, BialgebraSC, integral
 from .linalg import Mat, Tensor3, Vec, zeros
 from .cocycle import Cocycle, PreBialgebra
 from .yd import YDModule
@@ -127,13 +132,7 @@ def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
     labels = getattr(H, "labels", None)
     if labels:
         lines.append("# labels: " + " ".join(labels))
-    flags = []
-    if getattr(H, "finite_dim", True):
-        flags.append("finite_dim")
-    if getattr(H, "cosemisimple", False):
-        flags.append("cosemisimple")
-    if flags:
-        lines.append("# flags: " + " ".join(flags))
+    lines.append("# flags: finite_dim" + (" cosemisimple" if integral(H) is not None else ""))
     lines.append("SECTION MULT")
     lines += _tensor_rows(H.mult, fmt)
     lines.append("SECTION UNIT")
@@ -296,9 +295,6 @@ class AlgebraFile:
     def dim(self) -> int:
         return self._size("dim")
 
-    def flags(self) -> set[str]:
-        return set(self.header.get("flags", "").split())
-
     def labels(self) -> Optional[list[str]]:
         raw = self.header.get("labels")
         return raw.split() if raw else None
@@ -399,12 +395,13 @@ class AlgebraFile:
             elif sec == "CHARACTER":
                 name = self._name(named, sec, args, f"chi{len(characters)}", ln)
                 characters[name] = self._vector(sec, n, rows)
-        flags = self.flags()
-        return HopfSC(n, mult, unit, comult, counit, antipode,
-                      labels=self.labels(), conductor=self.conductor,
-                      group_likes=group_likes, characters=characters,
-                      finite_dim="finite_dim" in flags or not flags,
-                      cosemisimple="cosemisimple" in flags)
+        H = HopfSC(n, mult, unit, comult, counit, antipode,
+                   labels=self.labels(), conductor=self.conductor,
+                   group_likes=group_likes, characters=characters)
+        if "cosemisimple" in self.header.get("flags", "").split() and integral(H) is None:
+            raise ParseError(f"{self.path}:{self.header_lines['flags']}: flags declare "
+                             "cosemisimple, but the integrals of the dual vanish at 1")
+        return H
 
     def to_map(self) -> Mat:
         nrows, ncols = self._size("rows"), self._size("cols")

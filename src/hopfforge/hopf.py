@@ -26,10 +26,6 @@ class NotABialgebra(ValueError):
     pass
 
 
-class NotGroupAlgebra(ValueError):
-    pass
-
-
 class NotGroupLike(ValueError):
     pass
 
@@ -135,15 +131,14 @@ class BialgebraSC(AlgebraSC, CoalgebraSC):
 class HopfSC(BialgebraSC):
     """Bialgebra with an antipode matrix plus declared extra data.
 
-    Group-likes and characters are declared and verified, never enumerated;
-    cosemisimplicity is an input flag, validated only for group algebras.
+    Group-likes and characters are declared and verified, never enumerated.
+    No hypothesis is declared: cosemisimplicity is decided by `integral`.
     """
 
     def __init__(self, dim: int, mult: Tensor3, unit: Vec, comult: Tensor3, counit: Vec,
                  antipode: Optional[Mat] = None, labels: Optional[list[str]] = None,
                  conductor: int = 1, group_likes: Optional[dict[str, SVec]] = None,
-                 characters: Optional[dict[str, Vec]] = None,
-                 finite_dim: bool = True, cosemisimple: bool = False):
+                 characters: Optional[dict[str, Vec]] = None):
         super().__init__(dim, mult, unit, comult, counit)
         if antipode is not None and (antipode.nrows != dim or antipode.ncols != dim):
             raise ShapeMismatch("antipode matrix has wrong shape")
@@ -152,8 +147,6 @@ class HopfSC(BialgebraSC):
         self.conductor = conductor
         self.group_likes = dict(group_likes or {})
         self.characters = dict(characters or {})
-        self.finite_dim = finite_dim
-        self.cosemisimple = cosemisimple
 
     def antipode_sv(self, v: SVec) -> SVec:
         if self.antipode is None:
@@ -904,7 +897,7 @@ def kaplansky_check(H: HopfSC, chi: Vec, z: SVec, n: int) -> tuple[bool, bool]:
     return ad_ok, comm_ok
 
 
-# -- ad-invariant integrals ---------------------------------------------------
+# -- integrals ----------------------------------------------------------------
 
 
 def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
@@ -933,26 +926,35 @@ def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
     return True
 
 
-def is_group_algebra(H: HopfSC) -> bool:
-    """True when every basis vector is group-like and products stay on the basis."""
-    for i in range(H.dim):
-        if not verify_group_like(H, {i: cone()}):
-            return False
-    for i in range(H.dim):
-        for j in range(H.dim):
-            prod = H.mul_basis(i, j)
-            if len(prod) != 1 or not next(iter(prod.values())).is_one():
-                return False
-    return sum(1 for c in H.unit if c) == 1
+def integral(H: BialgebraSC) -> Optional[Vec]:
+    """The integral of H*, normalized to lambda(1) = 1, or None when H is not
+    cosemisimple.
 
-
-def group_algebra_integral(H: HopfSC) -> Vec:
-    """Dual basis functional at the identity element of a group algebra."""
-    if not is_group_algebra(H):
-        raise NotGroupAlgebra("ad-invariant integral builder needs a group-algebra presentation")
-    idx = next(i for i, c in enumerate(H.unit) if c)
-    gamma = zeros(H.dim)
-    gamma[idx] = cone()
+    One sparse kernel solve of (id (x) lambda)Delta(e_h) = lambda(e_h) 1 over
+    every basis h.  On a finite-dimensional Hopf algebra the solutions form a
+    line, and H is cosemisimple exactly when they do not vanish at 1
+    (Larson-Sweedler); in characteristic 0 that is S^2 = id (Larson-Radford).
+    Any other solution space also gives None.  No antipode is read.
+    """
+    n = H.dim
+    unit = H.unit_sv()
+    rows: dict[tuple[int, int], SVec] = {}  # (h, i): the e_i coefficient of equation h
+    for h in range(n):
+        for (i, j), c in H.comult_basis(h).items():
+            sv_add_into(rows.setdefault((h, i), {}), {j: c})
+        for i, u in unit.items():
+            sv_add_into(rows.setdefault((h, i), {}), {h: -u})
+    sol = kernel_from_sparse_rows(rows.values(), n)
+    if sol.dim != 1:
+        return None
+    (lam,) = sol.pivot_rows.values()
+    at_one = char_eval(H.unit, lam)  # lambda(1)
+    if not at_one:
+        return None
+    inv = cone() / at_one
+    gamma = zeros(n)
+    for k, c in lam.items():
+        gamma[k] = c * inv
     return gamma
 
 
@@ -1080,4 +1082,4 @@ def _cyclic_group_algebra(orders: list[int], conductor: int, label) -> HopfSC:
     labels = [label(e) for e in elements]
     group_likes = {labels[a]: {a: cone()} for a in range(n)}
     return HopfSC(n, mult, basis_vec(n, 0), comult, [cone()] * n, S, labels=labels,
-                  conductor=conductor, group_likes=group_likes, finite_dim=True, cosemisimple=True)
+                  conductor=conductor, group_likes=group_likes)

@@ -13,7 +13,7 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial
 from hopfforge.hopf import (
-    check_hopf, cyclic_character, group_algebra_cyclic, group_algebra_integral,
+    check_hopf, cyclic_character, group_algebra_cyclic,
     verify_character, verify_group_like,
 )
 from hopfforge.linalg import (
@@ -266,7 +266,7 @@ def test_criterion_09_retraction_uniqueness(b0_entry, smash36_entry, kc12n6_entr
             bad_pi.rows[j][j] = cone()
             for k, c in H.mul_sv(sv_from_dense(Xp), {j: cone()}).items():
                 bad_pi.rows[k][(N // 2) * nh + j] = bad_pi.rows[k][(N // 2) * nh + j] + c
-        bad = ProjectionSetup(ore.O, H, ore.sigma, bad_pi, H_cosemisimple=True)
+        bad = ProjectionSetup(ore.O, H, ore.sigma, bad_pi)
         assert not validate_setup(bad).ok
     # the non-cosemisimple pair (pi, p) on the dim-72 example stays distinct
     out = retraction_tools(xmas_entry.extra["setup_pi"], xmas_entry.setup)

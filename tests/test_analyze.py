@@ -542,8 +542,7 @@ def test_retraction_uniqueness_cosemisimple(smash36_entry, b0_entry):
             prod = H.mul_sv(sv_from_dense(Xp), {j: cone()})
             for k, c in prod.items():
                 bad_pi.rows[k][half * nh + j] = bad_pi.rows[k][half * nh + j] + c
-        setup_bad = ProjectionSetup(ore.O, H, ore.sigma, bad_pi,
-                                    H_cosemisimple=True)
+        setup_bad = ProjectionSetup(ore.O, H, ore.sigma, bad_pi)
         rep = validate_setup(setup_bad)
         assert not rep.ok
         # while a valid second retraction (p itself) is asserted equal
@@ -579,20 +578,26 @@ def test_classify_nonthin_rejected():
         classify(entry.setup)
 
 
-def test_flag_gated_lambda_extraction(c4min_entry):
-    # without the finite-dim/cosemisimple licenses the raw cocycle value is
-    # reported but lambda is never guessed, and classification refuses
-    from hopfforge.analyze import FlagRequired
-    ore = c4min_entry.ore
-    bare = ProjectionSetup(ore.O, ore.base, ore.sigma, ore.p,
-                           H_finite_dim=False, H_cosemisimple=False)
-    an = Analysis(bare)
-    assert an.basis is not None
-    ana = an.cocycle
-    assert ana.lam is None
-    assert ana.table[(1, 1)]        # the raw value xi(y (x) y) is still carried
-    with pytest.raises(FlagRequired):
-        classify(bare)
+def test_lambda_not_extracted_names_the_reason(c4min_entry, monkeypatch):
+    # when lambda is not extracted the report and classification name why;
+    # the raw value xi(y (x) y) is still carried in the table
+    from dataclasses import replace
+    from hopfforge import analyze
+    from hopfforge.cli import run_analysis
+    from hopfforge.reports import Report
+    real = analyze.cocycle_analysis
+    for changes, reason in (({"full_line_constant": None}, "x^2 != 0 at even N"),
+                            ({}, "xi(y, y^(N-1)) is not a multiple of 1 - g^N")):
+        monkeypatch.setattr(analyze, "cocycle_analysis",
+                            lambda *args, c=changes: replace(real(*args), lam=None, **c))
+        an = Analysis(c4min_entry.setup)
+        assert an.cocycle.table[(1, 1)]
+        rep = Report("c4min")
+        run_analysis(c4min_entry.setup, rep)
+        assert f"SKIPPED lambda_extraction: {reason}" in rep.lines
+        with pytest.raises(analyze.AnalysisError) as err:
+            an.classification
+        assert str(err.value) == f"lambda not extracted: {reason}"
 
 
 def test_one_analysis_forms_each_stage_once(xmas_entry, monkeypatch):

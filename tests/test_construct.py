@@ -3,7 +3,7 @@ import pytest
 from hopfforge import catalog
 from hopfforge.cyclotomic import CycScalar, q_binomial
 from hopfforge.hopf import (
-    check_hopf, cyclic_character, group_algebra_cyclic, group_algebra_integral,
+    check_hopf, cyclic_character, group_algebra_cyclic, integral,
     verify_character,
 )
 from hopfforge.linalg import Mat, cone, czero, kron_index, sv_add_into, sv_scale, zeros
@@ -49,9 +49,8 @@ def test_compatible_datum_gating():
     d = validate_yd_datum(H, {1: cone()}, chi)
     c = validate_compatible_datum(d, rat(1))
     assert isinstance(c, CompatibleDatum) and not c.is_trivial()
-    # same with the integral criterion: the two paths agree
-    c2 = validate_compatible_datum(d, rat(1), integral=group_algebra_integral(H))
-    assert isinstance(c2, CompatibleDatum)
+    # K C_4 is cosemisimple, so the integral criterion ran too and agreed
+    assert integral(H) is not None
     # (KC6, gamma^3, chi1, lambda = 1) invalid: g^2 = 1
     H6 = group_algebra_cyclic(6, conductor=6)
     chi16 = cyclic_character(H6, rat(-1))
@@ -61,6 +60,24 @@ def test_compatible_datum_gating():
     # lambda = 0 always valid
     ok0 = validate_compatible_datum(d6, rat(0))
     assert isinstance(ok0, CompatibleDatum)
+
+
+def test_compatible_datum_cross_checks_the_gating_paths(xmas_entry, monkeypatch):
+    # over a cosemisimple H a simplified criterion that disagrees with the raw
+    # condition is a FAIL entry; over a non-cosemisimple H only the raw path runs
+    from hopfforge import construct
+    monkeypatch.setattr(construct, "_integral_gating_holds", lambda *args: (False, True, True))
+    H = group_algebra_cyclic(4)
+    d = validate_yd_datum(H, {1: cone()}, cyclic_character(H, rat(-1)))
+    out = validate_compatible_datum(d, rat(1))
+    assert isinstance(out, CheckReport)
+    assert [(e.name, e.ok) for e in out.entries] == [
+        ("finite_order_q", True), ("gating_paths_agree", False)]
+    assert out.entries[1].detail == "raw=True simplified=False"
+    d72 = xmas_entry.ore.datum.datum                  # over b0, g^N = 1
+    out72 = validate_compatible_datum(d72, rat(1))
+    assert [(e.name, e.ok) for e in out72.entries] == [
+        ("finite_order_q", True), ("lambda_gating", False)]
 
 
 def test_quantum_line_structure():

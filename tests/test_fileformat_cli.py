@@ -439,6 +439,32 @@ def test_cli_analyze_records_a_stage_that_stops_it(tmp_path, capsys):
                          "induced pre-bialgebra fails axioms: mult_comult_compat")
 
 
+def test_cli_flags_are_decided_not_declared(tmp_path, capsys):
+    # the flags line of xmas_base.alg (B0, not cosemisimple) changes no verdict:
+    # a false `cosemisimple` is a parse error at that line, and an unknown flag
+    # or no flags line gives the report of the file as written
+    assert main(["example", "xmas", "--out", str(tmp_path)]) == 0
+    base = tmp_path / "xmas_base.alg"
+    analyze = ["analyze", "--A", str(tmp_path / "xmas.alg"), "--H", str(base),
+               "--sigma", str(tmp_path / "xmas_sigma.alg"), "--pi", str(tmp_path / "xmas_pi.alg")]
+    capsys.readouterr()
+    assert main(analyze) == 0
+    want = capsys.readouterr().out
+    text = base.read_text()
+    lines = text.split("\n")
+    at = lines.index("# flags: finite_dim")
+    for argv in (["check", str(base)], analyze):
+        base.write_text(text.replace("# flags: finite_dim\n", "# flags: finite_dim cosemisimple\n"))
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.startswith(f"error: {base}:{at + 1}: flags declare cosemisimple")
+    for edited in (lines[:at] + ["# flags: unknown"] + lines[at + 1:], lines[:at] + lines[at + 1:]):
+        base.write_text("\n".join(edited))
+        assert main(analyze) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_cli_example_xmas_report(tmp_path, capsys):
     rc = main(["example", "xmas", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -507,7 +533,8 @@ MUTANT_TOKENS = ["x", "1/0", "z^99", "3/", "1.5", "-", ""]
 MUTANT_LINES = ["SECTION MULT", "SECTION UNIT", "SECTION COMULT", "SECTION ANTIPODE",
                 "SECTION GROUPLIKE g1", "SECTION NOPE", "SECTION", "# dim: 3", "# dim: 0",
                 "# dim: x", "# conductor: 5", "# conductor: 0", "# kind: cocycle",
-                "# base: missing.alg"]
+                "# base: missing.alg", "# flags: cosemisimple", "# flags: finite_dim cosemisimple",
+                "# flags: finite_dim"]
 
 
 def mutate(lines, rng):

@@ -11,15 +11,15 @@ import pytest
 from hopfforge import catalog, hopf
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
-    CoalgebraSC, HopfSC, NotGroupAlgebra, check_algebra, check_bialgebra, check_hopf, compute_antipode,
+    CoalgebraSC, HopfSC, check_algebra, check_bialgebra, check_hopf, compute_antipode,
     convolution, cyclic_character, char_convolve, char_convpow, char_powers, filtration_from,
-    group_algebra_cyclic, group_algebra_integral, is_group_algebra, kaplansky_check,
+    group_algebra_cyclic, integral, kaplansky_check,
     phi_power, psi_power, primitives, skew_primitives, unit_counit_map,
     verify_ad_integral, verify_character, verify_group_like, wedge,
 )
 from hopfforge.linalg import (
-    Mat, Subspace, Tensor3, basis_vec, cone, image, preimage, sv_add_into, sv_scale, sv_to_dense,
-    zeros,
+    Mat, Subspace, Tensor3, basis_vec, cone, czero, image, kernel, preimage, sv_add_into,
+    sv_scale, sv_to_dense, zeros,
 )
 from hopfforge.reports import CheckReport
 
@@ -149,7 +149,8 @@ def test_phi_on_extension_generator(b0_entry):
 
 
 def test_ad_integral_group_algebra(kc6):
-    gamma = group_algebra_integral(kc6)
+    gamma = integral(kc6)
+    assert gamma == basis_vec(6, 0)
     assert verify_ad_integral(kc6, gamma)
     # counit is not an ad-invariant integral on KC2
     kc2 = group_algebra_cyclic(2)
@@ -159,10 +160,92 @@ def test_ad_integral_group_algebra(kc6):
     assert not verify_ad_integral(kc6, bad)
 
 
-def test_ad_integral_builder_rejects_non_group(b0_entry):
-    assert not is_group_algebra(b0_entry.ore.O)
-    with pytest.raises(NotGroupAlgebra):
-        group_algebra_integral(b0_entry.ore.O)
+def catalog_hopf_structures() -> list[tuple[str, HopfSC]]:
+    """Each Hopf structure of the catalog once: every base, every Ore
+    extension and the Hopf algebras of the non-thin control."""
+    out, seen = [], set()
+    for name, build in sorted(catalog.ALL_BUILDERS.items()):
+        entry = build()
+        structures = [entry.ore.base, entry.ore.O] if entry.ore else []
+        structures += [v for v in entry.extra.values() if isinstance(v, HopfSC)]
+        for k, H in enumerate(structures):
+            if id(H) not in seen:
+                seen.add(id(H))
+                out.append((f"{name}[{k}]", H))
+    return out
+
+
+def integral_equations(H: HopfSC) -> Mat:
+    """lambda -> ((id (x) lambda)Delta(e_h) - lambda(e_h) 1)_h as an n^2 x n
+    matrix, column j the image of the dual basis functional at e_j."""
+    n = H.dim
+    cols = [{} for _ in range(n)]
+    for h in range(n):
+        for (i, j), c in H.comult_basis(h).items():
+            sv_add_into(cols[j], {h * n + i: c})
+        sv_add_into(cols[h], {h * n + i: -u for i, u in H.unit_sv().items()})
+    return Mat.of_cols(n * n, cols)
+
+
+def test_integral_on_the_catalog():
+    structures = catalog_hopf_structures()
+    assert len(structures) == 11
+    decided = []
+    for name, H in structures:
+        line = kernel(integral_equations(H))
+        assert line.dim == 1, name              # Larson-Sweedler: one line of integrals
+        S = H.antipode
+        involutive = S @ S == Mat.identity(H.dim)
+        gamma = integral(H)
+        assert (gamma is not None) == involutive, name
+        decided.append(gamma is not None)
+        if gamma is None:
+            (row,) = line.pivot_rows.values()
+            assert not sum((H.unit[k] * c for k, c in row.items()), czero())
+            continue
+        assert not line.reduce({k: c for k, c in enumerate(gamma) if c}), name
+        assert verify_ad_integral(H, gamma), name
+        if all(verify_group_like(H, {i: cone()}) for i in range(H.dim)):
+            # a group algebra: delta at the identity
+            assert gamma == H.unit, name
+    # the four group-algebra bases and the non-thin control's two group
+    # algebras are cosemisimple; b0's extension (xmas's base) is not
+    assert decided.count(True) == 6
+
+
+def s3_dual() -> HopfSC:
+    """K^{S_3} in the delta basis: delta_a delta_b = [a = b] delta_a, 1 = the
+    sum of all delta_g, Delta(delta_g) = sum over ab = g of delta_a (x) delta_b."""
+    from itertools import permutations
+    G = list(permutations(range(3)))
+    index = {g: k for k, g in enumerate(G)}
+    n = len(G)
+    mult = Tensor3((n, n, n), {(a, a, a): cone() for a in range(n)})
+    comult = Tensor3((n, n, n))
+    for a, ga in enumerate(G):
+        for b, gb in enumerate(G):
+            comult[(index[tuple(ga[i] for i in gb)], a, b)] = cone()
+    inverse = [index[tuple(sorted(range(3), key=g.__getitem__))] for g in G]
+    S = Mat.of_cols(n, [{inverse[a]: cone()} for a in range(n)])
+    return HopfSC(n, mult, [cone()] * n, comult, basis_vec(n, 0), S)
+
+
+def test_integral_of_a_dual_group_algebra():
+    from hopfforge.analyze import setup_from_ore
+    from hopfforge.construct import build_ore_hopf, validate_compatible_datum, validate_yd_datum
+    H = s3_dual()
+    assert check_hopf(H).ok
+    assert not any(verify_group_like(H, {i: cone()}) for i in range(H.dim))
+    gamma = integral(H)
+    assert gamma is not None and verify_ad_integral(H, gamma)
+    assert gamma == [rat(Fraction(1, 6))] * 6
+    # a setup over K^{S_3} decides the same integral: the sign character is
+    # group-like, and the counit is the character that gives a YD datum
+    sign = {k: rat(1 if k in (0, 3, 4) else -1) for k in range(6)}
+    assert verify_group_like(H, sign)
+    d = validate_yd_datum(H, sign, list(H.counit))
+    setup = setup_from_ore(build_ore_hopf(validate_compatible_datum(d, rat(0))))
+    assert setup.integral == gamma
 
 
 def test_b0_has_no_ad_integral_at_dual_basis(b0_entry):
