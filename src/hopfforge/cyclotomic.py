@@ -12,12 +12,14 @@ denominator, normalized so gcd(den, coefficients) = 1.  That makes the
 representation canonical: two equal field elements at the same conductor
 have identical components.  Every value is built by one canonical
 constructor, ``_canonical``; ``CycScalar(...)`` validates outside input and
-then goes through it too.  A product at conductor L runs through a
-straight-line kernel generated once from the reduction rows of Phi_L
-(``_product_kernel``) and kept for the rest of the process.  An inverse is
-the product of the Galois conjugates over the norm, formed with the same
-kernels.  A product with an operand exactly 1 returns the other operand
-object itself, so values are shared and never mutated once built.
+then goes through it too.  A product or a sum at conductor L runs through a
+straight-line kernel generated once for L and kept for the rest of the
+process: ``_product_kernel`` builds the product's from the reduction rows of
+Phi_L, ``_sum_kernel`` the sum's, and both end in ``_canonical`` unrolled.
+An inverse is the product of the Galois conjugates over the norm, formed
+with the same kernels.  A product with an operand exactly 1 returns the
+other operand object itself, so values are shared and never mutated once
+built.
 """
 
 from __future__ import annotations
@@ -251,13 +253,35 @@ def _canonical(L: int, nums: tuple[int, ...], den: int) -> "CycScalar":
     return s
 
 
+def _kernel(L: int, name: str, head: list[str]):
+    """Compile head, which leaves the output coordinates n0, n1, ... and den,
+    followed by ``_canonical`` unrolled over them, as ``name(a, b)`` at L."""
+    seq = "".join(f"n{k}, " for k in range(euler_phi(L)))
+    src = [f"def {name}(a, b):", *head,
+           f"    g = gcd(den, {seq})",
+           "    s = new(CycScalar)",
+           "    if g == 1:",
+           f"        s.L, s.den, s.nums = {L}, den, ({seq})",
+           "    else:",
+           f"        s.L, s.den, s.nums = {L}, den // g, ({seq.replace(',', ' // g,')})",
+           "    return s"]
+    namespace = {"gcd": gcd, "new": object.__new__, "CycScalar": CycScalar}
+    exec(compile("\n".join(src), f"<{name} kernel at conductor {L}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _unpack(phi: int) -> list[str]:
+    return [f"    {''.join(f'{x}{k}, ' for k in range(phi))}= {x}.nums" for x in "ab"]
+
+
 def _product_kernel(L: int):
     """The product at conductor L as one straight-line function of the operands.
 
     Its source is built from the integers of Phi_L alone: each coefficient of
     x^m, m >= phi, of the convolution is named once and folded into the output
     coordinates n0, n1, ... through the row of x^m mod Phi_L.  The tail is
-    ``_canonical`` unrolled over those coordinates.  When b, and then a, is
+    ``_canonical`` unrolled over those coordinates, as in the sum kernel
+    (``_kernel`` compiles both).  When b, and then a, is
     exactly 1 the kernel returns the other operand object: it is canonical,
     so it equals the product in L, den and nums.
     """
@@ -270,42 +294,43 @@ def _product_kernel(L: int):
     def signed(c: int, m: int) -> str:
         return f" {'+-'[c < 0]} {'' if abs(c) == 1 else f'{abs(c)} * '}c{m}"
 
-    def seq(fmt: str) -> str:
-        return "".join(fmt.format(k) + ", " for k in range(phi))
-
     def is_one(x: str) -> str:
         return " and ".join([f"{x}0 == 1"] + [f"{x}{k} == 0" for k in range(1, phi)] + [f"{x}.den == 1"])
 
-    src = ["def kernel(a, b):",
-           f"    {seq('a{}')}= a.nums",
-           f"    {seq('b{}')}= b.nums",
-           f"    if {is_one('b')}: return a",
-           f"    if {is_one('a')}: return b"]
-    src += [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)]
-    src += [f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
-                                        if red[m - phi][k]) for k in range(phi)]
-    src += ["    den = a.den * b.den",
-            f"    g = gcd(den, {seq('n{}')})",
-            "    s = new(CycScalar)",
-            "    if g == 1:",
-            f"        s.L, s.den, s.nums = {L}, den, ({seq('n{}')})",
-            "    else:",
-            f"        s.L, s.den, s.nums = {L}, den // g, ({seq('n{} // g')})",
-            "    return s"]
-    namespace = {"gcd": gcd, "new": object.__new__, "CycScalar": CycScalar}
-    exec(compile("\n".join(src), f"<product kernel at conductor {L}>", "exec"), namespace)
-    return namespace["kernel"]
+    head = _unpack(phi) + [f"    if {is_one('b')}: return a", f"    if {is_one('a')}: return b"]
+    head += [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)]
+    head += [f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
+                                         if red[m - phi][k]) for k in range(phi)]
+    return _kernel(L, "product", head + ["    den = a.den * b.den"])
+
+
+def _sum_kernel(L: int):
+    """The sum at conductor L as one straight-line function of the operands:
+    n_k = a_k + b_k over a common denominator, else a_k d_b + b_k d_a over
+    d_a d_b, then ``_canonical`` unrolled as in ``_product_kernel``."""
+    phi = euler_phi(L)
+    head = _unpack(phi) + ["    den = a.den", "    if den == b.den:"]
+    head += [f"        n{k} = a{k} + b{k}" for k in range(phi)]
+    head += ["    else:", "        da, db = den, b.den"]
+    head += [f"        n{k} = a{k} * db + b{k} * da" for k in range(phi)]
+    return _kernel(L, "sum", head + ["        den = da * db"])
 
 
 class _Kernels(dict):
-    """Product kernels by conductor, each generated on first use."""
+    """Product or sum kernels by conductor, each generated by `generate` on
+    first use and kept: one source is compiled per conductor and operation."""
+
+    def __init__(self, generate):
+        super().__init__()
+        self.generate = generate
 
     def __missing__(self, L: int):
-        kernel = self[L] = _product_kernel(L)
+        kernel = self[L] = self.generate(L)
         return kernel
 
 
-_KERNELS = _Kernels()
+_KERNELS = _Kernels(_product_kernel)
+_SUMS = _Kernels(_sum_kernel)
 
 
 Rational = Union[int, Fraction]
@@ -440,16 +465,11 @@ class CycScalar:
             if other is NotImplemented:
                 return NotImplemented
         if self.L == other.L:
-            a, b = self, other
-        elif self.L == 1 or other.L == 1:
+            return _SUMS[self.L](self, other)
+        if self.L == 1 or other.L == 1:
             return _rational_sum(self, other)
-        else:
-            a, b = CycScalar._common(self, other)
-        if a.den == b.den:
-            return _canonical(a.L, tuple([x + y for x, y in zip(a.nums, b.nums)]), a.den)
-        g = gcd(a.den, b.den)
-        fa, fb = b.den // g, a.den // g
-        return _canonical(a.L, tuple([x * fa + y * fb for x, y in zip(a.nums, b.nums)]), a.den * fa)
+        a, b = CycScalar._common(self, other)
+        return _SUMS[a.L](a, b)
 
     __radd__ = __add__
 

@@ -416,22 +416,37 @@ def _scalar_associativity(T: list[list[tuple]], n: int, i0: int = 0,
 
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
     sum_m mult[j,k,m] e_i e_m are contracted straight from the table.  When
-    e_i e_j, e_j e_k and both products of basis vectors they lead to are
-    single terms, the two sides are compared as (index, scalar) pairs.
+    e_i e_j and e_j e_k have at most one term each, the two sides are a
+    nonzero scalar times one cell, or 0, and are settled from the cells: both
+    empty pass, one empty is a witness, two single terms are compared as
+    (index, scalar) pairs.  This relies on no cell holding a zero (AlgebraSC
+    drops them), so a nonempty cell times a nonzero scalar is never 0.
     """
+    empty = ((),) * n
     for i in range(i0, n):
         Ti = T[i]
         for j in range(j0 if i == i0 else 0, n):
             ij, Tj = Ti[j], T[j]
-            single = len(ij) == 1
-            if single:
-                (m, a), = ij
-                Tm = T[m]
+            short = len(ij) <= 1
+            if short:
+                if ij:
+                    (m, a), = ij
+                    Tm = T[m]
+                else:
+                    Tm = empty
             for k in range(n):
                 jk = Tj[k]
-                if single and len(jk) == 1:
-                    (m2, b), = jk
-                    left, right = Tm[k], Ti[m2]
+                if short and len(jk) <= 1:
+                    left = Tm[k]
+                    if jk:
+                        (m2, b), = jk
+                        right = Ti[m2]
+                    else:
+                        right = ()
+                    if not left or not right:
+                        if left or right:
+                            yield i, j, k
+                        continue
                     if len(left) == 1 and len(right) == 1:
                         (x, c), = left
                         (y, d), = right

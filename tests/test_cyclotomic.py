@@ -5,8 +5,9 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hopfforge import cyclotomic
 from hopfforge.cyclotomic import (
     ConductorOverflow, CycScalar, DivisionByZero, ZeroInput,
     cyclotomic_poly, divisors, euler_phi, multiplicative_order, primitive_root,
@@ -329,7 +330,7 @@ def test_a_unit_operand_returns_the_other_operand():
 def test_scalars_are_written_only_where_they_are_built():
     """No module of the package assigns or deletes .L, .den or .nums, or sets
     them with setattr, outside _canonical and CycScalar.__init__; the product
-    kernels write them only in the source _product_kernel generates.  A
+    and sum kernels write them only in the source their generators build.  A
     product may return one of its operands, so a value once built is shared
     and must never change."""
     fields = {"L", "den", "nums"}
@@ -424,6 +425,60 @@ def test_mul_add_match_sympy_remainder(sympy, case):
         assert (result.den == 1) or not integral
         assert bool(result) == any(expect) == (not result.is_zero())
     assert bool(a) == any(a.nums) and a.is_zero() == (not any(a.nums))
+
+
+@st.composite
+def sum_branch_pair(draw):
+    """(a, b) aimed at the branches of the sum kernel, which independent
+    denominators rarely reach: b with a's denominator at a's conductor, b = -a,
+    or a conductor-1 operand against one at any of ORACLE_CONDUCTORS."""
+    kind = draw(st.sampled_from(["same_den", "negation", "rational"]))
+    a = draw(oracle_operand(False))
+    if kind == "negation":
+        return a, -a
+    if kind == "rational":
+        r = draw(oracle_operand(draw(st.booleans()), [1]))
+        return (r, a) if draw(st.booleans()) else (a, r)
+    phi = euler_phi(a.L)
+    b = CycScalar(a.L, draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi)), a.den)
+    assume(b.den == a.den)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_branch_pair())
+def test_sum_kernel_branches_match_sympy_remainder(sympy, case):
+    a, b = case
+    M, expect = sympy_coords(sympy, a, b, lambda p, q: p + q)
+    den = 1
+    for f in expect:
+        den = den * f.denominator // gcd(den, f.denominator)
+    s = a + b
+    assert triple(s) == (M, den, tuple(int(f * den) for f in expect))
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    if a == -b:
+        assert triple(s) == (M, 1, (0,) * euler_phi(M)) and not s
+
+
+def test_each_conductor_generates_its_kernels_once(monkeypatch):
+    made = []
+
+    def counted(generate):
+        def gen(L):
+            made.append((generate.__name__, L))
+            return generate(L)
+        return gen
+
+    for name, generate in (("_KERNELS", cyclotomic._product_kernel), ("_SUMS", cyclotomic._sum_kernel)):
+        monkeypatch.setattr(cyclotomic, name, cyclotomic._Kernels(counted(generate)))
+    for _ in range(3):
+        for L in ORACLE_CONDUCTORS:
+            z = CycScalar.zeta(L) * rat(Fraction(1, 2))
+            assert (z + z * z) * (z + CycScalar.one(L)) == z * z + z * z * z + z + z * z
+    # a mixed pair is promoted to a conductor whose kernels already exist
+    assert CycScalar.zeta(4) + CycScalar.zeta(6) == CycScalar.zeta(6) + CycScalar.zeta(4)
+    assert sorted(made) == sorted((g, L) for g in ("_product_kernel", "_sum_kernel")
+                                  for L in ORACLE_CONDUCTORS)
 
 
 def sympy_poly(sympy, s, M):

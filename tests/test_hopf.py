@@ -922,6 +922,82 @@ def test_mismatch_only_at_the_last_k_matches_oracle():
     assert entries(check_hopf(B)) == oracle_hopf(B)
 
 
+def edited_mult(A, edit, rng):
+    """A's algebra with one MULT edit: "delete" the constant of a single-term
+    cell, "fill" an empty cell with one constant, or add a "second" term to a
+    single-term cell.  Added constants are drawn from A's own."""
+    n, data = A.dim, dict(A.mult.data)
+    value = data[rng.choice(sorted(data))]
+    cells = {(i, j): cell for i, row in enumerate(A._rows) for j, cell in enumerate(row)}
+    i, j = rng.choice(sorted(ij for ij, cell in cells.items() if len(cell) == (edit != "fill")))
+    if edit == "fill":
+        data[i, j, rng.randrange(n)] = value
+    else:
+        (k, _), = cells[i, j]
+        if edit == "delete":
+            del data[i, j, k]
+        else:
+            data[i, j, rng.choice([m for m in range(n) if m != k])] = value
+    return hopf.AlgebraSC(n, Tensor3(A.mult.shape, data), A.unit)
+
+
+def one_side_empty(A, failures):
+    """The failing tuples whose e_i e_j and e_j e_k have at most one term and
+    whose two sides are one empty cell and one nonempty cell."""
+    T = A._rows
+    out = []
+    for i, j, k in failures:
+        ij, jk = T[i][j], T[j][k]
+        if len(ij) <= 1 and len(jk) <= 1:
+            left = T[ij[0][0]][k] if ij else ()
+            right = T[i][jk[0][0]] if jk else ()
+            if bool(left) != bool(right):
+                out.append((i, j, k))
+    return out
+
+
+@pytest.mark.parametrize("edit", ["delete", "fill", "second"])
+@pytest.mark.parametrize("name", ["smash36", "b0"])
+def test_cells_settle_the_scalar_scan_as_the_oracle(name, edit):
+    """On scalars a tuple whose e_i e_j and e_j e_k have at most one term each
+    is settled from two cells.  Deleting a constant or filling an empty cell
+    gives failing tuples with one side empty; a second term sends its tuples
+    to the general path.  The entry, the full scan and a scan resumed from a
+    mid row are the oracle's, witness for witness."""
+    R = bench_module("rescale").rescaled(catalog.ALL_BUILDERS[name]().ore.O, random.Random(1))
+    A = edited_mult(R, edit, random.Random(2))
+    V = hopf._Values(hopf._mult_constants(A))
+    assert not V.numbered
+    failures = oracle_failures(A)
+    assert bool(one_side_empty(A, failures)) == (edit != "second")
+    ent = check_algebra(A).entry("associativity")
+    assert (ent.ok, ent.witnesses) == (not failures, failures[:8]) == oracle_associativity(A)
+    T = V.table(A)
+    assert list(hopf._scalar_associativity(T, A.dim)) == failures
+    i0, j0, _ = failures[len(failures) // 2]
+    assert list(hopf._scalar_associativity(T, A.dim, i0, j0)) == [w for w in failures if w[:2] >= (i0, j0)]
+
+
+def test_zero_constants_leave_no_cell():
+    """The scalar scan reads a nonempty cell as a nonzero vector.  That holds
+    because AlgebraSC drops a zero constant from its rows, also one that a
+    Tensor3's data holds explicitly, in an empty cell or beside a term."""
+    R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(1))
+    zero = CycScalar.zero(next(iter(R.mult.data.values())).L)
+    mult = Tensor3(R.mult.shape, R.mult.data)
+    i, j = next((i, j) for i, row in enumerate(R._rows) for j, cell in enumerate(row) if not cell)
+    mult.data[i, j, 0] = zero
+    (i, j), (k, _) = next(((i, j), cell[0]) for i, row in enumerate(R._rows) for j, cell in enumerate(row) if cell)
+    mult.data[i, j, (k + 1) % R.dim] = zero
+    A = hopf.AlgebraSC(R.dim, mult, R.unit)
+    assert sum(not c for c in A.mult.data.values()) == 2
+    assert A._rows == R._rows
+    rep = check_algebra(A)
+    assert rep.ok
+    ent = rep.entry("associativity")
+    assert (ent.ok, ent.witnesses) == oracle_associativity(A)
+
+
 @pytest.fixture
 def capped(monkeypatch):
     """Value tables whose cap is `frac` of the n constants they read, in place
