@@ -33,7 +33,7 @@ from .cocycle import (
     mult_is_associative, mult_is_colinear, retraction_diagnostics,
 )
 from .construct import (
-    CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
+    CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line, lambda_cocycle,
     universal_map, validate_compatible_datum, validate_yd_datum,
 )
 from .reports import MAX_WITNESSES, CheckReport
@@ -84,16 +84,12 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     rep = CheckReport("projection setup")
     A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
     rep.add("sigma_injective", sigma.rank() == H.dim)
-    # witnesses are set on the entry, not passed to rep.add, which keeps only 8:
-    # "unit" follows 8 pairs, and the coalgebra list is not bounded
-    ent = rep.add("sigma_algebra_map", True)
-    ent.witnesses = list(islice(algebra_map_failures(sigma, H, A), MAX_WITNESSES))
+    # all witnesses are recorded: "unit" follows 8 pairs, and the coalgebra list is not bounded
+    bad = list(islice(algebra_map_failures(sigma, H, A), MAX_WITNESSES))
     if sigma.apply_sv(H.unit_sv()) != A.unit_sv():
-        ent.witnesses.append("unit")
-    ent.ok = not ent.witnesses
-    ent = rep.add("sigma_coalgebra_map", True)
-    ent.witnesses = list(coalgebra_map_failures(sigma, H, A))
-    ent.ok = not ent.witnesses
+        bad.append("unit")
+    rep.record("sigma_algebra_map", bad)
+    rep.record("sigma_coalgebra_map", list(coalgebra_map_failures(sigma, H, A)))
     rep.add("pi_retraction", (pi @ sigma) == Mat.identity(H.dim))
     diag = retraction_diagnostics(A, pi, sigma, H)
     rep.add("pi_coalgebra_map", diag["coalgebra_map"])
@@ -101,14 +97,14 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
     rep.add("info_pi_algebra_map", True, detail=f"algebra_map={diag['algebra_map']}")
     # pi(r sigma(h)) = eps(r) h on a computed basis of the coinvariants
     if rep.ok:
-        ent = rep.add("pi_normal_on_coinvariants", True)
+        bad = []
         for rs in coinvariants(s).pivot_rows.values():
             er = A.counit_sv(rs)
             for h in range(H.dim):
                 lhs = pi.apply_sv(A.mul_sv(rs, sigma.cols[h]))
                 if lhs != ({h: er} if er else {}):
-                    ent.ok = False
-                    ent.witnesses.append(h)
+                    bad.append(h)
+        rep.record("pi_normal_on_coinvariants", bad)
     return rep
 
 
@@ -498,18 +494,8 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
             if not isinstance(out, CheckReport):
                 lam_datum = out
         if lam is not None and (N % 2 == 1 or x_zero):
-            table_ok = True
-            for a in range(N):
-                for b in range(N):
-                    got = xi.eval(y_pows[a], y_pows[b])
-                    if a == 0 and b == 0:
-                        expect_t = H.unit_sv()
-                    elif a + b == N and a and b:
-                        expect_t = sv_scale(z, lam) if lam else {}
-                    else:
-                        expect_t = {}
-                    if got != {k: v for k, v in expect_t.items() if v}:
-                        table_ok = False
+            expect = lambda_cocycle(H, basis.g, N, lam)
+            table_ok = all(got == expect.eval_basis(a, b) for (a, b), got in table.items())
     return CocycleAnalysis(N, q, x, x_zero, support_ok, half_const, half_val,
                            full_const, three_half, lam, lam_datum, table_ok, table, rep)
 

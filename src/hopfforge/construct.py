@@ -73,24 +73,13 @@ def validate_yd_datum(H: HopfSC, g: SVec, chi: Vec) -> Union[YDDatum, CheckRepor
     q = char_eval(chi, g)
     phi = phi_map(H, chi)
     psi = psi_map(H, chi)
-    ent = rep.add("yd_compatibility_g_chi", True)
-    for h in range(H.dim):
-        lhs = H.mul_sv(g, phi.cols[h])
-        rhs = H.mul_sv(psi.cols[h], g)
-        if lhs != rhs:
-            ent.ok = False
-            if len(ent.witnesses) < 8:
-                ent.witnesses.append(h)
-    ent = rep.add("g_central_among_group_likes", True)
-    for name, gl in H.group_likes.items():
-        if H.mul_sv(g, gl) != H.mul_sv(gl, g):
-            ent.ok = False
-            ent.witnesses.append(name)
-    ent = rep.add("chi_convolution_central", True)
-    for name, eta in H.characters.items():
-        if char_convolve(H, chi, eta) != char_convolve(H, eta, chi):
-            ent.ok = False
-            ent.witnesses.append(name)
+    bad = [h for h in range(H.dim) if H.mul_sv(g, phi.cols[h]) != H.mul_sv(psi.cols[h], g)]
+    rep.add("yd_compatibility_g_chi", not bad, bad)
+    rep.record("g_central_among_group_likes",
+               [name for name, gl in H.group_likes.items() if H.mul_sv(g, gl) != H.mul_sv(gl, g)])
+    rep.record("chi_convolution_central",
+               [name for name, eta in H.characters.items()
+                if char_convolve(H, chi, eta) != char_convolve(H, eta, chi)])
     if not rep.ok:
         return rep
     return YDDatum(H, g, chi, q)
@@ -314,14 +303,8 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
     nh = H.dim
     n = N * nh
     z = H.one_minus_pow_sv(c.datum.g, N, lam)
-    xi = Tensor3((N, N, nh))
-    for h, ch in H.unit_sv().items():
-        xi[(0, 0, h)] = ch
-    for a in range(1, N):
-        for h, ch in z.items():
-            xi[(a, N - a, h)] = ch
     mult, unit, comult, counit, sigma, p = bosonization_tensors(
-        build_quantum_line(c.datum), Cocycle(xi))
+        build_quantum_line(c.datum), lambda_cocycle(H, c.datum.g, N, lam))
     O = HopfSC(n, mult, unit, comult, counit, conductor=H.conductor,
                labels=[f"y{a}*{H.labels[j]}" for a in range(N) for j in range(nh)])
     # degenerate N=1: O = H and y = lambda(1 - g)
@@ -335,6 +318,19 @@ def build_ore_hopf(c: CompatibleDatum, verify: bool = True) -> OreHopf:
     if verify:
         _verify_ore(ore)
     return ore
+
+
+def lambda_cocycle(H: HopfSC, g: SVec, N: int, lam: CycScalar) -> Cocycle:
+    """xi_lambda on the quantum line: xi(y^a (x) y^b) is 1 at a = b = 0,
+    lambda(1 - g^N) on a + b = N with a, b != 0, and 0 elsewhere."""
+    xi = Tensor3((N, N, H.dim))
+    for h, ch in H.unit_sv().items():
+        xi[(0, 0, h)] = ch
+    z = H.one_minus_pow_sv(g, N, lam)
+    for a in range(1, N):
+        for h, ch in z.items():
+            xi[(a, N - a, h)] = ch
+    return Cocycle(xi)
 
 
 def _verify_ore(ore: OreHopf) -> None:
@@ -386,29 +382,13 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
         return out
 
     coords = CoordinateMap(O.dim, y_pows)
-    lam_table = {}
+    xi = lambda_cocycle(H, ore.datum.datum.g, N, ore.lam)
     for a in range(N):
         for b in range(N):
             prod = O.mul_sv(y_pows[a], y_pows[b])
-            if coords(tau(prod)) != ql.mul_basis(a, b):
+            if (coords(tau(prod)) != ql.mul_basis(a, b)
+                    or ore.p.apply_sv(prod) != xi.eval_basis(a, b)):
                 return False
-            lam_table[(a, b)] = ore.p.apply_sv(prod)
-    # cocycle table: 1 at (0,0); lambda(1-g^N) on a+b=N, a,b != 0; 0 otherwise
-    one = H.unit_sv()
-    z = H.one_minus_pow_sv(ore.datum.datum.g, N, ore.lam)
-    for (a, b), got in lam_table.items():
-        if a == 0 and b == 0:
-            expect = one
-        elif a + b == N and a != 0 and b != 0:
-            expect = z
-        elif a == 0:
-            expect = sv_scale(one, ql.counit[b])
-        elif b == 0:
-            expect = sv_scale(one, ql.counit[a])
-        else:
-            expect = {}
-        if got != {k: v for k, v in expect.items() if v}:
-            return False
     return True
 
 

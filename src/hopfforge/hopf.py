@@ -468,8 +468,14 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
     rep = CheckReport("algebra axioms")
     witnesses = list(islice(associativity_failures(A), MAX_WITNESSES))
     rep.add("associativity", not witnesses, witnesses)
-    unit = rep.add("two_sided_unit", True)
+    rep.record("two_sided_unit", unit_failures(A))
+    return rep
+
+
+def unit_failures(A: AlgebraSC) -> list[int]:
+    """Every i with 1 e_i != e_i or e_i 1 != e_i, in order."""
     u = A.unit_sv()
+    out = []
     for i in range(A.dim):
         left: SVec = {}
         right: SVec = {}
@@ -477,14 +483,16 @@ def check_algebra(A: AlgebraSC) -> CheckReport:
             sv_axpy(left, c, A._rows[m][i])
             sv_axpy(right, c, A._rows[i][m])
         if left != {i: cone()} or right != {i: cone()}:
-            unit.ok = False
-            unit.witnesses.append(i)
-    return rep
+            out.append(i)
+    return out
 
 
-def _failing(rep: CheckReport, name: str, witnesses: list) -> None:
-    """An entry that fails exactly when there are witnesses, all of them kept."""
-    rep.add(name, not witnesses).witnesses = witnesses
+def unit_group_like(B: BialgebraSC) -> tuple[bool, bool]:
+    """(Delta(1) = 1 (x) 1, eps(1) = 1)."""
+    u = B.unit_sv()
+    uu: dict[tuple[int, int], CycScalar] = {}
+    sv_outer_axpy(uu, cone(), u, u)
+    return B.comult_sv(u) == uu, B.counit_sv(u).is_one()
 
 
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
@@ -512,8 +520,8 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
                 sv_axpy(lhs_r, counit[b], ((a, c),))
         if lhs_l != {k: one} or lhs_r != {k: one}:
             bad_counit.append(k)
-    _failing(rep, "coassociativity", coassoc)
-    _failing(rep, "counit", bad_counit)
+    rep.record("coassociativity", coassoc)
+    rep.record("counit", bad_counit)
     return rep
 
 
@@ -540,11 +548,9 @@ def check_bialgebra(B: BialgebraSC) -> CheckReport:
         _Values(_mult_constants(B), _comult_constants(B), B.counit), B)
     rep.add("comult_is_algebra_map", not comult, comult)
     rep.add("counit_is_algebra_map", not counit, counit)
-    u = B.unit_sv()
-    uu: dict[tuple[int, int], CycScalar] = {}
-    sv_outer_axpy(uu, cone(), u, u)
-    rep.add("comult_unit", B.comult_sv(u) == uu)
-    rep.add("counit_unit", B.counit_sv(u).is_one())
+    comult_unit, counit_unit = unit_group_like(B)
+    rep.add("comult_unit", comult_unit)
+    rep.add("counit_unit", counit_unit)
     return rep
 
 
@@ -659,8 +665,8 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
             left.append(k)
         if rhs != target:
             right.append(k)
-    _failing(rep, "antipode_left", left)
-    _failing(rep, "antipode_right", right)
+    rep.record("antipode_left", left)
+    rep.record("antipode_right", right)
 
 
 def check_hopf(H: HopfSC) -> CheckReport:

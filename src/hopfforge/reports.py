@@ -41,6 +41,10 @@ class CheckReport:
         self.entries.append(entry)
         return entry
 
+    def record(self, name: str, witnesses: list) -> None:
+        """An entry that fails exactly when there are witnesses, all of them kept."""
+        self.entries.append(CheckEntry(name, not witnesses, witnesses))
+
     def merge(self, other: "CheckReport", prefix: str = "") -> None:
         for e in other.entries:
             self.entries.append(CheckEntry(prefix + e.name, e.ok, e.witnesses, e.detail))

@@ -6,9 +6,13 @@ braiding c(v (x) w) = v_(-1) w (x) v_0 and the braided tensor (co)algebras
 built from it are what the bosonization machinery consumes; their per-pair
 formulas (`braided_coproduct_pair`, `codiagonal_coaction_pair`) are the only
 copies of the braided coproduct and the codiagonal coaction.
+`module_map_failures` and `comodule_map_failures` check that a linear map
+between two modules is a morphism of H-modules or of H-comodules.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .cyclotomic import CycScalar
 from .hopf import AlgebraSC, CoalgebraSC, HopfSC, ad_action
@@ -91,7 +95,7 @@ def check_yd(V: YDModule) -> CheckReport:
     """Module + comodule axioms and both equivalent compatibility forms."""
     rep = CheckReport("Yetter-Drinfeld axioms")
     H, n = V.H, V.dim
-    ent = rep.add("module_associative", True)
+    bad = []
     for a in range(H.dim):
         for b in range(H.dim):
             ab = H.mul_basis(a, b)
@@ -103,19 +107,18 @@ def check_yd(V: YDModule) -> CheckReport:
                 for j, c in V.act_basis(b, i).items():
                     sv_axpy(rhs, c, V.act_basis(a, j).items())
                 if lhs != rhs:
-                    ent.ok = False
-                    if len(ent.witnesses) < 8:
-                        ent.witnesses.append((a, b, i))
-    ent = rep.add("module_unital", True)
+                    bad.append((a, b, i))
+    rep.add("module_associative", not bad, bad)
+    bad = []
     u = H.unit_sv()
     for i in range(n):
         acted: SVec = {}
         for m, c in u.items():
             sv_axpy(acted, c, V.act_basis(m, i).items())
         if acted != {i: cone()}:
-            ent.ok = False
-            ent.witnesses.append(i)
-    ent = rep.add("comodule_coassociative", True)
+            bad.append(i)
+    rep.record("module_unital", bad)
+    bad = []
     for i in range(n):
         lhs: dict[tuple[int, int, int], CycScalar] = {}
         rhs: dict[tuple[int, int, int], CycScalar] = {}
@@ -123,9 +126,9 @@ def check_yd(V: YDModule) -> CheckReport:
             sv_axpy(lhs, c, (((h1, h2, j), w) for (h1, h2), w in H.comult_basis(h).items()))
             sv_axpy(rhs, c, (((h, h2, j2), w) for (h2, j2), w in V.coact_basis(j).items()))
         if lhs != rhs:
-            ent.ok = False
-            ent.witnesses.append(i)
-    ent = rep.add("comodule_counital", True)
+            bad.append(i)
+    rep.record("comodule_coassociative", bad)
+    bad = []
     for i in range(n):
         acc: SVec = {}
         for (h, j), c in V.coact_basis(i).items():
@@ -133,13 +136,12 @@ def check_yd(V: YDModule) -> CheckReport:
             if e:
                 sv_add_into(acc, {j: e * c})
         if acc != {i: cone()}:
-            ent.ok = False
-            ent.witnesses.append(i)
+            bad.append(i)
+    rep.record("comodule_counital", bad)
     # compatibility, antipode form: rho(h v) = h1 v_(-1) S(h3) (x) h2 v_0
-    ent_s = rep.add("yd_compatibility", True)
     # compatibility, first displayed form:
     #   (h1 v)_(-1) h2 (x) (h1 v)_0 = h1 v_(-1) (x) h2 v_0
-    ent_f = rep.add("yd_compatibility_equivalent_form", True)
+    bad_s, bad_f = [], []
     scols = [H.antipode_col(j) for j in range(H.dim)]
     for h in range(H.dim):
         d2 = H.comult_basis(h)
@@ -155,9 +157,7 @@ def check_yd(V: YDModule) -> CheckReport:
                     hleft = H.mul_sv(H.mul_basis(h1, vm), scols[h3])
                     sv_outer_axpy(rhs, c * cv, hleft, V.act_basis(h2, v0))
             if lhs != rhs:
-                ent_s.ok = False
-                if len(ent_s.witnesses) < 8:
-                    ent_s.witnesses.append((h, i))
+                bad_s.append((h, i))
             # first form
             lhs_f: dict[tuple[int, int], CycScalar] = {}
             rhs_f: dict[tuple[int, int], CycScalar] = {}
@@ -169,10 +169,10 @@ def check_yd(V: YDModule) -> CheckReport:
                 for (vm, v0), cv in V.coact_basis(i).items():
                     sv_outer_axpy(rhs_f, c * cv, H.mul_basis(h1, vm), V.act_basis(h2, v0))
             if lhs_f != rhs_f:
-                ent_f.ok = False
-                if len(ent_f.witnesses) < 8:
-                    ent_f.witnesses.append((h, i))
-    if ent_s.ok != ent_f.ok:
+                bad_f.append((h, i))
+    rep.add("yd_compatibility", not bad_s, bad_s)
+    rep.add("yd_compatibility_equivalent_form", not bad_f, bad_f)
+    if bool(bad_s) != bool(bad_f):
         rep.add("yd_forms_agree", False,
                 detail="the two compatibility forms disagree; antipode bijectivity is suspect")
     return rep
@@ -188,15 +188,15 @@ def yd_tensor(V: YDModule, W: YDModule) -> YDModule:
     for h in range(H.dim):
         for (h1, h2), c in H.comult_basis(h).items():
             for i in range(V.dim):
-                vi = V.act_basis(h1, i)
+                vi = [(a, c * ca) for a, ca in V._act.get((h1, i), ())]
                 if not vi:
                     continue
                 for j in range(W.dim):
-                    wj = W.act_basis(h2, j)
-                    for a, ca in vi.items():
-                        for b, cb in wj.items():
-                            action.add_to((h, kron_index(i, j, W.dim), kron_index(a, b, W.dim)),
-                                          c * ca * cb)
+                    wj = W._act.get((h2, j), ())
+                    src = kron_index(i, j, W.dim)
+                    for a, ca in vi:
+                        for b, cb in wj:
+                            action.add_to((h, src, kron_index(a, b, W.dim)), ca * cb)
     coaction = Tensor3((n, H.dim, n))
     for i in range(V.dim):
         for j in range(W.dim):
@@ -228,6 +228,39 @@ def braiding(V: YDModule, W: YDModule) -> Mat:
                 sv_axpy(cols[kron_index(i, j, W.dim)], c,
                         ((kron_index(j0, i0, V.dim), cj) for j0, cj in W.act_basis(h, j).items()))
     return Mat.of_cols(W.dim * V.dim, cols)
+
+
+# -- morphism checks ----------------------------------------------------------
+#
+# The module and comodule counterparts of `hopf.algebra_map_failures` and
+# `hopf.coalgebra_map_failures`: f: V -> W is given by its columns f(e_j), and
+# every basis tuple is visited.
+
+
+def module_map_failures(f: Mat, V: YDModule, W: YDModule) -> Iterator[tuple[int, int]]:
+    """Every (h, j) with f(e_h . e_j) != e_h . f(e_j), h first, then j."""
+    cols = f.cols
+    for h in range(V.H.dim):
+        for j in range(V.dim):
+            lhs: SVec = {}
+            for k, c in V._act.get((h, j), ()):
+                sv_axpy(lhs, c, cols[k].items())
+            rhs: SVec = {}
+            for i, ci in cols[j].items():
+                sv_axpy(rhs, ci, W._act.get((h, i), ()))
+            if lhs != rhs:
+                yield h, j
+
+
+def comodule_map_failures(f: Mat, V: YDModule, W: YDModule) -> Iterator[int]:
+    """Every j with (id (x) f) rho_V(e_j) != rho_W(f(e_j)), in order."""
+    cols = f.cols
+    for j in range(V.dim):
+        lhs: dict[tuple[int, int], CycScalar] = {}
+        for h, k, c in V._coact.get(j, ()):
+            sv_axpy(lhs, c, (((h, a), ca) for a, ca in cols[k].items()))
+        if lhs != W.coact(cols[j]):
+            yield j
 
 
 def adjoint_action(H: HopfSC) -> Tensor3:

@@ -131,8 +131,9 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
 
 @pytest.mark.parametrize("which", ["qline6", "c4min_induced"])
 def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_analysis, monkeypatch):
-    """Each check forms delta_{R (x) R} once per basis pair, check_cocycle
-    reads m_tilde off that one table, and bosonize forms m_tilde once per pair."""
+    """Each check forms delta_{R (x) R} once per basis pair (check_prebialgebra
+    through yd.braided_tensor_coalgebra), check_cocycle reads m_tilde off that
+    one table, and bosonize forms m_tilde once per pair."""
     from hopfforge import cocycle, yd
     if which == "qline6":
         P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
@@ -153,11 +154,14 @@ def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_an
         tildes.append((i, j))
         return formed_tilde(P, xi, i, j)
 
-    monkeypatch.setattr(cocycle, "braided_coproduct_pair", counted_delta)
+    monkeypatch.setattr(yd, "braided_coproduct_pair", counted_delta)
     monkeypatch.setattr(cocycle, "m_tilde_pair", counted_tilde)
     assert check_prebialgebra(P).ok
     assert sorted(deltas) == pairs and not tildes
     deltas.clear()
+    # bosonize forms the braided tensor coalgebra of R and H, so yd is restored
+    monkeypatch.setattr(yd, "braided_coproduct_pair", formed_delta)
+    monkeypatch.setattr(cocycle, "braided_coproduct_pair", counted_delta)
     assert check_cocycle(P, xi).ok
     assert sorted(deltas) == pairs and not tildes
     deltas.clear()

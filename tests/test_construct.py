@@ -11,7 +11,7 @@ from hopfforge.reports import CheckReport
 from hopfforge.construct import (
     CompatibleDatum, HypothesisViolation, InfiniteOrder, NotSubHopf, YDDatum,
     build_ore_hopf, build_quantum_line, character_lemma_check, iterated_datum_check,
-    ore_cocycle_table, restrict_datum, universal_map, validate_compatible_datum,
+    lambda_cocycle, ore_cocycle_table, restrict_datum, universal_map, validate_compatible_datum,
     validate_yd_datum,
 )
 
@@ -202,6 +202,8 @@ def test_ore_cocycle_table(c4min_entry, kc12n6_entry, smash36_entry):
                 assert got == z
             else:
                 assert got == {}
+        xi = lambda_cocycle(H, ore.datum.datum.g, N, lam)
+        assert table == {(a, b): xi.eval_basis(a, b) for a in range(N) for b in range(N)}
 
 
 def test_lambda0_table_trivial(b0_entry, smash36_entry):

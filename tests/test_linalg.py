@@ -417,6 +417,18 @@ def test_sparse_accumulation_lives_in_the_kernels():
     assert sorted(found) == sorted(kernels)
 
 
+def test_witnesses_are_recorded_only_by_the_report():
+    """A check builds its witness list and hands it to CheckReport.add (which
+    keeps MAX_WITNESSES) or CheckReport.record (which keeps all): no module
+    but reports.py flips an entry or appends to it, or spells out the cap."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+    found = [(path.name, lineno, pattern)
+             for path in sorted(src.glob("*.py")) if path.name != "reports.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             for pattern in (".ok = False", ".witnesses.append", "< 8") if pattern in line]
+    assert found == []
+
+
 def calls_by_function(path):
     """(innermost enclosing function, called name) for every call in a file;
     functions are named with their class, as "Mat.rank"."""

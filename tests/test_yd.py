@@ -7,8 +7,8 @@ from hopfforge.hopf import (
 from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, czero, map_tensor_product
 from hopfforge.yd import (
     YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra,
-    braided_tensor_coalgebra, braiding, check_yd, one_dim_module, regular_action,
-    regular_coaction, trivial_module, yd_module_adjoint, yd_tensor,
+    braided_tensor_coalgebra, braiding, check_yd, comodule_map_failures, module_map_failures,
+    one_dim_module, regular_action, regular_coaction, trivial_module, yd_module_adjoint, yd_tensor,
 )
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 
@@ -119,6 +119,31 @@ def test_hexagon_identities(kc6, ky, qline):
                 rhs = map_tensor_product(braiding(V, U), Mat.identity(W.dim)) @ \
                     map_tensor_product(Mat.identity(V.dim), braiding(W, U))
                 assert lhs == rhs
+
+
+def test_braiding_is_a_yd_morphism(kc6, ky, qline):
+    mods = {"K": trivial_module(kc6), "Ky": ky, "QL": qline.yd}
+    for V in mods.values():
+        for W in mods.values():
+            c, VW, WV = braiding(V, W), yd_tensor(V, W), yd_tensor(W, V)
+            assert list(module_map_failures(c, VW, WV)) == []
+            assert list(comodule_map_failures(c, VW, WV)) == []
+
+
+@pytest.mark.parametrize("target", [0, 8])
+def test_morphism_checkers_name_a_column_of_another_degree(qline, target):
+    # column 7 is y (x) y, of degree 2; e_0 = 1 (x) 1 has degree 0 and
+    # e_8 = y (x) y^2 degree 3, so both the action and the coaction tell them apart
+    # (rescaling a column would not do: the braiding stays a morphism)
+    c = braiding(qline.yd, qline.yd)
+    cols = list(c.cols)
+    cols[7] = {target: cone()}
+    broken = Mat.of_cols(c.nrows, cols)
+    QQ = yd_tensor(qline.yd, qline.yd)
+    module = list(module_map_failures(broken, QQ, QQ))
+    comodule = list(comodule_map_failures(broken, QQ, QQ))
+    assert module and all(j == 7 for _, j in module)
+    assert comodule == [7]
 
 
 def test_adjoint_action_commutative_is_trivial(kc6):
