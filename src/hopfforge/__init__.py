@@ -20,7 +20,7 @@ from .yd import (
 )
 from .cocycle import (
     Bosonization, Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra,
-    is_radford_majid, m_tilde, retraction_diagnostics,
+    is_radford_majid, retraction_diagnostics,
 )
 from .construct import (
     CompatibleDatum, OreHopf, QuantumLine, YDDatum,

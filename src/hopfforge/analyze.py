@@ -29,8 +29,7 @@ from .linalg import (
     sv_scale, sv_to_dense, zeros,
 )
 from .cocycle import (
-    Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra,
-    mult_is_associative, mult_is_colinear, retraction_diagnostics,
+    Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra, retraction_diagnostics,
 )
 from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line, lambda_cocycle,
@@ -158,6 +157,12 @@ class InducedPreBialgebra:
         return Mat.of_cols(A.dim, [A.mul_sv(r, sh)
                                    for r in self.basis for sh in self.setup.sigma.cols])
 
+    @cached_property
+    def roundtrip(self) -> bool:
+        """Whether omega carries R #_xi H onto A (`omega_roundtrip`); only the
+        verdict is kept, not the bosonization."""
+        return omega_roundtrip(self)
+
 
 def induced_structures(s: ProjectionSetup, basis: Optional[list[SVec]] = None,
                        verify: bool = True) -> InducedPreBialgebra:
@@ -237,14 +242,9 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[SVec]] = None,
     pre = PreBialgebra(H, yd, mult, unit, comult, counit)
     xi = Cocycle(xi_t)
     if verify:
-        pre_rep = check_prebialgebra(pre)
-        if not pre_rep.ok:
-            raise InducedAxiomFailure("induced pre-bialgebra fails axioms: "
-                                      + ", ".join(e.name for e in pre_rep.failures()))
-        coc_rep = check_cocycle(pre, xi)
-        if not coc_rep.ok:
-            raise InducedAxiomFailure("induced cocycle fails axioms: "
-                                      + ", ".join(e.name for e in coc_rep.failures()))
+        check_prebialgebra(pre).raise_failures(InducedAxiomFailure,
+                                               "induced pre-bialgebra fails axioms: ")
+        check_cocycle(pre, xi).raise_failures(InducedAxiomFailure, "induced cocycle fails axioms: ")
     return InducedPreBialgebra(s, R, basis, coords, pre, xi, tau)
 
 
@@ -515,7 +515,8 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
                        analysis: CocycleAnalysis) -> AnalysisReport:
     """Evaluate items (a)-(d) and (1)-(4) independently and assert the
     biconditionals between them; with a verified ad-invariant integral of H*,
-    also assert the consequences of a nontrivial xi.
+    also assert the consequences of a nontrivial xi.  When xi is trivial,
+    (3) is ind's roundtrip verdict, which bosonizes the same tables.
 
     (a) m left H-colinear; (b) N odd or xi(y (x) y^{N/2-1}) = 0;
     (c) iterated powers of y agree in R and in A for n < N;
@@ -526,7 +527,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     s, pre, xi = ind.setup, ind.pre, ind.xi
     H, A = s.H, s.A
     N = basis.N
-    a_item = mult_is_colinear(pre)
+    a_item = pre.mult_is_colinear
     if N % 2 == 1:
         b_item = True
     else:
@@ -552,7 +553,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     # (1)-(4)
     one_item = xi.is_trivial(pre)
     two_item = analysis.lam.is_zero() if analysis.lam is not None else None
-    three_item = _is_plain_smash(ind)
+    three_item = ind.roundtrip if one_item else _is_plain_smash(ind)
     four_item = (s.pi.apply_sv(A.unit_sv()) == H.unit_sv()
                  and next(algebra_map_failures(s.pi, A, H), None) is None)
     equivalences = {
@@ -586,7 +587,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
             }
             if not all(consequence.values()):
                 raise EquivalenceMismatch(f"integral consequence fails: {consequence}")
-    return AnalysisReport(mult_is_associative(pre), equivalences, pow_cmp, consequence)
+    return AnalysisReport(pre.mult_is_associative, equivalences, pow_cmp, consequence)
 
 
 def _combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
@@ -719,7 +720,8 @@ class Analysis:
     or None when R is not thin; cocycle and equivalences need a thin R.
     Each stage before classification calls the module-level function of the
     same step, looked up when the stage is read, so that function can also
-    be called, or replaced, alone.
+    be called, or replaced, alone; roundtrip reads it through the induced
+    pre-bialgebra, whose verdict equivalence_report also reads.
     """
 
     def __init__(self, setup: ProjectionSetup):
@@ -735,7 +737,7 @@ class Analysis:
 
     @cached_property
     def roundtrip(self) -> bool:
-        return omega_roundtrip(self.induced)
+        return self.induced.roundtrip
 
     @cached_property
     def basis(self) -> Optional[DividedPowerBasis]:

@@ -18,7 +18,7 @@ from .construct import (
     CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
     validate_compatible_datum, validate_yd_datum,
 )
-from .cocycle import Cocycle, bosonize
+from .cocycle import Cocycle
 from .analyze import ProjectionSetup, setup_from_ore
 
 
@@ -123,9 +123,8 @@ def smash36() -> CatalogEntry:
     d = entry.extra["datum"]
     c = validate_compatible_datum(d, CycScalar.zero())
     ore = build_ore_hopf(c)
-    bos = bosonize(entry.extra["quantum_line"], entry.extra["xi"])
     return CatalogEntry("smash36", "dim-36 Radford-Majid bosonization",
-                        ore, setup_from_ore(ore), {"bosonization": bos})
+                        ore, setup_from_ore(ore), {})
 
 
 @lru_cache(maxsize=None)

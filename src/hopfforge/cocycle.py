@@ -4,18 +4,20 @@ A pre-bialgebra is a coalgebra in the Yetter-Drinfeld category together
 with a unit and a multiplication that is H-linear and a coalgebra map but
 possibly neither associative nor colinear.  A cocycle R (x) R -> H twists
 the smash product into a bialgebra on R (x) H; the trivial cocycle
-recovers the Radford-Majid bosonization.  The braided coproduct
-delta_{R (x) R}, the codiagonal coaction rho_{R (x) R} and the smash
-coproduct of R # H are those of `yd`'s braided tensor products.
+recovers the Radford-Majid bosonization.  The braided square R (x) R lives
+on the pre-bialgebra, formed once: every check reads its action, rho_{R (x) R}
+(`PreBialgebra.square`) and delta_{R (x) R} (`PreBialgebra.square_coalgebra`)
+there, and `m_tilde_pairs` is the one m-tilde = (m (x) xi) delta_{R (x) R}.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from functools import cached_property
+from typing import Iterator
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, BialgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
+    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
     associativity_failures, check_bialgebra, coalgebra_map_failures, unit_failures,
     unit_group_like,
 )
@@ -25,9 +27,8 @@ from .linalg import (
 )
 from .reports import CheckReport
 from .yd import (
-    YDModule, adjoint_action, braided_coproduct_pair, braided_tensor_coalgebra, check_yd,
-    codiagonal_coaction_pair, comodule_map_failures, module_map_failures, trivial_module,
-    yd_tensor,
+    YDModule, adjoint_action, braided_tensor_coalgebra, check_yd, comodule_map_failures,
+    module_map_failures, trivial_module, yd_tensor,
 )
 
 PairSV = dict  # sparse element of a two-fold tensor product, keyed by index pairs
@@ -37,6 +38,8 @@ class PreBialgebra(BialgebraSC):
     """(R, m, u, delta, eps) in the YD category over H; axioms on demand.
 
     A BialgebraSC asserts no axiom, so m may be neither associative nor colinear.
+    The properties are formed on first read and kept, so the tensors must not
+    change; R (x) R is on the Kronecker basis e_kron(i, j) = e_i (x) e_j.
     """
 
     def __init__(self, H: HopfSC, yd: YDModule, mult: Tensor3, unit: Vec,
@@ -47,17 +50,44 @@ class PreBialgebra(BialgebraSC):
         self.H = H
         self.yd = yd
 
+    @cached_property
+    def square(self) -> YDModule:
+        """R (x) R with the diagonal action and the codiagonal coaction rho_{R (x) R}."""
+        return yd_tensor(self.yd, self.yd)
+
+    @cached_property
+    def square_coalgebra(self) -> CoalgebraSC:
+        """R (x) R as the braided tensor coalgebra: comult_basis(kron(i, j)) is
+        delta_{R (x) R}(e_i (x) e_j), keyed (kron(r1, s1'), kron(r2_0, s2))."""
+        return braided_tensor_coalgebra(self, self.yd, self, self.yd)
+
+    @cached_property
+    def mult_map(self) -> Mat:
+        """m: R (x) R -> R."""
+        return Mat.of_cols(self.dim, [self.mul_basis(*divmod(ij, self.dim)) for ij in range(self.dim ** 2)])
+
+    @cached_property
+    def mult_is_colinear(self) -> bool:
+        """rho m = (id (x) m) rho_{R (x) R}, checked on all basis pairs."""
+        return _holds(comodule_map_failures(self.mult_map, self.square, self.yd))
+
+    @cached_property
+    def mult_is_associative(self) -> bool:
+        return _holds(associativity_failures(self))
+
 
 class Cocycle:
-    """K-linear map R (x) R -> H stored as a sparse tensor (i, j, h)."""
+    """K-linear map R (x) R -> H stored as a sparse tensor (i, j, h), and as
+    the matrix `map` on the Kronecker basis of R (x) R."""
 
     def __init__(self, xi: Tensor3):
         self.xi = xi
-        self.r_dim = xi.shape[0]
+        self.r_dim = n = xi.shape[0]
         self.h_dim = xi.shape[2]
         self._by_ij: dict[tuple[int, int], SVec] = {}
         for (i, j, h), c in xi.data.items():
             self._by_ij.setdefault((i, j), {})[h] = c
+        self.map = Mat.of_cols(self.h_dim, [self.eval_basis(i, j) for i in range(n) for j in range(n)])
 
     @staticmethod
     def trivial(P: PreBialgebra) -> "Cocycle":
@@ -105,25 +135,25 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     """The axioms of a pre-bialgebra R over H, with witnesses per failure.
 
     Besides the Yetter-Drinfeld axioms of R (`check_yd`), each axiom says
-    that a map between R, R (x) R (`yd_tensor(R, R)`) and K
-    (`trivial_module(H)`) is a morphism:
+    that a map between R, R (x) R (`P.square`) and K (`trivial_module(H)`)
+    is a morphism:
     - u: K -> R is H-linear and H-colinear;
     - m: R (x) R -> R is H-linear, and a coalgebra map from the braided
-      tensor coalgebra R (x) R (`coalgebra_map_failures`);
+      tensor coalgebra R (x) R (`P.square_coalgebra`, `coalgebra_map_failures`);
     - delta: R -> R (x) R and eps: R -> K are H-linear and H-colinear;
     - u is a two-sided unit for m and group-like, read by the functions
       `check_algebra` and `check_bialgebra` use (`unit_failures`,
       `unit_group_like`).
     Associativity and colinearity of m are reported as informative entries
-    (prefixed 'info_'); they are not axioms and do not affect .ok.
+    (prefixed 'info_'), read from P's verdicts; they are not axioms and do
+    not affect .ok.
     """
     rep = CheckReport("pre-bialgebra axioms")
     H, n, R = P.H, P.dim, P.yd
     yd_rep = check_yd(R)
     rep.add("yd_structure", yd_rep.ok,
             [e.name for e in yd_rep.failures()])
-    RR, K = yd_tensor(R, R), trivial_module(H)
-    m = _mult_map(P)
+    RR, K, m = P.square, trivial_module(H), P.mult_map
     u = Mat.of_cols(n, [P.unit_sv()])
     delta = Mat.of_cols(n * n, [{kron_index(i, j, n): c for (i, j), c in P.comult_basis(k).items()}
                                 for k in range(n)])
@@ -137,7 +167,7 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     rep.add("mult_h_linear", not bad, bad)
     # delta m = (m (x) m) delta_{R(x)R} and eps m = eps (x) eps
     comult_bad, counit_bad = [], []
-    for k in coalgebra_map_failures(m, braided_tensor_coalgebra(P, R, P, R), P):
+    for k in coalgebra_map_failures(m, P.square_coalgebra, P):
         if isinstance(k, tuple):
             counit_bad.append(divmod(k[1], n))
         else:
@@ -151,9 +181,8 @@ def check_prebialgebra(P: PreBialgebra) -> CheckReport:
     rep.record("counit_h_linear", list(module_map_failures(eps, R, K)))
     rep.record("counit_colinear", list(comodule_map_failures(eps, R, K)))
     # informative, non-axiom diagnostics
-    rep.add("info_mult_associative", True, detail=f"associative={mult_is_associative(P)}")
-    colinear = _holds(comodule_map_failures(m, RR, R))
-    rep.add("info_mult_colinear", True, detail=f"colinear={colinear}")
+    rep.add("info_mult_associative", True, detail=f"associative={P.mult_is_associative}")
+    rep.add("info_mult_colinear", True, detail=f"colinear={P.mult_is_colinear}")
     return rep
 
 
@@ -161,62 +190,35 @@ def _holds(failures: Iterator) -> bool:
     return next(failures, None) is None
 
 
-def _mult_map(P: PreBialgebra) -> Mat:
-    """m: R (x) R -> R as a matrix on the Kronecker-ordered basis."""
-    return Mat.of_cols(P.dim, [P.mul_basis(i, j) for i in range(P.dim) for j in range(P.dim)])
-
-
-def _pairwise(t4: dict, f: Callable[[int, int], SVec], g: Callable[[int, int], SVec]) -> PairSV:
-    """(f (x) g) on a sum of e_a (x) e_b (x) e_c (x) e_d keyed by (a, b, c, d),
-    for bilinear maps f and g given on basis pairs."""
+def _xi_coacted(P: PreBialgebra, rho: list[dict[tuple[int, int], CycScalar]], xi: list[SVec],
+                ij: int, g: list[SVec]) -> PairSV:
+    """(m_H (x) g)(xi (x) rho_{R (x) R}) delta_{R (x) R}(e_ij), with rho_{R (x) R},
+    xi and g given by their columns on R (x) R."""
     out: PairSV = {}
-    for (a, b, c_, d), c in t4.items():
-        left = f(a, b)
-        if left:
-            sv_outer_axpy(out, c, left, g(c_, d))
-    return out
-
-
-def _xi_coacted(P: PreBialgebra, xi: Cocycle, drr: dict,
-                g: Callable[[int, int], SVec]) -> PairSV:
-    """(m_H (x) g)(xi (x) rho_{R (x) R}) on drr = delta_{R (x) R}(e_i (x) e_j)."""
-    out: PairSV = {}
-    for (a, b, c_, d), c in drr.items():
-        first = xi.eval_basis(a, b)
+    mul_basis = P.H.mul_basis
+    for (ab, cd), c in P.square_coalgebra.comult_basis(ij).items():
+        first = xi[ab]
         if not first:
             continue
-        for (h, c0, d0), w in codiagonal_coaction_pair(P.yd, P.yd, c_, d).items():
-            second = g(c0, d0)
+        for (h, cd0), w in rho[cd].items():
+            second = g[cd0]
             if second:
                 for hf, cf in first.items():
-                    sv_outer_axpy(out, c * cf * w, P.H.mul_basis(hf, h), second)
+                    sv_outer_axpy(out, c * cf * w, mul_basis(hf, h), second)
     return out
-
-
-def mult_is_colinear(P: PreBialgebra) -> bool:
-    """rho m = (id (x) m) rho_{R (x) R}, checked on all basis pairs."""
-    return _holds(comodule_map_failures(_mult_map(P), yd_tensor(P.yd, P.yd), P.yd))
-
-
-def mult_is_associative(P: PreBialgebra) -> bool:
-    return next(associativity_failures(P), None) is None
-
-
-def m_tilde_pair(P: PreBialgebra, xi: Cocycle, i: int, j: int) -> dict[tuple[int, int], CycScalar]:
-    """(m (x) xi) delta_{R (x) R} on e_i (x) e_j, keyed by (r, h)."""
-    return _pairwise(braided_coproduct_pair(P, P.yd, P, P.yd, i, j), P.mul_basis, xi.eval_basis)
 
 
 def m_tilde_pairs(P: PreBialgebra, xi: Cocycle) -> dict[tuple[int, int], PairSV]:
-    """m_tilde_pair(P, xi, i, j) for every basis pair (i, j)."""
-    return {(i, j): m_tilde_pair(P, xi, i, j) for i in range(P.dim) for j in range(P.dim)}
-
-
-def m_tilde(P: PreBialgebra, xi: Cocycle) -> Mat:
-    """The map R (x) R -> R (x) H as a matrix on Kronecker-ordered bases."""
-    nh = P.H.dim  # m_tilde_pairs is keyed in Kronecker order (i, j)
-    return Mat.of_cols(P.dim * nh, [{kron_index(r, h, nh): c for (r, h), c in mt.items()}
-                                    for mt in m_tilde_pairs(P, xi).values()])
+    """m-tilde = (m (x) xi) delta_{R (x) R} on every basis pair (i, j) of R,
+    each value keyed by (r, h) in R (x) H."""
+    n, m, xis = P.dim, P.mult_map.cols, xi.map.cols
+    out: dict[tuple[int, int], PairSV] = {}
+    for ij in range(n * n):
+        mt = out[divmod(ij, n)] = {}
+        for (ab, cd), c in P.square_coalgebra.comult_basis(ij).items():
+            if m[ab]:
+                sv_outer_axpy(mt, c, m[ab], xis[cd])
+    return out
 
 
 def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
@@ -224,10 +226,9 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
     on basis tuples.
 
     Ad-equivariance says that xi is a morphism of H-modules from
-    `yd_tensor(R, R)` to H under its adjoint action (`module_map_failures`).
-    The other relations read delta_{R (x) R}(e_i (x) e_j), formed once per
-    basis pair, and m-tilde and (xi (x) rho_{R (x) R}) delta_{R (x) R} off
-    that one table.
+    `P.square` to H under its adjoint action (`module_map_failures`).  The
+    other relations read delta_{R (x) R} and rho_{R (x) R} off P's square,
+    and m-tilde from `m_tilde_pairs`.
     """
     rep = CheckReport("cocycle axioms")
     H, n = P.H, P.dim
@@ -237,33 +238,30 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
 
     # ad-equivariance: xi(h1 r (x) h2 s) = h1 xi(r (x) s) S(h2); H's coaction is not read
     H_ad = YDModule(H, nh, adjoint_action(H), Tensor3((nh, nh, nh)))
-    xi_map = Mat.of_cols(nh, [xi.eval_basis(i, j) for i in range(n) for j in range(n)])
-    RR = yd_tensor(P.yd, P.yd)
-    bad = [(h, *divmod(ij, n)) for h, ij in module_map_failures(xi_map, RR, H_ad)]
+    bad = [(h, *divmod(ij, n)) for h, ij in module_map_failures(xi.map, P.square, H_ad)]
     rep.add("cocycle_ad_equivariance", not bad, bad)
 
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    # delta_{R(x)R} on every basis pair, read by the next four relations
-    drr = {(i, j): braided_coproduct_pair(P, P.yd, P, P.yd, i, j) for i, j in pairs}
+    pairs = [divmod(ij, n) for ij in range(n * n)]  # in Kronecker order
+    xis, ms = xi.map.cols, P.mult_map.cols
+    rho = [P.square.coact_basis(ij) for ij in range(n * n)]
     # comultiplicativity: Delta_H xi = (m_H (x) xi)(xi (x) rho_{R(x)R}) delta_{R(x)R}
-    bad = [ij for ij in pairs
-           if H.comult_sv(xi.eval_basis(*ij)) != _xi_coacted(P, xi, drr[ij], xi.eval_basis)]
+    bad = [pairs[ij] for ij, v in enumerate(xis) if H.comult_sv(v) != _xi_coacted(P, rho, xis, ij, xis)]
     rep.add("cocycle_comult_compat", not bad, bad)
     rep.record("cocycle_counit_compat",
                [(i, j) for i, j in pairs
                 if H.counit_sv(xi.eval_basis(i, j)) != P.counit[i] * P.counit[j]])
 
-    mts = {ij: _pairwise(d, P.mul_basis, xi.eval_basis) for ij, d in drr.items()}  # m_tilde
+    mts = m_tilde_pairs(P, xi)
     # braided compatibility: c_{R,H}(m (x) xi) delta_RR = (m_H (x) m_R)(xi (x) rho_RR) delta_RR
     bad = []
-    for ij in pairs:
+    for ij, pair in enumerate(pairs):
         lhs: dict[tuple[int, int], CycScalar] = {}
-        for (r, h), c in mts[ij].items():
+        for (r, h), c in mts[pair].items():
             # c_{R,H}(r (x) h) = r_(-1) h (x) r_0 with the product in H
             for (hr, r0), cr in P.yd.coact_basis(r).items():
                 sv_axpy(lhs, c * cr, (((hp, r0), cp) for hp, cp in H.mul_basis(hr, h).items()))
-        if lhs != _xi_coacted(P, xi, drr[ij], P.mul_basis):
-            bad.append(ij)
+        if lhs != _xi_coacted(P, rho, xis, ij, ms):
+            bad.append(pair)
     rep.add("cocycle_braiding_compat", not bad, bad)
 
     # twisted associativity: m(R (x) m) = m(R (x) mu)[(m (x) xi) delta_RR (x) R]
@@ -336,21 +334,12 @@ def bosonize(P: PreBialgebra, xi: Cocycle, verify: bool = True) -> Bosonization:
     construction and the result is checked to be a bialgebra.
     """
     if verify:
-        pre = check_prebialgebra(P)
-        if not pre.ok:
-            raise AxiomViolation("pre-bialgebra axioms fail: "
-                                 + ", ".join(e.name for e in pre.failures()))
-        coc = check_cocycle(P, xi)
-        if not coc.ok:
-            raise AxiomViolation("cocycle axioms fail: "
-                                 + ", ".join(e.name for e in coc.failures()))
+        check_prebialgebra(P).raise_failures(AxiomViolation, "pre-bialgebra axioms fail: ")
+        check_cocycle(P, xi).raise_failures(AxiomViolation, "cocycle axioms fail: ")
     mult, unit, comult, counit, sigma, pi = bosonization_tensors(P, xi)
     B = BialgebraSC(P.dim * P.H.dim, mult, unit, comult, counit)
     if verify:
-        bi = check_bialgebra(B)
-        if not bi.ok:
-            raise AxiomViolation("bosonization is not a bialgebra: "
-                                 + ", ".join(e.name for e in bi.failures()))
+        check_bialgebra(B).raise_failures(AxiomViolation, "bosonization is not a bialgebra: ")
     return Bosonization(B, sigma, pi, P, xi)
 
 

@@ -201,8 +201,7 @@ def restrict_datum(c: CompatibleDatum, sub_basis: list[SVec]) -> CompatibleDatum
     chi_sub = [char_eval(c.datum.chi, v) for v in sub_basis]
     datum = validate_yd_datum(sub, g_sub, chi_sub)
     if isinstance(datum, CheckReport):
-        raise NotSubHopf("restricted datum fails validation: "
-                         + ", ".join(e.name for e in datum.failures()))
+        datum.raise_failures(NotSubHopf, "restricted datum fails validation: ")
     out = validate_compatible_datum(datum, c.lam)
     if isinstance(out, CheckReport):
         raise NotSubHopf("restricted datum is not compatible")
@@ -336,10 +335,7 @@ def lambda_cocycle(H: HopfSC, g: SVec, N: int, lam: CycScalar) -> Cocycle:
 def _verify_ore(ore: OreHopf) -> None:
     """Hard-error verification of the construction invariants."""
     O, H, N = ore.O, ore.base, ore.N
-    rep = check_hopf(O)
-    if not rep.ok:
-        raise AxiomViolation("Ore quotient fails Hopf axioms: "
-                             + ", ".join(e.name for e in rep.failures()))
+    check_hopf(O).raise_failures(AxiomViolation, "Ore quotient fails Hopf axioms: ")
     # closed-form antipode cross-check on y: S(y) = -Gamma^(-1) y
     if N > 1:
         ys = ore.y_vec

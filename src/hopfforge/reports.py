@@ -21,7 +21,12 @@ class CheckEntry:
         if self.detail:
             msg += f" ({self.detail})"
         if not self.ok and self.witnesses:
-            msg += f" witnesses={self.witnesses[:MAX_WITNESSES]}"
+            # the first MAX_WITNESSES, then any named witness (such as "unit") past them
+            shown = self.witnesses[:MAX_WITNESSES]
+            shown += [w for w in self.witnesses[MAX_WITNESSES:] if isinstance(w, str)]
+            msg += f" witnesses={shown}"
+            if len(shown) < len(self.witnesses):
+                msg += f" (+{len(self.witnesses) - len(shown)} more)"
         return msg
 
 
@@ -57,6 +62,11 @@ class CheckReport:
 
     def failures(self) -> list[CheckEntry]:
         return [e for e in self.entries if not e.ok]
+
+    def raise_failures(self, error: type[Exception], prefix: str) -> None:
+        """Raise error(prefix + the failing entry names, comma-separated) unless every entry passes."""
+        if not self.ok:
+            raise error(prefix + ", ".join(e.name for e in self.failures()))
 
     def describe(self) -> str:
         lines = [f"== {self.title} ==" if self.title else "== check report =="]

@@ -5,7 +5,9 @@ checks quantify over basis tuples, which suffices by bilinearity.  The
 braiding c(v (x) w) = v_(-1) w (x) v_0 and the braided tensor (co)algebras
 built from it are what the bosonization machinery consumes; their per-pair
 formulas (`braided_coproduct_pair`, `codiagonal_coaction_pair`) are the only
-copies of the braided coproduct and the codiagonal coaction.
+copies of the braided coproduct and the codiagonal coaction, read only by
+`braided_tensor_coalgebra` and `yd_tensor`.  A pre-bialgebra forms its R (x) R
+with these two once and keeps it (`cocycle.PreBialgebra`).
 `module_map_failures` and `comodule_map_failures` check that a linear map
 between two modules is a morphism of H-modules or of H-comodules.
 """

@@ -2,6 +2,7 @@ import pytest
 
 from hopfforge import catalog
 from hopfforge.analyze import Analysis
+from hopfforge.cocycle import bosonize
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,12 @@ def qline6_entry():
 @pytest.fixture(scope="session")
 def smash36_entry():
     return catalog.smash36()
+
+
+@pytest.fixture(scope="session")
+def smash36_bosonization(qline6_entry):
+    """The quantum line of qline6 bosonized with its trivial cocycle, checked."""
+    return bosonize(qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"])
 
 
 @pytest.fixture(scope="session")

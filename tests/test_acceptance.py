@@ -214,7 +214,7 @@ def test_criterion_06_cocycle_axiom_suite(b0_entry, xmas_entry, c4min_entry,
     _announce(6, "cocycle axiom suite + line structure", t0)
 
 
-def test_criterion_07_radford_majid_degeneration(b0_entry, smash36_entry, qline6_entry):
+def test_criterion_07_radford_majid_degeneration(b0_entry, smash36_entry, smash36_bosonization):
     t0 = time.perf_counter()
     for entry in (b0_entry, smash36_entry):
         ind = induced_structures(entry.setup, verify=False)
@@ -223,8 +223,7 @@ def test_criterion_07_radford_majid_degeneration(b0_entry, smash36_entry, qline6
                                       entry.ore.base)
         assert diag["algebra_map"]                             # pi multiplicative
     # structure-tensor equality with the plain smash product
-    ql = qline6_entry.extra["quantum_line"]
-    bos = smash36_entry.extra["bosonization"]
+    bos = smash36_bosonization
     ore = smash36_entry.ore
     assert bos.B.mult == ore.O.mult and bos.B.comult == ore.O.comult
     _announce(7, "lambda = 0 degenerates to the Radford-Majid smash", t0)

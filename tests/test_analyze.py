@@ -62,6 +62,23 @@ def test_validate_setup_rejects_non_bilinear(xmas_entry):
     assert not rep.ok
 
 
+def test_a_failing_unit_is_named_past_eight_failing_pairs(b0_entry):
+    """sigma scaled by 2 fails every basis pair and the unit; the printed line
+    names the unit after the first 8 pairs and counts the witnesses it leaves
+    out, and a passing line is unchanged."""
+    s = b0_entry.setup
+    twice = Mat.of_cols(s.sigma.nrows, [sv_scale(col, rat(2)) for col in s.sigma.cols])
+    rep = validate_setup(ProjectionSetup(s.A, s.H, twice, s.pi))
+    alg = rep.entry("sigma_algebra_map")
+    assert len(alg.witnesses) == 9 and alg.witnesses[8] == "unit"
+    assert alg.describe() == f"FAIL sigma_algebra_map witnesses={alg.witnesses}"
+    coalg = rep.entry("sigma_coalgebra_map")   # k and ("counit", k) for every basis k
+    assert len(coalg.witnesses) == 2 * s.H.dim > 8
+    assert coalg.describe() == (f"FAIL sigma_coalgebra_map witnesses={coalg.witnesses[:8]}"
+                                f" (+{2 * s.H.dim - 8} more)")
+    assert rep.entry("sigma_injective").describe() == "PASS sigma_injective"
+
+
 def test_coinvariants_of_ore(b0_entry, c4min_entry, smash36_entry, kc12n6_entry):
     for entry in (b0_entry, c4min_entry, smash36_entry, kc12n6_entry):
         ore = entry.ore
@@ -499,6 +516,19 @@ def test_equivalence_report_trivial_entries(b0_entry, smash36_entry):
     for entry in (b0_entry, smash36_entry):
         er = Analysis(entry.setup).equivalences
         assert all(er.equivalences[k] for k in er.equivalences)
+
+
+@pytest.mark.parametrize("name, formed", [("smash36", 1), ("xmas_pi", 2)])
+def test_plain_smash_reads_the_roundtrip_when_xi_is_trivial(name, formed, monkeypatch):
+    """(3) bosonizes the trivial cocycle only when xi is not trivial; for
+    smash36 it is the omega_roundtrip verdict, whose tables are the same."""
+    from hopfforge import cocycle
+    setup = catalog.xmas().extra["setup_pi"] if name == "xmas_pi" else catalog.smash36().setup
+    real, calls = cocycle.bosonization_tensors, []
+    monkeypatch.setattr(cocycle, "bosonization_tensors", lambda *a: calls.append(1) or real(*a))
+    an = Analysis(setup)
+    three = an.equivalences.equivalences["3_radford_majid"]
+    assert an.roundtrip and len(calls) == formed and three == (name == "smash36")
 
 
 def test_omega_roundtrip_all_catalog(b0_entry, xmas_entry, c4min_entry,

@@ -6,8 +6,8 @@ from hopfforge.linalg import (
     Mat, Tensor3, cone, czero, kron_index, sv_scale,
 )
 from hopfforge.cocycle import (
-    Cocycle, bosonize, check_cocycle, check_prebialgebra, is_radford_majid,
-    m_tilde, m_tilde_pair, mult_is_associative, mult_is_colinear, retraction_diagnostics,
+    Cocycle, bosonize, check_cocycle, check_prebialgebra, is_radford_majid, m_tilde_pairs,
+    retraction_diagnostics,
 )
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 
@@ -37,15 +37,15 @@ def test_quantum_line_prebialgebra_axioms(qline2, qline6_entry):
     for P in (qline2, qline6_entry.extra["quantum_line"]):
         rep = check_prebialgebra(P)
         assert rep.ok
-        assert mult_is_associative(P) and mult_is_colinear(P)
+        assert P.mult_is_associative and P.mult_is_colinear
 
 
 def test_xmas_induced_not_colinear(xmas_pi_analysis):
     ind = xmas_pi_analysis.induced
     rep = check_prebialgebra(ind.pre)
     assert rep.ok
-    assert mult_is_associative(ind.pre)
-    assert not mult_is_colinear(ind.pre)
+    assert ind.pre.mult_is_associative
+    assert not ind.pre.mult_is_colinear
 
 
 def test_scaled_unit_fails(qline2):
@@ -82,18 +82,22 @@ def test_cocycle_violation_detected(qline2):
     t[(1, 1, 1)] = cone()   # lands on g instead of 1 - g^2: not ad-equivariant
     rep = check_cocycle(qline2, Cocycle(t))
     assert not rep.ok
+    # bosonize refuses it, naming the failing relations
+    with pytest.raises(AxiomViolation) as err:
+        bosonize(qline2, Cocycle(t))
+    assert str(err.value) == "cocycle axioms fail: " + ", ".join(e.name for e in rep.failures())
 
 
 def test_m_tilde_unit_case(qline2, xi8):
     # mtilde(r (x) u) = r (x) 1_H
+    mts = m_tilde_pairs(qline2, xi8)
     for i in range(2):
-        out = m_tilde_pair(qline2, xi8, i, 0)
-        assert out == {(i, 0): cone()}
+        assert mts[i, 0] == {(i, 0): cone()}
 
 
 def test_m_tilde_dim8_value(qline2, xi8):
     # mtilde(y (x) y) = y^2 (x) 1 + 1 (x) xi(y,y); y^2 = 0 in R
-    out = m_tilde_pair(qline2, xi8, 1, 1)
+    out = m_tilde_pairs(qline2, xi8)[1, 1]
     expect = {(0, 0): cone(), (0, 2): rat(-1)}
     assert out == expect
 
@@ -105,6 +109,7 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
     P, xi, q = ind.pre, ind.xi, basis.q
     N = basis.N
     d = basis.d
+    mts = m_tilde_pairs(P, xi)
     for a in range(N):
         for b in range(N):
             expect: dict = {}
@@ -123,62 +128,83 @@ def test_m_tilde_matches_divided_power_formula(xmas_pi_analysis):
             got: dict = {}
             for (i1, c1) in d[a].items():
                 for (j1, c2) in d[b].items():
-                    for key, v in m_tilde_pair(P, xi, i1, j1).items():
+                    for key, v in mts[i1, j1].items():
                         got[key] = got.get(key, czero()) + c1 * c2 * v
             got = {k: v for k, v in got.items() if v}
             assert got == expect, (a, b)
 
 
 @pytest.mark.parametrize("which", ["qline6", "c4min_induced"])
-def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_analysis, monkeypatch):
-    """Each check forms delta_{R (x) R} once per basis pair (check_prebialgebra
-    through yd.braided_tensor_coalgebra), check_cocycle reads m_tilde off that
-    one table, and bosonize forms m_tilde once per pair."""
+def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_entry, monkeypatch):
+    """Each delta_{R (x) R}(e_i (x) e_j) and R (x) R as a YD module are formed
+    once per pre-bialgebra across check_prebialgebra, check_cocycle and
+    bosonize, rho_{R (x) R} only inside yd_tensor, and m-tilde once per
+    check_cocycle and once per bosonize.  P is built here, since catalog
+    entries are cached and may already hold their square."""
     from hopfforge import cocycle, yd
+    from hopfforge.analyze import induced_structures
     if which == "qline6":
-        P, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
+        P = build_quantum_line(qline6_entry.extra["datum"])
+        xi = Cocycle.trivial(P)
     else:
-        P, xi = c4min_analysis.induced.pre, c4min_analysis.induced.xi
+        ind = induced_structures(c4min_entry.setup, verify=False)
+        P, xi = ind.pre, ind.xi
     pairs = sorted((i, j) for i in range(P.dim) for j in range(P.dim))
-    deltas, tildes = [], []
-    formed_delta = cocycle.braided_coproduct_pair
-    assert formed_delta is yd.braided_coproduct_pair
-    formed_tilde = cocycle.m_tilde_pair
+    calls = {"delta": [], "rho": [], "yd_tensor": 0, "m_tilde": 0}
+    formed = {name: getattr(yd, name) for name in
+              ("braided_coproduct_pair", "codiagonal_coaction_pair", "yd_tensor")}
+    formed_tilde = cocycle.m_tilde_pairs
+    inside = []
 
     def counted_delta(R, VR, S, VS, i, j):
-        assert R is S is P
-        deltas.append((i, j))
-        return formed_delta(R, VR, S, VS, i, j)
+        if S is P:  # bosonize also forms the braided tensor coalgebra of R and H
+            assert R is P
+            calls["delta"].append((i, j))
+        return formed["braided_coproduct_pair"](R, VR, S, VS, i, j)
 
-    def counted_tilde(P, xi, i, j):
-        tildes.append((i, j))
-        return formed_tilde(P, xi, i, j)
+    def counted_rho(V, W, i, j):
+        assert inside and V is W is P.yd
+        calls["rho"].append((i, j))
+        return formed["codiagonal_coaction_pair"](V, W, i, j)
+
+    def counted_tensor(V, W):
+        calls["yd_tensor"] += 1
+        inside.append(True)
+        try:
+            return formed["yd_tensor"](V, W)
+        finally:
+            inside.pop()
+
+    def counted_tilde(P_, xi_):
+        calls["m_tilde"] += 1
+        return formed_tilde(P_, xi_)
 
     monkeypatch.setattr(yd, "braided_coproduct_pair", counted_delta)
-    monkeypatch.setattr(cocycle, "m_tilde_pair", counted_tilde)
+    monkeypatch.setattr(yd, "codiagonal_coaction_pair", counted_rho)
+    monkeypatch.setattr(cocycle, "yd_tensor", counted_tensor)
+    monkeypatch.setattr(cocycle, "m_tilde_pairs", counted_tilde)
     assert check_prebialgebra(P).ok
-    assert sorted(deltas) == pairs and not tildes
-    deltas.clear()
-    # bosonize forms the braided tensor coalgebra of R and H, so yd is restored
-    monkeypatch.setattr(yd, "braided_coproduct_pair", formed_delta)
-    monkeypatch.setattr(cocycle, "braided_coproduct_pair", counted_delta)
     assert check_cocycle(P, xi).ok
-    assert sorted(deltas) == pairs and not tildes
-    deltas.clear()
+    assert calls["m_tilde"] == 1
     bosonize(P, xi, verify=False)
-    assert sorted(tildes) == pairs
-    assert sorted(deltas) == pairs
+    assert calls["m_tilde"] == 2
+    assert sorted(calls["delta"]) == pairs
+    assert sorted(calls["rho"]) == pairs and calls["yd_tensor"] == 1
+    check_prebialgebra(P)
+    check_cocycle(P, xi)
+    assert len(calls["delta"]) == len(calls["rho"]) == len(pairs) and calls["yd_tensor"] == 1
 
 
 def test_m_tilde_matrix_shape(qline2, xi8):
-    mt = m_tilde(qline2, xi8)
-    assert mt.nrows == 2 * 4 and mt.ncols == 4
-    assert mt.cols[kron_index(1, 1, 2)] == {kron_index(0, 0, 4): cone(),
-                                            kron_index(0, 2, 4): rat(-1)}
+    """m_tilde_pairs has one value per basis pair of R (x) R, keyed by (r, h) in R (x) H."""
+    mts = m_tilde_pairs(qline2, xi8)
+    assert sorted(mts) == [(i, j) for i in range(2) for j in range(2)]
+    assert all(0 <= r < 2 and 0 <= h < 4 for mt in mts.values() for r, h in mt)
+    assert mts[1, 1] == {(0, 0): cone(), (0, 2): rat(-1)}
 
 
-def test_bosonize_radford_majid_smash(qline6_entry, smash36_entry):
-    bos = smash36_entry.extra["bosonization"]
+def test_bosonize_radford_majid_smash(qline6_entry, smash36_bosonization):
+    bos = smash36_bosonization
     assert bos.B.dim == 36
     assert check_bialgebra(bos.B).ok
     assert is_radford_majid(bos.xi, bos.P)

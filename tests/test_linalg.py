@@ -494,13 +494,14 @@ def test_dense_conversions_only_at_the_boundaries():
 
 def test_the_analysis_stage_chain_is_written_once():
     """The analysis stages are chained in analyze.Analysis alone: each stage
-    function is called from its Analysis stage, induced_structures and
-    thinness_and_basis also from retraction_tools, and from nowhere else,
-    so cli.py calls none of them."""
+    function is called from its Analysis stage (omega_roundtrip from the
+    roundtrip of the induced pre-bialgebra that Analysis.roundtrip reads),
+    induced_structures and thinness_and_basis also from retraction_tools,
+    and from nowhere else, so cli.py calls none of them."""
     chained = {
         "validate_setup": {"Analysis.validation"},
         "induced_structures": {"Analysis.induced", "retraction_tools"},
-        "omega_roundtrip": {"Analysis.roundtrip"},
+        "omega_roundtrip": {"InducedPreBialgebra.roundtrip"},
         "thinness_and_basis": {"Analysis.basis", "retraction_tools"},
         "cocycle_analysis": {"Analysis.cocycle"},
         "equivalence_report": {"Analysis.equivalences"},
