@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
 from .hopf import (
     BialgebraSC, HopfSC, ad_equivariant, algebra_map_failures, coalgebra_map_failures,
-    char_convpow, char_eval, char_powers, integral, is_central, phi_power, psi_power,
-    skew_primitives, verify_ad_integral, verify_character, verify_group_like, wedge,
+    char_convpow, char_eval, char_powers, is_central, phi_power, psi_power,
+    skew_primitives, verify_character, verify_group_like, wedge,
     filtration_from,
 )
 from .linalg import (
@@ -58,8 +58,9 @@ class EquivalenceMismatch(AnalysisError):
 class ProjectionSetup:
     """(A, H, sigma, pi) and the normalized integral of H*, decided once.
 
-    `integral` is `hopf.integral(H)`: None exactly when H is not
-    cosemisimple, which is the hypothesis the sharpest claims need.
+    `integral` is `hopf.integral(H)`, solved once per H (`H.dual_integral`):
+    None exactly when H is not cosemisimple, which is the hypothesis the
+    sharpest claims need.
     """
 
     def __init__(self, A: BialgebraSC, H: HopfSC, sigma: Mat, pi: Mat):
@@ -67,7 +68,7 @@ class ProjectionSetup:
         self.H = H
         self.sigma = sigma
         self.pi = pi
-        self.integral = integral(H)
+        self.integral = H.dual_integral
 
 
 def setup_from_ore(ore: OreHopf) -> ProjectionSetup:
@@ -575,7 +576,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
         if two_item != one_item:
             raise EquivalenceMismatch(f"(1) and (2) disagree under (a)-(d): {equivalences}")
     consequence = None
-    if s.integral is not None and verify_ad_integral(H, s.integral):
+    if H.integral_is_ad_invariant:
         # with an ad-invariant integral: xi nontrivial => chi^N = eps, g^N central != 1
         if not one_item:
             chiN = char_convpow(H, basis.chi, N)

@@ -16,8 +16,7 @@ from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
     AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
     coalgebra_map_failures, char_convolve, char_convpow, char_eval, char_powers, check_hopf,
-    integral, is_central, phi_map, phi_power, psi_map,
-    verify_ad_integral, verify_character, verify_group_like,
+    is_central, phi_map, phi_power, psi_map, verify_character, verify_group_like,
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Tensor3, Vec,
@@ -121,11 +120,11 @@ def validate_compatible_datum(d: YDDatum, lam: CycScalar) -> Union[CompatibleDat
     """Gate lambda != 0 by the defining condition.
 
     The raw displayed condition decides.  When H is cosemisimple, its
-    integral (`hopf.integral`), once `verify_ad_integral` accepts it as
-    ad-invariant, gives the simplified criterion (chi^N = eps and g^N
-    central != 1), and the two paths must agree: a disagreement is a FAIL
-    entry `gating_paths_agree`, and an integral that is not ad-invariant a
-    FAIL entry `integral_valid`.
+    integral, once `verify_ad_integral` accepts it as ad-invariant (both
+    decided once per H by `HopfSC`), gives the simplified criterion
+    (chi^N = eps and g^N central != 1), and the two paths must agree: a
+    disagreement is a FAIL entry `gating_paths_agree`, and an integral that
+    is not ad-invariant a FAIL entry `integral_valid`.
     """
     rep = CheckReport("compatible datum")
     N = d.order()
@@ -139,9 +138,8 @@ def validate_compatible_datum(d: YDDatum, lam: CycScalar) -> Union[CompatibleDat
     H = d.H
     g_ok, ad_ok = _raw_gating_holds(H, d.g, d.chi, N)
     raw = g_ok and ad_ok
-    gamma = integral(H)
-    if gamma is not None:
-        if not verify_ad_integral(H, gamma):
+    if H.dual_integral is not None:
+        if not H.integral_is_ad_invariant:
             rep.add("integral_valid", False)
             return rep
         simplified = all(_integral_gating_holds(H, d.g, d.chi, N))

@@ -16,6 +16,8 @@ then goes through it too.  A product or a sum at conductor L runs through a
 straight-line kernel generated once for L and kept for the rest of the
 process: ``_product_kernel`` builds the product's from the reduction rows of
 Phi_L, ``_sum_kernel`` the sum's, and both end in ``_canonical`` unrolled.
+``COORDINATE_KERNELS[L]`` runs the same lines on bare integer coordinates,
+unreduced, for loops that compare their results only once normalized.
 An inverse is the product of the Galois conjugates over the norm, formed
 with the same kernels.  A product with an operand exactly 1 returns the
 other operand object itself, so values are shared and never mutated once
@@ -28,6 +30,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import SimpleNamespace
 from typing import Iterable, Optional, Union
 
 
@@ -253,38 +256,38 @@ def _canonical(L: int, nums: tuple[int, ...], den: int) -> "CycScalar":
     return s
 
 
+def _compile(L: int, name: str, src: list[str]) -> dict:
+    """The namespace of kernel source `src` at conductor L, compiled."""
+    namespace = {"gcd": gcd, "new": object.__new__, "CycScalar": CycScalar}
+    exec(compile("\n".join(src), f"<{name} kernel at conductor {L}>", "exec"), namespace)
+    return namespace
+
+
 def _kernel(L: int, name: str, head: list[str]):
     """Compile head, which leaves the output coordinates n0, n1, ... and den,
     followed by ``_canonical`` unrolled over them, as ``name(a, b)`` at L."""
     seq = "".join(f"n{k}, " for k in range(euler_phi(L)))
-    src = [f"def {name}(a, b):", *head,
-           f"    g = gcd(den, {seq})",
-           "    s = new(CycScalar)",
-           "    if g == 1:",
-           f"        s.L, s.den, s.nums = {L}, den, ({seq})",
-           "    else:",
-           f"        s.L, s.den, s.nums = {L}, den // g, ({seq.replace(',', ' // g,')})",
-           "    return s"]
-    namespace = {"gcd": gcd, "new": object.__new__, "CycScalar": CycScalar}
-    exec(compile("\n".join(src), f"<{name} kernel at conductor {L}>", "exec"), namespace)
-    return namespace[name]
+    return _compile(L, name, [
+        f"def {name}(a, b):", *head,
+        f"    g = gcd(den, {seq})",
+        "    s = new(CycScalar)",
+        "    if g == 1:",
+        f"        s.L, s.den, s.nums = {L}, den, ({seq})",
+        "    else:",
+        f"        s.L, s.den, s.nums = {L}, den // g, ({seq.replace(',', ' // g,')})",
+        "    return s"])[name]
 
 
 def _unpack(phi: int) -> list[str]:
-    return [f"    {''.join(f'{x}{k}, ' for k in range(phi))}= {x}.nums" for x in "ab"]
+    return [f"    {''.join(f'{x}{k}, ' for k in range(phi))}= {x}.nums" for x in "ab"] + [
+        "    da, db = a.den, b.den"]
 
 
-def _product_kernel(L: int):
-    """The product at conductor L as one straight-line function of the operands.
-
-    Its source is built from the integers of Phi_L alone: each coefficient of
-    x^m, m >= phi, of the convolution is named once and folded into the output
-    coordinates n0, n1, ... through the row of x^m mod Phi_L.  The tail is
-    ``_canonical`` unrolled over those coordinates, as in the sum kernel
-    (``_kernel`` compiles both).  When b, and then a, is
-    exactly 1 the kernel returns the other operand object: it is canonical,
-    so it equals the product in L, den and nums.
-    """
+def _convolution(L: int) -> list[str]:
+    """Lines that leave in n0, n1, ... the product at conductor L of the
+    coordinates a0, a1, ... and b0, b1, ...: built from the integers of Phi_L
+    alone, each coefficient of x^m, m >= phi, of the convolution is named once
+    and folded into the output coordinates through the row of x^m mod Phi_L."""
     phi = euler_phi(L)
     red = _reduction_rows(L)
 
@@ -294,31 +297,69 @@ def _product_kernel(L: int):
     def signed(c: int, m: int) -> str:
         return f" {'+-'[c < 0]} {'' if abs(c) == 1 else f'{abs(c)} * '}c{m}"
 
+    return [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)] + [
+        f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
+                                    if red[m - phi][k]) for k in range(phi)]
+
+
+def _addition(phi: int) -> list[str]:
+    """Lines that leave in n0, n1, ... and den the sum of (a0, a1, ...)/da and
+    (b0, b1, ...)/db: over da when the denominators agree, else over da db."""
+    return ["    if da == db:", *[f"        n{k} = a{k} + b{k}" for k in range(phi)], "        den = da",
+            "    else:", *[f"        n{k} = a{k} * db + b{k} * da" for k in range(phi)],
+            "        den = da * db"]
+
+
+def _product_kernel(L: int):
+    """The product at conductor L as one straight-line function of the operands:
+    the lines of ``_convolution``, then ``_canonical`` unrolled (``_kernel``).
+    When b, and then a, is exactly 1 the kernel returns the other operand
+    object: it is canonical, so it equals the product in L, den and nums.
+    """
+    phi = euler_phi(L)
+
     def is_one(x: str) -> str:
-        return " and ".join([f"{x}0 == 1"] + [f"{x}{k} == 0" for k in range(1, phi)] + [f"{x}.den == 1"])
+        return " and ".join([f"{x}0 == 1"] + [f"{x}{k} == 0" for k in range(1, phi)] + [f"d{x} == 1"])
 
     head = _unpack(phi) + [f"    if {is_one('b')}: return a", f"    if {is_one('a')}: return b"]
-    head += [f"    c{m} = {conv(m)}" for m in range(phi, 2 * phi - 1)]
-    head += [f"    n{k} = {conv(k)}" + "".join(signed(red[m - phi][k], m) for m in range(phi, 2 * phi - 1)
-                                         if red[m - phi][k]) for k in range(phi)]
-    return _kernel(L, "product", head + ["    den = a.den * b.den"])
+    return _kernel(L, "product", head + _convolution(L) + ["    den = da * db"])
 
 
 def _sum_kernel(L: int):
     """The sum at conductor L as one straight-line function of the operands:
-    n_k = a_k + b_k over a common denominator, else a_k d_b + b_k d_a over
-    d_a d_b, then ``_canonical`` unrolled as in ``_product_kernel``."""
+    the lines of ``_addition``, then ``_canonical`` unrolled (``_kernel``)."""
+    return _kernel(L, "sum", _unpack(euler_phi(L)) + _addition(euler_phi(L)))
+
+
+def _coordinate_kernels(L: int) -> SimpleNamespace:
+    """mul, add, axpy, normal and normalize at conductor L on coordinates (n0,
+    ..., n_{phi-1}, den), the value (n0 + n1 z + ...)/den, den > 0, unreduced.
+    mul and add form no gcd and no object; axpy is ``linalg.sv_axpy`` over
+    them with no zero test.  normal reduces one value by one gcd, and
+    normalize drops the 0 entries of a vector and reduces the others: values,
+    and vectors, are equal exactly when their normal forms are."""
     phi = euler_phi(L)
-    head = _unpack(phi) + ["    den = a.den", "    if den == b.den:"]
-    head += [f"        n{k} = a{k} + b{k}" for k in range(phi)]
-    head += ["    else:", "        da, db = den, b.den"]
-    head += [f"        n{k} = a{k} * db + b{k} * da" for k in range(phi)]
-    return _kernel(L, "sum", head + ["        den = da * db"])
+    n = ", ".join(f"n{k}" for k in range(phi))
+    unpack = [f"    {', '.join(f'{x}{k}' for k in range(phi))}, d{x} = {x}" for x in "ab"]
+    ns = _compile(L, "coordinate", [
+        "def mul(a, b):", *unpack, *_convolution(L), f"    return {n}, da * db",
+        "def add(a, b):", *unpack, *_addition(phi), f"    return {n}, den",
+        "def axpy(acc, c, terms):",
+        "    for key, w in terms:",
+        "        cur = acc.get(key)",
+        "        acc[key] = mul(c, w) if cur is None else add(cur, mul(c, w))",
+        "def normal(v):",
+        f"    {n}, den = v",
+        f"    g = gcd(den, {n})",
+        f"    return v if g == 1 else ({n.replace(',', ' // g,')} // g, den // g)",
+        "def normalize(acc):",
+        "    return {key: normal(v) for key, v in acc.items() if any(v[:-1])}"])
+    return SimpleNamespace(**{k: ns[k] for k in ("mul", "add", "axpy", "normal", "normalize")})
 
 
 class _Kernels(dict):
-    """Product or sum kernels by conductor, each generated by `generate` on
-    first use and kept: one source is compiled per conductor and operation."""
+    """Kernels by conductor, each generated by `generate` on first use and
+    kept: one source is compiled per conductor and kind of kernel."""
 
     def __init__(self, generate):
         super().__init__()
@@ -331,6 +372,7 @@ class _Kernels(dict):
 
 _KERNELS = _Kernels(_product_kernel)
 _SUMS = _Kernels(_sum_kernel)
+COORDINATE_KERNELS = _Kernels(_coordinate_kernels)
 
 
 Rational = Union[int, Fraction]

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .cyclotomic import CycScalar, conductor_cap
-from .hopf import HopfSC, BialgebraSC, integral
+from .hopf import HopfSC, BialgebraSC
 from .linalg import Mat, Tensor3, Vec, zeros
 from .cocycle import Cocycle, PreBialgebra
 from .yd import YDModule
@@ -132,7 +132,7 @@ def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
     labels = getattr(H, "labels", None)
     if labels:
         lines.append("# labels: " + " ".join(labels))
-    lines.append("# flags: finite_dim" + (" cosemisimple" if integral(H) is not None else ""))
+    lines.append("# flags: finite_dim" + (" cosemisimple" if H.dual_integral is not None else ""))
     lines.append("SECTION MULT")
     lines += _tensor_rows(H.mult, fmt)
     lines.append("SECTION UNIT")
@@ -398,7 +398,7 @@ class AlgebraFile:
         H = HopfSC(n, mult, unit, comult, counit, antipode,
                    labels=self.labels(), conductor=self.conductor,
                    group_likes=group_likes, characters=characters)
-        if "cosemisimple" in self.header.get("flags", "").split() and integral(H) is None:
+        if "cosemisimple" in self.header.get("flags", "").split() and H.dual_integral is None:
             raise ParseError(f"{self.path}:{self.header_lines['flags']}: flags declare "
                              "cosemisimple, but the integrals of the dual vanish at 1")
         return H

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import operator
 import weakref
+from functools import cached_property
 from itertools import islice, product
 from math import lcm
 from typing import Iterable, Iterator, Optional
 
-from .cyclotomic import CycScalar, conductor_cap
+from .cyclotomic import COORDINATE_KERNELS, ConductorOverflow, CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
     ShapeMismatch, basis_vec, cone, czero, echelon, kernel_from_sparse_rows,
@@ -127,6 +128,11 @@ class BialgebraSC(AlgebraSC, CoalgebraSC):
         AlgebraSC.__init__(self, dim, mult, unit)
         CoalgebraSC.__init__(self, dim, comult, counit)
 
+    @cached_property
+    def dual_integral(self) -> Optional[Vec]:
+        """`integral(B)`, solved once per object: B must not change afterwards."""
+        return integral(self)
+
 
 class HopfSC(BialgebraSC):
     """Bialgebra with an antipode matrix plus declared extra data.
@@ -159,18 +165,25 @@ class HopfSC(BialgebraSC):
             raise NotABialgebra("no antipode stored")
         return self.antipode.cols[j]
 
+    @cached_property
+    def integral_is_ad_invariant(self) -> bool:
+        """Whether `verify_ad_integral` accepts `dual_integral`, decided once per H
+        object: it reads the antipode, which must be set before the first read."""
+        return self.dual_integral is not None and verify_ad_integral(self, self.dual_integral)
+
 
 # -- axiom checkers ----------------------------------------------------------
 #
 # The checkers contract the structure tables directly, so every product they
 # form is a product of structure constants; they still visit every basis tuple
-# (a failing associativity scan stops at its eighth witness).  Each lifts the
-# constants it reads to their lcm conductor once (`_Lifted`), so no product or
-# sum in its loops promotes.  Associativity and the multiplicativity of Delta
-# and eps have loops of their own on ids: when their constants take few values
-# they read them through a value table (`_Values`) and form what depends only
-# on a cell once per cell.  The coalgebra and antipode loops run on the lifted
-# scalars.
+# (a failing associativity scan stops at its eighth witness).  Each lifts every
+# distinct constant it reads once (`_Lifted`) to integer coordinates
+# (n_0, ..., n_{phi-1}, den) at their lcm conductor M, and its loops run on
+# those through the coordinate kernels of M: no promotion, no gcd and no
+# CycScalar, and the two sides of an equation compared in normal form, one gcd
+# per compared entry.  Associativity and the multiplicativity of Delta and eps
+# also have loops on ids: when their constants take few values they read them
+# through a value table (`_Values`) and form what depends only on a cell once.
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
@@ -200,24 +213,35 @@ class _Lazy(dict):
 
 
 class _Lifted:
-    """The constants one check reads, lifted to their lcm conductor M.
-
-    Past the conductor cap nothing is lifted (M is 0), and mixed arithmetic
-    raises ConductorOverflow just as it does on the raw constants.
-    """
+    """The constants one check reads, as coordinates at their lcm conductor M,
+    with `K` the coordinate kernels of M.  `lift` promotes each distinct
+    constant once.  Nonzero constants at more than one conductor, with M past
+    the conductor cap, raise ConductorOverflow here, before any kernel or
+    table is formed; constants all at one conductor are read there, cap or not."""
 
     def __init__(self, *groups: Iterable[CycScalar]):
-        M = lcm(1, *{c.L for g in groups for c in g if c})
-        self.M = M if M <= conductor_cap() else 0
+        conductors = {c.L for g in groups for c in g if c}
+        self.M = lcm(1, *conductors)
+        if len(conductors) > 1 and self.M > conductor_cap():
+            raise ConductorOverflow(f"lcm conductor {self.M} exceeds cap {conductor_cap()}")
+        self.coords: dict[tuple, tuple] = {}  # (L, den, nums) of a constant read -> its coordinates
 
-    def lift(self, c: CycScalar):
-        """c as the check reads it."""
-        return c.promote(self.M) if self.M else c
+    @property
+    def K(self):
+        return COORDINATE_KERNELS[self.M]
+
+    def lift(self, c: CycScalar) -> tuple:
+        """c as the check reads it: its coordinates at M."""
+        key = (c.L, c.den, c.nums)
+        v = self.coords.get(key)
+        if v is None:
+            if c.L != self.M:
+                c = c.promote(self.M) if c else CycScalar.zero(self.M)
+            v = self.coords[key] = c.nums + (c.den,)
+        return v
 
     def table(self, A: AlgebraSC) -> list[list[tuple]]:
-        """A's row table over the lifted scalars: A._rows itself when nothing is lifted."""
-        if not self.M or all(c.L == self.M for c in _mult_constants(A)):
-            return A._rows
+        """A's row table over coordinates."""
         return [[tuple((k, self.lift(c)) for k, c in cell) for cell in row] for row in A._rows]
 
     def coproducts(self, C: CoalgebraSC) -> list[tuple]:
@@ -252,7 +276,7 @@ class _Values(_Lifted):
         # as soon as its check lets go of it, not at a later cycle collection
         self._me = weakref.proxy(self)
         self._drop()
-        if self.M:
+        if self.M <= conductor_cap():
             self.number(CycScalar.zero(self.M))
             for c in consts:
                 if (c.L, c.den, c.nums) not in self.raw:
@@ -359,7 +383,7 @@ def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
     if V.numbered:
         yield from _numbered_associativity(A, V)
     else:
-        yield from _scalar_associativity(V.table(A), A.dim)
+        yield from _scalar_associativity(V.K, V.table(A), A.dim)
 
 
 def _numbered_associativity(A: AlgebraSC, V: _Values) -> Iterator[tuple[int, int, int]]:
@@ -407,12 +431,13 @@ def _numbered_associativity(A: AlgebraSC, V: _Values) -> Iterator[tuple[int, int
                             yield i, j, k
     except _Full:
         V._drop()
-        yield from _scalar_associativity(V.table(A), n, i, j)
+        yield from _scalar_associativity(V.K, V.table(A), n, i, j)
 
 
-def _scalar_associativity(T: list[list[tuple]], n: int, i0: int = 0,
+def _scalar_associativity(K, T: list[list[tuple]], n: int, i0: int = 0,
                           j0: int = 0) -> Iterator[tuple[int, int, int]]:
-    """Associativity tuple by tuple on a scalar row table, from row (i0, j0) on.
+    """Associativity tuple by tuple on a row table over coordinates, with the
+    coordinate kernels K, from row (i0, j0) on.
 
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
     sum_m mult[j,k,m] e_i e_m are contracted straight from the table.  When
@@ -422,6 +447,7 @@ def _scalar_associativity(T: list[list[tuple]], n: int, i0: int = 0,
     (index, scalar) pairs.  This relies on no cell holding a zero (AlgebraSC
     drops them), so a nonempty cell times a nonzero scalar is never 0.
     """
+    mul, axpy, normal, normalize = K.mul, K.axpy, K.normal, K.normalize
     empty = ((),) * n
     for i in range(i0, n):
         Ti = T[i]
@@ -450,17 +476,17 @@ def _scalar_associativity(T: list[list[tuple]], n: int, i0: int = 0,
                     if len(left) == 1 and len(right) == 1:
                         (x, c), = left
                         (y, d), = right
-                        if x == y and a * c == b * d:
+                        if x == y and normal(mul(a, c)) == normal(mul(b, d)):
                             continue
                         yield i, j, k
                         continue
-                lhs: SVec = {}
+                lhs: dict[int, tuple] = {}
                 for m, c in ij:
-                    sv_axpy(lhs, c, T[m][k])
-                rhs: SVec = {}
+                    axpy(lhs, c, T[m][k])
+                rhs: dict[int, tuple] = {}
                 for m, c in jk:
-                    sv_axpy(rhs, c, Ti[m])
-                if lhs != rhs:
+                    axpy(rhs, c, Ti[m])
+                if normalize(lhs) != normalize(rhs):
                     yield i, j, k
 
 
@@ -498,46 +524,32 @@ def unit_group_like(B: BialgebraSC) -> tuple[bool, bool]:
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
     L = _Lifted(_comult_constants(C), C.counit)
-    n, D, one = C.dim, L.coproducts(C), L.lift(cone())
-    counit = [L.lift(c) for c in C.counit]
+    n, D, one = C.dim, L.coproducts(C), L.lift(CycScalar.one(L.M))
+    axpy, normalize = L.K.axpy, L.K.normalize
+    counit = [L.lift(c) if c else None for c in C.counit]
     coassoc = []
     for k in range(n):
-        left: dict[tuple[int, int, int], CycScalar] = {}
-        right: dict[tuple[int, int, int], CycScalar] = {}
+        left: dict[tuple[int, int, int], tuple] = {}
+        right: dict[tuple[int, int, int], tuple] = {}
         for (a, b), c in D[k]:
-            sv_axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
-            sv_axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
-        if left != right:
+            axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
+            axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
+        if normalize(left) != normalize(right):
             coassoc.append(k)
     bad_counit = []
     for k in range(n):
-        lhs_l: SVec = {}
-        lhs_r: SVec = {}
+        lhs_l: dict[int, tuple] = {}
+        lhs_r: dict[int, tuple] = {}
         for (a, b), c in D[k]:
             if counit[a]:
-                sv_axpy(lhs_l, counit[a], ((b, c),))
+                axpy(lhs_l, counit[a], ((b, c),))
             if counit[b]:
-                sv_axpy(lhs_r, counit[b], ((a, c),))
-        if lhs_l != {k: one} or lhs_r != {k: one}:
+                axpy(lhs_r, counit[b], ((a, c),))
+        if normalize(lhs_l) != {k: one} or normalize(lhs_r) != {k: one}:
             bad_counit.append(k)
     rep.record("coassociativity", coassoc)
     rep.record("counit", bad_counit)
     return rep
-
-
-def _comult_pair_product(T, da, db) -> dict[tuple[int, int], CycScalar]:
-    """Product of two expanded coproducts inside B (x) B, from B's row table
-    over the lifted scalars."""
-    out: dict[tuple[int, int], CycScalar] = {}
-    for (a1, a2), ca in da:
-        T1, T2 = T[a1], T[a2]
-        for (b1, b2), cb in db:
-            left, right = T1[b1], T2[b2]
-            if left and right:
-                c = ca * cb
-                for x, cx in left:
-                    sv_axpy(out, cx * c, [((x, y), cy) for y, cy in right])
-    return out
 
 
 def check_bialgebra(B: BialgebraSC) -> CheckReport:
@@ -558,37 +570,41 @@ def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
     """Every (i, j) where Delta, and where eps, fails to be multiplicative.
 
     On ids the loops are `_numbered_bialgebra`'s; when its table fills up
-    they start again on the lifted scalars, where each pair forms
-    Delta(e_i e_j), eps(e_i e_j) and Delta(e_i) Delta(e_j) with `*`, `+`
-    and `sv_axpy`.
+    they start again on coordinates.  There each term ca e_a1 (x) e_a2 of
+    Delta(e_i) is scaled into its left cells ca e_a1 e_b once per row i, so a
+    pair of coproduct terms with nonempty cells forms 2 products per entry.
     """
     if V.numbered:
         try:
             return _numbered_bialgebra(V, B)
         except _Full:
             V._drop()
-    n = B.dim
+    K = V.K
+    n, mul, add, axpy, normal, normalize = B.dim, K.mul, K.add, K.axpy, K.normal, K.normalize
     T, D = V.table(B), V.coproducts(B)
-    counit = [V.lift(c) for c in B.counit]
-    comult = []
+    counit, zero = [V.lift(c) for c in B.counit], V.lift(CycScalar.zero(V.M))
+    comult, bad_counit = [], []
     for i in range(n):
-        Ti, di = T[i], D[i]
+        Ti, ei = T[i], counit[i]
+        di = [([tuple((x, mul(ca, cx)) for x, cx in cell) for cell in T[a1]], T[a2])
+              for (a1, a2), ca in D[i]]
         for j in range(n):
-            lhs: dict[tuple[int, int], CycScalar] = {}
+            lhs: dict[tuple[int, int], tuple] = {}
+            eps = zero
             for m, c in Ti[j]:
-                sv_axpy(lhs, c, D[m])
-            if lhs != _comult_pair_product(T, di, D[j]):
+                axpy(lhs, c, D[m])
+                if B.counit[m]:
+                    eps = add(eps, mul(counit[m], c))
+            rhs: dict[tuple[int, int], tuple] = {}
+            for S1, T2 in di:
+                for (b1, b2), cb in D[j]:
+                    left, right = S1[b1], T2[b2]
+                    if left and right:
+                        for x, cx in left:
+                            axpy(rhs, mul(cx, cb), [((x, y), cy) for y, cy in right])
+            if normalize(lhs) != normalize(rhs):
                 comult.append((i, j))
-    bad_counit = []
-    zero = V.lift(czero())
-    for i in range(n):
-        Ti = T[i]
-        for j in range(n):
-            lhs = zero
-            for k, c in Ti[j]:
-                if counit[k]:
-                    lhs = lhs + counit[k] * c
-            if lhs != counit[i] * counit[j]:
+            if normal(eps) != normal(mul(ei, counit[j])):
                 bad_counit.append((i, j))
     return comult, bad_counit
 
@@ -646,24 +662,26 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     from the multiplication rows and the columns of S."""
     L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
                 (a for col in S.cols for a in col.values()))
-    n, lift = B.dim, L.lift
-    T, D = L.table(B), L.coproducts(B)
+    n, lift, mul, axpy, normalize = B.dim, L.lift, L.K.mul, L.K.axpy, L.K.normalize
+    D = L.coproducts(B)
+    T = _Lazy(lambda ij: tuple((k, lift(c)) for k, c in B._rows[ij[0]][ij[1]]))  # cells lifted as read
     scols = [[(s, lift(a)) for s, a in sorted(col.items())] for col in S.cols]
     u = [(i, lift(c)) for i, c in B.unit_sv().items()]
     left, right = [], []
     for k in range(n):
-        target: SVec = {}
-        sv_axpy(target, lift(B.counit[k]), u)
-        lhs: SVec = {}
-        rhs: SVec = {}
+        target: dict[int, tuple] = {}
+        axpy(target, lift(B.counit[k]), u)
+        target = normalize(target)
+        lhs: dict[int, tuple] = {}
+        rhs: dict[int, tuple] = {}
         for (i, j), c in D[k]:
             for s, a in scols[i]:
-                sv_axpy(lhs, a * c, T[s][j])
+                axpy(lhs, mul(a, c), T[s, j])
             for s, a in scols[j]:
-                sv_axpy(rhs, c * a, T[i][s])
-        if lhs != target:
+                axpy(rhs, mul(c, a), T[i, s])
+        if normalize(lhs) != target:
             left.append(k)
-        if rhs != target:
+        if normalize(rhs) != target:
             right.append(k)
     rep.record("antipode_left", left)
     rep.record("antipode_right", right)

@@ -770,3 +770,25 @@ def test_analysis_never_promotes_a_rational(monkeypatch, smash36_entry):
     CycScalar._common(rat(2), CycScalar.zeta(4))
     assert calls[-2:] == [(1, 4), (4, 4)]
     assert from_rationals == []
+
+
+def test_integral_is_decided_once_per_base_over_an_analysis(kc12n6_entry, monkeypatch):
+    """Over one run_analysis of kc12n6 (lambda = 1), the integral of each H
+    is solved at most once and checked for ad-invariance at most once, though
+    both the datum gate and the equivalence report read the verdict."""
+    from hopfforge import hopf
+    from hopfforge.cli import run_analysis
+    from hopfforge.reports import Report
+    calls = []
+    for name in ("integral", "verify_ad_integral"):
+        real = getattr(hopf, name)
+        monkeypatch.setattr(hopf, name, lambda H, *a, real=real, name=name: calls.append((name, id(H)))
+                            or real(H, *a))
+    H = kc12n6_entry.setup.H
+    for name in ("dual_integral", "integral_is_ad_invariant"):  # decided by an earlier test or build
+        monkeypatch.delitem(vars(H), name, raising=False)
+    rep = Report("kc12n6")
+    run_analysis(kc12n6_entry.setup, rep)
+    assert rep.exit_code == 0 and rep.kv["lambda"] == "1"
+    assert ("verify_ad_integral", id(H)) in calls
+    assert len(calls) == len(set(calls))

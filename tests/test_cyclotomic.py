@@ -412,15 +412,37 @@ def sympy_coords(sympy, a, b, op):
     return M, coeffs + [Fraction(0)] * (euler_phi(M) - len(coeffs))
 
 
+def on_coordinates(a, b, op):
+    """(unreduced, normalized) coordinates of op(a, b), op "mul" or "add", from
+    the coordinate kernels at M = lcm(a.L, b.L); normalized is {} for 0."""
+    M = a.L * b.L // gcd(a.L, b.L)
+    K = cyclotomic.COORDINATE_KERNELS[M]
+    x, y = a.promote(M), b.promote(M)
+    raw = getattr(K, op)(x.nums + (x.den,), y.nums + (y.den,))
+    return raw, K.normalize({0: raw}).get(0)
+
+
+def normalized(expect):
+    """The coordinates (n0, ..., den) in lowest terms of sympy's coefficients, None for 0."""
+    den = 1
+    for f in expect:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return tuple(int(f * den) for f in expect) + (den,) if any(expect) else None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.booleans().flatmap(lambda integral: st.tuples(st.just(integral), oracle_pair(integral))))
 def test_mul_add_match_sympy_remainder(sympy, case):
-    # integral operands give integral results, the others reduce by a gcd
+    # integral operands give integral results, the others reduce by a gcd;
+    # the coordinate kernels give the same values before any gcd
     integral, (a, b) = case
-    for result, op in ((a * b, lambda p, q: p * q), (a + b, lambda p, q: p + q)):
+    for result, op, name in ((a * b, lambda p, q: p * q, "mul"), (a + b, lambda p, q: p + q, "add")):
         M, expect = sympy_coords(sympy, a, b, op)
         assert result.L == M
         assert result.coeffs() == expect
+        raw, norm = on_coordinates(a, b, name)
+        assert [Fraction(c, raw[-1]) for c in raw[:-1]] == expect and raw[-1] > 0
+        assert norm == normalized(expect)
         assert result.den > 0 and gcd(result.den, *result.nums) == 1
         assert (result.den == 1) or not integral
         assert bool(result) == any(expect) == (not result.is_zero())
@@ -458,6 +480,30 @@ def test_sum_kernel_branches_match_sympy_remainder(sympy, case):
     assert s.den > 0 and gcd(s.den, *s.nums) == 1
     if a == -b:
         assert triple(s) == (M, 1, (0,) * euler_phi(M)) and not s
+    # on coordinates: over the common denominator when there is one, else over
+    # the product of the two; normalized, the sum above, and nothing for 0
+    raw, norm = on_coordinates(a, b, "add")
+    assert [Fraction(c, raw[-1]) for c in raw[:-1]] == expect
+    assert raw[-1] == (a.den if a.den == b.den else a.den * b.den)
+    assert norm == normalized(expect) == (None if a == -b else s.nums + (s.den,))
+
+
+def test_coordinate_kernels_match_sympy_at_every_conductor(sympy):
+    """At each of ORACLE_CONDUCTORS: a product, sums over equal and over
+    unequal denominators, and a sum that cancels to 0."""
+    for L in ORACLE_CONDUCTORS:
+        phi = euler_phi(L)
+        a = CycScalar(L, [k - 2 for k in range(phi)] if phi > 1 else [3], 4)
+        b = CycScalar(L, [(-1) ** k * (k + 1) for k in range(phi)], 4)
+        c = CycScalar(L, [1] + [0] * (phi - 1), 6) + CycScalar.zeta(L)
+        assert a.den == b.den != c.den
+        for x, y, name, op in ((a, c, "mul", lambda p, q: p * q), (a, b, "add", lambda p, q: p + q),
+                               (a, c, "add", lambda p, q: p + q), (c, -c, "add", lambda p, q: p + q)):
+            raw, norm = on_coordinates(x, y, name)
+            M, expect = sympy_coords(sympy, x, y, op)
+            assert M == L and [Fraction(k, raw[-1]) for k in raw[:-1]] == expect
+            assert norm == normalized(expect)
+        assert on_coordinates(c, -c, "add")[1] is None
 
 
 def test_each_conductor_generates_its_kernels_once(monkeypatch):
@@ -469,15 +515,19 @@ def test_each_conductor_generates_its_kernels_once(monkeypatch):
             return generate(L)
         return gen
 
-    for name, generate in (("_KERNELS", cyclotomic._product_kernel), ("_SUMS", cyclotomic._sum_kernel)):
+    for name, generate in (("_KERNELS", cyclotomic._product_kernel), ("_SUMS", cyclotomic._sum_kernel),
+                           ("COORDINATE_KERNELS", cyclotomic._coordinate_kernels)):
         monkeypatch.setattr(cyclotomic, name, cyclotomic._Kernels(counted(generate)))
     for _ in range(3):
         for L in ORACLE_CONDUCTORS:
             z = CycScalar.zeta(L) * rat(Fraction(1, 2))
             assert (z + z * z) * (z + CycScalar.one(L)) == z * z + z * z * z + z + z * z
+            K = cyclotomic.COORDINATE_KERNELS[L]
+            w = z.nums + (z.den,)
+            assert K.normalize({0: K.add(K.mul(w, w), w)}) == {0: (z * z + z).nums + ((z * z + z).den,)}
     # a mixed pair is promoted to a conductor whose kernels already exist
     assert CycScalar.zeta(4) + CycScalar.zeta(6) == CycScalar.zeta(6) + CycScalar.zeta(4)
-    assert sorted(made) == sorted((g, L) for g in ("_product_kernel", "_sum_kernel")
+    assert sorted(made) == sorted((g, L) for g in ("_product_kernel", "_sum_kernel", "_coordinate_kernels")
                                   for L in ORACLE_CONDUCTORS)
 
 

@@ -4,11 +4,12 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from hopfforge import catalog, hopf
+from hopfforge import catalog, cyclotomic, hopf
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
     CoalgebraSC, HopfSC, check_algebra, check_bialgebra, check_hopf, compute_antipode,
@@ -21,7 +22,7 @@ from hopfforge.linalg import (
     Mat, Subspace, Tensor3, basis_vec, cone, czero, image, kernel, preimage, sv_add_into,
     sv_scale, sv_to_dense, zeros,
 )
-from hopfforge.reports import CheckReport
+from hopfforge.reports import MAX_WITNESSES, CheckReport
 
 
 def rat(x):
@@ -390,10 +391,13 @@ def test_error_types(kc6):
 
 # -- the contracted checkers against the per-tuple formulation -----------------
 
-def oracle_failures(A):
-    """Every (i, j, k) where associativity fails, both sides formed by mul_sv on unit vectors."""
-    return [(i, j, k) for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)
-            if A.mul_sv(A.mul_basis(i, j), {k: cone()}) != A.mul_sv({i: cone()}, A.mul_basis(j, k))]
+def oracle_failures(A, limit=None):
+    """Every (i, j, k) where associativity fails, or the first `limit` of them,
+    both sides formed by mul_sv on unit vectors."""
+    n = A.dim
+    failing = ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+               if A.mul_sv(A.mul_basis(i, j), {k: cone()}) != A.mul_sv({i: cone()}, A.mul_basis(j, k)))
+    return list(islice(failing, limit))
 
 
 def oracle_associativity(A):
@@ -628,8 +632,8 @@ def test_memo_gate_on_for_catalog_and_off_for_rescaled(name, tables):
 
 @pytest.mark.parametrize("name", ["c4min", "b0", "smash36"])
 def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
-    """A rescaled copy is the same structure in another basis, so on the
-    scalar path every check of it forms as many products as the same check
+    """A rescaled copy is the same structure in another basis, so on
+    coordinates every check of it forms as many products as the same check
     of its catalog structure.  (On ids the catalog structure forms each
     product once, so the two no longer do equal work in `check_hopf`.)"""
     class Scalars(hopf._Values):
@@ -637,21 +641,25 @@ def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
             super().__init__(*groups)
             self._drop()
 
-    monkeypatch.setattr(hopf, "_Values", Scalars)
-    formed = CycScalar.__mul__
+    calls = []
 
-    def products(B):
-        calls = []
+    def counted_kernels(L):
+        K = cyclotomic._coordinate_kernels(L)
+        mul = K.mul
 
         def counted(a, b):
             calls.append(1)
-            return formed(a, b)
+            return mul(a, b)
 
-        CycScalar.__mul__ = CycScalar.__rmul__ = counted
-        try:
-            assert check_hopf(B).ok
-        finally:
-            CycScalar.__mul__ = CycScalar.__rmul__ = formed
+        K.mul = K.axpy.__globals__["mul"] = counted  # axpy reads mul from its namespace
+        return K
+
+    monkeypatch.setattr(hopf, "_Values", Scalars)
+    monkeypatch.setattr(hopf, "COORDINATE_KERNELS", cyclotomic._Kernels(counted_kernels))
+
+    def products(B):
+        calls.clear()
+        assert check_hopf(B).ok
         return len(calls)
 
     H = catalog.ALL_BUILDERS[name]().ore.O
@@ -665,7 +673,6 @@ def test_row_table_shared_when_nothing_is_lifted(monkeypatch):
     R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
     V = hopf._Values(hopf._mult_constants(R))
     assert not V.numbered and {c.L for c in hopf._mult_constants(R)} == {V.M}
-    assert V.table(R) is R._rows
     H = catalog.b0().ore.O
     made = []
 
@@ -742,18 +749,50 @@ def test_conductor_overflow_still_raised_past_the_cap():
     H = HopfSC(2, T, basis_vec(2, 0), T, [z4, z6], Mat.identity(2))
     # lcm conductor 12: lifted, checked, fails with the oracle's witnesses
     assert entries(check_hopf(H)) == oracle_hopf(H)
+    # the same constants stored at conductor 12
+    T12 = Tensor3(T.shape, {key: c.promote(12) for key, c in T.data.items()})
+    H12 = HopfSC(2, T12, basis_vec(2, 0), T12, [z4.promote(12), z6.promote(12)], Mat.identity(2))
+    failures, coassoc, counit = oracle_failures(H12), oracle_coassociativity(H12), oracle_counit(H12)
+    assert failures and counit
     old = conductor_cap()
     try:
         set_conductor_cap(10)
-        # past the cap nothing is lifted or numbered: the checks run on the raw constants
-        V = hopf._Values(hopf._mult_constants(H))
-        assert V.M == 0 and not V.numbered
+        # past the cap promoting z4 or z6 to 12 raises, and nothing is numbered
+        with pytest.raises(ConductorOverflow):
+            hopf._Values(hopf._mult_constants(H))
+        V = hopf._Values(hopf._mult_constants(H12))
+        assert V.M == 12 and not V.numbered
         for check in (check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf):
             with pytest.raises(ConductorOverflow):
                 check(H)
+        # constants all at one conductor past the cap are read there, with nothing promoted
+        assert list(hopf.associativity_failures(H12)) == failures
+        rep = hopf.check_coalgebra(H12)
+        assert [(e.name, e.witnesses) for e in rep.entries] == [("coassociativity", coassoc),
+                                                                ("counit", counit)]
     finally:
         set_conductor_cap(old)
     assert conductor_cap() == old
+
+
+def test_conductor_overflow_raised_before_any_kernel_is_generated():
+    """Constants at conductors 7 and 720 have lcm 5040, past the default cap
+    720: every check raises ConductorOverflow without generating the
+    coordinate kernels of 5040 (phi 1152), whatever it reads first."""
+    from hopfforge.cyclotomic import COORDINATE_KERNELS, ConductorOverflow, conductor_cap
+    assert conductor_cap() == 720
+    z7, z720 = CycScalar.zeta(7), CycScalar.zeta(720)
+    T = Tensor3((2, 2, 2), {(0, 0, 0): z7, (0, 0, 1): z720, (1, 1, 0): z7, (1, 1, 1): z720})
+    H = HopfSC(2, T, basis_vec(2, 0), T, [z7, z720], Mat.identity(2))
+    COORDINATE_KERNELS.pop(5040, None)
+    checks = [check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf,
+              lambda H: hopf._bialgebra_failures(hopf._Values(hopf._mult_constants(H),
+                                                              hopf._comult_constants(H), H.counit), H),
+              lambda H: hopf._antipode_axiom_entry(CheckReport("antipode"), H, H.antipode)]
+    for check in checks:
+        with pytest.raises(ConductorOverflow):
+            check(H)
+    assert 5040 not in COORDINATE_KERNELS
 
 
 def test_tables_with_no_room_for_one_match_oracle(tables):
@@ -973,9 +1012,10 @@ def test_cells_settle_the_scalar_scan_as_the_oracle(name, edit):
     ent = check_algebra(A).entry("associativity")
     assert (ent.ok, ent.witnesses) == (not failures, failures[:8]) == oracle_associativity(A)
     T = V.table(A)
-    assert list(hopf._scalar_associativity(T, A.dim)) == failures
+    assert list(hopf._scalar_associativity(V.K, T, A.dim)) == failures
     i0, j0, _ = failures[len(failures) // 2]
-    assert list(hopf._scalar_associativity(T, A.dim, i0, j0)) == [w for w in failures if w[:2] >= (i0, j0)]
+    assert list(hopf._scalar_associativity(V.K, T, A.dim, i0, j0)) == [
+        w for w in failures if w[:2] >= (i0, j0)]
 
 
 def test_zero_constants_leave_no_cell():
@@ -1028,9 +1068,9 @@ def test_check_crossing_the_cap_equals_oracle(capped, monkeypatch):
     comultiplicativity loop of a structure whose Delta fails."""
     resumed, scan = [], hopf._scalar_associativity
 
-    def recorded(T, n, i0=0, j0=0):
+    def recorded(K, T, n, i0=0, j0=0):
         resumed.append((i0, j0))
-        return scan(T, n, i0, j0)
+        return scan(K, T, n, i0, j0)
 
     # for each bialgebra table that fills on ids: whether its loop had formed products
     in_loop, loop = [], hopf._numbered_bialgebra
@@ -1062,3 +1102,94 @@ def test_check_crossing_the_cap_equals_oracle(capped, monkeypatch):
     assert capped.crossings and all(capped.crossings)
     assert any(failures[0][:2] < row < failures[-1][:2] for row in resumed)
     assert any(in_loop)
+
+
+# -- the loops on coordinates against the per-tuple formulation --------------------
+
+def with_one_constant_moved(H, seed):
+    """H with one MULT, COMULT, counit or antipode constant moved by +1, the
+    kind and the constant chosen by the seed."""
+    kind = ("mult", "comult", "counit", "S")[seed % 4]
+    if kind != "counit":
+        return perturbed(H, kind, seed)[1]
+    counit = list(H.counit)
+    k = random.Random(seed).randrange(H.dim)
+    counit[k] = counit[k] + rat(1)
+    return HopfSC(H.dim, H.mult, H.unit, H.comult, counit, H.antipode)
+
+
+@pytest.fixture(scope="module")
+def rescaled_copies():
+    rescaled = bench_module("rescale").rescaled
+    return {name: rescaled(catalog.ALL_BUILDERS[name]().ore.O, random.Random(1))
+            for name in ("c4min", "b0", "smash36")}
+
+
+@pytest.mark.parametrize("name, seed", [("c4min", s) for s in range(30)] + [("b0", s) for s in range(30)]
+                         + [("smash36", s) for s in range(4)])
+def test_coordinate_loops_match_oracle_on_perturbed_rescaled_copies(name, seed, rescaled_copies):
+    """On a rescaled copy every check but the unit runs on coordinates; with
+    one constant moved, its entries and witnesses are the oracle's."""
+    B = with_one_constant_moved(rescaled_copies[name], seed)
+    assert not hopf._Values(hopf._mult_constants(B)).numbered
+    assert entries(check_hopf(B)) == oracle_hopf(B)
+
+
+def in_basis(H, d):
+    """H in the basis f_i = d_i e_i."""
+    inv = [cone() / x for x in d]
+    n = H.dim
+    mult = {(i, j, k): d[i] * d[j] * c * inv[k] for (i, j, k), c in H.mult.data.items()}
+    comult = {(k, i, j): d[k] * c * inv[i] * inv[j] for (k, i, j), c in H.comult.data.items()}
+    S = Mat.of_cols(n, [{i: d[j] * c * inv[i] for i, c in col.items()}
+                        for j, col in enumerate(H.antipode.cols)])
+    return HopfSC(n, Tensor3(H.mult.shape, mult), [u * inv[i] for i, u in enumerate(H.unit)],
+                  Tensor3(H.comult.shape, comult), [e * d[i] for i, e in enumerate(H.counit)], S)
+
+
+def test_equal_sides_with_unequal_unreduced_coordinates():
+    """K C_3 in the basis f_i = d_i g^i, d = (1, 2, 3): f_1 f_1 = 4/3 f_2,
+    f_1 f_2 = 6 f_0 and f_2 f_2 = 9/2 f_1, so (f_1 f_1) f_2 is 4/3 * 9/2 f_0,
+    coordinates (36, 6), and f_1 (f_1 f_2) is 6 * 1 f_0, coordinates (6, 1).
+    The two sides are equal only once each is reduced by its gcd."""
+    H = in_basis(group_algebra_cyclic(3), [rat(1), rat(2), rat(3)])
+    V = hopf._Values(hopf._mult_constants(H))
+    assert not V.numbered
+    T = V.table(H)
+    (_, a), = T[1][1]
+    (_, c), = T[2][2]
+    (_, b), = T[1][2]
+    (_, d), = T[0][0]
+    assert (V.K.mul(a, c), V.K.mul(b, d)) == ((36, 6), (6, 1))
+    rep = check_hopf(H)
+    assert rep.ok and entries(rep) == oracle_hopf(H)
+
+
+def test_each_distinct_constant_is_promoted_once(monkeypatch):
+    """kc12n6 reads constants at conductors 1, 3, 4 and 12 (M = 12): the
+    coalgebra check promotes each distinct one not at 12 once, however often
+    Delta and eps repeat it."""
+    H = catalog.kc12n6().ore.O
+    consts = [c for c in [*hopf._comult_constants(H), *H.counit] if c]
+    M = hopf._Lifted(consts).M
+    lifted = {triple(c) for c in consts if c.L != M}
+    assert M == 12 and lifted and len(consts) > 4 * len(lifted)
+    calls, promote = [], CycScalar.promote
+    monkeypatch.setattr(CycScalar, "promote", lambda c, L: calls.append(triple(c)) or promote(c, L))
+    assert hopf.check_coalgebra(H).ok
+    assert sorted(calls) == sorted(lifted)
+
+
+@pytest.mark.slow
+def test_rescaled_kc12n6_on_coordinates():
+    """The large-denominator case: kc12n6 (dim 72, conductor 12) in two
+    rescaled bases passes check_hopf on coordinates, and a copy with one MULT
+    constant moved gives the oracle's associativity witnesses."""
+    H = catalog.kc12n6().ore.O
+    for seed in (1, 2):
+        R = bench_module("rescale").rescaled(H, random.Random(seed))
+        assert check_hopf(R).ok
+    B = perturbed(R, "mult", 0)[1]
+    ent = check_algebra(B).entry("associativity")
+    expect = oracle_failures(B, MAX_WITNESSES)
+    assert expect and (ent.ok, ent.witnesses) == (False, expect)
