@@ -32,8 +32,8 @@ from .cocycle import (
     Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra, retraction_diagnostics,
 )
 from .construct import (
-    CompatibleDatum, OreHopf, YDDatum, build_ore_hopf, build_quantum_line, lambda_cocycle,
-    universal_map, validate_compatible_datum, validate_yd_datum,
+    CompatibleDatum, HypothesisViolation, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
+    lambda_cocycle, universal_map, validate_compatible_datum, validate_yd_datum,
 )
 from .reports import MAX_WITNESSES, CheckReport
 from .yd import YDModule
@@ -640,11 +640,7 @@ def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool
 
 def _is_plain_smash(ind: InducedPreBialgebra) -> bool:
     """A equals the trivial-cocycle bosonization of R through omega."""
-    try:
-        bos = bosonize(ind.pre, Cocycle.trivial(ind.pre), verify=False)
-    except Exception:
-        return False
-    return _omega_is_iso(ind, bos.B)
+    return _omega_is_iso(ind, bosonize(ind.pre, Cocycle.trivial(ind.pre), verify=False).B)
 
 
 # -- retraction transport and uniqueness ---------------------------------------
@@ -813,7 +809,7 @@ class Analysis:
             # z must satisfy the power condition; try it
             try:
                 fhat = universal_map(ore, A, s.sigma, sv_scale(cand, y_in_A[piv] / cand[piv]))
-            except Exception:
+            except HypothesisViolation:
                 continue
             break
         if fhat is None:

@@ -7,8 +7,6 @@ as report entries with witnesses, never as silent errors.
 
 from __future__ import annotations
 
-import operator
-import weakref
 from functools import cached_property
 from itertools import islice, product
 from math import lcm
@@ -17,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .cyclotomic import COORDINATE_KERNELS, ConductorOverflow, CycScalar, conductor_cap
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
-    ShapeMismatch, basis_vec, cone, czero, echelon, kernel_from_sparse_rows,
+    ShapeMismatch, basis_vec, cone, czero, echelon, echelon_add, kernel_from_sparse_rows,
     sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, zeros,
 )
 from .reports import MAX_WITNESSES, CheckReport
@@ -175,15 +173,28 @@ class HopfSC(BialgebraSC):
 # -- axiom checkers ----------------------------------------------------------
 #
 # The checkers contract the structure tables directly, so every product they
-# form is a product of structure constants; they still visit every basis tuple
-# (a failing associativity scan stops at its eighth witness).  Each lifts every
-# distinct constant it reads once (`_Lifted`) to integer coordinates
-# (n_0, ..., n_{phi-1}, den) at their lcm conductor M, and its loops run on
-# those through the coordinate kernels of M: no promotion, no gcd and no
-# CycScalar, and the two sides of an equation compared in normal form, one gcd
-# per compared entry.  Associativity and the multiplicativity of Delta and eps
-# also have loops on ids: when their constants take few values they read them
-# through a value table (`_Values`) and form what depends only on a cell once.
+# form is a product of structure constants.  Each lifts every distinct
+# constant it reads once (`_Lifted`) to integer coordinates (n_0, ...,
+# n_{phi-1}, den) at their lcm conductor M, and its loops run on those through
+# the coordinate kernels of M: no promotion, no gcd and no CycScalar, and the
+# two sides of an equation compared in normal form, one gcd per compared entry.
+#
+# Associativity (n^3 tuples) and the multiplicativity of Delta and eps (n^2
+# pairs) are decided on a generating set when the unit axioms allow it.  The
+# x in A with (xy)z = x(yz) for all y, z form a subspace T, closed under
+# products: for a, b in T, ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) =
+# (ab)(yz).  A two-sided unit lies in T.  So when the right-nested words
+# x_1 (x_2 (... (x_k 1))) over a set X of basis vectors span A, A is
+# associative exactly when every tuple (x, j, k) with x in X passes.  Given
+# associativity, Delta(1) = 1 (x) 1 and eps(1) = 1, the same argument holds
+# for {x : Delta(xy) = Delta(x) Delta(y) for all y} and for eps, so the pairs
+# (x, j) with x in X decide both.  X is `generating_set(A)`, chosen greedily.
+# Each axiom has one loop, over a given set of rows i: the checks run it on
+# the rows X when those preconditions pass, and on every row, in order, when
+# one fails or the rows X find a failure.  That full scan is the one that
+# lists witnesses, so entries and witnesses are those of a tuple-by-tuple
+# scan (a failing associativity scan stops at its eighth witness), and every
+# basis tuple is decided, by the reduction or by the full scan.
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
@@ -192,10 +203,6 @@ def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
 
 def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
     return (c for d in C._by_k.values() for c in d.values())
-
-
-class _Full(Exception):
-    """A value table was asked to number more values than its cap."""
 
 
 class _Lazy(dict):
@@ -217,7 +224,11 @@ class _Lifted:
     with `K` the coordinate kernels of M.  `lift` promotes each distinct
     constant once.  Nonzero constants at more than one conductor, with M past
     the conductor cap, raise ConductorOverflow here, before any kernel or
-    table is formed; constants all at one conductor are read there, cap or not."""
+    table is formed; constants all at one conductor are read there, cap or not.
+
+    A check reads one structure A, so `table(A)` and `generators(A)` are
+    formed on their first call and kept: every loop of the check reads the
+    same row table and the same generating set."""
 
     def __init__(self, *groups: Iterable[CycScalar]):
         conductors = {c.L for g in groups for c in g if c}
@@ -225,6 +236,8 @@ class _Lifted:
         if len(conductors) > 1 and self.M > conductor_cap():
             raise ConductorOverflow(f"lcm conductor {self.M} exceeds cap {conductor_cap()}")
         self.coords: dict[tuple, tuple] = {}  # (L, den, nums) of a constant read -> its coordinates
+        self._table: Optional[list[list[tuple]]] = None
+        self._generators: Optional[list[int]] = None
 
     @property
     def K(self):
@@ -242,202 +255,67 @@ class _Lifted:
 
     def table(self, A: AlgebraSC) -> list[list[tuple]]:
         """A's row table over coordinates."""
-        return [[tuple((k, self.lift(c)) for k, c in cell) for cell in row] for row in A._rows]
+        if self._table is None:
+            self._table = [[tuple((k, self.lift(c)) for k, c in cell) for cell in row]
+                           for row in A._rows]
+        return self._table
+
+    def generators(self, A: AlgebraSC) -> list[int]:
+        """`generating_set(A)`."""
+        if self._generators is None:
+            self._generators = generating_set(A)
+        return self._generators
 
     def coproducts(self, C: CoalgebraSC) -> list[tuple]:
         """Delta(e_k) as the check reads it, as a tuple of ((i, j), c) for each k."""
         return [tuple((ij, self.lift(c)) for ij, c in C.comult_basis(k).items()) for k in range(C.dim)]
 
 
-class _Values(_Lifted):
-    """The values read and formed by a check that has a loop on ids.
+def generating_set(A: AlgebraSC) -> list[int]:
+    """A greedy generating set X of basis indices, in increasing order.
 
-    When the n nonzero constants take P distinct values with P*P <= n, the
-    check runs on ids (`numbered`): id 0 is zero and each other value at M,
-    keyed by its normalized (den, nums), gets the next small int, so `if v`
-    and dict equality mean what they mean on scalars; `one` is the id of 1.
-    `mul[a][b]` and `add[a][b]` form each product and sum of two numbered
-    values once.  A cell is a vector as a tuple of (index, id) sorted by
-    index, zeros dropped, and `cell` gives equal vectors equal cell ids (0 is
-    the zero vector).  The table numbers at most `cap` = n + 1 nonzero values
-    (room for the constants' values and 1), and its cells hold at most `cap`
-    (index, id) pairs in all, so it never outgrows the constants the check
-    reads.  A check that needs more raises _Full inside the table, `_drop`s
-    it and finishes on the lifted scalars, with the same witnesses.
-    Otherwise the check runs on the lifted scalars from the start.
+    W, the span of the right-nested words x_1 (x_2 (... (x_k 1))) over X,
+    is kept as reduced pivot rows (`echelon_add`) together with the words
+    that added them.  Each new x is the least index with e_x outside W, and
+    after it W is closed again under left multiplication by X.  When the
+    unit is two-sided, e_x = x 1 lies in W once x is in X, so the words over
+    X span A; otherwise X is still returned, and nothing follows from it.
     """
+    n, one = A.dim, cone()
+    W: dict[int, SVec] = {}
+    X: list[int] = []
+    words: list[SVec] = []  # the words that added a pivot to W; they span W
+    done: list[int] = []    # done[w]: X[:done[w]] have multiplied words[w]
 
-    def __init__(self, *groups: Iterable[CycScalar]):
-        consts = [c for g in groups for c in g if c]
-        super().__init__(consts)
-        self.n = len(consts)
-        self.cap = self.n + 1
-        # the memos reach the table through a weak proxy, so the table is freed
-        # as soon as its check lets go of it, not at a later cycle collection
-        self._me = weakref.proxy(self)
-        self._drop()
-        if self.M <= conductor_cap():
-            self.number(CycScalar.zero(self.M))
-            for c in consts:
-                if (c.L, c.den, c.nums) not in self.raw:
-                    self.raw[c.L, c.den, c.nums] = self.number(c.promote(self.M))
-                    if (len(self.values) - 1) ** 2 > self.n:
-                        self._drop()
-                        return
-            self.numbered = True
-            self.one = self.number(CycScalar.one(self.M))
-            me = self._me
-            self.scaled = _Lazy(lambda ax: me.cell((k, me.mul[ax[0]][v]) for k, v in me.cells[ax[1]]))
-            self.sums = _Lazy(lambda xy: me._sum_cells(xy))
+    def add(v: SVec) -> None:
+        if echelon_add(W, v):
+            words.append(v)
+            done.append(0)
 
-    def _drop(self) -> None:
-        """Go over to the lifted scalars: drop every value, memo and cell."""
-        self.numbered = False
-        self.values: list[CycScalar] = []
-        self.ids: dict[tuple, int] = {}  # (den, nums) of a value at M -> its id
-        self.raw: dict[tuple, int] = {}  # (L, den, nums) of a constant read -> its id
-        self.mul: list[_Lazy] = []
-        self.add: list[_Lazy] = []
-        self.cells: list[tuple] = [()]
-        self.cell_ids: dict[tuple, int] = {(): 0}
-        self.held = 0  # (index, id) pairs in all cells
-        self.scaled, self.sums = {}, {}
-
-    # -- numbering ----------------------------------------------------------
-
-    def number(self, v: CycScalar) -> int:
-        """The id of v, a value at M."""
-        key = (v.den, v.nums)
-        i = self.ids.get(key)
-        if i is None:
-            i = len(self.values)
-            if i > self.cap:
-                raise _Full
-            self.ids[key] = i
-            self.values.append(v)
-            me = self._me
-            self.mul.append(_Lazy(lambda b, a=i: me._form(operator.mul, me.mul, a, b)))
-            self.add.append(_Lazy(lambda b, a=i: me._form(operator.add, me.add, a, b)))
-        return i
-
-    def _form(self, op, memo: list, a: int, b: int) -> int:
-        """The id of op(values[a], values[b]), read off memo[b] when it holds it."""
-        hit = memo[b].get(a)
-        return self.number(op(self.values[a], self.values[b])) if hit is None else hit
-
-    def _axpy(self, acc: dict, c: int, terms: Iterable) -> None:
-        """sv_axpy on ids: acc += c * w over the (key, w) terms, zeros dropped."""
-        mc, add = self.mul[c], self.add
-        for key, w in terms:
-            cur = acc.get(key)
-            new = mc[w] if cur is None else add[cur][mc[w]]
-            if new:
-                acc[key] = new
-            elif cur is not None:
-                del acc[key]
-
-    def cell(self, terms: Iterable[tuple[int, int]]) -> int:
-        """The cell id of a vector given as (index, id) pairs sorted by index."""
-        key = tuple(terms)
-        i = self.cell_ids.get(key)
-        if i is None:
-            self.held += len(key)
-            if self.held > self.cap:
-                raise _Full
-            i = self.cell_ids[key] = len(self.cells)
-            self.cells.append(key)
-        return i
-
-    def add_cells(self, x: int, y: int) -> int:
-        """The cell id of the sum of cells x and y."""
-        if not x or not y:
-            return x or y
-        return self.sums[x, y] if x < y else self.sums[y, x]
-
-    def _sum_cells(self, xy: tuple[int, int]) -> int:
-        acc = dict(self.cells[xy[0]])
-        self._axpy(acc, self.one, self.cells[xy[1]])
-        return self.cell(sorted(acc.items()))
-
-    # -- the check's tables -------------------------------------------------
-
-    def lift(self, c: CycScalar):
-        """c as the check reads it: its id while numbered, else the lifted scalar."""
-        if not self.numbered:
-            return super().lift(c)
-        key = (c.L, c.den, c.nums)
-        i = self.raw.get(key)
-        if i is None:
-            i = self.raw[key] = self.number(c.promote(self.M))
-        return i
-
-    def cell_table(self, A: AlgebraSC) -> list[list[int]]:
-        """A's row table as cell ids."""
-        return [[self.cell(sorted((k, self.lift(c)) for k, c in cell)) for cell in row]
-                for row in A._rows]
+    add(A.unit_sv())
+    for i in range(n):
+        if W.get(i) == {i: one}:  # in reduced echelon form: e_i lies in W
+            continue
+        X.append(i)
+        w = 0
+        while w < len(words):
+            for x in X[done[w]:]:
+                add(A.mul_sv({x: one}, words[w]))
+            done[w] = len(X)
+            w += 1
+    return X
 
 
 def associativity_failures(A: AlgebraSC) -> Iterator[tuple[int, int, int]]:
     """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic order."""
-    V = _Values(_mult_constants(A))
-    if V.numbered:
-        yield from _numbered_associativity(A, V)
-    else:
-        yield from _scalar_associativity(V.K, V.table(A), A.dim)
+    L = _Lifted(_mult_constants(A))
+    yield from _scalar_associativity(L.K, L.table(A), A.dim, range(A.dim))
 
 
-def _numbered_associativity(A: AlgebraSC, V: _Values) -> Iterator[tuple[int, int, int]]:
-    """Associativity a whole (i, j) row at a time, on cell ids.
-
-    The row of (e_i e_j) e_k over all k depends only on the vector e_i e_j:
-    it is the sum of the rows a T[m], each scaled once per (m, a), over the
-    terms a e_m of that vector, and it is formed once per cell.  The row of
-    e_i (e_j e_k) maps row j through the cell -> e_i (cell) memo of i.
-    Equal cells are equal vectors, so one list comparison settles a row and
-    only a mismatching row is scanned for its k.  When the table fills up,
-    the scan goes on from the same row on scalars.
-    """
-    n = A.dim
-    i = j = 0
-    try:
-        T = V.cell_table(A)
-        cells, scaled, add_cells = V.cells, V.scaled, V.add_cells
-        scaled_rows = _Lazy(lambda ma: [scaled[ma[1], x] for x in T[ma[0]]])
-
-        def left_row(c: int) -> list[int]:
-            row = None
-            for m, a in cells[c]:
-                scaled_row = scaled_rows[m, a]
-                row = scaled_row if row is None else list(map(add_cells, row, scaled_row))
-            return row or [0] * n
-
-        left_rows = _Lazy(left_row)
-        for i in range(n):
-            Ti = T[i]
-
-            def times_i(c: int, Ti=Ti) -> int:
-                out = 0
-                for m, b in cells[c]:
-                    out = add_cells(out, scaled[b, Ti[m]])
-                return out
-
-            right_of = _Lazy(times_i).__getitem__
-            for j in range(n):
-                left = left_rows[Ti[j]]
-                right = list(map(right_of, T[j]))
-                if left != right:
-                    for k in range(n):
-                        if left[k] != right[k]:
-                            yield i, j, k
-    except _Full:
-        V._drop()
-        yield from _scalar_associativity(V.K, V.table(A), n, i, j)
-
-
-def _scalar_associativity(K, T: list[list[tuple]], n: int, i0: int = 0,
-                          j0: int = 0) -> Iterator[tuple[int, int, int]]:
-    """Associativity tuple by tuple on a row table over coordinates, with the
-    coordinate kernels K, from row (i0, j0) on.
+def _scalar_associativity(K, T: list[list[tuple]], n: int,
+                          rows: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Every failing tuple (i, j, k) with i in rows, in order, on a row table
+    over coordinates, with the coordinate kernels K.
 
     (e_i e_j) e_k = sum_m mult[i,j,m] e_m e_k and e_i (e_j e_k) =
     sum_m mult[j,k,m] e_i e_m are contracted straight from the table.  When
@@ -449,9 +327,9 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int, i0: int = 0,
     """
     mul, axpy, normal, normalize = K.mul, K.axpy, K.normal, K.normalize
     empty = ((),) * n
-    for i in range(i0, n):
+    for i in rows:
         Ti = T[i]
-        for j in range(j0 if i == i0 else 0, n):
+        for j in range(n):
             ij, Tj = Ti[j], T[j]
             short = len(ij) <= 1
             if short:
@@ -490,11 +368,21 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int, i0: int = 0,
                     yield i, j, k
 
 
-def check_algebra(A: AlgebraSC) -> CheckReport:
+def check_algebra(A: AlgebraSC, lifted: Optional[_Lifted] = None) -> CheckReport:
+    """Associativity, decided on the rows `generating_set(A)` when the unit
+    is two-sided (see above), and the two-sided unit.  check_bialgebra
+    passes its own `lifted`, so that its Delta/eps loop reads the same row
+    table and generating set."""
+    L = lifted or _Lifted(_mult_constants(A))
     rep = CheckReport("algebra axioms")
-    witnesses = list(islice(associativity_failures(A), MAX_WITNESSES))
+    unit = unit_failures(A)
+    K, T, n = L.K, L.table(A), A.dim
+    if not unit and next(_scalar_associativity(K, T, n, L.generators(A)), None) is None:
+        witnesses = []
+    else:
+        witnesses = list(islice(_scalar_associativity(K, T, n, range(n)), MAX_WITNESSES))
     rep.add("associativity", not witnesses, witnesses)
-    rep.record("two_sided_unit", unit_failures(A))
+    rep.record("two_sided_unit", unit)
     return rep
 
 
@@ -554,37 +442,37 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
 
 def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep = CheckReport("bialgebra axioms")
-    rep.merge(check_algebra(B))
+    L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit)
+    rep.merge(check_algebra(B, L))
     rep.merge(check_coalgebra(B))
-    comult, counit = _bialgebra_failures(
-        _Values(_mult_constants(B), _comult_constants(B), B.counit), B)
+    comult_unit, counit_unit = unit_group_like(B)
+    every = range(B.dim)
+    reduced = (comult_unit and counit_unit and rep.entry("associativity").ok
+               and rep.entry("two_sided_unit").ok)
+    comult, counit = _bialgebra_failures(L, B, L.generators(B) if reduced else every)
+    if reduced and (comult or counit):
+        comult, counit = _bialgebra_failures(L, B, every)
     rep.add("comult_is_algebra_map", not comult, comult)
     rep.add("counit_is_algebra_map", not counit, counit)
-    comult_unit, counit_unit = unit_group_like(B)
     rep.add("comult_unit", comult_unit)
     rep.add("counit_unit", counit_unit)
     return rep
 
 
-def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
-    """Every (i, j) where Delta, and where eps, fails to be multiplicative.
+def _bialgebra_failures(L: _Lifted, B: BialgebraSC, rows: Iterable[int]) -> tuple[list, list]:
+    """Every (i, j) with i in rows, in order, where Delta, and where eps,
+    fails to be multiplicative.
 
-    On ids the loops are `_numbered_bialgebra`'s; when its table fills up
-    they start again on coordinates.  There each term ca e_a1 (x) e_a2 of
-    Delta(e_i) is scaled into its left cells ca e_a1 e_b once per row i, so a
-    pair of coproduct terms with nonempty cells forms 2 products per entry.
+    Each term ca e_a1 (x) e_a2 of Delta(e_i) is scaled into its left cells
+    ca e_a1 e_b once per row i, so a pair of coproduct terms with nonempty
+    cells forms 2 products per entry.
     """
-    if V.numbered:
-        try:
-            return _numbered_bialgebra(V, B)
-        except _Full:
-            V._drop()
-    K = V.K
+    K = L.K
     n, mul, add, axpy, normal, normalize = B.dim, K.mul, K.add, K.axpy, K.normal, K.normalize
-    T, D = V.table(B), V.coproducts(B)
-    counit, zero = [V.lift(c) for c in B.counit], V.lift(CycScalar.zero(V.M))
+    T, D = L.table(B), L.coproducts(B)
+    counit, zero = [L.lift(c) for c in B.counit], L.lift(CycScalar.zero(L.M))
     comult, bad_counit = [], []
-    for i in range(n):
+    for i in rows:
         Ti, ei = T[i], counit[i]
         di = [([tuple((x, mul(ca, cx)) for x, cx in cell) for cell in T[a1]], T[a2])
               for (a1, a2), ca in D[i]]
@@ -605,54 +493,6 @@ def _bialgebra_failures(V: _Values, B: BialgebraSC) -> tuple[list, list]:
             if normalize(lhs) != normalize(rhs):
                 comult.append((i, j))
             if normal(eps) != normal(mul(ei, counit[j])):
-                bad_counit.append((i, j))
-    return comult, bad_counit
-
-
-def _numbered_bialgebra(V: _Values, B: BialgebraSC) -> tuple[list, list]:
-    """Both multiplicativity loops on ids, with B (x) B keyed by x n + y.
-
-    Delta(e_i e_j) and eps(e_i e_j) depend only on the cell of e_i e_j, so
-    both are formed once per cell.  The terms of Delta(e_i) Delta(e_j) are
-    gathered pair by pair, each coefficient read straight from the product
-    memo, and summed by one `_axpy` call per (i, j).
-    """
-    n, mul, add, one, axpy = B.dim, V.mul, V.add, V.one, V._axpy
-    C, D = V.cell_table(B), V.coproducts(B)
-    cells = V.cells
-    # each cell's terms with x n in place of x: Delta(e_i) Delta(e_j) is keyed by x n + y
-    shifted = [tuple((x * n, c) for x, c in cell) for cell in cells]
-    flat = [tuple((x * n + y, c) for (x, y), c in d) for d in D]
-    counit = [V.lift(c) for c in B.counit]
-
-    def of_cell(cell: int) -> tuple[dict, int]:
-        delta, eps = {}, 0
-        for m, c in cells[cell]:
-            axpy(delta, c, flat[m])
-            if counit[m]:
-                eps = add[eps][mul[counit[m]][c]]
-        return delta, eps
-
-    by_cell = _Lazy(of_cell)
-    comult, bad_counit = [], []
-    for i in range(n):
-        Ci, eps_i = C[i], mul[counit[i]]
-        di = [(C[a1], C[a2], mul[ca]) for (a1, a2), ca in D[i]]
-        for j in range(n):
-            dj = D[j]
-            terms = [(xn + y, mul[mul[cx][c]][cy])
-                     for C1, C2, mca in di
-                     for (b1, b2), cb in dj
-                     for left in (C1[b1],) if left
-                     for right in (C2[b2],) if right
-                     for c in (mca[cb],)
-                     for xn, cx in shifted[left] for y, cy in cells[right]]
-            rhs: dict[int, int] = {}
-            axpy(rhs, one, terms)
-            delta, eps = by_cell[Ci[j]]
-            if delta != rhs:
-                comult.append((i, j))
-            if eps != eps_i[counit[j]]:
                 bad_counit.append((i, j))
     return comult, bad_counit
 

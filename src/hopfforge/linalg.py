@@ -257,20 +257,28 @@ def echelon(rows: Iterable[SVec]) -> dict[int, SVec]:
     """
     piv: dict[int, SVec] = {}
     for raw in rows:
-        row = dict(raw)
-        for p, c in [(p, c) for p, c in row.items() if p in piv]:
-            sv_axpy(row, -c, piv[p].items())
-        if not row:
-            continue
-        p = min(row)
-        if not row[p].is_one():
-            row = sv_scale(row, row[p].inverse())
-        for other in piv.values():
-            c = other.get(p)
-            if c:
-                sv_axpy(other, -c, row.items())
-        piv[p] = row
+        echelon_add(piv, raw)
     return piv
+
+
+def echelon_add(piv: dict[int, SVec], raw: SVec) -> bool:
+    """One step of ``echelon``: add the sparse row raw to the reduced pivot
+    rows piv in place, and return whether it added a pivot (False when raw
+    lies in their span)."""
+    row = dict(raw)
+    for p, c in [(p, c) for p, c in row.items() if p in piv]:
+        sv_axpy(row, -c, piv[p].items())
+    if not row:
+        return False
+    p = min(row)
+    if not row[p].is_one():
+        row = sv_scale(row, row[p].inverse())
+    for other in piv.values():
+        c = other.get(p)
+        if c:
+            sv_axpy(other, -c, row.items())
+    piv[p] = row
+    return True
 
 
 def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:

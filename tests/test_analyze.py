@@ -608,6 +608,20 @@ def test_classify_nonthin_rejected():
         classify(entry.setup)
 
 
+def test_only_a_hypothesis_violation_skips_a_generator(c4min_entry, monkeypatch):
+    """classify passes over a candidate generator whose universal map
+    violates a hypothesis, and lets any other error from universal_map out."""
+    from hopfforge import analyze
+    from hopfforge.construct import HypothesisViolation
+    for error, expected in ((HypothesisViolation("ore_power"), NotThin),
+                            (ZeroDivisionError("inside universal_map"), ZeroDivisionError)):
+        def universal_map(*args, error=error):
+            raise error
+        monkeypatch.setattr(analyze, "universal_map", universal_map)
+        with pytest.raises(expected):
+            classify(c4min_entry.setup)
+
+
 def test_lambda_not_extracted_names_the_reason(c4min_entry, monkeypatch):
     # when lambda is not extracted the report and classification name why;
     # the raw value xi(y (x) y) is still carried in the table

@@ -390,11 +390,10 @@ def test_matmul_shape_mismatch():
 
 def test_sparse_accumulation_lives_in_the_kernels():
     """The accumulate-and-drop idiom appears only in the three kernels on
-    scalars, in their one counterpart on the ids of a check's value table and
-    in the source of the coordinate axpy, which leaves zeros to `normalize`."""
+    scalars and in the source of the coordinate axpy, which leaves zeros to
+    `normalize`."""
     kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
-               ("linalg.py", "Tensor3.add_to"), ("hopf.py", "_Values._axpy"),
-               ("cyclotomic.py", "_coordinate_kernels")}
+               ("linalg.py", "Tensor3.add_to"), ("cyclotomic.py", "_coordinate_kernels")}
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
     found = []
     for path in sorted(src.glob("*.py")):
@@ -452,11 +451,11 @@ def calls_by_function(path):
 
 
 def test_one_echelon_routine_and_no_private_imports():
-    """Every exact solve goes through linalg.echelon: in linalg.py only
-    echelon inverts a pivot, rref (its dense wrapper) is called by no module
-    of the package, and each solver calls echelon or rref.  No module of the
-    package imports a _-prefixed name from another, so a second solver
-    cannot come back unnoticed."""
+    """Every exact solve goes through linalg.echelon: in linalg.py only its
+    step echelon_add inverts a pivot, rref (its dense wrapper) is called by
+    no module of the package, and each solver calls echelon or rref.  No
+    module of the package imports a _-prefixed name from another, so a
+    second solver cannot come back unnoticed."""
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
     calls, private_imports = {}, []
     for path in sorted(src.glob("*.py")):
@@ -465,7 +464,7 @@ def test_one_echelon_routine_and_no_private_imports():
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("hopfforge")):
                 private_imports += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
-    assert {f for f, name in calls["linalg.py"] if name == "inverse"} == {"echelon"}
+    assert {f for f, name in calls["linalg.py"] if name == "inverse"} == {"echelon_add"}
     assert {m for m, c in calls.items() if any(name == "rref" for _, name in c)} == set()
     solvers = {("linalg.py", f) for f in ("rref", "kernel_from_sparse_rows", "kernel", "solve",
                                          "Mat.rank", "Mat.inverse", "CoordinateMap.__init__")}
