@@ -188,7 +188,15 @@ class HopfSC(BialgebraSC):
 # associative exactly when every tuple (x, j, k) with x in X passes.  Given
 # associativity, Delta(1) = 1 (x) 1 and eps(1) = 1, the same argument holds
 # for {x : Delta(xy) = Delta(x) Delta(y) for all y} and for eps, so the pairs
-# (x, j) with x in X decide both.  X is `generating_set(A)`, chosen greedily.
+# (x, j) with x in X decide both.  X is `generating_set(A)`, chosen greedily
+# over the basis indices ranked by support reach (how much of the basis the
+# powers of e_x reach from the unit's support, then how many nonempty cells
+# row x has, then the index), so a rescaled basis needs about as few rows as
+# its catalog basis; a reverse pass over the picks drops those the later ones
+# make redundant, and is skipped when no pick lies in the reach of the picks
+# after it, where it would keep them all.  The verdict holds for any X whose
+# words span A, and the greedy visits every index, so the order only changes
+# which X is found.
 # Each axiom has one loop, over a given set of rows i: the checks run it on
 # the rows X when those preconditions pass, and on every row, in order, when
 # one fails or the rows X find a failure.  That full scan is the one that
@@ -274,14 +282,58 @@ class _Lifted:
 def generating_set(A: AlgebraSC) -> list[int]:
     """A greedy generating set X of basis indices, in increasing order.
 
-    W, the span of the right-nested words x_1 (x_2 (... (x_k 1))) over X,
-    is kept as reduced pivot rows (`echelon_add`) together with the words
-    that added them.  Each new x is the least index with e_x outside W, and
-    after it W is closed again under left multiplication by X.  When the
-    unit is two-sided, e_x = x 1 lies in W once x is in X, so the words over
-    X span A; otherwise X is still returned, and nothing follows from it.
+    The greedy (`_greedy`) visits every basis index once and picks each x
+    with e_x outside the span W of the right-nested words x_1 (x_2 (...
+    (x_k 1))) over the picks so far.  It visits the indices by support
+    reach: those whose powers reach more of the basis from the unit's
+    support first (`_support_reach(A, (x,))`), then those with more
+    nonempty cells in their row, then by index, read from the supports of
+    A's table alone.  It then runs once more over the picks in reverse,
+    followed by every other index, which drops the picks that the later
+    ones make redundant (in an associative A it keeps a subset of them).
+    That pass is skipped when no pick lies in the reach of the picks after
+    it: no word over those can hold e_x for an earlier pick x, so the pass
+    would keep every pick, reach the first pass's W, and so pick no other
+    index, each of which lay in W when the first pass visited it.  When the
+    unit is two-sided, e_x = x 1 lies in W once x is picked, so the words
+    over X span A, whatever the order; otherwise X is still returned, and
+    nothing follows from it.
     """
-    n, one = A.dim, cone()
+    rows = A._rows
+    rank = sorted(range(A.dim),
+                  key=lambda x: (-len(_support_reach(A, (x,))), rows[x].count(()), x))
+    X = _greedy(A, rank)
+    if any(X[k] in _support_reach(A, X[k + 1:]) for k in range(len(X) - 1)):
+        X = _greedy(A, X[::-1] + [i for i in rank if i not in X])
+    return sorted(X)
+
+
+def _support_reach(A: AlgebraSC, X: Iterable[int]) -> set[int]:
+    """The basis indices reached from the support of the unit by repeated
+    left multiplication by e_x, x in X, read from the supports of A's
+    cells: it holds the support of every word over X."""
+    rows = [A._rows[x] for x in X]
+    reach = set(A._unit)
+    todo = list(reach)
+    while todo:
+        m = todo.pop()
+        for row in rows:
+            for k, _ in row[m]:
+                if k not in reach:
+                    reach.add(k)
+                    todo.append(k)
+    return reach
+
+
+def _greedy(A: AlgebraSC, order: Iterable[int]) -> list[int]:
+    """The indices x, in the given order, with e_x outside W when they are
+    visited.
+
+    W, the span of the words over the picks so far, is kept as reduced
+    pivot rows (`echelon_add`) together with the words that added them, and
+    after each pick it is closed again under left multiplication by X.
+    """
+    one = cone()
     W: dict[int, SVec] = {}
     X: list[int] = []
     words: list[SVec] = []  # the words that added a pivot to W; they span W
@@ -293,7 +345,7 @@ def generating_set(A: AlgebraSC) -> list[int]:
             done.append(0)
 
     add(A.unit_sv())
-    for i in range(n):
+    for i in order:
         if W.get(i) == {i: one}:  # in reduced echelon form: e_i lies in W
             continue
         X.append(i)

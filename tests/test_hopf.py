@@ -671,18 +671,40 @@ def seeded_perturbations(H, count):
 
 def test_generators_decide_what_every_row_decides():
     """The reduction against the full scan, on every catalog structure, on
-    rescaled copies of c4min, b0 and smash36 at seeds 1-3, and on 208 seeded
+    rescaled copies of c4min, b0, smash36 and xmas at seeds 1-3 (xmas's
+    generating set changes the most with the basis), and on 208 seeded
     perturbations of c4min and b0 in both bases.  kc12n6's dim-72 extension
     is left out: its all-rows associativity scan alone takes about 2 s."""
     rescaled = bench_module("rescale").rescaled
     small = [catalog.ALL_BUILDERS[name]().ore.O for name in ("c4min", "b0", "smash36")]
     structures = [H for name, H in catalog_hopf_structures() if name != "kc12n6[1]"]
-    structures += [rescaled(H, random.Random(seed)) for H in small for seed in (1, 2, 3)]
+    xmas = catalog.xmas().ore.O
+    structures += [rescaled(H, random.Random(seed)) for H in [*small, xmas] for seed in (1, 2, 3)]
     for H, count in zip(small, (64, 40)):
         for B in (H, rescaled(H, random.Random(1))):
             structures += seeded_perturbations(B, count)
     for B in structures:
         assert_generators_decide(B)
+
+
+@pytest.mark.parametrize("name", ["kc12n6", "xmas", "smash36", "b0", "c4min"])
+def test_a_rescaled_basis_needs_about_as_few_generators(name, monkeypatch):
+    """generating_set finds at most one generator more in each rescaled copy
+    (seeds 1-3) than in the catalog basis, and the words over every X span
+    its structure.  Forcing the reverse pass, by letting the skip's reach
+    of the later picks hold every index, returns the same X: the skip only
+    saves work.  (The ranking reads the reach of one index as a 1-tuple,
+    which stays the real one, so the forward pass is unchanged.)"""
+    H = catalog.ALL_BUILDERS[name]().ore.O
+    structures = [H] + [bench_module("rescale").rescaled(H, random.Random(seed)) for seed in (1, 2, 3)]
+    found = [hopf.generating_set(B) for B in structures]
+    assert all(len(X) <= len(found[0]) + 1 for X in found)
+    for B, X in zip(structures, found):
+        assert word_span_dim(B, X) == B.dim
+    reach = hopf._support_reach
+    monkeypatch.setattr(hopf, "_support_reach",
+                        lambda A, X: reach(A, X) if isinstance(X, tuple) else set(range(A.dim)))
+    assert [hopf.generating_set(B) for B in structures] == found
 
 
 def test_a_generating_set_short_of_its_last_index_is_caught(monkeypatch):
@@ -1125,7 +1147,7 @@ def test_rescaled_kc12n6_on_coordinates():
     H = catalog.kc12n6().ore.O
     for seed in (1, 2):
         R = bench_module("rescale").rescaled(H, random.Random(seed))
-        assert check_hopf(R).ok
+        assert check_hopf(R).ok and len(hopf.generating_set(R)) <= 3
     B = perturbed(R, "mult", 0)[1]
     ent = check_algebra(B).entry("associativity")
     expect = oracle_failures(B, MAX_WITNESSES)
