@@ -10,6 +10,7 @@ from hopfforge import (
     check_prebialgebra, cyclic_character, group_algebra_cyclic, is_radford_majid,
     retraction_diagnostics, validate_yd_datum,
 )
+from hopfforge.fileformat import format_scalar
 from hopfforge.linalg import cone, kron_index
 
 minus_one = CycScalar.from_rational(-1)
@@ -30,7 +31,7 @@ print("\nnon-trivial cocycle passes all six relations:", check_cocycle(R, xi).ok
 bos = bosonize(R, xi)
 print("bosonization dim:", bos.B.dim)
 y1 = {kron_index(1, 0, 4): cone()}
-print("(y # 1)^2 =", {k: str(v) for k, v in bos.B.mul_sv(y1, y1).items()},
+print("(y # 1)^2 =", {k: format_scalar(v, H.conductor) for k, v in bos.B.mul_sv(y1, y1).items()},
       " (the class of 1 # (1 - g^2))")
 print("Radford-Majid?", is_radford_majid(xi, R))
 diag = retraction_diagnostics(bos.B, bos.pi, bos.sigma, H)

@@ -8,13 +8,14 @@ from hopfforge import (
     CycScalar, build_ore_hopf, check_hopf, cyclic_character, group_algebra_cyclic,
     iterated_datum_check, validate_compatible_datum, validate_yd_datum,
 )
+from hopfforge.fileformat import format_scalar
 from hopfforge.linalg import cone, sv_add_into, sv_scale, zeros
 
 zero = CycScalar.zero()
 H1 = group_algebra_cyclic(6, conductor=6)
 chi1 = cyclic_character(H1, CycScalar.from_rational(-1))
 d1 = validate_yd_datum(H1, {3: cone()}, chi1)
-print("datum over K C_6: q =", d1.q, " N =", d1.order())
+print("datum over K C_6: q =", format_scalar(d1.q, H1.conductor), " N =", d1.order())
 b0 = build_ore_hopf(validate_compatible_datum(d1, zero))
 print("B_0 = O(KC6, gamma^3, chi1, 0): dim", b0.dim, "- Hopf:", check_hopf(b0.O).ok)
 

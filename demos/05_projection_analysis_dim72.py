@@ -9,26 +9,29 @@ diverge from degree 3 on.
 
 from hopfforge import catalog
 from hopfforge.analyze import Analysis, retraction_tools
+from hopfforge.fileformat import format_scalar
 
 entry = catalog.xmas()
 setup = entry.extra["setup_pi"]
 an = Analysis(setup)
+conductor = setup.H.conductor
 
 print("validate_setup:")
 print(an.validation.describe())
 
 ind, basis = an.induced, an.basis
 print("\ncoinvariants: dim", ind.pre.dim, "- thin:", basis is not None,
-      "- N =", basis.N, "- q =", basis.q)
+      "- N =", basis.N, "- q =", format_scalar(basis.q, conductor))
 
 yp = basis.y_powers()
-print("xi(y (x) y^2) =", {k: str(v) for k, v in ind.xi.eval(yp[1], yp[2]).items()},
+xi_12 = ind.xi.eval(yp[1], yp[2])
+print("xi(y (x) y^2) =", {k: format_scalar(v, conductor) for k, v in xi_12.items()},
       " (index 6 is the skew-primitive X of B_0)")
 
 ana = an.cocycle
 print("x != 0:", not ana.x_is_zero, "| claims about x all hold:", ana.x_claims.ok)
 print("support restricted to a+b in {0, 3, 6, 9}:", ana.support_ok)
-print("extracted lambda(6) =", ana.lam)
+print("extracted lambda(6) =", format_scalar(ana.lam, conductor))
 
 er = an.equivalences
 print("\nequivalence items:", er.equivalences)
@@ -41,5 +44,5 @@ tools = retraction_tools(setup, entry.setup)
 print("transport between pi and the normalized p:", tools)
 
 comp, ore, iso = an.classification
-print("\nclassification: A ~ O(B_0, gamma, chi2, lambda) with lambda =", comp.lam,
-      "- iso rank", iso.rank())
+print("\nclassification: A ~ O(B_0, gamma, chi2, lambda) with lambda =",
+      format_scalar(comp.lam, conductor), "- iso rank", iso.rank())

@@ -5,6 +5,7 @@ from hopfforge import (
     cyclic_character, group_algebra_cyclic, one_dim_module, trivial_module,
     validate_yd_datum, yd_tensor, build_quantum_line,
 )
+from hopfforge.fileformat import format_scalar
 from hopfforge.linalg import cone, map_tensor_product
 from hopfforge.yd import yd_module_adjoint
 
@@ -16,7 +17,7 @@ print("K.y over (KC6, gamma^3, chi1):", check_yd(Ky).describe(), sep="\n")
 
 c = braiding(Ky, Ky)
 print("\nbraiding on K.y (x) K.y is multiplication by chi1(gamma^3) =",
-      c.rows[0][0])
+      format_scalar(c.rows[0][0], H.conductor))
 print("c^2 = id here:", (c @ c) == Mat.identity(1))
 
 d = validate_yd_datum(H, {1: cone()}, cyclic_character(H, CycScalar.zeta(6)))

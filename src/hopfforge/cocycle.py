@@ -355,8 +355,11 @@ def bosonization_tensors(P: PreBialgebra,
     nr, nh = P.dim, H.dim
     n = nr * nh
     mult = Tensor3((n, n, n))
-    # m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k
+    # m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k, one
+    # sv_axpy per (r#h, s, mtilde term, hm): its terms run over k and e_hm e_k
     mts = m_tilde_pairs(P, xi)
+    rows = H._rows
+    times_k = [[(k, hf, cf) for k, cell in enumerate(rows[hm]) for hf, cf in cell] for hm in range(nh)]
     for h in range(nh):
         dh = H.comult_basis(h)
         for s in range(nr):
@@ -367,18 +370,10 @@ def bosonization_tensors(P: PreBialgebra,
             for r in range(nr):
                 row = kron_index(r, h, nh)
                 for (s2, h2), c in acted.items():
-                    mt = mts[r, s2]
-                    if not mt:
-                        continue
-                    for (r0, h0), cm in mt.items():
-                        left = H.mul_basis(h0, h2)
-                        for hm, chm in left.items():
-                            base = c * cm * chm
-                            for k in range(nh):
-                                prod = H.mul_basis(hm, k)
-                                col = kron_index(s, k, nh)
-                                for hf, cf in prod.items():
-                                    mult.add_to((row, col, kron_index(r0, hf, nh)), base * cf)
+                    for (r0, h0), cm in mts[r, s2].items():
+                        for hm, chm in rows[h0][h2]:
+                            sv_axpy(mult.data, c * cm * chm,
+                                    (((row, s * nh + k, r0 * nh + hf), cf) for k, hf, cf in times_k[hm]))
     unit = zeros(n)
     for i, ci in enumerate(P.unit):
         if ci:

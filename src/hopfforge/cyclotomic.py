@@ -538,6 +538,9 @@ class CycScalar:
         if self.L == other.L:
             return _KERNELS[self.L](self, other)
         if self.L == 1 or other.L == 1:
+            r, v = (self, other) if self.L == 1 else (other, self)
+            if r.den == 1 and r.nums == (1,) and v.L <= _conductor_cap:
+                return v
             return _rational_product(self, other)
         a, b = CycScalar._common(self, other)
         return _KERNELS[a.L](a, b)
@@ -644,8 +647,9 @@ class CycScalar:
 # The lcm conductor is the other operand's, so nothing is promoted: the
 # rational is read as its constant coordinate.  The results equal, in L, den
 # and nums, those of promoting it and applying the same-conductor operation.
-# They live outside the dunder methods: inlined there, they slowed the
-# equal-conductor path that the checkers run (verify wall_s about +4%).
+# `__mul__` returns the other operand itself for an exact rational 1 within
+# the cap, the object a product by 1 equals: the analysis tables scale by that
+# 1 on most of their products.  Every other case takes the calls below.
 
 
 def _rational_first(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:
@@ -672,8 +676,6 @@ def _rational_product(a: CycScalar, b: CycScalar) -> CycScalar:
     """a * b: the rational scales the coefficients of the other."""
     r, v = _rational_first(a, b)
     c = r.nums[0]
-    if c == 1 and r.den == 1:
-        return v
     return _canonical(v.L, tuple([c * x for x in v.nums]), r.den * v.den)
 
 

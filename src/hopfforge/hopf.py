@@ -599,31 +599,40 @@ def check_hopf(H: HopfSC) -> CheckReport:
 
 def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
     """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
-    cols = f.cols
+    cols = [tuple(col.items()) for col in f.cols]
     n = A.dim
     for i in range(n):
-        fi, Ai = cols[i], A._rows[i]
+        # f(e_i) f(e_j) = sum f(e_i)_a f(e_j)_b e_a e_b, read from B's rows a
+        fi, Ai = [(B._rows[a], ca) for a, ca in cols[i]], A._rows[i]
         for j in range(n):
             lhs: SVec = {}
             for k, c in Ai[j]:
-                sv_axpy(lhs, c, cols[k].items())
-            if lhs != B.mul_sv(fi, cols[j]):
+                sv_axpy(lhs, c, cols[k])
+            rhs: SVec = {}
+            fj = cols[j]
+            for Ba, ca in fi:
+                for b, cb in fj:
+                    terms = Ba[b]
+                    if terms:
+                        sv_axpy(rhs, ca * cb, terms)
+            if lhs != rhs:
                 yield i, j
 
 
 def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
     """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
     then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
-    cols = f.cols
+    cols = [tuple(col.items()) for col in f.cols]
     for k in range(C.dim):
+        fk = f.cols[k]
         lhs: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in C.comult_basis(k).items():
             fj = cols[j]
-            for a, ca in cols[i].items():
-                sv_axpy(lhs, c * ca, (((a, b), cb) for b, cb in fj.items()))
-        if lhs != D.comult_sv(cols[k]):
+            for a, ca in cols[i]:
+                sv_axpy(lhs, c * ca, (((a, b), cb) for b, cb in fj))
+        if lhs != D.comult_sv(fk):
             yield k
-        if D.counit_sv(cols[k]) != C.counit[k]:
+        if D.counit_sv(fk) != C.counit[k]:
             yield "counit", k
 
 

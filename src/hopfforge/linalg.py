@@ -507,13 +507,6 @@ class Tensor3:
     def __getitem__(self, key: tuple[int, int, int]) -> CycScalar:
         return self.data.get(key, _ZERO)
 
-    def add_to(self, key: tuple[int, int, int], c: CycScalar) -> None:
-        if not c:
-            return
-        cur = self.data.get(key)
-        new = c if cur is None else cur + c
-        self[key] = new
-
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented

@@ -197,8 +197,7 @@ def yd_tensor(V: YDModule, W: YDModule) -> YDModule:
                     wj = W._act.get((h2, j), ())
                     src = kron_index(i, j, W.dim)
                     for a, ca in vi:
-                        for b, cb in wj:
-                            action.add_to((h, src, kron_index(a, b, W.dim)), ca * cb)
+                        sv_axpy(action.data, ca, (((h, src, a * W.dim + b), cb) for b, cb in wj))
     coaction = Tensor3((n, H.dim, n))
     for i in range(V.dim):
         for j in range(W.dim):
@@ -282,9 +281,8 @@ def adjoint_coaction(H: HopfSC) -> Tensor3:
         d2 = H.comult_basis(h)
         for (a, b), c in d2.items():
             for (b1, b2), w in H.comult_basis(b).items():
-                prod = H.mul_sv({a: c * w}, H.antipode_col(b2))
-                for k, ck in prod.items():
-                    t.add_to((h, k, b1), ck)
+                for x, cx in H.antipode_col(b2).items():
+                    sv_axpy(t.data, c * w * cx, (((h, k, b1), ck) for k, ck in H._rows[a][x]))
     return t
 
 
@@ -329,15 +327,11 @@ def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModul
                 sv_axpy(acted, c, (((t2, s0), ct) for t2, ct in VR.act_basis(h, t).items()))
             for i in range(R.dim):
                 for v in range(S.dim):
-                    col = kron_index(i, j, n2), kron_index(t, v, n2)
+                    ij, tv = kron_index(i, j, n2), kron_index(t, v, n2)
                     for (t2, s0), c in acted.items():
-                        left = R.mul_basis(i, t2)
-                        if not left:
-                            continue
-                        right = S.mul_basis(s0, v)
-                        for a, ca in left.items():
-                            for b, cb in right.items():
-                                mult.add_to((col[0], col[1], kron_index(a, b, n2)), c * ca * cb)
+                        right = S._rows[s0][v]
+                        for a, ca in R._rows[i][t2]:
+                            sv_axpy(mult.data, c * ca, (((ij, tv, a * n2 + b), cb) for b, cb in right))
     unit = [czero()] * n
     for i, ci in enumerate(R.unit):
         if ci:
@@ -379,8 +373,9 @@ def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: Y
     for k1 in range(R.dim):
         for k2 in range(S.dim):
             src = kron_index(k1, k2, n2)
+            # the pair's entries are nonzero and on distinct keys, so they are stored as they are
             for (r1, s1, r20, s2), c in braided_coproduct_pair(R, VR, S, VS, k1, k2).items():
-                comult[(src, kron_index(r1, s1, n2), kron_index(r20, s2, n2))] = c
+                comult.data[(src, kron_index(r1, s1, n2), kron_index(r20, s2, n2))] = c
     counit = [czero()] * n
     for i in range(R.dim):
         for j in range(S.dim):

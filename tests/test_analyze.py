@@ -1,13 +1,17 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial, q_int
-from hopfforge.hopf import char_convpow, phi_power, psi_power, verify_ad_integral
+from hopfforge.hopf import (
+    algebra_map_failures, char_convpow, coalgebra_map_failures, phi_power, psi_power,
+    verify_ad_integral,
+)
 from hopfforge.linalg import (
     Mat, cone, czero, image, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
-from hopfforge.cocycle import retraction_diagnostics
+from hopfforge.cocycle import bosonize, retraction_diagnostics
 from hopfforge.reports import CheckReport
 from hopfforge.analyze import (
     Analysis, EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
@@ -751,10 +755,31 @@ def test_morphism_checks_match_reference_on_catalog(name):
     assert assert_morphism_checks_match_reference(setup).ok
 
 
+@lru_cache(maxsize=None)
+def omega_or_fhat(name, which):
+    """(f, source, target) for omega: R #_xi H -> A of an induced setup, or for
+    f-hat: O -> A of classify.  The columns of xmas pi's omega have two terms;
+    smash36's omega and f-hat are monomial in the catalog bases."""
+    s = catalog.xmas().extra["setup_pi"] if name == "xmas_pi" else catalog.ALL_BUILDERS[name]().setup
+    if which == "fhat":
+        _, ore, fhat = classify(s)
+        return fhat, ore.O, s.A
+    ind = induced_structures(s, verify=False)
+    return ind.omega, bosonize(ind.pre, ind.xi, verify=False).B, s.A
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("which", ["sigma", "pi"])
-@pytest.mark.parametrize("name", ["b0", "c4min", "smash36"])
+@pytest.mark.parametrize("name, which", [(name, which) for name in ("b0", "c4min", "smash36")
+                                         for which in ("sigma", "pi")]
+                         + [("xmas_pi", "omega"), ("smash36", "omega"), ("smash36", "fhat")])
 def test_morphism_checks_match_reference_on_perturbed_maps(name, which, seed):
+    if which in ("omega", "fhat"):
+        f, source, target = omega_or_fhat(name, which)
+        assert any(len(col) > 1 for col in f.cols) == (name == "xmas_pi")
+        f = plus_one(f, seed)
+        assert list(algebra_map_failures(f, source, target)) == ref_algebra_map(f, source, target)
+        assert list(coalgebra_map_failures(f, source, target)) == ref_coalgebra_map(f, source, target)
+        return
     s = catalog.ALL_BUILDERS[name]().setup
     sigma = plus_one(s.sigma, seed) if which == "sigma" else s.sigma
     pi = plus_one(s.pi, seed) if which == "pi" else s.pi

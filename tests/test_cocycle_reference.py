@@ -13,11 +13,22 @@ import pytest
 
 from hopfforge import catalog
 from hopfforge.analyze import induced_structures
-from hopfforge.cocycle import Cocycle, PreBialgebra, check_cocycle, check_prebialgebra
+from hopfforge.cocycle import (
+    Cocycle, PreBialgebra, bosonization_tensors, check_cocycle, check_prebialgebra,
+)
+from hopfforge.construct import build_quantum_line, validate_yd_datum
 from hopfforge.cyclotomic import CycScalar
-from hopfforge.linalg import Tensor3, cone, sv_add_into, sv_scale
+from hopfforge.hopf import AlgebraSC, HopfSC, cyclic_character, group_algebra_cyclic
+from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, sv_add_into, sv_scale
 from hopfforge.reports import CheckReport
-from hopfforge.yd import YDModule, check_yd
+from hopfforge.yd import (
+    YDModule, adjoint_coaction, braided_tensor_algebra, check_yd, regular_action, regular_coaction,
+    yd_tensor,
+)
+
+
+def rat(x):
+    return CycScalar.from_rational(x)
 
 
 def acc(out, key, v):
@@ -373,3 +384,187 @@ def test_checkers_match_reference_on_perturbed_data(cases, name, tensor):
     P, xi = perturbed(*cases[name], tensor, seed=3)
     assert_matches(P, xi)
     assert not (check_prebialgebra(P).ok and check_cocycle(P, xi).ok)
+
+
+# -- the table builders against entry-by-entry references ---------------------------
+#
+# Each reference forms every entry of its table from the defining formula with
+# its own accumulation, keeps the entries in a plain dict and writes them
+# through Tensor3.__setitem__; it also returns the keys some contribution
+# reached, so that a test can see an entry whose contributions cancel.
+
+def tensor_of(shape, entries):
+    T = Tensor3(shape)
+    for key, v in entries.items():
+        T[key] = v
+    return T
+
+
+def ref_bosonization(P, xi):
+    """(mult, unit, comult, counit, sigma, pi) of R #_xi H on e_(r nh + h) = r # h:
+    m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k and
+    Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2."""
+    H, nr, nh = P.H, P.dim, P.H.dim
+    n = nr * nh
+    mt = {(r, s): ref_m_tilde_pair(P, xi, r, s) for r in range(nr) for s in range(nr)}
+    mult = {}
+    for r in range(nr):
+        for h in range(nh):
+            for s in range(nr):
+                # mtilde^0 (x) mtilde^1 h2 summed over h1 . s (x) h2, keyed (r0, h')
+                left = {}
+                for (h1, h2), c in H.comult_basis(h).items():
+                    for s2, cs in P.yd.act_basis(h1, s).items():
+                        for (r0, h0), cm in mt[r, s2].items():
+                            for hx, cx in H.mul_basis(h0, h2).items():
+                                acc(left, (r0, hx), c * cs * cm * cx)
+                for k in range(nh):
+                    entry = {}
+                    for (r0, hx), c in left.items():
+                        for hf, cf in H.mul_sv({hx: cone()}, {k: cone()}).items():
+                            acc(entry, r0 * nh + hf, c * cf)
+                    for x, v in entry.items():
+                        mult[(r * nh + h, s * nh + k, x)] = v
+    comult = {}
+    for r in range(nr):
+        for h in range(nh):
+            out = {}
+            for (r1, r2), cr in P.comult_basis(r).items():
+                for (hc, r20), cc in P.yd.coact_basis(r2).items():
+                    for (h1, h2), ch in H.comult_basis(h).items():
+                        for x, cx in H.mul_basis(hc, h1).items():
+                            acc(out, (r1 * nh + x, r20 * nh + h2), cr * cc * ch * cx)
+            for (a, b), v in out.items():
+                comult[(r * nh + h, a, b)] = v
+    unit = [P.unit[r] * H.unit[h] for r in range(nr) for h in range(nh)]
+    counit = [P.counit[r] * H.counit[h] for r in range(nr) for h in range(nh)]
+    sigma = [{r * nh + h: P.unit[r] for r in range(nr) if P.unit[r]} for h in range(nh)]
+    pi = [{h: P.counit[r]} if P.counit[r] else {} for r in range(nr) for h in range(nh)]
+    return (tensor_of((n, n, n), mult), unit, tensor_of((n, n, n), comult), counit, sigma, pi)
+
+
+def ref_yd_tensor_action(V, W):
+    """h . (e_i (x) e_j) = h1 . e_i (x) h2 . e_j; the touched keys as well."""
+    H, n = V.H, V.dim * W.dim
+    out, touched = {}, set()
+    for h in range(H.dim):
+        for i in range(V.dim):
+            for j in range(W.dim):
+                for (h1, h2), c in H.comult_basis(h).items():
+                    for a, ca in V.act_basis(h1, i).items():
+                        for b, cb in W.act_basis(h2, j).items():
+                            key = (h, i * W.dim + j, a * W.dim + b)
+                            touched.add(key)
+                            acc(out, key, c * ca * cb)
+    return tensor_of((H.dim, n, n), out), touched
+
+
+def ref_yd_tensor_coaction(V, W):
+    """rho(e_i (x) e_j) = v_(-1) w_(-1) (x) v_0 (x) w_0."""
+    H, n = V.H, V.dim * W.dim
+    out = {}
+    for i in range(V.dim):
+        for j in range(W.dim):
+            for (hv, v0), cv in V.coact_basis(i).items():
+                for (hw, w0), cw in W.coact_basis(j).items():
+                    for h, ch in H.mul_basis(hv, hw).items():
+                        acc(out, (i * W.dim + j, h, v0 * W.dim + w0), cv * cw * ch)
+    return tensor_of((n, H.dim, n), out)
+
+
+def ref_braided_tensor_algebra(R, VR, S, VS):
+    """(r (x) s)(t (x) v) = r (s_(-1) . t) (x) s_0 v; the touched keys as well."""
+    n2 = S.dim
+    n = R.dim * n2
+    out, touched = {}, set()
+    for i in range(R.dim):
+        for j in range(S.dim):
+            for t in range(R.dim):
+                for v in range(S.dim):
+                    for (h, s0), c in VS.coact_basis(j).items():
+                        for t2, ct in VR.act_basis(h, t).items():
+                            for a, ca in R.mul_basis(i, t2).items():
+                                for b, cb in S.mul_basis(s0, v).items():
+                                    key = (i * n2 + j, t * n2 + v, a * n2 + b)
+                                    touched.add(key)
+                                    acc(out, key, c * ct * ca * cb)
+    return tensor_of((n, n, n), out), touched
+
+
+def ref_adjoint_coaction(H):
+    """h -> h1 S(h3) (x) h2, keyed (h, k, h2); the touched keys as well."""
+    out, touched = {}, set()
+    for h in range(H.dim):
+        for (a, b), c in H.comult_basis(h).items():
+            for (b1, b2), w in H.comult_basis(b).items():
+                for x, cx in H.antipode_sv({b2: cone()}).items():
+                    for k, ck in H.mul_basis(a, x).items():
+                        touched.add((h, k, b1))
+                        acc(out, (h, k, b1), c * w * cx * ck)
+    return tensor_of((H.dim, H.dim, H.dim), out), touched
+
+
+def kc2_in_basis_one_and_one_plus_g():
+    """kC_2 in the basis e0 = 1, e1 = 1 + g, where products and coproducts cancel."""
+    mult = Tensor3((2, 2, 2), {(0, 0, 0): rat(1), (0, 1, 1): rat(1), (1, 0, 1): rat(1),
+                               (1, 1, 1): rat(2)})
+    comult = Tensor3((2, 2, 2), {(0, 0, 0): rat(1), (1, 0, 0): rat(2), (1, 0, 1): rat(-1),
+                                 (1, 1, 0): rat(-1), (1, 1, 1): rat(1)})
+    return HopfSC(2, mult, basis_vec(2, 0), comult, [rat(1), rat(2)], Mat.identity(2))
+
+
+@pytest.fixture(scope="module")
+def table_cases(cases):
+    H = group_algebra_cyclic(4)
+    qline2 = build_quantum_line(validate_yd_datum(H, {1: cone()}, cyclic_character(H, rat(-1))))
+    xi8 = Tensor3((2, 2, 4), {(0, 0, 0): rat(1), (1, 1, 0): rat(1), (1, 1, 2): rat(-1)})
+    out = {"qline2_xi8": (qline2, Cocycle(xi8)), "qline6": cases["qline6"],
+           "xmas_pi": cases["xmas_pi"]}
+    for name in ("kc12n6", "smash36"):
+        ind = induced_structures(catalog.ALL_BUILDERS[name]().setup, verify=False)
+        out[name] = (ind.pre, ind.xi)
+    return out
+
+
+def assert_no_zero_stored(*tables):
+    for T in tables:
+        values = T.data.values() if isinstance(T, Tensor3) else [c for col in T for c in col.values()]
+        assert all(values)
+
+
+@pytest.mark.parametrize("name", ["qline2_xi8", "qline6", "xmas_pi", "kc12n6", "smash36"])
+def test_bosonization_tensors_match_reference(table_cases, name):
+    P, xi = table_cases[name]
+    for x in (xi, Cocycle.trivial(P)):
+        mult, unit, comult, counit, sigma, pi = bosonization_tensors(P, x)
+        ref = ref_bosonization(P, x)
+        assert (mult, unit, comult, counit, sigma.cols, pi.cols) == ref
+        assert_no_zero_stored(mult, comult, sigma.cols, pi.cols)
+
+
+@pytest.mark.parametrize("name", ["qline2_xi8", "qline6", "xmas_pi", "kc2_cancelling"])
+def test_yd_table_builders_match_reference(table_cases, name):
+    """yd_tensor, braided_tensor_algebra and adjoint_coaction entry by entry;
+    on kC_2 in the basis 1, 1 + g, acting and coacting on itself by
+    multiplication and comultiplication, contributions cancel in each of them,
+    and the cancelled entries are absent from .data."""
+    if name == "kc2_cancelling":
+        H = kc2_in_basis_one_and_one_plus_g()
+        V = YDModule(H, H.dim, regular_action(H), regular_coaction(H))
+        R = AlgebraSC(H.dim, H.mult, H.unit)
+    else:
+        R = table_cases[name][0]
+        H, V = R.H, R.yd
+    sq = yd_tensor(V, V)
+    action, touched_action = ref_yd_tensor_action(V, V)
+    assert (sq.action, sq.coaction) == (action, ref_yd_tensor_coaction(V, V))
+    alg = braided_tensor_algebra(R, V, R, V)
+    mult, touched_mult = ref_braided_tensor_algebra(R, V, R, V)
+    assert alg.mult == mult
+    coaction, touched_coaction = ref_adjoint_coaction(H)
+    assert adjoint_coaction(H) == coaction
+    assert_no_zero_stored(sq.action, sq.coaction, alg.mult, coaction)
+    if name == "kc2_cancelling":
+        for built, touched in ((sq.action, touched_action), (alg.mult, touched_mult),
+                               (coaction, touched_coaction)):
+            assert touched - set(built.data)

@@ -327,6 +327,29 @@ def test_a_unit_operand_returns_the_other_operand():
     assert triple(p) == triple(CycScalar.zeta(6).promote(12)) == (12, 1, (0, 0, 1, 0))
 
 
+def test_a_rational_one_returns_the_other_operand_within_the_cap():
+    """An exact rational 1 against any conductor returns the other operand;
+    other rationals still give the promoted kernel's (L, den, nums), and a
+    conductor past the cap still raises."""
+    from hopfforge.cyclotomic import conductor_cap, set_conductor_cap
+    for L in ORACLE_CONDUCTORS:
+        v = CycScalar.zeta(L) * rat(Fraction(5, 2)) - rat(Fraction(1, 3))
+        assert rat(1) * v is v and v * rat(1) is v
+        for c in (2, -1, Fraction(1, 3)):
+            promoted = cyclotomic._KERNELS[L](CycScalar.from_rational(c, L), v)
+            assert triple(rat(c) * v) == triple(v * rat(c)) == triple(promoted)
+    old = conductor_cap()
+    try:
+        for L in ORACLE_CONDUCTORS[1:]:
+            set_conductor_cap(L - 1)
+            with pytest.raises(ConductorOverflow):
+                rat(1) * CycScalar.zeta(L)
+            with pytest.raises(ConductorOverflow):
+                CycScalar.zeta(L) * rat(1)
+    finally:
+        set_conductor_cap(old)
+
+
 def test_scalars_are_written_only_where_they_are_built():
     """No module of the package assigns or deletes .L, .den or .nums, or sets
     them with setattr, outside _canonical and CycScalar.__init__; the product

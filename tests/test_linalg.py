@@ -389,11 +389,11 @@ def test_matmul_shape_mismatch():
 
 
 def test_sparse_accumulation_lives_in_the_kernels():
-    """The accumulate-and-drop idiom appears only in the three kernels on
+    """The accumulate-and-drop idiom appears only in the two kernels on
     scalars and in the source of the coordinate axpy, which leaves zeros to
     `normalize`."""
     kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
-               ("linalg.py", "Tensor3.add_to"), ("cyclotomic.py", "_coordinate_kernels")}
+               ("cyclotomic.py", "_coordinate_kernels")}
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
     found = []
     for path in sorted(src.glob("*.py")):
