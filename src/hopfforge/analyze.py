@@ -11,7 +11,6 @@ the classification isomorphism onto an Ore-extension Hopf algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
@@ -139,17 +138,14 @@ def tau_matrix(s: ProjectionSetup) -> Mat:
     return Mat.of_cols(A.dim, cols)
 
 
-@dataclass
 class InducedPreBialgebra:
     """The pre-bialgebra + cocycle induced on the coinvariants of a setup."""
 
-    setup: ProjectionSetup
-    R: Subspace
-    basis: list[SVec]                 # the chosen basis vectors inside A
-    coords: CoordinateMap             # sparse vector of A -> sparse R-coordinates, or None
-    pre: PreBialgebra
-    xi: Cocycle
-    tau: Mat
+    def __init__(self, setup: ProjectionSetup, R: Subspace, basis: list[SVec],
+                 coords: CoordinateMap, pre: PreBialgebra, xi: Cocycle, tau: Mat):
+        self.setup, self.R, self.pre, self.xi, self.tau = setup, R, pre, xi, tau
+        self.basis = basis              # the chosen basis vectors inside A
+        self.coords = coords            # sparse vector of A -> sparse R-coordinates, or None
 
     @cached_property
     def omega(self) -> Mat:
@@ -270,16 +266,13 @@ def _omega_is_iso(ind: InducedPreBialgebra, B: BialgebraSC) -> bool:
 # -- thinness and divided powers ----------------------------------------------
 
 
-@dataclass
 class DividedPowerBasis:
     """d_0 = 1, d_1 = y, ..., d_{N-1} with Delta(d_n) = sum d_t (x) d_{n-t}."""
 
-    d: list[SVec]         # in R-coordinates
-    q: CycScalar
-    g: SVec
-    chi: Vec
-    N: int
-    y: SVec               # = d[1] when N > 1
+    def __init__(self, d: list[SVec], q: CycScalar, g: SVec, chi: Vec, N: int, y: SVec):
+        self.d = d              # in R-coordinates
+        self.q, self.g, self.chi, self.N = q, g, chi, N
+        self.y = y              # = d[1] when N > 1
 
     def y_powers(self) -> list[SVec]:
         """y^n = (n)_q! d_n in R-coordinates."""
@@ -363,22 +356,22 @@ def _proportionality(img: SVec, ref: SVec) -> Optional[CycScalar]:
 # -- cocycle analysis -----------------------------------------------------------
 
 
-@dataclass
 class CocycleAnalysis:
-    N: int
-    q: CycScalar
-    x: SVec                                 # xi(d_1 (x) d_{N/2-1}), 0 for N odd
-    x_is_zero: bool
-    support_ok: bool
-    half_line_constant: bool
-    half_line_value: Optional[SVec]
-    full_line_constant: Optional[bool]      # None when x^2 != 0 at even N
-    three_half_line_zero: Optional[bool]
-    lam: Optional[CycScalar]                # None when not extracted, see lam_missing
-    lam_datum: Optional[CompatibleDatum]
-    table_matches: Optional[bool]           # xi table in the x = 0 regime
-    table: dict = field(default_factory=dict)   # (a, b) -> xi(y^a (x) y^b) sparse in H
-    x_claims: CheckReport = field(default_factory=lambda: CheckReport("x claims"))
+    def __init__(self, N: int, q: CycScalar, x: SVec, x_is_zero: bool, support_ok: bool,
+                 half_line_constant: bool, half_line_value: Optional[SVec],
+                 full_line_constant: Optional[bool], three_half_line_zero: Optional[bool],
+                 lam: Optional[CycScalar], lam_datum: Optional[CompatibleDatum],
+                 table_matches: Optional[bool], table: Optional[dict] = None,
+                 x_claims: Optional[CheckReport] = None):
+        self.N, self.q, self.x_is_zero, self.support_ok = N, q, x_is_zero, support_ok
+        self.x = x                                  # xi(d_1 (x) d_{N/2-1}), 0 for N odd
+        self.half_line_constant, self.half_line_value = half_line_constant, half_line_value
+        self.full_line_constant = full_line_constant    # None when x^2 != 0 at even N
+        self.three_half_line_zero, self.lam_datum = three_half_line_zero, lam_datum
+        self.lam = lam                              # None when not extracted, see lam_missing
+        self.table_matches = table_matches          # xi table in the x = 0 regime
+        self.table = {} if table is None else table     # (a, b) -> xi(y^a (x) y^b) sparse in H
+        self.x_claims = CheckReport("x claims") if x_claims is None else x_claims
 
     def lam_missing(self) -> str:
         """Why lambda was not extracted (read when lam is None)."""
@@ -504,12 +497,11 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
 # -- equivalence report ----------------------------------------------------------
 
 
-@dataclass
 class AnalysisReport:
-    associative: bool
-    equivalences: dict[str, bool]
-    power_comparison: list[bool]
-    consequence_integral: Optional[dict[str, bool]]
+    def __init__(self, associative: bool, equivalences: dict[str, bool],
+                 power_comparison: list[bool], consequence_integral: Optional[dict[str, bool]]):
+        self.associative, self.equivalences = associative, equivalences
+        self.power_comparison, self.consequence_integral = power_comparison, consequence_integral
 
 
 def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,

@@ -7,7 +7,6 @@ callers must treat them as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -22,13 +21,11 @@ from .cocycle import Cocycle
 from .analyze import ProjectionSetup, setup_from_ore
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    description: str
-    ore: Optional[OreHopf]
-    setup: Optional[ProjectionSetup]       # the canonical (A, p, sigma)
-    extra: dict
+    def __init__(self, name: str, description: str, ore: Optional[OreHopf],
+                 setup: Optional[ProjectionSetup], extra: dict):
+        self.name, self.description, self.ore, self.extra = name, description, ore, extra
+        self.setup = setup                 # the canonical (A, p, sigma)
 
 
 def _checked_datum(H, g, chi, lam) -> CompatibleDatum:

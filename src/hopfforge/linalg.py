@@ -76,15 +76,21 @@ def sv_axpy(acc: dict, c: CycScalar, terms: Iterable) -> None:
     """acc += c * w over the (key, w) terms; entries that cancel are dropped.
 
     The one sparse accumulation kernel: vectors keyed by index and tensors
-    keyed by index tuples both go through it.
+    keyed by index tuples both go through it.  Every term source keeps
+    nonzero values only, so c * w on a fresh key is stored untested.
     """
+    if not c:
+        return
     for key, w in terms:
         cur = acc.get(key)
-        new = c * w if cur is None else cur + c * w
-        if new:
-            acc[key] = new
-        elif cur is not None:
-            del acc[key]
+        if cur is None:
+            acc[key] = c * w
+        else:
+            new = cur + c * w
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
 
 
 def sv_outer_axpy(acc: dict, c: CycScalar, a: SVec, b: SVec) -> None:

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 MAX_WITNESSES = 8
 
 
-@dataclass
 class CheckEntry:
-    name: str
-    ok: bool
-    witnesses: list = field(default_factory=list)
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, witnesses: Optional[list] = None, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
+        self.witnesses = [] if witnesses is None else witnesses
 
     def describe(self) -> str:
         status = "PASS" if self.ok else "FAIL"

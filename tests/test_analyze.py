@@ -629,15 +629,15 @@ def test_only_a_hypothesis_violation_skips_a_generator(c4min_entry, monkeypatch)
 def test_lambda_not_extracted_names_the_reason(c4min_entry, monkeypatch):
     # when lambda is not extracted the report and classification name why;
     # the raw value xi(y (x) y) is still carried in the table
-    from dataclasses import replace
     from hopfforge import analyze
     from hopfforge.cli import run_analysis
     from hopfforge.reports import Report
     real = analyze.cocycle_analysis
     for changes, reason in (({"full_line_constant": None}, "x^2 != 0 at even N"),
                             ({}, "xi(y, y^(N-1)) is not a multiple of 1 - g^N")):
-        monkeypatch.setattr(analyze, "cocycle_analysis",
-                            lambda *args, c=changes: replace(real(*args), lam=None, **c))
+        # rebuilt through the constructor, whose keywords are the attribute names
+        monkeypatch.setattr(analyze, "cocycle_analysis", lambda *args, c=changes: analyze.CocycleAnalysis(
+            **{**vars(real(*args)), "lam": None, **c}))
         an = Analysis(c4min_entry.setup)
         assert an.cocycle.table[(1, 1)]
         rep = Report("c4min")

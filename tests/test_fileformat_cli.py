@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import random
 import shutil
 import subprocess
@@ -482,6 +483,19 @@ def test_cli_entry_point_subprocess():
                            str(GOLDEN / "c4min.alg")], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_graph_has_no_dataclasses_or_inspect():
+    """Each CLI command is a new interpreter, so the package's import graph
+    is start-up paid every time: importing the CLI and the catalog loads
+    neither dataclasses nor inspect.  With -S, site's own imports do not count."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, hopfforge.cli, hopfforge.catalog; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_unknown_example():

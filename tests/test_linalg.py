@@ -7,7 +7,7 @@ import pytest
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
-    CoordinateMap, Mat, ShapeMismatch, Subspace,
+    CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
     basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
     preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
@@ -386,6 +386,69 @@ def test_matmul_shape_mismatch():
         Mat.zero(2, 3) @ Mat.zero(2, 3)
     with pytest.raises(ShapeMismatch):
         Mat([], 0, 2) @ Mat.zero(3, 1)
+
+
+def test_sv_axpy_keeps_only_nonzero_entries():
+    z = CycScalar.zeta(6)
+    acc = {0: rat(1), 1: z}
+    sv_axpy(acc, czero(), [(0, rat(5)), (2, rat(1))])
+    assert acc == {0: rat(1), 1: z}
+    sv_axpy(acc, rat(-1), [(0, rat(1)), (2, z)])
+    assert acc == {1: z, 2: -z}
+    sv_axpy(acc, z, [(1, rat(-1)), (3, z)])
+    assert acc == {2: -z, 3: z * z}
+
+
+def _stored_values(*stores):
+    """The values of every store that sv_axpy reads as terms: Mat columns,
+    Tensor3 data, the product and coproduct rows of a structure, and the
+    action and coaction lists of a Yetter-Drinfeld module."""
+    for X in stores:
+        if isinstance(X, Mat):
+            yield from (c for col in X.cols for c in col.values())
+        elif isinstance(X, Tensor3):
+            yield from X.data.values()
+        else:
+            yield from (c for row in X._rows for cell in row for _, c in cell)
+            yield from (c for k in range(X.dim) for c in X.comult_basis(k).values())
+            yield from _stored_values(X.mult, X.comult)
+            if getattr(X, "antipode", None) is not None:
+                yield from _stored_values(X.antipode)
+            if hasattr(X, "yd"):
+                yield from (c for terms in X.yd._act.values() for _, c in terms)
+                yield from (c for terms in X.yd._coact.values() for _, _, c in terms)
+
+
+def test_term_sources_hold_no_zero_values(c4min_entry, b0_entry, qline6_entry, xmas_entry,
+                                          smash36_bosonization, tmp_path):
+    """sv_axpy stores c * w on a fresh key untested, so no source of terms
+    may hold a zero: not the catalog's structures, maps and cocycles, not a
+    bosonization, and not a file whose rows write an explicit 0."""
+    from hopfforge.fileformat import AlgebraFile
+    stores = []
+    for entry in (c4min_entry, b0_entry, xmas_entry):
+        s = entry.setup
+        stores += [entry.ore.O, entry.ore.base, entry.ore.sigma, entry.ore.p,
+                   s.A, s.H, s.sigma, s.pi]
+    ql, xi = qline6_entry.extra["quantum_line"], qline6_entry.extra["xi"]
+    bos = smash36_bosonization
+    stores += [ql, xi.xi, xi.map, bos.B, bos.sigma, bos.pi]
+    golden = Path(__file__).resolve().parent / "golden"
+    for name in ("c4min.alg", "c4min_base.alg"):
+        (tmp_path / name).write_text((golden / name).read_text())
+    text = (tmp_path / "c4min.alg").read_text()
+    for head, zero_row in (("SECTION MULT\n", "0 0 5 0\n"), ("SECTION COMULT\n", "0 3 3 0\n"),
+                           ("SECTION ANTIPODE\n", "1 0 0\n"),
+                           ("SECTION MAP sigma c4min_base.alg\n", "1 0 0\n")):
+        assert text.count(head) == 1
+        text = text.replace(head, head + zero_row)
+    (tmp_path / "c4min.alg").write_text(text)
+    f = AlgebraFile(tmp_path / "c4min.alg")
+    H = f.to_hopf()
+    maps = f.maps(lambda name: (8, 4) if name == "sigma" else (4, 8))
+    assert H.mult == c4min_entry.ore.O.mult and maps["sigma"][0] == c4min_entry.ore.sigma
+    stores += [H] + [m for m, _ in maps.values()]
+    assert all(c for c in _stored_values(*stores))
 
 
 def test_sparse_accumulation_lives_in_the_kernels():
