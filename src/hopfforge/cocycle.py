@@ -402,12 +402,16 @@ def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> di
         "coalgebra_map": _holds(coalgebra_map_failures(pi, B, H)),
         "algebra_map": (pi.apply_sv(B.unit_sv()) == H.unit_sv()
                         and _holds(algebra_map_failures(pi, B, H))),
-        # pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h
-        "H_bilinear": all(
-            pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pi.cols[b], h, False)
-            and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pi.cols[b], h, True)
-            for h, sh in enumerate(sigma.cols) for b in range(B.dim)),
+        "H_bilinear": is_H_bilinear(B, pi, sigma, H),
     }
+
+
+def is_H_bilinear(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> bool:
+    """pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h for all basis h, b."""
+    return all(
+        pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pi.cols[b], h, False)
+        and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pi.cols[b], h, True)
+        for h, sh in enumerate(sigma.cols) for b in range(B.dim))
 
 
 def _times_basis(A: AlgebraSC, v: SVec, k: int, right: bool) -> SVec:

@@ -22,7 +22,7 @@ from .linalg import (
     CoordinateMap, Mat, SVec, Tensor3, Vec,
     basis_vec, cone, czero, kron_index, sv_add_into, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
 )
-from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, retraction_diagnostics
+from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, is_H_bilinear
 from .reports import CheckReport
 from .yd import YDModule
 
@@ -356,8 +356,7 @@ def _retraction_ok(ore: OreHopf) -> bool:
     comp = ore.p @ ore.sigma
     if comp != Mat.identity(H.dim):
         return False
-    diag = retraction_diagnostics(O, ore.p, ore.sigma, H)
-    return diag["coalgebra_map"] and diag["H_bilinear"]
+    return next(coalgebra_map_failures(ore.p, O, H), None) is None and is_H_bilinear(O, ore.p, ore.sigma, H)
 
 
 def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:

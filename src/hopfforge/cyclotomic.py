@@ -17,7 +17,7 @@ straight-line kernel generated once for L and kept for the rest of the
 process: ``_product_kernel`` builds the product's from the reduction rows of
 Phi_L, ``_sum_kernel`` the sum's, and both end in ``_canonical`` unrolled.
 ``COORDINATE_KERNELS[L]`` runs the same lines on bare integer coordinates,
-unreduced, for loops that compare their results only once normalized.
+unreduced, skips products by its ``one`` and compares values with no gcd.
 An inverse is the product of the Galois conjugates over the norm, formed
 with the same kernels.  A product with an operand exactly 1 returns the
 other operand object itself, so values are shared and never mutated once
@@ -332,29 +332,42 @@ def _sum_kernel(L: int):
 
 
 def _coordinate_kernels(L: int) -> SimpleNamespace:
-    """mul, add, axpy, normal and normalize at conductor L on coordinates (n0,
-    ..., n_{phi-1}, den), the value (n0 + n1 z + ...)/den, den > 0, unreduced.
-    mul and add form no gcd and no object; axpy is ``linalg.sv_axpy`` over
-    them with no zero test.  normal reduces one value by one gcd, and
-    normalize drops the 0 entries of a vector and reduces the others: values,
-    and vectors, are equal exactly when their normal forms are."""
+    """mul, add, axpy, same and equal at conductor L on coordinates (n0, ...,
+    n_{phi-1}, den), the value (n0 + n1 z + ...)/den, den > 0, unreduced, and
+    ``one`` = (1, 0, ..., 0, 1).  mul and add form no gcd and no object, mul
+    returns the other operand for the object ``one``, and axpy is
+    ``linalg.sv_axpy`` over them.  same(u, v) is u_k dv == v_k du for every k,
+    exact as both dens are positive; equal(p, q) compares vectors by it, a
+    missing key read as 0 and zero entries, which axpy leaves, allowed."""
     phi = euler_phi(L)
     n = ", ".join(f"n{k}" for k in range(phi))
     unpack = [f"    {', '.join(f'{x}{k}' for k in range(phi))}, d{x} = {x}" for x in "ab"]
     ns = _compile(L, "coordinate", [
-        "def mul(a, b):", *unpack, *_convolution(L), f"    return {n}, da * db",
+        f"one, zero = (1, {'0, ' * (phi - 1)}1), {(0,) * phi}",
+        "def mul(a, b):",
+        "    if a is one: return b",
+        "    if b is one: return a",
+        *unpack, *_convolution(L), f"    return {n}, da * db",
         "def add(a, b):", *unpack, *_addition(phi), f"    return {n}, den",
         "def axpy(acc, c, terms):",
         "    for key, w in terms:",
         "        cur = acc.get(key)",
         "        acc[key] = mul(c, w) if cur is None else add(cur, mul(c, w))",
-        "def normal(v):",
-        f"    {n}, den = v",
-        f"    g = gcd(den, {n})",
-        f"    return v if g == 1 else ({n.replace(',', ' // g,')} // g, den // g)",
-        "def normalize(acc):",
-        "    return {key: normal(v) for key, v in acc.items() if any(v[:-1])}"])
-    return SimpleNamespace(**{k: ns[k] for k in ("mul", "add", "axpy", "normal", "normalize")})
+        "def same(a, b):",
+        "    if a == b: return True",
+        "    if a[-1] == b[-1]: return False",
+        *unpack,
+        f"    return {' and '.join(f'a{k} * db == b{k} * da' for k in range(phi))}",
+        "def equal(p, q):",
+        "    found = 0",
+        "    for key, v in p.items():",
+        "        w = q.get(key)",
+        "        if w is None:",
+        "            if v[:-1] != zero: return False",
+        "        elif v == w or same(v, w): found += 1",
+        "        else: return False",
+        "    return found == len(q) or all(key in p or w[:-1] == zero for key, w in q.items())"])
+    return SimpleNamespace(**{k: ns[k] for k in ("one", "mul", "add", "axpy", "same", "equal")})
 
 
 class _Kernels(dict):

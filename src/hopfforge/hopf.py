@@ -176,8 +176,9 @@ class HopfSC(BialgebraSC):
 # form is a product of structure constants.  Each lifts every distinct
 # constant it reads once (`_Lifted`) to integer coordinates (n_0, ...,
 # n_{phi-1}, den) at their lcm conductor M, and its loops run on those through
-# the coordinate kernels of M: no promotion, no gcd and no CycScalar, and the
-# two sides of an equation compared in normal form, one gcd per compared entry.
+# the coordinate kernels of M: no promotion, no gcd and no CycScalar.  A
+# constant equal to 1 lifts to the kernels' `one`, which their products skip,
+# and the two sides of an equation are compared by cross-multiplication.
 #
 # Associativity (n^3 tuples) and the multiplicativity of Delta and eps (n^2
 # pairs) are decided on a generating set when the unit axioms allow it.  The
@@ -230,7 +231,8 @@ class _Lazy(dict):
 class _Lifted:
     """The constants one check reads, as coordinates at their lcm conductor M,
     with `K` the coordinate kernels of M.  `lift` promotes each distinct
-    constant once.  Nonzero constants at more than one conductor, with M past
+    constant once, and maps one equal to 1 onto `K.one`, the object that
+    `K.mul` skips.  Nonzero constants at more than one conductor, with M past
     the conductor cap, raise ConductorOverflow here, before any kernel or
     table is formed; constants all at one conductor are read there, cap or not.
 
@@ -258,7 +260,7 @@ class _Lifted:
         if v is None:
             if c.L != self.M:
                 c = c.promote(self.M) if c else CycScalar.zero(self.M)
-            v = self.coords[key] = c.nums + (c.den,)
+            v = self.coords[key] = self.K.one if c.is_one() else c.nums + (c.den,)
         return v
 
     def table(self, A: AlgebraSC) -> list[list[tuple]]:
@@ -377,7 +379,7 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int,
     (index, scalar) pairs.  This relies on no cell holding a zero (AlgebraSC
     drops them), so a nonempty cell times a nonzero scalar is never 0.
     """
-    mul, axpy, normal, normalize = K.mul, K.axpy, K.normal, K.normalize
+    mul, axpy, same, equal = K.mul, K.axpy, K.same, K.equal
     empty = ((),) * n
     for i in rows:
         Ti = T[i]
@@ -406,7 +408,7 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int,
                     if len(left) == 1 and len(right) == 1:
                         (x, c), = left
                         (y, d), = right
-                        if x == y and normal(mul(a, c)) == normal(mul(b, d)):
+                        if x == y and same(mul(a, c), mul(b, d)):
                             continue
                         yield i, j, k
                         continue
@@ -416,7 +418,7 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int,
                 rhs: dict[int, tuple] = {}
                 for m, c in jk:
                     axpy(rhs, c, Ti[m])
-                if normalize(lhs) != normalize(rhs):
+                if not equal(lhs, rhs):
                     yield i, j, k
 
 
@@ -464,8 +466,8 @@ def unit_group_like(B: BialgebraSC) -> tuple[bool, bool]:
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
     L = _Lifted(_comult_constants(C), C.counit)
-    n, D, one = C.dim, L.coproducts(C), L.lift(CycScalar.one(L.M))
-    axpy, normalize = L.K.axpy, L.K.normalize
+    n, D, one = C.dim, L.coproducts(C), L.K.one
+    axpy, equal = L.K.axpy, L.K.equal
     counit = [L.lift(c) if c else None for c in C.counit]
     coassoc = []
     for k in range(n):
@@ -474,7 +476,7 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
         for (a, b), c in D[k]:
             axpy(left, c, (((x, y, b), w) for (x, y), w in D[a]))
             axpy(right, c, (((a, x, y), w) for (x, y), w in D[b]))
-        if normalize(left) != normalize(right):
+        if not equal(left, right):
             coassoc.append(k)
     bad_counit = []
     for k in range(n):
@@ -485,7 +487,7 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
                 axpy(lhs_l, counit[a], ((b, c),))
             if counit[b]:
                 axpy(lhs_r, counit[b], ((a, c),))
-        if normalize(lhs_l) != {k: one} or normalize(lhs_r) != {k: one}:
+        if not equal(lhs_l, {k: one}) or not equal(lhs_r, {k: one}):
             bad_counit.append(k)
     rep.record("coassociativity", coassoc)
     rep.record("counit", bad_counit)
@@ -520,7 +522,7 @@ def _bialgebra_failures(L: _Lifted, B: BialgebraSC, rows: Iterable[int]) -> tupl
     cells forms 2 products per entry.
     """
     K = L.K
-    n, mul, add, axpy, normal, normalize = B.dim, K.mul, K.add, K.axpy, K.normal, K.normalize
+    n, mul, add, axpy, same, equal = B.dim, K.mul, K.add, K.axpy, K.same, K.equal
     T, D = L.table(B), L.coproducts(B)
     counit, zero = [L.lift(c) for c in B.counit], L.lift(CycScalar.zero(L.M))
     comult, bad_counit = [], []
@@ -542,9 +544,9 @@ def _bialgebra_failures(L: _Lifted, B: BialgebraSC, rows: Iterable[int]) -> tupl
                     if left and right:
                         for x, cx in left:
                             axpy(rhs, mul(cx, cb), [((x, y), cy) for y, cy in right])
-            if normalize(lhs) != normalize(rhs):
+            if not equal(lhs, rhs):
                 comult.append((i, j))
-            if normal(eps) != normal(mul(ei, counit[j])):
+            if not same(eps, mul(ei, counit[j])):
                 bad_counit.append((i, j))
     return comult, bad_counit
 
@@ -554,7 +556,7 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     from the multiplication rows and the columns of S."""
     L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
                 (a for col in S.cols for a in col.values()))
-    n, lift, mul, axpy, normalize = B.dim, L.lift, L.K.mul, L.K.axpy, L.K.normalize
+    n, lift, mul, axpy, equal = B.dim, L.lift, L.K.mul, L.K.axpy, L.K.equal
     D = L.coproducts(B)
     T = _Lazy(lambda ij: tuple((k, lift(c)) for k, c in B._rows[ij[0]][ij[1]]))  # cells lifted as read
     scols = [[(s, lift(a)) for s, a in sorted(col.items())] for col in S.cols]
@@ -563,7 +565,6 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     for k in range(n):
         target: dict[int, tuple] = {}
         axpy(target, lift(B.counit[k]), u)
-        target = normalize(target)
         lhs: dict[int, tuple] = {}
         rhs: dict[int, tuple] = {}
         for (i, j), c in D[k]:
@@ -571,9 +572,9 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
                 axpy(lhs, mul(a, c), T[s, j])
             for s, a in scols[j]:
                 axpy(rhs, mul(c, a), T[i, s])
-        if normalize(lhs) != target:
+        if not equal(lhs, target):
             left.append(k)
-        if normalize(rhs) != target:
+        if not equal(rhs, target):
             right.append(k)
     rep.record("antipode_left", left)
     rep.record("antipode_right", right)

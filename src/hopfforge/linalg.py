@@ -73,14 +73,13 @@ def sv_to_dense(sv: SVec, n: int) -> Vec:
 
 
 def sv_axpy(acc: dict, c: CycScalar, terms: Iterable) -> None:
-    """acc += c * w over the (key, w) terms; entries that cancel are dropped.
+    """acc += c * w over the (key, w) terms, c != 0; entries that cancel are dropped.
 
     The one sparse accumulation kernel: vectors keyed by index and tensors
     keyed by index tuples both go through it.  Every term source keeps
-    nonzero values only, so c * w on a fresh key is stored untested.
+    nonzero values only, so c * w on a fresh key is stored untested; a
+    caller whose scale c can be 0 tests it first.
     """
-    if not c:
-        return
     for key, w in terms:
         cur = acc.get(key)
         if cur is None:
@@ -102,7 +101,8 @@ def sv_outer_axpy(acc: dict, c: CycScalar, a: SVec, b: SVec) -> None:
 
 def sv_add_into(acc: SVec, sv: SVec, scale: Optional[CycScalar] = None) -> None:
     if scale is not None:
-        sv_axpy(acc, scale, sv.items())
+        if scale:
+            sv_axpy(acc, scale, sv.items())
         return
     for i, c in sv.items():
         cur = acc.get(i)

@@ -61,6 +61,21 @@ def test_trivial_cocycle_passes(qline2, qline6_entry):
         assert check_cocycle(P, Cocycle.trivial(P)).ok
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_unitality_fails(qline6_entry, side):
+    """qline6's trivial xi with xi(1 (x) y) = 1_H, or its mirror xi(y (x) 1) = 1_H,
+    is unital on the other side only: the unitality entry fails with exactly
+    the witness y, index 1."""
+    P = qline6_entry.extra["quantum_line"]
+    trivial = Cocycle.trivial(P)
+    assert P.unit_sv() == {0: cone()} and P.counit[1].is_zero() and not trivial.eval_basis(0, 1)
+    t = Tensor3(trivial.xi.shape, trivial.xi.data)
+    for h, c in P.H.unit_sv().items():
+        t[(0, 1, h) if side == "left" else (1, 0, h)] = c
+    ent = check_cocycle(P, Cocycle(t)).entry("cocycle_unitality")
+    assert (ent.ok, ent.witnesses) == (False, [1])
+
+
 def test_nontrivial_dim8_cocycle_passes(qline2, xi8):
     rep = check_cocycle(qline2, xi8)
     assert rep.ok

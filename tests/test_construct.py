@@ -214,6 +214,28 @@ def test_lambda0_table_trivial(b0_entry, smash36_entry):
             assert got == (H.unit_sv() if a == b == 0 else {})
 
 
+def test_retraction_gate_decides_no_algebra_map(b0_entry, smash36_entry, monkeypatch):
+    """At lambda = 0 p is an algebra map, but the build's retraction gate
+    decides only p sigma = id, the coalgebra map and H-bilinearity: with
+    every algebra-map scan made to raise, it still passes, and a p that is
+    not H-bilinear is still refused."""
+    from hopfforge import cocycle, construct
+    for entry in (b0_entry, smash36_entry):
+        ore = entry.ore
+        assert ore.lam.is_zero()
+        assert cocycle.retraction_diagnostics(ore.O, ore.p, ore.sigma, ore.base)["algebra_map"]
+
+    def scan(*args):
+        raise AssertionError("algebra-map scan")
+
+    monkeypatch.setattr(cocycle, "algebra_map_failures", scan)
+    monkeypatch.setattr(construct, "algebra_map_failures", scan)
+    for entry in (b0_entry, smash36_entry):
+        assert construct._retraction_ok(entry.ore)
+    monkeypatch.setattr(construct, "is_H_bilinear", lambda *args: False)
+    assert not construct._retraction_ok(b0_entry.ore)
+
+
 def _cyclic_ore_data(max_dim=36):
     """Every compatible (K C_m, g^k, chi(g) = zeta_m^t, lambda in {0, 1}) with N m <= max_dim."""
     for m in (2, 3, 4, 6):

@@ -436,13 +436,12 @@ def sympy_coords(sympy, a, b, op):
 
 
 def on_coordinates(a, b, op):
-    """(unreduced, normalized) coordinates of op(a, b), op "mul" or "add", from
-    the coordinate kernels at M = lcm(a.L, b.L); normalized is {} for 0."""
+    """(coordinates, K): op(a, b), op "mul" or "add", unreduced, from the
+    coordinate kernels K at M = lcm(a.L, b.L)."""
     M = a.L * b.L // gcd(a.L, b.L)
     K = cyclotomic.COORDINATE_KERNELS[M]
     x, y = a.promote(M), b.promote(M)
-    raw = getattr(K, op)(x.nums + (x.den,), y.nums + (y.den,))
-    return raw, K.normalize({0: raw}).get(0)
+    return getattr(K, op)(x.nums + (x.den,), y.nums + (y.den,)), K
 
 
 def normalized(expect):
@@ -451,6 +450,17 @@ def normalized(expect):
     for f in expect:
         den = den * f.denominator // gcd(den, f.denominator)
     return tuple(int(f * den) for f in expect) + (den,) if any(expect) else None
+
+
+def same_as_sympy(K, raw, expect):
+    """Whether K's same and equal, both ways round, read the coordinates raw
+    as sympy's coefficients: against their lowest terms, and as the entry of
+    a one-key vector against that entry, or against no entry for 0."""
+    norm = normalized(expect)
+    value = norm or (0,) * len(expect) + (1,)
+    vector = {0: norm} if norm else {}
+    return (K.same(raw, value) and K.same(value, raw)
+            and K.equal({0: raw}, vector) and K.equal(vector, {0: raw}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,9 +473,9 @@ def test_mul_add_match_sympy_remainder(sympy, case):
         M, expect = sympy_coords(sympy, a, b, op)
         assert result.L == M
         assert result.coeffs() == expect
-        raw, norm = on_coordinates(a, b, name)
+        raw, K = on_coordinates(a, b, name)
         assert [Fraction(c, raw[-1]) for c in raw[:-1]] == expect and raw[-1] > 0
-        assert norm == normalized(expect)
+        assert same_as_sympy(K, raw, expect)
         assert result.den > 0 and gcd(result.den, *result.nums) == 1
         assert (result.den == 1) or not integral
         assert bool(result) == any(expect) == (not result.is_zero())
@@ -504,11 +514,13 @@ def test_sum_kernel_branches_match_sympy_remainder(sympy, case):
     if a == -b:
         assert triple(s) == (M, 1, (0,) * euler_phi(M)) and not s
     # on coordinates: over the common denominator when there is one, else over
-    # the product of the two; normalized, the sum above, and nothing for 0
-    raw, norm = on_coordinates(a, b, "add")
+    # the product of the two; the same value as the sum above, and as no
+    # entry for 0
+    raw, K = on_coordinates(a, b, "add")
     assert [Fraction(c, raw[-1]) for c in raw[:-1]] == expect
     assert raw[-1] == (a.den if a.den == b.den else a.den * b.den)
-    assert norm == normalized(expect) == (None if a == -b else s.nums + (s.den,))
+    assert same_as_sympy(K, raw, expect)
+    assert normalized(expect) == (None if a == -b else s.nums + (s.den,))
 
 
 def test_coordinate_kernels_match_sympy_at_every_conductor(sympy):
@@ -522,11 +534,78 @@ def test_coordinate_kernels_match_sympy_at_every_conductor(sympy):
         assert a.den == b.den != c.den
         for x, y, name, op in ((a, c, "mul", lambda p, q: p * q), (a, b, "add", lambda p, q: p + q),
                                (a, c, "add", lambda p, q: p + q), (c, -c, "add", lambda p, q: p + q)):
-            raw, norm = on_coordinates(x, y, name)
+            raw, K = on_coordinates(x, y, name)
             M, expect = sympy_coords(sympy, x, y, op)
             assert M == L and [Fraction(k, raw[-1]) for k in raw[:-1]] == expect
-            assert norm == normalized(expect)
-        assert on_coordinates(c, -c, "add")[1] is None
+            assert same_as_sympy(K, raw, expect)
+        raw, K = on_coordinates(c, -c, "add")
+        assert not any(raw[:-1]) and K.equal({0: raw}, {}) and K.equal({}, {0: raw})
+
+
+@st.composite
+def unreduced(draw, s):
+    """s's coordinates with its nums and den times a positive factor: a den of
+    1, a common factor, or both."""
+    f = draw(st.sampled_from([1, 1, 2, 3, 10]))
+    return tuple(c * f for c in s.nums) + (s.den * f,)
+
+
+@st.composite
+def scalar_pair(draw, L):
+    """(a, b) at conductor L: equal, both 0, apart in one coordinate, or drawn apart."""
+    phi = euler_phi(L)
+    a = draw(oracle_operand(draw(st.booleans()), [L]))
+    kind = draw(st.sampled_from(["equal", "zero", "one_coordinate", "apart"]))
+    if kind == "equal":
+        return a, a
+    if kind == "zero":
+        return CycScalar.zero(L), CycScalar.zero(L)
+    if kind == "one_coordinate":
+        k = draw(st.integers(0, phi - 1))
+        return a, a + CycScalar(L, [int(i == k) for i in range(phi)], draw(st.sampled_from([1, 7, a.den])))
+    return a, draw(oracle_operand(draw(st.booleans()), [L]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_same_and_equal_agree_with_scalar_equality(sympy, data):
+    """same on unreduced coordinates decides what CycScalar equality and
+    sympy's remainder of a - b decide; equal on vectors decides it entry by
+    entry, a missing key read as 0, against zero entries over dens > 1."""
+    L = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    K = cyclotomic.COORDINATE_KERNELS[L]
+    a, b = data.draw(scalar_pair(L))
+    u, v = data.draw(unreduced(a)), data.draw(unreduced(b))
+    _, diff = sympy_coords(sympy, a, b, lambda p, q: p - q)
+    assert K.same(u, v) == K.same(v, u) == (a == b) == (not any(diff))
+    p, q, agree = {}, {}, True
+    for key in range(data.draw(st.integers(0, 4))):
+        x, y = data.draw(scalar_pair(L))
+        held = data.draw(st.sampled_from(["both", "p", "q"]))
+        if held != "q":
+            p[key] = data.draw(unreduced(x))
+        if held != "p":
+            q[key] = data.draw(unreduced(y))
+        agree = agree and (x if key in p else 0) == (y if key in q else 0)
+    assert K.equal(p, q) == K.equal(q, p) == agree
+
+
+def test_mul_returns_the_other_operand_for_the_unit_object(sympy):
+    """mul skips the kernels' one, the object: it returns the other operand
+    itself.  A fresh tuple equal to one, or to 1 over an unreduced den, takes
+    the convolution and gives sympy's product."""
+    for L in ORACLE_CONDUCTORS:
+        K = cyclotomic.COORDINATE_KERNELS[L]
+        v = CycScalar.zeta(L) * rat(Fraction(3, 2)) - rat(Fraction(1, 5))
+        u = v.nums + (v.den,)
+        assert K.one == CycScalar.one(L).nums + (1,)
+        assert K.mul(K.one, u) is u and K.mul(u, K.one) is u
+        _, expect = sympy_coords(sympy, CycScalar.one(L), v, lambda p, q: p * q)
+        for fresh in (tuple(list(K.one)), tuple(3 * c for c in K.one)):
+            assert fresh is not K.one
+            for w in (K.mul(fresh, u), K.mul(u, fresh)):
+                assert w is not u and [Fraction(c, w[-1]) for c in w[:-1]] == expect
+                assert same_as_sympy(K, w, expect)
 
 
 def test_each_conductor_generates_its_kernels_once(monkeypatch):
@@ -547,7 +626,9 @@ def test_each_conductor_generates_its_kernels_once(monkeypatch):
             assert (z + z * z) * (z + CycScalar.one(L)) == z * z + z * z * z + z + z * z
             K = cyclotomic.COORDINATE_KERNELS[L]
             w = z.nums + (z.den,)
-            assert K.normalize({0: K.add(K.mul(w, w), w)}) == {0: (z * z + z).nums + ((z * z + z).den,)}
+            v = K.add(K.mul(w, w), w)
+            assert K.same(v, (z * z + z).nums + ((z * z + z).den,)) and v[-1] > (z * z + z).den
+            assert K.equal({0: v}, {0: (z * z + z).nums + ((z * z + z).den,)})
     # a mixed pair is promoted to a conductor whose kernels already exist
     assert CycScalar.zeta(4) + CycScalar.zeta(6) == CycScalar.zeta(6) + CycScalar.zeta(4)
     assert sorted(made) == sorted((g, L) for g in ("_product_kernel", "_sum_kernel", "_coordinate_kernels")

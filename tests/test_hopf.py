@@ -674,7 +674,7 @@ def test_generators_decide_what_every_row_decides():
     rescaled copies of c4min, b0, smash36 and xmas at seeds 1-3 (xmas's
     generating set changes the most with the basis), and on 208 seeded
     perturbations of c4min and b0 in both bases.  kc12n6's dim-72 extension
-    is left out: its all-rows associativity scan alone takes about 2 s."""
+    is left out: its all-rows associativity scan alone takes about 1 s."""
     rescaled = bench_module("rescale").rescaled
     small = [catalog.ALL_BUILDERS[name]().ore.O for name in ("c4min", "b0", "smash36")]
     structures = [H for name, H in catalog_hopf_structures() if name != "kc12n6[1]"]
@@ -1123,6 +1123,20 @@ def test_equal_sides_with_unequal_unreduced_coordinates():
     assert (V.K.mul(a, c), V.K.mul(b, d)) == ((36, 6), (6, 1))
     rep = check_hopf(H)
     assert rep.ok and entries(rep) == oracle_hopf(H)
+
+
+def test_lift_maps_every_one_onto_the_kernels_one():
+    """A rational 1, a 1 at a conductor promoted to M and a 1 at M all lift
+    to K.one, the object K.mul skips; other constants lift to their
+    coordinates at M."""
+    z = CycScalar.zeta(12)
+    V = hopf._Lifted([z, CycScalar.zeta(4), rat(1)])
+    K = V.K
+    assert V.M == 12 and K is cyclotomic.COORDINATE_KERNELS[12]
+    for one in (rat(1), CycScalar.one(4), CycScalar.one(12)):
+        assert V.lift(one) is K.one
+    assert V.lift(z) == z.nums + (1,) and V.lift(-CycScalar.one(12)) == (-1, 0, 0, 0, 1)
+    assert K.mul(V.lift(rat(1)), V.lift(z)) is V.lift(z)
 
 
 def test_each_distinct_constant_is_promoted_once(monkeypatch):

@@ -9,7 +9,7 @@ from hopfforge.hopf import group_algebra_cyclic
 from hopfforge.linalg import (
     CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
     basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
-    preimage, rref, solve, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
+    preimage, rref, solve, sv_add_into, sv_axpy, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
 
 
@@ -196,7 +196,9 @@ def test_echelon_is_canonical():
         assert echelon([sv_scale(r, c) for r, c in zip(rows, scales)]) == want
         combo: dict = {}
         for r in rows:
-            sv_axpy(combo, z ** rng.randrange(12) * rat(rng.randrange(-2, 3)), r.items())
+            c = z ** rng.randrange(12) * rat(rng.randrange(-2, 3))
+            if c:  # sv_axpy takes a nonzero scale only
+                sv_axpy(combo, c, r.items())
         assert echelon(rows + [combo]) == want
         assert echelon([combo] + rows) == want
 
@@ -391,7 +393,8 @@ def test_matmul_shape_mismatch():
 def test_sv_axpy_keeps_only_nonzero_entries():
     z = CycScalar.zeta(6)
     acc = {0: rat(1), 1: z}
-    sv_axpy(acc, czero(), [(0, rat(5)), (2, rat(1))])
+    # sv_axpy takes a nonzero scale; sv_add_into tests its own scale for 0
+    sv_add_into(acc, {0: rat(5), 2: rat(1)}, czero())
     assert acc == {0: rat(1), 1: z}
     sv_axpy(acc, rat(-1), [(0, rat(1)), (2, z)])
     assert acc == {1: z, 2: -z}
@@ -454,7 +457,7 @@ def test_term_sources_hold_no_zero_values(c4min_entry, b0_entry, qline6_entry, x
 def test_sparse_accumulation_lives_in_the_kernels():
     """The accumulate-and-drop idiom appears only in the two kernels on
     scalars and in the source of the coordinate axpy, which leaves zeros to
-    `normalize`."""
+    `equal`."""
     kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
                ("cyclotomic.py", "_coordinate_kernels")}
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
