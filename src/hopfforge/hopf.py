@@ -181,29 +181,29 @@ class HopfSC(BialgebraSC):
 # and the two sides of an equation are compared by cross-multiplication.
 #
 # Associativity (n^3 tuples) and the multiplicativity of Delta and eps (n^2
-# pairs) are decided on a generating set when the unit axioms allow it.  The
-# x in A with (xy)z = x(yz) for all y, z form a subspace T, closed under
-# products: for a, b in T, ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) =
-# (ab)(yz).  A two-sided unit lies in T.  So when the right-nested words
-# x_1 (x_2 (... (x_k 1))) over a set X of basis vectors span A, A is
-# associative exactly when every tuple (x, j, k) with x in X passes.  Given
-# associativity, Delta(1) = 1 (x) 1 and eps(1) = 1, the same argument holds
-# for {x : Delta(xy) = Delta(x) Delta(y) for all y} and for eps, so the pairs
-# (x, j) with x in X decide both.  X is `generating_set(A)`, chosen greedily
-# over the basis indices ranked by support reach (how much of the basis the
-# powers of e_x reach from the unit's support, then how many nonempty cells
-# row x has, then the index), so a rescaled basis needs about as few rows as
-# its catalog basis; a reverse pass over the picks drops those the later ones
-# make redundant, and is skipped when no pick lies in the reach of the picks
-# after it, where it would keep them all.  The verdict holds for any X whose
-# words span A, and the greedy visits every index, so the order only changes
-# which X is found.
+# pairs) are decided on a generating set.  The x in A with (xy)z = x(yz) for
+# all y, z form a subspace T, closed under products: for a, b in T, ((ab)y)z =
+# (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  No unit enters, so when the
+# right-nested words x_1 (x_2 (... x_k)) over a set X of basis vectors span
+# A, A is associative exactly when every tuple (x, j, k) with x in X passes.
+# Given associativity, the same argument holds for {x : Delta(xy) =
+# Delta(x) Delta(y) for all y}, as Delta((ab)y) = Delta(a) Delta(b) Delta(y)
+# = Delta(ab) Delta(y), and for eps, so the pairs (x, j) with x in X decide
+# both.  X is `generating_set(A)`, chosen greedily over the basis indices
+# ranked by support reach (how much of the basis the powers of e_x reach,
+# then how many nonempty cells row x has, then the index), so a rescaled
+# basis needs about as few rows as its catalog basis; a reverse pass over
+# the picks drops those the later ones make redundant, and is skipped when
+# no pick lies in the reach of the picks after it, where it would keep them
+# all.  The verdict holds for any X whose words span A, and the greedy
+# visits every index, so the order only changes which X is found.
 # Each axiom has one loop, over a given set of rows i: the checks run it on
-# the rows X when those preconditions pass, and on every row, in order, when
-# one fails or the rows X find a failure.  That full scan is the one that
-# lists witnesses, so entries and witnesses are those of a tuple-by-tuple
-# scan (a failing associativity scan stops at its eighth witness), and every
-# basis tuple is decided, by the reduction or by the full scan.
+# the rows X (the Delta/eps loop once associativity passes), and on every
+# row, in order, when associativity fails or the rows X find a failure.
+# That full scan is the one that lists witnesses, so entries and witnesses
+# are those of a tuple-by-tuple scan (a failing associativity scan stops at
+# its eighth witness), and every basis tuple is decided, by the reduction or
+# by the full scan.
 
 
 def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
@@ -212,6 +212,10 @@ def _mult_constants(A: AlgebraSC) -> Iterator[CycScalar]:
 
 def _comult_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
     return (c for d in C._by_k.values() for c in d.values())
+
+
+def _counit_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
+    return (c for c in C.counit if c)
 
 
 class _Lazy(dict):
@@ -232,16 +236,18 @@ class _Lifted:
     """The constants one check reads, as coordinates at their lcm conductor M,
     with `K` the coordinate kernels of M.  `lift` promotes each distinct
     constant once, and maps one equal to 1 onto `K.one`, the object that
-    `K.mul` skips.  Nonzero constants at more than one conductor, with M past
-    the conductor cap, raise ConductorOverflow here, before any kernel or
-    table is formed; constants all at one conductor are read there, cap or not.
+    `K.mul` skips.  The groups hold no zero (the dense unit and counit are
+    passed filtered), so a zero's conductor never counts toward M.
+    Constants at more than one conductor, with M past the conductor cap,
+    raise ConductorOverflow here, before any kernel or table is formed;
+    constants all at one conductor are read there, cap or not.
 
     A check reads one structure A, so `table(A)` and `generators(A)` are
     formed on their first call and kept: every loop of the check reads the
     same row table and the same generating set."""
 
     def __init__(self, *groups: Iterable[CycScalar]):
-        conductors = {c.L for g in groups for c in g if c}
+        conductors = {c.L for g in groups for c in g}
         self.M = lcm(1, *conductors)
         if len(conductors) > 1 and self.M > conductor_cap():
             raise ConductorOverflow(f"lcm conductor {self.M} exceeds cap {conductor_cap()}")
@@ -286,20 +292,19 @@ def generating_set(A: AlgebraSC) -> list[int]:
 
     The greedy (`_greedy`) visits every basis index once and picks each x
     with e_x outside the span W of the right-nested words x_1 (x_2 (...
-    (x_k 1))) over the picks so far.  It visits the indices by support
-    reach: those whose powers reach more of the basis from the unit's
-    support first (`_support_reach(A, (x,))`), then those with more
-    nonempty cells in their row, then by index, read from the supports of
-    A's table alone.  It then runs once more over the picks in reverse,
-    followed by every other index, which drops the picks that the later
-    ones make redundant (in an associative A it keeps a subset of them).
-    That pass is skipped when no pick lies in the reach of the picks after
-    it: no word over those can hold e_x for an earlier pick x, so the pass
-    would keep every pick, reach the first pass's W, and so pick no other
-    index, each of which lay in W when the first pass visited it.  When the
-    unit is two-sided, e_x = x 1 lies in W once x is picked, so the words
-    over X span A, whatever the order; otherwise X is still returned, and
-    nothing follows from it.
+    x_k)) over the picks so far.  It visits the indices by support reach:
+    those whose powers reach more of the basis first
+    (`_support_reach(A, (x,))`), then those with more nonempty cells in
+    their row, then by index, read from the supports of A's table alone.
+    It then runs once more over the picks in reverse, followed by every
+    other index, which drops the picks that the later ones make redundant
+    (in an associative A it keeps a subset of them).  That pass is skipped
+    when no pick lies in the reach of the picks after it: no word over
+    those can hold e_x for an earlier pick x, so the pass would keep every
+    pick, reach the first pass's W, and so pick no other index, each of
+    which lay in W when the first pass visited it.  Each pick x puts e_x
+    itself in W, so every visited index ends in W and the words over X
+    span A, for any bilinear product and in any order.
     """
     rows = A._rows
     rank = sorted(range(A.dim),
@@ -311,11 +316,11 @@ def generating_set(A: AlgebraSC) -> list[int]:
 
 
 def _support_reach(A: AlgebraSC, X: Iterable[int]) -> set[int]:
-    """The basis indices reached from the support of the unit by repeated
-    left multiplication by e_x, x in X, read from the supports of A's
-    cells: it holds the support of every word over X."""
+    """The indices X and those reached from them by repeated left
+    multiplication by e_x, x in X, read from the supports of A's cells: it
+    holds the support of every word over X."""
     rows = [A._rows[x] for x in X]
-    reach = set(A._unit)
+    reach = set(X)
     todo = list(reach)
     while todo:
         m = todo.pop()
@@ -332,8 +337,8 @@ def _greedy(A: AlgebraSC, order: Iterable[int]) -> list[int]:
     visited.
 
     W, the span of the words over the picks so far, is kept as reduced
-    pivot rows (`echelon_add`) together with the words that added them, and
-    after each pick it is closed again under left multiplication by X.
+    pivot rows (`echelon_add`) together with the words that added them; each
+    pick x adds e_x, and W is closed again under left multiplication by X.
     """
     one = cone()
     W: dict[int, SVec] = {}
@@ -346,11 +351,11 @@ def _greedy(A: AlgebraSC, order: Iterable[int]) -> list[int]:
             words.append(v)
             done.append(0)
 
-    add(A.unit_sv())
     for i in order:
         if W.get(i) == {i: one}:  # in reduced echelon form: e_i lies in W
             continue
         X.append(i)
+        add({i: one})
         w = 0
         while w < len(words):
             for x in X[done[w]:]:
@@ -423,20 +428,17 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int,
 
 
 def check_algebra(A: AlgebraSC, lifted: Optional[_Lifted] = None) -> CheckReport:
-    """Associativity, decided on the rows `generating_set(A)` when the unit
-    is two-sided (see above), and the two-sided unit.  check_bialgebra
-    passes its own `lifted`, so that its Delta/eps loop reads the same row
-    table and generating set."""
+    """Associativity, decided on the rows `generating_set(A)` (see above),
+    and the two-sided unit.  check_bialgebra passes its own `lifted`, so
+    that its Delta/eps loop reads the same row table and generating set."""
     L = lifted or _Lifted(_mult_constants(A))
     rep = CheckReport("algebra axioms")
-    unit = unit_failures(A)
     K, T, n = L.K, L.table(A), A.dim
-    if not unit and next(_scalar_associativity(K, T, n, L.generators(A)), None) is None:
-        witnesses = []
-    else:
+    witnesses = []
+    if next(_scalar_associativity(K, T, n, L.generators(A)), None) is not None:
         witnesses = list(islice(_scalar_associativity(K, T, n, range(n)), MAX_WITNESSES))
     rep.add("associativity", not witnesses, witnesses)
-    rep.record("two_sided_unit", unit)
+    rep.record("two_sided_unit", unit_failures(A))
     return rep
 
 
@@ -465,7 +467,7 @@ def unit_group_like(B: BialgebraSC) -> tuple[bool, bool]:
 
 def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
-    L = _Lifted(_comult_constants(C), C.counit)
+    L = _Lifted(_comult_constants(C), _counit_constants(C))
     n, D, one = C.dim, L.coproducts(C), L.K.one
     axpy, equal = L.K.axpy, L.K.equal
     counit = [L.lift(c) if c else None for c in C.counit]
@@ -496,18 +498,15 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
 
 def check_bialgebra(B: BialgebraSC) -> CheckReport:
     rep = CheckReport("bialgebra axioms")
-    L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit)
+    L = _Lifted(_mult_constants(B), _comult_constants(B), _counit_constants(B))
     rep.merge(check_algebra(B, L))
     rep.merge(check_coalgebra(B))
-    comult_unit, counit_unit = unit_group_like(B)
-    every = range(B.dim)
-    reduced = (comult_unit and counit_unit and rep.entry("associativity").ok
-               and rep.entry("two_sided_unit").ok)
-    comult, counit = _bialgebra_failures(L, B, L.generators(B) if reduced else every)
-    if reduced and (comult or counit):
-        comult, counit = _bialgebra_failures(L, B, every)
+    comult, counit = [], []
+    if not rep.entry("associativity").ok or any(_bialgebra_failures(L, B, L.generators(B))):
+        comult, counit = _bialgebra_failures(L, B, range(B.dim))
     rep.add("comult_is_algebra_map", not comult, comult)
     rep.add("counit_is_algebra_map", not counit, counit)
+    comult_unit, counit_unit = unit_group_like(B)
     rep.add("comult_unit", comult_unit)
     rep.add("counit_unit", counit_unit)
     return rep
@@ -554,7 +553,7 @@ def _bialgebra_failures(L: _Lifted, B: BialgebraSC, rows: Iterable[int]) -> tupl
 def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
     """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
     from the multiplication rows and the columns of S."""
-    L = _Lifted(_mult_constants(B), _comult_constants(B), B.counit, B.unit,
+    L = _Lifted(_mult_constants(B), _comult_constants(B), _counit_constants(B), B._unit.values(),
                 (a for col in S.cols for a in col.values()))
     n, lift, mul, axpy, equal = B.dim, L.lift, L.K.mul, L.K.axpy, L.K.equal
     D = L.coproducts(B)

@@ -581,12 +581,9 @@ def triple(s):
     return (s.L, s.den, s.nums)
 
 
-@pytest.mark.parametrize("name", ["kc12n6", "xmas", "smash36", "b0", "c4min"])
-def test_passing_checks_scan_only_the_generator_rows(name, monkeypatch):
-    """A passing check_hopf runs associativity and the Delta/eps loop once
-    each, on the rows of the generating set alone: a silent fall-back to the
-    full scan fails here.  A copy with one MULT constant moved fails on
-    those rows and is then scanned in full, in the oracle's order."""
+def recorded_scans(monkeypatch):
+    """A list that each run of the associativity or the Delta/eps loop
+    appends (loop name, rows) to."""
     scans = []
 
     def recorded(loop):
@@ -597,6 +594,16 @@ def test_passing_checks_scan_only_the_generator_rows(name, monkeypatch):
 
     for loop in (hopf._scalar_associativity, hopf._bialgebra_failures):
         monkeypatch.setattr(hopf, loop.__name__, recorded(loop))
+    return scans
+
+
+@pytest.mark.parametrize("name", ["kc12n6", "xmas", "smash36", "b0", "c4min"])
+def test_passing_checks_scan_only_the_generator_rows(name, monkeypatch):
+    """A passing check_hopf runs associativity and the Delta/eps loop once
+    each, on the rows of the generating set alone: a silent fall-back to the
+    full scan fails here.  A copy with one MULT constant moved fails on
+    those rows and is then scanned in full, in the oracle's order."""
+    scans = recorded_scans(monkeypatch)
     H = catalog.ALL_BUILDERS[name]().ore.O
     scans.clear()  # a first build of the catalog entry runs checks of its own
     rep = check_hopf(H)
@@ -613,11 +620,28 @@ def test_passing_checks_scan_only_the_generator_rows(name, monkeypatch):
                      ("_bialgebra_failures", list(range(B.dim)))]
 
 
+def test_an_associative_algebra_with_a_broken_unit_scans_only_the_generator_rows(monkeypatch):
+    """kc12n6 with its unit doubled is still associative, and Delta and eps
+    are still multiplicative: no unit axiom gates the reduction, so
+    check_hopf scans the rows of the generating set alone, and only the
+    unit entries and the antipode, which reads the unit, fail."""
+    scans = recorded_scans(monkeypatch)
+    H = catalog.kc12n6().ore.O
+    B = HopfSC(H.dim, H.mult, [c + c for c in H.unit], H.comult, H.counit, H.antipode)
+    scans.clear()
+    rep = check_hopf(B)
+    X = hopf.generating_set(B)
+    assert scans == [("_scalar_associativity", X), ("_bialgebra_failures", X)]
+    assert [e.name for e in rep.failures()] == ["two_sided_unit", "comult_unit", "counit_unit",
+                                                "antipode_left", "antipode_right"]
+    assert rep.entry("two_sided_unit").witnesses == list(range(B.dim))
+
+
 def word_span_dim(A, X):
     """The dimension of the span of the right-nested words x_1 (x_2 (...
-    (x_k 1))) over X: the unit, closed under left multiplication by X one
-    round at a time."""
-    span = echelon([A.unit_sv()])
+    x_k)) over X: the e_x, x in X, closed under left multiplication by X
+    one round at a time."""
+    span = echelon([{x: cone()} for x in X])
     while True:
         grown = echelon([*span.values(), *(A.mul_sv({x: cone()}, r) for x in X for r in span.values())])
         if len(grown) == len(span):
@@ -627,28 +651,27 @@ def word_span_dim(A, X):
 
 def row_verdicts(B, rows):
     """Whether associativity, Delta- and eps-multiplicativity pass on the rows i in rows."""
-    L = hopf._Lifted(hopf._mult_constants(B), hopf._comult_constants(B), B.counit)
+    L = hopf._Lifted(hopf._mult_constants(B), hopf._comult_constants(B), hopf._counit_constants(B))
     assoc = next(hopf._scalar_associativity(L.K, L.table(B), B.dim, rows), None) is None
     comult, counit = hopf._bialgebra_failures(L, B, rows)
     return assoc, not comult, not counit
 
 
 def assert_generators_decide(B):
-    """Where B's unit axioms and associativity allow the reduction, each
-    verdict on the rows of generating_set(B) is the verdict on all rows,
-    and the words over it span B; check_bialgebra's verdicts are the
-    all-rows ones either way."""
+    """The words over generating_set(B) span B, whatever its unit; the
+    associativity verdict on the rows X is the verdict on all rows, and so
+    are the Delta and eps verdicts once B is associative; check_bialgebra's
+    verdicts are the all-rows ones."""
     X = hopf.generating_set(B)
     full = row_verdicts(B, range(B.dim))
     rep = check_bialgebra(B)
     assert [rep.entry(e).ok for e in ("associativity", "comult_is_algebra_map",
                                       "counit_is_algebra_map")] == list(full)
-    if rep.entry("two_sided_unit").ok:
-        assert word_span_dim(B, X) == B.dim
-        reduced = row_verdicts(B, X)
-        assert reduced[0] == full[0]
-        if full[0] and rep.entry("comult_unit").ok and rep.entry("counit_unit").ok:
-            assert reduced == full
+    assert word_span_dim(B, X) == B.dim
+    reduced = row_verdicts(B, X)
+    assert reduced[0] == full[0]
+    if full[0]:
+        assert reduced == full
 
 
 def with_unit_coproduct_moved(H, seed):
@@ -685,6 +708,41 @@ def test_generators_decide_what_every_row_decides():
             structures += seeded_perturbations(B, count)
     for B in structures:
         assert_generators_decide(B)
+
+
+def with_unit_moved(H, kind):
+    """H, still associative, with one unit axiom broken: the unit vector
+    doubled or spread onto a second basis vector (u the index the unit is
+    a multiple of), Delta(1) != 1 (x) 1, or eps(1) != 1."""
+    if kind == "comult":
+        return with_unit_coproduct_moved(H, 0)
+    (u,) = [i for i, c in enumerate(H.unit) if c]
+    unit, counit = list(H.unit), list(H.counit)
+    if kind == "doubled":
+        unit[u] = unit[u] + unit[u]
+    elif kind == "spread":
+        unit[(u + 1) % H.dim] = unit[u]
+    else:
+        counit[u] = counit[u] + rat(1)
+    return HopfSC(H.dim, H.mult, unit, H.comult, counit, H.antipode)
+
+
+@pytest.mark.parametrize("kind", ["doubled", "spread", "comult", "counit"])
+@pytest.mark.parametrize("basis", ["catalog", "rescaled"])
+@pytest.mark.parametrize("name", ["c4min", "b0"])
+def test_unit_perturbations_are_decided_on_the_generator_rows(name, basis, kind):
+    """A unit axiom broken in an associative copy of c4min or b0, in its
+    catalog basis or rescaled at seed 1: the rows X decide every verdict,
+    and the entries and witnesses of check_hopf are those of the
+    tuple-by-tuple oracle, which scans every row."""
+    H = catalog.ALL_BUILDERS[name]().ore.O
+    if basis == "rescaled":
+        H = bench_module("rescale").rescaled(H, random.Random(1))
+    B = with_unit_moved(H, kind)
+    rep = check_hopf(B)
+    assert rep.entry("associativity").ok and not rep.ok
+    assert_generators_decide(B)
+    assert entries(rep) == oracle_hopf(B)
 
 
 @pytest.mark.parametrize("name", ["kc12n6", "xmas", "smash36", "b0", "c4min"])
@@ -791,6 +849,10 @@ def test_conductor_overflow_still_raised_past_the_cap():
     H12 = HopfSC(2, T12, basis_vec(2, 0), T12, [z4.promote(12), z6.promote(12)], Mat.identity(2))
     failures, coassoc, counit = oracle_failures(H12), oracle_coassociativity(H12), oracle_counit(H12)
     assert failures and counit
+    zero5 = CycScalar.zero(5)
+    Z12 = HopfSC(2, T12, basis_vec(2, 0), T12, [z4.promote(12), zero5], Mat.identity(2))
+    assert oracle_coassociativity(Z12) == coassoc
+    zero_counit = oracle_counit(Z12)
     old = conductor_cap()
     try:
         set_conductor_cap(10)
@@ -798,6 +860,14 @@ def test_conductor_overflow_still_raised_past_the_cap():
         with pytest.raises(ConductorOverflow):
             hopf._Lifted(hopf._mult_constants(H))
         assert hopf._Lifted(hopf._mult_constants(H12)).M == 12
+        # a zero counit entry at conductor 5 is no constant read: M stays 12,
+        # and H with it still raises
+        assert hopf._Lifted(hopf._comult_constants(Z12), hopf._counit_constants(Z12)).M == 12
+        rep = hopf.check_coalgebra(Z12)
+        assert [(e.name, e.witnesses) for e in rep.entries] == [("coassociativity", coassoc),
+                                                                ("counit", zero_counit)]
+        with pytest.raises(ConductorOverflow):
+            hopf.check_coalgebra(HopfSC(2, T, basis_vec(2, 0), T, [z4, zero5], Mat.identity(2)))
         for check in (check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf):
             with pytest.raises(ConductorOverflow):
                 check(H)
