@@ -893,7 +893,8 @@ def test_conductor_overflow_raised_before_any_kernel_is_generated():
     COORDINATE_KERNELS.pop(5040, None)
     checks = [check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf,
               lambda H: hopf._bialgebra_failures(hopf._Lifted(hopf._mult_constants(H),
-                                                              hopf._comult_constants(H), H.counit),
+                                                              hopf._comult_constants(H),
+                                                              hopf._counit_constants(H)),
                                                  H, range(H.dim)),
               lambda H: hopf._antipode_axiom_entry(CheckReport("antipode"), H, H.antipode)]
     for check in checks:
