@@ -476,12 +476,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
             # g^N = 1: the value must vanish and lambda is forced to 0
             lam = czero() if not raw else None
         else:
-            if not raw:
-                lam = czero()
-            else:
-                k0 = next(iter(z))
-                cand = raw.get(k0, czero()) / z[k0]
-                lam = cand if raw == sv_scale(z, cand) else None
+            lam = _proportionality(raw, z)
         if lam is not None:
             datum = YDDatum(H, basis.g, basis.chi, q)
             out = validate_compatible_datum(datum, lam)

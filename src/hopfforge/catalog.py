@@ -41,7 +41,7 @@ def _checked_datum(H, g, chi, lam) -> CompatibleDatum:
 @lru_cache(maxsize=None)
 def b0() -> CatalogEntry:
     """The 12-dimensional pointed Hopf algebra from (K C_6, gamma^3, chi(gamma) = -1)."""
-    H = group_algebra_cyclic(6, conductor=6, generator_label="g")
+    H = group_algebra_cyclic(6, conductor=6)
     chi1 = cyclic_character(H, CycScalar.from_rational(-1))
     H.characters["chi1"] = chi1
     H.characters["chi2"] = cyclic_character(H, CycScalar.zeta(6))
@@ -89,7 +89,7 @@ def xmas() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def c4min() -> CatalogEntry:
     """dim-8: the minimal quantum-line bosonization that is not Radford-Majid."""
-    H = group_algebra_cyclic(4, conductor=1, generator_label="g")
+    H = group_algebra_cyclic(4, conductor=1)
     chi = cyclic_character(H, CycScalar.from_rational(-1))
     H.characters["chi"] = chi
     c = _checked_datum(H, {1: cone()}, chi, CycScalar.one())
@@ -101,7 +101,7 @@ def c4min() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def qline6() -> CatalogEntry:
     """The N = 6 quantum line over K C_6 (as a pre-bialgebra with trivial cocycle)."""
-    H = group_algebra_cyclic(6, conductor=6, generator_label="g")
+    H = group_algebra_cyclic(6, conductor=6)
     chi = cyclic_character(H, CycScalar.zeta(6))
     H.characters["chi"] = chi
     d = validate_yd_datum(H, {1: cone()}, chi)
@@ -127,7 +127,7 @@ def smash36() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def kc12n6() -> CatalogEntry:
     """dim-72 derived instance over K C_12: N = 6 with non-trivial lambda = 1."""
-    H = group_algebra_cyclic(12, conductor=12, generator_label="g")
+    H = group_algebra_cyclic(12, conductor=12)
     chi = cyclic_character(H, CycScalar.zeta(6).promote(12))
     H.characters["chi"] = chi
     c = _checked_datum(H, {1: cone()}, chi, CycScalar.one())

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .cyclotomic import CycScalar, conductor_cap
-from .hopf import HopfSC, BialgebraSC
+from .hopf import HopfSC
 from .linalg import Mat, Tensor3, Vec, zeros
 from .cocycle import Cocycle, PreBialgebra
 from .yd import YDModule
@@ -114,107 +114,66 @@ def _mat_rows(m: Mat, fmt: _Formatter) -> list[str]:
     return [f"{i} {j} {fmt(m.cols[j][i])}" for i, j in cells]
 
 
-def write_hopf(H: Union[HopfSC, BialgebraSC], path: Union[str, Path],
+def _write(path: Union[str, Path], kind: str, conductor: int,
+           headers: Iterable[tuple[str, object]], sections: Iterable[tuple[str, list[str]]]) -> None:
+    """The one layout of a structure file: the format, kind and conductor
+    lines, each (key, value) header in the order given, a header with an
+    empty value (an absent labels or reference) left out, then each (title,
+    rows) section under its `SECTION title` line."""
+    lines = ["# format: hopfforge-sc v1", f"# kind: {kind}", f"# conductor: {conductor}"]
+    lines += [f"# {key}: {value}" for key, value in headers if value]
+    for title, rows in sections:
+        lines.append(f"SECTION {title}")
+        lines += rows
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _bialgebra_sections(B: Union[HopfSC, PreBialgebra], fmt: _Formatter) -> list[tuple[str, list[str]]]:
+    """MULT, UNIT, COMULT and COUNIT, the sections of a (pre-)bialgebra."""
+    return [("MULT", _tensor_rows(B.mult, fmt)), ("UNIT", _vec_rows(enumerate(B.unit), fmt)),
+            ("COMULT", _tensor_rows(B.comult, fmt)), ("COUNIT", _vec_rows(enumerate(B.counit), fmt))]
+
+
+def write_hopf(H: HopfSC, path: Union[str, Path],
                kind: str = "hopf", maps: Optional[dict] = None) -> None:
     """Write an algebra/bialgebra/Hopf structure file.
 
     `maps` may carry {"name": (Mat, ref_path)} entries emitted as MAP
     sections referencing a second file by relative path.
     """
-    conductor = getattr(H, "conductor", 1)
-    fmt = _formatter(conductor)
-    lines = [
-        "# format: hopfforge-sc v1",
-        f"# kind: {kind}",
-        f"# conductor: {conductor}",
-        f"# dim: {H.dim}",
-    ]
-    labels = getattr(H, "labels", None)
-    if labels:
-        lines.append("# labels: " + " ".join(labels))
-    lines.append("# flags: finite_dim" + (" cosemisimple" if H.dual_integral is not None else ""))
-    lines.append("SECTION MULT")
-    lines += _tensor_rows(H.mult, fmt)
-    lines.append("SECTION UNIT")
-    lines += _vec_rows(enumerate(H.unit), fmt)
-    lines.append("SECTION COMULT")
-    lines += _tensor_rows(H.comult, fmt)
-    lines.append("SECTION COUNIT")
-    lines += _vec_rows(enumerate(H.counit), fmt)
-    if getattr(H, "antipode", None) is not None:
-        lines.append("SECTION ANTIPODE")
-        lines += _mat_rows(H.antipode, fmt)
-    for name, gl in getattr(H, "group_likes", {}).items():
-        lines.append(f"SECTION GROUPLIKE {name}")
-        lines += _vec_rows(sorted(gl.items()), fmt)
-    for name, chi in getattr(H, "characters", {}).items():
-        lines.append(f"SECTION CHARACTER {name}")
-        lines += _vec_rows(enumerate(chi), fmt)
-    for name, (mat, ref) in (maps or {}).items():
-        lines.append(f"SECTION MAP {name} {ref}")
-        lines += _mat_rows(mat, fmt)
-    Path(path).write_text("\n".join(lines) + "\n")
+    fmt = _formatter(H.conductor)
+    sections = _bialgebra_sections(H, fmt)
+    if H.antipode is not None:
+        sections.append(("ANTIPODE", _mat_rows(H.antipode, fmt)))
+    sections += [(f"GROUPLIKE {name}", _vec_rows(sorted(gl.items()), fmt))
+                 for name, gl in H.group_likes.items()]
+    sections += [(f"CHARACTER {name}", _vec_rows(enumerate(chi), fmt))
+                 for name, chi in H.characters.items()]
+    sections += [(f"MAP {name} {ref}", _mat_rows(mat, fmt)) for name, (mat, ref) in (maps or {}).items()]
+    flags = "finite_dim" + (" cosemisimple" if H.dual_integral is not None else "")
+    _write(path, kind, H.conductor,
+           [("dim", H.dim), ("labels", " ".join(H.labels)), ("flags", flags)], sections)
 
 
 def write_prebialgebra(P: PreBialgebra, path: Union[str, Path], base_ref: str) -> None:
-    conductor = getattr(P.H, "conductor", 1)
-    fmt = _formatter(conductor)
-    lines = [
-        "# format: hopfforge-sc v1",
-        "# kind: prebialgebra",
-        f"# conductor: {conductor}",
-        f"# dim: {P.dim}",
-        f"# base: {base_ref}",
-        "SECTION MULT",
-        *_tensor_rows(P.mult, fmt),
-        "SECTION UNIT",
-        *_vec_rows(enumerate(P.unit), fmt),
-        "SECTION COMULT",
-        *_tensor_rows(P.comult, fmt),
-        "SECTION COUNIT",
-        *_vec_rows(enumerate(P.counit), fmt),
-        "SECTION ACTION",
-        *_tensor_rows(P.yd.action, fmt),
-        "SECTION COACTION",
-        *_tensor_rows(P.yd.coaction, fmt),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    fmt = _formatter(P.H.conductor)
+    _write(path, "prebialgebra", P.H.conductor, [("dim", P.dim), ("base", base_ref)],
+           _bialgebra_sections(P, fmt) + [("ACTION", _tensor_rows(P.yd.action, fmt)),
+                                          ("COACTION", _tensor_rows(P.yd.coaction, fmt))])
 
 
 def write_cocycle(xi: Cocycle, path: Union[str, Path], conductor: int,
                   r_ref: str = "", base_ref: str = "") -> None:
-    lines = [
-        "# format: hopfforge-sc v1",
-        "# kind: cocycle",
-        f"# conductor: {conductor}",
-        f"# dim: {xi.r_dim}",
-        f"# base_dim: {xi.h_dim}",
-    ]
-    if r_ref:
-        lines.append(f"# r: {r_ref}")
-    if base_ref:
-        lines.append(f"# base: {base_ref}")
-    lines.append("SECTION XI")
-    lines += _tensor_rows(xi.xi, _formatter(conductor))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "cocycle", conductor,
+           [("dim", xi.r_dim), ("base_dim", xi.h_dim), ("r", r_ref), ("base", base_ref)],
+           [("XI", _tensor_rows(xi.xi, _formatter(conductor)))])
 
 
 def write_map(m: Mat, path: Union[str, Path], conductor: int,
               domain_ref: str = "", codomain_ref: str = "") -> None:
-    lines = [
-        "# format: hopfforge-sc v1",
-        "# kind: map",
-        f"# conductor: {conductor}",
-        f"# rows: {m.nrows}",
-        f"# cols: {m.ncols}",
-    ]
-    if domain_ref:
-        lines.append(f"# domain: {domain_ref}")
-    if codomain_ref:
-        lines.append(f"# codomain: {codomain_ref}")
-    lines.append("SECTION MAP")
-    lines += _mat_rows(m, _formatter(conductor))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "map", conductor,
+           [("rows", m.nrows), ("cols", m.ncols), ("domain", domain_ref), ("codomain", codomain_ref)],
+           [("MAP", _mat_rows(m, _formatter(conductor)))])
 
 
 # -- reading -------------------------------------------------------------------
@@ -375,12 +334,17 @@ class AlgebraFile:
         named[sec, name] = ln
         return name
 
-    def to_hopf(self) -> HopfSC:
-        n = self.dim
+    def _bialgebra(self, n: int) -> tuple[Tensor3, Vec, Tensor3, Vec]:
+        """(mult, unit, comult, counit) of dimension n, in constructor order;
+        the sections are read MULT, COMULT, UNIT, COUNIT, so a file with
+        faults in several reports the first of them in that order."""
         mult = self._tensor("MULT", (n, n, n))
         comult = self._tensor("COMULT", (n, n, n))
-        unit = self._vector("UNIT", n)
-        counit = self._vector("COUNIT", n)
+        return mult, self._vector("UNIT", n), comult, self._vector("COUNIT", n)
+
+    def to_hopf(self) -> HopfSC:
+        n = self.dim
+        bialgebra = self._bialgebra(n)  # read before ANTIPODE
         antipode = None
         found = self.section("ANTIPODE")
         if found is not None:
@@ -395,7 +359,7 @@ class AlgebraFile:
             elif sec == "CHARACTER":
                 name = self._name(named, sec, args, f"chi{len(characters)}", ln)
                 characters[name] = self._vector(sec, n, rows)
-        H = HopfSC(n, mult, unit, comult, counit, antipode,
+        H = HopfSC(n, *bialgebra, antipode,
                    labels=self.labels(), conductor=self.conductor,
                    group_likes=group_likes, characters=characters)
         if "cosemisimple" in self.header.get("flags", "").split() and H.dual_integral is None:
@@ -422,14 +386,10 @@ class AlgebraFile:
 
     def to_prebialgebra(self, H: HopfSC) -> PreBialgebra:
         n = self.dim
-        mult = self._tensor("MULT", (n, n, n))
-        comult = self._tensor("COMULT", (n, n, n))
-        unit = self._vector("UNIT", n)
-        counit = self._vector("COUNIT", n)
+        bialgebra = self._bialgebra(n)  # read before ACTION and COACTION
         action = self._tensor("ACTION", (H.dim, n, n))
         coaction = self._tensor("COACTION", (n, H.dim, n))
-        yd = YDModule(H, n, action, coaction)
-        return PreBialgebra(H, yd, mult, unit, comult, counit)
+        return PreBialgebra(H, YDModule(H, n, action, coaction), *bialgebra)
 
     def to_cocycle(self, P: PreBialgebra) -> Cocycle:
         """The cocycle on P; its dim and base_dim must be those of R and H."""

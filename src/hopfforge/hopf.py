@@ -659,7 +659,7 @@ def unit_counit_map(B: BialgebraSC) -> Mat:
 ANTIPODE_SOLVE_DIM_CAP = 24
 
 
-def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> Optional[Mat]:
+def compute_antipode(B: BialgebraSC) -> Optional[Mat]:
     """Solve m(S (x) id)Delta = u eps = m(id (x) S)Delta for the antipode matrix.
 
     Returns None when the system is inconsistent (no antipode).  The sparse
@@ -668,8 +668,8 @@ def compute_antipode(B: BialgebraSC, dim_cap: int = ANTIPODE_SOLVE_DIM_CAP) -> O
     is unique, so a consistent system has no free unknowns.
     """
     n = B.dim
-    if n > dim_cap:
-        raise ShapeMismatch(f"antipode solve capped at dim {dim_cap} (got {n})")
+    if n > ANTIPODE_SOLVE_DIM_CAP:
+        raise ShapeMismatch(f"antipode solve capped at dim {ANTIPODE_SOLVE_DIM_CAP} (got {n})")
     if not check_bialgebra(B).ok:
         raise NotABialgebra("antipode solve needs a verified bialgebra")
     # unknowns x[(p, s)] = S[s][p], flattened as p * n + s; the equations of
@@ -978,13 +978,13 @@ def filtration_from(C: CoalgebraSC, F0: Subspace) -> tuple[list[Subspace], bool]
 # -- concrete builders --------------------------------------------------------
 
 
-def group_algebra_cyclic(n: int, conductor: int = 1, generator_label: str = "g") -> HopfSC:
+def group_algebra_cyclic(n: int, conductor: int = 1) -> HopfSC:
     """The group algebra K C_n with basis 1, g, ..., g^(n-1)."""
-    names = ["1"] + [f"{generator_label}{'' if k == 1 else k}" for k in range(1, n)]
+    names = ["1"] + [f"g{'' if k == 1 else k}" for k in range(1, n)]
     return _cyclic_group_algebra([n], conductor, lambda e: names[e[0]])
 
 
-def cyclic_character(H: HopfSC, value: CycScalar, generator_index: int = 1) -> Vec:
+def cyclic_character(H: HopfSC, value: CycScalar) -> Vec:
     """Character of K C_n sending the generator basis vector to the given root."""
     n = H.dim
     chi = zeros(n)

@@ -47,9 +47,8 @@ class CheckReport:
         """An entry that fails exactly when there are witnesses, all of them kept."""
         self.entries.append(CheckEntry(name, not witnesses, witnesses))
 
-    def merge(self, other: "CheckReport", prefix: str = "") -> None:
-        for e in other.entries:
-            self.entries.append(CheckEntry(prefix + e.name, e.ok, e.witnesses, e.detail))
+    def merge(self, other: "CheckReport") -> None:
+        self.entries += other.entries
 
     def entry(self, name: str) -> CheckEntry:
         for e in self.entries:

@@ -286,25 +286,9 @@ def adjoint_coaction(H: HopfSC) -> Tensor3:
     return t
 
 
-def regular_action(H: HopfSC) -> Tensor3:
-    """Multiplication action of H on itself (h . x = h x)."""
-    t = Tensor3((H.dim, H.dim, H.dim))
-    for (i, j, k), c in H.mult.data.items():
-        t[(i, j, k)] = c
-    return t
-
-
-def regular_coaction(H: HopfSC) -> Tensor3:
-    """Comultiplication as a coaction of H on itself."""
-    t = Tensor3((H.dim, H.dim, H.dim))
-    for (k, i, j), c in H.comult.data.items():
-        t[(k, i, j)] = c
-    return t
-
-
 def yd_module_adjoint(H: HopfSC) -> YDModule:
     """H as a YD module: adjoint action, regular coaction (smash-product side)."""
-    return YDModule(H, H.dim, adjoint_action(H), regular_coaction(H))
+    return YDModule(H, H.dim, adjoint_action(H), H.comult)
 
 
 def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModule) -> AlgebraSC:

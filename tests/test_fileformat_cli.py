@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfforge import catalog
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.fileformat import (
-    AlgebraFile, ParseError, format_scalar, parse_scalar, write_cocycle, write_hopf,
+    AlgebraFile, ParseError, format_scalar, parse_scalar, write_cocycle, write_hopf, write_map,
     write_prebialgebra,
 )
 from hopfforge.hopf import check_hopf, group_algebra_cyclic, group_algebra_product_cyclic
@@ -23,6 +24,9 @@ from hopfforge.cli import main
 from hopfforge.reports import Report
 
 GOLDEN = Path(__file__).parent / "golden"
+# map and bialgebra files, kept apart so that the globs over GOLDEN read the
+# same inputs
+WRITERS = GOLDEN / "writers"
 
 
 def rat(x):
@@ -76,6 +80,10 @@ def rewrite(path: Path, out: Path) -> str:
     """Parse the structure file at path (its references resolved beside it)
     and write it to out; returns its kind."""
     f = AlgebraFile(path)
+    if f.kind == "map":
+        write_map(f.to_map(), out, f.conductor, domain_ref=f.header.get("domain", ""),
+                  codomain_ref=f.header.get("codomain", ""))
+        return f.kind
     if f.kind == "prebialgebra":
         P = f.to_prebialgebra(AlgebraFile(path.parent / f.base_ref()).to_hopf())
         write_prebialgebra(P, out, f.base_ref())
@@ -125,6 +133,47 @@ def test_golden_write_read_write_is_byte_identical(tmp_path):
     for path in paths:
         rewrite(first / path.name, second / path.name)
         assert (second / path.name).read_bytes() == (first / path.name).read_bytes() == path.read_bytes()
+
+
+def test_writer_goldens_reproduced_and_round_tripped(tmp_path):
+    # the map files of `example xmas` and the antipode-free bialgebra of
+    # `bosonize --out`, byte for byte, and each read back and written again
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "xmas", "--out", str(tmp_path)]) == 0
+        assert main(["bosonize", str(GOLDEN / "qline6_r.alg"), str(GOLDEN / "qline6_xi.alg"),
+                     "--out", str(tmp_path / "B.alg")]) == 0
+    # B.alg's MAP sections refer to the base beside it
+    (tmp_path / "qline6_base.alg").write_bytes((GOLDEN / "qline6_base.alg").read_bytes())
+    again = tmp_path / "again"
+    again.mkdir()
+    kinds = []
+    for path in sorted(WRITERS.glob("*.alg")):
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        kinds.append(rewrite(tmp_path / path.name, again / path.name))
+        assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+    assert kinds == ["bialgebra", "map", "map"]
+    assert "SECTION ANTIPODE" not in (WRITERS / "B.alg").read_text()
+
+
+def test_empty_references_write_no_header(tmp_path):
+    # each reference header is written when given, in a fixed order, and an
+    # empty one is left out
+    xi = catalog.qline6().extra["xi"]
+    m = Mat.of_cols(2, [{0: rat(1)}, {1: rat(2)}, {}])
+
+    def keys(path):
+        return [line[2:].split(":")[0] for line in path.read_text().splitlines() if line.startswith("#")]
+    start = ["format", "kind", "conductor"]
+    for r_ref, base_ref, tail in (("", "", []), ("r.alg", "", ["r"]), ("", "b.alg", ["base"]),
+                                  ("r.alg", "b.alg", ["r", "base"])):
+        write_cocycle(xi, tmp_path / "xi.alg", 6, r_ref=r_ref, base_ref=base_ref)
+        assert keys(tmp_path / "xi.alg") == start + ["dim", "base_dim"] + tail
+    for domain, codomain, tail in (("", "", []), ("a.alg", "", ["domain"]),
+                                   ("", "b.alg", ["codomain"]), ("a.alg", "b.alg", ["domain", "codomain"])):
+        write_map(m, tmp_path / "m.alg", 1, domain_ref=domain, codomain_ref=codomain)
+        assert keys(tmp_path / "m.alg") == start + ["rows", "cols"] + tail
+    assert (tmp_path / "m.alg").read_text().endswith("SECTION MAP\n0 0 1\n1 1 2\n")
+    assert AlgebraFile(tmp_path / "m.alg").to_map() == m
 
 
 def test_a_bad_scalar_on_two_rows_names_the_first(tmp_path):

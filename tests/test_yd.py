@@ -8,7 +8,7 @@ from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, czero, map_tensor_pr
 from hopfforge.yd import (
     YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra,
     braided_tensor_coalgebra, braiding, check_yd, comodule_map_failures, module_map_failures,
-    one_dim_module, regular_action, regular_coaction, trivial_module, yd_module_adjoint, yd_tensor,
+    one_dim_module, trivial_module, yd_module_adjoint, yd_tensor,
 )
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 
@@ -200,7 +200,7 @@ def test_smash_coproduct_agrees_with_trivial_bosonization(kc6, qline):
     from hopfforge.cocycle import Cocycle, bosonize
     # H acts on itself by multiplication; its coaction is not read, so it is left empty
     smashco = braided_tensor_coalgebra(qline, qline.yd, kc6,
-                                       YDModule(kc6, kc6.dim, regular_action(kc6), Tensor3((6, 6, 6))))
+                                       YDModule(kc6, kc6.dim, kc6.mult, Tensor3((6, 6, 6))))
     bos = bosonize(qline, Cocycle.trivial(qline), verify=False)
     assert smashco.comult == bos.B.comult
     assert check_coalgebra(smashco).ok
