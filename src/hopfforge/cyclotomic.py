@@ -460,42 +460,6 @@ class CycScalar:
             raise ConductorOverflow(f"lcm conductor {M} exceeds cap {_conductor_cap}")
         return a.promote(M), b.promote(M)
 
-    def reduce_conductor(self) -> "CycScalar":
-        """Smallest-conductor representation of this element."""
-        if self.L == 1:
-            return self
-        for d in divisors(self.L):
-            if d == self.L:
-                break
-            cand = self._try_express_at(d)
-            if cand is not None:
-                return cand
-        return self
-
-    def _try_express_at(self, d: int) -> Optional["CycScalar"]:
-        from .linalg import echelon  # linalg imports this module
-        rows = _promotion_rows(d, self.L)
-        phi_d = euler_phi(d)
-        # solve sum_i x_i * rows[i] = self over Q, one equation per coordinate
-        # of Q(zeta_L); the right-hand side is column phi_d
-        eqs = []
-        for j, c in enumerate(self.nums):
-            eq = {i: CycScalar.from_rational(rows[i][j]) for i in range(phi_d) if rows[i][j]}
-            if c:
-                eq[phi_d] = CycScalar.from_rational(Fraction(c, self.den))
-            eqs.append(eq)
-        piv = echelon(eqs)
-        if phi_d in piv:
-            return None
-        sol = [Fraction(0)] * phi_d
-        for i, r in piv.items():
-            if phi_d in r:
-                sol[i] = r[phi_d].as_rational()
-        den = 1
-        for f in sol:
-            den = _lcm(den, f.denominator)
-        return CycScalar(d, [int(f * den) for f in sol], den)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -661,8 +625,9 @@ class CycScalar:
 # rational is read as its constant coordinate.  The results equal, in L, den
 # and nums, those of promoting it and applying the same-conductor operation.
 # `__mul__` returns the other operand itself for an exact rational 1 within
-# the cap, the object a product by 1 equals: the analysis tables scale by that
-# 1 on most of their products.  Every other case takes the calls below.
+# the cap, the object a product by 1 equals.  `linalg.sv_axpy` stores that
+# operand without the call when the 1 is the shared `cone()`, as it is in most
+# of the analysis tables' products.  Every other case takes the calls below.
 
 
 def _rational_first(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:

@@ -595,17 +595,50 @@ def check_hopf(H: HopfSC) -> CheckReport:
 # Each check reads the columns f(e_j) of the map once and then visits every
 # basis pair (algebra) or basis vector (coalgebra).  Whether f keeps the unit
 # is left to the caller; the counit is checked with the comultiplication.
+# A column that is one entry equal to 1 is a unit column, read as its index
+# p_j, and an empty column is a zero column.  Maps such as sigma(h) = 1 # h,
+# pi(r # h) = eps(r) h, omega and the classification iso send most basis
+# vectors to a basis vector or to 0, so most pairs (i, j) have unit or zero
+# columns at i, j and at every term k of e_i e_j.  When the images p_k of
+# those terms are distinct, f(e_i e_j) is {p_k: c} as read, and f(e_i) f(e_j)
+# is B's cell at (p_i, p_j) (or 0 when a column is zero): the two are compared
+# with no product formed.  Likewise an index k whose Delta_C(e_k) terms (i, j)
+# have unit or zero columns with distinct images (p_i, p_j) is decided by
+# comparing {(p_i, p_j): c} with Delta_D(e_{p_k}), and eps_C(e_k) with
+# eps_D(e_{p_k}).  Any other pair or index, a general column or two terms
+# with one image, takes the contraction below, in the same loop and order,
+# so the witnesses and their order are those of the contraction throughout.
+
+
+def _unit_columns(cols: list[tuple]) -> list:
+    """For each column: p_j when it is a unit column, -1 when it is zero, else None."""
+    return [-1 if not col else col[0][0] if len(col) == 1 and col[0][1].is_one() else None
+            for col in cols]
 
 
 def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
     """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
     cols = [tuple(col.items()) for col in f.cols]
+    p = _unit_columns(cols)
     n = A.dim
     for i in range(n):
         # f(e_i) f(e_j) = sum f(e_i)_a f(e_j)_b e_a e_b, read from B's rows a
-        fi, Ai = [(B._rows[a], ca) for a, ca in cols[i]], A._rows[i]
+        fi, Ai, pi = [(B._rows[a], ca) for a, ca in cols[i]], A._rows[i], p[i]
         for j in range(n):
-            lhs: SVec = {}
+            pj = p[j]
+            if pi is not None and pj is not None:
+                lhs: SVec = {}
+                for k, c in Ai[j]:
+                    q = p[k]
+                    if q is None or q in lhs:
+                        break
+                    if q >= 0:
+                        lhs[q] = c
+                else:
+                    if lhs != (dict(B._rows[pi][pj]) if pi >= 0 and pj >= 0 else {}):
+                        yield i, j
+                    continue
+            lhs = {}
             for k, c in Ai[j]:
                 sv_axpy(lhs, c, cols[k])
             rhs: SVec = {}
@@ -623,9 +656,25 @@ def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
     """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
     then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
     cols = [tuple(col.items()) for col in f.cols]
+    p = _unit_columns(cols)
     for k in range(C.dim):
+        pk = p[k]
+        if pk is not None:
+            lhs: dict[tuple[int, int], CycScalar] = {}
+            for (i, j), c in C.comult_basis(k).items():
+                a, b = p[i], p[j]
+                if a is None or b is None or (a, b) in lhs:
+                    break
+                if a >= 0 and b >= 0:
+                    lhs[(a, b)] = c
+            else:
+                if lhs != (D.comult_basis(pk) if pk >= 0 else {}):
+                    yield k
+                if (D.counit[pk] if pk >= 0 else czero()) != C.counit[k]:
+                    yield "counit", k
+                continue
         fk = f.cols[k]
-        lhs: dict[tuple[int, int], CycScalar] = {}
+        lhs = {}
         for (i, j), c in C.comult_basis(k).items():
             fj = cols[j]
             for a, ca in cols[i]:

@@ -78,14 +78,19 @@ def sv_axpy(acc: dict, c: CycScalar, terms: Iterable) -> None:
     The one sparse accumulation kernel: vectors keyed by index and tensors
     keyed by index tuples both go through it.  Every term source keeps
     nonzero values only, so c * w on a fresh key is stored untested; a
-    caller whose scale c can be 0 tests it first.
+    caller whose scale c can be 0 tests it first.  Where c or w is the
+    shared one `cone()`, the other operand itself is stored: it has the value
+    and (L, den, nums) of c * w, and no product is formed, so the conductor
+    cap is not read.
     """
+    one = c is _ONE
     for key, w in terms:
+        cw = w if one else c if w is _ONE else c * w
         cur = acc.get(key)
         if cur is None:
-            acc[key] = c * w
+            acc[key] = cw
         else:
-            new = cur + c * w
+            new = cur + cw
             if new:
                 acc[key] = new
             else:
@@ -348,18 +353,6 @@ class Subspace:
             raise ShapeMismatch("ambient dimensions differ")
         return Subspace._of_echelon(self.ambient, echelon([*self.pivot_rows.values(),
                                                            *other.pivot_rows.values()]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ShapeMismatch("ambient dimensions differ")
-        # Zassenhaus: the echelon of [U|U ; W|0], the right half keyed at
-        # n + j; the pivot rows with zero left half, pivot n + j, carry the
-        # intersection in their right half, already in reduced echelon form.
-        n = self.ambient
-        piv = echelon([*({**u, **{n + j: c for j, c in u.items()}} for u in self.pivot_rows.values()),
-                       *other.pivot_rows.values()])
-        return Subspace._of_echelon(n, {p - n: {j - n: c for j, c in r.items()}
-                                        for p, r in piv.items() if p >= n})
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -116,12 +116,3 @@ class Report:
         for k in sorted(self.kv):
             out.append(f":: {k}={self.kv[k]}")
         return "\n".join(out)
-
-    @staticmethod
-    def parse_kv(text: str) -> dict[str, str]:
-        out = {}
-        for line in text.splitlines():
-            if line.startswith(":: ") and "=" in line:
-                k, v = line[3:].split("=", 1)
-                out[k] = v
-        return out

@@ -5,11 +5,11 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial, q_int
 from hopfforge.hopf import (
-    algebra_map_failures, char_convpow, coalgebra_map_failures, phi_power, psi_power,
+    BialgebraSC, algebra_map_failures, char_convpow, coalgebra_map_failures, phi_power, psi_power,
     verify_ad_integral,
 )
 from hopfforge.linalg import (
-    Mat, cone, czero, image, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, zeros,
+    Mat, Tensor3, cone, czero, image, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
 from hopfforge.cocycle import bosonize, retraction_diagnostics
 from hopfforge.reports import CheckReport
@@ -768,25 +768,96 @@ def omega_or_fhat(name, which):
     return ind.omega, bosonize(ind.pre, ind.xi, verify=False).B, s.A
 
 
+def unit_map(images):
+    """The map e_j -> e_{images[j]}, or e_j -> 0 where images[j] is None."""
+    return Mat.of_cols(len(images), [{} if q is None else {q: cone()} for q in images])
+
+
+def with_one_cell_doubled(B, seed):
+    """A copy of the bialgebra B with one cell (chosen by seed) of each of
+    its multiplication, comultiplication and counit doubled."""
+    rng = random.Random(seed)
+    mult, comult, counit = dict(B.mult.data), dict(B.comult.data), list(B.counit)
+    for table in (mult, comult):
+        key = rng.choice(sorted(key for key, c in table.items() if c))
+        table[key] = table[key] * rat(2)
+    k = rng.choice([k for k, c in enumerate(counit) if c])
+    counit[k] = counit[k] * rat(2)
+    return BialgebraSC(B.dim, Tensor3(B.mult.shape, mult), B.unit, Tensor3(B.comult.shape, comult),
+                       counit)
+
+
+def unit_path_input(name, which, seed):
+    """(f, source, target) for the inputs that test the reading of unit and
+    zero columns; except for "one12", seeds 1 and 2 move one entry of f by +1."""
+    s = catalog.ALL_BUILDERS[name]().setup
+    if which == "pi_map":
+        # pi: A -> H has zero columns next to its unit columns; it is an
+        # algebra map on smash36 but not on kc12n6 (lambda = 1)
+        f, source, target = s.pi, s.A, s.H
+    elif which == "collide":
+        # c4min: e4 e4 = e0 - e2 and Delta(e6) = e6 (x) e2 + e3 (x) e6.  With
+        # e0, e2, e3 and e6 sent to e0 and e4 to 0, the images of both
+        # collide: the first cancels to f(e4) f(e4) = 0 and the pair passes,
+        # the second sums to 2 e0 (x) e0 and the index fails; only the
+        # contraction decides them.  e1 = g, sent to 0, fails the counit
+        images = [0, None, 0, 0, None, 5, 0, 7]
+        assert [images[k] for k, _ in s.A._rows[4][4]] == [0, 0]
+        assert [(images[i], images[j]) for i, j in s.A.comult_basis(6)] == [(0, 0), (0, 0)]
+        f, source, target = unit_map(images), s.A, s.A
+    else:
+        f, source, target = omega_or_fhat(name, "omega")
+        if which == "one12":
+            # one unit entry held at conductor 12 against tables at conductor 6
+            assert {c.L for c in target.mult.data.values()} == {6}
+            cols = list(f.cols)
+            j = random.Random(seed).randrange(len(cols))
+            (q, c), = cols[j].items()
+            cols[j] = {q: c.promote(12)}
+            return Mat.of_cols(f.nrows, cols), source, target
+        target = with_one_cell_doubled(target, seed)
+    return (f if seed == 0 else plus_one(f, seed)), source, target
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name, which", [(name, which) for name in ("b0", "c4min", "smash36")
                                          for which in ("sigma", "pi")]
-                         + [("xmas_pi", "omega"), ("smash36", "omega"), ("smash36", "fhat")])
-def test_morphism_checks_match_reference_on_perturbed_maps(name, which, seed):
+                         + [("xmas_pi", "omega"), ("smash36", "omega"), ("smash36", "fhat")]
+                         + [("smash36", "pi_map"), ("kc12n6", "pi_map"), ("c4min", "collide"),
+                            ("smash36", "one12"), ("smash36", "cell")])
+def test_morphism_checks_match_reference_on_perturbed_maps(name, which, seed, monkeypatch):
+    """Unit and zero columns are read as indices where a pair allows it and
+    the rest is contracted: the witnesses, in order, are those of the
+    per-pair formulation on every input."""
+    if which in ("sigma", "pi"):
+        s = catalog.ALL_BUILDERS[name]().setup
+        sigma = plus_one(s.sigma, seed) if which == "sigma" else s.sigma
+        pi = plus_one(s.pi, seed) if which == "pi" else s.pi
+        rep = assert_morphism_checks_match_reference(ProjectionSetup(s.A, s.H, sigma, pi))
+        if which == "sigma":
+            assert not rep.ok
+            assert not (rep.entry("sigma_algebra_map").ok and rep.entry("sigma_coalgebra_map").ok)
+        return
     if which in ("omega", "fhat"):
         f, source, target = omega_or_fhat(name, which)
         assert any(len(col) > 1 for col in f.cols) == (name == "xmas_pi")
         f = plus_one(f, seed)
-        assert list(algebra_map_failures(f, source, target)) == ref_algebra_map(f, source, target)
-        assert list(coalgebra_map_failures(f, source, target)) == ref_coalgebra_map(f, source, target)
-        return
-    s = catalog.ALL_BUILDERS[name]().setup
-    sigma = plus_one(s.sigma, seed) if which == "sigma" else s.sigma
-    pi = plus_one(s.pi, seed) if which == "pi" else s.pi
-    rep = assert_morphism_checks_match_reference(ProjectionSetup(s.A, s.H, sigma, pi))
-    if which == "sigma":
-        assert not rep.ok
-        assert not (rep.entry("sigma_algebra_map").ok and rep.entry("sigma_coalgebra_map").ok)
+    else:
+        f, source, target = unit_path_input(name, which, seed)
+    products = []
+    monkeypatch.setattr(CycScalar, "__mul__", lambda a, b, mul=CycScalar.__mul__: products.append(1) or mul(a, b))
+    alg, coalg = list(algebra_map_failures(f, source, target)), list(coalgebra_map_failures(f, source, target))
+    monkeypatch.undo()
+    # a map of unit and zero columns whose images never collide is read, not multiplied
+    assert (not products) == (which == "one12" or seed == 0 and which in ("pi_map", "cell"))
+    assert alg == ref_algebra_map(f, source, target)
+    assert coalg == ref_coalgebra_map(f, source, target)
+    if which == "one12":
+        assert not alg and not coalg
+    elif seed == 0 and which not in ("omega", "fhat"):
+        assert (not alg) == (which == "pi_map" and name == "smash36")
+        assert (not coalg) == (which == "pi_map")
+        assert any(isinstance(w, tuple) for w in coalg) == (which in ("cell", "collide"))
 
 
 def test_analysis_never_promotes_a_rational(monkeypatch, smash36_entry):

@@ -21,7 +21,6 @@ from hopfforge.fileformat import (
 from hopfforge.hopf import check_hopf, group_algebra_cyclic, group_algebra_product_cyclic
 from hopfforge.linalg import Mat
 from hopfforge.cli import main
-from hopfforge.reports import Report
 
 GOLDEN = Path(__file__).parent / "golden"
 # map and bialgebra files, kept apart so that the globs over GOLDEN read the
@@ -31,6 +30,12 @@ WRITERS = GOLDEN / "writers"
 
 def rat(x):
     return CycScalar.from_rational(x)
+
+
+def parse_kv(text):
+    """The `:: key=value` lines of a rendered report."""
+    return dict(line[3:].split("=", 1) for line in text.splitlines()
+                if line.startswith(":: ") and "=" in line)
 
 
 def test_scalar_grammar_roundtrip():
@@ -461,7 +466,7 @@ def test_cli_analyze(tmp_path, capsys):
                "--pi", str(tmp_path / "xmas_pi.alg")])
     captured = capsys.readouterr()
     assert rc == 0
-    kv = Report.parse_kv(captured.out)
+    kv = parse_kv(captured.out)
     assert kv["thin"] == "True"
     assert kv["N"] == "6"
     assert kv["eq_a_colinear"] == "False"
@@ -519,7 +524,7 @@ def test_cli_example_xmas_report(tmp_path, capsys):
     rc = main(["example", "xmas", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 0
-    kv = Report.parse_kv(captured.out)
+    kv = parse_kv(captured.out)
     assert kv["dim"] == "72"
     assert kv["pi_thin"] == "True"
     assert kv["pi_eq_a_colinear"] == "False"
