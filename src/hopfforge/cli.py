@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: check, ore, bosonize, analyze, example.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 parse/shape/usage errors.  Set
+checks pass, 1 a check failed, 2 parse/shape/usage errors and an
+unwritable --out.  Set
 HOPFFORGE_CONDUCTOR_CAP to override the conductor promotion cap.
 """
 
@@ -357,6 +358,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return USAGE_ERROR
 
 

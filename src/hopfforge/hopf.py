@@ -173,12 +173,15 @@ class HopfSC(BialgebraSC):
 # -- axiom checkers ----------------------------------------------------------
 #
 # The checkers contract the structure tables directly, so every product they
-# form is a product of structure constants.  Each lifts every distinct
+# form is a product of structure constants.  One check lifts every distinct
 # constant it reads once (`_Lifted`) to integer coordinates (n_0, ...,
 # n_{phi-1}, den) at their lcm conductor M, and its loops run on those through
 # the coordinate kernels of M: no promotion, no gcd and no CycScalar.  A
 # constant equal to 1 lifts to the kernels' `one`, which their products skip,
 # and the two sides of an equation are compared by cross-multiplication.
+# check_hopf lifts once for every entry, so M spans the unit and antipode
+# too, and passes the lifting down through check_bialgebra to check_algebra
+# and check_coalgebra, each of which lifts for itself only when called alone.
 #
 # Associativity (n^3 tuples) and the multiplicativity of Delta and eps (n^2
 # pairs) are decided on a generating set.  The x in A with (xy)z = x(yz) for
@@ -218,20 +221,6 @@ def _counit_constants(C: CoalgebraSC) -> Iterator[CycScalar]:
     return (c for c in C.counit if c)
 
 
-class _Lazy(dict):
-    """A memo that forms each missing entry with `make(key)` on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class _Lifted:
     """The constants one check reads, as coordinates at their lcm conductor M,
     with `K` the coordinate kernels of M.  `lift` promotes each distinct
@@ -242,9 +231,9 @@ class _Lifted:
     raise ConductorOverflow here, before any kernel or table is formed;
     constants all at one conductor are read there, cap or not.
 
-    A check reads one structure A, so `table(A)` and `generators(A)` are
-    formed on their first call and kept: every loop of the check reads the
-    same row table and the same generating set."""
+    One lifting serves every entry of one check of one structure A, so
+    `table(A)`, `generators(A)` and `coproducts(A)` are formed on their
+    first call and kept: every loop of the check reads the same ones."""
 
     def __init__(self, *groups: Iterable[CycScalar]):
         conductors = {c.L for g in groups for c in g}
@@ -254,6 +243,7 @@ class _Lifted:
         self.coords: dict[tuple, tuple] = {}  # (L, den, nums) of a constant read -> its coordinates
         self._table: Optional[list[list[tuple]]] = None
         self._generators: Optional[list[int]] = None
+        self._coproducts: Optional[list[tuple]] = None
 
     @property
     def K(self):
@@ -284,7 +274,10 @@ class _Lifted:
 
     def coproducts(self, C: CoalgebraSC) -> list[tuple]:
         """Delta(e_k) as the check reads it, as a tuple of ((i, j), c) for each k."""
-        return [tuple((ij, self.lift(c)) for ij, c in C.comult_basis(k).items()) for k in range(C.dim)]
+        if self._coproducts is None:
+            self._coproducts = [tuple((ij, self.lift(c)) for ij, c in C.comult_basis(k).items())
+                                for k in range(C.dim)]
+        return self._coproducts
 
 
 def generating_set(A: AlgebraSC) -> list[int]:
@@ -429,8 +422,7 @@ def _scalar_associativity(K, T: list[list[tuple]], n: int,
 
 def check_algebra(A: AlgebraSC, lifted: Optional[_Lifted] = None) -> CheckReport:
     """Associativity, decided on the rows `generating_set(A)` (see above),
-    and the two-sided unit.  check_bialgebra passes its own `lifted`, so
-    that its Delta/eps loop reads the same row table and generating set."""
+    and the two-sided unit, on the `lifted` of the calling check, if any."""
     L = lifted or _Lifted(_mult_constants(A))
     rep = CheckReport("algebra axioms")
     K, T, n = L.K, L.table(A), A.dim
@@ -465,9 +457,9 @@ def unit_group_like(B: BialgebraSC) -> tuple[bool, bool]:
     return B.comult_sv(u) == uu, B.counit_sv(u).is_one()
 
 
-def check_coalgebra(C: CoalgebraSC) -> CheckReport:
+def check_coalgebra(C: CoalgebraSC, lifted: Optional[_Lifted] = None) -> CheckReport:
     rep = CheckReport("coalgebra axioms")
-    L = _Lifted(_comult_constants(C), _counit_constants(C))
+    L = lifted or _Lifted(_comult_constants(C), _counit_constants(C))
     n, D, one = C.dim, L.coproducts(C), L.K.one
     axpy, equal = L.K.axpy, L.K.equal
     counit = [L.lift(c) if c else None for c in C.counit]
@@ -496,11 +488,13 @@ def check_coalgebra(C: CoalgebraSC) -> CheckReport:
     return rep
 
 
-def check_bialgebra(B: BialgebraSC) -> CheckReport:
+def check_bialgebra(B: BialgebraSC, lifted: Optional[_Lifted] = None) -> CheckReport:
+    """The algebra and coalgebra axioms and Delta, eps multiplicative, on one
+    lifting: check_hopf's `lifted`, else one formed here."""
     rep = CheckReport("bialgebra axioms")
-    L = _Lifted(_mult_constants(B), _comult_constants(B), _counit_constants(B))
+    L = lifted or _Lifted(_mult_constants(B), _comult_constants(B), _counit_constants(B))
     rep.merge(check_algebra(B, L))
-    rep.merge(check_coalgebra(B))
+    rep.merge(check_coalgebra(B, L))
     comult, counit = [], []
     if not rep.entry("associativity").ok or any(_bialgebra_failures(L, B, L.generators(B))):
         comult, counit = _bialgebra_failures(L, B, range(B.dim))
@@ -550,27 +544,24 @@ def _bialgebra_failures(L: _Lifted, B: BialgebraSC, rows: Iterable[int]) -> tupl
     return comult, bad_counit
 
 
-def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
+def _antipode_axiom_entry(rep: CheckReport, L: _Lifted, H: HopfSC) -> None:
     """S(h_1) h_2 = eps(h) 1 = h_1 S(h_2) on every basis vector h, contracted
-    from the multiplication rows and the columns of S."""
-    L = _Lifted(_mult_constants(B), _comult_constants(B), _counit_constants(B), B._unit.values(),
-                (a for col in S.cols for a in col.values()))
-    n, lift, mul, axpy, equal = B.dim, L.lift, L.K.mul, L.K.axpy, L.K.equal
-    D = L.coproducts(B)
-    T = _Lazy(lambda ij: tuple((k, lift(c)) for k, c in B._rows[ij[0]][ij[1]]))  # cells lifted as read
-    scols = [[(s, lift(a)) for s, a in sorted(col.items())] for col in S.cols]
-    u = [(i, lift(c)) for i, c in B.unit_sv().items()]
+    from L's row table and coproducts and the columns of S."""
+    n, lift, mul, axpy, equal = H.dim, L.lift, L.K.mul, L.K.axpy, L.K.equal
+    T, D = L.table(H), L.coproducts(H)
+    scols = [[(s, lift(a)) for s, a in sorted(col.items())] for col in H.antipode.cols]
+    u = [(i, lift(c)) for i, c in H.unit_sv().items()]
     left, right = [], []
     for k in range(n):
         target: dict[int, tuple] = {}
-        axpy(target, lift(B.counit[k]), u)
+        axpy(target, lift(H.counit[k]), u)
         lhs: dict[int, tuple] = {}
         rhs: dict[int, tuple] = {}
         for (i, j), c in D[k]:
             for s, a in scols[i]:
-                axpy(lhs, mul(a, c), T[s, j])
+                axpy(lhs, mul(a, c), T[s][j])
             for s, a in scols[j]:
-                axpy(rhs, mul(c, a), T[i, s])
+                axpy(rhs, mul(c, a), T[i][s])
         if not equal(lhs, target):
             left.append(k)
         if not equal(rhs, target):
@@ -581,12 +572,15 @@ def _antipode_axiom_entry(rep: CheckReport, B: BialgebraSC, S: Mat) -> None:
 
 def check_hopf(H: HopfSC) -> CheckReport:
     rep = CheckReport("Hopf algebra axioms")
-    rep.merge(check_bialgebra(H))
-    if H.antipode is None:
+    S = H.antipode
+    read = () if S is None else (H._unit.values(), (a for col in S.cols for a in col.values()))
+    L = _Lifted(_mult_constants(H), _comult_constants(H), _counit_constants(H), *read)
+    rep.merge(check_bialgebra(H, L))
+    if S is None:
         rep.add("antipode_present", False, detail="no antipode stored")
         return rep
     rep.add("antipode_present", True)
-    _antipode_axiom_entry(rep, H, H.antipode)
+    _antipode_axiom_entry(rep, L, H)
     return rep
 
 

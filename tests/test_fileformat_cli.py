@@ -446,6 +446,25 @@ def test_cli_ore_pipeline(tmp_path):
     assert rc == 1
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    """An --out path that cannot be written ends in `error: <path>:
+    <reason>` and exit 2 (exit 1 would mean a failed check), with no
+    traceback and no file left behind."""
+    taken, missing = tmp_path / "taken", tmp_path / "missing"
+    taken.write_text("kept\n")
+    ore = ["ore", "--base", GOLDEN / "b0_base.alg", "--g", "g3", "--chi", "chi1", "--lambda", "0"]
+    cases = [(ore + ["--out", missing / "X.alg"], f"{missing / 'X.alg'}: No such file or directory"),
+             (ore + ["--out", tmp_path], f"{tmp_path}: Is a directory"),
+             (["bosonize", GOLDEN / "qline6_r.alg", GOLDEN / "qline6_xi.alg", "--out", missing / "B.alg"],
+              f"{missing / 'B.alg'}: No such file or directory"),
+             (["example", "xmas", "--out", taken], f"{taken}: File exists")]
+    for argv, message in cases:
+        code, err = cli(*argv)
+        assert code == 2 and f"error: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert taken.read_text() == "kept\n"
+
+
 def test_cli_bosonize(tmp_path):
     out = tmp_path / "smash.alg"
     rc = main(["bosonize", str(GOLDEN / "qline6_r.alg"), str(GOLDEN / "qline6_xi.alg"),

@@ -1,10 +1,12 @@
 import gc
 import importlib.util
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -522,12 +524,16 @@ def entries(rep):
 
 def perturbed(H, tensor, seed):
     """H with one constant of its MULT or COMULT tensor, or one nonzero entry
-    of its antipode S, moved by +1."""
+    of its antipode S, moved by +1.  "S+z4" moves the entry of S by zeta_4
+    instead, and "S@4" keeps its value but stores it at conductor lcm(L, 4):
+    either way S holds a conductor that the tables do not."""
     rng = random.Random(seed)
-    if tensor == "S":
+    if tensor.startswith("S"):
         key = rng.choice([(a, b) for a, row in enumerate(H.antipode.rows) for b, v in enumerate(row) if v])
         S = Mat(H.antipode.rows)
-        S.rows[key[0]][key[1]] = S.rows[key[0]][key[1]] + rat(1)
+        v = S.rows[key[0]][key[1]]
+        S.rows[key[0]][key[1]] = {"S": v + rat(1), "S+z4": v + CycScalar.zeta(4),
+                                  "S@4": v.promote(lcm(v.L, 4))}[tensor]
         return key, HopfSC(H.dim, H.mult, H.unit, H.comult, H.counit, S)
     T = getattr(H, tensor)
     data = dict(T.data)
@@ -539,14 +545,20 @@ def perturbed(H, tensor, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("tensor", ["mult", "comult", "S"])
+@pytest.mark.parametrize("tensor", ["mult", "comult", "S", "S+z4", "S@4"])
 @pytest.mark.parametrize("name", ["smash36", "b0", "c4min"])
 def test_checkers_match_oracle_on_perturbed_structures(name, tensor, seed):
+    """The S+z4 and S@4 copies put S at a conductor the tables do not use,
+    so check_hopf's one lifting runs its bialgebra entries at a larger M
+    than check_bialgebra's: the entries must still be equal."""
     key, B = perturbed(catalog.ALL_BUILDERS[name]().ore.O, tensor, seed)
     rep = check_hopf(B)
     got = {e.name: (e.ok, e.witnesses) for e in rep.entries}
     assert entries(rep) == oracle_hopf(B)
-    assert not rep.ok
+    assert entries(rep)[:8] == entries(check_bialgebra(B))
+    assert rep.ok == (tensor == "S@4")
+    if tensor in ("S+z4", "S@4"):
+        assert B.antipode.rows[key[0]][key[1]].L not in {c.L for c in hopf._mult_constants(B)}
     if tensor == "mult":
         # every failing (a, b, c) forms the perturbed product e_i e_j on one side
         i, j, _ = key
@@ -558,7 +570,7 @@ def test_checkers_match_oracle_on_perturbed_structures(name, tensor, seed):
         named = [w for e in ("coassociativity", "counit", "comult_is_algebra_map")
                  for w in got[e][1]]
         assert any(k == w or (isinstance(w, tuple) and k in w) for w in named)
-    else:
+    elif tensor != "S@4":
         # only S(e_b) changed: every witness k has e_b in the leg S is applied to
         b = key[1]
         assert [e.name for e in rep.failures()] == ["antipode_left", "antipode_right"]
@@ -807,10 +819,13 @@ def test_rescaled_copy_does_the_same_work_on_scalars(name, monkeypatch):
 
 
 def test_one_row_table_per_check_freed_when_it_ends(monkeypatch):
-    """check_hopf lifts B's row table once and finds one generating set:
-    the associativity verdict and the Delta/eps loop read both.  Every
-    lifting is freed when its check ends, with the cycle collector off."""
-    made, tables, generated = [], [], []
+    """check_hopf forms one lifting, which every entry reads: B's row table
+    and its coproducts are formed once, the row table is read by
+    associativity, by the Delta/eps loop and by the antipode entry, and one
+    generating set is found.  check_bialgebra and check_coalgebra called
+    alone form one lifting each.  Every lifting is freed when its check
+    ends, with the cycle collector off."""
+    made, reads, generated = [], [], []
     generating_set = hopf.generating_set
 
     class Watched(hopf._Lifted):
@@ -819,22 +834,36 @@ def test_one_row_table_per_check_freed_when_it_ends(monkeypatch):
             made.append(weakref.ref(self))
 
         def table(self, A):
-            tables.append(self._table is None)
+            reads.append(("table", sys._getframe(1).f_code.co_name, self._table is None))
             return super().table(A)
+
+        def coproducts(self, C):
+            reads.append(("coproducts", sys._getframe(1).f_code.co_name, self._coproducts is None))
+            return super().coproducts(C)
 
     monkeypatch.setattr(hopf, "_Lifted", Watched)
     monkeypatch.setattr(hopf, "generating_set", lambda A: generated.append(A) or generating_set(A))
     R = bench_module("rescale").rescaled(catalog.b0().ore.O, random.Random(7))
+    bialgebra = [("table", "check_algebra", True), ("coproducts", "check_coalgebra", True),
+                 ("table", "_bialgebra_failures", False), ("coproducts", "_bialgebra_failures", False)]
+    expected = [(check_hopf, bialgebra + [("table", "_antipode_axiom_entry", False),
+                                          ("coproducts", "_antipode_axiom_entry", False)]),
+                (check_bialgebra, bialgebra),
+                (hopf.check_coalgebra, [("coproducts", "check_coalgebra", True)])]
     gc.disable()
     try:
         for B in (R, catalog.b0().ore.O):
-            tables.clear()
-            generated.clear()
+            for check, read in expected:
+                reads.clear()
+                generated.clear()
+                made.clear()
+                assert check(B).ok
+                assert len(made) == 1 and made[0]() is None
+                assert reads == read and generated == ([] if check is hopf.check_coalgebra else [B])
             assert entries(check_hopf(B)) == oracle_hopf(B)
-            assert tables == [True, False] and generated == [B]
     finally:
         gc.enable()
-    assert made and all(ref() is None for ref in made)
+    assert all(ref() is None for ref in made)
 
 
 def test_conductor_overflow_still_raised_past_the_cap():
@@ -881,25 +910,40 @@ def test_conductor_overflow_still_raised_past_the_cap():
     assert conductor_cap() == old
 
 
-def test_conductor_overflow_raised_before_any_kernel_is_generated():
+def test_conductor_overflow_raised_before_any_kernel_is_generated(monkeypatch):
     """Constants at conductors 7 and 720 have lcm 5040, past the default cap
     720: every check raises ConductorOverflow without generating the
-    coordinate kernels of 5040 (phi 1152), whatever it reads first."""
+    coordinate kernels of 5040 (phi 1152), whatever it reads first.  With
+    the tables at conductor 7 and only the antipode at 720, the bialgebra
+    checks pass at 7, and check_hopf, whose one lifting spans the antipode,
+    raises before any of its entries runs."""
     from hopfforge.cyclotomic import COORDINATE_KERNELS, ConductorOverflow, conductor_cap
     assert conductor_cap() == 720
     z7, z720 = CycScalar.zeta(7), CycScalar.zeta(720)
     T = Tensor3((2, 2, 2), {(0, 0, 0): z7, (0, 0, 1): z720, (1, 1, 0): z7, (1, 1, 1): z720})
     H = HopfSC(2, T, basis_vec(2, 0), T, [z7, z720], Mat.identity(2))
     COORDINATE_KERNELS.pop(5040, None)
+
+    def lifted(H):
+        return hopf._Lifted(hopf._mult_constants(H), hopf._comult_constants(H), hopf._counit_constants(H),
+                            H._unit.values(), (a for col in H.antipode.cols for a in col.values()))
+
     checks = [check_algebra, hopf.check_coalgebra, check_bialgebra, check_hopf,
-              lambda H: hopf._bialgebra_failures(hopf._Lifted(hopf._mult_constants(H),
-                                                              hopf._comult_constants(H),
-                                                              hopf._counit_constants(H)),
-                                                 H, range(H.dim)),
-              lambda H: hopf._antipode_axiom_entry(CheckReport("antipode"), H, H.antipode)]
+              lambda H: hopf._bialgebra_failures(lifted(H), H, range(H.dim)),
+              lambda H: hopf._antipode_axiom_entry(CheckReport("antipode"), lifted(H), H)]
     for check in checks:
         with pytest.raises(ConductorOverflow):
             check(H)
+    # K C_2 in the basis 1, zeta_7 g, whose tables read conductors 1 and 7,
+    # with S(1) = 1 stored at conductor 720
+    K7 = in_basis(group_algebra_cyclic(2), [rat(1), z7])
+    A = HopfSC(2, K7.mult, K7.unit, K7.comult, K7.counit,
+               Mat.of_cols(2, [{0: CycScalar.one(720)}, K7.antipode.cols[1]]))
+    assert {c.L for c in hopf._mult_constants(A)} == {1, 7} and check_bialgebra(A).ok
+    for name in ("check_bialgebra", "_antipode_axiom_entry"):
+        monkeypatch.setattr(hopf, name, lambda *args: pytest.fail("an entry ran"))
+    with pytest.raises(ConductorOverflow):
+        check_hopf(A)
     assert 5040 not in COORDINATE_KERNELS
 
 
