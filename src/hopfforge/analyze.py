@@ -35,7 +35,7 @@ from .construct import (
     lambda_cocycle, universal_map, validate_compatible_datum, validate_yd_datum,
 )
 from .reports import MAX_WITNESSES, CheckReport
-from .yd import YDModule
+from .yd import YDModule, comodule_map_failures, module_map_failures
 
 
 class AnalysisError(ValueError):
@@ -588,41 +588,14 @@ def _combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
 
 
 def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool:
-    """Structure tensors on the y-power basis match R_q(H, g, chi) exactly."""
+    """f = (e_a -> y^a) from R_q(H, g, chi) into R is injective and a map of
+    algebras, coalgebras, H-modules and H-comodules."""
     pre = ind.pre
-    H = ind.setup.H
-    N, q = basis.N, basis.q
-    datum = YDDatum(H, basis.g, basis.chi, q)
-    ql = build_quantum_line(datum)
-    y_pows = basis.y_powers()
-    coords = CoordinateMap(pre.dim, y_pows)
-    # multiplication
-    for a in range(N):
-        for b in range(N):
-            if coords(pre.mul_sv(y_pows[a], y_pows[b])) != ql.mul_basis(a, b):
-                return False
-    # comultiplication
-    for a in range(N):
-        pair = pre.comult_sv(y_pows[a])
-        expect: dict[tuple[int, int], CycScalar] = {}
-        for (i, j), c in ql.comult_basis(a).items():
-            sv_outer_axpy(expect, c, y_pows[i], y_pows[j])
-        if pair != expect:
-            return False
-    # action and coaction
-    chis = char_powers(H, basis.chi, N)
-    for a in range(N):
-        for h in range(H.dim):
-            if pre.yd.act({h: cone()}, y_pows[a]) != sv_scale(y_pows[a], chis[a][h]):
-                return False
-        ga = H.pow_sv(basis.g, a)
-        expect_co: dict[tuple[int, int], CycScalar] = {}
-        for h, ch in ga.items():
-            for k2, c2 in y_pows[a].items():
-                expect_co[(h, k2)] = ch * c2
-        if pre.yd.coact(y_pows[a]) != {k: v for k, v in expect_co.items() if v}:
-            return False
-    return True
+    ql = build_quantum_line(YDDatum(ind.setup.H, basis.g, basis.chi, basis.q))
+    f = Mat.of_cols(pre.dim, basis.y_powers())
+    return f.rank() == basis.N and all(next(failures, None) is None for failures in (
+        algebra_map_failures(f, ql, pre), coalgebra_map_failures(f, ql, pre),
+        module_map_failures(f, ql.yd, pre.yd), comodule_map_failures(f, ql.yd, pre.yd)))
 
 
 def _is_plain_smash(ind: InducedPreBialgebra) -> bool:

@@ -9,8 +9,11 @@ HOPFFORGE_CONDUCTOR_CAP to override the conductor promotion cap.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .hopf import (
     HopfSC, check_algebra, check_bialgebra, check_hopf, verify_group_like,
@@ -259,6 +262,27 @@ def cmd_analyze(args) -> int:
     return rep.exit_code
 
 
+def _write_all(files: list[tuple[Path, Callable[[Path], None]]]) -> None:
+    """Write each (path, write) pair, write(p) writing the file to p, all or
+    none: each file goes to a temporary name beside its path first, and a path
+    that is a directory is refused before any of them is renamed into place."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for tmp, (path, write) in zip(temps, files):
+            try:
+                write(tmp)
+            except OSError as exc:  # name the path asked for, not the temporary one
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        for path, _ in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, (path, _) in zip(temps, files):
+            tmp.replace(path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def cmd_example(args) -> int:
     from . import catalog
     if args.name not in catalog.EXAMPLES:
@@ -274,10 +298,10 @@ def cmd_example(args) -> int:
         ql = entry.extra["quantum_line"]
         xi = entry.extra["xi"]
         h_path = outdir / "qline6_base.alg"
-        write_hopf(H, h_path)
-        write_prebialgebra(ql, outdir / "qline6_r.alg", "qline6_base.alg")
-        write_cocycle(xi, outdir / "qline6_xi.alg", H.conductor,
-                      r_ref="qline6_r.alg", base_ref="qline6_base.alg")
+        _write_all([(h_path, lambda p: write_hopf(H, p)),
+                    (outdir / "qline6_r.alg", lambda p: write_prebialgebra(ql, p, "qline6_base.alg")),
+                    (outdir / "qline6_xi.alg", lambda p: write_cocycle(
+                        xi, p, H.conductor, r_ref="qline6_r.alg", base_ref="qline6_base.alg"))])
         rep.info(f"wrote {h_path} and companions")
         rep.absorb(check_prebialgebra(ql))
         rep.absorb(check_cocycle(ql, xi))
@@ -286,20 +310,24 @@ def cmd_example(args) -> int:
         ore = entry.ore
         path = outdir / f"{entry.name}.alg"
         base_path = outdir / f"{entry.name}_base.alg"
-        write_hopf(ore.base, base_path)
-        write_hopf(ore.O, path, kind="hopf",
-                   maps={"sigma": (ore.sigma, base_path.name),
-                         "p": (ore.p, base_path.name)})
+        files = [(base_path, lambda p: write_hopf(ore.base, p)),
+                 (path, lambda p: write_hopf(ore.O, p, kind="hopf",
+                                             maps={"sigma": (ore.sigma, base_path.name),
+                                                   "p": (ore.p, base_path.name)}))]
+        if entry.name == "xmas":
+            setup_pi = entry.extra["setup_pi"]
+            files += [(outdir / "xmas_pi.alg", lambda p: write_map(
+                          setup_pi.pi, p, ore.base.conductor,
+                          domain_ref=path.name, codomain_ref=base_path.name)),
+                      (outdir / "xmas_sigma.alg", lambda p: write_map(
+                          setup_pi.sigma, p, ore.base.conductor,
+                          domain_ref=base_path.name, codomain_ref=path.name))]
+        _write_all(files)
         rep.info(f"wrote {path} and {base_path}")
         rep.absorb(check_hopf(ore.O))
         rep.set("dim", ore.dim)
         run_analysis(entry.setup, rep)
         if entry.name == "xmas":
-            setup_pi = entry.extra["setup_pi"]
-            write_map(setup_pi.pi, outdir / "xmas_pi.alg", ore.base.conductor,
-                      domain_ref=path.name, codomain_ref=base_path.name)
-            write_map(setup_pi.sigma, outdir / "xmas_sigma.alg", ore.base.conductor,
-                      domain_ref=base_path.name, codomain_ref=path.name)
             rep.info("wrote xmas_pi.alg and xmas_sigma.alg (the non-normalized projection)")
             sub = Report("non-normalized projection")
             run_analysis(setup_pi, sub)

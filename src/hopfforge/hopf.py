@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice, product
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cyclotomic import COORDINATE_KERNELS, ConductorOverflow, CycScalar, conductor_cap
 from .linalg import (
@@ -33,6 +33,24 @@ class AxiomViolation(ValueError):
     pass
 
 
+def row_table(t: Tensor3) -> list[list[tuple]]:
+    """t as rows: [i][j] is the tuple of (k, c) with t[i, j, k] = c != 0."""
+    n1, n2, _ = t.shape
+    rows: list[list[tuple]] = [[()] * n2 for _ in range(n1)]
+    for (i, j, k), c in t.data.items():
+        if c:
+            rows[i][j] += ((k, c),)
+    return rows
+
+
+def by_first_index(t: Tensor3) -> dict[int, dict[tuple[int, int], CycScalar]]:
+    """t as {i: {(j, k): t[i, j, k]}} over its stored entries."""
+    out: dict[int, dict[tuple[int, int], CycScalar]] = {}
+    for (i, j, k), c in t.data.items():
+        out.setdefault(i, {})[(j, k)] = c
+    return out
+
+
 class AlgebraSC:
     """Algebra by structure constants: e_i * e_j = sum_k mult[i,j,k] e_k."""
 
@@ -46,10 +64,7 @@ class AlgebraSC:
         self.unit = list(unit)
         self._unit = sv_from_dense(self.unit)
         # _rows[i][j] = e_i e_j as a tuple of (k, c), () when it is zero
-        self._rows: list[list[tuple]] = [[()] * dim for _ in range(dim)]
-        for (i, j, k), c in mult.data.items():
-            if c:
-                self._rows[i][j] += ((k, c),)
+        self._rows = row_table(mult)
 
     def unit_sv(self) -> SVec:
         return dict(self._unit)
@@ -95,9 +110,7 @@ class CoalgebraSC:
         self.dim = dim
         self.comult = comult
         self.counit = list(counit)
-        self._by_k: dict[int, dict[tuple[int, int], CycScalar]] = {}
-        for (k, i, j), c in comult.data.items():
-            self._by_k.setdefault(k, {})[(i, j)] = c
+        self._by_k = by_first_index(comult)
 
     def comult_basis(self, k: int) -> dict[tuple[int, int], CycScalar]:
         return self._by_k.get(k, {})
@@ -586,97 +599,113 @@ def check_hopf(H: HopfSC) -> CheckReport:
 
 # -- morphism checks ----------------------------------------------------------
 #
-# Each check reads the columns f(e_j) of the map once and then visits every
-# basis pair (algebra) or basis vector (coalgebra).  Whether f keeps the unit
-# is left to the caller; the counit is checked with the comultiplication.
-# A column that is one entry equal to 1 is a unit column, read as its index
-# p_j, and an empty column is a zero column.  Maps such as sigma(h) = 1 # h,
-# pi(r # h) = eps(r) h, omega and the classification iso send most basis
-# vectors to a basis vector or to 0, so most pairs (i, j) have unit or zero
-# columns at i, j and at every term k of e_i e_j.  When the images p_k of
-# those terms are distinct, f(e_i e_j) is {p_k: c} as read, and f(e_i) f(e_j)
-# is B's cell at (p_i, p_j) (or 0 when a column is zero): the two are compared
-# with no product formed.  Likewise an index k whose Delta_C(e_k) terms (i, j)
-# have unit or zero columns with distinct images (p_i, p_j) is decided by
-# comparing {(p_i, p_j): c} with Delta_D(e_{p_k}), and eps_C(e_k) with
-# eps_D(e_{p_k}).  Any other pair or index, a general column or two terms
-# with one image, takes the contraction below, in the same loop and order,
-# so the witnesses and their order are those of the contraction throughout.
+# Every morphism check has one of two shapes, with a map g on the first factor:
+#   bilinear:  f(S(e_x, e_v)) = T(g(e_x), f(e_v)) for every basis pair (x, v),
+#   colinear:  (g (x) f) delta_C(e_k) = delta_D(f(e_k)) for every basis index k,
+# with g = f for algebra and coalgebra maps, and g = id_H for H-module and
+# H-comodule maps (S, T the actions, delta_C, delta_D the coactions).  A
+# column that is one entry equal to 1 is a unit column, read as its index p,
+# and an empty column is a zero column; id_H is all unit columns.  Where the
+# columns at x, v and at every term k of S(e_x, e_v) are unit or zero and the
+# images p_k are distinct, f(S(e_x, e_v)) is {p_k: c} as read and is compared
+# with T's cell at (p_x, p_v) (or 0) with no product formed; an index k whose
+# delta_C terms (i, j) have such columns with distinct images (p_i, p_j) is
+# decided the same way, and so is eps_C(e_k) against eps_D(e_{p_k}).  Any
+# other pair or index is contracted in the same loop and order, so the
+# witnesses and their order are those of the contraction throughout.  Whether
+# f keeps the unit is left to the caller.
 
 
-def _unit_columns(cols: list[tuple]) -> list:
-    """For each column: p_j when it is a unit column, -1 when it is zero, else None."""
-    return [-1 if not col else col[0][0] if len(col) == 1 and col[0][1].is_one() else None
-            for col in cols]
-
-
-def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
-    """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
+def _unit_columns(f: Mat) -> tuple[list[tuple], list]:
+    """f's columns as tuples of (row, c), and for each column: p_j when it is
+    a unit column, -1 when it is zero, else None."""
     cols = [tuple(col.items()) for col in f.cols]
-    p = _unit_columns(cols)
-    n = A.dim
-    for i in range(n):
-        # f(e_i) f(e_j) = sum f(e_i)_a f(e_j)_b e_a e_b, read from B's rows a
-        fi, Ai, pi = [(B._rows[a], ca) for a, ca in cols[i]], A._rows[i], p[i]
-        for j in range(n):
-            pj = p[j]
-            if pi is not None and pj is not None:
+    return cols, [-1 if not col else col[0][0] if len(col) == 1 and col[0][1].is_one() else None
+                  for col in cols]
+
+
+def bilinear_failures(g: Mat, f: Mat, S: list[list[tuple]],
+                      T: list[list[tuple]]) -> Iterator[tuple[int, int]]:
+    """Every (x, v) with f(S(e_x, e_v)) != T(g(e_x), f(e_v)), x first, then v;
+    S and T are row tables, S[x][v] = S(e_x, e_v) as a tuple of (k, c)."""
+    cols, p = _unit_columns(f)
+    gcols, pg = (cols, p) if g is f else _unit_columns(g)
+    for x, Sx in enumerate(S):
+        # T(g(e_x), f(e_v)) = sum g(e_x)_a f(e_v)_b T(e_a, e_b), read from T's rows a
+        gx, px = [(T[a], ca) for a, ca in gcols[x]], pg[x]
+        for v, pv in enumerate(p):
+            if px is not None and pv is not None:
                 lhs: SVec = {}
-                for k, c in Ai[j]:
+                for k, c in Sx[v]:
                     q = p[k]
                     if q is None or q in lhs:
                         break
                     if q >= 0:
                         lhs[q] = c
                 else:
-                    if lhs != (dict(B._rows[pi][pj]) if pi >= 0 and pj >= 0 else {}):
-                        yield i, j
+                    if lhs != (dict(T[px][pv]) if px >= 0 and pv >= 0 else {}):
+                        yield x, v
                     continue
             lhs = {}
-            for k, c in Ai[j]:
+            for k, c in Sx[v]:
                 sv_axpy(lhs, c, cols[k])
             rhs: SVec = {}
-            fj = cols[j]
-            for Ba, ca in fi:
-                for b, cb in fj:
-                    terms = Ba[b]
+            fv = cols[v]
+            for Ta, ca in gx:
+                for b, cb in fv:
+                    terms = Ta[b]
                     if terms:
                         sv_axpy(rhs, ca * cb, terms)
             if lhs != rhs:
-                yield i, j
+                yield x, v
 
 
-def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
-    """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
-    then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
-    cols = [tuple(col.items()) for col in f.cols]
-    p = _unit_columns(cols)
-    for k in range(C.dim):
-        pk = p[k]
+def colinear_failures(g: Mat, f: Mat, delta_C: Callable[[int], dict],
+                      delta_D: Callable[[int], dict], counits: Optional[tuple] = None) -> Iterator:
+    """For each k in order: k when (g (x) f) delta_C(e_k) != delta_D(f(e_k)),
+    then, where counits = (C, D) is given, ("counit", k) when eps_D f(e_k) !=
+    eps_C(e_k); delta_C(k) and delta_D(k) read a basis vector's coproduct or
+    coaction as {(i, j): c}."""
+    cols, p = _unit_columns(f)
+    gcols, pg = (cols, p) if g is f else _unit_columns(g)
+    for k, pk in enumerate(p):
         if pk is not None:
             lhs: dict[tuple[int, int], CycScalar] = {}
-            for (i, j), c in C.comult_basis(k).items():
-                a, b = p[i], p[j]
+            for (i, j), c in delta_C(k).items():
+                a, b = pg[i], p[j]
                 if a is None or b is None or (a, b) in lhs:
                     break
                 if a >= 0 and b >= 0:
                     lhs[(a, b)] = c
             else:
-                if lhs != (D.comult_basis(pk) if pk >= 0 else {}):
+                if lhs != (delta_D(pk) if pk >= 0 else {}):
                     yield k
-                if (D.counit[pk] if pk >= 0 else czero()) != C.counit[k]:
+                if counits and (counits[1].counit[pk] if pk >= 0 else czero()) != counits[0].counit[k]:
                     yield "counit", k
                 continue
-        fk = f.cols[k]
         lhs = {}
-        for (i, j), c in C.comult_basis(k).items():
+        for (i, j), c in delta_C(k).items():
             fj = cols[j]
-            for a, ca in cols[i]:
+            for a, ca in gcols[i]:
                 sv_axpy(lhs, c * ca, (((a, b), cb) for b, cb in fj))
-        if lhs != D.comult_sv(fk):
+        rhs: dict[tuple[int, int], CycScalar] = {}
+        for a, ca in cols[k]:
+            sv_axpy(rhs, ca, delta_D(a).items())
+        if lhs != rhs:
             yield k
-        if D.counit_sv(fk) != C.counit[k]:
+        if counits and counits[1].counit_sv(f.cols[k]) != counits[0].counit[k]:
             yield "counit", k
+
+
+def algebra_map_failures(f: Mat, A: AlgebraSC, B: AlgebraSC) -> Iterator[tuple[int, int]]:
+    """Every (i, j) with f(e_i e_j) != f(e_i) f(e_j), in lexicographic order."""
+    return bilinear_failures(f, f, A._rows, B._rows)
+
+
+def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
+    """For each k in order: k when (f (x) f) Delta_C(e_k) != Delta_D f(e_k),
+    then ("counit", k) when eps_D f(e_k) != eps_C(e_k)."""
+    return colinear_failures(f, f, C.comult_basis, D.comult_basis, (C, D))
 
 
 # -- convolution and antipode solving ---------------------------------------

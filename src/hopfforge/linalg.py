@@ -105,17 +105,9 @@ def sv_outer_axpy(acc: dict, c: CycScalar, a: SVec, b: SVec) -> None:
 
 
 def sv_add_into(acc: SVec, sv: SVec, scale: Optional[CycScalar] = None) -> None:
-    if scale is not None:
-        if scale:
-            sv_axpy(acc, scale, sv.items())
-        return
-    for i, c in sv.items():
-        cur = acc.get(i)
-        new = c if cur is None else cur + c
-        if new:
-            acc[i] = new
-        elif cur is not None:
-            del acc[i]
+    """acc += scale * sv through `sv_axpy`; no scale adds sv, a zero scale adds nothing."""
+    if scale is None or scale:
+        sv_axpy(acc, _ONE if scale is None else scale, sv.items())
 
 
 def sv_scale(sv: SVec, c: CycScalar) -> SVec:

@@ -8,8 +8,10 @@ formulas (`braided_coproduct_pair`, `codiagonal_coaction_pair`) are the only
 copies of the braided coproduct and the codiagonal coaction, read only by
 `braided_tensor_coalgebra` and `yd_tensor`.  A pre-bialgebra forms its R (x) R
 with these two once and keeps it (`cocycle.PreBialgebra`).
-`module_map_failures` and `comodule_map_failures` check that a linear map
-between two modules is a morphism of H-modules or of H-comodules.
+The action is stored as `AlgebraSC` stores its products and the coaction as
+`CoalgebraSC` stores its coproducts, so a module reads them through the same
+readers, and `module_map_failures` and `comodule_map_failures` are the
+bilinear and colinear morphism checks of `hopf` with id_H on the first factor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .cyclotomic import CycScalar
-from .hopf import AlgebraSC, CoalgebraSC, HopfSC, ad_action
+from .hopf import (
+    AlgebraSC, CoalgebraSC, HopfSC, ad_action, bilinear_failures, by_first_index,
+    colinear_failures, row_table,
+)
 from .linalg import (
     Mat, SVec, Tensor3, Vec,
     ShapeMismatch, cone, czero, kron_index, sv_add_into, sv_axpy, sv_outer_axpy,
@@ -41,33 +46,14 @@ class YDModule:
         self.dim = dim
         self.action = action
         self.coaction = coaction
-        self._act: dict[tuple[int, int], list[tuple[int, CycScalar]]] = {}
-        for (h, i, j), c in action.data.items():
-            self._act.setdefault((h, i), []).append((j, c))
-        self._coact: dict[int, list[tuple[int, int, CycScalar]]] = {}
-        for (i, h, j), c in coaction.data.items():
-            self._coact.setdefault(i, []).append((h, j, c))
+        # _rows[h][i] = e_h . e_i as a tuple of (j, c); _by_k[i] = rho(e_i) as {(h, j): c}
+        self._rows = row_table(action)
+        self._by_k = by_first_index(coaction)
 
-    def act_basis(self, h: int, i: int) -> SVec:
-        return {j: c for j, c in self._act.get((h, i), ())}
-
-    def act(self, h_sv: SVec, v_sv: SVec) -> SVec:
-        out: SVec = {}
-        for h, ch in h_sv.items():
-            for i, ci in v_sv.items():
-                terms = self._act.get((h, i))
-                if terms:
-                    sv_axpy(out, ch * ci, terms)
-        return out
-
-    def coact_basis(self, i: int) -> dict[tuple[int, int], CycScalar]:
-        return {(h, j): c for h, j, c in self._coact.get(i, ())}
-
-    def coact(self, v_sv: SVec) -> dict[tuple[int, int], CycScalar]:
-        out: dict[tuple[int, int], CycScalar] = {}
-        for i, ci in v_sv.items():
-            sv_axpy(out, ci, (((h, j), c) for h, j, c in self._coact.get(i, ())))
-        return out
+    act_basis = AlgebraSC.mul_basis
+    act = AlgebraSC.mul_sv
+    coact_basis = CoalgebraSC.comult_basis
+    coact = CoalgebraSC.comult_sv
 
 
 def trivial_module(H: HopfSC) -> YDModule:
@@ -190,11 +176,11 @@ def yd_tensor(V: YDModule, W: YDModule) -> YDModule:
     for h in range(H.dim):
         for (h1, h2), c in H.comult_basis(h).items():
             for i in range(V.dim):
-                vi = [(a, c * ca) for a, ca in V._act.get((h1, i), ())]
+                vi = [(a, c * ca) for a, ca in V._rows[h1][i]]
                 if not vi:
                     continue
                 for j in range(W.dim):
-                    wj = W._act.get((h2, j), ())
+                    wj = W._rows[h2][j]
                     src = kron_index(i, j, W.dim)
                     for a, ca in vi:
                         sv_axpy(action.data, ca, (((h, src, a * W.dim + b), cb) for b, cb in wj))
@@ -211,9 +197,9 @@ def codiagonal_coaction_pair(V: YDModule, W: YDModule, i: int,
     """rho(e_i (x) e_j) = v_(-1) w_(-1) (x) v_0 (x) w_0 in V (x) W, keyed by (h, v0, w0)."""
     out: dict[tuple[int, int, int], CycScalar] = {}
     mul_basis = V.H.mul_basis
-    cj = W._coact.get(j, ())
-    for hv, v0, cv in V._coact.get(i, ()):
-        for hw, w0, cw in cj:
+    cj = W.coact_basis(j).items()
+    for (hv, v0), cv in V.coact_basis(i).items():
+        for (hw, w0), cw in cj:
             sv_axpy(out, cv * cw, (((h, v0, w0), ch) for h, ch in mul_basis(hv, hw).items()))
     return out
 
@@ -231,37 +217,14 @@ def braiding(V: YDModule, W: YDModule) -> Mat:
     return Mat.of_cols(W.dim * V.dim, cols)
 
 
-# -- morphism checks ----------------------------------------------------------
-#
-# The module and comodule counterparts of `hopf.algebra_map_failures` and
-# `hopf.coalgebra_map_failures`: f: V -> W is given by its columns f(e_j), and
-# every basis tuple is visited.
-
-
 def module_map_failures(f: Mat, V: YDModule, W: YDModule) -> Iterator[tuple[int, int]]:
     """Every (h, j) with f(e_h . e_j) != e_h . f(e_j), h first, then j."""
-    cols = f.cols
-    for h in range(V.H.dim):
-        for j in range(V.dim):
-            lhs: SVec = {}
-            for k, c in V._act.get((h, j), ()):
-                sv_axpy(lhs, c, cols[k].items())
-            rhs: SVec = {}
-            for i, ci in cols[j].items():
-                sv_axpy(rhs, ci, W._act.get((h, i), ()))
-            if lhs != rhs:
-                yield h, j
+    return bilinear_failures(Mat.identity(V.H.dim), f, V._rows, W._rows)
 
 
 def comodule_map_failures(f: Mat, V: YDModule, W: YDModule) -> Iterator[int]:
     """Every j with (id (x) f) rho_V(e_j) != rho_W(f(e_j)), in order."""
-    cols = f.cols
-    for j in range(V.dim):
-        lhs: dict[tuple[int, int], CycScalar] = {}
-        for h, k, c in V._coact.get(j, ()):
-            sv_axpy(lhs, c, (((h, a), ca) for a, ca in cols[k].items()))
-        if lhs != W.coact(cols[j]):
-            yield j
+    return colinear_failures(Mat.identity(V.H.dim), f, V.coact_basis, W.coact_basis)
 
 
 def adjoint_action(H: HopfSC) -> Tensor3:
@@ -335,10 +298,10 @@ def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDM
     out: dict[tuple[int, int, int, int], CycScalar] = {}
     ds = S.comult_basis(j)
     for (r1, r2), cr in R.comult_basis(i).items():
-        co = VR._coact.get(r2, ())
+        co = VR.coact_basis(r2).items()
         for (s1, s2), cs in ds.items():
-            for h, r20, ch in co:
-                acted = VS._act.get((h, s1))
+            for (h, r20), ch in co:
+                acted = VS._rows[h][s1]
                 if acted:
                     sv_axpy(out, cr * cs * ch, (((r1, s1b, r20, s2), ca) for s1b, ca in acted))
     return out

@@ -19,10 +19,11 @@ from hopfforge.cocycle import (
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import AlgebraSC, HopfSC, cyclic_character, group_algebra_cyclic
-from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, sv_add_into, sv_scale
+from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, kron_index, sv_add_into, sv_scale
 from hopfforge.reports import CheckReport
 from hopfforge.yd import (
-    YDModule, adjoint_coaction, braided_tensor_algebra, check_yd, yd_tensor,
+    YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra, check_yd,
+    comodule_map_failures, module_map_failures, trivial_module, yd_tensor,
 )
 
 
@@ -567,3 +568,109 @@ def test_yd_table_builders_match_reference(table_cases, name):
         for built, touched in ((sq.action, touched_action), (alg.mult, touched_mult),
                                (coaction, touched_coaction)):
             assert touched - set(built.data)
+
+
+# -- module and comodule maps against a per-tuple reference ---------------------------
+
+def ref_module_map(f, V, W):
+    """Every (h, j) with f(e_h . e_j) != e_h . f(e_j), one pair at a time."""
+    out = []
+    for h in range(V.H.dim):
+        for j in range(V.dim):
+            lhs, rhs = {}, {}
+            for k, c in V.act_basis(h, j).items():
+                for a, ca in f.cols[k].items():
+                    acc(lhs, a, c * ca)
+            for i, ci in f.cols[j].items():
+                for a, ca in W.act_basis(h, i).items():
+                    acc(rhs, a, ci * ca)
+            if lhs != rhs:
+                out.append((h, j))
+    return out
+
+
+def ref_comodule_map(f, V, W):
+    """Every j with (id (x) f) rho_V(e_j) != rho_W(f(e_j)), one index at a time."""
+    out = []
+    for j in range(V.dim):
+        lhs, rhs = {}, {}
+        for (h, k), c in V.coact_basis(j).items():
+            for a, ca in f.cols[k].items():
+                acc(lhs, (h, a), c * ca)
+        for i, ci in f.cols[j].items():
+            for (h, a), ca in W.coact_basis(i).items():
+                acc(rhs, (h, a), ci * ca)
+        if lhs != rhs:
+            out.append(j)
+    return out
+
+
+def moved_by_one(f, seed):
+    """A copy of the map f with one entry, zero or not, chosen by seed, moved
+    by +1: an entry off the weight spaces breaks H-linearity and colinearity."""
+    rng = random.Random(seed)
+    i, j = rng.randrange(f.nrows), rng.randrange(f.ncols)
+    cols = [dict(col) for col in f.cols]
+    new = cols[j].get(i, rat(0)) + rat(1)
+    if new:
+        cols[j][i] = new
+    else:
+        del cols[j][i]
+    return Mat.of_cols(f.nrows, cols)
+
+
+def yd_morphisms(P, xi, seed):
+    """{name: (f, V, W)} for u, m, delta and eps of check_prebialgebra and for
+    xi into H's adjoint module; with a seed, m and delta are moved by +1."""
+    n, H = P.dim, P.H
+    R, RR, K = P.yd, P.square, trivial_module(H)
+    u = Mat.of_cols(n, [P.unit_sv()])
+    m = P.mult_map
+    delta = Mat.of_cols(n * n, [{kron_index(i, j, n): c for (i, j), c in P.comult_basis(k).items()}
+                                for k in range(n)])
+    eps = Mat.of_cols(1, [{0: e} if e else {} for e in P.counit])
+    if seed:
+        m, delta = moved_by_one(m, seed), moved_by_one(delta, seed)
+    H_ad = YDModule(H, H.dim, adjoint_action(H), Tensor3((H.dim, H.dim, H.dim)))
+    return {"u": (u, K, R), "m": (m, RR, R), "delta": (delta, R, RR), "eps": (eps, R, K),
+            "xi": (xi.map, RR, H_ad)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["qline2_xi8", "qline6", "xmas_pi", "kc12n6", "smash36"])
+def test_module_and_comodule_maps_match_reference(table_cases, name, seed, monkeypatch):
+    """module_map_failures and comodule_map_failures list the witnesses of
+    the per-tuple reference, in its order, on every YD-morphism axiom of a
+    pre-bialgebra and on the ad-equivariance of its cocycle; a map of unit
+    columns whose images do not collide is read as indices, with no product."""
+    P, xi = table_cases[name]
+    failing = set()
+    for which, (f, V, W) in yd_morphisms(P, xi, seed).items():
+        got = list(module_map_failures(f, V, W))
+        assert got == ref_module_map(f, V, W)
+        failing |= {(which, "linear")} if got else set()
+        if which != "xi":
+            got = list(comodule_map_failures(f, V, W))
+            assert got == ref_comodule_map(f, V, W)
+            failing |= {(which, "colinear")} if got else set()
+    if seed == 0:
+        # m need not be colinear (an informative entry of check_prebialgebra)
+        assert failing == ({("m", "colinear")} if not P.mult_is_colinear else set())
+    elif P.dim > 2:
+        # in dimension 2 a moved entry can stay inside a weight space
+        assert {("m", "linear"), ("delta", "linear")} <= failing
+    # unit columns holding a 1 that is not the shared cone(), which a product
+    # by the shared one would skip: the identity of R and of R (x) R, and the
+    # reversal of R's basis
+    n, one = P.dim, rat(1)
+    assert one is not cone()
+    for f, V in ((Mat.of_cols(n, [{j: one} for j in range(n)]), P.yd),
+                 (Mat.of_cols(n, [{n - 1 - j: one} for j in range(n)]), P.yd),
+                 (Mat.of_cols(n * n, [{j: one} for j in range(n * n)]), P.square)):
+        products = []
+        monkeypatch.setattr(CycScalar, "__mul__",
+                            lambda a, b, mul=CycScalar.__mul__: products.append(1) or mul(a, b))
+        module, comodule = list(module_map_failures(f, V, V)), list(comodule_map_failures(f, V, V))
+        monkeypatch.undo()
+        assert not products
+        assert (module, comodule) == (ref_module_map(f, V, V), ref_comodule_map(f, V, V))

@@ -465,6 +465,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
         assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name, taken", [("xmas", "xmas_pi.alg"), ("qline6", "qline6_xi.alg")])
+def test_example_writes_all_its_files_or_none(tmp_path, monkeypatch, capsys, name, taken):
+    """A file of `example` that cannot be written stops the command before
+    any of its files is in place: the error names the path, and the output
+    directory keeps only what was there, with no temporary file left."""
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", name, "--out", "out"]) == 2
+    assert f"error: out/{taken}: Is a directory" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [taken]
+    assert not any((tmp_path / "out" / taken).iterdir())
+
+
 def test_cli_bosonize(tmp_path):
     out = tmp_path / "smash.alg"
     rc = main(["bosonize", str(GOLDEN / "qline6_r.alg"), str(GOLDEN / "qline6_xi.alg"),

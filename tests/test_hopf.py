@@ -485,8 +485,8 @@ def oracle_counit(C):
     for k in range(C.dim):
         left, right = {}, {}
         for (a, b), c in C.comult_basis(k).items():
-            sv_add_into(left, {b: C.counit_sv({a: c})})
-            sv_add_into(right, {a: C.counit_sv({b: c})})
+            sv_add_into(left, {b: c}, C.counit[a])
+            sv_add_into(right, {a: c}, C.counit[b])
         if left != {k: cone()} or right != {k: cone()}:
             bad.append(k)
     return bad

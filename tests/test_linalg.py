@@ -7,6 +7,7 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar, euler_phi
 from hopfforge.hopf import group_algebra_cyclic
+from hopfforge.yd import YDModule
 from hopfforge.linalg import (
     CoordinateMap, Mat, ShapeMismatch, Subspace, Tensor3,
     basis_vec, cone, czero, echelon, image, kernel, kernel_from_sparse_rows, map_tensor_product,
@@ -452,7 +453,7 @@ def test_sv_axpy_shared_one_is_the_product():
 def _stored_values(*stores):
     """The values of every store that sv_axpy reads as terms: Mat columns,
     Tensor3 data, the product and coproduct rows of a structure, and the
-    action and coaction lists of a Yetter-Drinfeld module."""
+    action rows and coaction dicts of a Yetter-Drinfeld module."""
     for X in stores:
         if isinstance(X, Mat):
             yield from (c for col in X.cols for c in col.values())
@@ -460,13 +461,16 @@ def _stored_values(*stores):
             yield from X.data.values()
         else:
             yield from (c for row in X._rows for cell in row for _, c in cell)
+            if isinstance(X, YDModule):
+                yield from (c for i in range(X.dim) for c in X.coact_basis(i).values())
+                yield from _stored_values(X.action, X.coaction)
+                continue
             yield from (c for k in range(X.dim) for c in X.comult_basis(k).values())
             yield from _stored_values(X.mult, X.comult)
             if getattr(X, "antipode", None) is not None:
                 yield from _stored_values(X.antipode)
             if hasattr(X, "yd"):
-                yield from (c for terms in X.yd._act.values() for _, c in terms)
-                yield from (c for terms in X.yd._coact.values() for _, _, c in terms)
+                yield from _stored_values(X.yd)
 
 
 def test_term_sources_hold_no_zero_values(c4min_entry, b0_entry, qline6_entry, xmas_entry,
@@ -502,11 +506,10 @@ def test_term_sources_hold_no_zero_values(c4min_entry, b0_entry, qline6_entry, x
 
 
 def test_sparse_accumulation_lives_in_the_kernels():
-    """The accumulate-and-drop idiom appears only in the two kernels on
-    scalars and in the source of the coordinate axpy, which leaves zeros to
-    `equal`."""
-    kernels = {("linalg.py", "sv_axpy"), ("linalg.py", "sv_add_into"),
-               ("cyclotomic.py", "_coordinate_kernels")}
+    """The accumulate-and-drop idiom appears only in the kernel on scalars
+    (`sv_add_into` is a call of it) and in the source of the coordinate axpy,
+    which leaves zeros to `equal`."""
+    kernels = {("linalg.py", "sv_axpy"), ("cyclotomic.py", "_coordinate_kernels")}
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
     found = []
     for path in sorted(src.glob("*.py")):
