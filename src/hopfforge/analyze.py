@@ -28,7 +28,7 @@ from .linalg import (
     sv_scale, sv_to_dense, zeros,
 )
 from .cocycle import (
-    Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra, retraction_diagnostics,
+    Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra, retraction_diagnostics, tau_matrix,
 )
 from .construct import (
     CompatibleDatum, HypothesisViolation, OreHopf, YDDatum, build_ore_hopf, build_quantum_line,
@@ -124,20 +124,6 @@ def coinvariants(s: ProjectionSetup) -> Subspace:
     return kernel_from_sparse_rows(rows.values(), n)
 
 
-def tau_matrix(s: ProjectionSetup) -> Mat:
-    """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A."""
-    A, sS = s.A, s.sigma @ s.H.antipode
-    sSpi = [sS.apply_sv(col) for col in s.pi.cols]  # the columns of sigma S pi
-    cols = []
-    for k in range(A.dim):
-        acc: SVec = {}
-        for (i, j), c in A.comult_basis(k).items():
-            for j2, w in sSpi[j].items():
-                sv_axpy(acc, c * w, A.mul_basis(i, j2).items())
-        cols.append(acc)
-    return Mat.of_cols(A.dim, cols)
-
-
 class InducedPreBialgebra:
     """The pre-bialgebra + cocycle induced on the coinvariants of a setup."""
 
@@ -183,7 +169,7 @@ def induced_structures(s: ProjectionSetup, basis: Optional[list[SVec]] = None,
     except ValueError:
         raise InducedAxiomFailure("supplied basis does not span the coinvariants") from None
     nr = len(basis)
-    tau = tau_matrix(s)
+    tau = tau_matrix(A, H, sigma, pi)
 
     def coords_or_fail(v: SVec, what: str) -> SVec:
         x = coords(v)

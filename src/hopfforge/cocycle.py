@@ -17,9 +17,9 @@ from typing import Iterator
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
-    associativity_failures, check_bialgebra, coalgebra_map_failures, unit_failures,
-    unit_group_like,
+    BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
+    associativity_failures, bilinear_failures, check_bialgebra, coalgebra_map_failures,
+    unit_failures, unit_group_like,
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec, ShapeMismatch, cone, kron_index, sv_add_into, sv_axpy,
@@ -27,8 +27,8 @@ from .linalg import (
 )
 from .reports import CheckReport
 from .yd import (
-    YDModule, adjoint_action, braided_tensor_coalgebra, check_yd, comodule_map_failures,
-    module_map_failures, trivial_module, yd_tensor,
+    YDModule, braided_tensor_coalgebra, check_yd, comodule_map_failures, module_map_failures,
+    trivial_module, yd_module_adjoint, yd_tensor,
 )
 
 PairSV = dict  # sparse element of a two-fold tensor product, keyed by index pairs
@@ -232,13 +232,11 @@ def check_cocycle(P: PreBialgebra, xi: Cocycle) -> CheckReport:
     """
     rep = CheckReport("cocycle axioms")
     H, n = P.H, P.dim
-    nh = H.dim
-    if xi.xi.shape != (n, n, nh):
+    if xi.xi.shape != (n, n, H.dim):
         raise ShapeMismatch("cocycle tensor shape mismatch")
 
     # ad-equivariance: xi(h1 r (x) h2 s) = h1 xi(r (x) s) S(h2); H's coaction is not read
-    H_ad = YDModule(H, nh, adjoint_action(H), Tensor3((nh, nh, nh)))
-    bad = [(h, *divmod(ij, n)) for h, ij in module_map_failures(xi.map, P.square, H_ad)]
+    bad = [(h, *divmod(ij, n)) for h, ij in module_map_failures(xi.map, P.square, yd_module_adjoint(H))]
     rep.add("cocycle_ad_equivariance", not bad, bad)
 
     pairs = [divmod(ij, n) for ij in range(n * n)]  # in Kronecker order
@@ -407,16 +405,33 @@ def retraction_diagnostics(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> di
 
 
 def is_H_bilinear(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> bool:
-    """pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h for all basis h, b."""
-    return all(
-        pi.apply_sv(_times_basis(B, sh, b, True)) == _times_basis(H, pi.cols[b], h, False)
-        and pi.apply_sv(_times_basis(B, sh, b, False)) == _times_basis(H, pi.cols[b], h, True)
-        for h, sh in enumerate(sigma.cols) for b in range(B.dim))
+    """pi(sigma(h) b) = h pi(b) and pi(b sigma(h)) = pi(b) h for all basis h, b:
+    pi is H-linear for sigma(H) acting on B by left multiplication, and for
+    it acting by right multiplication, read through transposed row tables."""
+
+    def acting(T: list[list[tuple]]) -> list[list[tuple]]:
+        """The row table [h][b] = T(sigma(e_h), e_b), for T a row table of B."""
+        out = [[{} for _ in range(B.dim)] for _ in sigma.cols]
+        for row, sh in zip(out, sigma.cols):
+            for a, c in sh.items():
+                for cell, terms in zip(row, T[a]):
+                    sv_axpy(cell, c, terms)
+        return [[tuple(cell.items()) for cell in row] for row in out]
+
+    id_H = Mat.identity(H.dim)
+    B_right, H_right = ([list(col) for col in zip(*A._rows)] for A in (B, H))  # [b][a] = e_a e_b
+    return (_holds(bilinear_failures(id_H, pi, acting(B._rows), H._rows))
+            and _holds(bilinear_failures(id_H, pi, acting(B_right), H_right)))
 
 
-def _times_basis(A: AlgebraSC, v: SVec, k: int, right: bool) -> SVec:
-    """v e_k (right) or e_k v, read from rows of the multiplication table."""
-    out: SVec = {}
-    for i, c in v.items():
-        sv_axpy(out, c, (A.mul_basis(i, k) if right else A.mul_basis(k, i)).items())
-    return out
+def tau_matrix(A: BialgebraSC, H: HopfSC, sigma: Mat, pi: Mat) -> Mat:
+    """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A."""
+    sSpi = (sigma @ H.antipode @ pi).cols  # the columns of sigma S pi
+    cols = []
+    for k in range(A.dim):
+        acc: SVec = {}
+        for (i, j), c in A.comult_basis(k).items():
+            for j2, w in sSpi[j].items():
+                sv_axpy(acc, c * w, A._rows[i][j2])
+        cols.append(acc)
+    return Mat.of_cols(A.dim, cols)

@@ -20,9 +20,9 @@ from .hopf import (
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Tensor3, Vec,
-    basis_vec, cone, czero, kron_index, sv_add_into, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
+    basis_vec, cone, czero, kron_index, sv_outer_axpy, sv_scale, sv_to_dense, zeros,
 )
-from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, is_H_bilinear
+from .cocycle import Cocycle, PreBialgebra, bosonization_tensors, is_H_bilinear, tau_matrix
 from .reports import CheckReport
 from .yd import YDModule
 
@@ -363,23 +363,14 @@ def _induced_matches_quantum_line(ore: OreHopf, ql: QuantumLine) -> bool:
     """Compare induced structures on coinvariants span{y^a} with R_q."""
     O, H, N = ore.O, ore.base, ore.N
     y_pows = O.powers_sv(ore.y_vec, N)
-    # tau(v) = v1 sigma S p(v2); products tau(y^a . y^b) must equal quantum-line mult
-    sS = ore.sigma @ H.antipode
-    sSp = [sS.apply_sv(col) for col in ore.p.cols]  # the columns of sigma S p
-
-    def tau(sv: SVec) -> SVec:
-        out: SVec = {}
-        for k, c in sv.items():
-            for (i, j), w in O.comult_basis(k).items():
-                sv_add_into(out, O.mul_sv({i: c * w}, sSp[j]))
-        return out
-
+    # products tau(y^a . y^b) must equal quantum-line mult
+    tau = tau_matrix(O, H, ore.sigma, ore.p)
     coords = CoordinateMap(O.dim, y_pows)
     xi = lambda_cocycle(H, ore.datum.datum.g, N, ore.lam)
     for a in range(N):
         for b in range(N):
             prod = O.mul_sv(y_pows[a], y_pows[b])
-            if (coords(tau(prod)) != ql.mul_basis(a, b)
+            if (coords(tau.apply_sv(prod)) != ql.mul_basis(a, b)
                     or ore.p.apply_sv(prod) != xi.eval_basis(a, b)):
                 return False
     return True

@@ -599,11 +599,14 @@ def check_hopf(H: HopfSC) -> CheckReport:
 
 # -- morphism checks ----------------------------------------------------------
 #
-# Every morphism check has one of two shapes, with a map g on the first factor:
+# Every map equation of the checks has one of two shapes, with a map g on the
+# first factor:
 #   bilinear:  f(S(e_x, e_v)) = T(g(e_x), f(e_v)) for every basis pair (x, v),
-#   colinear:  (g (x) f) delta_C(e_k) = delta_D(f(e_k)) for every basis index k,
-# with g = f for algebra and coalgebra maps, and g = id_H for H-module and
-# H-comodule maps (S, T the actions, delta_C, delta_D the coactions).  A
+#   colinear:  (g (x) f) delta_C(e_k) = delta_D(f(e_k)) for every basis index k.
+# g = f for algebra maps (characters too, to K) and coalgebra maps; g = id_H,
+# with actions S, T and coactions delta_C, delta_D, for H-module and
+# H-comodule maps, `yd.check_yd`'s module associativity and coassociativity,
+# the ad-invariant integral (H -> K both ways) and `cocycle.is_H_bilinear`.  A
 # column that is one entry equal to 1 is a unit column, read as its index p,
 # and an empty column is a zero column; id_H is all unit columns.  Where the
 # columns at x, v and at every term k of S(e_x, e_v) are unit or zero and the
@@ -786,18 +789,10 @@ def verify_group_like(B: BialgebraSC, c: SVec) -> bool:
 
 
 def verify_character(B: BialgebraSC, chi: Vec) -> bool:
-    if not char_eval(chi, B.unit_sv()).is_one():
-        return False
-    for i in range(B.dim):
-        xi = chi[i]
-        for j in range(B.dim):
-            lhs = czero()
-            for k, w in B.mul_basis(i, j).items():
-                if chi[k]:
-                    lhs = lhs + w * chi[k]
-            if lhs != xi * chi[j]:
-                return False
-    return True
+    """chi(1) = 1 and chi is an algebra map from B to K, whose row table is e_0 e_0 = e_0."""
+    f = Mat.of_cols(1, [{0: c} if c else {} for c in chi])
+    return (char_eval(chi, B.unit_sv()).is_one()
+            and next(bilinear_failures(f, f, B._rows, [[((0, cone()),)]]), None) is None)
 
 
 def char_eval(chi: Vec, v: SVec) -> CycScalar:
@@ -880,6 +875,16 @@ def ad_action(H: HopfSC, h: SVec, z: SVec) -> SVec:
     return out
 
 
+def adjoint_action(H: HopfSC) -> Tensor3:
+    """Left adjoint action of H on itself: h . x = sum h_1 x S(h_2)."""
+    t = Tensor3((H.dim, H.dim, H.dim))
+    for h in range(H.dim):
+        for x in range(H.dim):
+            for k, w in ad_action(H, {h: cone()}, {x: cone()}).items():
+                t[(h, x, k)] = w
+    return t
+
+
 def ad_equivariant(H: HopfSC, chi: Vec, z: SVec) -> bool:
     """chi(h) z = ad_h(z) for every basis vector h."""
     return all(ad_action(H, {h: cone()}, z) == sv_scale(z, chi[h]) for h in range(H.dim))
@@ -913,29 +918,18 @@ def kaplansky_check(H: HopfSC, chi: Vec, z: SVec, n: int) -> tuple[bool, bool]:
 
 
 def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
-    """The three defining conditions, checked over all basis tuples."""
+    """gamma(1) = 1, and gamma is a YD-module map from (H, ad, Delta) to K: a
+    comodule map to K coacting by 1 (x) -, which is the integral condition, and
+    a module map to K acting through eps, which is ad-invariance."""
     if H.antipode is None:
         raise NotABialgebra("ad-invariant integral needs an antipode")
-    u = H.unit_sv()
-    if not char_eval(gamma, u).is_one():
+    if not char_eval(gamma, H.unit_sv()).is_one():
         return False
-    for h in range(H.dim):
-        acc: SVec = {}
-        for (i, j), c in H.comult_basis(h).items():
-            if gamma[j]:
-                sv_add_into(acc, {i: c * gamma[j]})
-        if acc != sv_scale(u, gamma[h]):
-            return False
-    for h in range(H.dim):
-        eps_h = H.counit[h]
-        for x in range(H.dim):
-            total = czero()
-            for k, w in ad_action(H, {h: cone()}, {x: cone()}).items():
-                if gamma[k]:
-                    total = total + w * gamma[k]
-            if total != eps_h * gamma[x]:
-                return False
-    return True
+    f, id_H = Mat.of_cols(1, [{0: c} if c else {} for c in gamma]), Mat.identity(H.dim)
+    K_eps = [[((0, e),)] if e else [()] for e in H.counit]
+    one = {(i, 0): c for i, c in H.unit_sv().items()}  # the coaction of K
+    return (next(colinear_failures(id_H, f, H.comult_basis, lambda _: one), None) is None
+            and next(bilinear_failures(id_H, f, row_table(adjoint_action(H)), K_eps), None) is None)
 
 
 def integral(H: BialgebraSC) -> Optional[Vec]:

@@ -12,6 +12,9 @@ The action is stored as `AlgebraSC` stores its products and the coaction as
 `CoalgebraSC` stores its coproducts, so a module reads them through the same
 readers, and `module_map_failures` and `comodule_map_failures` are the
 bilinear and colinear morphism checks of `hopf` with id_H on the first factor.
+So are `check_yd`'s module associativity (the action H (x) V -> V is H-linear
+for H acting by left multiplication on the first factor of H (x) V) and
+coassociativity (rho: V -> H (x) V is colinear for Delta (x) id on H (x) V).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, CoalgebraSC, HopfSC, ad_action, bilinear_failures, by_first_index,
+    AlgebraSC, CoalgebraSC, HopfSC, adjoint_action, bilinear_failures, by_first_index,
     colinear_failures, row_table,
 )
 from .linalg import (
@@ -83,19 +86,12 @@ def check_yd(V: YDModule) -> CheckReport:
     """Module + comodule axioms and both equivalent compatibility forms."""
     rep = CheckReport("Yetter-Drinfeld axioms")
     H, n = V.H, V.dim
-    bad = []
-    for a in range(H.dim):
-        for b in range(H.dim):
-            ab = H.mul_basis(a, b)
-            for i in range(n):
-                lhs: SVec = {}
-                for m, c in ab.items():
-                    sv_axpy(lhs, c, V.act_basis(m, i).items())
-                rhs: SVec = {}
-                for j, c in V.act_basis(b, i).items():
-                    sv_axpy(rhs, c, V.act_basis(a, j).items())
-                if lhs != rhs:
-                    bad.append((a, b, i))
+    id_H = Mat.identity(H.dim)
+    # act(e_h (x) e_i) = e_h . e_i, and left[a][kron(b, i)] = e_a e_b (x) e_i
+    act = Mat.of_cols(n, [V.act_basis(h, i) for h in range(H.dim) for i in range(n)])
+    left = [[tuple((kron_index(m, i, n), c) for m, c in cell) for cell in row for i in range(n)]
+            for row in H._rows]
+    bad = [(a, *divmod(v, n)) for a, v in bilinear_failures(id_H, act, left, V._rows)]
     rep.add("module_associative", not bad, bad)
     bad = []
     u = H.unit_sv()
@@ -106,16 +102,13 @@ def check_yd(V: YDModule) -> CheckReport:
         if acted != {i: cone()}:
             bad.append(i)
     rep.record("module_unital", bad)
-    bad = []
-    for i in range(n):
-        lhs: dict[tuple[int, int, int], CycScalar] = {}
-        rhs: dict[tuple[int, int, int], CycScalar] = {}
-        for (h, j), c in V.coact_basis(i).items():
-            sv_axpy(lhs, c, (((h1, h2, j), w) for (h1, h2), w in H.comult_basis(h).items()))
-            sv_axpy(rhs, c, (((h, h2, j2), w) for (h2, j2), w in V.coact_basis(j).items()))
-        if lhs != rhs:
-            bad.append(i)
-    rep.record("comodule_coassociative", bad)
+    rho = Mat.of_cols(H.dim * n, [{kron_index(h, j, n): c for (h, j), c in V.coact_basis(i).items()}
+                                  for i in range(n)])
+    # Delta (x) id on H (x) V
+    coact_HV = [{(h1, kron_index(h2, j, n)): c for (h1, h2), c in H.comult_basis(h).items()}
+                for h in range(H.dim) for j in range(n)]
+    rep.record("comodule_coassociative",
+               list(colinear_failures(id_H, rho, V.coact_basis, coact_HV.__getitem__)))
     bad = []
     for i in range(n):
         acc: SVec = {}
@@ -227,16 +220,6 @@ def comodule_map_failures(f: Mat, V: YDModule, W: YDModule) -> Iterator[int]:
     return colinear_failures(Mat.identity(V.H.dim), f, V.coact_basis, W.coact_basis)
 
 
-def adjoint_action(H: HopfSC) -> Tensor3:
-    """Left adjoint action of H on itself: h . x = sum h_1 x S(h_2)."""
-    t = Tensor3((H.dim, H.dim, H.dim))
-    for h in range(H.dim):
-        for x in range(H.dim):
-            for k, w in ad_action(H, {h: cone()}, {x: cone()}).items():
-                t[(h, x, k)] = w
-    return t
-
-
 def adjoint_coaction(H: HopfSC) -> Tensor3:
     """Left adjoint coaction of H on itself: h -> sum h_1 S(h_3) (x) h_2."""
     t = Tensor3((H.dim, H.dim, H.dim))
@@ -300,10 +283,11 @@ def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDM
     for (r1, r2), cr in R.comult_basis(i).items():
         co = VR.coact_basis(r2).items()
         for (s1, s2), cs in ds.items():
+            crs = cr * cs
             for (h, r20), ch in co:
                 acted = VS._rows[h][s1]
                 if acted:
-                    sv_axpy(out, cr * cs * ch, (((r1, s1b, r20, s2), ca) for s1b, ca in acted))
+                    sv_axpy(out, crs * ch, (((r1, s1b, r20, s2), ca) for s1b, ca in acted))
     return out
 
 

@@ -108,8 +108,8 @@ def test_criterion_03_non_normalized_projection(xmas_entry, xmas_pi_analysis):
     ore = xmas_entry.ore
     A = ore.O
     q = CycScalar.zeta(6)
-    from hopfforge.analyze import tau_matrix
-    tau = tau_matrix(setup)
+    from hopfforge.cocycle import tau_matrix
+    tau = tau_matrix(setup.A, setup.H, setup.sigma, setup.pi)
     Y = ore.y_vec
     X = xmas_entry.extra["X_in_A"]
     y_pows = [A.unit_sv()]

@@ -5,18 +5,18 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial, q_int
 from hopfforge.hopf import (
-    BialgebraSC, algebra_map_failures, char_convpow, coalgebra_map_failures, phi_power, psi_power,
-    verify_ad_integral,
+    BialgebraSC, HopfSC, algebra_map_failures, char_convpow, coalgebra_map_failures, phi_power,
+    psi_power, verify_ad_integral, verify_character,
 )
 from hopfforge.linalg import (
     Mat, Tensor3, cone, czero, image, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
-from hopfforge.cocycle import bosonize, retraction_diagnostics
+from hopfforge.cocycle import bosonize, is_H_bilinear, retraction_diagnostics, tau_matrix
 from hopfforge.reports import CheckReport
 from hopfforge.analyze import (
     Analysis, EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
     classify, coinvariants, induced_structures, omega_roundtrip, retraction_tools,
-    setup_from_ore, tau_matrix, thinness_and_basis, validate_setup, wedge_layer_of_sigma,
+    setup_from_ore, thinness_and_basis, validate_setup, wedge_layer_of_sigma,
 )
 from hopfforge import catalog
 
@@ -99,7 +99,8 @@ def test_coinvariants_of_ore(b0_entry, c4min_entry, smash36_entry, kc12n6_entry)
 def test_tau_table_xmas(xmas_entry):
     ore = xmas_entry.ore
     A = ore.O
-    tau = tau_matrix(xmas_entry.extra["setup_pi"])
+    s = xmas_entry.extra["setup_pi"]
+    tau = tau_matrix(s.A, s.H, s.sigma, s.pi)
     q = CycScalar.zeta(6)
     Y = ore.y_vec
     X = xmas_entry.extra["X_in_A"]
@@ -753,6 +754,116 @@ def test_morphism_checks_match_reference_on_catalog(name):
     else:
         setup = catalog.ALL_BUILDERS[name]().setup
     assert assert_morphism_checks_match_reference(setup).ok
+
+
+# -- characters, the ad-invariant integral and H-bilinearity, one tuple at a time --
+
+def ref_value(f, v):
+    """f(v) for a dense covector f and a sparse vector v."""
+    return sum((f[k] * c for k, c in v.items()), rat(0))
+
+
+def ref_times(T, u, v):
+    """u v in the algebra T, one product of basis vectors at a time."""
+    out = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for k, w in T.mul_basis(i, j).items():
+                out[k] = out.get(k, rat(0)) + ci * cj * w
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_character(B, chi):
+    """chi(1) = 1 and chi(e_i e_j) = chi(e_i) chi(e_j) for every basis pair."""
+    return ref_value(chi, B.unit_sv()) == rat(1) and all(
+        ref_value(chi, B.mul_basis(i, j)) == chi[i] * chi[j] for i in range(B.dim) for j in range(B.dim))
+
+
+def ref_ad_integral(H, gamma):
+    """gamma(1) = 1, sum h_1 gamma(h_2) = gamma(h) 1 for every basis h, and
+    gamma(h_1 e_x S(h_2)) = eps(h) gamma(e_x) for every basis pair (h, x)."""
+    if ref_value(gamma, H.unit_sv()) != rat(1):
+        return False
+    for h in range(H.dim):
+        left = {}
+        for (i, j), c in H.comult_basis(h).items():
+            left[i] = left.get(i, rat(0)) + c * gamma[j]
+        if {i: c for i, c in left.items() if c} != sv_scale(H.unit_sv(), gamma[h]):
+            return False
+    for h in range(H.dim):
+        for x in range(H.dim):
+            ad = {}
+            for (h1, h2), c in H.comult_basis(h).items():
+                hx = ref_times(H, {h1: c}, {x: cone()})
+                for m, v in ref_times(H, hx, H.antipode.cols[h2]).items():
+                    ad[m] = ad.get(m, rat(0)) + v
+            if ref_value(gamma, ad) != H.counit[h] * gamma[x]:
+                return False
+    return True
+
+
+def ref_H_bilinear(A, pi, sigma, H):
+    """pi(sigma(h) e_b) = h pi(e_b) and pi(e_b sigma(h)) = pi(e_b) h for every basis pair (h, b)."""
+    for h, sh in enumerate(sigma.cols):
+        for b in range(A.dim):
+            eh, eb, pb = {h: cone()}, {b: cone()}, pi.cols[b]
+            if (pi.apply_sv(ref_times(A, sh, eb)) != ref_times(H, eh, pb)
+                    or pi.apply_sv(ref_times(A, eb, sh)) != ref_times(H, pb, eh)):
+                return False
+    return True
+
+
+def covector_plus_one(v, seed):
+    """A copy of the covector v with one entry, zero or not, chosen by seed, moved by +1."""
+    v = list(v)
+    k = random.Random(seed).randrange(len(v))
+    v[k] = v[k] + rat(1)
+    return v
+
+
+def map_plus_one(f, seed):
+    """A copy of the map f with one entry, zero or not, chosen by seed, moved by +1."""
+    rng = random.Random(seed)
+    i, j = rng.randrange(f.nrows), rng.randrange(f.ncols)
+    cols = [dict(col) for col in f.cols]
+    new = cols[j].get(i, rat(0)) + rat(1)
+    if new:
+        cols[j][i] = new
+    else:
+        del cols[j][i]
+    return Mat.of_cols(f.nrows, cols)
+
+
+@pytest.mark.parametrize("name", ["b0", "xmas", "xmas_pi", "c4min", "smash36", "kc12n6", "nonthin"])
+def test_character_integral_and_bilinearity_match_reference(name):
+    """verify_character, verify_ad_integral and is_H_bilinear give the verdict
+    of a per-tuple reference on the catalog's characters (the declared ones
+    and the counits), on H's integral (the counit of H where H is not
+    cosemisimple, which is no integral there) and on pi, on three copies of
+    each moved by +1 in one entry, and on H's integral over three copies of H
+    with the antipode so moved."""
+    s = catalog.xmas().extra["setup_pi"] if name == "xmas_pi" else catalog.ALL_BUILDERS[name]().setup
+    A, H, sigma, pi = s.A, s.H, s.sigma, s.pi
+    gamma = H.dual_integral or H.counit
+    seeds = (1, 2, 3)
+    chars = [(H, chi) for chi in H.characters.values()] + [(H, H.counit), (A, A.counit)]
+    chars += [(B, covector_plus_one(chi, seed)) for B, chi in chars for seed in seeds]
+    got = [verify_character(B, chi) for B, chi in chars]
+    assert got == [ref_character(B, chi) for B, chi in chars]
+    # H with its antipode moved: of the three conditions only ad-invariance reads S
+    moved_S = [HopfSC(H.dim, H.mult, H.unit, H.comult, H.counit, map_plus_one(H.antipode, seed))
+               for seed in seeds]
+    integrals = [(H, gamma)] + [(H, covector_plus_one(gamma, seed)) for seed in seeds]
+    integrals += [(K, gamma) for K in moved_S]
+    got_ad = [verify_ad_integral(K, g) for K, g in integrals]
+    assert got_ad == [ref_ad_integral(K, g) for K, g in integrals]
+    pis = [pi] + [map_plus_one(pi, seed) for seed in seeds]
+    got_pi = [is_H_bilinear(A, p, sigma, H) for p in pis]
+    assert got_pi == [ref_H_bilinear(A, p, sigma, H) for p in pis]
+    # the catalog data pass, and the moved copies are not all accepted
+    n = len(chars) // 4
+    assert all(got[:n]) and got_ad[0] == (H.dual_integral is not None) and got_pi[0]
+    assert not all(got[n:]) and not any(got_ad[1:]) and not all(got_pi[1:])
 
 
 @lru_cache(maxsize=None)

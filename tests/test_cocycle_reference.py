@@ -371,17 +371,17 @@ def assert_matches(P, xi):
     assert entries(check_cocycle(P, xi)) == entries(ref_check_cocycle(P, xi))
 
 
-@pytest.mark.parametrize("name", ["qline6", "xmas_pi"])
-def test_checkers_match_reference(cases, name):
-    P, xi = cases[name]
+@pytest.mark.parametrize("name", ["qline6", "xmas_pi", "kc12n6", "smash36"])
+def test_checkers_match_reference(table_cases, name):
+    P, xi = table_cases[name]
     assert_matches(P, xi)
     assert check_prebialgebra(P).ok and check_cocycle(P, xi).ok
 
 
 @pytest.mark.parametrize("tensor", ["action", "coaction", "mult", "comult", "xi"])
-@pytest.mark.parametrize("name", ["qline6", "xmas_pi"])
-def test_checkers_match_reference_on_perturbed_data(cases, name, tensor):
-    P, xi = perturbed(*cases[name], tensor, seed=3)
+@pytest.mark.parametrize("name", ["qline6", "xmas_pi", "kc12n6", "smash36"])
+def test_checkers_match_reference_on_perturbed_data(table_cases, name, tensor):
+    P, xi = perturbed(*table_cases[name], tensor, seed=3)
     assert_matches(P, xi)
     assert not (check_prebialgebra(P).ok and check_cocycle(P, xi).ok)
 
