@@ -15,15 +15,14 @@ from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
 
-from .cyclotomic import CycScalar, multiplicative_order, q_factorial, q_int
+from .cyclotomic import CycScalar, q_factorial, q_int
 from .hopf import (
     BialgebraSC, HopfSC, ad_equivariant, algebra_map_failures, coalgebra_map_failures,
-    char_convpow, char_eval, char_powers, is_central, phi_power, psi_power,
-    skew_primitives, verify_character, verify_group_like, wedge,
+    char_convpow, char_eval, char_powers, is_central, phi_map, psi_map, skew_primitives, wedge,
     filtration_from,
 )
 from .linalg import (
-    CoordinateMap, Mat, SVec, Subspace, Tensor3, Vec,
+    CoordinateMap, Mat, SVec, Subspace, Tensor3,
     cone, czero, image, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_outer_axpy,
     sv_scale, sv_to_dense, zeros,
 )
@@ -253,12 +252,19 @@ def _omega_is_iso(ind: InducedPreBialgebra, B: BialgebraSC) -> bool:
 
 
 class DividedPowerBasis:
-    """d_0 = 1, d_1 = y, ..., d_{N-1} with Delta(d_n) = sum d_t (x) d_{n-t}."""
+    """d_0 = 1, d_1 = y, ..., d_{N-1} with Delta(d_n) = sum d_t (x) d_{n-t}
+    and h . d_n = chi^n(h) d_n, read off the associated datum (g, chi, q).
 
-    def __init__(self, d: list[SVec], q: CycScalar, g: SVec, chi: Vec, N: int, y: SVec):
+    ql is the quantum line R_q(H, g, chi) and f: R_q -> R the map
+    e_n -> y^n = (n)_q! d_n, both formed once per thin carrier.
+    """
+
+    def __init__(self, d: list[SVec], datum: YDDatum, y: SVec):
         self.d = d              # in R-coordinates
-        self.q, self.g, self.chi, self.N = q, g, chi, N
+        self.q, self.g, self.chi, self.N = datum.q, datum.g, datum.chi, len(d)
         self.y = y              # = d[1] when N > 1
+        self.ql = build_quantum_line(datum)
+        self.f = Mat.of_cols(self.N, self.y_powers())
 
     def y_powers(self) -> list[SVec]:
         """y^n = (n)_q! d_n in R-coordinates."""
@@ -270,8 +276,11 @@ def thinness_and_basis(ind: InducedPreBialgebra) -> Optional[DividedPowerBasis]:
 
     Thin means: the filtration from K 1 exhausts the carrier with a
     one-dimensional bottom layer, and the primitive space has dimension 1.
-    On a thin carrier the basis d_n = y d_{n-1} / (n)_q is built and the
-    divided-power coproduct, eigenvalue property and o(q) = N are verified.
+    On a thin carrier the datum (g, chi, q) of the primitive line y is
+    validated, o(q) = N is verified and the basis d_n = y d_{n-1} / (n)_q is
+    built.  Since y^n = (n)_q! d_n with (n)_q! != 0 for n < N, the
+    divided-power coproduct and the eigenvalue property h . d_n = chi^n(h) d_n
+    hold exactly when f: R_q -> R is a coalgebra map and an H-module map.
     """
     pre = ind.pre
     n = pre.dim
@@ -302,30 +311,26 @@ def thinness_and_basis(ind: InducedPreBialgebra) -> Optional[DividedPowerBasis]:
         if lam is None:
             raise NotThin("coaction does not preserve the primitive line")
         g[h] = lam
-    if not verify_group_like(H, g) or not verify_character(H, chi):
+    datum = validate_yd_datum(H, g, chi)
+    if isinstance(datum, CheckReport):
+        if datum.entry("g_group_like").ok and datum.entry("chi_character").ok:
+            raise NotThin("associated datum fails validation")
         raise NotThin("extracted (g, chi) fail their defining properties")
-    q = char_eval(chi, g)
-    order = multiplicative_order(q) if not q.is_one() else 1
+    order = datum.order()
     if order != n:
         raise NotThin(f"o(q) = {order} differs from dim R = {n}")
     # divided powers d_n = y d_{n-1} / (n)_q
     d = [unit, y] if n > 1 else [unit]
     for k in range(2, n):
-        d.append(sv_scale(pre.mul_sv(y, d[-1]), q_int(k, q).inverse()))
-    # verify divided-power coproduct and eigen-properties
-    chis = char_powers(H, chi, len(d))
-    for k, dk in enumerate(d):
-        expect: dict[tuple[int, int], CycScalar] = {}
-        for t in range(k + 1):
-            sv_outer_axpy(expect, cone(), d[t], d[k - t])
-        if pre.comult_sv(dk) != expect:
-            raise NotThin(f"divided-power coproduct fails at degree {k}")
-        for h in range(H.dim):
-            if pre.yd.act({h: cone()}, dk) != sv_scale(dk, chis[k][h]):
-                raise NotThin(f"eigenvalue property fails at degree {k}")
-    if isinstance(validate_yd_datum(H, g, chi), CheckReport):
-        raise NotThin("associated datum fails validation")
-    return DividedPowerBasis(d, q, g, chi, n, y)
+        d.append(sv_scale(pre.mul_sv(y, d[-1]), q_int(k, datum.q).inverse()))
+    basis = DividedPowerBasis(d, datum, y)
+    # the degree is the last entry of the first witness: k, ("counit", k) or (h, k)
+    for what, failures in (("divided-power coproduct", coalgebra_map_failures(basis.f, basis.ql, pre)),
+                           ("eigenvalue property", module_map_failures(basis.f, basis.ql.yd, pre.yd))):
+        bad = next(failures, None)
+        if bad is not None:
+            raise NotThin(f"{what} fails at degree {bad[-1] if isinstance(bad, tuple) else bad}")
+    return basis
 
 
 def _proportionality(img: SVec, ref: SVec) -> Optional[CycScalar]:
@@ -373,13 +378,14 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     extraction of lambda(N) when N is odd or x^2 = 0; the claim that x
     vanishes over a cosemisimple H is made when the setup's integral is
     not None.  When lambda is not a scalar multiple, the raw values stay in
-    the table and lam is None.
+    the table and lam is None.  xi is evaluated once per pair on the
+    y-power grid (`table`), and once more for x; since y^a = (a)_q! d_a
+    with (a)_q! != 0, xi(d_a (x) d_b) vanishes exactly where the table does.
     """
-    s, pre, xi = ind.setup, ind.pre, ind.xi
+    s, xi = ind.setup, ind.xi
     H = s.H
     N, q = basis.N, basis.q
-    d = basis.d
-    y_pows = basis.y_powers()
+    y_pows = basis.f.cols  # y^a = f(e_a)
 
     table = {(a, b): xi.eval(y_pows[a], y_pows[b]) for a in range(N) for b in range(N)}
     # support: xi(d_a (x) d_b) = 0 unless a+b in {0, N/2, N, 3N/2}
@@ -387,14 +393,10 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     if N % 2 == 0:
         allowed.add(N // 2)
         allowed.add(3 * N // 2)
-    support_ok = True
-    for a in range(N):
-        for b in range(N):
-            if (a + b) not in allowed and xi.eval(d[a], d[b]):
-                support_ok = False
+    support_ok = not any(v for (a, b), v in table.items() if a + b not in allowed)
     # x and its claims
     rep = CheckReport("claims about x")
-    x = xi.eval(d[1], d[N // 2 - 1]) if N % 2 == 0 and N > 1 else {}
+    x = xi.eval(basis.d[1], basis.d[N // 2 - 1]) if N % 2 == 0 and N > 1 else {}
     x_zero = not x
     if N % 2 == 0:
         ghalf = H.pow_sv(basis.g, N // 2)
@@ -404,16 +406,9 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
         rep.add("x_skew_primitive", H.comult_sv(x) == expect)
         chis = char_powers(H, basis.chi, 2 * N + 1)
         rep.add("chi_powers_kill_x", all(not char_eval(chi_c, x) for chi_c in chis))
-        ok_phi = True
-        ok_psi = True
-        for c_ in range(4):
-            sign = CycScalar.from_rational((-1) ** c_)
-            if phi_power(H, basis.chi, c_).apply_sv(x) != sv_scale(x, sign):
-                ok_phi = False
-            if psi_power(H, basis.chi, c_).apply_sv(x) != x:
-                ok_psi = False
-        rep.add("phi_sign_action_on_x", ok_phi)
-        rep.add("psi_fixes_x", ok_psi)
+        # phi(x) = -x and psi(x) = x give phi^c(x) = (-1)^c x and psi^c(x) = x for every c
+        rep.add("phi_sign_action_on_x", phi_map(H, basis.chi).apply_sv(x) == sv_scale(x, -cone()))
+        rep.add("psi_fixes_x", psi_map(H, basis.chi).apply_sv(x) == x)
         rep.add("x_ad_equivariance", ad_equivariant(H, chis[N // 2], x))
         anti = H.mul_sv(x, basis.g)
         sv_add_into(anti, H.mul_sv(basis.g, x))
@@ -430,25 +425,16 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     half_const = True
     half_val: Optional[SVec] = None
     if N % 2 == 0 and N >= 2:
-        vals = []
-        for a in range(1, N // 2):
-            vals.append(xi.eval(y_pows[a], y_pows[N // 2 - a]))
         half_val = sv_scale(x, q_factorial(N // 2 - 1, q))
-        half_const = all(v == half_val for v in vals)
+        half_const = all(table[a, N // 2 - a] == half_val for a in range(1, N // 2))
     # full line a+b = N when x^2 = 0
     x2_zero = not H.mul_sv(x, x)
     full_const: Optional[bool] = None
     if N % 2 == 1 or x2_zero:
-        vals = [xi.eval(y_pows[a], y_pows[N - a]) for a in range(1, N)]
-        full_const = all(v == vals[0] for v in vals)
+        full_const = all(table[a, N - a] == table[1, N - 1] for a in range(1, N))
     three_half: Optional[bool] = None
     if N % 2 == 0 and x_zero:
-        tvals = []
-        for a in range(1, N):
-            b = 3 * N // 2 - a
-            if 1 <= b <= N - 1:
-                tvals.append(xi.eval(y_pows[a], y_pows[b]))
-        three_half = all(not v for v in tvals)
+        three_half = not any(table[a, 3 * N // 2 - a] for a in range(N // 2 + 1, N))
     elif N % 2 == 1:
         three_half = True
     # lambda extraction
@@ -456,7 +442,7 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
     lam_datum: Optional[CompatibleDatum] = None
     table_ok: Optional[bool] = None
     if N % 2 == 1 or x2_zero:
-        raw = xi.eval(y_pows[1], y_pows[N - 1]) if N > 1 else {}
+        raw = table[1, N - 1] if N > 1 else {}
         z = H.one_minus_pow_sv(basis.g, N)
         if not z:
             # g^N = 1: the value must vanish and lambda is forced to 0
@@ -502,12 +488,7 @@ def equivalence_report(ind: InducedPreBialgebra, basis: DividedPowerBasis,
     H, A = s.H, s.A
     N = basis.N
     a_item = pre.mult_is_colinear
-    if N % 2 == 1:
-        b_item = True
-    else:
-        y_pows = basis.y_powers()
-        half = xi.eval(y_pows[1], y_pows[N // 2 - 1]) if N > 1 else {}
-        b_item = not half
+    b_item = N % 2 == 1 or not analysis.table[1, N // 2 - 1]
     # (c): powers in R vs powers in A
     pow_cmp = []
     r_pow = pre.unit_sv()
@@ -575,13 +556,12 @@ def _combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
 
 def _is_quantum_line(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> bool:
     """f = (e_a -> y^a) from R_q(H, g, chi) into R is injective and a map of
-    algebras, coalgebras, H-modules and H-comodules."""
-    pre = ind.pre
-    ql = build_quantum_line(YDDatum(ind.setup.H, basis.g, basis.chi, basis.q))
-    f = Mat.of_cols(pre.dim, basis.y_powers())
+    algebras, coalgebras, H-modules and H-comodules.  f and R_q are read from
+    the basis, which exists only when `thinness_and_basis` has found f a map
+    of coalgebras and of H-modules, so only the other two halves are checked."""
+    pre, f, ql = ind.pre, basis.f, basis.ql
     return f.rank() == basis.N and all(next(failures, None) is None for failures in (
-        algebra_map_failures(f, ql, pre), coalgebra_map_failures(f, ql, pre),
-        module_map_failures(f, ql.yd, pre.yd), comodule_map_failures(f, ql.yd, pre.yd)))
+        algebra_map_failures(f, ql, pre), comodule_map_failures(f, ql.yd, pre.yd)))
 
 
 def _is_plain_smash(ind: InducedPreBialgebra) -> bool:
@@ -728,21 +708,19 @@ class Analysis:
         gA = s.sigma.apply_sv(basis.g)
         sk = skew_primitives(A, gA, A.unit_sv(), bial=A)
         # linear constraints: sigma(h) z = z sigma(phi(h)) for all basis h
-        phi1 = phi_power(H, basis.chi, 1)
+        phi1 = phi_map(H, basis.chi)
         rows: list[SVec] = []
         zs = list(sk.pivot_rows.values())
         for h in range(H.dim):
             sh = s.sigma.cols[h]
             sph = s.sigma.apply_sv(phi1.cols[h])
-            diffs = []
-            for zk in zs:
+            by_t: dict[int, SVec] = {}  # the e_t coefficient of each z_k's equation
+            for kk, zk in enumerate(zs):
                 diff = A.mul_sv(sh, zk)
                 sv_add_into(diff, A.mul_sv(zk, sph), CycScalar.from_rational(-1))
-                diffs.append(diff)
-            for t in range(A.dim):
-                row: SVec = {kk: diff[t] for kk, diff in enumerate(diffs) if t in diff}
-                if row:
-                    rows.append(row)
+                for t, c in diff.items():
+                    by_t.setdefault(t, {})[kk] = c
+            rows += (by_t[t] for t in sorted(by_t))
         sol = kernel_from_sparse_rows(rows, len(zs))
         y_in_A = _combine(basis.y, self.induced.basis)
         piv = min(y_in_A)

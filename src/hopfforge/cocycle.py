@@ -84,10 +84,10 @@ class Cocycle:
         self.xi = xi
         self.r_dim = n = xi.shape[0]
         self.h_dim = xi.shape[2]
-        self._by_ij: dict[tuple[int, int], SVec] = {}
+        cols: list[SVec] = [{} for _ in range(n * n)]
         for (i, j, h), c in xi.data.items():
-            self._by_ij.setdefault((i, j), {})[h] = c
-        self.map = Mat.of_cols(self.h_dim, [self.eval_basis(i, j) for i in range(n) for j in range(n)])
+            cols[kron_index(i, j, n)][h] = c
+        self.map = Mat.of_cols(self.h_dim, cols)
 
     @staticmethod
     def trivial(P: PreBialgebra) -> "Cocycle":
@@ -107,13 +107,14 @@ class Cocycle:
         return Cocycle(t)
 
     def eval_basis(self, i: int, j: int) -> SVec:
-        return dict(self._by_ij.get((i, j), {}))
+        return dict(self.map.cols[kron_index(i, j, self.r_dim)])
 
     def eval(self, a: SVec, b: SVec) -> SVec:
         out: SVec = {}
+        cols, n = self.map.cols, self.r_dim
         for i, ca in a.items():
             for j, cb in b.items():
-                terms = self._by_ij.get((i, j))
+                terms = cols[kron_index(i, j, n)]
                 if terms:
                     sv_add_into(out, terms, ca * cb)
         return out

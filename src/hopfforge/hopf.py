@@ -177,6 +177,12 @@ class HopfSC(BialgebraSC):
         return self.antipode.cols[j]
 
     @cached_property
+    def adjoint(self) -> Tensor3:
+        """`adjoint_action(self)`, formed once per H object: it reads the
+        antipode, which must be set before the first read."""
+        return adjoint_action(self)
+
+    @cached_property
     def integral_is_ad_invariant(self) -> bool:
         """Whether `verify_ad_integral` accepts `dual_integral`, decided once per H
         object: it reads the antipode, which must be set before the first read."""
@@ -929,7 +935,7 @@ def verify_ad_integral(H: HopfSC, gamma: Vec) -> bool:
     K_eps = [[((0, e),)] if e else [()] for e in H.counit]
     one = {(i, 0): c for i, c in H.unit_sv().items()}  # the coaction of K
     return (next(colinear_failures(id_H, f, H.comult_basis, lambda _: one), None) is None
-            and next(bilinear_failures(id_H, f, row_table(adjoint_action(H)), K_eps), None) is None)
+            and next(bilinear_failures(id_H, f, row_table(H.adjoint), K_eps), None) is None)
 
 
 def integral(H: BialgebraSC) -> Optional[Vec]:

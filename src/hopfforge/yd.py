@@ -23,8 +23,8 @@ from typing import Iterator
 
 from .cyclotomic import CycScalar
 from .hopf import (
-    AlgebraSC, CoalgebraSC, HopfSC, adjoint_action, bilinear_failures, by_first_index,
-    colinear_failures, row_table,
+    AlgebraSC, CoalgebraSC, HopfSC, bilinear_failures, by_first_index, colinear_failures,
+    row_table,
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec,
@@ -234,7 +234,7 @@ def adjoint_coaction(H: HopfSC) -> Tensor3:
 
 def yd_module_adjoint(H: HopfSC) -> YDModule:
     """H as a YD module: adjoint action, regular coaction (smash-product side)."""
-    return YDModule(H, H.dim, adjoint_action(H), H.comult)
+    return YDModule(H, H.dim, H.adjoint, H.comult)
 
 
 def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModule) -> AlgebraSC:

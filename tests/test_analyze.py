@@ -11,13 +11,17 @@ from hopfforge.hopf import (
 from hopfforge.linalg import (
     Mat, Tensor3, cone, czero, image, sv_add_into, sv_from_dense, sv_scale, sv_to_dense, zeros,
 )
-from hopfforge.cocycle import bosonize, is_H_bilinear, retraction_diagnostics, tau_matrix
+from hopfforge.cocycle import (
+    Cocycle, PreBialgebra, bosonize, is_H_bilinear, retraction_diagnostics, tau_matrix,
+)
 from hopfforge.reports import CheckReport
 from hopfforge.analyze import (
-    Analysis, EquivalenceMismatch, NotThin, ProjectionSetup, _is_coalgebra_map,
-    classify, coinvariants, induced_structures, omega_roundtrip, retraction_tools,
-    setup_from_ore, thinness_and_basis, validate_setup, wedge_layer_of_sigma,
+    Analysis, EquivalenceMismatch, InducedPreBialgebra, NotThin, ProjectionSetup,
+    _is_coalgebra_map, classify, cocycle_analysis, coinvariants, induced_structures,
+    omega_roundtrip, retraction_tools, setup_from_ore, thinness_and_basis, validate_setup,
+    wedge_layer_of_sigma,
 )
+from hopfforge.yd import YDModule
 from hopfforge import catalog
 
 
@@ -247,6 +251,114 @@ def test_thinness_negative_control():
     # wedge criterion: dim A1 != 2 dim H matches non-thinness
     assert an.A1.dim == 2  # sigma(H) itself: group algebras add nothing
     assert an.A1.dim != 2 * entry.setup.H.dim
+
+
+def moved(T, key):
+    """A copy of the tensor T with its entry at key moved by +1."""
+    return Tensor3(T.shape, {**T.data, key: T[key] + rat(1)})
+
+
+def with_pre(ind, pre=None, xi=None):
+    """ind with its pre-bialgebra or its cocycle replaced."""
+    return InducedPreBialgebra(ind.setup, ind.R, ind.basis, ind.coords,
+                               pre or ind.pre, xi or ind.xi, ind.tau)
+
+
+@pytest.mark.parametrize("table, k", [("action", k) for k in range(2, 6)]
+                         + [("comult", k) for k in range(2, 6)] + [("coaction", 1)])
+def test_one_moved_table_entry_ends_in_its_not_thin(table, k, smash36_entry):
+    """smash36's R is thin with N = 6 and d_k a multiple of e_k.  Moving
+    h . e_k, the e_1 (x) e_(k-1) term of Delta(e_k) or the 1 (x) e_1 term of
+    rho(e_1) by +1 keeps R thin (the filtration and the primitives read
+    Delta alone, and y = e_1 keeps its line), and each ends in its own
+    NotThin."""
+    ind = induced_structures(smash36_entry.setup, verify=False)
+    P, V = ind.pre, ind.pre.yd
+    action, coaction, comult = V.action, V.coaction, P.comult
+    if table == "action":
+        action = moved(action, (1, k, k))
+    elif table == "comult":
+        comult = moved(comult, (k, 1, k - 1))
+    else:
+        coaction = moved(coaction, (1, 0, 1))
+    P2 = PreBialgebra(P.H, YDModule(P.H, P.dim, action, coaction), P.mult, P.unit, comult, P.counit)
+    with pytest.raises(NotThin) as err:
+        thinness_and_basis(with_pre(ind, pre=P2))
+    assert str(err.value) == {
+        "action": f"eigenvalue property fails at degree {k}",
+        "comult": f"divided-power coproduct fails at degree {k}",
+        "coaction": "extracted (g, chi) fail their defining properties",
+    }[table]
+
+
+def ref_xi(xi, u, v):
+    """xi(u (x) v), summed entry by entry over the cocycle tensor."""
+    out = {}
+    for (i, j, h), c in xi.xi.data.items():
+        if i in u and j in v:
+            out[h] = out.get(h, czero()) + u[i] * v[j] * c
+    return {h: c for h, c in out.items() if c}
+
+
+def ref_multiple(v, z):
+    """c with v = c z, or None; 0 when both vanish."""
+    if not z:
+        return czero() if not v else None
+    k = min(z)
+    c = v.get(k, czero()) / z[k]
+    return c if v == sv_scale(z, c) else None
+
+
+def ref_line_verdicts(ind, basis):
+    """support_ok, the three line verdicts and lambda, with xi evaluated on
+    d_a and y^a directly."""
+    H, xi, N, q, d, y = ind.setup.H, ind.xi, basis.N, basis.q, basis.d, basis.y_powers()
+    allowed = {0, N} | ({N // 2, 3 * N // 2} if N % 2 == 0 else set())
+    support = all(not ref_xi(xi, d[a], d[b]) for a in range(N) for b in range(N) if a + b not in allowed)
+    x = ref_xi(xi, d[1], d[N // 2 - 1]) if N % 2 == 0 else {}
+    half = all(ref_xi(xi, y[a], y[N // 2 - a]) == sv_scale(x, q_factorial(N // 2 - 1, q))
+               for a in range(1, N // 2)) if N % 2 == 0 else True
+    full = lam = None
+    if N % 2 == 1 or not H.mul_sv(x, x):
+        line = [ref_xi(xi, y[a], y[N - a]) for a in range(1, N)]
+        full = all(v == line[0] for v in line)
+        lam = ref_multiple(line[0], H.one_minus_pow_sv(basis.g, N))
+    three = None
+    if N % 2 == 1:
+        three = True
+    elif not x:
+        three = all(not ref_xi(xi, y[a], y[3 * N // 2 - a]) for a in range(1, N) if 3 * N // 2 - a < N)
+    return support, half, full, three, lam
+
+
+@lru_cache(maxsize=None)
+def thin_induced(name):
+    s = catalog.xmas().extra["setup_pi"] if name == "xmas_pi" else catalog.ALL_BUILDERS[name]().setup
+    ind = induced_structures(s, verify=False)
+    return ind, thinness_and_basis(ind)
+
+
+@pytest.mark.parametrize("name, move", [
+    (name, move) for name in ("b0", "xmas", "xmas_pi", "c4min", "smash36", "kc12n6")
+    for move in (None, *range(6))] + [(name, (4, 5, 0)) for name in ("xmas", "smash36", "kc12n6")])
+def test_cocycle_line_verdicts_match_reference(name, move):
+    """The verdicts cocycle_analysis reads off its y-power table agree with
+    xi evaluated on d_a and y^a, on each thin catalog carrier and with one
+    entry of its xi moved by +1: a nonzero entry at seeds 0-2, which stays
+    on the support, any entry at seeds 3-5, and xi(e_4 (x) e_5) on the
+    carriers whose d_a is a multiple of e_a, which is on the 3N/2 line."""
+    ind, basis = thin_induced(name)
+    if isinstance(move, int):
+        n, nh = ind.xi.xi.shape[1:]
+        keys = sorted(ind.xi.xi.data) if move < 3 else [(i, j, h) for i in range(n) for j in range(n)
+                                                       for h in range(nh)]
+        move = random.Random(move).choice(keys)
+    if move is not None:
+        ind = with_pre(ind, xi=Cocycle(moved(ind.xi.xi, move)))
+    ana = cocycle_analysis(ind, basis)
+    got = (ana.support_ok, ana.half_line_constant, ana.full_line_constant,
+           ana.three_half_line_zero, ana.lam)
+    assert got == ref_line_verdicts(ind, basis)
 
 
 def test_divided_power_cross_check_by_linear_solve(xmas_pi_analysis):

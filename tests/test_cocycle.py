@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hopfforge.cyclotomic import CycScalar, q_binomial, q_factorial
@@ -208,6 +210,24 @@ def test_delta_rr_and_m_tilde_formed_once_per_pair(which, qline6_entry, c4min_en
     check_prebialgebra(P)
     check_cocycle(P, xi)
     assert len(calls["delta"]) == len(calls["rho"]) == len(pairs) and calls["yd_tensor"] == 1
+
+
+def test_adjoint_action_formed_once_per_base(c4min_entry, monkeypatch):
+    """The adjoint action of H is formed once per H object, however many
+    check_cocycle runs and ad-invariance checks read it."""
+    from hopfforge import hopf
+    from hopfforge.analyze import induced_structures
+    ind = induced_structures(c4min_entry.setup, verify=False)
+    H = ind.pre.H
+    monkeypatch.delitem(vars(H), "adjoint", raising=False)  # formed by an earlier test or build
+    formed, calls = hopf.adjoint_action, []
+    for module in [m for name, m in sys.modules.items() if name.startswith("hopfforge.")]:
+        if getattr(module, "adjoint_action", None) is formed:  # every module that binds it
+            monkeypatch.setattr(module, "adjoint_action", lambda H_: calls.append(id(H_)) or formed(H_))
+    assert check_cocycle(ind.pre, ind.xi).ok
+    assert check_cocycle(ind.pre, ind.xi).ok
+    assert hopf.verify_ad_integral(H, H.dual_integral)
+    assert calls == [id(H)]
 
 
 def test_m_tilde_matrix_shape(qline2, xi8):

@@ -18,11 +18,11 @@ from hopfforge.cocycle import (
 )
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 from hopfforge.cyclotomic import CycScalar
-from hopfforge.hopf import AlgebraSC, HopfSC, cyclic_character, group_algebra_cyclic
+from hopfforge.hopf import AlgebraSC, HopfSC, adjoint_action, cyclic_character, group_algebra_cyclic
 from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, kron_index, sv_add_into, sv_scale
 from hopfforge.reports import CheckReport
 from hopfforge.yd import (
-    YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra, check_yd,
+    YDModule, adjoint_coaction, braided_tensor_algebra, check_yd,
     comodule_map_failures, module_map_failures, trivial_module, yd_tensor,
 )
 

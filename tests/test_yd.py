@@ -2,11 +2,12 @@ import pytest
 
 from hopfforge.cyclotomic import CycScalar
 from hopfforge.hopf import (
-    HopfSC, check_algebra, check_coalgebra, check_hopf, cyclic_character, group_algebra_cyclic,
+    HopfSC, adjoint_action, check_algebra, check_coalgebra, check_hopf, cyclic_character,
+    group_algebra_cyclic,
 )
 from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, czero, map_tensor_product
 from hopfforge.yd import (
-    YDModule, adjoint_action, adjoint_coaction, braided_tensor_algebra,
+    YDModule, adjoint_coaction, braided_tensor_algebra,
     braided_tensor_coalgebra, braiding, check_yd, comodule_map_failures, module_map_failures,
     one_dim_module, trivial_module, yd_module_adjoint, yd_tensor,
 )
