@@ -23,8 +23,8 @@ from .hopf import (
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Subspace, Tensor3,
-    cone, czero, image, kernel_from_sparse_rows, sv_add_into, sv_axpy, sv_outer_axpy,
-    sv_scale, sv_to_dense, zeros,
+    cone, czero, image, kernel_from_sparse_rows, kernel_of_images, sv_add_into, sv_axpy,
+    sv_outer_axpy, sv_scale, sv_to_dense, zeros,
 )
 from .cocycle import (
     Cocycle, PreBialgebra, bosonize, check_cocycle, check_prebialgebra, retraction_diagnostics, tau_matrix,
@@ -107,20 +107,18 @@ def validate_setup(s: ProjectionSetup) -> CheckReport:
 
 
 def coinvariants(s: ProjectionSetup) -> Subspace:
-    """R = {a : (id (x) pi) Delta(a) = a (x) 1_H} by an exact linear solve."""
-    A, H, pi = s.A, s.H, s.pi
-    n = A.dim
-    rows: dict[tuple[int, int], SVec] = {}
-    unit_h = H.unit_sv()
-    for k in range(n):
+    """R = {a : (id (x) pi) Delta(a) = a (x) 1_H}: the kernel of the images
+    e_k -> (id (x) pi) Delta(e_k) - e_k (x) 1_H."""
+    A, pi = s.A, s.pi
+    unit_h = s.H.unit_sv()
+    images = []
+    for k in range(A.dim):
         t: dict[tuple[int, int], CycScalar] = {}
         for (i, j), c in A.comult_basis(k).items():
             sv_axpy(t, c, (((i, h), w) for h, w in pi.cols[j].items()))
-        # subtract e_k (x) 1_H
         sv_axpy(t, -cone(), (((k, h), ch) for h, ch in unit_h.items()))
-        for key, c in t.items():
-            rows.setdefault(key, {})[k] = c
-    return kernel_from_sparse_rows(rows.values(), n)
+        images.append(t)
+    return kernel_of_images(images)
 
 
 class InducedPreBialgebra:
@@ -421,17 +419,17 @@ def cocycle_analysis(ind: InducedPreBialgebra, basis: DividedPowerBasis) -> Cocy
             rep.add("x_vanishes_even_half_fd", x_zero)
         if s.integral is not None:
             rep.add("x_vanishes_cosemisimple", x_zero)
-    # line constancy on a+b = N/2
+    # line constancy on a+b = N/2; table[1, N/2 - 1] is half_val by the definition of x
     half_const = True
     half_val: Optional[SVec] = None
     if N % 2 == 0 and N >= 2:
         half_val = sv_scale(x, q_factorial(N // 2 - 1, q))
-        half_const = all(table[a, N // 2 - a] == half_val for a in range(1, N // 2))
-    # full line a+b = N when x^2 = 0
+        half_const = all(table[a, N // 2 - a] == half_val for a in range(2, N // 2))
+    # full line a+b = N when x^2 = 0, each a >= 2 against a = 1
     x2_zero = not H.mul_sv(x, x)
     full_const: Optional[bool] = None
     if N % 2 == 1 or x2_zero:
-        full_const = all(table[a, N - a] == table[1, N - 1] for a in range(1, N))
+        full_const = all(table[a, N - a] == table[1, N - 1] for a in range(2, N))
     three_half: Optional[bool] = None
     if N % 2 == 0 and x_zero:
         three_half = not any(table[a, 3 * N // 2 - a] for a in range(N // 2 + 1, N))

@@ -8,6 +8,9 @@ recovers the Radford-Majid bosonization.  The braided square R (x) R lives
 on the pre-bialgebra, formed once: every check reads its action, rho_{R (x) R}
 (`PreBialgebra.square`) and delta_{R (x) R} (`PreBialgebra.square_coalgebra`)
 there, and `m_tilde_pairs` is the one m-tilde = (m (x) xi) delta_{R (x) R}.
+R #_xi H comes from the two braided builders of `yd` over one YD structure on
+H, the smash loop taking m-tilde for R's product, and tau is the convolution
+id * sigma S pi (`hopf.convolution`).
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ from .cyclotomic import CycScalar
 from .hopf import (
     BialgebraSC, CoalgebraSC, HopfSC, AxiomViolation, algebra_map_failures,
     associativity_failures, bilinear_failures, check_bialgebra, coalgebra_map_failures,
-    unit_failures, unit_group_like,
+    convolution, unit_failures, unit_group_like,
 )
 from .linalg import (
     Mat, SVec, Tensor3, Vec, ShapeMismatch, cone, kron_index, sv_add_into, sv_axpy,
-    sv_outer_axpy, sv_scale, zeros,
+    sv_outer_axpy, sv_scale,
 )
 from .reports import CheckReport
 from .yd import (
     YDModule, braided_tensor_coalgebra, check_yd, comodule_map_failures, module_map_failures,
-    trivial_module, yd_module_adjoint, yd_tensor,
+    smash_product_tables, trivial_module, yd_module_adjoint, yd_tensor,
 )
 
 PairSV = dict  # sparse element of a two-fold tensor product, keyed by index pairs
@@ -346,6 +349,9 @@ def bosonization_tensors(P: PreBialgebra,
                          xi: Cocycle) -> tuple[Tensor3, Vec, Tensor3, Vec, Mat, Mat]:
     """(mult, unit, comult, counit, sigma, pi) of R #_xi H on the basis e_kron(r, h) = r # h.
 
+    `yd.smash_product_tables` with m-tilde for R's product gives mult and unit,
+    `yd.braided_tensor_coalgebra` comult and counit; one YD structure on H (its
+    product as action, Delta as coaction) serves both, each reading one half.
     Nothing is checked.  `bosonize` wraps the tables in a bialgebra and
     `construct.build_ore_hopf` in a Hopf algebra, so only that one object
     indexes them.
@@ -353,36 +359,11 @@ def bosonization_tensors(P: PreBialgebra,
     H = P.H
     nr, nh = P.dim, H.dim
     n = nr * nh
-    mult = Tensor3((n, n, n))
-    # m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k, one
-    # sv_axpy per (r#h, s, mtilde term, hm): its terms run over k and e_hm e_k
-    mts = m_tilde_pairs(P, xi)
-    rows = H._rows
-    times_k = [[(k, hf, cf) for k, cell in enumerate(rows[hm]) for hf, cf in cell] for hm in range(nh)]
-    for h in range(nh):
-        dh = H.comult_basis(h)
-        for s in range(nr):
-            # sum h1 . s (x) h2, keyed by (s', h2)
-            acted: dict[tuple[int, int], CycScalar] = {}
-            for (h1, h2), c in dh.items():
-                sv_axpy(acted, c, (((s2, h2), cs) for s2, cs in P.yd.act_basis(h1, s).items()))
-            for r in range(nr):
-                row = kron_index(r, h, nh)
-                for (s2, h2), c in acted.items():
-                    for (r0, h0), cm in mts[r, s2].items():
-                        for hm, chm in rows[h0][h2]:
-                            sv_axpy(mult.data, c * cm * chm,
-                                    (((row, s * nh + k, r0 * nh + hf), cf) for k, hf, cf in times_k[hm]))
-    unit = zeros(n)
-    for i, ci in enumerate(P.unit):
-        if ci:
-            for h, c in enumerate(H.unit):
-                if c:
-                    unit[kron_index(i, h, nh)] = ci * c
-    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2, the braided tensor coalgebra of R and H;
-    # it reads only H's action on itself by multiplication, so H's coaction is left empty
-    H_acting = YDModule(H, nh, H.mult, Tensor3((nh, nh, nh)))
-    co = braided_tensor_coalgebra(P, P.yd, H, H_acting)
+    H_self = YDModule(H, nh, H.mult, H.comult)
+    # m_B[(r#h)(s#k)] = mtilde^0(r (x) h1.s) # mtilde^1(r (x) h1.s) h2 k
+    mult, unit = smash_product_tables(P, P.yd, H, H_self, m_tilde_pairs(P, xi))
+    # Delta_B(r#h) = r1 # r2_(-1) h1 (x) r2_0 # h2
+    co = braided_tensor_coalgebra(P, P.yd, H, H_self)
     comult, counit = co.comult, co.counit
     sigma = Mat.of_cols(n, [{kron_index(i, h, nh): ci for i, ci in enumerate(P.unit) if ci}
                             for h in range(nh)])
@@ -426,13 +407,5 @@ def is_H_bilinear(B: BialgebraSC, pi: Mat, sigma: Mat, H: HopfSC) -> bool:
 
 
 def tau_matrix(A: BialgebraSC, H: HopfSC, sigma: Mat, pi: Mat) -> Mat:
-    """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A."""
-    sSpi = (sigma @ H.antipode @ pi).cols  # the columns of sigma S pi
-    cols = []
-    for k in range(A.dim):
-        acc: SVec = {}
-        for (i, j), c in A.comult_basis(k).items():
-            for j2, w in sSpi[j].items():
-                sv_axpy(acc, c * w, A._rows[i][j2])
-        cols.append(acc)
-    return Mat.of_cols(A.dim, cols)
+    """tau(a) = sum a_1 sigma S pi(a_2) as a matrix A -> A: the convolution id * sigma S pi."""
+    return convolution(Mat.identity(A.dim), sigma @ H.antipode @ pi, A, A)

@@ -16,7 +16,7 @@ from .cyclotomic import CycScalar, multiplicative_order, q_binomial
 from .hopf import (
     AlgebraSC, AxiomViolation, HopfSC, ad_action, ad_equivariant, algebra_map_failures,
     coalgebra_map_failures, char_convolve, char_convpow, char_eval, char_powers, check_hopf,
-    is_central, phi_map, phi_power, psi_map, verify_character, verify_group_like,
+    is_central, phi_map, psi_map, verify_character, verify_group_like,
 )
 from .linalg import (
     CoordinateMap, Mat, SVec, Tensor3, Vec,
@@ -396,8 +396,7 @@ def universal_map(ore: OreHopf, B: "HopfSC | AlgebraSC", f: Mat, b: SVec) -> Mat
     """
     H = ore.base
     N, lam = ore.N, ore.lam
-    phi1 = phi_power(H, ore.datum.datum.chi, 1)
-    for h, phi_h in enumerate(phi1.cols):
+    for h, phi_h in enumerate(phi_map(H, ore.datum.datum.chi).cols):
         lhs = B.mul_sv(f.cols[h], b)
         rhs = B.mul_sv(b, f.apply_sv(phi_h))
         if lhs != rhs:

@@ -16,7 +16,7 @@ from .cyclotomic import COORDINATE_KERNELS, ConductorOverflow, CycScalar, conduc
 from .linalg import (
     Mat, SVec, Subspace, Tensor3, Vec,
     ShapeMismatch, basis_vec, cone, czero, echelon, echelon_add, kernel_from_sparse_rows,
-    sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, zeros,
+    kernel_of_images, sv_add_into, sv_axpy, sv_from_dense, sv_outer_axpy, sv_scale, zeros,
 )
 from .reports import MAX_WITNESSES, CheckReport
 
@@ -721,14 +721,19 @@ def coalgebra_map_failures(f: Mat, C: CoalgebraSC, D: CoalgebraSC) -> Iterator:
 
 
 def convolution(f: Mat, g: Mat, C: CoalgebraSC, A: AlgebraSC) -> Mat:
-    """Convolution product m_A (f (x) g) Delta_C of maps C -> A."""
+    """Convolution product m_A (f (x) g) Delta_C of maps C -> A (`cocycle.tau_matrix`
+    is id * sigma S pi), one `sv_axpy` of a product e_a e_b of A per term of
+    Delta_C(e_k), entry of f and entry of g."""
     if f.ncols != C.dim or g.ncols != C.dim or f.nrows != A.dim or g.nrows != A.dim:
         raise ShapeMismatch("convolution shape mismatch")
-    cols = []
+    cols, one = [], cone()
     for k in range(C.dim):
         acc: SVec = {}
         for (i, j), c in C.comult_basis(k).items():
-            sv_add_into(acc, A.mul_sv(sv_scale(f.cols[i], c), g.cols[j]))
+            for a, ca in f.cols[i].items():
+                cf = c if ca is one else c * ca
+                for b, cb in g.cols[j].items():
+                    sv_axpy(acc, cf * cb, A._rows[a][b])
         cols.append(acc)
     return Mat.of_cols(A.dim, cols)
 
@@ -856,19 +861,14 @@ def psi_map(B: CoalgebraSC, chi: Vec) -> Mat:
     return _hit_map(B, chi, 1)
 
 
-def _map_power(step: Mat, c: int) -> Mat:
-    out = Mat.identity(step.nrows)
-    for _ in range(c):
-        out = step @ out
-    return out
-
-
 def phi_power(B: CoalgebraSC, chi: Vec, c: int) -> Mat:
-    return _map_power(phi_map(B, chi), c)
+    """phi_chi^c = phi_(chi^c), as phi_chi phi_eta = phi_(eta * chi) by coassociativity."""
+    return phi_map(B, char_convpow(B, chi, c))
 
 
 def psi_power(B: CoalgebraSC, chi: Vec, c: int) -> Mat:
-    return _map_power(psi_map(B, chi), c)
+    """psi_chi^c = psi_(chi^c), as psi_chi psi_eta = psi_(chi * eta) by coassociativity."""
+    return psi_map(B, char_convpow(B, chi, c))
 
 
 def ad_action(H: HopfSC, h: SVec, z: SVec) -> SVec:
@@ -975,7 +975,8 @@ def integral(H: BialgebraSC) -> Optional[Vec]:
 
 def skew_primitives(C: CoalgebraSC, g: SVec, h: SVec,
                     bial: Optional[BialgebraSC] = None) -> Subspace:
-    """{c : Delta c = c (x) h + g (x) c} by an exact linear solve.
+    """{c : Delta c = c (x) h + g (x) c}: the kernel of the images
+    e_k -> Delta(e_k) - e_k (x) h - g (x) e_k.
 
     g and h must be group-like when a bialgebra is supplied for the check.
     """
@@ -983,18 +984,15 @@ def skew_primitives(C: CoalgebraSC, g: SVec, h: SVec,
         for v in (g, h):
             if not verify_group_like(bial, v):
                 raise NotGroupLike("skew primitives need group-like reference vectors")
-    n = C.dim
-    rows: dict[tuple[int, int], SVec] = {}
-    for k in range(n):
-        items: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
-        # subtract e_k (x) h + g (x) e_k
+    images = []
+    for k in range(C.dim):
+        image: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
+        # subtract e_k (x) h + g (x) e_k, whose e_k (x) e_k terms may cancel
         delta = {(k, j): cj for j, cj in h.items()}
-        for i, ci in g.items():
-            delta[(i, k)] = delta.get((i, k), czero()) + ci
-        sv_axpy(items, -cone(), delta.items())
-        for key, c in items.items():
-            rows.setdefault(key, {})[k] = c
-    return kernel_from_sparse_rows(rows.values(), n)
+        sv_axpy(delta, cone(), (((i, k), ci) for i, ci in g.items()))
+        sv_axpy(image, -cone(), delta.items())
+        images.append(image)
+    return kernel_of_images(images)
 
 
 def primitives(C: CoalgebraSC, unit: Optional[SVec] = None) -> Subspace:
@@ -1009,14 +1007,14 @@ def primitives(C: CoalgebraSC, unit: Optional[SVec] = None) -> Subspace:
 def wedge(C: CoalgebraSC, U: Subspace, W: Subspace) -> Subspace:
     """U wedge W = Delta^{-1}(U (x) C + C (x) W), computed sparsely.
 
-    Membership: reduce the coefficient matrix of Delta(v) column-wise by U,
-    then row-wise by W; v is in the wedge iff the residual vanishes.
+    Reduce the coefficient matrix of Delta(e_k) column-wise by U, then
+    row-wise by W; the wedge is the kernel of these residuals.
     """
     n = C.dim
     if U.ambient != n or W.ambient != n:
         raise ShapeMismatch("subspace ambient dimension mismatch")
     u_piv, w_piv = U.pivot_rows, W.pivot_rows
-    eq_rows: dict[tuple[int, int], SVec] = {}
+    residuals = []
     for k in range(n):
         t: dict[tuple[int, int], CycScalar] = dict(C.comult_basis(k))
         # column reduction (first leg) by U; the pivot rows are reduced, so
@@ -1026,9 +1024,8 @@ def wedge(C: CoalgebraSC, U: Subspace, W: Subspace) -> Subspace:
         # row reduction (second leg) by W, likewise
         for (i, j) in [key for key in t if key[1] in w_piv]:
             sv_axpy(t, -t.pop((i, j)), (((i, j2), w) for j2, w in w_piv[j].items() if j2 != j))
-        for key, c in t.items():
-            eq_rows.setdefault(key, {})[k] = c
-    return kernel_from_sparse_rows(eq_rows.values(), n)
+        residuals.append(t)
+    return kernel_of_images(residuals)
 
 
 def filtration_from(C: CoalgebraSC, F0: Subspace) -> tuple[list[Subspace], bool]:

@@ -355,9 +355,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def _transpose(cols: Iterable[SVec]) -> dict[int, SVec]:
-    """The sparse rows {i: {j: entry}} of the sparse columns cols[j]."""
-    rows: dict[int, SVec] = {}
+def _transpose(cols: Iterable[dict]) -> dict:
+    """The sparse rows {i: {j: entry}} of the sparse columns cols[j], i any hashable key."""
+    rows: dict = {}
     for j, col in enumerate(cols):
         for i, c in col.items():
             rows.setdefault(i, {})[j] = c
@@ -433,7 +433,7 @@ class CoordinateMap:
 
 
 def kernel(A: Mat) -> Subspace:
-    return _kernel_of_echelon(echelon(_transpose(A.cols).values()), A.ncols)
+    return kernel_of_images(A.cols)
 
 
 def image(A: Mat) -> Subspace:
@@ -445,8 +445,13 @@ def preimage(f: Mat, W: Subspace) -> Subspace:
     residuals of f's columns modulo W."""
     if f.nrows != W.ambient:
         raise ShapeMismatch("codomain does not match subspace ambient")
-    eqs = _transpose(W.reduce(col) for col in f.cols)
-    return kernel_from_sparse_rows(eqs.values(), f.ncols)
+    return kernel_of_images([W.reduce(col) for col in f.cols])
+
+
+def kernel_of_images(images: Sequence[dict]) -> Subspace:
+    """The kernel of e_j -> images[j] on K^n, n = len(images), each image keyed by
+    any hashable basis key: one equation row per key, solved by ``kernel_from_sparse_rows``."""
+    return kernel_from_sparse_rows(_transpose(images).values(), len(images))
 
 
 def kernel_from_sparse_rows(rows: Iterable[SVec], n: int) -> Subspace:

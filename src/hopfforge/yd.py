@@ -7,7 +7,9 @@ built from it are what the bosonization machinery consumes; their per-pair
 formulas (`braided_coproduct_pair`, `codiagonal_coaction_pair`) are the only
 copies of the braided coproduct and the codiagonal coaction, read only by
 `braided_tensor_coalgebra` and `yd_tensor`.  A pre-bialgebra forms its R (x) R
-with these two once and keeps it (`cocycle.PreBialgebra`).
+with these two once and keeps it (`cocycle.PreBialgebra`).  The one smash-product
+loop, `smash_product_tables`, multiplies through a product R (x) R -> R (x) S:
+rt (x) 1_S for `braided_tensor_algebra`, m-tilde for R #_xi H in `cocycle`.
 The action is stored as `AlgebraSC` stores its products and the coaction as
 `CoalgebraSC` stores its coproducts, so a module reads them through the same
 readers, and `module_map_failures` and `comodule_map_failures` are the
@@ -237,38 +239,46 @@ def yd_module_adjoint(H: HopfSC) -> YDModule:
     return YDModule(H, H.dim, H.adjoint, H.comult)
 
 
-def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModule) -> AlgebraSC:
-    """Algebra on R (x) S with (r (x) s)(t (x) v) = r (s_(-1) t) (x) s_0 v.
+def smash_product_tables(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModule,
+                         product: dict[tuple[int, int], dict]) -> tuple[Tensor3, Vec]:
+    """(mult, unit) on R (x) S with (r (x) s)(t (x) v) = sum r' (x) s' s_0 v over
+    product[r, s_(-1) t] = sum r' (x) s', each value keyed (r', s'), and unit 1_R (x) 1_S.
 
-    Callers opt into which YD-morphism checks gate the construction; the
-    formula itself only needs the stored tensors.
+    R's multiplication is read only through product, and of VR and VS only
+    the action and the coaction.  There is one `sv_axpy` per (row, t, product
+    term, cell e_m of s' s_0), whose terms run over v and e_m e_v.
     """
-    if VR.dim != R.dim or VS.dim != S.dim:
-        raise ShapeMismatch("YD carriers must match the algebra carriers")
     n2 = S.dim
     n = R.dim * n2
     mult = Tensor3((n, n, n))
-    for j in range(S.dim):
+    rows = S._rows
+    times_v = [[(v, b, cb) for v, cell in enumerate(rows[m]) for b, cb in cell] for m in range(n2)]
+    for j in range(n2):
         cj = VS.coact_basis(j)
         for t in range(R.dim):
-            # sum s_(-1) t (x) s_0 for s = e_j
+            # sum s_(-1) t (x) s_0 for s = e_j, keyed by (t', s_0)
             acted: dict[tuple[int, int], CycScalar] = {}
             for (h, s0), c in cj.items():
                 sv_axpy(acted, c, (((t2, s0), ct) for t2, ct in VR.act_basis(h, t).items()))
             for i in range(R.dim):
-                for v in range(S.dim):
-                    ij, tv = kron_index(i, j, n2), kron_index(t, v, n2)
-                    for (t2, s0), c in acted.items():
-                        right = S._rows[s0][v]
-                        for a, ca in R._rows[i][t2]:
-                            sv_axpy(mult.data, c * ca, (((ij, tv, a * n2 + b), cb) for b, cb in right))
-    unit = [czero()] * n
-    for i, ci in enumerate(R.unit):
-        if ci:
-            for j, cj in enumerate(S.unit):
-                if cj:
-                    unit[kron_index(i, j, n2)] = ci * cj
-    return AlgebraSC(n, mult, unit)
+                ij = kron_index(i, j, n2)
+                for (t2, s0), c in acted.items():
+                    for (a, sp), cp in product[i, t2].items():
+                        for m, cm in rows[sp][s0]:
+                            sv_axpy(mult.data, c * cp * cm,
+                                    (((ij, t * n2 + v, a * n2 + b), cb) for v, b, cb in times_v[m]))
+    return mult, [ci * cj if ci and cj else czero() for ci in R.unit for cj in S.unit]
+
+
+def braided_tensor_algebra(R: AlgebraSC, VR: YDModule, S: AlgebraSC, VS: YDModule) -> AlgebraSC:
+    """Algebra on R (x) S with (r (x) s)(t (x) v) = r (s_(-1) t) (x) s_0 v, the
+    smash loop with product[r, t] = rt (x) 1_S.  No YD-morphism check gates it."""
+    if VR.dim != R.dim or VS.dim != S.dim:
+        raise ShapeMismatch("YD carriers must match the algebra carriers")
+    one = S.unit_sv()
+    product = {(i, t): {(a, u): ca * cu for a, ca in cell for u, cu in one.items()}
+               for i, row in enumerate(R._rows) for t, cell in enumerate(row)}
+    return AlgebraSC(R.dim * S.dim, *smash_product_tables(R, VR, S, VS, product))
 
 
 def braided_coproduct_pair(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: YDModule,
@@ -307,9 +317,5 @@ def braided_tensor_coalgebra(R: CoalgebraSC, VR: YDModule, S: CoalgebraSC, VS: Y
             # the pair's entries are nonzero and on distinct keys, so they are stored as they are
             for (r1, s1, r20, s2), c in braided_coproduct_pair(R, VR, S, VS, k1, k2).items():
                 comult.data[(src, kron_index(r1, s1, n2), kron_index(r20, s2, n2))] = c
-    counit = [czero()] * n
-    for i in range(R.dim):
-        for j in range(S.dim):
-            counit[kron_index(i, j, n2)] = R.counit[i] * S.counit[j]
-    return CoalgebraSC(n, comult, counit)
+    return CoalgebraSC(n, comult, [ci * cj for ci in R.counit for cj in S.counit])
 

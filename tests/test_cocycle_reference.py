@@ -14,11 +14,13 @@ import pytest
 from hopfforge import catalog
 from hopfforge.analyze import induced_structures
 from hopfforge.cocycle import (
-    Cocycle, PreBialgebra, bosonization_tensors, check_cocycle, check_prebialgebra,
+    Cocycle, PreBialgebra, bosonization_tensors, check_cocycle, check_prebialgebra, tau_matrix,
 )
 from hopfforge.construct import build_quantum_line, validate_yd_datum
 from hopfforge.cyclotomic import CycScalar
-from hopfforge.hopf import AlgebraSC, HopfSC, adjoint_action, cyclic_character, group_algebra_cyclic
+from hopfforge.hopf import (
+    AlgebraSC, HopfSC, adjoint_action, convolution, cyclic_character, group_algebra_cyclic,
+)
 from hopfforge.linalg import Mat, Tensor3, basis_vec, cone, kron_index, sv_add_into, sv_scale
 from hopfforge.reports import CheckReport
 from hopfforge.yd import (
@@ -535,11 +537,64 @@ def assert_no_zero_stored(*tables):
 @pytest.mark.parametrize("name", ["qline2_xi8", "qline6", "xmas_pi", "kc12n6", "smash36"])
 def test_bosonization_tensors_match_reference(table_cases, name):
     P, xi = table_cases[name]
-    for x in (xi, Cocycle.trivial(P)):
+    # a moved xi satisfies no cocycle identity: the smash loop on an arbitrary m-tilde
+    for x in (xi, Cocycle.trivial(P), perturbed(P, xi, "xi", seed=3)[1]):
         mult, unit, comult, counit, sigma, pi = bosonization_tensors(P, x)
         ref = ref_bosonization(P, x)
         assert (mult, unit, comult, counit, sigma.cols, pi.cols) == ref
         assert_no_zero_stored(mult, comult, sigma.cols, pi.cols)
+
+
+def ref_convolution(f, g, C, A):
+    """(f * g)(e_k) = sum f(k_1) g(k_2), one product of basis vectors at a time."""
+    cols = []
+    for k in range(C.dim):
+        out = {}
+        for (i, j), c in C.comult_basis(k).items():
+            for a, ca in f.cols[i].items():
+                for b, cb in g.cols[j].items():
+                    for x, cx in A.mul_basis(a, b).items():
+                        acc(out, x, c * ca * cb * cx)
+        cols.append(out)
+    return cols
+
+
+def ref_tau(s):
+    """tau(e_k) = sum k_1 sigma S pi(k_2), sigma S pi(e_j) formed one map at a time."""
+    A, H = s.A, s.H
+    cols = []
+    for k in range(A.dim):
+        out = {}
+        for (i, j), c in A.comult_basis(k).items():
+            right = s.sigma.apply_sv(H.antipode_sv(s.pi.apply_sv({j: cone()})))
+            for y, cy in right.items():
+                for x, cx in A.mul_basis(i, y).items():
+                    acc(out, x, c * cy * cx)
+        cols.append(out)
+    return cols
+
+
+@pytest.mark.parametrize("name", ["b0", "smash36"])
+def test_convolution_matches_reference(name):
+    """convolution with f, g != id: the antipode S, S o S and a seeded sparse
+    map with entries other than 1, on a non-cocommutative H (b0) and on smash36."""
+    H = catalog.ALL_BUILDERS[name]().ore.O
+    rng = random.Random(7)
+    M = Mat.of_cols(H.dim, [{i: rat(rng.choice([-2, -1, 1, 3])) for i in rng.sample(range(H.dim), 3)}
+                            for _ in range(H.dim)])
+    S = H.antipode
+    for f, g in ((S, S @ S), (S @ S, M), (M, S), (M, M)):
+        got = convolution(f, g, H, H)
+        assert got.cols == ref_convolution(f, g, H, H)
+        assert_no_zero_stored(got.cols)
+
+
+@pytest.mark.parametrize("name", ["xmas_pi", "kc12n6", "smash36", "xmas", "c4min", "b0"])
+def test_tau_matrix_matches_reference(name):
+    s = catalog.xmas().extra["setup_pi"] if name == "xmas_pi" else catalog.ALL_BUILDERS[name]().setup
+    tau = tau_matrix(s.A, s.H, s.sigma, s.pi)
+    assert tau.cols == ref_tau(s)
+    assert_no_zero_stored(tau.cols)
 
 
 @pytest.mark.parametrize("name", ["qline2_xi8", "qline6", "xmas_pi", "kc2_cancelling"])

@@ -17,7 +17,7 @@ from hopfforge.hopf import (
     CoalgebraSC, HopfSC, check_algebra, check_bialgebra, check_hopf, compute_antipode,
     convolution, cyclic_character, char_convolve, char_convpow, char_powers, filtration_from,
     group_algebra_cyclic, integral, kaplansky_check,
-    phi_power, psi_power, primitives, skew_primitives, unit_counit_map,
+    phi_map, phi_power, psi_map, psi_power, primitives, skew_primitives, unit_counit_map,
     verify_ad_integral, verify_character, verify_group_like, wedge,
 )
 from hopfforge.linalg import (
@@ -139,6 +139,36 @@ def test_phi_psi(kc6, b0_entry):
         for b in range(1, 4):
             assert phi_power(O, chiO, a) @ psi_power(O, chiO, b) == \
                 psi_power(O, chiO, b) @ phi_power(O, chiO, a)
+
+
+@pytest.mark.parametrize("name", ["b0", "kc12n6"])
+def test_phi_psi_powers_are_compositions(name, b0_entry, xmas_entry, kc12n6_entry):
+    """phi_power and psi_power, the hit maps of chi's convolution powers, are
+    the c-fold compositions of phi_map and psi_map for c = 0..2N: on b0 with
+    xmas's chi (b0 is not cocommutative, so phi and psi differ there) and on
+    kc12n6's H."""
+    if name == "b0":
+        H, chi, N = b0_entry.ore.O, b0_entry.ore.O.characters["chi2"], xmas_entry.ore.N
+        assert phi_map(H, chi) != psi_map(H, chi)
+    else:
+        H, chi, N = kc12n6_entry.extra["H"], kc12n6_entry.extra["chi"], kc12n6_entry.ore.N
+    for power, step in ((phi_power, phi_map(H, chi)), (psi_power, psi_map(H, chi))):
+        composed = Mat.identity(H.dim)
+        for c in range(2 * N + 1):
+            assert power(H, chi, c) == composed, (power.__name__, c)
+            composed = step @ composed
+
+
+def test_skew_primitives_where_g_and_h_cancel():
+    """kC_2 in the basis e0 = 1 + x, e1 = 1 - x: g = 1 and h = x have
+    opposite e1 coordinates, so e1 (x) h + g (x) e1 has no e1 (x) e1 term;
+    the (1, x)-skew primitives are the span of 1 - x."""
+    half = rat(1) / rat(2)
+    mult = Tensor3((2, 2, 2), {(0, 0, 0): rat(2), (1, 1, 1): rat(2)})
+    comult = Tensor3((2, 2, 2), {(0, 0, 0): half, (0, 1, 1): half, (1, 0, 1): half, (1, 1, 0): half})
+    H = HopfSC(2, mult, [half, half], comult, [rat(2), rat(0)], Mat.identity(2))
+    got = skew_primitives(H, {0: half, 1: half}, {0: half, 1: -half}, bial=H)
+    assert got == Subspace(2, [[rat(0), rat(1)]])
 
 
 def test_phi_on_extension_generator(b0_entry):

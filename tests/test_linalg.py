@@ -569,7 +569,8 @@ def calls_by_function(path):
 def test_one_echelon_routine_and_no_private_imports():
     """Every exact solve goes through linalg.echelon: in linalg.py only its
     step echelon_add inverts a pivot, rref (its dense wrapper) is called by
-    no module of the package, and each solver calls echelon or rref.  No
+    no module of the package, each solver calls echelon or rref, and kernel
+    and preimage solve through kernel_of_images and kernel_from_sparse_rows.  No
     module of the package imports a _-prefixed name from another, so a
     second solver cannot come back unnoticed."""
     src = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
@@ -582,11 +583,13 @@ def test_one_echelon_routine_and_no_private_imports():
                 private_imports += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert {f for f, name in calls["linalg.py"] if name == "inverse"} == {"echelon_add"}
     assert {m for m, c in calls.items() if any(name == "rref" for _, name in c)} == set()
-    solvers = {("linalg.py", f) for f in ("rref", "kernel_from_sparse_rows", "kernel", "solve",
+    solvers = {("linalg.py", f) for f in ("rref", "kernel_from_sparse_rows", "solve",
                                          "Mat.rank", "Mat.inverse", "CoordinateMap.__init__")}
     solvers.add(("hopf.py", "compute_antipode"))
     eliminating = {(m, f) for m, c in calls.items() for f, name in c if name in ("echelon", "rref")}
     assert solvers - eliminating == set()
+    assert {("kernel", "kernel_of_images"), ("preimage", "kernel_of_images"),
+            ("kernel_of_images", "kernel_from_sparse_rows")} <= calls["linalg.py"]
     assert private_imports == []
 
 
